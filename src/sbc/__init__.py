@@ -8,6 +8,7 @@ from .errors import (
     FailureRateExceeded,
     FormatVersionMismatch,
     IndivisibleBinning,
+    InvalidArtifact,
     InvalidSpec,
     NonFiniteDensity,
     NonFiniteInput,
@@ -24,7 +25,8 @@ from .ess import (
     EssEstimate,
     autocorrelation,
     effective_sample_size,
-    min_ess_across_quantities,
+    ess_by_quantity,
+    min_ess,
     required_chain_length,
     thin_to,
 )
@@ -39,7 +41,6 @@ from .model import (
     coordinate,
     draw_data,
     draw_prior,
-    eval_quantity,
     evaluate_series,
     posterior_target,
 )
@@ -54,7 +55,6 @@ from .models import (
 )
 from .rankstats import (
     EcdfSummary,
-    RankRecord,
     SbcHistogram,
     build_histogram,
     chi_square_uniformity,
@@ -82,8 +82,6 @@ from .runner import (
     config_to_dict,
     load_artifact,
     run,
-    run_sbc,
-    run_sbc_mcmc,
     save_artifact,
 )
 from .samplers import (

@@ -15,7 +15,7 @@ import sys
 from .errors import ConfigError, FailureRateExceeded, SbcError
 from .models import MODEL_KINDS
 from .report import REPORT_FORMATS, ReportRequest, summarize, write_report
-from .runner import config_from_dict, load_artifact, run, save_artifact
+from .runner import FAILURE_RATE_CAP, config_from_dict, load_artifact, run, save_artifact
 from .samplers import SAMPLER_KINDS, SamplerConfig
 
 EXIT_OK = 0
@@ -30,7 +30,11 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Simulation-based calibration of Bayesian posterior samplers.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run_p = sub.add_parser("run", help="execute a calibration run from a JSON config")
+    run_p = sub.add_parser(
+        "run", help="execute a calibration run from a JSON config",
+        description=f"Execute a calibration run from a JSON config.  The run aborts with "
+                    f"exit code {EXIT_RUN_ABORTED} once more than floor({FAILURE_RATE_CAP:g} * N) "
+                    f"replications fail, so none may fail when N < {round(1 / FAILURE_RATE_CAP)}.")
     run_p.add_argument("--config", required=True, help="JSON run configuration file")
     run_p.add_argument("--seed", type=int, default=None, help="override master_seed")
     run_p.add_argument("--workers", type=int, default=None,
@@ -83,7 +87,6 @@ def _cmd_run(args) -> int:
             config,
             master_seed=args.seed if args.seed is not None else config.master_seed,
             worker_count_hint=workers,
-            output_path=args.out,
         )
     except (ConfigError, SbcError, ValueError) as exc:
         print(f"sbc: config error: {exc}", file=sys.stderr)
@@ -99,7 +102,7 @@ def _cmd_run(args) -> int:
     print(f"artifact written to {out}")
     print(f"replications: {config.N}  failures: {len(artifact.failures)}  "
           f"wall clock: {artifact.wall_clock_seconds:.1f}s")
-    for quantity in artifact.quantities():
+    for quantity in artifact.quantities:
         s = summarize(artifact, quantity)
         print(f"  {quantity}: {s['classification']} "
               f"(chi2={s['chi_square']:.1f}, dof={s['chi_square_dof']}, "

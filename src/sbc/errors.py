@@ -67,3 +67,7 @@ class ChecksumMismatch(SbcError):
 
 class ConfigError(SbcError):
     """A run configuration file is malformed or inconsistent."""
+
+
+class InvalidArtifact(SbcError):
+    """A persisted artifact's rank table is malformed or inconsistent with its config."""

@@ -125,37 +125,28 @@ def thin_to(draws: PosteriorDraws, L: int) -> PosteriorDraws:
     )
 
 
-def min_ess_across_quantities(draws: PosteriorDraws, quantities) -> float:
-    """Minimum effective sample size over the quantities' scalar series.
+def ess_by_quantity(draws: PosteriorDraws, quantities) -> np.ndarray:
+    """Effective sample size of each quantity's series, in the order given.
 
-    Constant series (derived quantities that collapse) count as infinitely
-    effective and are excluded; if every series is constant there is nothing
-    to thin by.
+    A constant series (a derived quantity that collapses) has no estimate
+    and reads NaN.
     """
-    quantities = list(quantities)
-    if not quantities:
-        raise ValueError("need at least one quantity")
-    best = None
-    for q in quantities:
-        series = evaluate_series(q, draws)
+    out = np.full(len(quantities), np.nan)
+    for j, q in enumerate(quantities):
         try:
-            est = effective_sample_size(series)
+            out[j] = effective_sample_size(evaluate_series(q, draws)).n_eff
         except ZeroVariance:
-            continue
-        if best is None or est.n_eff < best:
-            best = est.n_eff
-    if best is None:
-        raise AllConstant("every quantity is constant over the chain")
-    return best
-
-
-def ess_by_quantity(draws: PosteriorDraws, quantities) -> dict[str, float | None]:
-    """Per-quantity effective sample size; None for constant series."""
-    out: dict[str, float | None] = {}
-    for q in quantities:
-        series = evaluate_series(q, draws)
-        try:
-            out[q.name] = effective_sample_size(series).n_eff
-        except ZeroVariance:
-            out[q.name] = None
+            pass
     return out
+
+
+def min_ess(ess: np.ndarray) -> float:
+    """Smallest effective sample size, skipping quantities without an estimate.
+
+    Constant series count as infinitely effective; if every series is
+    constant there is nothing to thin by.
+    """
+    finite = ess[~np.isnan(ess)]
+    if finite.size == 0:
+        raise AllConstant("every quantity is constant over the chain")
+    return float(finite.min())

@@ -76,13 +76,13 @@ class Dataset:
 class Quantity:
     """A scalar function of the parameters used as an SBC test statistic.
 
-    ``batch_evaluator`` is an optional fast path mapping an (n, d) draw matrix
-    straight to an n-vector; it must agree with ``evaluator`` row by row.
+    ``batch_evaluator`` maps an (n, d) matrix of draws, whose columns are
+    named by its second argument, to an n-vector.  A single parameter vector
+    is evaluated as a 1-row matrix.
     """
 
     name: str
-    evaluator: Callable[[ParamVector], float]
-    batch_evaluator: Callable[[np.ndarray, tuple[str, ...]], np.ndarray] | None = None
+    batch_evaluator: Callable[[np.ndarray, tuple[str, ...]], np.ndarray]
 
 
 def coordinate(name: str) -> Quantity:
@@ -94,7 +94,7 @@ def coordinate(name: str) -> Quantity:
         except ValueError:
             raise UnknownParameter(f"no parameter named {name!r}; have {names}") from None
 
-    return Quantity(name=name, evaluator=lambda theta: theta.value_of(name), batch_evaluator=_batch)
+    return Quantity(name=name, batch_evaluator=_batch)
 
 
 class UnconstrainingMap:
@@ -214,9 +214,6 @@ class PosteriorDraws:
     def __len__(self) -> int:
         return self.values.shape[0]
 
-    def param_vector(self, i: int) -> ParamVector:
-        return ParamVector(self.names, self.values[i])
-
 
 def draw_prior(model: GenerativeModel, rng: RandomStream) -> ParamVector:
     """Sample one parameter vector from the model's prior."""
@@ -230,19 +227,9 @@ def draw_data(model: GenerativeModel, theta: ParamVector, rng: RandomStream) -> 
     return model.data_simulator(theta, rng)
 
 
-def eval_quantity(q: Quantity, theta: ParamVector) -> float:
-    """Evaluate a scalar quantity of interest at one parameter vector."""
-    return float(q.evaluator(theta))
-
-
 def evaluate_series(q: Quantity, draws: PosteriorDraws) -> np.ndarray:
-    """Evaluate a quantity over every draw, using the batch fast path if present."""
-    if q.batch_evaluator is not None:
-        return np.asarray(q.batch_evaluator(draws.values, draws.names), dtype=np.float64)
-    out = np.empty(len(draws))
-    for i in range(len(draws)):
-        out[i] = q.evaluator(draws.param_vector(i))
-    return out
+    """Evaluate a quantity over every draw."""
+    return np.asarray(q.batch_evaluator(draws.values, draws.names), dtype=np.float64)
 
 
 def posterior_target(model: GenerativeModel, data: Dataset,

@@ -383,16 +383,13 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
             return PosteriorTarget(2 + J, logpdf, grad)
 
         def _derived_theta(j: int) -> Quantity:
-            def _eval(theta: ParamVector) -> float:
-                return theta.value_of("mu") + theta.value_of("tau") * theta.value_of(f"eta[{j}]")
-
             def _batch(values: np.ndarray, nm: tuple[str, ...]) -> np.ndarray:
                 mu = values[:, nm.index("mu")]
                 tau = values[:, nm.index("tau")]
                 eta = values[:, nm.index(f"eta[{j}]")]
                 return mu + tau * eta
 
-            return Quantity(name=f"theta[{j}]", evaluator=_eval, batch_evaluator=_batch)
+            return Quantity(name=f"theta[{j}]", batch_evaluator=_batch)
 
         quantities = tuple(coordinate(p) for p in names) + tuple(
             _derived_theta(j) for j in range(1, J + 1)

@@ -18,22 +18,6 @@ from .errors import IndivisibleBinning, NonFiniteInput
 
 
 @dataclass(frozen=True)
-class RankRecord:
-    """One replication's rank for one quantity, with chain metadata."""
-
-    replication_index: int
-    quantity: str
-    rank: int
-    L: int
-    ess: float | None = None
-    raw_chain_length: int = 0
-
-    def __post_init__(self):
-        if not (0 <= self.rank <= self.L):
-            raise ValueError(f"rank {self.rank} outside [0, {self.L}]")
-
-
-@dataclass(frozen=True)
 class SbcHistogram:
     """Binned rank counts with a binomial variation band.
 

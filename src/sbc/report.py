@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnknownQuantity
 from .rankstats import (
     SbcHistogram,
     binomial_quantile,
@@ -60,17 +59,9 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _ranks_or_raise(artifact: RunArtifact, quantity: str) -> np.ndarray:
-    ranks = artifact.ranks_for(quantity)
-    if ranks.size == 0:
-        raise UnknownQuantity(
-            f"quantity {quantity!r} not in artifact (has {artifact.quantities()})")
-    return ranks
-
-
 def _histogram(artifact: RunArtifact, quantity: str, B: int | None,
                coverage: float) -> SbcHistogram:
-    ranks = _ranks_or_raise(artifact, quantity)
+    ranks = artifact.ranks_for(quantity)
     L = artifact.L
     if B is None:
         B = default_bins(ranks.size, L)
@@ -163,7 +154,7 @@ def render_ecdf_svg(artifact: RunArtifact, quantity: str, mode: str = "ecdf",
     """ECDF (or ECDF minus uniform expectation) with a pointwise envelope."""
     if mode not in ("ecdf", "diff"):
         raise ValueError("mode must be 'ecdf' or 'diff'")
-    ranks = _ranks_or_raise(artifact, quantity)
+    ranks = artifact.ranks_for(quantity)
     L = artifact.L
     summary = ecdf_summary(ranks, L, coverage)
     k = np.arange(L + 1)
@@ -269,7 +260,7 @@ def write_report(artifact: RunArtifact, request: ReportRequest, out_dir) -> list
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    quantities = request.quantities or artifact.quantities()
+    quantities = request.quantities or artifact.quantities
     rows = [summarize(artifact, q, request.bins, request.coverage) for q in quantities]
     written: list[str] = []
     if "svg" in request.formats:

@@ -24,17 +24,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    AllConstant,
     ChecksumMismatch,
     ConfigError,
     FailureRateExceeded,
     FormatVersionMismatch,
+    InvalidArtifact,
     SbcError,
+    UnknownQuantity,
 )
-from .ess import ess_by_quantity, required_chain_length, thin_to
-from .model import GenerativeModel, draw_data, draw_prior, eval_quantity, evaluate_series
+from .ess import ess_by_quantity, min_ess, required_chain_length, thin_to
+from .model import GenerativeModel, draw_data, draw_prior, evaluate_series
 from .models import model_from_dict
-from .rankstats import RankRecord, rank_statistic
+from .rankstats import rank_statistic
 from .samplers import (
     Corruption,
     SamplerConfig,
@@ -46,9 +47,11 @@ from .samplers import (
 )
 from .streams import RandomStream
 
-FORMAT_VERSION = "1.0"
+FORMAT_VERSION = "1.1"
 INITIAL_CHAIN_FACTOR = 10
 DEFAULT_MAX_CHAIN_LENGTH = 100_000
+# A run aborts once more than floor(FAILURE_RATE_CAP * N) replications fail,
+# so no failure is allowed when N < 100.
 FAILURE_RATE_CAP = 0.01
 
 _MCMC_KINDS = ("rw-metropolis", "hmc")
@@ -64,7 +67,6 @@ class RunConfig:
     thinning: str = "off"
     master_seed: int = 0
     max_chain_length: int = DEFAULT_MAX_CHAIN_LENGTH
-    output_path: str | None = None
     worker_count_hint: int = 1
 
     def __post_init__(self):
@@ -93,7 +95,7 @@ def config_to_dict(config: RunConfig) -> dict:
 
 _REQUIRED_KEYS = {"model", "sampler"}
 _OPTIONAL_KEYS = {"corruption", "N", "L", "thinning", "master_seed",
-                  "max_chain_length", "output_path", "worker_count_hint"}
+                  "max_chain_length", "worker_count_hint"}
 
 
 def _sub_config(cls, d: dict, what: str):
@@ -137,30 +139,46 @@ def config_from_dict(d: dict) -> RunConfig:
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RunArtifact:
-    """Everything one run produced: config echo, rank records, diagnostics."""
+    """Everything one run produced: config echo, the rank table, diagnostics.
+
+    Row i of ``ranks``, ``ess`` and ``chain_lengths`` belongs to completed
+    replication ``replications[i]`` (ascending); column j of ``ranks`` and
+    ``ess`` to ``quantities[j]`` (a run sorts them by name).  ``ess`` is NaN where there
+    is no estimate: a sampler without a chain, or a constant series.  The
+    arrays are read-only.
+    """
 
     config: RunConfig
-    records: tuple[RankRecord, ...]
+    quantities: tuple[str, ...]
+    replications: np.ndarray  # (n,)
+    ranks: np.ndarray  # (n, Q)
+    ess: np.ndarray  # (n, Q)
+    chain_lengths: np.ndarray  # (n,) raw chain length before thinning
     diagnostics: tuple[dict, ...]
     failures: tuple[dict, ...]
     wall_clock_seconds: float
     format_version: str = FORMAT_VERSION
 
-    def quantities(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for r in self.records:
-            seen.setdefault(r.quantity, None)
-        return tuple(seen)
+    def __post_init__(self):
+        for table in (self.replications, self.ranks, self.ess, self.chain_lengths):
+            table.flags.writeable = False
+
+    def _column(self, quantity: str) -> int:
+        try:
+            return self.quantities.index(quantity)
+        except ValueError:
+            raise UnknownQuantity(
+                f"quantity {quantity!r} not in artifact (has {self.quantities})") from None
 
     def ranks_for(self, quantity: str) -> np.ndarray:
-        ranks = [r.rank for r in self.records if r.quantity == quantity]
-        return np.asarray(ranks, dtype=np.int64)
+        return self.ranks[:, self._column(quantity)]
 
     def ess_for(self, quantity: str) -> np.ndarray:
-        ess = [r.ess for r in self.records if r.quantity == quantity and r.ess is not None]
-        return np.asarray(ess, dtype=np.float64)
+        """The quantity's effective sample sizes, for replications that have one."""
+        ess = self.ess[:, self._column(quantity)]
+        return ess[~np.isnan(ess)]
 
     @property
     def L(self) -> int:
@@ -184,32 +202,32 @@ def _sample_once(model: GenerativeModel, data, config: RunConfig, n_draws: int,
 
 
 def _replicate(config: RunConfig, i: int) -> dict:
-    """Run one replication; returns records plus diagnostics, or a failure."""
+    """Run one replication; returns its row of the rank table, or a failure."""
     model = model_from_dict(config.model)
+    quantities = sorted(model.quantities, key=lambda q: q.name)  # the table's column order
     seed = config.master_seed
     diag: dict = {"replication": i}
     try:
         theta = draw_prior(model, RandomStream(seed, i, "prior"))
         data = draw_data(model, theta, RandomStream(seed, i, "data"))
 
-        is_mcmc = config.sampler.kind in _MCMC_KINDS
-        ess_map: dict[str, float | None] = {}
+        ess = np.full(len(quantities), np.nan)
         if config.thinning == "off":
             draws = _sample_once(model, data, config, config.L, seed, i, "chain")
-            if is_mcmc:
-                ess_map = ess_by_quantity(draws, model.quantities)
+            if config.sampler.kind in _MCMC_KINDS:
+                ess = ess_by_quantity(draws, quantities)
         else:
             initial = INITIAL_CHAIN_FACTOR * config.L
             draws = _sample_once(model, data, config, initial, seed, i, "chain")
-            ess_map = ess_by_quantity(draws, model.quantities)
-            ess_min = _min_ess(ess_map)
+            ess = ess_by_quantity(draws, quantities)
+            ess_min = min_ess(ess)
             plan = required_chain_length(initial, config.L, ess_min, config.max_chain_length)
             diag["cap_hit"] = plan.cap_hit
             if plan.length > initial:
                 draws = _sample_once(model, data, config, plan.length, seed, i, "chain-rerun")
-                ess_map = ess_by_quantity(draws, model.quantities)
-                ess_min = _min_ess(ess_map)
-            diag["ess_min"] = float(ess_min)
+                ess = ess_by_quantity(draws, quantities)
+                ess_min = min_ess(ess)
+            diag["ess_min"] = ess_min
             diag["still_short"] = bool(ess_min < config.L)
             draws = thin_to(draws, config.L)
 
@@ -219,94 +237,67 @@ def _replicate(config: RunConfig, i: int) -> dict:
 
         draws = corrupt(draws, config.corruption)
 
-        records = []
-        for q in model.quantities:
-            series = evaluate_series(q, draws)
-            rank = rank_statistic(series, eval_quantity(q, theta))
-            ess = ess_map.get(q.name)
-            records.append(RankRecord(
-                replication_index=i,
-                quantity=q.name,
-                rank=rank,
-                L=config.L,
-                ess=float(ess) if ess is not None else None,
-                raw_chain_length=draws.chain_length_raw,
-            ))
-        return {"replication": i, "records": records, "diagnostics": diag, "failure": None}
+        prior_point = theta.values[np.newaxis]
+        ranks = [rank_statistic(evaluate_series(q, draws),
+                                float(q.batch_evaluator(prior_point, theta.names)[0]))
+                 for q in quantities]
+        return {"replication": i, "quantities": tuple(q.name for q in quantities),
+                "ranks": ranks, "ess": ess, "chain_length": draws.chain_length_raw,
+                "diagnostics": diag, "failure": None}
     except SbcError as exc:
-        return {"replication": i, "records": [], "diagnostics": diag,
+        return {"replication": i, "diagnostics": diag,
                 "failure": f"{type(exc).__name__}: {exc}"}
 
 
-def _min_ess(ess_map: dict[str, float | None]) -> float:
-    finite = [v for v in ess_map.values() if v is not None]
-    if not finite:
-        raise AllConstant("every quantity is constant over the chain")
-    return min(finite)
-
-
-def _collect(config: RunConfig, results):
+def _collect(config: RunConfig, results) -> dict:
+    """The RunArtifact fields that results determine; both executors yield them in order."""
     max_failures = math.floor(FAILURE_RATE_CAP * config.N)
-    records: list[RankRecord] = []
-    diagnostics: list[dict] = []
+    rows: list[dict] = []
     failures: list[dict] = []
     for result in results:
-        if result["failure"] is not None:
-            failures.append({"replication": result["replication"], "reason": result["failure"]})
-            if len(failures) > max_failures:
-                raise FailureRateExceeded(
-                    f"{len(failures)} replications failed (cap {max_failures}); "
-                    f"first failure: {failures[0]['reason']}")
-        else:
-            records.extend(result["records"])
-            diagnostics.append(result["diagnostics"])
-    records.sort(key=lambda r: (r.replication_index, r.quantity))
-    diagnostics.sort(key=lambda d: d["replication"])
-    return records, diagnostics, failures
+        if result["failure"] is None:
+            rows.append(result)
+            continue
+        failures.append({"replication": result["replication"], "reason": result["failure"]})
+        if len(failures) > max_failures:
+            raise FailureRateExceeded(
+                f"{len(failures)} replications failed; at most "
+                f"floor({FAILURE_RATE_CAP:g} * N) = {max_failures} failures allowed at "
+                f"N={config.N}; first failure: {failures[0]['reason']}")
+    # The cap is below N, so at least one replication completed.
+    return {
+        "quantities": rows[0]["quantities"],
+        "replications": np.array([r["replication"] for r in rows], dtype=np.int64),
+        "ranks": np.array([r["ranks"] for r in rows], dtype=np.int64),
+        "ess": np.array([r["ess"] for r in rows], dtype=np.float64),
+        "chain_lengths": np.array([r["chain_length"] for r in rows], dtype=np.int64),
+        "diagnostics": tuple(r["diagnostics"] for r in rows),
+        "failures": tuple(failures),
+    }
 
 
-def _run(config: RunConfig) -> RunArtifact:
+def run(config: RunConfig) -> RunArtifact:
+    """Run every replication of a calibration.
+
+    With ``thinning='algorithm-2'`` each MCMC chain's effective sample size
+    is estimated, the chain is rerun longer when it falls short of L, and
+    the draws are thinned to L before ranking.
+    """
     started = time.perf_counter()
     workers = config.worker_count_hint
     if workers == 1:
-        records, diagnostics, failures = _collect(
-            config, (_replicate(config, i) for i in range(config.N)))
+        table = _collect(config, (_replicate(config, i) for i in range(config.N)))
     else:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunksize = max(1, config.N // (workers * 8))
             try:
-                records, diagnostics, failures = _collect(
-                    config, pool.map(partial(_replicate, config), range(config.N),
-                                     chunksize=chunksize))
+                table = _collect(config, pool.map(partial(_replicate, config), range(config.N),
+                                                  chunksize=chunksize))
             except FailureRateExceeded:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
-    return RunArtifact(
-        config=config,
-        records=tuple(records),
-        diagnostics=tuple(diagnostics),
-        failures=tuple(failures),
-        wall_clock_seconds=time.perf_counter() - started,
-    )
-
-
-def run_sbc(config: RunConfig) -> RunArtifact:
-    """Calibration run ranking against the sampler's raw draws (no thinning)."""
-    if config.thinning != "off":
-        raise ConfigError("run_sbc requires thinning='off'; use run_sbc_mcmc")
-    return _run(config)
-
-
-def run_sbc_mcmc(config: RunConfig) -> RunArtifact:
-    """Calibration run with per-replication ESS estimation, rerun, and thinning."""
-    if config.thinning != "algorithm-2":
-        raise ConfigError("run_sbc_mcmc requires thinning='algorithm-2'")
-    return _run(config)
-
-
-def run(config: RunConfig) -> RunArtifact:
-    """Dispatch on the config's thinning mode."""
-    return run_sbc(config) if config.thinning == "off" else run_sbc_mcmc(config)
+    return RunArtifact(config=config, **table,
+                       wall_clock_seconds=time.perf_counter() - started)
 
 
 # ---------------------------------------------------------------------------
@@ -320,15 +311,15 @@ def _ranks_csv_bytes(artifact: RunArtifact) -> bytes:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_CSV_HEADER)
-    for r in artifact.records:
-        writer.writerow([
-            r.replication_index,
-            r.quantity,
-            r.rank,
-            r.L,
-            "" if r.ess is None else repr(r.ess),
-            r.raw_chain_length,
-        ])
+    n, q = artifact.ranks.shape
+    writer.writerows(zip(
+        np.repeat(artifact.replications, q).tolist(),
+        artifact.quantities * n,
+        artifact.ranks.ravel().tolist(),
+        [artifact.L] * (n * q),
+        ["" if math.isnan(x) else repr(x) for x in artifact.ess.ravel().tolist()],
+        np.repeat(artifact.chain_lengths, q).tolist(),
+    ))
     return buf.getvalue().encode("utf-8")
 
 
@@ -339,7 +330,7 @@ def _meta_json_bytes(artifact: RunArtifact) -> bytes:
         "failures": list(artifact.failures),
         "diagnostics": list(artifact.diagnostics),
         "wall_clock_seconds": artifact.wall_clock_seconds,
-        "n_records": len(artifact.records),
+        "n_records": artifact.ranks.size,
     }
     return (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
@@ -357,47 +348,92 @@ def save_artifact(artifact: RunArtifact, path) -> Path:
     return out
 
 
-def load_artifact(path) -> RunArtifact:
-    """Read an artifact directory back, verifying checksums and version."""
-    root = Path(path)
+def _verify_checksums(root: Path) -> None:
+    """Check every file sha256sums.txt lists; meta.json and ranks.csv must be listed."""
     sums = {}
     for line in (root / "sha256sums.txt").read_text(encoding="utf-8").splitlines():
         digest, name = line.split(None, 1)
         sums[name.strip()] = digest
+    unlisted = [name for name in ("meta.json", "ranks.csv") if name not in sums]
+    if unlisted:
+        raise ChecksumMismatch(f"sha256sums.txt has no checksum for {unlisted}")
     for name, digest in sums.items():
-        blob = (root / name).read_bytes()
-        actual = hashlib.sha256(blob).hexdigest()
+        actual = hashlib.sha256((root / name).read_bytes()).hexdigest()
         if actual != digest:
             raise ChecksumMismatch(f"{name}: expected sha256 {digest}, got {actual}")
+
+
+def _rank_table(rows: list[list[str]], config: RunConfig, failures) -> dict:
+    """The rank-table fields of a RunArtifact, from the rows of ranks.csv.
+
+    The rows must hold one rank in [0, L] for each quantity of each completed
+    replication: replications ascending, each listing the same quantities in
+    the same order, every row with the run's L and its replication's raw
+    chain length.
+    """
+    try:
+        if any(len(row) != len(_CSV_HEADER) for row in rows):
+            raise ValueError(f"every row must have {len(_CSV_HEADER)} fields")
+        replications = np.array([int(row[0]) for row in rows], dtype=np.int64)
+        ranks = np.array([int(row[2]) for row in rows], dtype=np.int64)
+        L_cells = np.array([int(row[3]) for row in rows], dtype=np.int64)
+        ess = np.array([float(row[4]) if row[4] else math.nan for row in rows])
+        lengths = np.array([int(row[5]) for row in rows], dtype=np.int64)
+    except ValueError as exc:
+        raise InvalidArtifact(f"ranks.csv: {exc}") from None
+    if np.any(L_cells != config.L):
+        raise InvalidArtifact(f"ranks.csv has L values other than the run's L={config.L}")
+    if np.any((ranks < 0) | (ranks > config.L)):
+        raise InvalidArtifact(f"ranks.csv has ranks outside [0, {config.L}]")
+
+    failed = {f["replication"] for f in failures}
+    completed = [i for i in range(config.N) if i not in failed]
+    n = len(completed)
+    q = len(rows) // n if n else 0
+    quantities = tuple(row[1] for row in rows[:q])
+    if (len(rows) != n * q or (n and not q) or len(set(quantities)) != q
+            or not np.array_equal(replications, np.repeat(completed, q))
+            or [row[1] for row in rows] != list(quantities) * n):
+        raise InvalidArtifact(
+            f"ranks.csv does not hold one row per quantity for each of the {n} "
+            f"completed replications")
+    lengths = lengths.reshape(n, q)
+    first_lengths = lengths[:, :1]
+    if np.any(lengths != first_lengths):
+        raise InvalidArtifact("ranks.csv: raw_chain_length differs within a replication")
+    return {"quantities": quantities, "replications": np.array(completed, dtype=np.int64),
+            "ranks": ranks.reshape(n, q), "ess": ess.reshape(n, q),
+            "chain_lengths": first_lengths.ravel()}
+
+
+def load_artifact(path) -> RunArtifact:
+    """Read an artifact directory back, verifying checksums, version and the rank table."""
+    root = Path(path)
+    _verify_checksums(root)
 
     meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
     version = str(meta.get("format_version", ""))
     if version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
         raise FormatVersionMismatch(
             f"artifact format {version!r} not supported by reader {FORMAT_VERSION!r}")
-    config = config_from_dict(meta["config"])
+    raw_config = dict(meta["config"])
+    if version == "1.0":
+        raw_config.pop("output_path", None)  # recorded but never read; dropped in 1.1
+    config = config_from_dict(raw_config)
+    failures = tuple(meta["failures"])
 
-    records = []
     with (root / "ranks.csv").open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != _CSV_HEADER:
             raise FormatVersionMismatch(f"unexpected ranks.csv header: {header}")
-        for row in reader:
-            records.append(RankRecord(
-                replication_index=int(row[0]),
-                quantity=row[1],
-                rank=int(row[2]),
-                L=int(row[3]),
-                ess=float(row[4]) if row[4] else None,
-                raw_chain_length=int(row[5]),
-            ))
+        table = _rank_table(list(reader), config, failures)
 
     return RunArtifact(
         config=config,
-        records=tuple(records),
+        **table,
         diagnostics=tuple(meta["diagnostics"]),
-        failures=tuple(meta["failures"]),
+        failures=failures,
         wall_clock_seconds=meta["wall_clock_seconds"],
         format_version=version,
     )

@@ -71,7 +71,7 @@ def test_config_errors_exit_2(tmp_path):
     assert main(["run", "--config", str(unknown_key), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_failure_rate_exit_3(tmp_path):
+def test_failure_rate_exit_3(tmp_path, capsys):
     config = tmp_path / "failing.json"
     config.write_text(json.dumps({
         "model": {"kind": "normal-normal"},
@@ -81,6 +81,7 @@ def test_failure_rate_exit_3(tmp_path):
         "L": 9,
         "master_seed": 1}))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
+    assert "floor(0.01 * N) = 0 failures allowed at N=20" in capsys.readouterr().err
 
 
 def test_report_errors_exit_4(tiny_config, tmp_path):

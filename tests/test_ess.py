@@ -7,7 +7,8 @@ from sbc.errors import AllConstant, TooShort, ZeroVariance
 from sbc.ess import (
     autocorrelation,
     effective_sample_size,
-    min_ess_across_quantities,
+    ess_by_quantity,
+    min_ess,
     required_chain_length,
     thin_to,
 )
@@ -146,24 +147,24 @@ class TestMinEssAcrossQuantities:
         x = ar1(0.5, 20_000, seed=9)
         draws = _draws(x.reshape(-1, 1))
         direct = effective_sample_size(x).n_eff
-        assert min_ess_across_quantities(draws, [coordinate("p0")]) == pytest.approx(direct)
+        assert min_ess(ess_by_quantity(draws, [coordinate("p0")])) == pytest.approx(direct)
 
     def test_minimum_dominated_by_slow_quantity(self):
         n = 50_000
         iid = np.random.default_rng(10).normal(size=n)
         slow = ar1(0.9, n, seed=11)
         draws = _draws(np.column_stack([iid, slow]))
-        got = min_ess_across_quantities(draws, [coordinate("p0"), coordinate("p1")])
+        got = min_ess(ess_by_quantity(draws, [coordinate("p0"), coordinate("p1")]))
         assert got == pytest.approx(effective_sample_size(slow).n_eff)
 
     def test_constant_quantity_excluded(self):
         n = 5000
         varying = ar1(0.5, n, seed=12)
         draws = _draws(np.column_stack([varying, np.ones(n)]))
-        got = min_ess_across_quantities(draws, [coordinate("p0"), coordinate("p1")])
+        got = min_ess(ess_by_quantity(draws, [coordinate("p0"), coordinate("p1")]))
         assert got == pytest.approx(effective_sample_size(varying).n_eff)
 
     def test_all_constant_raises(self):
         draws = _draws(np.ones((100, 1)))
         with pytest.raises(AllConstant):
-            min_ess_across_quantities(draws, [coordinate("p0")])
+            min_ess(ess_by_quantity(draws, [coordinate("p0")]))

@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,6 @@ from sbc.model import (
     coordinate,
     draw_data,
     draw_prior,
-    eval_quantity,
     evaluate_series,
     posterior_target,
 )
@@ -64,30 +61,38 @@ class TestParamVector:
             theta.values[0] = 2.0
 
 
+def at_point(q: Quantity, theta: ParamVector) -> float:
+    """A quantity at one parameter vector: its evaluator on a 1-row matrix."""
+    out = q.batch_evaluator(theta.values[np.newaxis], theta.names)
+    assert out.shape == (1,)
+    return float(out[0])
+
+
 class TestQuantity:
     def test_coordinate_projection(self):
-        assert eval_quantity(coordinate("mu"), ParamVector(("mu",), np.array([1.05]))) == 1.05
+        assert at_point(coordinate("mu"), ParamVector(("mu",), np.array([1.05]))) == 1.05
 
     def test_log_quantity(self):
-        q = Quantity("log_tau", lambda th: math.log(th.value_of("tau")))
+        q = Quantity("log_tau", lambda v, names: np.log(v[:, names.index("tau")]))
         theta = ParamVector(("tau",), np.array([1.0]))
-        assert eval_quantity(q, theta) == 0.0
+        assert at_point(q, theta) == 0.0
 
     def test_eight_schools_projection(self):
         model = make_eight_schools(EightSchoolsSpec())
         theta = draw_prior(model, RandomStream(1, 0, "prior"))
         q = model.quantity("theta[1]")
-        assert eval_quantity(q, theta) == theta.value_of("theta[1]")
+        assert at_point(q, theta) == theta.value_of("theta[1]")
 
     def test_batch_evaluator_agrees_with_scalar(self):
+        """Over n draws, each value equals the quantity at that single draw."""
         model = make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))
         theta = draw_prior(model, RandomStream(2, 0, "prior"))
         data = draw_data(model, theta, RandomStream(2, 0, "data"))
         draws = sample_rw_metropolis(model, data, 50, 0.5, 20, RandomStream(2, 0, "chain"))
         for q in model.quantities:
             batch = evaluate_series(q, draws)
-            scalar = np.array([q.evaluator(draws.param_vector(i)) for i in range(len(draws))])
-            np.testing.assert_allclose(batch, scalar, rtol=1e-12)
+            scalar = [at_point(q, ParamVector(draws.names, row)) for row in draws.values]
+            np.testing.assert_array_equal(batch, scalar)
 
 
 class TestUnconstrainingMap:

@@ -178,7 +178,8 @@ class TestEightSchools:
         theta = draw_prior(model, RandomStream(38, 0, "prior"))
         q = model.quantity("theta[3]")
         expected = theta.value_of("mu") + theta.value_of("tau") * theta.value_of("eta[3]")
-        assert q.evaluator(theta) == pytest.approx(expected)
+        value = q.batch_evaluator(theta.values[np.newaxis], theta.names)
+        assert value == pytest.approx([expected])
 
 
 class TestModelRegistry:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from sbc.errors import UnknownQuantity
-from sbc.rankstats import RankRecord, rebin
+from sbc.rankstats import rebin
 from sbc.report import (
     ReportRequest,
     render_ecdf_svg,
@@ -14,21 +14,20 @@ from sbc.report import (
     summary_csv,
     write_report,
 )
-from sbc.runner import RunArtifact, RunConfig, run_sbc
+from sbc.runner import RunArtifact, RunConfig, run
 from sbc.samplers import SamplerConfig
 
 
 def artifact_from_ranks(ranks, L=19, quantity="mu"):
     """Hand-built artifact wrapping a fixed rank list."""
-    records = tuple(
-        RankRecord(replication_index=i, quantity=quantity, rank=int(r), L=L,
-                   raw_chain_length=L)
-        for i, r in enumerate(ranks))
+    n = len(ranks)
     config = RunConfig(model={"kind": "normal-normal"},
                        sampler=SamplerConfig(kind="exact-conjugate"),
-                       N=len(records), L=L, master_seed=1)
-    return RunArtifact(config=config, records=records, diagnostics=(),
-                       failures=(), wall_clock_seconds=0.0)
+                       N=n, L=L, master_seed=1)
+    return RunArtifact(config=config, quantities=(quantity,), replications=np.arange(n),
+                       ranks=np.reshape(ranks, (n, 1)), ess=np.full((n, 1), np.nan),
+                       chain_lengths=np.full(n, L), diagnostics=(), failures=(),
+                       wall_clock_seconds=0.0)
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +35,7 @@ def exact_artifact():
     config = RunConfig(model={"kind": "normal-normal"},
                        sampler=SamplerConfig(kind="exact-conjugate"),
                        N=400, L=19, master_seed=63)
-    return run_sbc(config)
+    return run(config)
 
 
 class TestHistogramSvg:

@@ -1,20 +1,30 @@
 import dataclasses
+import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sbc.errors import ChecksumMismatch, ConfigError, FailureRateExceeded, FormatVersionMismatch
-from sbc.rankstats import build_histogram, rebin
+from sbc.cli import main
+from sbc.errors import (
+    ChecksumMismatch,
+    ConfigError,
+    FailureRateExceeded,
+    FormatVersionMismatch,
+    InvalidArtifact,
+)
 from sbc.runner import (
+    RunArtifact,
     RunConfig,
     config_from_dict,
     config_to_dict,
     load_artifact,
     run,
-    run_sbc,
-    run_sbc_mcmc,
     save_artifact,
 )
 from sbc.samplers import Corruption, SamplerConfig
@@ -25,6 +35,24 @@ def exact_config(N=100, L=19, seed=7, **kwargs):
         model={"kind": "normal-normal"},
         sampler=SamplerConfig(kind="exact-conjugate"),
         N=N, L=L, master_seed=seed, **kwargs)
+
+
+def assert_same_table(a, b):
+    assert a.quantities == b.quantities
+    for name in ("replications", "ranks", "ess", "chain_lengths"):
+        np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def rewrite(out, name, blob):
+    """Replace one artifact file and its recorded checksum."""
+    (out / name).write_bytes(blob)
+    lines = []
+    for line in (out / "sha256sums.txt").read_text().splitlines():
+        digest, listed = line.split(None, 1)
+        if listed == name:
+            digest = hashlib.sha256(blob).hexdigest()
+        lines.append(f"{digest}  {listed}")
+    (out / "sha256sums.txt").write_text("\n".join(lines) + "\n")
 
 
 class TestRunConfig:
@@ -70,45 +98,37 @@ class TestRunConfig:
 
 class TestRunSbc:
     def test_single_replication_yields_one_record_per_quantity(self):
-        artifact = run_sbc(exact_config(N=1))
-        assert len(artifact.records) == 1
-        assert artifact.records[0].quantity == "mu"
-        assert artifact.records[0].ess is None
+        artifact = run(exact_config(N=1))
+        assert artifact.quantities == ("mu",)
+        assert artifact.ranks.shape == (1, 1)
+        assert np.isnan(artifact.ess).all()
+        assert artifact.ess_for("mu").size == 0
 
     def test_all_ranks_in_range(self):
-        artifact = run_sbc(exact_config(N=200, L=19))
+        artifact = run(exact_config(N=200, L=19))
         ranks = artifact.ranks_for("mu")
         assert ranks.size == 200
         assert ranks.min() >= 0 and ranks.max() <= 19
 
     def test_rank_mean_near_half_L(self):
         config = exact_config(N=2000, L=99, seed=11)
-        artifact = run_sbc(config)
+        artifact = run(config)
         ranks = artifact.ranks_for("mu")
         assert abs(ranks.mean() - 99 / 2) < 4 * 99 / math.sqrt(12 * 2000)
 
-    def test_wrong_mode_rejected(self):
-        config = RunConfig(sampler=SamplerConfig(kind="rw-metropolis"), thinning="algorithm-2")
-        with pytest.raises(ConfigError):
-            run_sbc(config)
-        with pytest.raises(ConfigError):
-            run_sbc_mcmc(exact_config())
-
     def test_failure_cap_aborts_run(self):
-        config = exact_config(N=100, corruption=Corruption(
-            kind="shift", amount=1.0, target_quantity="not-a-parameter"))
-        with pytest.raises(FailureRateExceeded):
-            run(config)
+        corruption = Corruption(kind="shift", amount=1.0, target_quantity="not-a-parameter")
+        with pytest.raises(FailureRateExceeded, match=r"floor\(0\.01 \* N\) = 1 .* N=100;"):
+            run(exact_config(N=100, corruption=corruption))
+        with pytest.raises(FailureRateExceeded, match=r"floor\(0\.01 \* N\) = 0 .* N=50;"):
+            run(exact_config(N=50, corruption=corruption))
 
     def test_replication_independence(self):
-        """Histogram of any retained subset equals recomputing on that subset."""
-        artifact = run_sbc(exact_config(N=300, L=19, seed=13))
-        keep = {i for i in range(300) if i % 3 != 0}
-        subset = [r.rank for r in artifact.records if r.replication_index in keep]
-        full = rebin(subset, 19, 10)
-        direct = rebin(np.asarray(subset), 19, 10)
-        np.testing.assert_array_equal(full, direct)
-        assert sum(full) == len(keep)
+        """Replication i's ranks depend on the seed and i, not on N."""
+        small = run(exact_config(N=200, L=19, seed=13))
+        large = run(exact_config(N=300, L=19, seed=13))
+        np.testing.assert_array_equal(small.replications, np.arange(200))
+        np.testing.assert_array_equal(small.ranks, large.ranks[:200])
 
 
 class TestRunSbcMcmc:
@@ -117,11 +137,10 @@ class TestRunSbcMcmc:
             model={"kind": "normal-normal"},
             sampler=SamplerConfig(kind="rw-metropolis", step_size=1.5, warmup=100),
             N=20, L=19, thinning="algorithm-2", master_seed=21)
-        artifact = run_sbc_mcmc(config)
-        assert len(artifact.records) == 20
-        for record in artifact.records:
-            assert record.raw_chain_length >= 190
-            assert record.ess is not None and record.ess > 0
+        artifact = run(config)
+        assert artifact.ranks.shape == (20, 1)
+        assert (artifact.chain_lengths >= 190).all()
+        assert (artifact.ess > 0).all()
         for diag in artifact.diagnostics:
             assert "ess_min" in diag and "cap_hit" in diag
 
@@ -130,7 +149,7 @@ class TestRunSbcMcmc:
             model={"kind": "normal-normal"},
             sampler=SamplerConfig(kind="rw-metropolis", step_size=1e-4, warmup=0),
             N=3, L=99, thinning="algorithm-2", master_seed=22, max_chain_length=2000)
-        artifact = run_sbc_mcmc(config)
+        artifact = run(config)
         assert any(d.get("cap_hit") for d in artifact.diagnostics)
         assert any(d.get("still_short") for d in artifact.diagnostics)
 
@@ -147,14 +166,14 @@ class TestDeterminism:
         assert runs[1] == runs[4]
 
     def test_same_seed_same_records(self):
-        a = run_sbc(exact_config(N=30, seed=41))
-        b = run_sbc(exact_config(N=30, seed=41))
-        assert a.records == b.records
+        a = run(exact_config(N=30, seed=41))
+        b = run(exact_config(N=30, seed=41))
+        assert_same_table(a, b)
 
     def test_different_seed_differs(self):
-        a = run_sbc(exact_config(N=30, seed=41))
-        b = run_sbc(exact_config(N=30, seed=42))
-        assert a.records != b.records
+        a = run(exact_config(N=30, seed=41))
+        b = run(exact_config(N=30, seed=42))
+        assert not np.array_equal(a.ranks, b.ranks)
 
 
 class TestPersistence:
@@ -163,17 +182,17 @@ class TestPersistence:
             model={"kind": "lin-reg"},
             sampler=SamplerConfig(kind="rw-metropolis", step_size=0.8, warmup=50),
             N=5, L=19, master_seed=51)
-        artifact = run_sbc(config)
+        artifact = run(config)
         out = save_artifact(artifact, tmp_path / "run")
         loaded = load_artifact(out)
         assert loaded.config == artifact.config
-        assert loaded.records == artifact.records
+        assert_same_table(loaded, artifact)
         assert loaded.failures == artifact.failures
         assert loaded.diagnostics == artifact.diagnostics
         assert loaded.wall_clock_seconds == artifact.wall_clock_seconds
 
     def test_truncated_file_detected(self, tmp_path):
-        artifact = run_sbc(exact_config(N=10))
+        artifact = run(exact_config(N=10))
         out = save_artifact(artifact, tmp_path / "run")
         blob = (out / "ranks.csv").read_bytes()
         (out / "ranks.csv").write_bytes(blob[: len(blob) // 2])
@@ -181,23 +200,13 @@ class TestPersistence:
             load_artifact(out)
 
     def test_minor_version_accepted_major_rejected(self, tmp_path):
-        artifact = run_sbc(exact_config(N=3))
+        artifact = run(exact_config(N=3))
         out = save_artifact(artifact, tmp_path / "run")
 
         def rewrite_version(version):
             meta = json.loads((out / "meta.json").read_text())
             meta["format_version"] = version
-            blob = (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()
-            (out / "meta.json").write_bytes(blob)
-            import hashlib
-            sums = (out / "sha256sums.txt").read_text().splitlines()
-            new = []
-            for line in sums:
-                digest, name = line.split(None, 1)
-                if name.strip() == "meta.json":
-                    digest = hashlib.sha256(blob).hexdigest()
-                new.append(f"{digest}  {name.strip()}")
-            (out / "sha256sums.txt").write_text("\n".join(new) + "\n")
+            rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
         rewrite_version("1.7")
         assert load_artifact(out).format_version == "1.7"
@@ -208,3 +217,95 @@ class TestPersistence:
     def test_missing_directory_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_artifact(tmp_path / "nope")
+
+    def test_format_1_0_config_with_output_path_loads(self, tmp_path):
+        artifact = run(exact_config(N=5))
+        out = save_artifact(artifact, tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+        meta["format_version"] = "1.0"
+        meta["config"]["output_path"] = str(out)
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        loaded = load_artifact(out)
+        assert loaded.config == artifact.config
+        assert_same_table(loaded, artifact)
+
+    @pytest.mark.parametrize("unlisted", ["ranks.csv", "meta.json", "every file"])
+    def test_unlisted_file_rejected(self, tmp_path, unlisted):
+        out = save_artifact(run(exact_config(N=10)), tmp_path / "run")
+        if unlisted == "ranks.csv":  # a changed rank must not pass for want of a checksum
+            header, first, *rest = (out / "ranks.csv").read_text().split("\n")
+            fields = first.split(",")
+            fields[2] = "0" if fields[2] != "0" else "1"
+            (out / "ranks.csv").write_text("\n".join([header, ",".join(fields), *rest]))
+        kept = [line for line in (out / "sha256sums.txt").read_text().splitlines()
+                if unlisted != "every file" and not line.endswith(unlisted)]
+        (out / "sha256sums.txt").write_text("".join(f"{line}\n" for line in kept))
+        with pytest.raises(ChecksumMismatch):
+            load_artifact(out)
+
+
+class TestRankTableValidation:
+    """ranks.csv is outside input: a bad table is rejected on load and by `sbc report`."""
+
+    @pytest.mark.parametrize("defect", ["rank-above-L", "negative-rank", "wrong-L",
+                                        "missing-row", "duplicate-row", "extra-quantity"])
+    def test_bad_table_rejected(self, tmp_path, defect):
+        L = 9
+        out = save_artifact(run(exact_config(N=20, L=L)), tmp_path / "run")
+        header, *rows = (out / "ranks.csv").read_text().splitlines()
+        first = rows[0].split(",")
+        if defect == "rank-above-L":
+            first[2] = str(L + 1)
+        elif defect == "negative-rank":
+            first[2] = "-1"
+        elif defect == "wrong-L":
+            first[3] = "5"
+        if defect == "missing-row":
+            rows = rows[1:]
+        elif defect == "duplicate-row":
+            rows = rows[:1] + rows
+        elif defect == "extra-quantity":
+            rows = rows[:1] + [rows[0].replace(",mu,", ",sigma,")] + rows[1:]
+        else:
+            rows[0] = ",".join(first)
+        rewrite(out, "ranks.csv", "\n".join([header, *rows, ""]).encode())
+        with pytest.raises(InvalidArtifact):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+
+
+_names = st.lists(st.text(alphabet="abz_[],.\"' 019", min_size=1, max_size=6),
+                  min_size=1, max_size=4, unique=True)
+
+
+@st.composite
+def rank_tables(draw):
+    n = draw(st.integers(1, 12))
+    quantities = draw(_names)
+    L = draw(st.integers(1, 2000))
+    ranks = draw(st.lists(st.integers(0, L), min_size=n * len(quantities),
+                          max_size=n * len(quantities)))
+    ess = draw(st.lists(st.one_of(st.just(math.nan),
+                                  st.floats(1e-3, 1e6, allow_nan=False)),
+                        min_size=n * len(quantities), max_size=n * len(quantities)))
+    lengths = draw(st.lists(st.integers(L, 10**6), min_size=n, max_size=n))
+    config = RunConfig(N=n, L=L, master_seed=draw(st.integers(0, 2**32)))
+    return RunArtifact(
+        config=config, quantities=tuple(quantities), replications=np.arange(n),
+        ranks=np.reshape(ranks, (n, len(quantities))),
+        ess=np.reshape(ess, (n, len(quantities))), chain_lengths=np.array(lengths),
+        diagnostics=tuple({"replication": i} for i in range(n)), failures=(),
+        wall_clock_seconds=draw(st.floats(0, 1e4)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rank_tables())
+def test_save_load_save_round_trip(artifact):
+    with tempfile.TemporaryDirectory() as tmp:
+        first = save_artifact(artifact, Path(tmp) / "first")
+        loaded = load_artifact(first)
+        second = save_artifact(loaded, Path(tmp) / "second")
+        assert loaded.config == artifact.config
+        assert_same_table(loaded, artifact)
+        for name in ("meta.json", "ranks.csv", "sha256sums.txt"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
