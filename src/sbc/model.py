@@ -1,13 +1,14 @@
 """Generative-model and posterior-sampler contracts.
 
-A generative model couples a prior simulator, a data simulator, and a log
-posterior density (with gradient) over named parameters.  Scalar quantities
-of interest map parameter vectors to the real line; they are what the rank
-statistics are computed on.
+A generative model couples a prior simulator, a data simulator, and one
+posterior density over named parameters.  Scalar quantities of interest map
+parameter vectors to the real line; they are what the rank statistics are
+computed on.
 
 Samplers never see constrained parameters: every model carries an
-unconstraining map (elementwise identity or log) and samplers target the
-unconstrained density, with the log-Jacobian folded in.
+unconstraining map (elementwise identity or log), and its density is written
+on the unconstrained scale with the log-Jacobian folded in, as in ADVI and
+Stan.  That density, bound to one dataset, is the only one a model defines.
 """
 
 from __future__ import annotations
@@ -101,8 +102,8 @@ class UnconstrainingMap:
     """Elementwise bijection between constrained parameters and R^d.
 
     Each coordinate is either left alone ("identity") or log-transformed
-    ("log", for strictly positive parameters).  ``log_jacobian`` is
-    log|d theta / d z|, the term added to the unconstrained target density.
+    ("log", for strictly positive parameters).  A model's unconstrained
+    density includes log|d theta / d z|, the sum of its log coordinates.
     """
 
     def __init__(self, transforms: tuple[str, ...]):
@@ -112,35 +113,15 @@ class UnconstrainingMap:
         self.transforms = transforms
         self._log_mask = np.array([t == "log" for t in transforms])
 
-    @property
-    def dimension(self) -> int:
-        return len(self.transforms)
-
     def unconstrain(self, values: np.ndarray) -> np.ndarray:
         z = np.array(values, dtype=np.float64)
         z[self._log_mask] = np.log(z[self._log_mask])
         return z
 
-    def constrain(self, z: np.ndarray) -> np.ndarray:
-        v = np.array(z, dtype=np.float64)
-        v[self._log_mask] = np.exp(v[self._log_mask])
-        return v
-
     def constrain_matrix(self, Z: np.ndarray) -> np.ndarray:
         V = np.array(Z, dtype=np.float64)
         V[:, self._log_mask] = np.exp(V[:, self._log_mask])
         return V
-
-    def log_jacobian(self, z: np.ndarray) -> float:
-        return float(np.sum(z[self._log_mask]))
-
-    def jacobian_diag(self, z: np.ndarray) -> np.ndarray:
-        d = np.ones_like(z)
-        d[self._log_mask] = np.exp(z[self._log_mask])
-        return d
-
-    def grad_log_jacobian(self, z: np.ndarray) -> np.ndarray:
-        return self._log_mask.astype(np.float64)
 
 
 class PosteriorTarget:
@@ -157,27 +138,20 @@ class PosteriorTarget:
 class GenerativeModel:
     """The contract every built-in model implements.
 
-    ``log_posterior_density`` is log prior + log likelihood over constrained
-    parameters, defined only up to an additive constant; the Jacobian of the
-    unconstraining map is *not* included here (``posterior_target`` adds it).
-    ``posterior_factory``, when set, builds a faster equivalent target with
-    per-dataset precomputation; both routes must agree.
+    ``posterior_factory`` binds the model to one dataset and returns its one
+    posterior density: log prior + log likelihood at the constrained point
+    that the unconstraining map sends z to, plus the map's log-Jacobian,
+    defined up to an additive constant, with its gradient in z.
     """
 
     name: str
     parameter_names: tuple[str, ...]
     prior_simulator: Callable[[RandomStream], ParamVector]
     data_simulator: Callable[[ParamVector, RandomStream], Dataset]
-    log_posterior_density: Callable[[ParamVector, Dataset], float]
-    log_posterior_gradient: Callable[[ParamVector, Dataset], np.ndarray]
+    posterior_factory: Callable[[Dataset], PosteriorTarget]
     quantities: tuple[Quantity, ...]
     unconstraining_map: UnconstrainingMap
     exact_posterior: Callable[[Dataset], tuple[float, float]] | None = None
-    posterior_factory: Callable[[Dataset], PosteriorTarget] | None = None
-
-    @property
-    def dimension(self) -> int:
-        return len(self.parameter_names)
 
     def quantity(self, name: str) -> Quantity:
         for q in self.quantities:
@@ -232,28 +206,6 @@ def evaluate_series(q: Quantity, draws: PosteriorDraws) -> np.ndarray:
     return np.asarray(q.batch_evaluator(draws.values, draws.names), dtype=np.float64)
 
 
-def posterior_target(model: GenerativeModel, data: Dataset,
-                     prefer_factory: bool = True) -> PosteriorTarget:
-    """Bind a model to one dataset as an unconstrained-scale target.
-
-    Prefers the model's specialized factory; otherwise composes the
-    constrained-scale density and gradient with the unconstraining map by the
-    chain rule.  The two routes are interchangeable by contract (densities
-    may differ by a constant).
-    """
-    if prefer_factory and model.posterior_factory is not None:
-        return model.posterior_factory(data)
-
-    umap = model.unconstraining_map
-    names = model.parameter_names
-
-    def logpdf(z: np.ndarray) -> float:
-        theta = ParamVector(names, umap.constrain(z))
-        return model.log_posterior_density(theta, data) + umap.log_jacobian(z)
-
-    def grad(z: np.ndarray) -> np.ndarray:
-        theta = ParamVector(names, umap.constrain(z))
-        g_theta = model.log_posterior_gradient(theta, data)
-        return g_theta * umap.jacobian_diag(z) + umap.grad_log_jacobian(z)
-
-    return PosteriorTarget(model.dimension, logpdf, grad)
+def posterior_target(model: GenerativeModel, data: Dataset) -> PosteriorTarget:
+    """Bind a model to one dataset as its unconstrained-scale target."""
+    return model.posterior_factory(data)

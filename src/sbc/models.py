@@ -1,9 +1,9 @@
 """Built-in generative models: normal-normal, linear regression, eight schools.
 
-Each factory returns a :class:`~sbc.model.GenerativeModel` whose
-``log_posterior_density`` / ``log_posterior_gradient`` are the plain
-constrained-scale implementations, and whose ``posterior_factory`` is a
-faster unconstrained-scale equivalent with per-dataset sufficient statistics.
+Each factory returns a :class:`~sbc.model.GenerativeModel` whose one
+density, ``posterior_factory``, is written on the unconstrained scale with
+the log-Jacobian of its log-transformed coordinates folded in, and reduces
+each dataset to the sufficient statistics it needs.
 
 The linear regression model deliberately allows the simulator's prior on the
 slope to differ from the prior used in the density (``gen_prior_sd_beta`` vs
@@ -76,16 +76,6 @@ def make_normal_normal(spec: NormalNormalSpec) -> GenerativeModel:
         mu = theta.values[0]
         return Dataset(rng.normal(mu, s, size=n))
 
-    def log_posterior_density(theta: ParamVector, data: Dataset) -> float:
-        mu = theta.values[0]
-        return float(-((mu - m0) ** 2) / (2 * s0**2)
-                     - np.sum((data.observations - mu) ** 2) / (2 * s**2))
-
-    def log_posterior_gradient(theta: ParamVector, data: Dataset) -> np.ndarray:
-        mu = theta.values[0]
-        g = -(mu - m0) / s0**2 + np.sum(data.observations - mu) / s**2
-        return np.array([g])
-
     def exact_posterior(data: Dataset) -> tuple[float, float]:
         prec = 1.0 / s0**2 + data.n_obs / s**2
         mean = (m0 / s0**2 + float(np.sum(data.observations)) / s**2) / prec
@@ -112,12 +102,10 @@ def make_normal_normal(spec: NormalNormalSpec) -> GenerativeModel:
         parameter_names=names,
         prior_simulator=prior_simulator,
         data_simulator=data_simulator,
-        log_posterior_density=log_posterior_density,
-        log_posterior_gradient=log_posterior_gradient,
+        posterior_factory=posterior_factory,
         quantities=(coordinate("mu"),),
         unconstraining_map=UnconstrainingMap(("identity",)),
         exact_posterior=exact_posterior,
-        posterior_factory=posterior_factory,
     )
 
 
@@ -180,23 +168,6 @@ def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
         y = alpha + beta * x + rng.normal(0.0, sigma, size=n)
         return Dataset(y, {"x": x})
 
-    def log_posterior_density(theta: ParamVector, data: Dataset) -> float:
-        alpha, beta, sigma = theta.values
-        if sigma <= 0:
-            return -math.inf
-        r = data.observations - alpha - beta * x
-        return float(-alpha**2 / (2 * sa**2) - beta**2 / (2 * sb**2)
-                     - sigma**2 / (2 * sc**2)
-                     - n * math.log(sigma) - np.sum(r**2) / (2 * sigma**2))
-
-    def log_posterior_gradient(theta: ParamVector, data: Dataset) -> np.ndarray:
-        alpha, beta, sigma = theta.values
-        r = data.observations - alpha - beta * x
-        d_alpha = -alpha / sa**2 + np.sum(r) / sigma**2
-        d_beta = -beta / sb**2 + np.sum(r * x) / sigma**2
-        d_sigma = -sigma / sc**2 - n / sigma + np.sum(r**2) / sigma**3
-        return np.array([d_alpha, d_beta, d_sigma])
-
     def posterior_factory(data: Dataset) -> PosteriorTarget:
         y = data.observations
         s_x, s_xx = float(np.sum(x)), float(np.sum(x * x))
@@ -230,11 +201,9 @@ def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
         parameter_names=names,
         prior_simulator=prior_simulator,
         data_simulator=data_simulator,
-        log_posterior_density=log_posterior_density,
-        log_posterior_gradient=log_posterior_gradient,
+        posterior_factory=posterior_factory,
         quantities=tuple(coordinate(p) for p in names),
         unconstraining_map=UnconstrainingMap(("identity", "identity", "log")),
-        posterior_factory=posterior_factory,
     )
 
 
@@ -291,24 +260,6 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
 
     if centered:
 
-        def log_posterior_density(theta: ParamVector, data: Dataset) -> float:
-            mu, tau = theta.values[0], theta.values[1]
-            th = theta.values[2:]
-            if tau <= 0:
-                return -math.inf
-            return float(-mu**2 / (2 * mu_sd**2) - tau**2 / (2 * tau_sd**2)
-                         - J * math.log(tau) - np.sum((th - mu) ** 2) / (2 * tau**2)
-                         - np.sum((data.observations - th) ** 2 / (2 * sigma**2)))
-
-        def log_posterior_gradient(theta: ParamVector, data: Dataset) -> np.ndarray:
-            mu, tau = theta.values[0], theta.values[1]
-            th = theta.values[2:]
-            dev = th - mu
-            d_mu = -mu / mu_sd**2 + np.sum(dev) / tau**2
-            d_tau = -tau / tau_sd**2 - J / tau + np.sum(dev**2) / tau**3
-            d_th = -dev / tau**2 + (data.observations - th) / sigma**2
-            return np.concatenate(([d_mu, d_tau], d_th))
-
         def posterior_factory(data: Dataset) -> PosteriorTarget:
             y = data.observations
             inv_s2 = 1.0 / sigma**2
@@ -337,24 +288,6 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
         quantities = tuple(coordinate(p) for p in names)
 
     else:
-
-        def log_posterior_density(theta: ParamVector, data: Dataset) -> float:
-            mu, tau = theta.values[0], theta.values[1]
-            eta = theta.values[2:]
-            if tau <= 0:
-                return -math.inf
-            r = data.observations - mu - tau * eta
-            return float(-mu**2 / (2 * mu_sd**2) - tau**2 / (2 * tau_sd**2)
-                         - np.sum(eta**2) / 2 - np.sum(r**2 / (2 * sigma**2)))
-
-        def log_posterior_gradient(theta: ParamVector, data: Dataset) -> np.ndarray:
-            mu, tau = theta.values[0], theta.values[1]
-            eta = theta.values[2:]
-            r = data.observations - mu - tau * eta
-            d_mu = -mu / mu_sd**2 + np.sum(r / sigma**2)
-            d_tau = -tau / tau_sd**2 + np.sum(r * eta / sigma**2)
-            d_eta = -eta + r * tau / sigma**2
-            return np.concatenate(([d_mu, d_tau], d_eta))
 
         def posterior_factory(data: Dataset) -> PosteriorTarget:
             y = data.observations
@@ -400,11 +333,9 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
         parameter_names=names,
         prior_simulator=prior_simulator,
         data_simulator=data_simulator,
-        log_posterior_density=log_posterior_density,
-        log_posterior_gradient=log_posterior_gradient,
+        posterior_factory=posterior_factory,
         quantities=quantities,
         unconstraining_map=UnconstrainingMap(transforms),
-        posterior_factory=posterior_factory,
     )
 
 

@@ -238,7 +238,7 @@ SPIKE_FLATNESS = 1.5
 BIAS_SIGMA = 3.0
 
 SHAPE_LABELS = ("uniform", "u-shaped", "cap-shaped", "biased-low-ranks",
-                "biased-high-ranks", "boundary-spikes")
+                "biased-high-ranks", "boundary-spikes", "inconclusive")
 
 
 def classify_shape(hist: SbcHistogram) -> str:
@@ -249,7 +249,9 @@ def classify_shape(hist: SbcHistogram) -> str:
     jointly high/low with the central half of the mass on the opposite
     side), then mean-rank bias, else uniform.  Boundary spikes must be
     tested before the u-shape because an isolated spike pair also satisfies
-    the u-shape inequalities.
+    the u-shape inequalities.  With fewer than 4 bins no shape test can run,
+    so a histogram that shows no mean-rank bias is "inconclusive", not
+    uniform.
     """
     counts = np.asarray(hist.counts, dtype=np.float64)
     B = counts.size
@@ -288,4 +290,4 @@ def classify_shape(hist: SbcHistogram) -> str:
     displacement = hist.rank_mean_normalized - 0.5
     if abs(displacement) > BIAS_SIGMA / math.sqrt(12.0 * N):
         return "biased-high-ranks" if displacement > 0 else "biased-low-ranks"
-    return "uniform"
+    return "uniform" if B >= 4 else "inconclusive"

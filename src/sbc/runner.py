@@ -19,6 +19,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +34,7 @@ from .errors import (
     UnknownQuantity,
 )
 from .ess import ess_by_quantity, min_ess, required_chain_length, thin_to
-from .model import GenerativeModel, draw_data, draw_prior, evaluate_series
+from .model import GenerativeModel, Quantity, draw_data, draw_prior, evaluate_series
 from .models import model_from_dict
 from .rankstats import rank_statistic
 from .samplers import (
@@ -201,10 +202,15 @@ def _sample_once(model: GenerativeModel, data, config: RunConfig, n_draws: int,
     return approx.sample(n_draws, rng)
 
 
-def _replicate(config: RunConfig, i: int) -> dict:
-    """Run one replication; returns its row of the rank table, or a failure."""
+def _build(config: RunConfig) -> tuple[GenerativeModel, tuple[Quantity, ...]]:
+    """The run's model, and its quantities in the rank table's column order (by name)."""
     model = model_from_dict(config.model)
-    quantities = sorted(model.quantities, key=lambda q: q.name)  # the table's column order
+    return model, tuple(sorted(model.quantities, key=lambda q: q.name))
+
+
+def _replicate(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
+               i: int) -> dict:
+    """Run one replication; returns its row of the rank table, or a failure."""
     seed = config.master_seed
     diag: dict = {"replication": i}
     try:
@@ -249,6 +255,12 @@ def _replicate(config: RunConfig, i: int) -> dict:
                 "failure": f"{type(exc).__name__}: {exc}"}
 
 
+def _replicate_chunk(config: RunConfig, indices: range) -> list[dict]:
+    """Run a block of replications in a worker process, building the model once."""
+    model, quantities = _build(config)
+    return [_replicate(config, model, quantities, i) for i in indices]
+
+
 def _collect(config: RunConfig, results) -> dict:
     """The RunArtifact fields that results determine; both executors yield them in order."""
     max_failures = math.floor(FAILURE_RATE_CAP * config.N)
@@ -286,13 +298,16 @@ def run(config: RunConfig) -> RunArtifact:
     started = time.perf_counter()
     workers = config.worker_count_hint
     if workers == 1:
-        table = _collect(config, (_replicate(config, i) for i in range(config.N)))
+        model, quantities = _build(config)
+        table = _collect(config, (_replicate(config, model, quantities, i)
+                                  for i in range(config.N)))
     else:
+        size = max(1, config.N // (workers * 8))
+        chunks = [range(start, min(start + size, config.N)) for start in range(0, config.N, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunksize = max(1, config.N // (workers * 8))
             try:
-                table = _collect(config, pool.map(partial(_replicate, config), range(config.N),
-                                                  chunksize=chunksize))
+                table = _collect(config, chain.from_iterable(
+                    pool.map(partial(_replicate_chunk, config), chunks)))
             except FailureRateExceeded:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise

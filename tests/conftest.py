@@ -7,6 +7,7 @@ from sbc.model import (
     Dataset,
     GenerativeModel,
     ParamVector,
+    PosteriorTarget,
     UnconstrainingMap,
     coordinate,
 )
@@ -31,20 +32,16 @@ def make_gaussian_model(precision: np.ndarray, names=None) -> GenerativeModel:
     def prior_simulator(rng):
         return ParamVector(names, chol @ rng.standard_normal(d))
 
-    def log_posterior_density(theta, data):
-        v = theta.values
-        return float(-0.5 * v @ precision @ v)
-
-    def log_posterior_gradient(theta, data):
-        return -(precision @ theta.values)
+    def posterior_factory(data):
+        return PosteriorTarget(d, lambda z: float(-0.5 * z @ precision @ z),
+                               lambda z: -(precision @ z))
 
     return GenerativeModel(
         name=f"gaussian-{d}d",
         parameter_names=names,
         prior_simulator=prior_simulator,
         data_simulator=_fixed_dataset,
-        log_posterior_density=log_posterior_density,
-        log_posterior_gradient=log_posterior_gradient,
+        posterior_factory=posterior_factory,
         quantities=tuple(coordinate(n) for n in names),
         unconstraining_map=UnconstrainingMap(("identity",) * d),
     )

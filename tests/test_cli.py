@@ -37,6 +37,20 @@ def test_run_and_report_end_to_end(tiny_config, tmp_path, capsys):
     assert not (report_dir / "summary.csv").exists()
 
 
+def test_single_bin_run_is_inconclusive(tmp_path, capsys):
+    """A scale-0.2 corruption at N=15 gets one display bin, which cannot show its shape."""
+    config = tmp_path / "underdispersed.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "normal-normal"},
+        "sampler": {"kind": "exact-conjugate"},
+        "corruption": {"kind": "scale", "amount": 0.2, "target_quantity": "mu"},
+        "N": 15,
+        "L": 99,
+        "master_seed": 16}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert "  mu: inconclusive (chi2=0.0, dof=0, 0/1 bins outside band)" in capsys.readouterr().out
+
+
 def test_seed_override_changes_ranks(tiny_config, tmp_path):
     a, b, c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
     main(["run", "--config", str(tiny_config), "--out", str(a)])

@@ -239,6 +239,16 @@ class TestClassifyShape:
         hist = _hist_from_bin_probs(probs, 2000, 99, seed=6)
         assert classify_shape(hist) == "biased-low-ranks"
 
+    @pytest.mark.parametrize("B", [1, 2, 3])
+    def test_too_few_bins_inconclusive(self, B):
+        """No shape test runs below 4 bins, so flat counts are not evidence of uniformity."""
+        hist = _hist_from_bin_probs([1.0] * B, 2000, 119, seed=7)
+        assert classify_shape(hist) == "inconclusive"
+
+    def test_too_few_bins_still_reports_bias(self):
+        hist = build_histogram(np.full(15, 99), 99, 1)
+        assert classify_shape(hist) == "biased-high-ranks"
+
 
 class TestQuantileBinCounts:
     def test_counts_sum_and_extremes(self):

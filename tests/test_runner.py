@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbc import runner
 from sbc.cli import main
 from sbc.errors import (
     ChecksumMismatch,
@@ -122,6 +123,13 @@ class TestRunSbc:
             run(exact_config(N=100, corruption=corruption))
         with pytest.raises(FailureRateExceeded, match=r"floor\(0\.01 \* N\) = 0 .* N=50;"):
             run(exact_config(N=50, corruption=corruption))
+
+    def test_model_built_once_per_run(self, monkeypatch):
+        builds = []
+        build = runner.model_from_dict
+        monkeypatch.setattr(runner, "model_from_dict", lambda d: builds.append(d) or build(d))
+        run(exact_config(N=30))
+        assert len(builds) == 1
 
     def test_replication_independence(self):
         """Replication i's ranks depend on the seed and i, not on N."""

@@ -9,6 +9,7 @@ from sbc.model import (
     Dataset,
     GenerativeModel,
     ParamVector,
+    PosteriorTarget,
     UnconstrainingMap,
     coordinate,
     posterior_target,
@@ -87,16 +88,13 @@ class TestRwMetropolis:
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_non_finite_density_at_init(self):
-        def bad_density(theta, data):
-            return -math.inf
-
         model = GenerativeModel(
             name="bad",
             parameter_names=("x",),
             prior_simulator=lambda rng: ParamVector(("x",), np.array([rng.normal()])),
             data_simulator=lambda th, rng: Dataset(np.array([0.0])),
-            log_posterior_density=bad_density,
-            log_posterior_gradient=lambda th, data: np.array([0.0]),
+            posterior_factory=lambda data: PosteriorTarget(
+                1, lambda z: -math.inf, lambda z: np.array([0.0])),
             quantities=(coordinate("x"),),
             unconstraining_map=UnconstrainingMap(("identity",)),
         )
