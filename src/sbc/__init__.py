@@ -86,6 +86,7 @@ from .runner import (
 )
 from .samplers import (
     Corruption,
+    DrawBlock,
     GaussianApprox,
     SamplerConfig,
     corrupt,

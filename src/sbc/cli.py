@@ -14,7 +14,7 @@ import sys
 
 from .errors import ConfigError, FailureRateExceeded, SbcError
 from .models import MODEL_KINDS
-from .report import REPORT_FORMATS, ReportRequest, summarize, write_report
+from .report import ReportRequest, summarize, write_report
 from .runner import FAILURE_RATE_CAP, config_from_dict, load_artifact, run, save_artifact
 from .samplers import SAMPLER_KINDS, SamplerConfig
 

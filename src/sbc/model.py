@@ -8,13 +8,16 @@ computed on.
 Samplers never see constrained parameters: every model carries an
 unconstraining map (elementwise identity or log), and its density is written
 on the unconstrained scale with the log-Jacobian folded in, as in ADVI and
-Stan.  That density, bound to one dataset, is the only one a model defines.
+Stan.  That density is the only one a model defines, and it is batched:
+bound to R datasets, it evaluates an (R, d) matrix of points, row r against
+dataset r, so that samplers can advance R replications in lockstep.  A row's
+value depends on that row alone, never on how many rows share the batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -125,9 +128,16 @@ class UnconstrainingMap:
 
 
 class PosteriorTarget:
-    """Log density (up to a constant) and gradient on the unconstrained scale."""
+    """Log density (up to a constant) and gradient on the unconstrained scale.
 
-    def __init__(self, dimension: int, logpdf: Callable[[np.ndarray], float],
+    Bound to R datasets: ``logpdf`` maps an (R, d) matrix Z to the R-vector of
+    log densities, row r at dataset r, and ``grad`` maps Z to the (R, d)
+    matrix of gradients.  Points where the arithmetic overflows give
+    non-finite values; samplers call both under ``np.errstate`` and mask
+    those rows.
+    """
+
+    def __init__(self, dimension: int, logpdf: Callable[[np.ndarray], np.ndarray],
                  grad: Callable[[np.ndarray], np.ndarray]):
         self.dimension = dimension
         self.logpdf = logpdf
@@ -138,17 +148,18 @@ class PosteriorTarget:
 class GenerativeModel:
     """The contract every built-in model implements.
 
-    ``posterior_factory`` binds the model to one dataset and returns its one
-    posterior density: log prior + log likelihood at the constrained point
-    that the unconstraining map sends z to, plus the map's log-Jacobian,
-    defined up to an additive constant, with its gradient in z.
+    ``posterior_factory`` binds the model to a sequence of datasets and
+    returns its one posterior density, batched over them: log prior + log
+    likelihood at the constrained point that the unconstraining map sends z
+    to, plus the map's log-Jacobian, defined up to an additive constant, with
+    its gradient in z (see :class:`PosteriorTarget`).
     """
 
     name: str
     parameter_names: tuple[str, ...]
     prior_simulator: Callable[[RandomStream], ParamVector]
     data_simulator: Callable[[ParamVector, RandomStream], Dataset]
-    posterior_factory: Callable[[Dataset], PosteriorTarget]
+    posterior_factory: Callable[[Sequence[Dataset]], PosteriorTarget]
     quantities: tuple[Quantity, ...]
     unconstraining_map: UnconstrainingMap
     exact_posterior: Callable[[Dataset], tuple[float, float]] | None = None
@@ -206,6 +217,6 @@ def evaluate_series(q: Quantity, draws: PosteriorDraws) -> np.ndarray:
     return np.asarray(q.batch_evaluator(draws.values, draws.names), dtype=np.float64)
 
 
-def posterior_target(model: GenerativeModel, data: Dataset) -> PosteriorTarget:
-    """Bind a model to one dataset as its unconstrained-scale target."""
-    return model.posterior_factory(data)
+def posterior_target(model: GenerativeModel, datasets: Sequence[Dataset]) -> PosteriorTarget:
+    """Bind a model to datasets as its batched unconstrained-scale target (row r: dataset r)."""
+    return model.posterior_factory(datasets)

@@ -2,8 +2,10 @@
 
 Each factory returns a :class:`~sbc.model.GenerativeModel` whose one
 density, ``posterior_factory``, is written on the unconstrained scale with
-the log-Jacobian of its log-transformed coordinates folded in, and reduces
-each dataset to the sufficient statistics it needs.
+the log-Jacobian of its log-transformed coordinates folded in.  It reduces
+each dataset to the sufficient statistics it needs, stacked over the batch
+as (R,) or (R, J) arrays, and evaluates (R, d) points elementwise; sums run
+within a row only, so a row's value does not depend on its batch.
 
 The linear regression model deliberately allows the simulator's prior on the
 slope to differ from the prior used in the density (``gen_prior_sd_beta`` vs
@@ -14,7 +16,8 @@ inject a misspecified-prior defect on purpose.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -81,19 +84,19 @@ def make_normal_normal(spec: NormalNormalSpec) -> GenerativeModel:
         mean = (m0 / s0**2 + float(np.sum(data.observations)) / s**2) / prec
         return mean, math.sqrt(1.0 / prec)
 
-    def posterior_factory(data: Dataset) -> PosteriorTarget:
-        sum_y = float(np.sum(data.observations))
-        n_obs = data.n_obs
+    def posterior_factory(datasets: Sequence[Dataset]) -> PosteriorTarget:
+        sum_y = np.array([np.sum(data.observations) for data in datasets])
+        n_obs = np.array([data.n_obs for data in datasets], dtype=np.float64)
         inv_v0, inv_v = 1.0 / s0**2, 1.0 / s**2
 
-        def logpdf(z: np.ndarray) -> float:
-            mu = z[0]
+        def logpdf(Z: np.ndarray) -> np.ndarray:
+            mu = Z[:, 0]
             return (-((mu - m0) ** 2) * 0.5 * inv_v0
                     - (n_obs * mu * mu - 2.0 * mu * sum_y) * 0.5 * inv_v)
 
-        def grad(z: np.ndarray) -> np.ndarray:
-            mu = z[0]
-            return np.array([-(mu - m0) * inv_v0 + (sum_y - n_obs * mu) * inv_v])
+        def grad(Z: np.ndarray) -> np.ndarray:
+            mu = Z[:, 0]
+            return (-(mu - m0) * inv_v0 + (sum_y - n_obs * mu) * inv_v)[:, np.newaxis]
 
         return PosteriorTarget(1, logpdf, grad)
 
@@ -168,31 +171,35 @@ def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
         y = alpha + beta * x + rng.normal(0.0, sigma, size=n)
         return Dataset(y, {"x": x})
 
-    def posterior_factory(data: Dataset) -> PosteriorTarget:
-        y = data.observations
+    def posterior_factory(datasets: Sequence[Dataset]) -> PosteriorTarget:
         s_x, s_xx = float(np.sum(x)), float(np.sum(x * x))
-        s_y, s_yy, s_xy = float(np.sum(y)), float(np.sum(y * y)), float(np.sum(x * y))
+        s_y = np.array([np.sum(data.observations) for data in datasets])
+        s_yy = np.array([np.sum(data.observations ** 2) for data in datasets])
+        s_xy = np.array([np.sum(x * data.observations) for data in datasets])
         inv_va, inv_vb, inv_vc = 1.0 / sa**2, 1.0 / sb**2, 1.0 / sc**2
 
-        def logpdf(z: np.ndarray) -> float:
-            alpha, beta, u = z
-            sig2 = math.exp(2.0 * u)
-            ssr = (s_yy - 2 * alpha * s_y - 2 * beta * s_xy + 2 * alpha * beta * s_x
-                   + alpha * alpha * n + beta * beta * s_xx)
-            return (-alpha * alpha * 0.5 * inv_va - beta * beta * 0.5 * inv_vb
-                    - sig2 * 0.5 * inv_vc - n * u - ssr / (2.0 * sig2) + u)
-
-        def grad(z: np.ndarray) -> np.ndarray:
-            alpha, beta, u = z
-            inv_sig2 = math.exp(-2.0 * u)
-            sum_r = s_y - beta * s_x - alpha * n
+        def _residual_sums(alpha, beta):
+            """Sums of r_n = y_n - alpha - beta x_n, of r_n x_n, and of r_n^2."""
+            sum_r = s_y - alpha * n - beta * s_x
             sum_rx = s_xy - alpha * s_x - beta * s_xx
-            ssr = (s_yy - 2 * alpha * s_y - 2 * beta * s_xy + 2 * alpha * beta * s_x
-                   + alpha * alpha * n + beta * beta * s_xx)
-            d_alpha = -alpha * inv_va + sum_r * inv_sig2
-            d_beta = -beta * inv_vb + sum_rx * inv_sig2
-            d_u = -math.exp(2.0 * u) * inv_vc - n + ssr * inv_sig2 + 1.0
-            return np.array([d_alpha, d_beta, d_u])
+            return sum_r, sum_rx, s_yy - alpha * (s_y + sum_r) - beta * (s_xy + sum_rx)
+
+        def logpdf(Z: np.ndarray) -> np.ndarray:
+            alpha, beta, u = Z.T
+            sig2 = np.exp(2.0 * u)
+            ssr = _residual_sums(alpha, beta)[2]
+            return (-alpha * alpha * 0.5 * inv_va - beta * beta * 0.5 * inv_vb
+                    - sig2 * 0.5 * inv_vc - (n - 1) * u - ssr / (2.0 * sig2))
+
+        def grad(Z: np.ndarray) -> np.ndarray:
+            alpha, beta, u = Z.T
+            inv_sig2 = np.exp(-2.0 * u)
+            sum_r, sum_rx, ssr = _residual_sums(alpha, beta)
+            G = np.empty_like(Z)
+            G[:, 0] = sum_r * inv_sig2 - alpha * inv_va
+            G[:, 1] = sum_rx * inv_sig2 - beta * inv_vb
+            G[:, 2] = ssr * inv_sig2 - inv_vc / inv_sig2 - (n - 1)
+            return G
 
         return PosteriorTarget(3, logpdf, grad)
 
@@ -260,28 +267,27 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
 
     if centered:
 
-        def posterior_factory(data: Dataset) -> PosteriorTarget:
-            y = data.observations
+        def posterior_factory(datasets: Sequence[Dataset]) -> PosteriorTarget:
+            y = np.array([data.observations for data in datasets]).reshape(len(datasets), J)
             inv_s2 = 1.0 / sigma**2
 
-            def logpdf(z: np.ndarray) -> float:
-                mu, w = z[0], z[1]
-                th = z[2:]
-                tau2 = math.exp(2.0 * w)
-                dev = th - mu
+            def logpdf(Z: np.ndarray) -> np.ndarray:
+                mu, w, th = Z[:, 0], Z[:, 1], Z[:, 2:]
+                tau2 = np.exp(2.0 * w)
+                dev = th - mu[:, np.newaxis]
                 return (-mu * mu / (2 * mu_sd**2) - tau2 / (2 * tau_sd**2)
-                        - J * w - float(dev @ dev) / (2 * tau2)
-                        - 0.5 * float(((y - th) ** 2 * inv_s2).sum()) + w)
+                        - J * w - (dev * dev).sum(axis=1) / (2 * tau2)
+                        - 0.5 * ((y - th) ** 2 * inv_s2).sum(axis=1) + w)
 
-            def grad(z: np.ndarray) -> np.ndarray:
-                mu, w = z[0], z[1]
-                th = z[2:]
-                tau2 = math.exp(2.0 * w)
-                dev = th - mu
-                d_mu = -mu / mu_sd**2 + float(dev.sum()) / tau2
-                d_w = -tau2 / tau_sd**2 - J + float(dev @ dev) / tau2 + 1.0
-                d_th = -dev / tau2 + (y - th) * inv_s2
-                return np.concatenate(([d_mu, d_w], d_th))
+            def grad(Z: np.ndarray) -> np.ndarray:
+                mu, w, th = Z[:, 0], Z[:, 1], Z[:, 2:]
+                tau2 = np.exp(2.0 * w)
+                dev = th - mu[:, np.newaxis]
+                G = np.empty_like(Z)
+                G[:, 0] = -mu / mu_sd**2 + dev.sum(axis=1) / tau2
+                G[:, 1] = -tau2 / tau_sd**2 - J + (dev * dev).sum(axis=1) / tau2 + 1.0
+                G[:, 2:] = -dev / tau2[:, np.newaxis] + (y - th) * inv_s2
+                return G
 
             return PosteriorTarget(2 + J, logpdf, grad)
 
@@ -289,29 +295,30 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
 
     else:
 
-        def posterior_factory(data: Dataset) -> PosteriorTarget:
-            y = data.observations
+        def posterior_factory(datasets: Sequence[Dataset]) -> PosteriorTarget:
+            y = np.array([data.observations for data in datasets]).reshape(len(datasets), J)
             inv_s2 = 1.0 / sigma**2
 
-            def logpdf(z: np.ndarray) -> float:
-                mu, w = z[0], z[1]
-                eta = z[2:]
-                tau = math.exp(w)
-                r = y - mu - tau * eta
-                return (-mu * mu / (2 * mu_sd**2) - tau * tau / (2 * tau_sd**2)
-                        - 0.5 * float(eta @ eta) - 0.5 * float((r * r * inv_s2).sum()) + w)
+            def _residuals(mu, tau, eta):
+                return y - mu[:, np.newaxis] - tau[:, np.newaxis] * eta
 
-            def grad(z: np.ndarray) -> np.ndarray:
-                mu, w = z[0], z[1]
-                eta = z[2:]
-                tau = math.exp(w)
-                r = y - mu - tau * eta
-                rs = r * inv_s2
-                d_mu = -mu / mu_sd**2 + float(rs.sum())
-                d_tau = -tau / tau_sd**2 + float((rs * eta).sum())
-                d_w = tau * d_tau + 1.0
-                d_eta = -eta + rs * tau
-                return np.concatenate(([d_mu, d_w], d_eta))
+            def logpdf(Z: np.ndarray) -> np.ndarray:
+                mu, w, eta = Z[:, 0], Z[:, 1], Z[:, 2:]
+                tau = np.exp(w)
+                r = _residuals(mu, tau, eta)
+                return (-mu * mu / (2 * mu_sd**2) - tau * tau / (2 * tau_sd**2)
+                        - 0.5 * (eta * eta).sum(axis=1)
+                        - 0.5 * (r * r * inv_s2).sum(axis=1) + w)
+
+            def grad(Z: np.ndarray) -> np.ndarray:
+                mu, w, eta = Z[:, 0], Z[:, 1], Z[:, 2:]
+                tau = np.exp(w)
+                rs = _residuals(mu, tau, eta) * inv_s2
+                G = np.empty_like(Z)
+                G[:, 0] = -mu / mu_sd**2 + rs.sum(axis=1)
+                G[:, 1] = tau * (-tau / tau_sd**2 + (rs * eta).sum(axis=1)) + 1.0
+                G[:, 2:] = -eta + rs * tau[:, np.newaxis]
+                return G
 
             return PosteriorTarget(2 + J, logpdf, grad)
 

@@ -3,9 +3,12 @@
 Each replication draws a ground truth from the prior, simulates a dataset,
 fits the configured sampler, and records the rank of the ground truth within
 the posterior draws for every quantity of interest.  Replications are
-embarrassingly parallel; every random stream is derived from
-(master_seed, replication index, purpose tag), so results are bit-identical
-no matter how many workers execute them.
+independent, so they run in blocks: a block draws its priors and data row
+by row, fits all its datasets in one lockstep sampler call, and ranks row by
+row.  Every random stream is derived from (master_seed, replication index,
+purpose tag), and the batched densities keep each row's arithmetic within
+its row, so results are bit-identical for any block size and any number of
+workers.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 from functools import partial
 from itertools import chain
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
@@ -54,6 +58,13 @@ DEFAULT_MAX_CHAIN_LENGTH = 100_000
 # A run aborts once more than floor(FAILURE_RATE_CAP * N) replications fail,
 # so no failure is allowed when N < 100.
 FAILURE_RATE_CAP = 0.01
+# Replications run in blocks of at most BLOCK_SIZE rows, fitted in lockstep.
+BLOCK_SIZE = 128
+# A lockstep fit holds its noise as one (steps, rows, d) float64 array, and an
+# MCMC chain of about the same size; a block is fitted in groups of rows for
+# which that array has at most BLOCK_FLOATS entries (16 MiB), which caps the
+# memory of Algorithm 2's long reruns.
+BLOCK_FLOATS = 2**21
 
 _MCMC_KINDS = ("rw-metropolis", "hmc")
 
@@ -186,79 +197,161 @@ class RunArtifact:
         return self.config.L
 
 
-def _sample_once(model: GenerativeModel, data, config: RunConfig, n_draws: int,
-                 seed: int, i: int, tag: str):
-    cfg = config.sampler
-    rng = RandomStream(seed, i, tag)
-    if cfg.kind == "exact-conjugate":
-        return sample_exact_conjugate(model, data, n_draws, rng)
-    if cfg.kind == "rw-metropolis":
-        return sample_rw_metropolis(model, data, n_draws, cfg.step_size, cfg.warmup, rng)
-    if cfg.kind == "hmc":
-        return sample_hmc(model, data, n_draws, cfg.step_size, cfg.n_leapfrog,
-                          cfg.warmup, rng)
-    approx = fit_meanfield_vi(model, data, cfg.vi_iterations, cfg.vi_learning_rate,
-                              RandomStream(seed, i, "vi"))
-    return approx.sample(n_draws, rng)
-
-
 def _build(config: RunConfig) -> tuple[GenerativeModel, tuple[Quantity, ...]]:
     """The run's model, and its quantities in the rank table's column order (by name)."""
     model = model_from_dict(config.model)
     return model, tuple(sorted(model.quantities, key=lambda q: q.name))
 
 
-def _replicate(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
-               i: int) -> dict:
-    """Run one replication; returns its row of the rank table, or a failure."""
-    seed = config.master_seed
-    diag: dict = {"replication": i}
-    try:
-        theta = draw_prior(model, RandomStream(seed, i, "prior"))
-        data = draw_data(model, theta, RandomStream(seed, i, "data"))
+class _Row:
+    """One replication's state while its block runs; ``failure`` ends it."""
 
-        ess = np.full(len(quantities), np.nan)
-        if config.thinning == "off":
-            draws = _sample_once(model, data, config, config.L, seed, i, "chain")
-            if config.sampler.kind in _MCMC_KINDS:
-                ess = ess_by_quantity(draws, quantities)
+    __slots__ = ("i", "diag", "failure", "theta", "data", "length", "draws", "ess", "ranks")
+
+    def __init__(self, i: int, n_quantities: int):
+        self.i = i
+        self.diag: dict = {"replication": i}
+        self.failure: str | None = None
+        self.ess = np.full(n_quantities, np.nan)
+
+    def fail(self, exc: SbcError) -> None:
+        self.failure = f"{type(exc).__name__}: {exc}"
+
+
+def _each(rows: list[_Row], step) -> list[_Row]:
+    """Apply ``step`` to every live row; an SbcError fails that row alone.
+
+    Returns the rows still live.
+    """
+    for row in rows:
+        if row.failure is None:
+            try:
+                step(row)
+            except SbcError as exc:
+                row.fail(exc)
+    return [row for row in rows if row.failure is None]
+
+
+def _fit(model: GenerativeModel, config: RunConfig, rows: list[_Row], tag: str) -> None:
+    """Fit each row's dataset for ``row.length`` draws; sets ``row.draws`` or fails the row.
+
+    MCMC and VI rows are fitted in lockstep, longest first, in groups whose
+    noise array holds at most BLOCK_FLOATS values; the rows of a group may
+    differ in length.  The exact sampler fits row by row.
+    """
+    cfg, seed = config.sampler, config.master_seed
+    if cfg.kind == "exact-conjugate":
+        def exact(row):
+            row.draws = sample_exact_conjugate(model, row.data, row.length,
+                                               RandomStream(seed, row.i, tag))
+        _each(rows, exact)
+        return
+    rows = sorted(rows, key=lambda row: -row.length)
+    start = 0
+    while start < len(rows):
+        n_steps = rows[start].length
+        steps = cfg.vi_iterations if cfg.kind == "meanfield-vi" else n_steps + cfg.warmup
+        group = rows[start:start + max(1, BLOCK_FLOATS // (steps * len(model.parameter_names)))]
+        start += len(group)
+        datasets, lengths = [row.data for row in group], [row.length for row in group]
+        rngs = [RandomStream(seed, row.i, tag) for row in group]
+        if cfg.kind == "rw-metropolis":
+            fitted = sample_rw_metropolis(model, datasets, n_steps, cfg.step_size, cfg.warmup,
+                                          rngs, lengths).rows
+        elif cfg.kind == "hmc":
+            fitted = sample_hmc(model, datasets, n_steps, cfg.step_size, cfg.n_leapfrog,
+                                cfg.warmup, rngs, lengths).rows
         else:
-            initial = INITIAL_CHAIN_FACTOR * config.L
-            draws = _sample_once(model, data, config, initial, seed, i, "chain")
-            ess = ess_by_quantity(draws, quantities)
-            ess_min = min_ess(ess)
-            plan = required_chain_length(initial, config.L, ess_min, config.max_chain_length)
-            diag["cap_hit"] = plan.cap_hit
-            if plan.length > initial:
-                draws = _sample_once(model, data, config, plan.length, seed, i, "chain-rerun")
-                ess = ess_by_quantity(draws, quantities)
-                ess_min = min_ess(ess)
-            diag["ess_min"] = ess_min
-            diag["still_short"] = bool(ess_min < config.L)
-            draws = thin_to(draws, config.L)
+            approxes = fit_meanfield_vi(model, datasets, cfg.vi_iterations, cfg.vi_learning_rate,
+                                        [RandomStream(seed, row.i, "vi") for row in group])
+            fitted = [a if isinstance(a, SbcError) else a.sample(n, rng)
+                      for a, n, rng in zip(approxes, lengths, rngs)]
+        for row, result in zip(group, fitted):
+            if isinstance(result, SbcError):
+                row.fail(result)
+            else:
+                row.draws = result
 
+
+def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
+               indices) -> list[dict]:
+    """Run a block of replications; returns each one's row of the rank table, or its failure.
+
+    Priors and data are drawn per row, the block is fitted in lockstep, and
+    ESS, Algorithm 2's plan, thinning and ranks are computed per row.  The
+    block's Algorithm-2 reruns are fitted in one more lockstep call, each row
+    for its own planned length.
+    """
+    seed = config.master_seed
+    rows = [_Row(i, len(quantities)) for i in indices]
+
+    def simulate(row):
+        row.theta = draw_prior(model, RandomStream(seed, row.i, "prior"))
+        row.data = draw_data(model, row.theta, RandomStream(seed, row.i, "data"))
+        row.length = config.L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * config.L
+
+    def estimate(row):
+        row.ess = ess_by_quantity(row.draws, quantities)
+
+    live = _each(rows, simulate)
+    _fit(model, config, live, "chain")
+    if config.thinning == "off":
+        if config.sampler.kind in _MCMC_KINDS:
+            _each(live, estimate)
+    else:
+        reruns: list[_Row] = []
+
+        def plan(row):
+            estimate(row)
+            chain_plan = required_chain_length(row.length, config.L, min_ess(row.ess),
+                                               config.max_chain_length)
+            row.diag["cap_hit"] = chain_plan.cap_hit
+            if chain_plan.length > row.length:
+                row.length = chain_plan.length
+                reruns.append(row)
+
+        live = _each(live, plan)
+        _fit(model, config, reruns, "chain-rerun")
+        _each(reruns, estimate)
+
+        def thin(row):
+            ess_min = min_ess(row.ess)
+            row.diag["ess_min"] = ess_min
+            row.diag["still_short"] = bool(ess_min < config.L)
+            row.draws = thin_to(row.draws, config.L)
+
+        _each(live, thin)
+
+    def rank(row):
         for key in ("acceptance_rate", "divergences", "step_size"):
-            if key in draws.diagnostics:
-                diag[key] = draws.diagnostics[key]
+            if key in row.draws.diagnostics:
+                row.diag[key] = row.draws.diagnostics[key]
+        draws = corrupt(row.draws, config.corruption)
+        prior_point = row.theta.values[np.newaxis]
+        row.ranks = [rank_statistic(evaluate_series(q, draws),
+                                    float(q.batch_evaluator(prior_point, row.theta.names)[0]))
+                     for q in quantities]
 
-        draws = corrupt(draws, config.corruption)
-
-        prior_point = theta.values[np.newaxis]
-        ranks = [rank_statistic(evaluate_series(q, draws),
-                                float(q.batch_evaluator(prior_point, theta.names)[0]))
-                 for q in quantities]
-        return {"replication": i, "quantities": tuple(q.name for q in quantities),
-                "ranks": ranks, "ess": ess, "chain_length": draws.chain_length_raw,
-                "diagnostics": diag, "failure": None}
-    except SbcError as exc:
-        return {"replication": i, "diagnostics": diag,
-                "failure": f"{type(exc).__name__}: {exc}"}
+    _each(rows, rank)
+    names = tuple(q.name for q in quantities)
+    return [{"replication": row.i, "diagnostics": row.diag, "failure": row.failure}
+            if row.failure is not None else
+            {"replication": row.i, "quantities": names, "ranks": row.ranks, "ess": row.ess,
+             "chain_length": row.draws.chain_length_raw, "diagnostics": row.diag,
+             "failure": None}
+            for row in rows]
 
 
-def _replicate_chunk(config: RunConfig, indices: range) -> list[dict]:
-    """Run a block of replications in a worker process, building the model once."""
+def _run_indices(config: RunConfig, indices: range) -> Iterator[dict]:
+    """Build the model once, then run the indices block by block; yields rows in order."""
     model, quantities = _build(config)
-    return [_replicate(config, model, quantities, i) for i in indices]
+    for start in range(0, len(indices), BLOCK_SIZE):
+        yield from _run_block(config, model, quantities, indices[start:start + BLOCK_SIZE])
+
+
+def _run_chunk(config: RunConfig, indices: range) -> list[dict]:
+    """A pool task: the rows of a range of replications."""
+    return list(_run_indices(config, indices))
 
 
 def _collect(config: RunConfig, results) -> dict:
@@ -291,23 +384,26 @@ def _collect(config: RunConfig, results) -> dict:
 def run(config: RunConfig) -> RunArtifact:
     """Run every replication of a calibration.
 
-    With ``thinning='algorithm-2'`` each MCMC chain's effective sample size
-    is estimated, the chain is rerun longer when it falls short of L, and
-    the draws are thinned to L before ranking.
+    Replications run in blocks of up to BLOCK_SIZE, each fitted in lockstep
+    (see :func:`_run_block`).  A pool worker runs whole blocks of a range of
+    replications, the serial path all of them; every row draws from its own
+    (seed, replication, tag) streams and computes its values within its own
+    row, so the result does not depend on the block size or the worker
+    count.  With ``thinning='algorithm-2'`` each MCMC chain's effective
+    sample size is estimated, the chain is rerun longer when it falls short
+    of L, and the draws are thinned to L before ranking.
     """
     started = time.perf_counter()
     workers = config.worker_count_hint
     if workers == 1:
-        model, quantities = _build(config)
-        table = _collect(config, (_replicate(config, model, quantities, i)
-                                  for i in range(config.N)))
+        table = _collect(config, _run_indices(config, range(config.N)))
     else:
-        size = max(1, config.N // (workers * 8))
+        size = min(BLOCK_SIZE, math.ceil(config.N / workers))
         chunks = [range(start, min(start + size, config.N)) for start in range(0, config.N, size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 table = _collect(config, chain.from_iterable(
-                    pool.map(partial(_replicate_chunk, config), chunks)))
+                    pool.map(partial(_run_chunk, config), chunks)))
             except FailureRateExceeded:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise

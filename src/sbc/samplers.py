@@ -5,6 +5,16 @@ One exact reference sampler (conjugate normal-normal), two MCMC samplers
 variational fit.  All MCMC runs happen on the unconstrained scale and start
 from a fresh prior draw, which stresses mixing honestly.
 
+The MCMC and VI samplers fit R replications in lockstep: they take R
+datasets and R random streams, hold the states as (R, d) arrays, and call
+the model's batched density once per step for all rows.  Each row keeps its
+own step size, adaptation state and stream, from which it draws its initial
+point, its noise and its uniforms in the order a single fit would, so a
+row's draws do not depend on the other rows.  A fit runs under one
+``np.errstate``; rows whose arithmetic overflows are masked once per step
+(rejected, or failed), and a row that cannot be fitted fails alone.  The
+exact sampler has no loop to vectorise and fits one dataset per call.
+
 Corruption wrappers inject the canonical failure modes (shifted or rescaled
 marginals) into otherwise exact draws so the diagnostics can be exercised
 end to end.
@@ -17,7 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import Diverged, InvalidSpec, NonFiniteDensity, NotConjugate, UnknownParameter
+from .errors import (
+    Diverged,
+    InvalidSpec,
+    NonFiniteDensity,
+    NotConjugate,
+    SbcError,
+    UnknownParameter,
+)
 from .model import Dataset, GenerativeModel, PosteriorDraws, posterior_target
 from .streams import RandomStream
 
@@ -90,166 +107,185 @@ def sample_exact_conjugate(model: GenerativeModel, data: Dataset, L: int,
     )
 
 
-def _initial_point(model: GenerativeModel, rng: RandomStream) -> np.ndarray:
-    theta0 = model.prior_simulator(rng)
-    return model.unconstraining_map.unconstrain(theta0.values)
+@dataclass(frozen=True)
+class DrawBlock:
+    """Draws of one lockstep fit of R replications.
 
-
-class _SafeTarget:
-    """Target wrapper mapping arithmetic blowups at wild points to non-finite values.
-
-    Unstable trajectories can push the state far enough that scalar math
-    overflows or divides by zero; samplers treat those points as having zero
-    density instead of crashing.
+    ``rows[r]`` is the :class:`PosteriorDraws` of the replication whose
+    stream was ``rngs[r]``, or the :class:`SbcError` that failed that row
+    alone.  ``diagnostics`` summarises the block's fitted rows: their mean
+    acceptance rate and their total divergences.
     """
 
-    _ERRORS = (ZeroDivisionError, OverflowError, FloatingPointError)
-
-    def __init__(self, target):
-        self.dimension = target.dimension
-        self._target = target
-
-    def logpdf(self, z: np.ndarray) -> float:
-        if not np.all(np.isfinite(z)):
-            return -math.inf
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return self._target.logpdf(z)
-        except self._ERRORS:
-            return -math.inf
-
-    def grad(self, z: np.ndarray) -> np.ndarray:
-        if not np.all(np.isfinite(z)):
-            return np.full(self.dimension, np.nan)
-        try:
-            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-                return self._target.grad(z)
-        except self._ERRORS:
-            return np.full(self.dimension, np.nan)
+    rows: tuple[PosteriorDraws | SbcError, ...]
+    diagnostics: dict
 
 
-def sample_rw_metropolis(model: GenerativeModel, data: Dataset, n_steps: int,
-                         step_size: float, warmup: int, rng: RandomStream) -> PosteriorDraws:
-    """Random-walk Metropolis chain of n_steps post-warmup states.
+def _draw_block(model: GenerativeModel, sampler_name: str, rngs, chain, lengths,
+                failures: dict, diagnostics: list[dict]) -> DrawBlock:
+    """Per-row draws: fitted row k keeps the first ``lengths[k]`` states of ``chain[:, k]``."""
+    fitted = [r for r in range(len(rngs)) if r not in failures]
+    rows = dict(failures)
+    for k, r in enumerate(fitted):
+        rows[r] = PosteriorDraws(
+            names=model.parameter_names,
+            values=model.unconstraining_map.constrain_matrix(chain[:lengths[k], k]),
+            sampler_name=sampler_name,
+            chain_length_raw=int(lengths[k]),
+            rng_stream_id=rngs[r].stream_id,
+            diagnostics=diagnostics[k],
+        )
+    rates = [diag["acceptance_rate"] for diag in diagnostics]
+    return DrawBlock(tuple(rows[r] for r in range(len(rngs))), {
+        "acceptance_rate": float(np.mean(rates)) if rates else 0.0,
+        "divergences": sum(diag.get("divergences", 0) for diag in diagnostics),
+    })
 
-    Step size adapts toward the standard acceptance target during warmup only
-    and is frozen afterwards so the retained chain is Markovian.
+
+def _start(model: GenerativeModel, datasets, rngs, warmup: int, n_steps: int, lengths):
+    """Initial points, the rows' noise and uniforms, and the target bound to the fittable rows.
+
+    Row r runs warmup + lengths[r] steps (n_steps when ``lengths`` is None).
+    It draws its initial point from the prior, then a (steps, d) block of
+    standard normals, then ``steps`` uniforms, all from its own stream; past
+    its last step it is padded with zero noise and uniforms of 1, which
+    reject every move.  A row whose initial point cannot be drawn, or whose
+    initial density is non-finite (:class:`NonFiniteDensity`), fails alone.
+    Returns (target, z, logp, noise, unifs, lengths, failures) over the R'
+    fittable rows: noise (warmup + n_steps, R', d), uniforms
+    (warmup + n_steps, R'), their lengths (R',), and a map from each failed
+    row to its error.
     """
-    target = _SafeTarget(posterior_target(model, data))
-    d = target.dimension
-    z = _initial_point(model, rng)
-    logp = target.logpdf(z)
-    if not math.isfinite(logp):
-        raise NonFiniteDensity(f"non-finite log density at initial point {z}")
-
-    total = warmup + n_steps
-    noise = rng.standard_normal((total, d))
-    unifs = rng.uniform(size=total)
-    accept_target = RW_TARGET_ACCEPT_1D if d == 1 else RW_TARGET_ACCEPT_ND
-
-    log_step = math.log(step_size)
-    chain = np.empty((n_steps, d))
-    accepted = 0
-    for t in range(total):
-        step = math.exp(log_step)
-        proposal = z + step * noise[t]
-        logp_prop = target.logpdf(proposal)
-        log_ratio = logp_prop - logp
-        accept_prob = math.exp(min(0.0, log_ratio)) if math.isfinite(log_ratio) else 0.0
-        took = unifs[t] < accept_prob
-        if took:
-            z, logp = proposal, logp_prop
-        if t < warmup:
-            log_step += (accept_prob - accept_target) / math.sqrt(t + 1.0)
-        else:
-            chain[t - warmup] = z
-            accepted += took
-
-    return PosteriorDraws(
-        names=model.parameter_names,
-        values=model.unconstraining_map.constrain_matrix(chain),
-        sampler_name="rw-metropolis",
-        chain_length_raw=n_steps,
-        rng_stream_id=rng.stream_id,
-        diagnostics={"acceptance_rate": float(accepted) / n_steps,
-                     "step_size": math.exp(log_step)},
-    )
+    d = len(model.parameter_names)
+    Z = np.zeros((len(rngs), d))
+    failures: dict[int, SbcError] = {}
+    for r, rng in enumerate(rngs):
+        try:
+            Z[r] = model.unconstraining_map.unconstrain(model.prior_simulator(rng).values)
+        except SbcError as exc:
+            failures[r] = exc
+    target = posterior_target(model, datasets)
+    logp = target.logpdf(Z)
+    for r in np.flatnonzero(~np.isfinite(logp)).tolist():
+        failures.setdefault(r, NonFiniteDensity(f"non-finite log density at initial point {Z[r]}"))
+    fitted = [r for r in range(len(rngs)) if r not in failures]
+    if failures:
+        target = posterior_target(model, [datasets[r] for r in fitted])
+        Z, logp = Z[fitted], logp[fitted]
+    lengths = np.array([n_steps if lengths is None else lengths[r] for r in fitted], dtype=int)
+    noise = np.zeros((warmup + n_steps, len(fitted), d))
+    unifs = np.ones((warmup + n_steps, len(fitted)))
+    for k, r in enumerate(fitted):
+        steps = warmup + lengths[k]
+        noise[:steps, k] = rngs[r].standard_normal((steps, d))
+        unifs[:steps, k] = rngs[r].uniform(size=steps)
+    return target, Z, logp, noise, unifs, lengths, failures
 
 
-def leapfrog(z: np.ndarray, p: np.ndarray, step: float, n: int, grad) -> tuple[np.ndarray, np.ndarray]:
-    """Standard leapfrog integration of (z, p) for n steps; returns copies."""
+def sample_rw_metropolis(model: GenerativeModel, datasets, n_steps: int, step_size: float,
+                         warmup: int, rngs, lengths=None) -> DrawBlock:
+    """Random-walk Metropolis chains of n_steps post-warmup states, one per dataset.
+
+    Row r fits ``datasets[r]`` with the stream ``rngs[r]``; all rows advance
+    in lockstep.  ``lengths[r]`` (at most n_steps) shortens row r's chain;
+    its draws are those of a fit of that length alone.  Each row's step size
+    adapts toward the standard acceptance target during warmup only and is
+    frozen afterwards so the retained chain is Markovian.
+    """
+    with np.errstate(all="ignore"):
+        target, z, logp, noise, unifs, lengths, failures = _start(
+            model, datasets, rngs, warmup, n_steps, lengths)
+        d = z.shape[1]
+        accept_target = RW_TARGET_ACCEPT_1D if d == 1 else RW_TARGET_ACCEPT_ND
+        log_step = np.full(z.shape[0], math.log(step_size))
+        chain = np.empty((n_steps,) + z.shape)
+        accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
+        for t in range(warmup + n_steps):
+            proposal = z + np.exp(log_step)[:, np.newaxis] * noise[t]
+            logp_prop = target.logpdf(proposal)
+            log_ratio = logp_prop - logp
+            accept_prob = np.where(np.isfinite(log_ratio),
+                                   np.exp(np.minimum(0.0, log_ratio)), 0.0)
+            took = unifs[t] < accept_prob
+            z = np.where(took[:, np.newaxis], proposal, z)
+            logp = np.where(took, logp_prop, logp)
+            if t < warmup:
+                log_step += (accept_prob - accept_target) / math.sqrt(t + 1.0)
+            else:
+                chain[t - warmup] = z
+                accepted[t - warmup] = took
+
+    diagnostics = [{"acceptance_rate": float(accepted[:n, k].sum()) / n,
+                    "step_size": math.exp(log_step[k])} for k, n in enumerate(lengths.tolist())]
+    return _draw_block(model, "rw-metropolis", rngs, chain, lengths, failures, diagnostics)
+
+
+def leapfrog(z: np.ndarray, p: np.ndarray, step, n: int, grad) -> tuple[np.ndarray, np.ndarray]:
+    """Standard leapfrog integration of (z, p) for n steps; returns copies.
+
+    ``z`` and ``p`` are (R, d) and ``step`` is a scalar or an (R, 1) column
+    of per-row step sizes.
+    """
     z, p = z.copy(), p.copy()
+    half = 0.5 * step
     g = grad(z)
-    p += 0.5 * step * g
+    p += half * g
     for i in range(n):
         z += step * p
         g = grad(z)
         if i < n - 1:
             p += step * g
-    p += 0.5 * step * g
+    p += half * g
     return z, p
 
 
-def sample_hmc(model: GenerativeModel, data: Dataset, n_steps: int, step_size: float,
-               n_leapfrog: int, warmup: int, rng: RandomStream) -> PosteriorDraws:
+def sample_hmc(model: GenerativeModel, datasets, n_steps: int, step_size: float,
+               n_leapfrog: int, warmup: int, rngs, lengths=None) -> DrawBlock:
     """Fixed-path HMC with identity mass matrix and Metropolis correction.
 
-    Trajectories whose energy error exceeds DIVERGENCE_THRESHOLD (or goes
-    non-finite) are rejected and counted as divergences.  Step size adapts
-    toward 0.8 acceptance during warmup only.
+    Row r fits ``datasets[r]`` with the stream ``rngs[r]``; all rows advance
+    in lockstep, one batched gradient per leapfrog step.  ``lengths[r]`` (at
+    most n_steps) shortens row r's chain; its draws are those of a fit of
+    that length alone.  Trajectories whose energy error exceeds
+    DIVERGENCE_THRESHOLD (or goes non-finite) are rejected and counted as
+    divergences.  Each row's step size adapts toward 0.8 acceptance during
+    warmup only.
     """
-    target = _SafeTarget(posterior_target(model, data))
-    d = target.dimension
-    z = _initial_point(model, rng)
-    logp = target.logpdf(z)
-    if not math.isfinite(logp):
-        raise NonFiniteDensity(f"non-finite log density at initial point {z}")
+    with np.errstate(all="ignore"):
+        target, z, logp, momenta, unifs, lengths, failures = _start(
+            model, datasets, rngs, warmup, n_steps, lengths)
+        log_step = np.full(z.shape[0], math.log(step_size))
+        chain = np.empty((n_steps,) + z.shape)
+        energy_errors = np.empty((n_steps, z.shape[0]))
+        accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
+        divergences = np.empty((n_steps, z.shape[0]), dtype=bool)
+        for t in range(warmup + n_steps):
+            p0 = momenta[t]
+            h0 = 0.5 * (p0 * p0).sum(axis=1) - logp
+            z_new, p_new = leapfrog(z, p0, np.exp(log_step)[:, np.newaxis], n_leapfrog,
+                                    target.grad)
+            logp_new = target.logpdf(z_new)
+            delta_h = -logp_new + 0.5 * (p_new * p_new).sum(axis=1) - h0
+            divergent = ~np.isfinite(delta_h) | (delta_h > DIVERGENCE_THRESHOLD)
+            accept_prob = np.where(divergent, 0.0, np.exp(np.minimum(0.0, -delta_h)))
+            took = ~divergent & (unifs[t] < accept_prob)
+            z = np.where(took[:, np.newaxis], z_new, z)
+            logp = np.where(took, logp_new, logp)
+            if t < warmup:
+                log_step += (accept_prob - HMC_TARGET_ACCEPT) / math.sqrt(t + 1.0)
+            else:
+                chain[t - warmup] = z
+                energy_errors[t - warmup] = delta_h
+                accepted[t - warmup] = took
+                divergences[t - warmup] = divergent
+        energy_errors[~np.isfinite(energy_errors)] = math.inf
 
-    total = warmup + n_steps
-    momenta = rng.standard_normal((total, d))
-    unifs = rng.uniform(size=total)
-
-    log_step = math.log(step_size)
-    chain = np.empty((n_steps, d))
-    energy_errors = np.empty(n_steps)
-    accepted = 0
-    divergences = 0
-    for t in range(total):
-        step = math.exp(log_step)
-        p0 = momenta[t]
-        h0 = -logp + 0.5 * float(p0 @ p0)
-        with np.errstate(over="ignore", invalid="ignore"):
-            z_new, p_new = leapfrog(z, p0, step, n_leapfrog, target.grad)
-            kinetic = float(p_new @ p_new) if np.all(np.isfinite(p_new)) else math.inf
-        logp_new = target.logpdf(z_new)
-        h1 = -logp_new + 0.5 * kinetic
-        delta_h = h1 - h0
-        divergent = not math.isfinite(delta_h) or delta_h > DIVERGENCE_THRESHOLD
-        accept_prob = 0.0 if divergent else math.exp(min(0.0, -delta_h))
-        if not divergent and unifs[t] < accept_prob:
-            z, logp = z_new, logp_new
-            took = True
-        else:
-            took = False
-        if t < warmup:
-            log_step += (accept_prob - HMC_TARGET_ACCEPT) / math.sqrt(t + 1.0)
-        else:
-            chain[t - warmup] = z
-            energy_errors[t - warmup] = delta_h if math.isfinite(delta_h) else math.inf
-            accepted += took
-            divergences += divergent
-
-    return PosteriorDraws(
-        names=model.parameter_names,
-        values=model.unconstraining_map.constrain_matrix(chain),
-        sampler_name="hmc",
-        chain_length_raw=n_steps,
-        rng_stream_id=rng.stream_id,
-        diagnostics={"acceptance_rate": float(accepted) / n_steps,
-                     "divergences": int(divergences),
-                     "step_size": math.exp(log_step),
-                     "energy_errors": energy_errors},
-    )
+    diagnostics = [{"acceptance_rate": float(accepted[:n, k].sum()) / n,
+                    "divergences": int(divergences[:n, k].sum()),
+                    "step_size": math.exp(log_step[k]),
+                    "energy_errors": energy_errors[:n, k].copy()}
+                   for k, n in enumerate(lengths.tolist())]
+    return _draw_block(model, "hmc", rngs, chain, lengths, failures, diagnostics)
 
 
 @dataclass(frozen=True)
@@ -275,37 +311,53 @@ class GaussianApprox:
         )
 
 
-def fit_meanfield_vi(model: GenerativeModel, data: Dataset, iterations: int,
-                     learning_rate: float, rng: RandomStream) -> GaussianApprox:
-    """Fit a per-coordinate Gaussian by stochastic gradient ascent on the ELBO.
+def fit_meanfield_vi(model: GenerativeModel, datasets, iterations: int,
+                     learning_rate: float, rngs) -> list[GaussianApprox | Diverged]:
+    """Fit a per-coordinate Gaussian to each dataset by stochastic gradient ascent on the ELBO.
 
     Single-sample reparameterized gradients with step decay t^-0.5.  The
-    entropy term contributes +1 to each log-sd gradient.
+    entropy term contributes +1 to each log-sd gradient.  Row r fits
+    ``datasets[r]`` with the stream ``rngs[r]``, all rows in lockstep.
+    Returns one :class:`GaussianApprox` per row, or the :class:`Diverged`
+    error of a row whose gradient or parameters went non-finite; that row
+    stops there and the others go on.
     """
-    target = _SafeTarget(posterior_target(model, data))
-    d = target.dimension
-    m = np.zeros(d)
-    omega = np.zeros(d)
-    eps = rng.standard_normal((iterations, d))
-    with np.errstate(over="ignore", invalid="ignore"):
+    target = posterior_target(model, datasets)
+    R, d = len(datasets), target.dimension
+    m = np.zeros((R, d))
+    omega = np.zeros((R, d))
+    eps = np.empty((iterations, R, d))
+    for r, rng in enumerate(rngs):
+        eps[:, r] = rng.standard_normal((iterations, d))
+    failures: dict[int, Diverged] = {}
+    active = np.ones(R, dtype=bool)
+
+    def fail(rows, message):
+        for r in np.flatnonzero(rows):
+            failures[int(r)] = Diverged(message)
+        active[rows] = False
+
+    with np.errstate(all="ignore"):
         for t in range(iterations):
             sd = np.exp(omega)
-            z = m + sd * eps[t]
-            g = target.grad(z)
-            if not np.all(np.isfinite(g)):
-                raise Diverged(f"non-finite ELBO gradient at iteration {t}")
+            g = target.grad(m + sd * eps[t])
+            fail(active & ~np.isfinite(g).all(axis=1), f"non-finite ELBO gradient at iteration {t}")
             lr = learning_rate / math.sqrt(t + 1.0)
-            m = m + lr * g
-            omega = omega + lr * (g * eps[t] * sd + 1.0)
-            if not (np.all(np.isfinite(m)) and np.all(np.isfinite(omega))):
-                raise Diverged(f"variational parameters became non-finite at iteration {t}")
-    return GaussianApprox(
+            m_new = m + lr * g
+            omega_new = omega + lr * (g * eps[t] * sd + 1.0)
+            fail(active & ~(np.isfinite(m_new).all(axis=1) & np.isfinite(omega_new).all(axis=1)),
+                 f"variational parameters became non-finite at iteration {t}")
+            if not active.any():
+                break
+            m = np.where(active[:, np.newaxis], m_new, m)
+            omega = np.where(active[:, np.newaxis], omega_new, omega)
+    return [failures[r] if r in failures else GaussianApprox(
         parameter_names=model.parameter_names,
-        means=m,
-        log_sds=omega,
+        means=m[r],
+        log_sds=omega[r],
         unconstraining_map=model.unconstraining_map,
         iterations=iterations,
-    )
+    ) for r in range(R)]
 
 
 def corrupt(draws: PosteriorDraws, c: Corruption) -> PosteriorDraws:

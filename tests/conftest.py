@@ -20,8 +20,9 @@ def _fixed_dataset(*_args):
 def make_gaussian_model(precision: np.ndarray, names=None) -> GenerativeModel:
     """Zero-mean Gaussian posterior with the given precision matrix.
 
-    The data simulator is a stub (the density ignores the dataset), which is
-    enough to exercise samplers against a target with known moments.
+    The data simulator is a stub (the density ignores the datasets it is
+    bound to), which is enough to exercise samplers against a target with
+    known moments.
     """
     precision = np.asarray(precision, dtype=np.float64)
     d = precision.shape[0]
@@ -32,9 +33,13 @@ def make_gaussian_model(precision: np.ndarray, names=None) -> GenerativeModel:
     def prior_simulator(rng):
         return ParamVector(names, chol @ rng.standard_normal(d))
 
-    def posterior_factory(data):
-        return PosteriorTarget(d, lambda z: float(-0.5 * z @ precision @ z),
-                               lambda z: -(precision @ z))
+    def grad(Z):
+        # Row by row, elementwise: a matrix product could round a row differently
+        # depending on the other rows of the batch.
+        return -(Z[:, np.newaxis, :] * precision).sum(axis=2)
+
+    def posterior_factory(datasets):
+        return PosteriorTarget(d, lambda Z: 0.5 * (grad(Z) * Z).sum(axis=1), grad)
 
     return GenerativeModel(
         name=f"gaussian-{d}d",
@@ -57,3 +62,38 @@ def correlated_gaussian_model():
     rho = 0.9
     cov = np.array([[1.0, rho], [rho, 1.0]])
     return make_gaussian_model(np.linalg.inv(cov))
+
+
+def make_flagged_model(cut: float) -> GenerativeModel:
+    """Normal-normal model whose density is undefined for datasets with y > cut.
+
+    x ~ N(0, 1) and y | x ~ N(x, 1).  For a dataset whose observation exceeds
+    ``cut`` the log density is -inf and the gradient NaN, so that dataset's
+    fit fails at its initial point (MCMC) or at its first gradient (VI) while
+    every other dataset is fitted as usual; ``cut = inf`` flags none.
+    """
+    names = ("x",)
+
+    def posterior_factory(datasets):
+        y = np.array([data.observations[0] for data in datasets])
+        flagged = y > cut
+
+        def logpdf(Z):
+            x = Z[:, 0]
+            return np.where(flagged, -np.inf, -0.5 * x * x - 0.5 * (y - x) ** 2)
+
+        def grad(Z):
+            x = Z[:, 0]
+            return np.where(flagged, np.nan, y - 2.0 * x)[:, np.newaxis]
+
+        return PosteriorTarget(1, logpdf, grad)
+
+    return GenerativeModel(
+        name="flagged-normal",
+        parameter_names=names,
+        prior_simulator=lambda rng: ParamVector(names, np.array([rng.normal()])),
+        data_simulator=lambda theta, rng: Dataset(theta.values + rng.normal(size=1)),
+        posterior_factory=posterior_factory,
+        quantities=(coordinate("x"),),
+        unconstraining_map=UnconstrainingMap(("identity",)),
+    )

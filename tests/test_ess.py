@@ -12,7 +12,7 @@ from sbc.ess import (
     required_chain_length,
     thin_to,
 )
-from sbc.model import ParamVector, PosteriorDraws, Quantity, coordinate
+from sbc.model import PosteriorDraws, coordinate
 
 
 def ar1(phi: float, n: int, seed: int) -> np.ndarray:

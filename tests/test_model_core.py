@@ -96,7 +96,8 @@ class TestQuantity:
         model = make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))
         theta = draw_prior(model, RandomStream(2, 0, "prior"))
         data = draw_data(model, theta, RandomStream(2, 0, "data"))
-        draws = sample_rw_metropolis(model, data, 50, 0.5, 20, RandomStream(2, 0, "chain"))
+        (draws,) = sample_rw_metropolis(model, [data], 50, 0.5, 20,
+                                        [RandomStream(2, 0, "chain")]).rows
         for q in model.quantities:
             batch = evaluate_series(q, draws)
             scalar = [at_point(q, ParamVector(draws.names, row)) for row in draws.values]
@@ -134,10 +135,28 @@ def test_gradient_matches_finite_differences(model, seed):
     """Central differences on the unconstrained scale, at a prior draw and its dataset."""
     theta = draw_prior(model, RandomStream(seed, 0, "prior"))
     data = draw_data(model, theta, RandomStream(seed, 0, "data"))
-    target = posterior_target(model, data)
+    target = posterior_target(model, [data])
     z = model.unconstraining_map.unconstrain(theta.values)
-    fd = finite_difference(target.logpdf, z)
-    np.testing.assert_allclose(target.grad(z), fd, rtol=1e-5, atol=1e-5)
+    fd = finite_difference(lambda point: target.logpdf(point[np.newaxis])[0], z)
+    np.testing.assert_allclose(target.grad(z[np.newaxis])[0], fd, rtol=1e-5, atol=1e-5)
+
+
+@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
+def test_batched_rows_do_not_depend_on_the_batch(model):
+    """Row r of a batch equals the same point and dataset evaluated alone, bit for bit."""
+    rng = np.random.default_rng(11)
+    thetas = [draw_prior(model, RandomStream(300, i, "prior")) for i in range(9)]
+    datasets = [draw_data(model, theta, RandomStream(300, i, "data"))
+                for i, theta in enumerate(thetas)]
+    Z = np.array([model.unconstraining_map.unconstrain(theta.values) for theta in thetas])
+    Z += rng.normal(0, 0.3, size=Z.shape)
+    target = posterior_target(model, datasets)
+    logp, grad = target.logpdf(Z), target.grad(Z)
+    assert logp.shape == (9,) and grad.shape == Z.shape
+    for part in [slice(i, i + 1) for i in range(9)] + [slice(2, 7)]:
+        alone = posterior_target(model, datasets[part])
+        np.testing.assert_array_equal(alone.logpdf(Z[part]), logp[part])
+        np.testing.assert_array_equal(alone.grad(Z[part]), grad[part])
 
 
 def _reference_normal_normal(data, z):
@@ -195,10 +214,11 @@ def test_density_differences_match_scipy_reference(model):
     for k in range(20):
         theta = draw_prior(model, RandomStream(200 + k, 0, "prior"))
         data = draw_data(model, theta, RandomStream(200 + k, 0, "data"))
-        target = posterior_target(model, data)
+        target = posterior_target(model, [data, data])
         z1 = model.unconstraining_map.unconstrain(theta.values)
         z2 = z1 + rng.normal(0, 0.3, size=z1.size)
-        np.testing.assert_allclose(target.logpdf(z1) - target.logpdf(z2),
+        lp1, lp2 = target.logpdf(np.array([z1, z2]))
+        np.testing.assert_allclose(lp1 - lp2,
                                    reference(data, z1) - reference(data, z2),
                                    rtol=1e-8, atol=1e-8)
 

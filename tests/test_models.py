@@ -128,8 +128,8 @@ class TestLinReg:
         data = draw_data(matched, theta, RandomStream(34, 0, "data"))
         beta = theta.value_of("beta")
         z = matched.unconstraining_map.unconstrain(theta.values)
-        diff = (posterior_target(matched, data).logpdf(z)
-                - posterior_target(mismatched, data).logpdf(z))
+        diff = (posterior_target(matched, [data]).logpdf(z[np.newaxis])[0]
+                - posterior_target(mismatched, [data]).logpdf(z[np.newaxis])[0])
         expected = -beta**2 / 200 + beta**2 / 2  # only the beta prior differs
         assert diff == pytest.approx(expected, rel=1e-9)
 
@@ -168,10 +168,10 @@ class TestEightSchools:
             eta = (th - mu) / tau
             theta_n = type(theta_c)(noncentered.parameter_names,
                                     np.concatenate(([mu, tau], eta)))
-            lp_c = posterior_target(centered, data).logpdf(
-                centered.unconstraining_map.unconstrain(theta_c.values))
-            lp_n = posterior_target(noncentered, data).logpdf(
-                noncentered.unconstraining_map.unconstrain(theta_n.values))
+            (lp_c,) = posterior_target(centered, [data]).logpdf(
+                centered.unconstraining_map.unconstrain(theta_c.values)[np.newaxis])
+            (lp_n,) = posterior_target(noncentered, [data]).logpdf(
+                noncentered.unconstraining_map.unconstrain(theta_n.values)[np.newaxis])
             assert lp_c + 8 * math.log(tau) == pytest.approx(lp_n, abs=1e-8)
 
     def test_derived_theta_quantities(self):

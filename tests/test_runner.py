@@ -19,6 +19,7 @@ from sbc.errors import (
     FormatVersionMismatch,
     InvalidArtifact,
 )
+from sbc.rankstats import build_histogram, chi_square_uniformity, classify_shape, default_bins
 from sbc.runner import (
     RunArtifact,
     RunConfig,
@@ -29,6 +30,9 @@ from sbc.runner import (
     save_artifact,
 )
 from sbc.samplers import Corruption, SamplerConfig
+from sbc.streams import RandomStream
+
+from conftest import make_flagged_model
 
 
 def exact_config(N=100, L=19, seed=7, **kwargs):
@@ -152,6 +156,21 @@ class TestRunSbcMcmc:
         for diag in artifact.diagnostics:
             assert "ess_min" in diag and "cap_hit" in diag
 
+    def test_hmc_algorithm_2_ranks_are_uniform(self):
+        """Lockstep HMC with reruns and thinning stays calibrated on a conjugate model."""
+        config = RunConfig(
+            model={"kind": "normal-normal"}, sampler=SamplerConfig(kind="hmc"),
+            N=200, L=19, thinning="algorithm-2", master_seed=71)
+        artifact = run(config)
+        assert artifact.failures == ()
+        assert (artifact.chain_lengths > 10 * config.L).any()  # some replications reran
+        hist = build_histogram(artifact.ranks_for("mu"), config.L,
+                               default_bins(config.N, config.L))
+        stat, dof = chi_square_uniformity(hist.counts)
+        assert dof == 9
+        assert stat < 27.877  # chi-square(9) upper 0.001 quantile
+        assert classify_shape(hist) == "uniform"
+
     def test_cap_hit_reported_for_sticky_chain(self):
         config = RunConfig(
             model={"kind": "normal-normal"},
@@ -162,7 +181,53 @@ class TestRunSbcMcmc:
         assert any(d.get("still_short") for d in artifact.diagnostics)
 
 
+# Runs that must not depend on how replications are split into lockstep
+# blocks or spread over workers: an HMC fit, Algorithm 2 with reruns of
+# several planned lengths (ragged rerun groups), and mean-field VI.
+INVARIANCE_CONFIGS = {
+    "hmc-lin-reg": RunConfig(
+        model={"kind": "lin-reg"}, sampler=SamplerConfig(kind="hmc", warmup=50),
+        N=20, L=19, master_seed=61),
+    "rw-normal-algorithm-2": RunConfig(
+        model={"kind": "normal-normal"},
+        sampler=SamplerConfig(kind="rw-metropolis", step_size=0.3, warmup=20),
+        N=24, L=19, thinning="algorithm-2", master_seed=62),
+    "vi-normal": RunConfig(
+        model={"kind": "normal-normal"},
+        sampler=SamplerConfig(kind="meanfield-vi", vi_iterations=300),
+        N=20, L=19, master_seed=63),
+}
+
+
+def saved_files(config, out):
+    """ranks.csv and meta.json of a run, less meta.json's wall clock and worker count lines."""
+    save_artifact(run(config), out)
+    meta = b"".join(line for line in (out / "meta.json").read_bytes().splitlines(True)
+                    if not line.lstrip().startswith((b'"wall_clock_seconds"',
+                                                     b'"worker_count_hint"')))
+    return (out / "ranks.csv").read_bytes(), meta
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("name", sorted(INVARIANCE_CONFIGS))
+    def test_block_size_and_workers_leave_files_unchanged(self, tmp_path, monkeypatch, name):
+        config = INVARIANCE_CONFIGS[name]
+        files = {}
+        for block in (1, 7, config.N):
+            monkeypatch.setattr(runner, "BLOCK_SIZE", block)
+            for workers in (1, 2):
+                out = tmp_path / f"b{block}-w{workers}"
+                files[block, workers] = saved_files(
+                    dataclasses.replace(config, worker_count_hint=workers), out)
+        reference = files[config.N, 1]
+        assert reference[1].count(b'"replication"') == config.N  # per-row diagnostics
+        for key, got in files.items():
+            assert got == reference, key
+        if config.thinning == "algorithm-2":
+            lengths = load_artifact(tmp_path / f"b{config.N}-w1").chain_lengths
+            assert len(set(lengths[lengths > 10 * config.L].tolist())) >= 2
+
+
     def test_worker_counts_give_identical_ranks(self, tmp_path):
         base = exact_config(N=48, L=19, seed=31)
         runs = {}
@@ -317,3 +382,68 @@ def test_save_load_save_round_trip(artifact):
         assert_same_table(loaded, artifact)
         for name in ("meta.json", "ranks.csv", "sha256sums.txt"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def flagged_run(monkeypatch, config, cut):
+    monkeypatch.setattr(runner, "model_from_dict", lambda d: make_flagged_model(cut))
+    return run(config)
+
+
+def observations(config):
+    """Each replication's single observation under the flagged model's simulators."""
+    model = make_flagged_model(math.inf)
+    seed = config.master_seed
+    return np.array([
+        model.data_simulator(model.prior_simulator(RandomStream(seed, i, "prior")),
+                             RandomStream(seed, i, "data")).observations[0]
+        for i in range(config.N)])
+
+
+def cut_above(ys, k):
+    """A threshold that flags exactly the k largest observations."""
+    top = np.sort(ys)[::-1]
+    return (top[k - 1] + top[k]) / 2
+
+
+def expected_reason(config, i):
+    if config.sampler.kind == "meanfield-vi":
+        return "Diverged: non-finite ELBO gradient at iteration 0"
+    model = make_flagged_model(math.inf)
+    z0 = model.prior_simulator(RandomStream(config.master_seed, i, "chain")).values
+    return f"NonFiniteDensity: non-finite log density at initial point {z0}"
+
+
+class TestRowFailures:
+    """A replication whose fit fails is dropped alone; the rest of its block is unaffected."""
+
+    @pytest.mark.parametrize("kind", ["hmc", "meanfield-vi"])
+    @pytest.mark.parametrize("block", [7, 128])
+    def test_failed_row_fails_alone(self, monkeypatch, kind, block):
+        monkeypatch.setattr(runner, "BLOCK_SIZE", block)
+        config = RunConfig(sampler=SamplerConfig(kind=kind, warmup=50, vi_iterations=200),
+                           N=100, L=19, master_seed=81)
+        ys = observations(config)
+        bad = int(np.argmax(ys))
+        flagged = flagged_run(monkeypatch, config, cut_above(ys, 1))
+        clean = flagged_run(monkeypatch, config, math.inf)
+        assert flagged.failures == ({"replication": bad, "reason": expected_reason(config, bad)},)
+        assert clean.failures == ()
+        kept = clean.replications != bad
+        np.testing.assert_array_equal(flagged.replications, clean.replications[kept])
+        np.testing.assert_array_equal(flagged.ranks, clean.ranks[kept])
+        assert flagged.diagnostics == tuple(
+            d for d in clean.diagnostics if d["replication"] != bad)
+
+    @pytest.mark.parametrize("kind", ["hmc", "meanfield-vi"])
+    @pytest.mark.parametrize("N, n_bad", [(50, 1), (100, 2)])
+    def test_failure_cap_counts_row_failures(self, monkeypatch, kind, N, n_bad):
+        config = RunConfig(sampler=SamplerConfig(kind=kind, warmup=50, vi_iterations=200),
+                           N=N, L=19, master_seed=82)
+        ys = observations(config)
+        first = int(np.sort(np.argsort(ys)[::-1][:n_bad])[0])
+        allowed = math.floor(0.01 * N)
+        with pytest.raises(FailureRateExceeded) as caught:
+            flagged_run(monkeypatch, config, cut_above(ys, n_bad))
+        assert str(caught.value) == (
+            f"{n_bad} replications failed; at most floor(0.01 * N) = {allowed} failures "
+            f"allowed at N={N}; first failure: {expected_reason(config, first)}")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbc.errors import Diverged, InvalidSpec, NonFiniteDensity, NotConjugate, UnknownParameter
-from sbc.ess import autocorrelation
+from sbc.ess import autocorrelation, effective_sample_size
 from sbc.model import (
     Dataset,
     GenerativeModel,
@@ -28,7 +28,19 @@ from sbc.samplers import (
 )
 from sbc.streams import RandomStream
 
-from conftest import make_gaussian_model
+from conftest import make_flagged_model
+
+
+def fit_one(sampler, model, data, *args):
+    """Fit one dataset as a 1-row lockstep batch; returns that row's draws or error."""
+    *settings, rng = args
+    (row,) = sampler(model, [data], *settings, [rng]).rows
+    return row
+
+
+def fit_vi_one(model, data, iterations, learning_rate, rng):
+    (approx,) = fit_meanfield_vi(model, [data], iterations, learning_rate, [rng])
+    return approx
 
 
 class TestSamplerConfig:
@@ -69,22 +81,22 @@ class TestExactConjugate:
 
 class TestRwMetropolis:
     def test_standard_normal_mean(self, std_normal_model):
-        draws = sample_rw_metropolis(std_normal_model, Dataset(np.array([0.0])),
-                                     100_000, 2.4, 0, RandomStream(44, 0, "chain"))
+        draws = fit_one(sample_rw_metropolis, std_normal_model, Dataset(np.array([0.0])),
+                        100_000, 2.4, 0, RandomStream(44, 0, "chain"))
         assert abs(draws.values.mean()) < 0.05
 
     def test_tiny_step_degenerate_limit(self, std_normal_model):
-        draws = sample_rw_metropolis(std_normal_model, Dataset(np.array([0.0])),
-                                     2000, 1e-6, 0, RandomStream(45, 0, "chain"))
+        draws = fit_one(sample_rw_metropolis, std_normal_model, Dataset(np.array([0.0])),
+                        2000, 1e-6, 0, RandomStream(45, 0, "chain"))
         assert draws.diagnostics["acceptance_rate"] > 0.999
         rho = autocorrelation(draws.values[:, 0], 1)
         assert rho[1] > 0.99
 
     def test_same_seed_identical_chain(self, std_normal_model):
-        a = sample_rw_metropolis(std_normal_model, Dataset(np.array([0.0])),
-                                 500, 1.0, 50, RandomStream(46, 7, "chain"))
-        b = sample_rw_metropolis(std_normal_model, Dataset(np.array([0.0])),
-                                 500, 1.0, 50, RandomStream(46, 7, "chain"))
+        a = fit_one(sample_rw_metropolis, std_normal_model, Dataset(np.array([0.0])),
+                    500, 1.0, 50, RandomStream(46, 7, "chain"))
+        b = fit_one(sample_rw_metropolis, std_normal_model, Dataset(np.array([0.0])),
+                    500, 1.0, 50, RandomStream(46, 7, "chain"))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_non_finite_density_at_init(self):
@@ -93,21 +105,23 @@ class TestRwMetropolis:
             parameter_names=("x",),
             prior_simulator=lambda rng: ParamVector(("x",), np.array([rng.normal()])),
             data_simulator=lambda th, rng: Dataset(np.array([0.0])),
-            posterior_factory=lambda data: PosteriorTarget(
-                1, lambda z: -math.inf, lambda z: np.array([0.0])),
+            posterior_factory=lambda datasets: PosteriorTarget(
+                1, lambda Z: np.full(len(Z), -np.inf), np.zeros_like),
             quantities=(coordinate("x"),),
             unconstraining_map=UnconstrainingMap(("identity",)),
         )
-        with pytest.raises(NonFiniteDensity):
-            sample_rw_metropolis(model, Dataset(np.array([0.0])), 10, 1.0, 0,
-                                 RandomStream(47, 0, "chain"))
+        row = fit_one(sample_rw_metropolis, model, Dataset(np.array([0.0])), 10, 1.0, 0,
+                      RandomStream(47, 0, "chain"))
+        z0 = model.prior_simulator(RandomStream(47, 0, "chain")).values
+        assert isinstance(row, NonFiniteDensity)
+        assert str(row) == f"non-finite log density at initial point {z0}"
 
     def test_detailed_balance_occupancy(self):
         """Long-run bin occupancy matches the exact posterior probabilities."""
         model = make_normal_normal(NormalNormalSpec(0.0, 1.0, 1.0, 1))
         data = Dataset(np.array([2.1]))
-        draws = sample_rw_metropolis(model, data, 200_000, 1.5, 500,
-                                     RandomStream(48, 0, "chain"))
+        draws = fit_one(sample_rw_metropolis, model, data, 200_000, 1.5, 500,
+                        RandomStream(48, 0, "chain"))
         mean, sd = model.exact_posterior(data)
         edges = mean + sd * np.linspace(-3, 3, 13)
         occupancy, _ = np.histogram(draws.values[:, 0], bins=edges)
@@ -120,79 +134,169 @@ class TestRwMetropolis:
         np.testing.assert_allclose(occupancy, expected, atol=0.02)
 
     def test_warmup_adapts_toward_target_acceptance(self, std_normal_model):
-        draws = sample_rw_metropolis(std_normal_model, Dataset(np.array([0.0])),
-                                     4000, 50.0, 2000, RandomStream(49, 0, "chain"))
+        draws = fit_one(sample_rw_metropolis, std_normal_model, Dataset(np.array([0.0])),
+                        4000, 50.0, 2000, RandomStream(49, 0, "chain"))
         assert 0.3 < draws.diagnostics["acceptance_rate"] < 0.6
 
 
 class TestHmc:
     def test_standard_normal_mean(self, std_normal_model):
-        draws = sample_hmc(std_normal_model, Dataset(np.array([0.0])), 10_000,
-                           0.1, 20, 0, RandomStream(50, 0, "chain"))
+        draws = fit_one(sample_hmc, std_normal_model, Dataset(np.array([0.0])), 10_000,
+                        0.1, 20, 0, RandomStream(50, 0, "chain"))
         assert abs(draws.values.mean()) < 0.05
 
     def test_leapfrog_reversibility(self, correlated_gaussian_model):
-        target = posterior_target(correlated_gaussian_model, Dataset(np.array([0.0])))
+        target = posterior_target(correlated_gaussian_model, [Dataset(np.array([0.0]))])
         rng = np.random.default_rng(51)
-        z0 = rng.normal(size=2)
-        p0 = rng.normal(size=2)
+        z0 = rng.normal(size=(1, 2))
+        p0 = rng.normal(size=(1, 2))
         z1, p1 = leapfrog(z0, p0, 0.05, 40, target.grad)
         z2, p2 = leapfrog(z1, -p1, 0.05, 40, target.grad)
         np.testing.assert_allclose(z2, z0, atol=1e-10)
         np.testing.assert_allclose(-p2, p0, atol=1e-10)
 
     def test_acceptance_rule_consistent_with_energy_errors(self, std_normal_model):
-        draws = sample_hmc(std_normal_model, Dataset(np.array([0.0])), 5000,
-                           0.9, 5, 0, RandomStream(52, 0, "chain"))
+        draws = fit_one(sample_hmc, std_normal_model, Dataset(np.array([0.0])), 5000,
+                        0.9, 5, 0, RandomStream(52, 0, "chain"))
         delta_h = draws.diagnostics["energy_errors"]
         expected_rate = np.mean(np.minimum(1.0, np.exp(-delta_h)))
         assert draws.diagnostics["acceptance_rate"] == pytest.approx(expected_rate, abs=0.03)
 
     def test_same_seed_identical_chain(self, std_normal_model):
-        a = sample_hmc(std_normal_model, Dataset(np.array([0.0])), 200, 0.2, 10, 20,
-                       RandomStream(53, 1, "chain"))
-        b = sample_hmc(std_normal_model, Dataset(np.array([0.0])), 200, 0.2, 10, 20,
-                       RandomStream(53, 1, "chain"))
+        a = fit_one(sample_hmc, std_normal_model, Dataset(np.array([0.0])), 200, 0.2, 10, 20,
+                    RandomStream(53, 1, "chain"))
+        b = fit_one(sample_hmc, std_normal_model, Dataset(np.array([0.0])), 200, 0.2, 10, 20,
+                    RandomStream(53, 1, "chain"))
         np.testing.assert_array_equal(a.values, b.values)
 
     def test_centered_funnel_diverges_with_aggressive_step(self):
         model = make_eight_schools(EightSchoolsSpec(parameterization="centered"))
-        total_divergences = 0
-        for i in range(20):
-            theta = model.prior_simulator(RandomStream(54, i, "prior"))
-            data = model.data_simulator(theta, RandomStream(54, i, "data"))
-            draws = sample_hmc(model, data, 200, 2.5, 20, 0, RandomStream(54, i, "chain"))
-            total_divergences += draws.diagnostics["divergences"]
-        assert total_divergences > 0
+        datasets = [model.data_simulator(model.prior_simulator(RandomStream(54, i, "prior")),
+                                         RandomStream(54, i, "data")) for i in range(20)]
+        block = sample_hmc(model, datasets, 200, 2.5, 20, 0,
+                           [RandomStream(54, i, "chain") for i in range(20)])
+        assert sum(draws.diagnostics["divergences"] for draws in block.rows) > 0
+        assert block.diagnostics["divergences"] == sum(
+            draws.diagnostics["divergences"] for draws in block.rows)
+
+
+def lin_reg_datasets(n, seed):
+    model = make_lin_reg(LinRegSpec())
+    return model, [model.data_simulator(model.prior_simulator(RandomStream(seed, i, "prior")),
+                                        RandomStream(seed, i, "data")) for i in range(n)]
+
+
+def assert_same_draws(a, b):
+    np.testing.assert_array_equal(a.values, b.values)
+    assert a.rng_stream_id == b.rng_stream_id
+    assert a.diagnostics.keys() == b.diagnostics.keys()
+    for key, value in a.diagnostics.items():
+        np.testing.assert_array_equal(value, b.diagnostics[key])
+
+
+class TestLockstep:
+    """A row of a lockstep fit equals the same dataset fitted alone."""
+
+    @pytest.mark.parametrize("sampler, settings", [
+        (sample_hmc, (60, 0.3, 10, 40)), (sample_rw_metropolis, (60, 0.5, 40))])
+    def test_rows_match_single_row_fits(self, sampler, settings):
+        model, datasets = lin_reg_datasets(6, seed=61)
+        block = sampler(model, datasets, *settings,
+                        [RandomStream(61, i, "chain") for i in range(6)])
+        part = sampler(model, datasets[2:5], *settings,
+                       [RandomStream(61, i, "chain") for i in range(2, 5)])
+        for i, draws in enumerate(block.rows):
+            assert_same_draws(draws, fit_one(sampler, model, datasets[i], *settings,
+                                             RandomStream(61, i, "chain")))
+        for i, draws in zip(range(2, 5), part.rows):
+            assert_same_draws(draws, block.rows[i])
+        rates = [draws.diagnostics["acceptance_rate"] for draws in block.rows]
+        assert block.diagnostics["acceptance_rate"] == pytest.approx(np.mean(rates))
+
+    @pytest.mark.parametrize("sampler, settings", [
+        (sample_hmc, (0.3, 10, 40)), (sample_rw_metropolis, (0.5, 40))])
+    def test_row_lengths_match_single_row_fits(self, sampler, settings):
+        """Rows of one block may run for different lengths (Algorithm 2's reruns)."""
+        model, datasets = lin_reg_datasets(4, seed=65)
+        lengths = [70, 25, 70, 41]
+        *step, warmup = settings
+        block = sampler(model, datasets, 70, *step, warmup,
+                        [RandomStream(65, i, "chain-rerun") for i in range(4)], lengths)
+        for i, draws in enumerate(block.rows):
+            assert len(draws) == draws.chain_length_raw == lengths[i]
+            assert_same_draws(draws, fit_one(sampler, model, datasets[i], lengths[i], *settings,
+                                             RandomStream(65, i, "chain-rerun")))
+
+    def test_vi_rows_match_single_row_fits(self):
+        model = make_normal_normal(NormalNormalSpec(n_obs=3))
+        datasets = [Dataset(np.array([0.1, -0.4, 2.0]) * i) for i in range(5)]
+        approxes = fit_meanfield_vi(model, datasets, 500, 0.05,
+                                    [RandomStream(62, i, "vi") for i in range(5)])
+        for i, approx in enumerate(approxes):
+            alone = fit_vi_one(model, datasets[i], 500, 0.05, RandomStream(62, i, "vi"))
+            np.testing.assert_array_equal(approx.means, alone.means)
+            np.testing.assert_array_equal(approx.log_sds, alone.log_sds)
+
+    def test_failed_row_leaves_other_rows_unchanged(self):
+        """Rows with a non-finite initial density or ELBO gradient fail alone."""
+        model = make_flagged_model(cut=5.0)
+        datasets = [Dataset(np.array([y])) for y in (0.3, 9.0, -1.2, 0.8)]
+        block = sample_hmc(model, datasets, 50, 0.5, 5, 20,
+                           [RandomStream(63, i, "chain") for i in range(4)])
+        z0 = model.prior_simulator(RandomStream(63, 1, "chain")).values
+        assert isinstance(block.rows[1], NonFiniteDensity)
+        assert str(block.rows[1]) == f"non-finite log density at initial point {z0}"
+        for i in (0, 2, 3):
+            assert_same_draws(block.rows[i], fit_one(sample_hmc, model, datasets[i], 50, 0.5,
+                                                     5, 20, RandomStream(63, i, "chain")))
+        approxes = fit_meanfield_vi(model, datasets, 300, 0.05,
+                                    [RandomStream(63, i, "vi") for i in range(4)])
+        assert isinstance(approxes[1], Diverged)
+        assert str(approxes[1]) == "non-finite ELBO gradient at iteration 0"
+        for i in (0, 2, 3):
+            alone = fit_vi_one(model, datasets[i], 300, 0.05, RandomStream(63, i, "vi"))
+            np.testing.assert_array_equal(approxes[i].means, alone.means)
+
+    def test_hmc_matches_exact_posterior(self):
+        """One conjugate dataset: the chain's mean and sd match the closed form."""
+        model = make_normal_normal(NormalNormalSpec(1.0, 2.0, 1.5, 4))
+        data = Dataset(np.array([2.3, 0.4, 3.1, 1.7]))
+        draws = fit_one(sample_hmc, model, data, 20_000, 0.5, 5, 200,
+                        RandomStream(64, 0, "chain"))
+        mean, sd = model.exact_posterior(data)
+        x = draws.values[:, 0]
+        n_eff = effective_sample_size(x).n_eff
+        assert abs(x.mean() - mean) < 4 * sd / math.sqrt(n_eff)
+        assert x.std() == pytest.approx(sd, rel=4 / math.sqrt(n_eff) + 0.01)
 
 
 class TestMeanfieldVi:
     def test_standard_normal_recovered(self, std_normal_model):
-        approx = fit_meanfield_vi(std_normal_model, Dataset(np.array([0.0])),
-                                  10_000, 0.05, RandomStream(55, 0, "vi"))
+        approx = fit_vi_one(std_normal_model, Dataset(np.array([0.0])),
+                            10_000, 0.05, RandomStream(55, 0, "vi"))
         assert abs(approx.means[0]) < 0.05
         assert abs(math.exp(approx.log_sds[0]) - 1.0) < 0.1
 
     def test_correlated_target_underestimates_variance(self, correlated_gaussian_model):
         # Mean-field KL optimum has variance 1/Lambda_ii = 1 - rho^2 = 0.19,
         # strictly below the true marginal variance of 1.
-        approx = fit_meanfield_vi(correlated_gaussian_model, Dataset(np.array([0.0])),
-                                  20_000, 0.05, RandomStream(56, 0, "vi"))
+        approx = fit_vi_one(correlated_gaussian_model, Dataset(np.array([0.0])),
+                            20_000, 0.05, RandomStream(56, 0, "vi"))
         sds = np.exp(approx.log_sds)
         assert np.all(sds < 0.9)
         np.testing.assert_allclose(sds, math.sqrt(0.19), atol=0.1)
 
     def test_sampling_from_approximation(self, std_normal_model):
-        approx = fit_meanfield_vi(std_normal_model, Dataset(np.array([0.0])),
-                                  5000, 0.05, RandomStream(57, 0, "vi"))
+        approx = fit_vi_one(std_normal_model, Dataset(np.array([0.0])),
+                            5000, 0.05, RandomStream(57, 0, "vi"))
         draws = approx.sample(50_000, RandomStream(57, 0, "chain"))
         assert draws.sampler_name == "meanfield-vi"
         assert abs(draws.values.mean() - approx.means[0]) < 0.02
 
     def test_divergence_detected(self, std_normal_model):
-        with pytest.raises(Diverged):
-            fit_meanfield_vi(std_normal_model, Dataset(np.array([0.0])),
-                             2000, 1e6, RandomStream(58, 0, "vi"))
+        approx = fit_vi_one(std_normal_model, Dataset(np.array([0.0])),
+                            2000, 1e6, RandomStream(58, 0, "vi"))
+        assert isinstance(approx, Diverged)
 
 
 class TestCorrupt:
