@@ -62,8 +62,6 @@ from .rankstats import (
     default_bins,
     ecdf_diff,
     ecdf_summary,
-    empirical_quantile,
-    quantile_bin_counts,
     rank_statistic,
     rebin,
     uniform_band,

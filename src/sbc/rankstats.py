@@ -5,6 +5,12 @@ when the posterior sampler is exact, so departures from discrete uniformity
 localize inference bugs.  This module computes ranks, rebins them for
 display, derives exact binomial variation bands, builds ECDF summaries, and
 classifies the common failure shapes.
+
+Every band rests on one routine, :func:`binomial_quantiles`.  Its quantiles
+are exactly those of summing the binomial pmf sequentially from k = 0 until
+the running sum reaches the level, but it computes them for a whole grid of
+success probabilities at once (all L+1 points of an ECDF band in one call),
+in chunks of rows that bound its working set.
 """
 
 from __future__ import annotations
@@ -46,7 +52,9 @@ class EcdfSummary:
 
     The band is pointwise (exact binomial quantiles at each rank value), so
     about (1 - coverage) of the points are expected outside it even under
-    perfect uniformity.
+    perfect uniformity.  Its bounds are the Binomial(N, (k+1)/(L+1))
+    quantiles at (1-coverage)/2 and 1-(1-coverage)/2, divided by N, exactly
+    as sequential pmf summation gives them.
     """
 
     values: np.ndarray
@@ -81,18 +89,6 @@ def rank_statistic(posterior_values, prior_value: float) -> int:
     return int(np.sum(values < prior_value))
 
 
-def empirical_quantile(rank: int, L: int) -> float:
-    """Posterior quantile of the prior draw, rank / L.
-
-    This is the historical quantile-based check's statistic; it takes one of
-    L+1 evenly spaced values on [0, 1], which is exactly the discreteness
-    that distorts its histogram.
-    """
-    if not (0 <= rank <= L):
-        raise ValueError(f"rank {rank} outside [0, {L}]")
-    return rank / L
-
-
 def rebin(ranks, L: int, B: int) -> np.ndarray:
     """Collect raw ranks into B equal-width display bins; returns counts."""
     ranks = np.asarray(ranks, dtype=np.int64)
@@ -107,24 +103,74 @@ def rebin(ranks, L: int, B: int) -> np.ndarray:
     return np.bincount(ranks // width, minlength=B)
 
 
+# binomial_quantiles works through the probability grid in chunks of rows
+# whose (rows, n+1) temporaries hold at most this many floats (256 KiB), so a
+# band costs a few such temporaries however many points it has.
+QUANTILE_CHUNK_FLOATS = 2**15
+_LOG_MIN_NORMAL = math.log(np.finfo(np.float64).tiny)
+
+
+def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
+    """Smallest k with P(Binomial(n, p) <= k) >= q, for every p in ps and q in qs.
+
+    Returns a (len(ps), len(qs)) int64 array.  Each entry is exactly what
+    summing the pmf in sequence gives: ``cdf += math.exp(log_pmf(k))`` for
+    k = 0, 1, ... until ``cdf >= q``, and n if that never happens; p <= 0
+    gives 0 and p >= 1 gives n.  The log-pmf is evaluated with that sum's
+    operations in the same order (``math.lgamma`` once per k, ``math.log``
+    once per p) and ``np.cumsum`` adds in the same order, a chunk of p rows
+    at a time.  numpy's ``exp`` may differ from ``math.exp`` by an ulp, and
+    pmf terms below the smallest normal float are left out; both move a
+    running sum by far less than a bound kept here.  A row with a sum within
+    that bound of a level is summed again with ``math.exp`` over every term,
+    so no quantile differs.
+    """
+    qs = np.atleast_1d(np.asarray(qs, dtype=np.float64))
+    if not np.all((qs >= 0.0) & (qs <= 1.0)):
+        raise ValueError("quantile level must be in [0, 1]")
+    ps = np.atleast_1d(np.asarray(ps, dtype=np.float64))
+    out = np.empty((ps.size, qs.size), dtype=np.int64)
+    out[:] = np.where(ps <= 0.0, 0, n)[:, None]
+    inner = np.flatnonzero((ps > 0.0) & (ps < 1.0))
+    if inner.size == 0:
+        return out
+
+    lgamma = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
+    lead = lgamma[n] - lgamma - lgamma[::-1]  # lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1)
+    k = np.arange(n + 1, dtype=np.float64)
+    rest = n - k
+    # A bound on |cdf - exact sequential cdf|: relative, for numpy's exp within
+    # 2**-40 of math.exp and both running sums' rounding; absolute, for the
+    # left-out terms (their exp is slow, and they add at most (n+1) * 2**-1021).
+    rtol = 2.0**-40 + 2.0**-51 * (n + 1)
+    slack = 2.0 * rtol * qs + (n + 1) * 2.0**-1020
+    levels = np.column_stack([qs - slack, qs + slack]).ravel()
+
+    def log_pmf(rows) -> np.ndarray:
+        log_p = np.array([[math.log(p)] for p in ps[rows]])
+        log_1p = np.array([[math.log1p(-p)] for p in ps[rows]])
+        return lead + k * log_p + rest * log_1p
+
+    chunk = max(1, QUANTILE_CHUNK_FLOATS // (n + 1))
+    for start in range(0, inner.size, chunk):
+        rows = inner[start:start + chunk]
+        logs = log_pmf(rows)
+        cdf = np.exp(logs, out=np.zeros_like(logs), where=logs >= _LOG_MIN_NORMAL)
+        np.cumsum(cdf, axis=1, out=cdf)
+        for i, row in zip(rows, cdf):
+            # cdf is non-decreasing, so searchsorted counts the sums below a level.
+            below = np.searchsorted(row, levels).reshape(-1, 2)
+            out[i] = np.minimum(below[:, 0], n)
+            unsure = np.flatnonzero(below[:, 0] != below[:, 1])
+            if unsure.size:
+                terms = np.fromiter(map(math.exp, log_pmf([i])[0]), np.float64, n + 1)
+                out[i, unsure] = np.minimum(np.searchsorted(np.cumsum(terms), qs[unsure]), n)
+    return out
+
+
 def binomial_quantile(q: float, n: int, p: float) -> int:
     """Smallest k with P(Binomial(n, p) <= k) >= q, by exact CDF summation."""
-    if not (0.0 < q < 1.0 or q in (0.0, 1.0)):
-        raise ValueError("quantile level must be in [0, 1]")
-    if p <= 0.0:
-        return 0
-    if p >= 1.0:
-        return n
-    log_p, log_1p = math.log(p), math.log1p(-p)
-    lg = math.lgamma
-    lg_n1 = lg(n + 1)
-    cdf = 0.0
-    for k in range(n + 1):
-        log_pmf = lg_n1 - lg(k + 1) - lg(n - k + 1) + k * log_p + (n - k) * log_1p
-        cdf += math.exp(log_pmf)
-        if cdf >= q:
-            return k
-    return n
+    return int(binomial_quantiles(q, n, p)[0, 0])
 
 
 def uniform_band(N: int, B: int, coverage: float = 0.99) -> tuple[int, int]:
@@ -137,8 +183,8 @@ def uniform_band(N: int, B: int, coverage: float = 0.99) -> tuple[int, int]:
     if N < 1 or B < 1 or not (0.0 < coverage < 1.0):
         raise ValueError("need N >= 1, B >= 1, 0 < coverage < 1")
     tail = (1.0 - coverage) / 2.0
-    p = 1.0 / B
-    return binomial_quantile(tail, N, p), binomial_quantile(1.0 - tail, N, p)
+    low, high = binomial_quantiles([tail, 1.0 - tail], N, 1.0 / B)[0]
+    return int(low), int(high)
 
 
 def default_bins(N: int, L: int) -> int:
@@ -168,36 +214,36 @@ def build_histogram(ranks, L: int, B: int, coverage: float = 0.99) -> SbcHistogr
     )
 
 
-def quantile_bin_counts(ranks, L: int, B: int) -> np.ndarray:
-    """Histogram of empirical quantiles rank/L over B equal bins of [0, 1].
+def ecdf_band(N: int, L: int, coverage: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
+    """Pointwise band of the ECDF of N uniform ranks on 0..L, as fractions of N.
 
-    Unlike :func:`rebin` this bins a [0, 1]-valued statistic, so the L+1
-    discrete quantile values generally do not split evenly across bins; the
-    resulting artifacts are the point of the quantile-baseline comparison.
+    Exact Binomial(N, (k+1)/(L+1)) quantiles at (1-coverage)/2 and
+    1-(1-coverage)/2 for every k, from one :func:`binomial_quantiles` call.
     """
-    ranks = np.asarray(ranks, dtype=np.int64)
-    q = ranks / L
-    idx = np.minimum((q * B).astype(np.int64), B - 1)
-    return np.bincount(idx, minlength=B)
+    tail = (1.0 - coverage) / 2.0
+    expected = np.arange(1, L + 2) / (L + 1)
+    bounds = binomial_quantiles([tail, 1.0 - tail], N, expected) / N
+    return bounds[:, 0], bounds[:, 1]
 
 
-def ecdf_summary(ranks, L: int, coverage: float = 0.99) -> EcdfSummary:
-    """ECDF of ranks at each value k with exact pointwise binomial envelope."""
+def ecdf_summary(ranks, L: int, coverage: float = 0.99,
+                 reuse: EcdfSummary | None = None) -> EcdfSummary:
+    """ECDF of ranks at each value k with exact pointwise binomial envelope.
+
+    The envelope depends only on (N, L, coverage): when ``reuse`` is a
+    summary with the same three, its envelope is shared, not recomputed.
+    """
     ranks = np.asarray(ranks, dtype=np.int64)
     if ranks.size and (ranks.min() < 0 or ranks.max() > L):
         raise ValueError("ranks outside [0, L]")
     N = ranks.size
     counts = np.bincount(ranks, minlength=L + 1)
     values = np.cumsum(counts) / N
-    k = np.arange(L + 1)
-    expected = (k + 1) / (L + 1)
-    tail = (1.0 - coverage) / 2.0
-    env_low = np.empty(L + 1)
-    env_high = np.empty(L + 1)
-    for i in range(L + 1):
-        p = expected[i]
-        env_low[i] = binomial_quantile(tail, N, p) / N
-        env_high[i] = binomial_quantile(1.0 - tail, N, p) / N
+    expected = np.arange(1, L + 2) / (L + 1)
+    if reuse is not None and (reuse.N, reuse.L, reuse.coverage) == (N, L, coverage):
+        env_low, env_high = reuse.envelope_low, reuse.envelope_high
+    else:
+        env_low, env_high = ecdf_band(N, L, coverage)
     return EcdfSummary(values=values, expected=expected, envelope_low=env_low,
                        envelope_high=env_high, N=N, L=L, coverage=coverage)
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rankstats import (
+    EcdfSummary,
     SbcHistogram,
     binomial_quantile,
     build_histogram,
@@ -53,6 +54,8 @@ class ReportRequest:
             raise ValueError(f"unknown report formats: {sorted(bad)}")
         if not (0.0 < self.coverage < 1.0):
             raise ValueError("coverage must be in (0, 1)")
+        if self.bins is not None and self.bins < 1:
+            raise ValueError(f"bins must be at least 1, got {self.bins}")
 
 
 def _fmt(x: float) -> str:
@@ -84,13 +87,15 @@ def _escape(s: str) -> str:
 
 
 def render_histogram_svg(artifact: RunArtifact, quantity: str, B: int | None = None,
-                         coverage: float = 0.99) -> str:
+                         coverage: float = 0.99, hist: SbcHistogram | None = None) -> str:
     """Self-contained SVG rank histogram with the binomial variation band.
 
     Bars carry their raw count in a data-count attribute so the document is
-    exactly recoverable.
+    exactly recoverable.  A ``hist`` already built for the quantity is drawn
+    as it is, in place of one built from ``B`` and ``coverage``.
     """
-    hist = _histogram(artifact, quantity, B, coverage)
+    if hist is None:
+        hist = _histogram(artifact, quantity, B, coverage)
     n_bins = hist.B
     median = binomial_quantile(0.5, hist.N, 1.0 / n_bins)
     y_max = max(max(hist.counts), hist.band_high, 1) * 1.08
@@ -150,13 +155,17 @@ def _step_points(xs: np.ndarray, ys: np.ndarray, x_of, y_of) -> list[tuple[float
 
 
 def render_ecdf_svg(artifact: RunArtifact, quantity: str, mode: str = "ecdf",
-                    coverage: float = 0.99) -> str:
-    """ECDF (or ECDF minus uniform expectation) with a pointwise envelope."""
+                    coverage: float = 0.99, summary: EcdfSummary | None = None) -> str:
+    """ECDF (or ECDF minus uniform expectation) with a pointwise envelope.
+
+    A ``summary`` already built for the quantity is drawn as it is, in place
+    of one built at ``coverage``.
+    """
     if mode not in ("ecdf", "diff"):
         raise ValueError("mode must be 'ecdf' or 'diff'")
-    ranks = artifact.ranks_for(quantity)
     L = artifact.L
-    summary = ecdf_summary(ranks, L, coverage)
+    if summary is None:
+        summary = ecdf_summary(artifact.ranks_for(quantity), L, coverage)
     k = np.arange(L + 1)
     if mode == "ecdf":
         curve = summary.values
@@ -205,9 +214,14 @@ def render_ecdf_svg(artifact: RunArtifact, quantity: str, mode: str = "ecdf",
 
 
 def summarize(artifact: RunArtifact, quantity: str, B: int | None = None,
-              coverage: float = 0.99) -> dict:
-    """JSON-serializable summary of one quantity's calibration evidence."""
-    hist = _histogram(artifact, quantity, B, coverage)
+              coverage: float = 0.99, hist: SbcHistogram | None = None) -> dict:
+    """JSON-serializable summary of one quantity's calibration evidence.
+
+    A ``hist`` already built for the quantity is used as it is, in place of
+    one built from ``B`` and ``coverage``.
+    """
+    if hist is None:
+        hist = _histogram(artifact, quantity, B, coverage)
     stat, dof = chi_square_uniformity(hist.counts)
     counts = np.asarray(hist.counts)
     outside = int(np.sum((counts < hist.band_low) | (counts > hist.band_high)))
@@ -255,21 +269,29 @@ def safe_filename(name: str) -> str:
 
 
 def write_report(artifact: RunArtifact, request: ReportRequest, out_dir) -> list[str]:
-    """Render every requested artifact; returns the relative file names written."""
+    """Render every requested artifact; returns the relative file names written.
+
+    Each quantity's histogram and ECDF summary are built once and shared by
+    the files that show them, and the ECDF band, which depends only on
+    (N, L, coverage), is computed once for all quantities.
+    """
     from pathlib import Path
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     quantities = request.quantities or artifact.quantities
-    rows = [summarize(artifact, q, request.bins, request.coverage) for q in quantities]
+    hists = [_histogram(artifact, q, request.bins, request.coverage) for q in quantities]
+    rows = [summarize(artifact, q, hist=h) for q, h in zip(quantities, hists)]
     written: list[str] = []
     if "svg" in request.formats:
-        for q in quantities:
+        ecdf = None
+        for q, hist in zip(quantities, hists):
+            ecdf = ecdf_summary(artifact.ranks_for(q), artifact.L, request.coverage, reuse=ecdf)
             stem = safe_filename(q)
             for suffix, doc in (
-                ("hist", render_histogram_svg(artifact, q, request.bins, request.coverage)),
-                ("ecdf", render_ecdf_svg(artifact, q, "ecdf", request.coverage)),
-                ("ecdf_diff", render_ecdf_svg(artifact, q, "diff", request.coverage)),
+                ("hist", render_histogram_svg(artifact, q, hist=hist)),
+                ("ecdf", render_ecdf_svg(artifact, q, "ecdf", summary=ecdf)),
+                ("ecdf_diff", render_ecdf_svg(artifact, q, "diff", summary=ecdf)),
             ):
                 name = f"{stem}_{suffix}.svg"
                 (out / name).write_text(doc, encoding="utf-8")

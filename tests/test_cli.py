@@ -112,6 +112,18 @@ def test_report_errors_exit_4(tiny_config, tmp_path):
                  "--out", str(tmp_path / "r")]) == 4
 
 
+@pytest.mark.parametrize("bins", ["0", "-1"])
+def test_report_rejects_bins_below_one(tiny_config, tmp_path, capsys, bins):
+    run_dir = tmp_path / "artifact"
+    main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
+    capsys.readouterr()
+    assert main(["report", "--run", str(run_dir), "--bins", bins,
+                 "--out", str(tmp_path / "r")]) == 4
+    err = capsys.readouterr().err
+    assert f"sbc: report error: bins must be at least 1, got {bins}" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_list_models(capsys):
     assert main(["list-models"]) == 0
     listing = json.loads(capsys.readouterr().out)

@@ -1,19 +1,24 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from sbc.errors import IndivisibleBinning, NonFiniteInput
 from sbc.models import NormalNormalSpec, make_normal_normal
+import sbc.rankstats as rankstats
 from sbc.rankstats import (
     binomial_quantile,
+    binomial_quantiles,
     build_histogram,
     chi_square_uniformity,
     classify_shape,
     default_bins,
+    ecdf_band,
     ecdf_diff,
     ecdf_summary,
-    empirical_quantile,
-    quantile_bin_counts,
     rank_statistic,
     rebin,
     uniform_band,
@@ -23,6 +28,51 @@ from sbc.streams import RandomStream
 
 # chi2 0.999 quantiles, frozen from scipy.stats.chi2.ppf.
 CHI2_999_DOF9 = 27.877164871256568
+
+
+def sequential_binomial_quantile(q: float, n: int, p: float) -> int:
+    """Reference: the scalar quantile by sequential CDF summation, kept verbatim."""
+    if not (0.0 < q < 1.0 or q in (0.0, 1.0)):
+        raise ValueError("quantile level must be in [0, 1]")
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    log_p, log_1p = math.log(p), math.log1p(-p)
+    lg = math.lgamma
+    lg_n1 = lg(n + 1)
+    cdf = 0.0
+    for k in range(n + 1):
+        log_pmf = lg_n1 - lg(k + 1) - lg(n - k + 1) + k * log_p + (n - k) * log_1p
+        cdf += math.exp(log_pmf)
+        if cdf >= q:
+            return k
+    return n
+
+
+def sequential_binomial_cdf(n: int, p: float) -> list[float]:
+    """Every running sum of the reference's loop, for 0 < p < 1."""
+    log_p, log_1p = math.log(p), math.log1p(-p)
+    lg = math.lgamma
+    lg_n1 = lg(n + 1)
+    cdf, sums = 0.0, []
+    for k in range(n + 1):
+        cdf += math.exp(lg_n1 - lg(k + 1) - lg(n - k + 1) + k * log_p + (n - k) * log_1p)
+        sums.append(cdf)
+    return sums
+
+
+SPECIAL_LEVELS = (0.0, 1.0, 1e-9, 0.005, 0.995, 1.0 - 1e-9)
+
+
+@st.composite
+def quantile_cases(draw):
+    n = draw(st.integers(1, 5000))
+    p = st.one_of(st.sampled_from([0.0, 1.0, 1.0 / (n + 1)]),
+                  st.floats(0.0, 1.0, allow_nan=False))
+    q = st.one_of(st.sampled_from(SPECIAL_LEVELS), st.floats(0.0, 1.0, allow_nan=False))
+    return (draw(st.lists(q, min_size=1, max_size=4)), n,
+            draw(st.lists(p, min_size=1, max_size=4)))
 
 
 class TestRankStatistic:
@@ -49,17 +99,6 @@ class TestRankStatistic:
             v = rng.normal(size=L)
             p = rng.normal()
             assert rank_statistic(v, p) + rank_statistic(-v, -p) == L
-
-
-class TestEmpiricalQuantile:
-    def test_boundaries_and_midpoint(self):
-        assert empirical_quantile(0, 100) == 0.0
-        assert empirical_quantile(100, 100) == 1.0
-        assert empirical_quantile(50, 100) == 0.5
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            empirical_quantile(101, 100)
 
 
 class TestRebin:
@@ -128,6 +167,64 @@ class TestBinomialQuantile:
     def test_edge_probabilities(self):
         assert binomial_quantile(0.5, 10, 0.0) == 0
         assert binomial_quantile(0.5, 10, 1.0) == 10
+
+
+def _reference_grid(qs, n, ps) -> np.ndarray:
+    return np.array([[sequential_binomial_quantile(q, n, p) for q in qs] for p in ps])
+
+
+class TestBinomialQuantiles:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(quantile_cases())
+    def test_equals_sequential_sum(self, case):
+        qs, n, ps = case
+        got = binomial_quantiles(qs, n, ps)
+        assert got.shape == (len(ps), len(qs))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, _reference_grid(qs, n, ps))
+
+    def test_ecdf_band_grid_exhaustive(self):
+        # Every point of the band at N=2000, L=1023, both levels.
+        N, L = 2000, 1023
+        ps = [(k + 1) / (L + 1) for k in range(L + 1)]
+        tail = (1.0 - 0.99) / 2.0
+        qs = [tail, 1.0 - tail]
+        expected = _reference_grid(qs, N, ps)
+        np.testing.assert_array_equal(binomial_quantiles(qs, N, ps), expected)
+        low, high = ecdf_band(N, L)
+        np.testing.assert_array_equal(low, expected[:, 0] / N)
+        np.testing.assert_array_equal(high, expected[:, 1] / N)
+
+    def test_levels_on_a_running_sum(self):
+        # A level equal to one of the reference's running sums, or an ulp from
+        # it, is where numpy's exp could tip the comparison.
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            n = int(rng.integers(1, 3000))
+            p = float(rng.random())
+            sums = sequential_binomial_cdf(n, p)
+            qs = [level for k in rng.integers(0, n + 1, size=4)
+                  for level in (sums[k], np.nextafter(sums[k], 0.0), np.nextafter(sums[k], 2.0))
+                  if level <= 1.0]
+            np.testing.assert_array_equal(binomial_quantiles(qs, n, [p]),
+                                          _reference_grid(qs, n, [p]))
+
+    def test_chunk_size_does_not_change_results(self, monkeypatch):
+        qs, n = [0.005, 0.5, 0.995], 700
+        ps = np.linspace(0.0, 1.0, 37)
+        expected = binomial_quantiles(qs, n, ps)
+        for floats in (1, 1000, 2**20):
+            monkeypatch.setattr(rankstats, "QUANTILE_CHUNK_FLOATS", floats)
+            np.testing.assert_array_equal(binomial_quantiles(qs, n, ps), expected)
+
+    @pytest.mark.parametrize("q", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, math.nan])
+    def test_bad_level_rejected(self, q):
+        with pytest.raises(ValueError, match=r"quantile level must be in \[0, 1\]"):
+            binomial_quantiles([0.5, q], 10, [0.3])
+        with pytest.raises(ValueError):
+            binomial_quantile(q, 10, 0.3)
+        with pytest.raises(ValueError):
+            sequential_binomial_quantile(q, 10, 0.3)
 
 
 class TestEcdf:
@@ -248,14 +345,6 @@ class TestClassifyShape:
     def test_too_few_bins_still_reports_bias(self):
         hist = build_histogram(np.full(15, 99), 99, 1)
         assert classify_shape(hist) == "biased-high-ranks"
-
-
-class TestQuantileBinCounts:
-    def test_counts_sum_and_extremes(self):
-        ranks = np.array([0, 0, 99, 99, 50])
-        counts = quantile_bin_counts(ranks, 99, 20)
-        assert counts.sum() == 5
-        assert counts[0] == 2 and counts[-1] == 2
 
 
 def test_theorem1_rank_uniformity_statistical():

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
+import sbc.rankstats as rankstats
+import sbc.report as report
 from sbc.errors import UnknownQuantity
 from sbc.rankstats import rebin
 from sbc.report import (
@@ -18,16 +21,37 @@ from sbc.runner import RunArtifact, RunConfig, run
 from sbc.samplers import SamplerConfig
 
 
-def artifact_from_ranks(ranks, L=19, quantity="mu"):
-    """Hand-built artifact wrapping a fixed rank list."""
-    n = len(ranks)
+def artifact_from_ranks(ranks, L=19, quantities=("mu",)):
+    """Hand-built artifact wrapping a fixed rank table, one column per quantity."""
+    ranks = np.reshape(ranks, (-1, len(quantities)))
+    n = ranks.shape[0]
     config = RunConfig(model={"kind": "normal-normal"},
                        sampler=SamplerConfig(kind="exact-conjugate"),
                        N=n, L=L, master_seed=1)
-    return RunArtifact(config=config, quantities=(quantity,), replications=np.arange(n),
-                       ranks=np.reshape(ranks, (n, 1)), ess=np.full((n, 1), np.nan),
+    return RunArtifact(config=config, quantities=tuple(quantities), replications=np.arange(n),
+                       ranks=ranks, ess=np.full(ranks.shape, np.nan),
                        chain_lengths=np.full(n, L), diagnostics=(), failures=(),
                        wall_clock_seconds=0.0)
+
+
+def two_quantity_artifact():
+    i = np.arange(300)
+    return artifact_from_ranks(np.column_stack([(i * 37) % 50, (i * i) % 50]), L=49,
+                               quantities=("mu", "theta[1]"))
+
+
+# SHA-256 of every file of the default report of two_quantity_artifact(),
+# frozen from the per-point quantile implementation the vectorised one replaced.
+FROZEN_REPORT_SHA256 = {
+    "mu_hist.svg": "5ac05b9793a34618c61d2fa18a8f8574c1b2172b7a2bc7c89515357af7564444",
+    "mu_ecdf.svg": "95bfacc67b665bcb1b885b4d431450d4d4a8802da1b2fb0fd64d2bba0d482bbf",
+    "mu_ecdf_diff.svg": "7113336fd055473d1412dcbd5c7ccfc3239dc8f90433f44d91f657aad3f18514",
+    "theta_1__hist.svg": "51287bba7884b19fcc54f7f69297c046831be5c4beb14fd16d2f1301b5471024",
+    "theta_1__ecdf.svg": "3a391b50e0bc5434e2055227b261173a62a8d09ca5927f6a7d93a16690f49452",
+    "theta_1__ecdf_diff.svg": "5c84e7b2a8ea4fbdce121315584102b7218305b852b75240ee45b92b881724f6",
+    "summary.json": "561cbfe14572996335673e4dff4a924923ed9a1fdf9f2a2bb6ef43fc2067c10e",
+    "summary.csv": "17ed992ac5b1e1f1f77fa500766759984214bb556eab91acc9d6d8b57e8c3b13",
+}
 
 
 @pytest.fixture(scope="module")
@@ -154,3 +178,32 @@ class TestWriteReport:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             ReportRequest(artifact_path="x", formats=("png",))
+
+    @pytest.mark.parametrize("bins", [0, -1])
+    def test_bins_below_one_rejected(self, bins):
+        with pytest.raises(ValueError, match="bins must be at least 1"):
+            ReportRequest(artifact_path="x", bins=bins)
+
+    def test_files_match_frozen_digests(self, tmp_path):
+        written = write_report(two_quantity_artifact(), ReportRequest(artifact_path="x"),
+                               tmp_path)
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in written}
+        assert digests == FROZEN_REPORT_SHA256
+
+    def test_each_summary_and_the_band_built_once(self, tmp_path, monkeypatch):
+        calls = {"ecdf_summary": 0, "ecdf_band": 0, "build_histogram": 0}
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(report, "ecdf_summary")
+        counted(rankstats, "ecdf_band")
+        counted(report, "build_histogram")
+        write_report(two_quantity_artifact(), ReportRequest(artifact_path="x"), tmp_path)
+        assert calls == {"ecdf_summary": 2, "ecdf_band": 1, "build_histogram": 2}
