@@ -75,18 +75,26 @@ class EcdfDiff:
     envelope_high: np.ndarray
 
 
-def rank_statistic(posterior_values, prior_value: float) -> int:
-    """Count posterior values strictly below the prior value.
+def rank_statistic(posterior_values, prior_value):
+    """Count posterior values strictly below the prior value, along the last axis.
 
-    Ties count as not-less; for continuous models they occur with
-    probability zero, but corrupted or degenerate inputs can produce them.
+    A 1-d series and a scalar prior give one int.  An (R, L) matrix and an
+    R-vector of priors give the R ranks, row r counted against prior r, each
+    equal to the 1-d call on that row.  Ties count as not-less; for continuous
+    models they occur with probability zero, but corrupted or degenerate
+    inputs can produce them.  Any non-finite input raises NonFiniteInput.
     """
     values = np.asarray(posterior_values, dtype=np.float64)
+    prior = np.asarray(prior_value, dtype=np.float64)
     if values.size < 1:
         raise ValueError("need at least one posterior value")
-    if not np.all(np.isfinite(values)) or not math.isfinite(prior_value):
+    if prior.shape != values.shape[:-1]:
+        raise ValueError(f"prior shape {prior.shape} does not match posterior values "
+                         f"of shape {values.shape}")
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(prior))):
         raise NonFiniteInput("rank_statistic requires finite inputs")
-    return int(np.sum(values < prior_value))
+    ranks = np.sum(values < prior[..., np.newaxis], axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
 def rebin(ranks, L: int, B: int) -> np.ndarray:

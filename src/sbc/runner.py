@@ -3,12 +3,13 @@
 Each replication draws a ground truth from the prior, simulates a dataset,
 fits the configured sampler, and records the rank of the ground truth within
 the posterior draws for every quantity of interest.  Replications are
-independent, so they run in blocks: a block draws its priors and data row
-by row, fits all its datasets in one lockstep sampler call, and ranks row by
-row.  Every random stream is derived from (master_seed, replication index,
-purpose tag), and the batched densities keep each row's arithmetic within
-its row, so results are bit-identical for any block size and any number of
-workers.
+independent, so they run in blocks: a block derives each purpose's random
+streams for all its rows in one pass, draws its priors and data row by row,
+fits all its datasets in one lockstep sampler call, and ranks each quantity
+in one pass over the block's stacked draws.  Every random stream is derived
+from (master_seed, replication index, purpose tag), and the batched
+densities and quantities keep each row's arithmetic within its row, so
+results are bit-identical for any block size and any number of workers.
 """
 
 from __future__ import annotations
@@ -34,11 +35,12 @@ from .errors import (
     FailureRateExceeded,
     FormatVersionMismatch,
     InvalidArtifact,
+    NonFiniteInput,
     SbcError,
     UnknownQuantity,
 )
 from .ess import ess_by_quantity, min_ess, required_chain_length, thin_to
-from .model import GenerativeModel, Quantity, draw_data, draw_prior, evaluate_series
+from .model import GenerativeModel, Quantity, draw_data, draw_prior
 from .models import model_from_dict
 from .rankstats import rank_statistic
 from .samplers import (
@@ -136,12 +138,12 @@ def config_from_dict(d: dict) -> RunConfig:
     if not isinstance(d["model"], dict):
         raise ConfigError("model must be a JSON object with a 'kind' key")
     try:
-        model_from_dict(d["model"])  # validate eagerly for fast feedback
+        model = model_from_dict(d["model"])  # validate eagerly for fast feedback
     except SbcError as exc:
         raise ConfigError(f"invalid model spec: {exc}") from exc
     kwargs = {k: v for k, v in d.items() if k not in ("model", "sampler", "corruption")}
     try:
-        return RunConfig(
+        config = RunConfig(
             model=dict(d["model"]),
             sampler=_sub_config(SamplerConfig, d["sampler"], "sampler"),
             corruption=_sub_config(Corruption, d.get("corruption", {}), "corruption"),
@@ -149,6 +151,19 @@ def config_from_dict(d: dict) -> RunConfig:
         )
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+    _check_model(config, model)
+    return config
+
+
+def _check_model(config: RunConfig, model: GenerativeModel) -> None:
+    """Reject a config that would fail every replication of ``model``."""
+    if config.sampler.kind == "exact-conjugate" and model.exact_posterior is None:
+        raise ConfigError(f"the exact-conjugate sampler needs a closed-form posterior; "
+                          f"model {model.name!r} has none")
+    target = config.corruption.target_quantity
+    if config.corruption.kind != "none" and target not in model.parameter_names:
+        raise ConfigError(f"corruption target {target!r} is not a parameter of model "
+                          f"{model.name!r}; choose from {list(model.parameter_names)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,8 +213,9 @@ class RunArtifact:
 
 
 def _build(config: RunConfig) -> tuple[GenerativeModel, tuple[Quantity, ...]]:
-    """The run's model, and its quantities in the rank table's column order (by name)."""
+    """The run's checked model, and its quantities in the rank table's column order (by name)."""
     model = model_from_dict(config.model)
+    _check_model(config, model)
     return model, tuple(sorted(model.quantities, key=lambda q: q.name))
 
 
@@ -232,6 +248,12 @@ def _each(rows: list[_Row], step) -> list[_Row]:
     return [row for row in rows if row.failure is None]
 
 
+def _streams(seed: int, rows: list[_Row], tag: str) -> dict[int, RandomStream]:
+    """Each row's stream for ``tag``, keyed by replication, derived in one pass."""
+    indices = [row.i for row in rows]
+    return dict(zip(indices, RandomStream.block(seed, indices, tag)))
+
+
 def _fit(model: GenerativeModel, config: RunConfig, rows: list[_Row], tag: str) -> None:
     """Fit each row's dataset for ``row.length`` draws; sets ``row.draws`` or fails the row.
 
@@ -239,13 +261,16 @@ def _fit(model: GenerativeModel, config: RunConfig, rows: list[_Row], tag: str) 
     noise array holds at most BLOCK_FLOATS values; the rows of a group may
     differ in length.  The exact sampler fits row by row.
     """
+    if not rows:
+        return
     cfg, seed = config.sampler, config.master_seed
+    rngs = _streams(seed, rows, tag)
     if cfg.kind == "exact-conjugate":
         def exact(row):
-            row.draws = sample_exact_conjugate(model, row.data, row.length,
-                                               RandomStream(seed, row.i, tag))
+            row.draws = sample_exact_conjugate(model, row.data, row.length, rngs[row.i])
         _each(rows, exact)
         return
+    vi_rngs = _streams(seed, rows, "vi") if cfg.kind == "meanfield-vi" else {}
     rows = sorted(rows, key=lambda row: -row.length)
     start = 0
     while start < len(rows):
@@ -254,18 +279,18 @@ def _fit(model: GenerativeModel, config: RunConfig, rows: list[_Row], tag: str) 
         group = rows[start:start + max(1, BLOCK_FLOATS // (steps * len(model.parameter_names)))]
         start += len(group)
         datasets, lengths = [row.data for row in group], [row.length for row in group]
-        rngs = [RandomStream(seed, row.i, tag) for row in group]
+        group_rngs = [rngs[row.i] for row in group]
         if cfg.kind == "rw-metropolis":
             fitted = sample_rw_metropolis(model, datasets, n_steps, cfg.step_size, cfg.warmup,
-                                          rngs, lengths).rows
+                                          group_rngs, lengths).rows
         elif cfg.kind == "hmc":
             fitted = sample_hmc(model, datasets, n_steps, cfg.step_size, cfg.n_leapfrog,
-                                cfg.warmup, rngs, lengths).rows
+                                cfg.warmup, group_rngs, lengths).rows
         else:
             approxes = fit_meanfield_vi(model, datasets, cfg.vi_iterations, cfg.vi_learning_rate,
-                                        [RandomStream(seed, row.i, "vi") for row in group])
+                                        [vi_rngs[row.i] for row in group])
             fitted = [a if isinstance(a, SbcError) else a.sample(n, rng)
-                      for a, n, rng in zip(approxes, lengths, rngs)]
+                      for a, n, rng in zip(approxes, lengths, group_rngs)]
         for row, result in zip(group, fitted):
             if isinstance(result, SbcError):
                 row.fail(result)
@@ -273,21 +298,54 @@ def _fit(model: GenerativeModel, config: RunConfig, rows: list[_Row], tag: str) 
                 row.draws = result
 
 
+def _rank(rows: list[_Row], quantities: tuple[Quantity, ...]) -> None:
+    """Set each row's ranks, or fail the row; one pass per quantity over the stacked rows.
+
+    Each quantity is evaluated once on all rows' draws, stacked into one
+    (R * L, d) matrix, and once on their (R, d) prior points.  A row with a
+    non-finite value of any quantity fails alone; the others are ranked.
+    """
+    if not rows:
+        return
+    draws = np.concatenate([row.draws.values for row in rows])
+    priors = np.stack([row.theta.values for row in rows])
+    draw_names, prior_names = rows[0].draws.names, rows[0].theta.names
+    ranks = np.zeros((len(rows), len(quantities)), dtype=np.int64)
+    finite = np.ones(len(rows), dtype=bool)
+    for j, q in enumerate(quantities):
+        series = np.asarray(q.batch_evaluator(draws, draw_names),
+                            dtype=np.float64).reshape(len(rows), -1)
+        prior = np.asarray(q.batch_evaluator(priors, prior_names), dtype=np.float64)
+        ok = np.isfinite(series).all(axis=1) & np.isfinite(prior)
+        finite &= ok
+        if ok.any():
+            ranks[ok, j] = rank_statistic(series[ok], prior[ok])
+    for row, row_ranks, ok in zip(rows, ranks, finite):
+        if ok:
+            row.ranks = row_ranks
+        else:
+            row.fail(NonFiniteInput("rank_statistic requires finite inputs"))
+
+
 def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
                indices) -> list[dict]:
     """Run a block of replications; returns each one's row of the rank table, or its failure.
 
-    Priors and data are drawn per row, the block is fitted in lockstep, and
-    ESS, Algorithm 2's plan, thinning and ranks are computed per row.  The
-    block's Algorithm-2 reruns are fitted in one more lockstep call, each row
-    for its own planned length.
+    Each purpose's streams (prior, data, chain, rerun, VI) are derived for
+    the whole block in one pass.  Priors and data are drawn per row, the
+    block is fitted in lockstep, and ESS, Algorithm 2's plan and thinning
+    are computed per row.  The block's Algorithm-2 reruns are fitted in one
+    more lockstep call, each row for its own planned length.  Corruption is
+    applied per row, then each quantity is ranked for the whole block at
+    once (see :func:`_rank`).
     """
     seed = config.master_seed
     rows = [_Row(i, len(quantities)) for i in indices]
+    prior_rngs, data_rngs = _streams(seed, rows, "prior"), _streams(seed, rows, "data")
 
     def simulate(row):
-        row.theta = draw_prior(model, RandomStream(seed, row.i, "prior"))
-        row.data = draw_data(model, row.theta, RandomStream(seed, row.i, "data"))
+        row.theta = draw_prior(model, prior_rngs[row.i])
+        row.data = draw_data(model, row.theta, data_rngs[row.i])
         row.length = config.L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * config.L
 
     def estimate(row):
@@ -322,17 +380,13 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
 
         _each(live, thin)
 
-    def rank(row):
+    def prepare(row):
         for key in ("acceptance_rate", "divergences", "step_size"):
             if key in row.draws.diagnostics:
                 row.diag[key] = row.draws.diagnostics[key]
-        draws = corrupt(row.draws, config.corruption)
-        prior_point = row.theta.values[np.newaxis]
-        row.ranks = [rank_statistic(evaluate_series(q, draws),
-                                    float(q.batch_evaluator(prior_point, row.theta.names)[0]))
-                     for q in quantities]
+        row.draws = corrupt(row.draws, config.corruption)
 
-    _each(rows, rank)
+    _rank(_each(rows, prepare), quantities)
     names = tuple(q.name for q in quantities)
     return [{"replication": row.i, "diagnostics": row.diag, "failure": row.failure}
             if row.failure is not None else
@@ -342,16 +396,16 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
             for row in rows]
 
 
-def _run_indices(config: RunConfig, indices: range) -> Iterator[dict]:
-    """Build the model once, then run the indices block by block; yields rows in order."""
-    model, quantities = _build(config)
+def _run_blocks(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
+                indices: range) -> Iterator[dict]:
+    """Run the indices block by block; yields rows in order."""
     for start in range(0, len(indices), BLOCK_SIZE):
         yield from _run_block(config, model, quantities, indices[start:start + BLOCK_SIZE])
 
 
 def _run_chunk(config: RunConfig, indices: range) -> list[dict]:
-    """A pool task: the rows of a range of replications."""
-    return list(_run_indices(config, indices))
+    """A pool task: build the model, then the rows of a range of replications."""
+    return list(_run_blocks(config, *_build(config), indices))
 
 
 def _collect(config: RunConfig, results) -> dict:
@@ -391,12 +445,14 @@ def run(config: RunConfig) -> RunArtifact:
     row, so the result does not depend on the block size or the worker
     count.  With ``thinning='algorithm-2'`` each MCMC chain's effective
     sample size is estimated, the chain is rerun longer when it falls short
-    of L, and the draws are thinned to L before ranking.
+    of L, and the draws are thinned to L before ranking.  A config that
+    would fail every replication raises ConfigError before any runs.
     """
     started = time.perf_counter()
+    model, quantities = _build(config)
     workers = config.worker_count_hint
     if workers == 1:
-        table = _collect(config, _run_indices(config, range(config.N)))
+        table = _collect(config, _run_blocks(config, model, quantities, range(config.N)))
     else:
         size = min(BLOCK_SIZE, math.ceil(config.N / workers))
         chunks = [range(start, min(start + size, config.N)) for start in range(0, config.N, size)]

@@ -1,8 +1,12 @@
+import dataclasses
 import json
 
 import pytest
 
+from sbc import models
 from sbc.cli import main
+
+from conftest import make_flagged_model
 
 
 @pytest.fixture
@@ -84,13 +88,28 @@ def test_config_errors_exit_2(tmp_path):
         "replications": 5}))
     assert main(["run", "--config", str(unknown_key), "--out", str(tmp_path / "o")]) == 2
 
+    not_conjugate = tmp_path / "not_conjugate.json"
+    not_conjugate.write_text(json.dumps({
+        "model": {"kind": "lin-reg"},
+        "sampler": {"kind": "exact-conjugate"},
+        "N": 500,
+        "L": 9}))
+    assert main(["run", "--config", str(not_conjugate), "--out", str(tmp_path / "o")]) == 2
 
-def test_failure_rate_exit_3(tmp_path, capsys):
+
+@dataclasses.dataclass(frozen=True)
+class FlaggedSpec:
+    cut: float
+
+
+def test_failure_rate_exit_3(tmp_path, capsys, monkeypatch):
+    """Fits that fail row by row (datasets above the cut) trip the failure cap."""
+    monkeypatch.setitem(models.MODEL_KINDS, "flagged",
+                        (FlaggedSpec, lambda spec: make_flagged_model(spec.cut)))
     config = tmp_path / "failing.json"
     config.write_text(json.dumps({
-        "model": {"kind": "normal-normal"},
-        "sampler": {"kind": "exact-conjugate"},
-        "corruption": {"kind": "shift", "amount": 1.0, "target_quantity": "zeta"},
+        "model": {"kind": "flagged", "cut": 0.0},
+        "sampler": {"kind": "hmc", "warmup": 20},
         "N": 20,
         "L": 9,
         "master_seed": 1}))

@@ -91,6 +91,24 @@ class TestRankStatistic:
         with pytest.raises(NonFiniteInput):
             rank_statistic([0.1, 0.2], np.inf)
 
+    def test_matrix_equals_row_calls(self):
+        rng = np.random.default_rng(7)
+        values = rng.normal(size=(40, 15))
+        values[3, :] = 0.5  # ties count as not-less
+        priors = rng.normal(size=40)
+        priors[3] = 0.5
+        ranks = rank_statistic(values, priors)
+        assert ranks.dtype == np.int64
+        np.testing.assert_array_equal(ranks, [rank_statistic(v, p) for v, p in zip(values, priors)])
+
+    def test_matrix_shape_mismatch_and_non_finite_rejected(self):
+        with pytest.raises(ValueError):
+            rank_statistic(np.zeros((3, 5)), np.zeros(4))
+        values = np.zeros((3, 5))
+        values[1, 2] = np.inf
+        with pytest.raises(NonFiniteInput):
+            rank_statistic(values, np.zeros(3))
+
     def test_reflection_identity(self):
         # rank(v, p) + rank(-v, -p) == L whenever p is not tied with any v.
         rng = np.random.default_rng(42)

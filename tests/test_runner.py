@@ -29,7 +29,9 @@ from sbc.runner import (
     run,
     save_artifact,
 )
-from sbc.samplers import Corruption, SamplerConfig
+from sbc.model import Quantity
+from sbc.models import model_from_dict
+from sbc.samplers import Corruption, SamplerConfig, sample_exact_conjugate
 from sbc.streams import RandomStream
 
 from conftest import make_flagged_model
@@ -121,12 +123,28 @@ class TestRunSbc:
         ranks = artifact.ranks_for("mu")
         assert abs(ranks.mean() - 99 / 2) < 4 * 99 / math.sqrt(12 * 2000)
 
-    def test_failure_cap_aborts_run(self):
-        corruption = Corruption(kind="shift", amount=1.0, target_quantity="not-a-parameter")
-        with pytest.raises(FailureRateExceeded, match=r"floor\(0\.01 \* N\) = 1 .* N=100;"):
-            run(exact_config(N=100, corruption=corruption))
-        with pytest.raises(FailureRateExceeded, match=r"floor\(0\.01 \* N\) = 0 .* N=50;"):
-            run(exact_config(N=50, corruption=corruption))
+    def test_config_failing_every_replication_rejected(self, monkeypatch):
+        """Such a config raises ConfigError when parsed, and in `run` before any replication."""
+        shift = {"kind": "shift", "amount": 1.0}
+        doomed = [
+            ({"kind": "normal-normal"}, "exact-conjugate",
+             {**shift, "target_quantity": "not-a-parameter"}, "not a parameter"),
+            ({"kind": "lin-reg"}, "exact-conjugate", {}, "closed-form posterior"),
+            # theta[1] is a quantity of non-centered eight schools, not a parameter.
+            ({"kind": "eight-schools", "parameterization": "non-centered"}, "hmc",
+             {**shift, "target_quantity": "theta[1]"}, "not a parameter"),
+        ]
+        monkeypatch.setattr(runner, "_run_block", lambda *args: pytest.fail("a block ran"))
+        for model, sampler, corruption, message in doomed:
+            d = {"model": model, "sampler": {"kind": sampler}, "corruption": corruption,
+                 "N": 100, "L": 9}
+            with pytest.raises(ConfigError, match=message):
+                config_from_dict(d)
+            config = RunConfig(model=model, sampler=SamplerConfig(kind=sampler),
+                               corruption=Corruption(**corruption), N=100, L=9)
+            for workers in (1, 2):
+                with pytest.raises(ConfigError, match=message):
+                    run(dataclasses.replace(config, worker_count_hint=workers))
 
     def test_model_built_once_per_run(self, monkeypatch):
         builds = []
@@ -182,9 +200,14 @@ class TestRunSbcMcmc:
 
 
 # Runs that must not depend on how replications are split into lockstep
-# blocks or spread over workers: an HMC fit, Algorithm 2 with reruns of
+# blocks or spread over workers: the exact sampler, plain and corrupted
+# (block-wide stream keys and ranks), an HMC fit, Algorithm 2 with reruns of
 # several planned lengths (ragged rerun groups), and mean-field VI.
 INVARIANCE_CONFIGS = {
+    "exact-normal": exact_config(N=2000, L=1023, seed=64),
+    "exact-normal-scale": exact_config(
+        N=2000, L=1023, seed=65,
+        corruption=Corruption(kind="scale", amount=0.2, target_quantity="mu")),
     "hmc-lin-reg": RunConfig(
         model={"kind": "lin-reg"}, sampler=SamplerConfig(kind="hmc", warmup=50),
         N=20, L=19, master_seed=61),
@@ -447,3 +470,39 @@ class TestRowFailures:
         assert str(caught.value) == (
             f"{n_bad} replications failed; at most floor(0.01 * N) = {allowed} failures "
             f"allowed at N={N}; first failure: {expected_reason(config, first)}")
+
+
+def capped_normal_model(cut):
+    """Exact normal-normal with a second quantity, mu where mu <= cut and inf above it."""
+    model = model_from_dict({"kind": "normal-normal"})
+    capped = Quantity("capped", lambda values, names: np.where(values[:, 0] > cut, np.inf,
+                                                               values[:, 0]))
+    return dataclasses.replace(model, quantities=model.quantities + (capped,))
+
+
+class TestNonFiniteQuantity:
+    @pytest.mark.parametrize("block", [7, 128])
+    def test_row_with_non_finite_quantity_fails_alone(self, monkeypatch, block):
+        monkeypatch.setattr(runner, "BLOCK_SIZE", block)
+        config = exact_config(N=100, L=19, seed=83)
+        model = capped_normal_model(math.inf)
+        peaks = []  # the largest of each replication's prior value and draws
+        for i in range(config.N):
+            theta = model.prior_simulator(RandomStream(config.master_seed, i, "prior"))
+            data = model.data_simulator(theta, RandomStream(config.master_seed, i, "data"))
+            draws = sample_exact_conjugate(model, data, config.L,
+                                           RandomStream(config.master_seed, i, "chain"))
+            peaks.append(max(theta.values[0], draws.values.max()))
+        bad = int(np.argmax(peaks))
+        runs = {}
+        for cut in (cut_above(np.array(peaks), 1), math.inf):
+            monkeypatch.setattr(runner, "model_from_dict", lambda d, cut=cut: capped_normal_model(cut))
+            runs[cut] = run(config)
+        flagged, clean = runs.values()
+        assert flagged.failures == (
+            {"replication": bad, "reason": "NonFiniteInput: rank_statistic requires finite inputs"},)
+        assert clean.failures == ()
+        kept = clean.replications != bad
+        np.testing.assert_array_equal(flagged.replications, clean.replications[kept])
+        np.testing.assert_array_equal(flagged.ranks, clean.ranks[kept])
+        np.testing.assert_array_equal(clean.ranks_for("capped"), clean.ranks_for("mu"))

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sbc.streams import RandomStream
+from sbc.streams import RandomStream, _tag_code, philox_keys
 
 
 def test_same_seed_same_stream_bit_identical():
@@ -41,3 +44,53 @@ def test_derivation_is_order_independent():
     later = RandomStream(99, 3, "chain").standard_normal(10)
     fresh = RandomStream(99, 3, "chain").standard_normal(10)
     np.testing.assert_array_equal(later, fresh)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**130 - 1),
+       st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+       st.text(max_size=12))
+def test_block_keys_equal_seed_sequence(seed, replications, tag):
+    keys = philox_keys(seed, replications, tag)
+    assert keys.shape == (len(replications), 2) and keys.dtype == np.uint64
+    for i, key in zip(replications, keys):
+        expected = np.random.SeedSequence(
+            entropy=seed, spawn_key=(i, _tag_code(tag))).generate_state(2, np.uint64)
+        np.testing.assert_array_equal(key, expected)
+
+
+def test_block_streams_equal_single_streams():
+    replications = [0, 3, 4, 1000, 2**32 - 1]
+    block = RandomStream.block(2**40 + 7, replications, "chain")
+    assert [s.stream_id for s in block] == [f"{2**40 + 7}/{i}/chain" for i in replications]
+    for i, stream in zip(replications, block):
+        np.testing.assert_array_equal(stream.standard_normal(20),
+                                      RandomStream(2**40 + 7, i, "chain").standard_normal(20))
+
+
+# First three standard normals of each stream, frozen from the implementation
+# that seeded Philox with numpy's SeedSequence.
+GOLDEN_DRAWS = {
+    (0, 0, "prior"): [-3.4681666686087698, 0.6653252119426059, -0.1751082446458926],
+    (123, 5, "chain"): [0.5191407420881265, 0.723696908132834, -0.39663715314925924],
+    (2**40 + 7, 2**32 - 1, "chain-rerun"):
+        [2.7088791173881845, -2.2891789186936182, 0.688771902608233],
+}
+
+
+@pytest.mark.parametrize("key", sorted(GOLDEN_DRAWS, key=str))
+def test_golden_draws(key):
+    assert RandomStream(*key).standard_normal(3).tolist() == GOLDEN_DRAWS[key]
+    seed, i, tag = key
+    assert RandomStream.block(seed, [i], tag)[0].standard_normal(3).tolist() == GOLDEN_DRAWS[key]
+
+
+def test_out_of_range_arguments_rejected():
+    with pytest.raises(ValueError):
+        RandomStream(0, 2**32)
+    with pytest.raises(ValueError):
+        RandomStream.block(0, [1, 2**32], "chain")
+    with pytest.raises(ValueError):
+        RandomStream(0, -1)
+    with pytest.raises(ValueError):
+        RandomStream(-1, 0)
