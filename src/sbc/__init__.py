@@ -22,7 +22,6 @@ from .errors import (
 )
 from .ess import (
     ChainPlan,
-    EssEstimate,
     autocorrelation,
     effective_sample_size,
     ess_by_quantity,
@@ -39,9 +38,6 @@ from .model import (
     Quantity,
     UnconstrainingMap,
     coordinate,
-    draw_data,
-    draw_prior,
-    evaluate_series,
     posterior_target,
 )
 from .models import (
@@ -54,12 +50,14 @@ from .models import (
     model_from_dict,
 )
 from .rankstats import (
+    EcdfBand,
     EcdfSummary,
     SbcHistogram,
     build_histogram,
     chi_square_uniformity,
     classify_shape,
     default_bins,
+    ecdf_band,
     ecdf_diff,
     ecdf_summary,
     rank_statistic,
@@ -68,6 +66,7 @@ from .rankstats import (
 )
 from .report import (
     ReportRequest,
+    rank_histogram,
     render_ecdf_svg,
     render_histogram_svg,
     summarize,

@@ -10,25 +10,17 @@ longer if it falls short, then keep a uniform-stride subset.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AllConstant, TooShort, ZeroVariance
-from .model import PosteriorDraws, evaluate_series
+from .model import PosteriorDraws
 
 # Effective size may legitimately exceed the chain length for antithetic
 # chains; allow up to this factor before clamping.
 ANTITHETIC_ALLOWANCE = 2.0
-
-
-@dataclass(frozen=True)
-class EssEstimate:
-    n_eff: float
-    rho: tuple[float, ...]
-    truncation_lag: int
-    n_samples: int
 
 
 def autocorrelation(series, max_lag: int) -> np.ndarray:
@@ -55,7 +47,7 @@ def autocorrelation(series, max_lag: int) -> np.ndarray:
     return acov / acov[0]
 
 
-def effective_sample_size(series) -> EssEstimate:
+def effective_sample_size(series) -> float:
     """N_samp / (1 + 2 sum rho_m) with paired-sum truncation.
 
     Consecutive lag pairs (rho_2t + rho_2t+1) are summed while positive and
@@ -69,20 +61,12 @@ def effective_sample_size(series) -> EssEstimate:
     padded = rho if n % 2 == 0 else np.append(rho, 0.0)
     pair_sums = padded[0::2] + padded[1::2]
     kept = 0.0
-    truncation_lag = 0
-    for t, pair in enumerate(pair_sums):
+    for pair in pair_sums:
         if pair <= 0.0:
             break
         kept += pair
-        truncation_lag = min(2 * t + 1, n - 1)
     tau = 2.0 * kept - 1.0
-    n_eff = min(n / tau, ANTITHETIC_ALLOWANCE * n) if tau > 0 else ANTITHETIC_ALLOWANCE * n
-    return EssEstimate(
-        n_eff=float(n_eff),
-        rho=tuple(float(r) for r in rho[: truncation_lag + 1]),
-        truncation_lag=truncation_lag,
-        n_samples=n,
-    )
+    return float(min(n / tau, ANTITHETIC_ALLOWANCE * n) if tau > 0 else ANTITHETIC_ALLOWANCE * n)
 
 
 class ChainPlan(NamedTuple):
@@ -113,16 +97,7 @@ def thin_to(draws: PosteriorDraws, L: int) -> PosteriorDraws:
     n = len(draws)
     if n < L:
         raise TooShort(f"chain of length {n} cannot be thinned to {L}")
-    idx = (np.arange(L) * n) // L
-    return PosteriorDraws(
-        names=draws.names,
-        values=draws.values[idx],
-        sampler_name=draws.sampler_name,
-        chain_length_raw=draws.chain_length_raw,
-        thinned=True,
-        rng_stream_id=draws.rng_stream_id,
-        diagnostics=draws.diagnostics,
-    )
+    return replace(draws, values=draws.values[(np.arange(L) * n) // L])
 
 
 def ess_by_quantity(draws: PosteriorDraws, quantities) -> np.ndarray:
@@ -134,7 +109,7 @@ def ess_by_quantity(draws: PosteriorDraws, quantities) -> np.ndarray:
     out = np.full(len(quantities), np.nan)
     for j, q in enumerate(quantities):
         try:
-            out[j] = effective_sample_size(evaluate_series(q, draws)).n_eff
+            out[j] = effective_sample_size(q.batch_evaluator(draws.values, draws.names))
         except ZeroVariance:
             pass
     return out

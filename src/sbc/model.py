@@ -17,7 +17,7 @@ value depends on that row alone, never on how many rows share the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -46,29 +46,19 @@ class ParamVector:
             raise ValueError("names and values must have equal length")
         if len(set(self.names)) != len(self.names):
             raise ValueError("parameter names must be unique")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise NonFiniteParameter(f"non-finite parameter values: {self.values}")
-
-    def value_of(self, name: str) -> float:
-        try:
-            return float(self.values[self.names.index(name)])
-        except ValueError:
-            raise UnknownParameter(f"no parameter named {name!r}; have {self.names}") from None
-
-    def __len__(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
 class Dataset:
-    """One simulated (or observed) dataset plus its fixed covariates."""
+    """One simulated (or observed) dataset."""
 
     observations: np.ndarray
-    fixed_covariates: Mapping[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "observations", _readonly(self.observations))
-        if not np.all(np.isfinite(self.observations)):
+        if not np.isfinite(self.observations).all():
             raise ValueError("observations must be finite")
 
     @property
@@ -127,6 +117,7 @@ class UnconstrainingMap:
         return V
 
 
+@dataclass(frozen=True)
 class PosteriorTarget:
     """Log density (up to a constant) and gradient on the unconstrained scale.
 
@@ -137,11 +128,8 @@ class PosteriorTarget:
     those rows.
     """
 
-    def __init__(self, dimension: int, logpdf: Callable[[np.ndarray], np.ndarray],
-                 grad: Callable[[np.ndarray], np.ndarray]):
-        self.dimension = dimension
-        self.logpdf = logpdf
-        self.grad = grad
+    logpdf: Callable[[np.ndarray], np.ndarray]
+    grad: Callable[[np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -164,57 +152,32 @@ class GenerativeModel:
     unconstraining_map: UnconstrainingMap
     exact_posterior: Callable[[Dataset], tuple[float, float]] | None = None
 
-    def quantity(self, name: str) -> Quantity:
-        for q in self.quantities:
-            if q.name == name:
-                return q
-        raise UnknownParameter(f"model {self.name!r} has no quantity {name!r}")
-
 
 @dataclass(frozen=True)
 class PosteriorDraws:
     """An ordered collection of parameter draws from one posterior fit.
 
     Rows of ``values`` are draws on the constrained scale, columns follow
-    ``names``.  ``diagnostics`` carries sampler metadata (acceptance rate,
-    divergence count, energy errors) and is not part of equality-sensitive
-    state for persistence.
+    ``names``; ``chain_length_raw`` is the length of the chain before any
+    thinning.  ``diagnostics`` holds the MCMC samplers' health for the run's
+    ``meta.json``: acceptance rate and final step size, and for HMC the
+    divergence count.
     """
 
     names: tuple[str, ...]
     values: np.ndarray
-    sampler_name: str
     chain_length_raw: int
-    thinned: bool = False
-    rng_stream_id: str = ""
     diagnostics: dict = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "values", _readonly(self.values))
         if self.values.ndim != 2 or self.values.shape[0] < 1:
             raise ValueError("draws must form a non-empty (n, d) matrix")
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise ValueError("posterior draws must be finite")
 
     def __len__(self) -> int:
         return self.values.shape[0]
-
-
-def draw_prior(model: GenerativeModel, rng: RandomStream) -> ParamVector:
-    """Sample one parameter vector from the model's prior."""
-    return model.prior_simulator(rng)
-
-
-def draw_data(model: GenerativeModel, theta: ParamVector, rng: RandomStream) -> Dataset:
-    """Simulate one dataset from the model's data generating process at ``theta``."""
-    if not np.all(np.isfinite(theta.values)):
-        raise NonFiniteParameter("cannot simulate data from non-finite parameters")
-    return model.data_simulator(theta, rng)
-
-
-def evaluate_series(q: Quantity, draws: PosteriorDraws) -> np.ndarray:
-    """Evaluate a quantity over every draw."""
-    return np.asarray(q.batch_evaluator(draws.values, draws.names), dtype=np.float64)
 
 
 def posterior_target(model: GenerativeModel, datasets: Sequence[Dataset]) -> PosteriorTarget:

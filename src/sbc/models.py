@@ -98,7 +98,7 @@ def make_normal_normal(spec: NormalNormalSpec) -> GenerativeModel:
             mu = Z[:, 0]
             return (-(mu - m0) * inv_v0 + (sum_y - n_obs * mu) * inv_v)[:, np.newaxis]
 
-        return PosteriorTarget(1, logpdf, grad)
+        return PosteriorTarget(logpdf, grad)
 
     return GenerativeModel(
         name="normal-normal",
@@ -169,7 +169,7 @@ def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
     def data_simulator(theta: ParamVector, rng: RandomStream) -> Dataset:
         alpha, beta, sigma = theta.values
         y = alpha + beta * x + rng.normal(0.0, sigma, size=n)
-        return Dataset(y, {"x": x})
+        return Dataset(y)
 
     def posterior_factory(datasets: Sequence[Dataset]) -> PosteriorTarget:
         s_x, s_xx = float(np.sum(x)), float(np.sum(x * x))
@@ -201,7 +201,7 @@ def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
             G[:, 2] = ssr * inv_sig2 - inv_vc / inv_sig2 - (n - 1)
             return G
 
-        return PosteriorTarget(3, logpdf, grad)
+        return PosteriorTarget(logpdf, grad)
 
     return GenerativeModel(
         name="lin-reg",
@@ -263,7 +263,7 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
         eff = theta.values[2:]
         means = eff if centered else mu + tau * eff
         y = means + sigma * rng.standard_normal(J)
-        return Dataset(y, {"sigma": sigma})
+        return Dataset(y)
 
     if centered:
 
@@ -289,7 +289,7 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
                 G[:, 2:] = -dev / tau2[:, np.newaxis] + (y - th) * inv_s2
                 return G
 
-            return PosteriorTarget(2 + J, logpdf, grad)
+            return PosteriorTarget(logpdf, grad)
 
         quantities = tuple(coordinate(p) for p in names)
 
@@ -320,7 +320,7 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
                 G[:, 2:] = -eta + rs * tau[:, np.newaxis]
                 return G
 
-            return PosteriorTarget(2 + J, logpdf, grad)
+            return PosteriorTarget(logpdf, grad)
 
         def _derived_theta(j: int) -> Quantity:
             def _batch(values: np.ndarray, nm: tuple[str, ...]) -> np.ndarray:

@@ -27,12 +27,10 @@ from .errors import IndivisibleBinning, NonFiniteInput
 class SbcHistogram:
     """Binned rank counts with a binomial variation band.
 
-    ``bin_ranks[b]`` is the half-open range of raw rank values collected by
-    display bin ``b``; all bins have equal width (L+1)/B.
+    Display bin b collects the raw ranks in [b * (L+1)/B, (b+1) * (L+1)/B).
     """
 
     counts: tuple[int, ...]
-    bin_ranks: tuple[tuple[int, int], ...]
     N: int
     L: int
     band_low: int
@@ -47,14 +45,28 @@ class SbcHistogram:
 
 
 @dataclass(frozen=True)
+class EcdfBand:
+    """Pointwise band of the ECDF of N uniform ranks on 0..L, as fractions of N.
+
+    ``low[k]`` and ``high[k]`` are the Binomial(N, (k+1)/(L+1)) quantiles at
+    (1-coverage)/2 and 1-(1-coverage)/2, divided by N.  The band depends on
+    (N, L, coverage) alone, so one band serves every quantity of a run.
+    """
+
+    low: np.ndarray
+    high: np.ndarray
+    N: int
+    L: int
+    coverage: float
+
+
+@dataclass(frozen=True)
 class EcdfSummary:
     """Empirical CDF of ranks at each value 0..L with a pointwise band.
 
     The band is pointwise (exact binomial quantiles at each rank value), so
     about (1 - coverage) of the points are expected outside it even under
-    perfect uniformity.  Its bounds are the Binomial(N, (k+1)/(L+1))
-    quantiles at (1-coverage)/2 and 1-(1-coverage)/2, divided by N, exactly
-    as sequential pmf summation gives them.
+    perfect uniformity.  Its bounds are those of :class:`EcdfBand`.
     """
 
     values: np.ndarray
@@ -63,7 +75,6 @@ class EcdfSummary:
     envelope_high: np.ndarray
     N: int
     L: int
-    coverage: float
 
 
 @dataclass(frozen=True)
@@ -91,7 +102,7 @@ def rank_statistic(posterior_values, prior_value):
     if prior.shape != values.shape[:-1]:
         raise ValueError(f"prior shape {prior.shape} does not match posterior values "
                          f"of shape {values.shape}")
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(prior))):
+    if not (np.isfinite(values).all() and np.isfinite(prior).all()):
         raise NonFiniteInput("rank_statistic requires finite inputs")
     ranks = np.sum(values < prior[..., np.newaxis], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
@@ -207,11 +218,9 @@ def build_histogram(ranks, L: int, B: int, coverage: float = 0.99) -> SbcHistogr
     ranks = np.asarray(ranks, dtype=np.int64)
     counts = rebin(ranks, L, B)
     low, high = uniform_band(ranks.size, B, coverage)
-    width = (L + 1) // B
     normalized = ranks / L if L > 0 else np.zeros(ranks.size)
     return SbcHistogram(
         counts=tuple(int(c) for c in counts),
-        bin_ranks=tuple((b * width, (b + 1) * width) for b in range(B)),
         N=int(ranks.size),
         L=L,
         band_low=low,
@@ -222,38 +231,32 @@ def build_histogram(ranks, L: int, B: int, coverage: float = 0.99) -> SbcHistogr
     )
 
 
-def ecdf_band(N: int, L: int, coverage: float = 0.99) -> tuple[np.ndarray, np.ndarray]:
-    """Pointwise band of the ECDF of N uniform ranks on 0..L, as fractions of N.
+def ecdf_band(N: int, L: int, coverage: float = 0.99) -> EcdfBand:
+    """The pointwise ECDF band of N uniform ranks on 0..L (see :class:`EcdfBand`).
 
-    Exact Binomial(N, (k+1)/(L+1)) quantiles at (1-coverage)/2 and
-    1-(1-coverage)/2 for every k, from one :func:`binomial_quantiles` call.
+    Every quantile comes from one :func:`binomial_quantiles` call.
     """
     tail = (1.0 - coverage) / 2.0
     expected = np.arange(1, L + 2) / (L + 1)
     bounds = binomial_quantiles([tail, 1.0 - tail], N, expected) / N
-    return bounds[:, 0], bounds[:, 1]
+    return EcdfBand(low=bounds[:, 0], high=bounds[:, 1], N=N, L=L, coverage=coverage)
 
 
-def ecdf_summary(ranks, L: int, coverage: float = 0.99,
-                 reuse: EcdfSummary | None = None) -> EcdfSummary:
-    """ECDF of ranks at each value k with exact pointwise binomial envelope.
+def ecdf_summary(ranks, band: EcdfBand) -> EcdfSummary:
+    """ECDF of ranks at each value 0..L of ``band``, enveloped by the band.
 
-    The envelope depends only on (N, L, coverage): when ``reuse`` is a
-    summary with the same three, its envelope is shared, not recomputed.
+    The band must be the one for as many ranks as are given.
     """
     ranks = np.asarray(ranks, dtype=np.int64)
+    L = band.L
+    if ranks.size != band.N:
+        raise ValueError(f"{ranks.size} ranks against a band for N={band.N}")
     if ranks.size and (ranks.min() < 0 or ranks.max() > L):
         raise ValueError("ranks outside [0, L]")
-    N = ranks.size
-    counts = np.bincount(ranks, minlength=L + 1)
-    values = np.cumsum(counts) / N
+    values = np.cumsum(np.bincount(ranks, minlength=L + 1)) / band.N
     expected = np.arange(1, L + 2) / (L + 1)
-    if reuse is not None and (reuse.N, reuse.L, reuse.coverage) == (N, L, coverage):
-        env_low, env_high = reuse.envelope_low, reuse.envelope_high
-    else:
-        env_low, env_high = ecdf_band(N, L, coverage)
-    return EcdfSummary(values=values, expected=expected, envelope_low=env_low,
-                       envelope_high=env_high, N=N, L=L, coverage=coverage)
+    return EcdfSummary(values=values, expected=expected, envelope_low=band.low,
+                       envelope_high=band.high, N=band.N, L=L)
 
 
 def ecdf_diff(summary: EcdfSummary) -> EcdfDiff:

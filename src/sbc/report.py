@@ -22,6 +22,7 @@ from .rankstats import (
     chi_square_uniformity,
     classify_shape,
     default_bins,
+    ecdf_band,
     ecdf_diff,
     ecdf_summary,
 )
@@ -62,13 +63,13 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
-def _histogram(artifact: RunArtifact, quantity: str, B: int | None,
-               coverage: float) -> SbcHistogram:
+def rank_histogram(artifact: RunArtifact, quantity: str, B: int | None = None,
+                   coverage: float = 0.99) -> SbcHistogram:
+    """The quantity's rank histogram in B bins (by default :func:`default_bins`'s choice)."""
     ranks = artifact.ranks_for(quantity)
-    L = artifact.L
     if B is None:
-        B = default_bins(ranks.size, L)
-    return build_histogram(ranks, L, B, coverage)
+        B = default_bins(ranks.size, artifact.L)
+    return build_histogram(ranks, artifact.L, B, coverage)
 
 
 def _svg_open(title: str) -> list[str]:
@@ -86,16 +87,12 @@ def _escape(s: str) -> str:
     return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def render_histogram_svg(artifact: RunArtifact, quantity: str, B: int | None = None,
-                         coverage: float = 0.99, hist: SbcHistogram | None = None) -> str:
-    """Self-contained SVG rank histogram with the binomial variation band.
+def render_histogram_svg(hist: SbcHistogram, quantity: str) -> str:
+    """Self-contained SVG of the quantity's rank histogram with its binomial variation band.
 
     Bars carry their raw count in a data-count attribute so the document is
-    exactly recoverable.  A ``hist`` already built for the quantity is drawn
-    as it is, in place of one built from ``B`` and ``coverage``.
+    exactly recoverable.
     """
-    if hist is None:
-        hist = _histogram(artifact, quantity, B, coverage)
     n_bins = hist.B
     median = binomial_quantile(0.5, hist.N, 1.0 / n_bins)
     y_max = max(max(hist.counts), hist.band_high, 1) * 1.08
@@ -154,18 +151,11 @@ def _step_points(xs: np.ndarray, ys: np.ndarray, x_of, y_of) -> list[tuple[float
     return pts
 
 
-def render_ecdf_svg(artifact: RunArtifact, quantity: str, mode: str = "ecdf",
-                    coverage: float = 0.99, summary: EcdfSummary | None = None) -> str:
-    """ECDF (or ECDF minus uniform expectation) with a pointwise envelope.
-
-    A ``summary`` already built for the quantity is drawn as it is, in place
-    of one built at ``coverage``.
-    """
+def render_ecdf_svg(summary: EcdfSummary, quantity: str, mode: str = "ecdf") -> str:
+    """SVG of the quantity's rank ECDF (or ECDF minus uniform expectation) with its envelope."""
     if mode not in ("ecdf", "diff"):
         raise ValueError("mode must be 'ecdf' or 'diff'")
-    L = artifact.L
-    if summary is None:
-        summary = ecdf_summary(artifact.ranks_for(quantity), L, coverage)
+    L = summary.L
     k = np.arange(L + 1)
     if mode == "ecdf":
         curve = summary.values
@@ -213,15 +203,8 @@ def render_ecdf_svg(artifact: RunArtifact, quantity: str, mode: str = "ecdf",
     return "\n".join(parts) + "\n"
 
 
-def summarize(artifact: RunArtifact, quantity: str, B: int | None = None,
-              coverage: float = 0.99, hist: SbcHistogram | None = None) -> dict:
-    """JSON-serializable summary of one quantity's calibration evidence.
-
-    A ``hist`` already built for the quantity is used as it is, in place of
-    one built from ``B`` and ``coverage``.
-    """
-    if hist is None:
-        hist = _histogram(artifact, quantity, B, coverage)
+def summarize(artifact: RunArtifact, quantity: str, hist: SbcHistogram) -> dict:
+    """JSON-serializable summary of one quantity's calibration evidence, from its histogram."""
     stat, dof = chi_square_uniformity(hist.counts)
     counts = np.asarray(hist.counts)
     outside = int(np.sum((counts < hist.band_low) | (counts > hist.band_high)))
@@ -272,26 +255,27 @@ def write_report(artifact: RunArtifact, request: ReportRequest, out_dir) -> list
     """Render every requested artifact; returns the relative file names written.
 
     Each quantity's histogram and ECDF summary are built once and shared by
-    the files that show them, and the ECDF band, which depends only on
-    (N, L, coverage), is computed once for all quantities.
+    the files that show them.  The ECDF band depends only on (N, L,
+    coverage), which every quantity of the artifact shares, so it is computed
+    once per call.
     """
     from pathlib import Path
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     quantities = request.quantities or artifact.quantities
-    hists = [_histogram(artifact, q, request.bins, request.coverage) for q in quantities]
-    rows = [summarize(artifact, q, hist=h) for q, h in zip(quantities, hists)]
+    hists = [rank_histogram(artifact, q, request.bins, request.coverage) for q in quantities]
+    rows = [summarize(artifact, q, h) for q, h in zip(quantities, hists)]
     written: list[str] = []
     if "svg" in request.formats:
-        ecdf = None
+        band = ecdf_band(artifact.ranks.shape[0], artifact.L, request.coverage)
         for q, hist in zip(quantities, hists):
-            ecdf = ecdf_summary(artifact.ranks_for(q), artifact.L, request.coverage, reuse=ecdf)
+            ecdf = ecdf_summary(artifact.ranks_for(q), band)
             stem = safe_filename(q)
             for suffix, doc in (
-                ("hist", render_histogram_svg(artifact, q, hist=hist)),
-                ("ecdf", render_ecdf_svg(artifact, q, "ecdf", summary=ecdf)),
-                ("ecdf_diff", render_ecdf_svg(artifact, q, "diff", summary=ecdf)),
+                ("hist", render_histogram_svg(hist, q)),
+                ("ecdf", render_ecdf_svg(ecdf, q, "ecdf")),
+                ("ecdf_diff", render_ecdf_svg(ecdf, q, "diff")),
             ):
                 name = f"{stem}_{suffix}.svg"
                 (out / name).write_text(doc, encoding="utf-8")

@@ -40,7 +40,7 @@ from .errors import (
     UnknownQuantity,
 )
 from .ess import ess_by_quantity, min_ess, required_chain_length, thin_to
-from .model import GenerativeModel, Quantity, draw_data, draw_prior
+from .model import GenerativeModel, Quantity
 from .models import model_from_dict
 from .rankstats import rank_statistic
 from .samplers import (
@@ -344,8 +344,8 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
     prior_rngs, data_rngs = _streams(seed, rows, "prior"), _streams(seed, rows, "data")
 
     def simulate(row):
-        row.theta = draw_prior(model, prior_rngs[row.i])
-        row.data = draw_data(model, row.theta, data_rngs[row.i])
+        row.theta = model.prior_simulator(prior_rngs[row.i])
+        row.data = model.data_simulator(row.theta, data_rngs[row.i])
         row.length = config.L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * config.L
 
     def estimate(row):
@@ -530,6 +530,28 @@ def _verify_checksums(root: Path) -> None:
             raise ChecksumMismatch(f"{name}: expected sha256 {digest}, got {actual}")
 
 
+def _checked_failures(meta: dict, config: RunConfig) -> tuple[dict, ...]:
+    """meta.json's failures: objects with a unique replication in [0, N) and a reason.
+
+    Its diagnostics must hold one object per completed replication.
+    """
+    failures, diagnostics = meta["failures"], meta["diagnostics"]
+    if not (isinstance(failures, list) and all(
+            isinstance(f, dict) and type(f.get("replication")) is int
+            and 0 <= f["replication"] < config.N and isinstance(f.get("reason"), str)
+            for f in failures)):
+        raise InvalidArtifact(f"meta.json: failures must be a list of objects with an integer "
+                              f"replication in [0, {config.N}) and a string reason")
+    if len({f["replication"] for f in failures}) != len(failures):
+        raise InvalidArtifact("meta.json: a replication is listed as failed more than once")
+    completed = config.N - len(failures)
+    if not (isinstance(diagnostics, list) and len(diagnostics) == completed
+            and all(isinstance(d, dict) for d in diagnostics)):
+        raise InvalidArtifact(f"meta.json: diagnostics must be a list of {completed} objects, "
+                              f"one per completed replication")
+    return tuple(failures)
+
+
 def _rank_table(rows: list[list[str]], config: RunConfig, failures) -> dict:
     """The rank-table fields of a RunArtifact, from the rows of ranks.csv.
 
@@ -587,7 +609,7 @@ def load_artifact(path) -> RunArtifact:
     if version == "1.0":
         raw_config.pop("output_path", None)  # recorded but never read; dropped in 1.1
     config = config_from_dict(raw_config)
-    failures = tuple(meta["failures"])
+    failures = _checked_failures(meta, config)
 
     with (root / "ranks.csv").open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -23,7 +23,7 @@ end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -98,13 +98,7 @@ def sample_exact_conjugate(model: GenerativeModel, data: Dataset, L: int,
         raise ValueError("L must be >= 1")
     mean, sd = model.exact_posterior(data)
     values = rng.normal(mean, sd, size=L).reshape(L, 1)
-    return PosteriorDraws(
-        names=model.parameter_names,
-        values=values,
-        sampler_name="exact-conjugate",
-        chain_length_raw=L,
-        rng_stream_id=rng.stream_id,
-    )
+    return PosteriorDraws(names=model.parameter_names, values=values, chain_length_raw=L)
 
 
 @dataclass(frozen=True)
@@ -113,30 +107,29 @@ class DrawBlock:
 
     ``rows[r]`` is the :class:`PosteriorDraws` of the replication whose
     stream was ``rngs[r]``, or the :class:`SbcError` that failed that row
-    alone.  ``diagnostics`` summarises the block's fitted rows: their mean
-    acceptance rate and their total divergences.
+    alone.  Each fitted row carries its own diagnostics; the block's
+    ``diagnostics`` summarise them as the fitted rows' mean acceptance rate
+    and their total divergences.
     """
 
     rows: tuple[PosteriorDraws | SbcError, ...]
     diagnostics: dict
 
 
-def _draw_block(model: GenerativeModel, sampler_name: str, rngs, chain, lengths,
-                failures: dict, diagnostics: list[dict]) -> DrawBlock:
+def _draw_block(model: GenerativeModel, n_rows: int, chain, lengths, failures: dict,
+                diagnostics: list[dict]) -> DrawBlock:
     """Per-row draws: fitted row k keeps the first ``lengths[k]`` states of ``chain[:, k]``."""
-    fitted = [r for r in range(len(rngs)) if r not in failures]
+    fitted = [r for r in range(n_rows) if r not in failures]
     rows = dict(failures)
     for k, r in enumerate(fitted):
         rows[r] = PosteriorDraws(
             names=model.parameter_names,
             values=model.unconstraining_map.constrain_matrix(chain[:lengths[k], k]),
-            sampler_name=sampler_name,
             chain_length_raw=int(lengths[k]),
-            rng_stream_id=rngs[r].stream_id,
             diagnostics=diagnostics[k],
         )
     rates = [diag["acceptance_rate"] for diag in diagnostics]
-    return DrawBlock(tuple(rows[r] for r in range(len(rngs))), {
+    return DrawBlock(tuple(rows[r] for r in range(n_rows)), {
         "acceptance_rate": float(np.mean(rates)) if rates else 0.0,
         "divergences": sum(diag.get("divergences", 0) for diag in diagnostics),
     })
@@ -217,7 +210,7 @@ def sample_rw_metropolis(model: GenerativeModel, datasets, n_steps: int, step_si
 
     diagnostics = [{"acceptance_rate": float(accepted[:n, k].sum()) / n,
                     "step_size": math.exp(log_step[k])} for k, n in enumerate(lengths.tolist())]
-    return _draw_block(model, "rw-metropolis", rngs, chain, lengths, failures, diagnostics)
+    return _draw_block(model, len(rngs), chain, lengths, failures, diagnostics)
 
 
 def leapfrog(z: np.ndarray, p: np.ndarray, step, n: int, grad) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +249,6 @@ def sample_hmc(model: GenerativeModel, datasets, n_steps: int, step_size: float,
             model, datasets, rngs, warmup, n_steps, lengths)
         log_step = np.full(z.shape[0], math.log(step_size))
         chain = np.empty((n_steps,) + z.shape)
-        energy_errors = np.empty((n_steps, z.shape[0]))
         accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
         divergences = np.empty((n_steps, z.shape[0]), dtype=bool)
         for t in range(warmup + n_steps):
@@ -275,17 +267,14 @@ def sample_hmc(model: GenerativeModel, datasets, n_steps: int, step_size: float,
                 log_step += (accept_prob - HMC_TARGET_ACCEPT) / math.sqrt(t + 1.0)
             else:
                 chain[t - warmup] = z
-                energy_errors[t - warmup] = delta_h
                 accepted[t - warmup] = took
                 divergences[t - warmup] = divergent
-        energy_errors[~np.isfinite(energy_errors)] = math.inf
 
     diagnostics = [{"acceptance_rate": float(accepted[:n, k].sum()) / n,
                     "divergences": int(divergences[:n, k].sum()),
-                    "step_size": math.exp(log_step[k]),
-                    "energy_errors": energy_errors[:n, k].copy()}
+                    "step_size": math.exp(log_step[k])}
                    for k, n in enumerate(lengths.tolist())]
-    return _draw_block(model, "hmc", rngs, chain, lengths, failures, diagnostics)
+    return _draw_block(model, len(rngs), chain, lengths, failures, diagnostics)
 
 
 @dataclass(frozen=True)
@@ -296,19 +285,13 @@ class GaussianApprox:
     means: np.ndarray
     log_sds: np.ndarray
     unconstraining_map: object
-    iterations: int
 
     def sample(self, L: int, rng: RandomStream) -> PosteriorDraws:
         eps = rng.standard_normal((L, self.means.size))
         Z = self.means + np.exp(self.log_sds) * eps
-        return PosteriorDraws(
-            names=self.parameter_names,
-            values=self.unconstraining_map.constrain_matrix(Z),
-            sampler_name="meanfield-vi",
-            chain_length_raw=L,
-            rng_stream_id=rng.stream_id,
-            diagnostics={"vi_iterations": self.iterations},
-        )
+        return PosteriorDraws(names=self.parameter_names,
+                              values=self.unconstraining_map.constrain_matrix(Z),
+                              chain_length_raw=L)
 
 
 def fit_meanfield_vi(model: GenerativeModel, datasets, iterations: int,
@@ -323,7 +306,7 @@ def fit_meanfield_vi(model: GenerativeModel, datasets, iterations: int,
     stops there and the others go on.
     """
     target = posterior_target(model, datasets)
-    R, d = len(datasets), target.dimension
+    R, d = len(datasets), len(model.parameter_names)
     m = np.zeros((R, d))
     omega = np.zeros((R, d))
     eps = np.empty((iterations, R, d))
@@ -356,7 +339,6 @@ def fit_meanfield_vi(model: GenerativeModel, datasets, iterations: int,
         means=m[r],
         log_sds=omega[r],
         unconstraining_map=model.unconstraining_map,
-        iterations=iterations,
     ) for r in range(R)]
 
 
@@ -375,12 +357,4 @@ def corrupt(draws: PosteriorDraws, c: Corruption) -> PosteriorDraws:
     else:
         center = values[:, j].mean()
         values[:, j] = center + c.amount * (values[:, j] - center)
-    return PosteriorDraws(
-        names=draws.names,
-        values=values,
-        sampler_name=draws.sampler_name,
-        chain_length_raw=draws.chain_length_raw,
-        thinned=draws.thinned,
-        rng_stream_id=draws.rng_stream_id,
-        diagnostics={**draws.diagnostics, "corruption": f"{c.kind}:{c.amount}:{c.target_quantity}"},
-    )
+    return replace(draws, values=values)

@@ -157,9 +157,7 @@ class RandomStream:
                  key: np.ndarray | None = None):
         if key is None:
             key = philox_keys(master_seed, [replication], tag)[0]
-        self.master_seed = int(master_seed)
         self.replication = int(replication)
-        self.tag = tag
         self.gen = _generator_factory()(key)
 
     @classmethod
@@ -169,10 +167,6 @@ class RandomStream:
         keys = philox_keys(master_seed, replications, tag)
         return [cls(master_seed, i, tag, key=key) for i, key in zip(replications, keys)]
 
-    @property
-    def stream_id(self) -> str:
-        return f"{self.master_seed}/{self.replication}/{self.tag}"
-
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self.gen.normal(loc, scale, size)
 
@@ -181,6 +175,3 @@ class RandomStream:
 
     def uniform(self, low=0.0, high=1.0, size=None):
         return self.gen.uniform(low, high, size)
-
-    def __repr__(self) -> str:
-        return f"RandomStream({self.stream_id})"

@@ -39,7 +39,7 @@ def make_gaussian_model(precision: np.ndarray, names=None) -> GenerativeModel:
         return -(Z[:, np.newaxis, :] * precision).sum(axis=2)
 
     def posterior_factory(datasets):
-        return PosteriorTarget(d, lambda Z: 0.5 * (grad(Z) * Z).sum(axis=1), grad)
+        return PosteriorTarget(lambda Z: 0.5 * (grad(Z) * Z).sum(axis=1), grad)
 
     return GenerativeModel(
         name=f"gaussian-{d}d",
@@ -86,7 +86,7 @@ def make_flagged_model(cut: float) -> GenerativeModel:
             x = Z[:, 0]
             return np.where(flagged, np.nan, y - 2.0 * x)[:, np.newaxis]
 
-        return PosteriorTarget(1, logpdf, grad)
+        return PosteriorTarget(logpdf, grad)
 
     return GenerativeModel(
         name="flagged-normal",

@@ -13,9 +13,6 @@ from sbc.model import (
     Quantity,
     UnconstrainingMap,
     coordinate,
-    draw_data,
-    draw_prior,
-    evaluate_series,
     posterior_target,
 )
 from sbc.models import (
@@ -42,14 +39,14 @@ ALL_MODELS = [
 
 class TestParamVector:
     def test_basic_access(self):
-        theta = ParamVector(("mu",), np.array([1.05]))
-        assert theta.value_of("mu") == 1.05
-        assert len(theta) == 1
+        theta = ParamVector(("mu", "sigma"), np.array([1.05, 2.0]))
+        assert theta.values[theta.names.index("sigma")] == 2.0
+        assert theta.values.shape == (2,)
 
     def test_unknown_name(self):
         theta = ParamVector(("mu",), np.array([1.05]))
         with pytest.raises(UnknownParameter):
-            theta.value_of("sigma")
+            at_point(coordinate("sigma"), theta)
 
     def test_non_finite_rejected(self):
         with pytest.raises(NonFiniteParameter):
@@ -87,19 +84,19 @@ class TestQuantity:
 
     def test_eight_schools_projection(self):
         model = make_eight_schools(EightSchoolsSpec())
-        theta = draw_prior(model, RandomStream(1, 0, "prior"))
-        q = model.quantity("theta[1]")
-        assert at_point(q, theta) == theta.value_of("theta[1]")
+        theta = model.prior_simulator(RandomStream(1, 0, "prior"))
+        (q,) = [q for q in model.quantities if q.name == "theta[1]"]
+        assert at_point(q, theta) == theta.values[theta.names.index("theta[1]")]
 
     def test_batch_evaluator_agrees_with_scalar(self):
         """Over n draws, each value equals the quantity at that single draw."""
         model = make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))
-        theta = draw_prior(model, RandomStream(2, 0, "prior"))
-        data = draw_data(model, theta, RandomStream(2, 0, "data"))
+        theta = model.prior_simulator(RandomStream(2, 0, "prior"))
+        data = model.data_simulator(theta, RandomStream(2, 0, "data"))
         (draws,) = sample_rw_metropolis(model, [data], 50, 0.5, 20,
                                         [RandomStream(2, 0, "chain")]).rows
         for q in model.quantities:
-            batch = evaluate_series(q, draws)
+            batch = q.batch_evaluator(draws.values, draws.names)
             scalar = [at_point(q, ParamVector(draws.names, row)) for row in draws.values]
             np.testing.assert_array_equal(batch, scalar)
 
@@ -133,8 +130,8 @@ def finite_difference(f, z, h=1e-6):
 @given(seed=st.integers(0, 2**32 - 1))
 def test_gradient_matches_finite_differences(model, seed):
     """Central differences on the unconstrained scale, at a prior draw and its dataset."""
-    theta = draw_prior(model, RandomStream(seed, 0, "prior"))
-    data = draw_data(model, theta, RandomStream(seed, 0, "data"))
+    theta = model.prior_simulator(RandomStream(seed, 0, "prior"))
+    data = model.data_simulator(theta, RandomStream(seed, 0, "data"))
     target = posterior_target(model, [data])
     z = model.unconstraining_map.unconstrain(theta.values)
     fd = finite_difference(lambda point: target.logpdf(point[np.newaxis])[0], z)
@@ -145,8 +142,8 @@ def test_gradient_matches_finite_differences(model, seed):
 def test_batched_rows_do_not_depend_on_the_batch(model):
     """Row r of a batch equals the same point and dataset evaluated alone, bit for bit."""
     rng = np.random.default_rng(11)
-    thetas = [draw_prior(model, RandomStream(300, i, "prior")) for i in range(9)]
-    datasets = [draw_data(model, theta, RandomStream(300, i, "data"))
+    thetas = [model.prior_simulator(RandomStream(300, i, "prior")) for i in range(9)]
+    datasets = [model.data_simulator(theta, RandomStream(300, i, "data"))
                 for i, theta in enumerate(thetas)]
     Z = np.array([model.unconstraining_map.unconstrain(theta.values) for theta in thetas])
     Z += rng.normal(0, 0.3, size=Z.shape)
@@ -212,8 +209,8 @@ def test_density_differences_match_scipy_reference(model):
     reference = REFERENCE_LOGPDF[model.name]
     rng = np.random.default_rng(7)
     for k in range(20):
-        theta = draw_prior(model, RandomStream(200 + k, 0, "prior"))
-        data = draw_data(model, theta, RandomStream(200 + k, 0, "data"))
+        theta = model.prior_simulator(RandomStream(200 + k, 0, "prior"))
+        data = model.data_simulator(theta, RandomStream(200 + k, 0, "data"))
         target = posterior_target(model, [data, data])
         z1 = model.unconstraining_map.unconstrain(theta.values)
         z2 = z1 + rng.normal(0, 0.3, size=z1.size)
@@ -226,26 +223,30 @@ def test_density_differences_match_scipy_reference(model):
 class TestDrawReproducibility:
     @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
     def test_prior_and_data_bit_identical(self, model):
-        t1 = draw_prior(model, RandomStream(5, 3, "prior"))
-        t2 = draw_prior(model, RandomStream(5, 3, "prior"))
+        t1 = model.prior_simulator(RandomStream(5, 3, "prior"))
+        t2 = model.prior_simulator(RandomStream(5, 3, "prior"))
         np.testing.assert_array_equal(t1.values, t2.values)
-        d1 = draw_data(model, t1, RandomStream(5, 3, "data"))
-        d2 = draw_data(model, t2, RandomStream(5, 3, "data"))
+        d1 = model.data_simulator(t1, RandomStream(5, 3, "data"))
+        d2 = model.data_simulator(t2, RandomStream(5, 3, "data"))
         np.testing.assert_array_equal(d1.observations, d2.observations)
 
     def test_data_requires_finite_theta(self):
+        # A non-finite theta cannot be built, and data simulated from one forced
+        # past that check is rejected in turn.
+        with pytest.raises(NonFiniteParameter):
+            ParamVector(("mu",), np.array([np.inf]))
         model = make_normal_normal(NormalNormalSpec())
         theta = ParamVector(("mu",), np.array([0.0]))
         object.__setattr__(theta, "values", np.array([np.inf]))
-        with pytest.raises(NonFiniteParameter):
-            draw_data(model, theta, RandomStream(1, 0, "data"))
+        with pytest.raises(ValueError, match="observations must be finite"):
+            model.data_simulator(theta, RandomStream(1, 0, "data"))
 
 
 class TestDataset:
     def test_observation_count(self):
         model = make_lin_reg(LinRegSpec(n_obs=25))
-        theta = draw_prior(model, RandomStream(9, 0, "prior"))
-        data = draw_data(model, theta, RandomStream(9, 0, "data"))
+        theta = model.prior_simulator(RandomStream(9, 0, "prior"))
+        data = model.data_simulator(theta, RandomStream(9, 0, "data"))
         assert data.n_obs == 25
 
     def test_non_finite_rejected(self):

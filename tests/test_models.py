@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from sbc.errors import InvalidSpec
-from sbc.model import Dataset, draw_data, draw_prior, posterior_target
+from sbc.model import Dataset, posterior_target
 from sbc.models import (
     EightSchoolsSpec,
     LinRegSpec,
@@ -61,7 +61,7 @@ class TestNormalNormal:
     def test_prior_mean_monte_carlo(self):
         model = make_normal_normal(NormalNormalSpec())
         rng = RandomStream(31, 0, "prior")
-        draws = np.array([draw_prior(model, rng).values[0] for _ in range(100_000)])
+        draws = np.array([model.prior_simulator(rng).values[0] for _ in range(100_000)])
         assert abs(draws.mean()) < 4 / math.sqrt(100_000)
 
     def test_data_mean_monte_carlo(self):
@@ -69,7 +69,7 @@ class TestNormalNormal:
         theta = model.prior_simulator(RandomStream(32, 0, "prior"))
         object.__setattr__(theta, "values", np.array([0.0]))
         rng = RandomStream(32, 0, "data")
-        ys = np.concatenate([draw_data(model, theta, rng).observations
+        ys = np.concatenate([model.data_simulator(theta, rng).observations
                              for _ in range(100_000)])
         assert abs(ys.mean()) < 4 / math.sqrt(100_000)
 
@@ -104,19 +104,19 @@ class TestLinReg:
         model = make_lin_reg(spec)
         theta = model.prior_simulator(RandomStream(1, 0, "prior"))
         object.__setattr__(theta, "values", np.array([0.0, 1.0, 1e-12]))
-        data = draw_data(model, theta, RandomStream(1, 0, "data"))
+        data = model.data_simulator(theta, RandomStream(1, 0, "data"))
         np.testing.assert_allclose(data.observations, [1.0, 2.0, 3.0], atol=1e-9)
 
     def test_degenerate_noise_all_zero(self):
         model = make_lin_reg(LinRegSpec(n_obs=3, covariates=(1.0, 2.0, 3.0)))
         theta = model.prior_simulator(RandomStream(2, 0, "prior"))
         object.__setattr__(theta, "values", np.array([0.0, 0.0, 1e-12]))
-        data = draw_data(model, theta, RandomStream(2, 0, "data"))
+        data = model.data_simulator(theta, RandomStream(2, 0, "data"))
         np.testing.assert_allclose(data.observations, 0.0, atol=1e-9)
 
     def test_simulator_uses_generation_prior_for_beta(self):
         wide = make_lin_reg(LinRegSpec(gen_prior_sd_beta=10.0, prior_sd_beta=1.0))
-        betas = np.array([draw_prior(wide, RandomStream(33, i, "prior")).value_of("beta")
+        betas = np.array([wide.prior_simulator(RandomStream(33, i, "prior")).values[1]
                           for i in range(4000)])
         # Simulated betas follow the sd-10 generation prior, not the sd-1 one.
         assert 9.0 < betas.std() < 11.0
@@ -124,9 +124,9 @@ class TestLinReg:
     def test_mismatched_priors_shift_density_not_simulator(self):
         matched = make_lin_reg(LinRegSpec(prior_sd_beta=10.0, gen_prior_sd_beta=10.0))
         mismatched = make_lin_reg(LinRegSpec(prior_sd_beta=1.0, gen_prior_sd_beta=10.0))
-        theta = draw_prior(matched, RandomStream(34, 0, "prior"))
-        data = draw_data(matched, theta, RandomStream(34, 0, "data"))
-        beta = theta.value_of("beta")
+        theta = matched.prior_simulator(RandomStream(34, 0, "prior"))
+        data = matched.data_simulator(theta, RandomStream(34, 0, "data"))
+        beta = theta.values[theta.names.index("beta")]
         z = matched.unconstraining_map.unconstrain(theta.values)
         diff = (posterior_target(matched, [data]).logpdf(z[np.newaxis])[0]
                 - posterior_target(mismatched, [data]).logpdf(z[np.newaxis])[0])
@@ -142,17 +142,17 @@ class TestEightSchools:
     def test_tau_positive_for_every_prior_draw(self):
         model = make_eight_schools(EightSchoolsSpec())
         for i in range(500):
-            theta = draw_prior(model, RandomStream(35, i, "prior"))
-            assert theta.value_of("tau") > 0
+            theta = model.prior_simulator(RandomStream(35, i, "prior"))
+            assert theta.values[theta.names.index("tau")] > 0
 
     def test_parameterizations_share_datasets(self):
         centered = make_eight_schools(EightSchoolsSpec(parameterization="centered"))
         noncentered = make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))
         for i in range(50):
-            tc = draw_prior(centered, RandomStream(36, i, "prior"))
-            tn = draw_prior(noncentered, RandomStream(36, i, "prior"))
-            dc = draw_data(centered, tc, RandomStream(36, i, "data"))
-            dn = draw_data(noncentered, tn, RandomStream(36, i, "data"))
+            tc = centered.prior_simulator(RandomStream(36, i, "prior"))
+            tn = noncentered.prior_simulator(RandomStream(36, i, "prior"))
+            dc = centered.data_simulator(tc, RandomStream(36, i, "data"))
+            dn = noncentered.data_simulator(tn, RandomStream(36, i, "data"))
             np.testing.assert_allclose(dc.observations, dn.observations, rtol=1e-12)
 
     def test_density_change_of_variables(self):
@@ -161,9 +161,9 @@ class TestEightSchools:
         noncentered = make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))
         rng = np.random.default_rng(3)
         for k in range(100):
-            theta_c = draw_prior(centered, RandomStream(37, k, "prior"))
-            data = draw_data(centered, theta_c, RandomStream(37, k, "data"))
-            mu, tau = theta_c.value_of("mu"), theta_c.value_of("tau")
+            theta_c = centered.prior_simulator(RandomStream(37, k, "prior"))
+            data = centered.data_simulator(theta_c, RandomStream(37, k, "data"))
+            mu, tau = theta_c.values[:2]  # names: mu, tau, theta[1..8]
             th = theta_c.values[2:]
             eta = (th - mu) / tau
             theta_n = type(theta_c)(noncentered.parameter_names,
@@ -178,9 +178,10 @@ class TestEightSchools:
         model = make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))
         names = [q.name for q in model.quantities]
         assert "theta[1]" in names and "eta[8]" in names
-        theta = draw_prior(model, RandomStream(38, 0, "prior"))
-        q = model.quantity("theta[3]")
-        expected = theta.value_of("mu") + theta.value_of("tau") * theta.value_of("eta[3]")
+        theta = model.prior_simulator(RandomStream(38, 0, "prior"))
+        q = model.quantities[names.index("theta[3]")]
+        mu, tau, eta = (theta.values[theta.names.index(n)] for n in ("mu", "tau", "eta[3]"))
+        expected = mu + tau * eta
         value = q.batch_evaluator(theta.values[np.newaxis], theta.names)
         assert value == pytest.approx([expected])
 

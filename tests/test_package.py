@@ -1,3 +1,4 @@
+import ast
 import subprocess
 import sys
 from pathlib import Path
@@ -16,3 +17,89 @@ def test_import_does_not_load_scipy():
     result = subprocess.run([sys.executable, "-c", probe, src],
                             capture_output=True, text=True, check=True)
     assert result.stdout.strip() == "False False"
+
+
+SRC = Path(sbc.__file__).resolve().parent
+PERFBENCH = SRC.parents[1] / "perfbench"
+
+
+def _referenced_names(tree: ast.AST) -> set[str]:
+    """Every name a module uses: loaded names, attributes, keyword arguments, imported
+    names, and the parts of string constants spelling an identifier or a dotted path
+    (hooks and ``getattr`` name their targets that way).  Docstrings are skipped."""
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    names: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.keyword) and node.arg:
+            names.add(node.arg)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.split(".")[-1])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            parts = node.value.split(".")
+            if all(part.isidentifier() for part in parts):
+                names.update(parts)
+    return names
+
+
+def _definitions(tree: ast.Module) -> list[tuple[str, str]]:
+    """(qualified name, name) of module-level functions and classes, their methods and
+    their annotated fields; dunder names are left out."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            out.append((node.name, node.name))
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    name = member.name
+                elif isinstance(member, ast.AnnAssign) and isinstance(member.target, ast.Name):
+                    name = member.target.id
+                else:
+                    continue
+                if not (name.startswith("__") and name.endswith("__")):
+                    out.append((f"{node.name}.{name}", name))
+    return out
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the package's exports
+            continue
+        tree = _parse(path)
+        loaded = {node.id for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(
+                    node, "module", None) != "__future__":
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in loaded:
+                        unused.append(f"{path.name}: {bound}")
+    assert unused == []
+
+
+def test_every_definition_is_referenced():
+    """Each function, class, method and class field of `sbc` is used by `sbc` or the
+    benchmark somewhere beyond its definition; exports in `__init__.py` do not count."""
+    sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    sources += sorted(PERFBENCH.glob("*.py")) + sorted(PERFBENCH.glob("tests/*.py"))
+    referenced: set[str] = set()
+    for path in sources:
+        referenced |= _referenced_names(_parse(path))
+    unreferenced = [f"{path.name}: {qualified}"
+                    for path in sorted(SRC.glob("*.py"))
+                    for qualified, name in _definitions(_parse(path))
+                    if name not in referenced]
+    assert unreferenced == []

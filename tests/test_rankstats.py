@@ -209,9 +209,9 @@ class TestBinomialQuantiles:
         qs = [tail, 1.0 - tail]
         expected = _reference_grid(qs, N, ps)
         np.testing.assert_array_equal(binomial_quantiles(qs, N, ps), expected)
-        low, high = ecdf_band(N, L)
-        np.testing.assert_array_equal(low, expected[:, 0] / N)
-        np.testing.assert_array_equal(high, expected[:, 1] / N)
+        band = ecdf_band(N, L)
+        np.testing.assert_array_equal(band.low, expected[:, 0] / N)
+        np.testing.assert_array_equal(band.high, expected[:, 1] / N)
 
     def test_levels_on_a_running_sum(self):
         # A level equal to one of the reference's running sums, or an ulp from
@@ -245,18 +245,24 @@ class TestBinomialQuantiles:
             sequential_binomial_quantile(q, 10, 0.3)
 
 
+def summary_of(ranks, L):
+    """ECDF summary of the ranks against the default band for their count."""
+    ranks = np.asarray(ranks)
+    return ecdf_summary(ranks, ecdf_band(ranks.size, L))
+
+
 class TestEcdf:
     def test_perfect_uniformity_diff_zero(self):
         L = 9
         ranks = np.arange(L + 1)
-        s = ecdf_summary(ranks, L)
+        s = summary_of(ranks, L)
         np.testing.assert_allclose(s.values, s.expected)
         d = ecdf_diff(s)
         np.testing.assert_allclose(d.values, 0.0, atol=1e-15)
 
     def test_point_mass_at_zero(self):
         L = 9
-        s = ecdf_summary(np.zeros(100, dtype=int), L)
+        s = summary_of(np.zeros(100, dtype=int), L)
         np.testing.assert_allclose(s.values, 1.0)
         d = ecdf_diff(s)
         assert d.values[0] == pytest.approx(1 - 1 / (L + 1))
@@ -265,13 +271,13 @@ class TestEcdf:
         rng = np.random.default_rng(5)
         for _ in range(10):
             ranks = rng.integers(0, 100, size=200)
-            d = ecdf_diff(ecdf_summary(ranks, 99))
+            d = ecdf_diff(summary_of(ranks, 99))
             assert d.values[-1] == pytest.approx(0.0)
 
     def test_values_nondecreasing_and_end_at_one(self):
         rng = np.random.default_rng(6)
         ranks = rng.integers(0, 100, size=500)
-        s = ecdf_summary(ranks, 99)
+        s = summary_of(ranks, 99)
         assert np.all(np.diff(s.values) >= 0)
         assert s.values[-1] == 1.0
         assert np.all(np.diff(s.expected) > 0)
@@ -280,9 +286,13 @@ class TestEcdf:
         # Statistical property: about 1% of the 100 points may fall outside.
         rng = np.random.default_rng(2026)
         ranks = rng.integers(0, 100, size=2000)
-        s = ecdf_summary(ranks, 99)
+        s = summary_of(ranks, 99)
         inside = np.sum((s.values >= s.envelope_low) & (s.values <= s.envelope_high))
         assert inside >= 97
+
+    def test_band_for_another_count_rejected(self):
+        with pytest.raises(ValueError, match="against a band for N=20"):
+            ecdf_summary(np.zeros(10, dtype=int), ecdf_band(20, 9))
 
 
 class TestChiSquare:

@@ -5,12 +5,12 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-import sbc.rankstats as rankstats
 import sbc.report as report
 from sbc.errors import UnknownQuantity
-from sbc.rankstats import rebin
+from sbc.rankstats import ecdf_band, ecdf_summary, rebin
 from sbc.report import (
     ReportRequest,
+    rank_histogram,
     render_ecdf_svg,
     render_histogram_svg,
     summarize,
@@ -54,6 +54,12 @@ FROZEN_REPORT_SHA256 = {
 }
 
 
+def ecdf_of(artifact, quantity):
+    """The quantity's ECDF summary against the artifact's 99% band."""
+    return ecdf_summary(artifact.ranks_for(quantity), ecdf_band(artifact.ranks.shape[0],
+                                                                artifact.L))
+
+
 @pytest.fixture(scope="module")
 def exact_artifact():
     config = RunConfig(model={"kind": "normal-normal"},
@@ -64,7 +70,7 @@ def exact_artifact():
 
 class TestHistogramSvg:
     def test_well_formed_and_counts_recoverable(self, exact_artifact):
-        doc = render_histogram_svg(exact_artifact, "mu", B=10)
+        doc = render_histogram_svg(rank_histogram(exact_artifact, "mu", B=10), "mu")
         root = ET.fromstring(doc)
         bars = [el for el in root.iter() if el.get("data-count") is not None]
         counts = [int(el.get("data-count")) for el in bars]
@@ -72,7 +78,7 @@ class TestHistogramSvg:
         np.testing.assert_array_equal(counts, expected)
 
     def test_bar_heights_proportional_to_counts(self, exact_artifact):
-        doc = render_histogram_svg(exact_artifact, "mu", B=10)
+        doc = render_histogram_svg(rank_histogram(exact_artifact, "mu", B=10), "mu")
         root = ET.fromstring(doc)
         bars = [el for el in root.iter() if el.get("data-count") is not None]
         heights = np.array([float(el.get("height")) for el in bars])
@@ -82,26 +88,26 @@ class TestHistogramSvg:
         assert ratio.std() < 0.02 * ratio.mean()
 
     def test_byte_stable(self, exact_artifact):
-        a = render_histogram_svg(exact_artifact, "mu", B=10)
-        b = render_histogram_svg(exact_artifact, "mu", B=10)
+        a = render_histogram_svg(rank_histogram(exact_artifact, "mu", B=10), "mu")
+        b = render_histogram_svg(rank_histogram(exact_artifact, "mu", B=10), "mu")
         assert a == b
 
     def test_band_annotated(self, exact_artifact):
-        doc = render_histogram_svg(exact_artifact, "mu", B=10)
+        doc = render_histogram_svg(rank_histogram(exact_artifact, "mu", B=10), "mu")
         root = ET.fromstring(doc)
         band = [el for el in root.iter() if el.get("data-band-low") is not None]
         assert len(band) == 1
 
     def test_unknown_quantity(self, exact_artifact):
         with pytest.raises(UnknownQuantity):
-            render_histogram_svg(exact_artifact, "sigma")
+            rank_histogram(exact_artifact, "sigma")
 
 
 class TestEcdfSvg:
     def test_perfect_uniform_diff_is_zero(self):
         L = 19
         artifact = artifact_from_ranks(list(range(L + 1)), L=L)
-        doc = render_ecdf_svg(artifact, "mu", mode="diff")
+        doc = render_ecdf_svg(ecdf_of(artifact, "mu"), "mu", mode="diff")
         root = ET.fromstring(doc)
         curve = [el for el in root.iter() if el.get("data-values") is not None][0]
         values = [float(v) for v in curve.get("data-values").split()]
@@ -110,26 +116,25 @@ class TestEcdfSvg:
     def test_point_mass_steps_to_one_at_zero(self):
         L = 19
         artifact = artifact_from_ranks([0] * 50, L=L)
-        doc = render_ecdf_svg(artifact, "mu", mode="ecdf")
+        doc = render_ecdf_svg(ecdf_of(artifact, "mu"), "mu", mode="ecdf")
         root = ET.fromstring(doc)
         curve = [el for el in root.iter() if el.get("data-values") is not None][0]
         values = [float(v) for v in curve.get("data-values").split()]
         assert values == [1.0] * (L + 1)
 
     def test_byte_stable(self, exact_artifact):
-        assert (render_ecdf_svg(exact_artifact, "mu", "ecdf")
-                == render_ecdf_svg(exact_artifact, "mu", "ecdf"))
-        assert (render_ecdf_svg(exact_artifact, "mu", "diff")
-                == render_ecdf_svg(exact_artifact, "mu", "diff"))
+        for mode in ("ecdf", "diff"):
+            assert (render_ecdf_svg(ecdf_of(exact_artifact, "mu"), "mu", mode)
+                    == render_ecdf_svg(ecdf_of(exact_artifact, "mu"), "mu", mode))
 
     def test_bad_mode(self, exact_artifact):
         with pytest.raises(ValueError):
-            render_ecdf_svg(exact_artifact, "mu", mode="qq")
+            render_ecdf_svg(ecdf_of(exact_artifact, "mu"), "mu", mode="qq")
 
 
 class TestSummarize:
     def test_contents(self, exact_artifact):
-        s = summarize(exact_artifact, "mu", B=10)
+        s = summarize(exact_artifact, "mu", rank_histogram(exact_artifact, "mu", B=10))
         assert s["N"] == 400
         assert s["B"] == 10
         assert sum(s["counts"]) == 400
@@ -142,11 +147,11 @@ class TestSummarize:
         json.loads(json.dumps(s))
 
     def test_default_binning_rule(self, exact_artifact):
-        s = summarize(exact_artifact, "mu")
+        s = summarize(exact_artifact, "mu", rank_histogram(exact_artifact, "mu"))
         assert s["B"] == 20  # largest divisor of 20 with 400/B >= 20
 
     def test_counts_sum_excludes_failures(self, exact_artifact):
-        s = summarize(exact_artifact, "mu")
+        s = summarize(exact_artifact, "mu", rank_histogram(exact_artifact, "mu"))
         assert sum(s["counts"]) == s["N"] - 0
 
 
@@ -160,7 +165,7 @@ class TestWriteReport:
         assert "mu" in summary
 
     def test_csv_has_one_row_per_quantity(self, exact_artifact):
-        rows = [summarize(exact_artifact, "mu", B=10)]
+        rows = [summarize(exact_artifact, "mu", rank_histogram(exact_artifact, "mu", B=10))]
         text = summary_csv(rows)
         lines = text.strip().split("\n")
         assert len(lines) == 2
@@ -203,7 +208,7 @@ class TestWriteReport:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(report, "ecdf_summary")
-        counted(rankstats, "ecdf_band")
+        counted(report, "ecdf_band")
         counted(report, "build_histogram")
         write_report(two_quantity_artifact(), ReportRequest(artifact_path="x"), tmp_path)
         assert calls == {"ecdf_summary": 2, "ecdf_band": 1, "build_histogram": 2}

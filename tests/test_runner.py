@@ -370,6 +370,36 @@ class TestRankTableValidation:
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
 
 
+class TestMetaValidation:
+    """meta.json's failure and diagnostics lists are outside input too (N=20, none failed)."""
+
+    @pytest.mark.parametrize("key, value", [
+        ("failures", [3]),
+        ("failures", None),
+        ("diagnostics", None),
+        ("failures", [{"replication": "3", "reason": "x"}]),
+        ("failures", [{"replication": True, "reason": "x"}]),
+        ("failures", [{"replication": 20, "reason": "x"}]),
+        ("failures", [{"replication": -1, "reason": "x"}]),
+        ("failures", [{"replication": 3, "reason": 5}]),
+        ("failures", [{"replication": 3, "reason": "x"}, {"replication": 3, "reason": "y"}]),
+        ("diagnostics", "one per replication"),
+        ("diagnostics", [{"replication": i} for i in range(19)]),
+        ("diagnostics", list(range(20))),
+    ], ids=["failure-not-object", "failures-null", "diagnostics-null",
+            "replication-string", "replication-bool", "replication-N", "replication-negative",
+            "reason-not-string", "replication-twice", "diagnostics-string",
+            "diagnostics-one-short", "diagnostic-not-object"])
+    def test_bad_list_rejected(self, tmp_path, key, value):
+        out = save_artifact(run(exact_config(N=20)), tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+        meta[key] = value
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        with pytest.raises(InvalidArtifact, match="meta.json"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+
+
 _names = st.lists(st.text(alphabet="abz_[],.\"' 019", min_size=1, max_size=6),
                   min_size=1, max_size=4, unique=True)
 

@@ -106,7 +106,7 @@ class TestRwMetropolis:
             prior_simulator=lambda rng: ParamVector(("x",), np.array([rng.normal()])),
             data_simulator=lambda th, rng: Dataset(np.array([0.0])),
             posterior_factory=lambda datasets: PosteriorTarget(
-                1, lambda Z: np.full(len(Z), -np.inf), np.zeros_like),
+                lambda Z: np.full(len(Z), -np.inf), np.zeros_like),
             quantities=(coordinate("x"),),
             unconstraining_map=UnconstrainingMap(("identity",)),
         )
@@ -155,13 +155,6 @@ class TestHmc:
         np.testing.assert_allclose(z2, z0, atol=1e-10)
         np.testing.assert_allclose(-p2, p0, atol=1e-10)
 
-    def test_acceptance_rule_consistent_with_energy_errors(self, std_normal_model):
-        draws = fit_one(sample_hmc, std_normal_model, Dataset(np.array([0.0])), 5000,
-                        0.9, 5, 0, RandomStream(52, 0, "chain"))
-        delta_h = draws.diagnostics["energy_errors"]
-        expected_rate = np.mean(np.minimum(1.0, np.exp(-delta_h)))
-        assert draws.diagnostics["acceptance_rate"] == pytest.approx(expected_rate, abs=0.03)
-
     def test_same_seed_identical_chain(self, std_normal_model):
         a = fit_one(sample_hmc, std_normal_model, Dataset(np.array([0.0])), 200, 0.2, 10, 20,
                     RandomStream(53, 1, "chain"))
@@ -188,7 +181,7 @@ def lin_reg_datasets(n, seed):
 
 def assert_same_draws(a, b):
     np.testing.assert_array_equal(a.values, b.values)
-    assert a.rng_stream_id == b.rng_stream_id
+    assert a.chain_length_raw == b.chain_length_raw
     assert a.diagnostics.keys() == b.diagnostics.keys()
     for key, value in a.diagnostics.items():
         np.testing.assert_array_equal(value, b.diagnostics[key])
@@ -265,7 +258,7 @@ class TestLockstep:
                         RandomStream(64, 0, "chain"))
         mean, sd = model.exact_posterior(data)
         x = draws.values[:, 0]
-        n_eff = effective_sample_size(x).n_eff
+        n_eff = effective_sample_size(x)
         assert abs(x.mean() - mean) < 4 * sd / math.sqrt(n_eff)
         assert x.std() == pytest.approx(sd, rel=4 / math.sqrt(n_eff) + 0.01)
 
@@ -290,7 +283,7 @@ class TestMeanfieldVi:
         approx = fit_vi_one(std_normal_model, Dataset(np.array([0.0])),
                             5000, 0.05, RandomStream(57, 0, "vi"))
         draws = approx.sample(50_000, RandomStream(57, 0, "chain"))
-        assert draws.sampler_name == "meanfield-vi"
+        assert draws.chain_length_raw == 50_000
         assert abs(draws.values.mean() - approx.means[0]) < 0.02
 
     def test_divergence_detected(self, std_normal_model):

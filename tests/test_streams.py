@@ -31,11 +31,6 @@ def test_different_master_seeds_differ():
     assert not np.array_equal(a, b)
 
 
-def test_stream_id_is_descriptive():
-    s = RandomStream(7, 3, "vi")
-    assert s.stream_id == "7/3/vi"
-
-
 def test_derivation_is_order_independent():
     # Streams are derived purely from (seed, replication, tag): drawing from
     # one must not affect another, whatever the creation order.
@@ -62,7 +57,7 @@ def test_block_keys_equal_seed_sequence(seed, replications, tag):
 def test_block_streams_equal_single_streams():
     replications = [0, 3, 4, 1000, 2**32 - 1]
     block = RandomStream.block(2**40 + 7, replications, "chain")
-    assert [s.stream_id for s in block] == [f"{2**40 + 7}/{i}/chain" for i in replications]
+    assert [s.replication for s in block] == replications
     for i, stream in zip(replications, block):
         np.testing.assert_array_equal(stream.standard_normal(20),
                                       RandomStream(2**40 + 7, i, "chain").standard_normal(20))
