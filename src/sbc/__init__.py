@@ -58,11 +58,9 @@ from .rankstats import (
     classify_shape,
     default_bins,
     ecdf_band,
-    ecdf_diff,
     ecdf_summary,
     rank_statistic,
     rebin,
-    uniform_band,
 )
 from .report import (
     ReportRequest,

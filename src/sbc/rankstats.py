@@ -6,6 +6,12 @@ localize inference bugs.  This module computes ranks, rebins them for
 display, derives exact binomial variation bands, builds ECDF summaries, and
 classifies the common failure shapes.
 
+An ECDF has one type, :class:`EcdfSummary`: its values at 0..L plus the
+:class:`EcdfBand` it is drawn against.  The band holds the uniform
+expectation and the pointwise bounds, depends on (N, L, coverage) alone and
+is shared by every quantity of a run; the ECDF difference plot subtracts the
+band's expectation when it is drawn.
+
 Every band rests on one routine, :func:`binomial_quantiles`.  Its quantiles
 are exactly those of summing the binomial pmf sequentially from k = 0 until
 the running sum reaches the level, but it computes them for a whole grid of
@@ -28,6 +34,8 @@ class SbcHistogram:
     """Binned rank counts with a binomial variation band.
 
     Display bin b collects the raw ranks in [b * (L+1)/B, (b+1) * (L+1)/B).
+    The band and its median are quantiles of Binomial(N, 1/B), the count of
+    one display bin under uniformity.
     """
 
     counts: tuple[int, ...]
@@ -35,6 +43,7 @@ class SbcHistogram:
     L: int
     band_low: int
     band_high: int
+    band_median: int
     band_coverage: float
     rank_mean_normalized: float
     rank_var_normalized: float
@@ -48,11 +57,15 @@ class SbcHistogram:
 class EcdfBand:
     """Pointwise band of the ECDF of N uniform ranks on 0..L, as fractions of N.
 
-    ``low[k]`` and ``high[k]`` are the Binomial(N, (k+1)/(L+1)) quantiles at
-    (1-coverage)/2 and 1-(1-coverage)/2, divided by N.  The band depends on
-    (N, L, coverage) alone, so one band serves every quantity of a run.
+    ``expected[k]`` is the uniform ECDF (k+1)/(L+1), and ``low[k]`` and
+    ``high[k]`` are the Binomial(N, expected[k]) quantiles at (1-coverage)/2
+    and 1-(1-coverage)/2, divided by N.  The band depends on (N, L, coverage)
+    alone, so one band serves every quantity of a run.  Being pointwise,
+    about (1 - coverage) of an ECDF's points are expected outside it even
+    under perfect uniformity.
     """
 
+    expected: np.ndarray
     low: np.ndarray
     high: np.ndarray
     N: int
@@ -62,28 +75,10 @@ class EcdfBand:
 
 @dataclass(frozen=True)
 class EcdfSummary:
-    """Empirical CDF of ranks at each value 0..L with a pointwise band.
-
-    The band is pointwise (exact binomial quantiles at each rank value), so
-    about (1 - coverage) of the points are expected outside it even under
-    perfect uniformity.  Its bounds are those of :class:`EcdfBand`.
-    """
+    """Empirical CDF of ranks at each value 0..L of ``band``, with that band."""
 
     values: np.ndarray
-    expected: np.ndarray
-    envelope_low: np.ndarray
-    envelope_high: np.ndarray
-    N: int
-    L: int
-
-
-@dataclass(frozen=True)
-class EcdfDiff:
-    """ECDF minus the uniform expectation, with the band shifted the same way."""
-
-    values: np.ndarray
-    envelope_low: np.ndarray
-    envelope_high: np.ndarray
+    band: EcdfBand
 
 
 def rank_statistic(posterior_values, prior_value):
@@ -187,25 +182,6 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
     return out
 
 
-def binomial_quantile(q: float, n: int, p: float) -> int:
-    """Smallest k with P(Binomial(n, p) <= k) >= q, by exact CDF summation."""
-    return int(binomial_quantiles(q, n, p)[0, 0])
-
-
-def uniform_band(N: int, B: int, coverage: float = 0.99) -> tuple[int, int]:
-    """Per-bin count band expected of a uniform histogram.
-
-    Exact lower/upper quantiles of Binomial(N, 1/B) at (1-coverage)/2 and
-    1-(1-coverage)/2.  After rebinning, the per-display-bin probability is
-    1/B in place of 1/(L+1).
-    """
-    if N < 1 or B < 1 or not (0.0 < coverage < 1.0):
-        raise ValueError("need N >= 1, B >= 1, 0 < coverage < 1")
-    tail = (1.0 - coverage) / 2.0
-    low, high = binomial_quantiles([tail, 1.0 - tail], N, 1.0 / B)[0]
-    return int(low), int(high)
-
-
 def default_bins(N: int, L: int) -> int:
     """Largest divisor B of L+1 keeping roughly 20 or more counts per bin."""
     divisors = [b for b in range(1, L + 2) if (L + 1) % b == 0]
@@ -214,20 +190,29 @@ def default_bins(N: int, L: int) -> int:
 
 
 def build_histogram(ranks, L: int, B: int, coverage: float = 0.99) -> SbcHistogram:
-    """Rebin ranks and attach the exact binomial band plus rank moments."""
+    """Rebin ranks and attach the exact binomial band, its median and rank moments.
+
+    The band is the Binomial(N, 1/B) quantiles at (1-coverage)/2 and
+    1-(1-coverage)/2, all three quantiles from one :func:`binomial_quantiles`
+    call.
+    """
     ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.size < 1 or B < 1 or not (0.0 < coverage < 1.0):
+        raise ValueError("need N >= 1, B >= 1, 0 < coverage < 1")
     counts = rebin(ranks, L, B)
-    low, high = uniform_band(ranks.size, B, coverage)
+    tail = (1.0 - coverage) / 2.0
+    low, median, high = binomial_quantiles([tail, 0.5, 1.0 - tail], ranks.size, 1.0 / B)[0]
     normalized = ranks / L if L > 0 else np.zeros(ranks.size)
     return SbcHistogram(
         counts=tuple(int(c) for c in counts),
         N=int(ranks.size),
         L=L,
-        band_low=low,
-        band_high=high,
+        band_low=int(low),
+        band_high=int(high),
+        band_median=int(median),
         band_coverage=coverage,
-        rank_mean_normalized=float(np.mean(normalized)) if ranks.size else 0.5,
-        rank_var_normalized=float(np.var(normalized)) if ranks.size else 0.0,
+        rank_mean_normalized=float(np.mean(normalized)),
+        rank_var_normalized=float(np.var(normalized)),
     )
 
 
@@ -239,11 +224,12 @@ def ecdf_band(N: int, L: int, coverage: float = 0.99) -> EcdfBand:
     tail = (1.0 - coverage) / 2.0
     expected = np.arange(1, L + 2) / (L + 1)
     bounds = binomial_quantiles([tail, 1.0 - tail], N, expected) / N
-    return EcdfBand(low=bounds[:, 0], high=bounds[:, 1], N=N, L=L, coverage=coverage)
+    return EcdfBand(expected=expected, low=bounds[:, 0], high=bounds[:, 1], N=N, L=L,
+                    coverage=coverage)
 
 
 def ecdf_summary(ranks, band: EcdfBand) -> EcdfSummary:
-    """ECDF of ranks at each value 0..L of ``band``, enveloped by the band.
+    """ECDF of ranks at each value 0..L of ``band``, drawn against the band.
 
     The band must be the one for as many ranks as are given.
     """
@@ -254,18 +240,7 @@ def ecdf_summary(ranks, band: EcdfBand) -> EcdfSummary:
     if ranks.size and (ranks.min() < 0 or ranks.max() > L):
         raise ValueError("ranks outside [0, L]")
     values = np.cumsum(np.bincount(ranks, minlength=L + 1)) / band.N
-    expected = np.arange(1, L + 2) / (L + 1)
-    return EcdfSummary(values=values, expected=expected, envelope_low=band.low,
-                       envelope_high=band.high, N=band.N, L=L)
-
-
-def ecdf_diff(summary: EcdfSummary) -> EcdfDiff:
-    """Subtract the uniform expectation from the ECDF and its envelope."""
-    return EcdfDiff(
-        values=summary.values - summary.expected,
-        envelope_low=summary.envelope_low - summary.expected,
-        envelope_high=summary.envelope_high - summary.expected,
-    )
+    return EcdfSummary(values=values, band=band)
 
 
 def chi_square_uniformity(counts) -> tuple[float, int]:

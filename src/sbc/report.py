@@ -2,8 +2,14 @@
 
 SVG documents are emitted directly (no plotting dependency) with fixed
 geometry and fixed-precision coordinates, so identical inputs yield
-byte-identical files.  Styling follows the usual convention: red for the
-data, gray for the variation expected under uniformity.
+byte-identical files.  Coordinates are computed as numpy arrays and
+formatted in one pass per element.  Styling follows the usual convention:
+red for the data, gray for the variation expected under uniformity.
+
+A histogram is drawn from its :class:`SbcHistogram`, band and median
+included.  Both ECDF plots are drawn from one :class:`EcdfSummary`, the
+ECDF's values and its band: the difference plot subtracts the band's
+uniform expectation from the values and the bounds.
 """
 
 from __future__ import annotations
@@ -17,13 +23,11 @@ import numpy as np
 from .rankstats import (
     EcdfSummary,
     SbcHistogram,
-    binomial_quantile,
     build_histogram,
     chi_square_uniformity,
     classify_shape,
     default_bins,
     ecdf_band,
-    ecdf_diff,
     ecdf_summary,
 )
 from .runner import RunArtifact
@@ -50,6 +54,8 @@ class ReportRequest:
     coverage: float = 0.99
 
     def __post_init__(self):
+        if not self.formats:
+            raise ValueError(f"no report format given; choose from {','.join(REPORT_FORMATS)}")
         bad = set(self.formats) - set(REPORT_FORMATS)
         if bad:
             raise ValueError(f"unknown report formats: {sorted(bad)}")
@@ -57,10 +63,8 @@ class ReportRequest:
             raise ValueError("coverage must be in (0, 1)")
         if self.bins is not None and self.bins < 1:
             raise ValueError(f"bins must be at least 1, got {self.bins}")
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.2f}"
+        # A quantity named twice is reported once, where it is first named.
+        object.__setattr__(self, "quantities", tuple(dict.fromkeys(self.quantities)))
 
 
 def rank_histogram(artifact: RunArtifact, quantity: str, B: int | None = None,
@@ -72,19 +76,33 @@ def rank_histogram(artifact: RunArtifact, quantity: str, B: int | None = None,
     return build_histogram(ranks, artifact.L, B, coverage)
 
 
-def _svg_open(title: str) -> list[str]:
-    return [
+def _coords(xs: np.ndarray, ys: np.ndarray) -> str:
+    """SVG point list of the coordinate arrays."""
+    return " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+
+
+def _document(title: str, marks: list[str], axis_y: float, L: int, labels: list[str]) -> str:
+    """The SVG document: header and title, ``marks``, the x axis at ``axis_y`` with its
+    0 and L labels, then ``labels``."""
+    title = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
         f'<text x="{WIDTH / 2:.0f}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="15" fill="{AXIS_GRAY}">{_escape(title)}</text>',
-    ]
-
-
-def _escape(s: str) -> str:
-    return s.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        f'font-family="sans-serif" font-size="15" fill="{AXIS_GRAY}">{title}</text>',
+        *marks,
+        f'<line x1="{MARGIN_LEFT:.2f}" y1="{axis_y:.2f}" '
+        f'x2="{MARGIN_LEFT + PLOT_W:.2f}" y2="{axis_y:.2f}" '
+        f'stroke="{AXIS_GRAY}" stroke-width="1"/>',
+        *(f'<text x="{x:.2f}" y="{axis_y + 18:.2f}" text-anchor="{anchor}" '
+          f'font-family="sans-serif" font-size="12" fill="{AXIS_GRAY}">{label}</text>'
+          for label, x, anchor in (("0", MARGIN_LEFT, "start"),
+                                   (str(L), MARGIN_LEFT + PLOT_W, "end"))),
+        *labels,
+        "</svg>",
+    ]) + "\n"
 
 
 def render_histogram_svg(hist: SbcHistogram, quantity: str) -> str:
@@ -94,113 +112,69 @@ def render_histogram_svg(hist: SbcHistogram, quantity: str) -> str:
     exactly recoverable.
     """
     n_bins = hist.B
-    median = binomial_quantile(0.5, hist.N, 1.0 / n_bins)
-    y_max = max(max(hist.counts), hist.band_high, 1) * 1.08
+    top = max(max(hist.counts), hist.band_high)
+    y_max = max(top, 1) * 1.08
 
-    def x_of(i: float) -> float:
-        return MARGIN_LEFT + PLOT_W * i / n_bins
-
-    def y_of(c: float) -> float:
+    def y_of(c):
         return MARGIN_TOP + PLOT_H * (1.0 - c / y_max)
 
-    title = f"{quantity} rank histogram (N={hist.N}, L={hist.L}, B={n_bins})"
-    parts = _svg_open(title)
-    parts.append(
-        f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(y_of(hist.band_high))}" '
-        f'width="{_fmt(PLOT_W)}" height="{_fmt(y_of(hist.band_low) - y_of(hist.band_high))}" '
-        f'fill="{BAND_GRAY}" data-band-low="{hist.band_low}" data-band-high="{hist.band_high}"/>')
-    parts.append(
-        f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y_of(median))}" '
-        f'x2="{_fmt(MARGIN_LEFT + PLOT_W)}" y2="{_fmt(y_of(median))}" '
-        f'stroke="{MEDIAN_GRAY}" stroke-width="1.5"/>')
     pad = 0.06 * PLOT_W / n_bins
-    for b, count in enumerate(hist.counts):
-        x = x_of(b) + pad
-        w = PLOT_W / n_bins - 2 * pad
-        parts.append(
-            f'<rect x="{_fmt(x)}" y="{_fmt(y_of(count))}" width="{_fmt(w)}" '
-            f'height="{_fmt(y_of(0) - y_of(count))}" fill="{DATA_RED}" '
-            f'data-count="{count}"/>')
-    parts.append(
-        f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y_of(0))}" '
-        f'x2="{_fmt(MARGIN_LEFT + PLOT_W)}" y2="{_fmt(y_of(0))}" '
-        f'stroke="{AXIS_GRAY}" stroke-width="1"/>')
-    for label, xpos, anchor in (("0", MARGIN_LEFT, "start"),
-                                (str(hist.L), MARGIN_LEFT + PLOT_W, "end")):
-        parts.append(
-            f'<text x="{_fmt(xpos)}" y="{_fmt(y_of(0) + 18)}" text-anchor="{anchor}" '
-            f'font-family="sans-serif" font-size="12" fill="{AXIS_GRAY}">{label}</text>')
-    parts.append(
-        f'<text x="{_fmt(MARGIN_LEFT - 6)}" y="{_fmt(y_of(y_max / 1.08) + 4)}" '
+    width = PLOT_W / n_bins - 2 * pad
+    xs = MARGIN_LEFT + PLOT_W * np.arange(n_bins) / n_bins + pad
+    tops = y_of(np.asarray(hist.counts))
+    heights = y_of(0) - tops
+    marks = [
+        f'<rect x="{MARGIN_LEFT:.2f}" y="{y_of(hist.band_high):.2f}" '
+        f'width="{PLOT_W:.2f}" height="{y_of(hist.band_low) - y_of(hist.band_high):.2f}" '
+        f'fill="{BAND_GRAY}" data-band-low="{hist.band_low}" data-band-high="{hist.band_high}"/>',
+        f'<line x1="{MARGIN_LEFT:.2f}" y1="{y_of(hist.band_median):.2f}" '
+        f'x2="{MARGIN_LEFT + PLOT_W:.2f}" y2="{y_of(hist.band_median):.2f}" '
+        f'stroke="{MEDIAN_GRAY}" stroke-width="1.5"/>',
+    ] + [
+        f'<rect x="{x:.2f}" y="{y:.2f}" width="{width:.2f}" height="{h:.2f}" '
+        f'fill="{DATA_RED}" data-count="{count}"/>'
+        for x, y, h, count in zip(xs.tolist(), tops.tolist(), heights.tolist(), hist.counts)
+    ]
+    y_label = (
+        f'<text x="{MARGIN_LEFT - 6:.2f}" y="{y_of(y_max / 1.08) + 4:.2f}" '
         f'text-anchor="end" font-family="sans-serif" font-size="12" '
-        f'fill="{AXIS_GRAY}">{max(max(hist.counts), hist.band_high)}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
-
-
-def _polyline(points: list[tuple[float, float]]) -> str:
-    return " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in points)
-
-
-def _step_points(xs: np.ndarray, ys: np.ndarray, x_of, y_of) -> list[tuple[float, float]]:
-    pts = []
-    for i, (xv, yv) in enumerate(zip(xs, ys)):
-        if i > 0:
-            pts.append((x_of(xv), pts[-1][1]))
-        pts.append((x_of(xv), y_of(yv)))
-    return pts
+        f'fill="{AXIS_GRAY}">{top}</text>')
+    title = f"{quantity} rank histogram (N={hist.N}, L={hist.L}, B={n_bins})"
+    return _document(title, marks, y_of(0), hist.L, [y_label])
 
 
 def render_ecdf_svg(summary: EcdfSummary, quantity: str, mode: str = "ecdf") -> str:
-    """SVG of the quantity's rank ECDF (or ECDF minus uniform expectation) with its envelope."""
+    """SVG of the quantity's rank ECDF (or ECDF minus uniform expectation) with its band."""
     if mode not in ("ecdf", "diff"):
         raise ValueError("mode must be 'ecdf' or 'diff'")
-    L = summary.L
-    k = np.arange(L + 1)
-    if mode == "ecdf":
-        curve = summary.values
-        env_low, env_high = summary.envelope_low, summary.envelope_high
-        baseline = summary.expected
-        y_lo, y_hi = 0.0, 1.0
-        title = f"{quantity} rank ECDF (N={summary.N}, L={L})"
-    else:
-        diff = ecdf_diff(summary)
-        curve = diff.values
-        env_low, env_high = diff.envelope_low, diff.envelope_high
-        baseline = np.zeros(L + 1)
-        span = max(float(np.max(np.abs(env_low))), float(np.max(np.abs(env_high))),
+    band = summary.band
+    L = band.L
+    # The difference plot subtracts the uniform expectation from everything it draws.
+    shift = band.expected if mode == "diff" else 0.0
+    curve, low, high, baseline = (a - shift for a in (summary.values, band.low, band.high,
+                                                      band.expected))
+    y_lo, y_hi = 0.0, 1.0
+    if mode == "diff":
+        span = max(float(np.max(np.abs(low))), float(np.max(np.abs(high))),
                    float(np.max(np.abs(curve))), 1e-9) * 1.15
         y_lo, y_hi = -span, span
-        title = f"{quantity} rank ECDF difference (N={summary.N}, L={L})"
 
-    def x_of(kv: float) -> float:
-        return MARGIN_LEFT + PLOT_W * kv / L
-
-    def y_of(v: float) -> float:
+    def y_of(v):
         return MARGIN_TOP + PLOT_H * (1.0 - (v - y_lo) / (y_hi - y_lo))
 
-    parts = _svg_open(title)
-    upper = [(x_of(kv), y_of(v)) for kv, v in zip(k, env_high)]
-    lower = [(x_of(kv), y_of(v)) for kv, v in zip(k[::-1], env_low[::-1])]
-    parts.append(f'<polygon points="{_polyline(upper + lower)}" fill="{BAND_GRAY}"/>')
-    parts.append(
-        f'<polyline points="{_polyline([(x_of(kv), y_of(v)) for kv, v in zip(k, baseline)])}" '
-        f'fill="none" stroke="{MEDIAN_GRAY}" stroke-width="1"/>')
-    values_attr = " ".join(repr(float(v)) for v in curve)
-    parts.append(
-        f'<polyline points="{_polyline(_step_points(k, curve, x_of, y_of))}" fill="none" '
-        f'stroke="{DATA_RED}" stroke-width="1.5" data-values="{values_attr}"/>')
-    parts.append(
-        f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(y_of(y_lo))}" '
-        f'x2="{_fmt(MARGIN_LEFT + PLOT_W)}" y2="{_fmt(y_of(y_lo))}" '
-        f'stroke="{AXIS_GRAY}" stroke-width="1"/>')
-    for label, xpos, anchor in (("0", MARGIN_LEFT, "start"),
-                                (str(L), MARGIN_LEFT + PLOT_W, "end")):
-        parts.append(
-            f'<text x="{_fmt(xpos)}" y="{_fmt(y_of(y_lo) + 18)}" text-anchor="{anchor}" '
-            f'font-family="sans-serif" font-size="12" fill="{AXIS_GRAY}">{label}</text>')
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    xs = MARGIN_LEFT + PLOT_W * np.arange(L + 1) / L
+    outline = _coords(np.concatenate([xs, xs[::-1]]), y_of(np.concatenate([high, low[::-1]])))
+    steps = _coords(np.repeat(xs, 2)[1:], np.repeat(y_of(curve), 2)[:-1])
+    values_attr = " ".join(map(repr, curve.tolist()))
+    marks = [
+        f'<polygon points="{outline}" fill="{BAND_GRAY}"/>',
+        f'<polyline points="{_coords(xs, y_of(baseline))}" '
+        f'fill="none" stroke="{MEDIAN_GRAY}" stroke-width="1"/>',
+        f'<polyline points="{steps}" fill="none" '
+        f'stroke="{DATA_RED}" stroke-width="1.5" data-values="{values_attr}"/>',
+    ]
+    title = f"{quantity} rank ECDF{' difference' if mode == 'diff' else ''} (N={band.N}, L={L})"
+    return _document(title, marks, y_of(y_lo), L, [])
 
 
 def summarize(artifact: RunArtifact, quantity: str, hist: SbcHistogram) -> dict:
@@ -209,7 +183,7 @@ def summarize(artifact: RunArtifact, quantity: str, hist: SbcHistogram) -> dict:
     counts = np.asarray(hist.counts)
     outside = int(np.sum((counts < hist.band_low) | (counts > hist.band_high)))
     ess = artifact.ess_for(quantity)
-    summary = {
+    return {
         "quantity": quantity,
         "N": hist.N,
         "L": hist.L,
@@ -228,7 +202,6 @@ def summarize(artifact: RunArtifact, quantity: str, hist: SbcHistogram) -> dict:
         "ess_quartiles": ([float(q) for q in np.percentile(ess, [25, 50, 75])]
                           if ess.size else None),
     }
-    return summary
 
 
 _CSV_COLUMNS = ["quantity", "N", "L", "B", "band_low", "band_high",

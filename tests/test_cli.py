@@ -131,6 +131,30 @@ def test_report_errors_exit_4(tiny_config, tmp_path):
                  "--out", str(tmp_path / "r")]) == 4
 
 
+def test_report_names_a_repeated_quantity_once(tiny_config, tmp_path, capsys):
+    run_dir, report_dir = tmp_path / "artifact", tmp_path / "r"
+    main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
+    capsys.readouterr()
+    assert main(["report", "--run", str(run_dir), "--quantity", "mu", "--quantity", "mu",
+                 "--out", str(report_dir)]) == 0
+    written = capsys.readouterr().out.splitlines()
+    assert sorted(written) == sorted(f"wrote {report_dir}/{name}" for name in (
+        "mu_hist.svg", "mu_ecdf.svg", "mu_ecdf_diff.svg", "summary.json", "summary.csv"))
+    rows = (report_dir / "summary.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["mu"]
+
+
+@pytest.mark.parametrize("formats", ["", ",", " , "])
+def test_report_rejects_empty_format(tiny_config, tmp_path, capsys, formats):
+    run_dir = tmp_path / "artifact"
+    main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
+    capsys.readouterr()
+    assert main(["report", "--run", str(run_dir), "--format", formats,
+                 "--out", str(tmp_path / "r")]) == 4
+    assert "choose from svg,csv,json" in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("bins", ["0", "-1"])
 def test_report_rejects_bins_below_one(tiny_config, tmp_path, capsys, bins):
     run_dir = tmp_path / "artifact"

@@ -40,13 +40,18 @@ CONFIGS = {
               "N": 100, "L": 99, "master_seed": 16},
 }
 
+# Each case is a config of CONFIGS and the report settings other than the defaults.
+CASES = {name: (name, {}) for name in CONFIGS}
+CASES["hmc-linreg-bins10-cov90"] = ("hmc-linreg", {"bins": 10, "coverage": 0.9})
+
 
 def _sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def output_digests(config: dict, root: Path) -> dict[str, str]:
-    """Run ``config``, save it and report on it under ``root``; digest every written file."""
+def output_digests(config: dict, root: Path, **report) -> dict[str, str]:
+    """Run ``config``, save it and report on it under ``root`` with the ``report``
+    settings; digest every written file."""
     artifact = run(config_from_dict(config))
     out = save_artifact(artifact, root / "artifact")
     meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
@@ -55,7 +60,8 @@ def output_digests(config: dict, root: Path) -> dict[str, str]:
         "ranks.csv": _sha256((out / "ranks.csv").read_bytes()),
         "meta.json": _sha256(json.dumps(meta, indent=2, sort_keys=True).encode("utf-8")),
     }
-    for name in write_report(artifact, ReportRequest(artifact_path=str(out)), root / "report"):
+    request = ReportRequest(artifact_path=str(out), **report)
+    for name in write_report(artifact, request, root / "report"):
         digests[f"report/{name}"] = _sha256((root / "report" / name).read_bytes())
     return digests
 
@@ -64,13 +70,14 @@ def _recorded() -> dict:
     return json.loads(DIGESTS.read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("name", sorted(CONFIGS))
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_outputs_match_recorded_digests(name, tmp_path):
     recorded = _recorded()
     if np.__version__ != recorded["numpy"]:
         pytest.skip(f"digests were recorded under numpy {recorded['numpy']}, "
                     f"this is numpy {np.__version__}")
-    assert output_digests(CONFIGS[name], tmp_path) == recorded["runs"][name]
+    config, report = CASES[name]
+    assert output_digests(CONFIGS[config], tmp_path, **report) == recorded["runs"][name]
 
 
 def record() -> None:
@@ -78,9 +85,9 @@ def record() -> None:
     import tempfile
 
     runs = {}
-    for name, config in sorted(CONFIGS.items()):
+    for name, (config, report) in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
-            runs[name] = output_digests(config, Path(tmp))
+            runs[name] = output_digests(CONFIGS[config], Path(tmp), **report)
     DIGESTS.write_text(json.dumps({"numpy": np.__version__, "runs": runs}, indent=1,
                                   sort_keys=True) + "\n", encoding="utf-8")
 

@@ -10,18 +10,15 @@ from sbc.errors import IndivisibleBinning, NonFiniteInput
 from sbc.models import NormalNormalSpec, make_normal_normal
 import sbc.rankstats as rankstats
 from sbc.rankstats import (
-    binomial_quantile,
     binomial_quantiles,
     build_histogram,
     chi_square_uniformity,
     classify_shape,
     default_bins,
     ecdf_band,
-    ecdf_diff,
     ecdf_summary,
     rank_statistic,
     rebin,
-    uniform_band,
 )
 from sbc.samplers import sample_exact_conjugate
 from sbc.streams import RandomStream
@@ -144,23 +141,29 @@ class TestRebin:
                 assert rebin(ranks, L, B).sum() == ranks.size
 
 
+def histogram_band(N: int, B: int, coverage: float = 0.99) -> tuple[int, int]:
+    """(band_low, band_high) of a histogram of N ranks in B bins, with L = B - 1."""
+    hist = build_histogram(np.zeros(N, dtype=int), B - 1, B, coverage)
+    return hist.band_low, hist.band_high
+
+
 class TestUniformBand:
     def test_single_fair_bernoulli(self):
-        assert uniform_band(1, 2) == (0, 1)
+        assert histogram_band(1, 2) == (0, 1)
 
     def test_degenerate_p_equal_one(self):
-        assert uniform_band(40, 1) == (40, 40)
+        assert histogram_band(40, 1) == (40, 40)
 
     def test_frozen_oracle_values(self):
         # Frozen from an exact binomial CDF oracle (scipy.stats.binom.ppf).
-        assert uniform_band(2000, 100) == (10, 32)
-        assert uniform_band(2000, 20) == (76, 126)
-        assert uniform_band(1000, 20) == (33, 69)
+        assert histogram_band(2000, 100) == (10, 32)
+        assert histogram_band(2000, 20) == (76, 126)
+        assert histogram_band(1000, 20) == (33, 69)
 
     def test_matches_scipy_across_grid(self):
         for N in (1, 10, 100, 2000, 5000):
             for B in (1, 2, 3, 10, 20, 100):
-                lo, hi = uniform_band(N, B)
+                lo, hi = histogram_band(N, B)
                 assert lo == int(stats.binom.ppf(0.005, N, 1 / B))
                 assert hi == int(stats.binom.ppf(0.995, N, 1 / B))
 
@@ -169,8 +172,24 @@ class TestUniformBand:
         for _ in range(50):
             N = int(rng.integers(1, 3000))
             B = int(rng.integers(1, 120))
-            lo, hi = uniform_band(N, B, coverage=0.5 + 0.49 * rng.random())
+            lo, hi = histogram_band(N, B, coverage=0.5 + 0.49 * rng.random())
             assert lo <= N / B <= hi
+
+    @pytest.mark.parametrize("N, L, B", [(1, 0, 1), (1, 1, 2), (1, 99, 100), (7, 9, 1),
+                                         (40, 19, 20), (400, 99, 100), (2000, 1023, 1024),
+                                         (5000, 99, 20), (333, 14, 15)])
+    def test_median_equals_reference(self, N, L, B):
+        ranks = np.arange(N) % (L + 1)
+        for coverage in (0.5, 0.9, 0.99):
+            hist = build_histogram(ranks, L, B, coverage)
+            assert hist.band_median == sequential_binomial_quantile(0.5, N, 1.0 / B)
+            assert hist.band_low <= hist.band_median <= hist.band_high
+
+    @pytest.mark.parametrize("N, B, coverage", [(0, 2, 0.99), (10, 2, 0.0), (10, 2, 1.0),
+                                                (10, 2, -0.5), (10, 2, math.nan), (10, 0, 0.99)])
+    def test_bad_arguments_rejected(self, N, B, coverage):
+        with pytest.raises(ValueError, match="need N >= 1, B >= 1, 0 < coverage < 1"):
+            build_histogram(np.zeros(N, dtype=int), 9, B, coverage)
 
 
 class TestBinomialQuantile:
@@ -180,11 +199,10 @@ class TestBinomialQuantile:
             n = int(rng.integers(1, 3000))
             p = float(rng.random())
             q = float(rng.uniform(0.001, 0.999))
-            assert binomial_quantile(q, n, p) == int(stats.binom.ppf(q, n, p))
+            assert binomial_quantiles(q, n, p)[0, 0] == int(stats.binom.ppf(q, n, p))
 
     def test_edge_probabilities(self):
-        assert binomial_quantile(0.5, 10, 0.0) == 0
-        assert binomial_quantile(0.5, 10, 1.0) == 10
+        np.testing.assert_array_equal(binomial_quantiles(0.5, 10, [0.0, 1.0]), [[0], [10]])
 
 
 def _reference_grid(qs, n, ps) -> np.ndarray:
@@ -210,6 +228,7 @@ class TestBinomialQuantiles:
         expected = _reference_grid(qs, N, ps)
         np.testing.assert_array_equal(binomial_quantiles(qs, N, ps), expected)
         band = ecdf_band(N, L)
+        np.testing.assert_array_equal(band.expected, ps)
         np.testing.assert_array_equal(band.low, expected[:, 0] / N)
         np.testing.assert_array_equal(band.high, expected[:, 1] / N)
 
@@ -240,7 +259,7 @@ class TestBinomialQuantiles:
         with pytest.raises(ValueError, match=r"quantile level must be in \[0, 1\]"):
             binomial_quantiles([0.5, q], 10, [0.3])
         with pytest.raises(ValueError):
-            binomial_quantile(q, 10, 0.3)
+            binomial_quantiles(q, 10, 0.3)
         with pytest.raises(ValueError):
             sequential_binomial_quantile(q, 10, 0.3)
 
@@ -256,23 +275,21 @@ class TestEcdf:
         L = 9
         ranks = np.arange(L + 1)
         s = summary_of(ranks, L)
-        np.testing.assert_allclose(s.values, s.expected)
-        d = ecdf_diff(s)
-        np.testing.assert_allclose(d.values, 0.0, atol=1e-15)
+        np.testing.assert_allclose(s.values, s.band.expected)
+        np.testing.assert_allclose(s.values - s.band.expected, 0.0, atol=1e-15)
 
     def test_point_mass_at_zero(self):
         L = 9
         s = summary_of(np.zeros(100, dtype=int), L)
         np.testing.assert_allclose(s.values, 1.0)
-        d = ecdf_diff(s)
-        assert d.values[0] == pytest.approx(1 - 1 / (L + 1))
+        assert (s.values - s.band.expected)[0] == pytest.approx(1 - 1 / (L + 1))
 
     def test_final_diff_always_zero(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             ranks = rng.integers(0, 100, size=200)
-            d = ecdf_diff(summary_of(ranks, 99))
-            assert d.values[-1] == pytest.approx(0.0)
+            s = summary_of(ranks, 99)
+            assert (s.values - s.band.expected)[-1] == pytest.approx(0.0)
 
     def test_values_nondecreasing_and_end_at_one(self):
         rng = np.random.default_rng(6)
@@ -280,14 +297,14 @@ class TestEcdf:
         s = summary_of(ranks, 99)
         assert np.all(np.diff(s.values) >= 0)
         assert s.values[-1] == 1.0
-        assert np.all(np.diff(s.expected) > 0)
+        assert np.all(np.diff(s.band.expected) > 0)
 
     def test_pointwise_envelope_coverage_for_uniform_ranks(self):
         # Statistical property: about 1% of the 100 points may fall outside.
         rng = np.random.default_rng(2026)
         ranks = rng.integers(0, 100, size=2000)
         s = summary_of(ranks, 99)
-        inside = np.sum((s.values >= s.envelope_low) & (s.values <= s.envelope_high))
+        inside = np.sum((s.values >= s.band.low) & (s.values <= s.band.high))
         assert inside >= 97
 
     def test_band_for_another_count_rejected(self):

@@ -183,6 +183,12 @@ class TestWriteReport:
     def test_bad_format_rejected(self):
         with pytest.raises(ValueError):
             ReportRequest(artifact_path="x", formats=("png",))
+        with pytest.raises(ValueError, match="choose from svg,csv,json"):
+            ReportRequest(artifact_path="x", formats=())
+
+    def test_repeated_quantities_kept_once_in_first_seen_order(self):
+        request = ReportRequest(artifact_path="x", quantities=("tau", "mu", "tau", "mu"))
+        assert request.quantities == ("tau", "mu")
 
     @pytest.mark.parametrize("bins", [0, -1])
     def test_bins_below_one_rejected(self, bins):
