@@ -5,13 +5,20 @@ independent draws' worth of information.  Ranking against correlated draws
 produces spurious boundary spikes, so chains are thinned down to L
 near-independent states before ranking: estimate the effective size, rerun
 longer if it falls short, then keep a uniform-stride subset.
+
+Effective sizes are estimated for many chains at once: ``ess_by_quantity``
+evaluates each quantity on every chain of a group of equal-length chains,
+and ``effective_sample_sizes`` transforms and truncates all their series as
+one (rows, n) array.  Each row's value is bit-identical to
+``effective_sample_size`` on that series alone, which stays as the
+per-series reference.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import replace
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -21,6 +28,7 @@ from .model import PosteriorDraws
 # Effective size may legitimately exceed the chain length for antithetic
 # chains; allow up to this factor before clamping.
 ANTITHETIC_ALLOWANCE = 2.0
+_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
 
 
 def autocorrelation(series, max_lag: int) -> np.ndarray:
@@ -100,18 +108,85 @@ def thin_to(draws: PosteriorDraws, L: int) -> PosteriorDraws:
     return replace(draws, values=draws.values[(np.arange(L) * n) // L])
 
 
-def ess_by_quantity(draws: PosteriorDraws, quantities) -> np.ndarray:
-    """Effective sample size of each quantity's series, in the order given.
+def effective_sample_sizes(series) -> np.ndarray:
+    """:func:`effective_sample_size` of each row of an (R, n) array of series.
 
-    A constant series (a derived quantity that collapses) has no estimate
-    and reads NaN.
+    Every step is the reference's, applied to all rows at once, so each row's
+    value is bit-identical to the reference on that row alone.  A constant
+    row, and every row of a block shorter than 4 draws, has no estimate and
+    reads NaN.
     """
-    out = np.full(len(quantities), np.nan)
-    for j, q in enumerate(quantities):
+    series = np.asarray(series, dtype=np.float64)
+    R, n = series.shape
+    out = np.full(R, np.nan)
+    if n < 4:
+        return out
+    x = series - series.mean(axis=1, keepdims=True)
+    # Where every deviation squares below the smallest normal float, the
+    # reference's variance x @ x / n may round to zero.  Those rows, constant
+    # ones among them, are left to the reference itself.
+    small = np.abs(x).max(axis=1) < _SQRT_TINY
+    for k in np.flatnonzero(small).tolist():
         try:
-            out[j] = effective_sample_size(q.batch_evaluator(draws.values, draws.names))
+            out[k] = effective_sample_size(series[k])
         except ZeroVariance:
             pass
+    m = 1
+    while m < 2 * n:
+        m <<= 1
+    rows = np.flatnonzero(~small)
+    f = np.fft.rfft(x[rows] if small.any() else x, m)
+    del x
+    # The reference's own product, row by row: numpy reuses a large
+    # temporary as the output and swaps the operands, which rounds the
+    # imaginary parts differently, so the outcome depends on the size of
+    # the product and must be that of one row.  Each row's power spectrum
+    # overwrites its transform.
+    for k in range(rows.size):
+        f[k] = f[k] * np.conj(f[k])
+    acov = np.fft.irfft(f, m)[:, :n] / n
+    out[rows] = _truncated_ess(acov / acov[:, :1], n)
+    return out
+
+
+def _truncated_ess(rho: np.ndarray, n: int) -> np.ndarray:
+    """The reference's paired-sum truncation for each row of (R, n) autocorrelations.
+
+    A row's kept sum is its cumulative pair sum before the first pair that
+    is <= 0 (NaN pairs are kept, as the reference's loop keeps them);
+    ``np.cumsum`` adds in the loop's order.
+    """
+    if n % 2:
+        rho = np.concatenate([rho, np.zeros((rho.shape[0], 1))], axis=1)
+    pairs = rho[:, 0::2] + rho[:, 1::2]
+    stops = pairs <= 0.0
+    stop = np.where(stops.any(axis=1), stops.argmax(axis=1), pairs.shape[1])
+    kept = np.concatenate([np.zeros((pairs.shape[0], 1)), np.cumsum(pairs, axis=1)], axis=1)
+    tau = 2.0 * kept[np.arange(pairs.shape[0]), stop] - 1.0
+    cap = ANTITHETIC_ALLOWANCE * n
+    ess = np.full(tau.shape, cap)
+    positive = tau > 0
+    ess[positive] = np.minimum(n / tau[positive], cap)
+    return ess
+
+
+def ess_by_quantity(draws: Sequence[PosteriorDraws], quantities) -> np.ndarray:
+    """Effective sample sizes of R equal-length chains: an (R, Q) array.
+
+    Row r, column j is the effective size of ``quantities[j]`` over
+    ``draws[r]``.  Each quantity is evaluated chain by chain and its R
+    series are estimated together (:func:`effective_sample_sizes`).  A
+    constant series, or a chain shorter than 4 draws, has no estimate and
+    reads NaN.  Raises ValueError if the chains differ in length.
+    """
+    lengths = {len(d) for d in draws}
+    if len(lengths) > 1:
+        raise ValueError(f"chains must have equal lengths, got {sorted(lengths)}")
+    out = np.full((len(draws), len(quantities)), np.nan)
+    for j, q in enumerate(quantities):
+        series = np.stack([np.asarray(q.batch_evaluator(d.values, d.names), dtype=np.float64)
+                           for d in draws])
+        out[:, j] = effective_sample_sizes(series)
     return out
 
 

@@ -228,7 +228,8 @@ def write_report(artifact: RunArtifact, request: ReportRequest, out_dir) -> list
     """Render every requested artifact; returns the relative file names written.
 
     Each quantity's histogram and ECDF summary are built once and shared by
-    the files that show them.  The ECDF band depends only on (N, L,
+    the files that show them, and its summary row only when ``json`` or
+    ``csv`` is requested.  The ECDF band depends only on (N, L,
     coverage), which every quantity of the artifact shares, so it is computed
     once per call.
     """
@@ -238,7 +239,8 @@ def write_report(artifact: RunArtifact, request: ReportRequest, out_dir) -> list
     out.mkdir(parents=True, exist_ok=True)
     quantities = request.quantities or artifact.quantities
     hists = [rank_histogram(artifact, q, request.bins, request.coverage) for q in quantities]
-    rows = [summarize(artifact, q, h) for q, h in zip(quantities, hists)]
+    rows = ([summarize(artifact, q, h) for q, h in zip(quantities, hists)]
+            if {"json", "csv"} & set(request.formats) else [])
     written: list[str] = []
     if "svg" in request.formats:
         band = ecdf_band(artifact.ranks.shape[0], artifact.L, request.coverage)

@@ -5,8 +5,11 @@ fits the configured sampler, and records the rank of the ground truth within
 the posterior draws for every quantity of interest.  Replications are
 independent, so they run in blocks: a block derives each purpose's random
 streams for all its rows in one pass, draws its priors and data row by row,
-fits all its datasets in one lockstep sampler call, and ranks each quantity
-in one pass over the block's stacked draws.  Every random stream is derived
+fits all its datasets in one lockstep sampler call, estimates every MCMC
+chain's effective sample sizes in one call per group of equal-length chains
+(the whole block with thinning off or in Algorithm 2's first pass, each
+rerun length after it), and ranks each quantity in one pass over the
+block's stacked draws.  Every random stream is derived
 from (master_seed, replication index, purpose tag), and the batched
 densities and quantities keep each row's arithmetic within its row, so
 results are bit-identical for any block size and any number of workers.
@@ -298,6 +301,17 @@ def _fit(model: GenerativeModel, config: RunConfig, rows: list[_Row], tag: str) 
                 row.draws = result
 
 
+def _estimate(rows: list[_Row], quantities: tuple[Quantity, ...]) -> None:
+    """Set each live row's ESS: one :func:`ess_by_quantity` call per group of equal-length chains."""
+    groups: dict[int, list[_Row]] = {}
+    for row in rows:
+        if row.failure is None:
+            groups.setdefault(len(row.draws), []).append(row)
+    for group in groups.values():
+        for row, ess in zip(group, ess_by_quantity([row.draws for row in group], quantities)):
+            row.ess = ess
+
+
 def _rank(rows: list[_Row], quantities: tuple[Quantity, ...]) -> None:
     """Set each row's ranks, or fail the row; one pass per quantity over the stacked rows.
 
@@ -332,12 +346,13 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
     """Run a block of replications; returns each one's row of the rank table, or its failure.
 
     Each purpose's streams (prior, data, chain, rerun, VI) are derived for
-    the whole block in one pass.  Priors and data are drawn per row, the
-    block is fitted in lockstep, and ESS, Algorithm 2's plan and thinning
-    are computed per row.  The block's Algorithm-2 reruns are fitted in one
-    more lockstep call, each row for its own planned length.  Corruption is
-    applied per row, then each quantity is ranked for the whole block at
-    once (see :func:`_rank`).
+    the whole block in one pass.  Priors and data are drawn per row and the
+    block is fitted in lockstep.  MCMC chains' ESS is estimated for the
+    block at once (see :func:`_estimate`); Algorithm 2's plan and thinning
+    are per row.  The block's Algorithm-2 reruns are fitted in one more
+    lockstep call, each row for its own planned length, and estimated once
+    per rerun length.  Corruption is applied per row, then each quantity is
+    ranked for the whole block at once (see :func:`_rank`).
     """
     seed = config.master_seed
     rows = [_Row(i, len(quantities)) for i in indices]
@@ -348,19 +363,14 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
         row.data = model.data_simulator(row.theta, data_rngs[row.i])
         row.length = config.L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * config.L
 
-    def estimate(row):
-        row.ess = ess_by_quantity(row.draws, quantities)
-
     live = _each(rows, simulate)
     _fit(model, config, live, "chain")
-    if config.thinning == "off":
-        if config.sampler.kind in _MCMC_KINDS:
-            _each(live, estimate)
-    else:
+    if config.sampler.kind in _MCMC_KINDS:
+        _estimate(live, quantities)
+    if config.thinning != "off":
         reruns: list[_Row] = []
 
         def plan(row):
-            estimate(row)
             chain_plan = required_chain_length(row.length, config.L, min_ess(row.ess),
                                                config.max_chain_length)
             row.diag["cap_hit"] = chain_plan.cap_hit
@@ -370,7 +380,7 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
 
         live = _each(live, plan)
         _fit(model, config, reruns, "chain-rerun")
-        _each(reruns, estimate)
+        _estimate(reruns, quantities)
 
         def thin(row):
             ess_min = min_ess(row.ess)

@@ -213,15 +213,17 @@ def sample_rw_metropolis(model: GenerativeModel, datasets, n_steps: int, step_si
     return _draw_block(model, len(rngs), chain, lengths, failures, diagnostics)
 
 
-def leapfrog(z: np.ndarray, p: np.ndarray, step, n: int, grad) -> tuple[np.ndarray, np.ndarray]:
-    """Standard leapfrog integration of (z, p) for n steps; returns copies.
+def leapfrog(z: np.ndarray, p: np.ndarray, g: np.ndarray, step, n: int,
+             grad) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Standard leapfrog integration of (z, p) for n steps; returns copies and the end gradient.
 
-    ``z`` and ``p`` are (R, d) and ``step`` is a scalar or an (R, 1) column
-    of per-row step sizes.
+    ``z``, ``p`` and ``g``, the gradient at ``z``, are (R, d), and ``step``
+    is a scalar or an (R, 1) column of per-row step sizes.  Returns the end
+    point, its momentum and the gradient there, so a trajectory that starts
+    where the last one ended costs n gradient evaluations, not n + 1.
     """
     z, p = z.copy(), p.copy()
     half = 0.5 * step
-    g = grad(z)
     p += half * g
     for i in range(n):
         z += step * p
@@ -229,7 +231,7 @@ def leapfrog(z: np.ndarray, p: np.ndarray, step, n: int, grad) -> tuple[np.ndarr
         if i < n - 1:
             p += step * g
     p += half * g
-    return z, p
+    return z, p, g
 
 
 def sample_hmc(model: GenerativeModel, datasets, n_steps: int, step_size: float,
@@ -243,10 +245,18 @@ def sample_hmc(model: GenerativeModel, datasets, n_steps: int, step_size: float,
     DIVERGENCE_THRESHOLD (or goes non-finite) are rejected and counted as
     divergences.  Each row's step size adapts toward 0.8 acceptance during
     warmup only.
+
+    Each row carries the gradient at its current state from one transition
+    to the next: it is computed once before the first transition, replaced
+    by a trajectory's end gradient when the row accepts, and kept when it
+    rejects.  The batched gradient is row-local, so the carried value equals
+    a recomputed one bit for bit, and a fit makes 1 + transitions *
+    n_leapfrog gradient calls.
     """
     with np.errstate(all="ignore"):
         target, z, logp, momenta, unifs, lengths, failures = _start(
             model, datasets, rngs, warmup, n_steps, lengths)
+        g = target.grad(z)
         log_step = np.full(z.shape[0], math.log(step_size))
         chain = np.empty((n_steps,) + z.shape)
         accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
@@ -254,14 +264,15 @@ def sample_hmc(model: GenerativeModel, datasets, n_steps: int, step_size: float,
         for t in range(warmup + n_steps):
             p0 = momenta[t]
             h0 = 0.5 * (p0 * p0).sum(axis=1) - logp
-            z_new, p_new = leapfrog(z, p0, np.exp(log_step)[:, np.newaxis], n_leapfrog,
-                                    target.grad)
+            z_new, p_new, g_new = leapfrog(z, p0, g, np.exp(log_step)[:, np.newaxis],
+                                           n_leapfrog, target.grad)
             logp_new = target.logpdf(z_new)
             delta_h = -logp_new + 0.5 * (p_new * p_new).sum(axis=1) - h0
             divergent = ~np.isfinite(delta_h) | (delta_h > DIVERGENCE_THRESHOLD)
             accept_prob = np.where(divergent, 0.0, np.exp(np.minimum(0.0, -delta_h)))
             took = ~divergent & (unifs[t] < accept_prob)
             z = np.where(took[:, np.newaxis], z_new, z)
+            g = np.where(took[:, np.newaxis], g_new, g)
             logp = np.where(took, logp_new, logp)
             if t < warmup:
                 log_step += (accept_prob - HMC_TARGET_ACCEPT) / math.sqrt(t + 1.0)

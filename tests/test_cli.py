@@ -117,6 +117,22 @@ def test_failure_rate_exit_3(tmp_path, capsys, monkeypatch):
     assert "floor(0.01 * N) = 0 failures allowed at N=20" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sampler", ["hmc", "rw-metropolis"])
+def test_short_mcmc_chains_run_without_ess(sampler, tmp_path):
+    """Chains of fewer than 4 draws have no ESS estimate; the run records NaN, not a crash."""
+    config = tmp_path / "short.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "lin-reg"},
+        "sampler": {"kind": sampler, "warmup": 20},
+        "N": 5,
+        "L": 3,
+        "master_seed": 2}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    lines = (tmp_path / "o" / "ranks.csv").read_text().splitlines()
+    assert len(lines) == 1 + 5 * 3
+    assert all(line.split(",")[4] == "" for line in lines[1:])
+
+
 def test_report_errors_exit_4(tiny_config, tmp_path):
     assert main(["report", "--run", str(tmp_path / "nope"),
                  "--out", str(tmp_path / "r")]) == 4

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbc.errors import AllConstant, TooShort, ZeroVariance
 from sbc.ess import (
     autocorrelation,
     effective_sample_size,
+    effective_sample_sizes,
     ess_by_quantity,
     min_ess,
     required_chain_length,
@@ -138,29 +141,123 @@ class TestThinTo:
             assert len(thin_to(_draws(rng.normal(size=(n, 1))), L)) == L
 
 
+def reference_ess(series) -> float:
+    """The per-series reference, with a constant series read as NaN."""
+    try:
+        return effective_sample_size(series)
+    except ZeroVariance:
+        return math.nan
+
+
+def assert_rows_match_reference(series):
+    """The block ESS of every row equals the per-series reference bit for bit."""
+    with np.errstate(all="ignore"):
+        got = effective_sample_sizes(series)
+        want = np.array([reference_ess(row) for row in series])
+    np.testing.assert_array_equal(got, want)
+
+
+ROW_KINDS = ("ar1", "constant", "antithetic", "huge", "tiny")
+
+
+def block_of(kinds, n, seed):
+    """One series per kind: AR(1) with a random coefficient and scale; a constant;
+    an alternating series with small noise, whose lag pairs never turn non-positive;
+    values near the float maximum, whose mean overflows to inf; and deviations so
+    small that the variance may round to zero."""
+    rng = np.random.default_rng(seed)
+    series = np.empty((len(kinds), n))
+    for r, kind in enumerate(kinds):
+        if kind == "ar1":
+            series[r] = rng.lognormal(0.0, 2.0) * ar1(rng.uniform(-0.9, 0.99), n,
+                                                     int(rng.integers(2**31)))
+        elif kind == "constant":
+            series[r] = rng.choice([0.0, 1.0, -2.5, 0.1])
+        elif kind == "antithetic":
+            series[r] = np.tile([1.0, -1.0], n)[:n] + rng.normal(0.0, 1e-3, n)
+        elif kind == "huge":
+            series[r] = 1.5e308 * rng.uniform(0.9, 1.0, n)
+        else:
+            series[r] = rng.normal(0.0, 10.0 ** rng.uniform(-175.0, -150.0), n)
+    return series
+
+
+class TestBlockEss:
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(kinds=st.lists(st.sampled_from(ROW_KINDS), min_size=1, max_size=40),
+           n=st.integers(4, 600), seed=st.integers(0, 2**32 - 1))
+    def test_rows_match_reference(self, kinds, n, seed):
+        assert_rows_match_reference(block_of(kinds, n, seed))
+
+    @pytest.mark.parametrize("n", [99, 200, 256])
+    def test_block_product_past_the_elision_size(self, n):
+        """From 128 rows at m=256 a whole-block complex product is large enough for
+        numpy to compute it in place with swapped operands, which rounds differently
+        from the reference's 1-D product."""
+        assert_rows_match_reference(block_of(["ar1"] * 150, n, seed=n))
+
+    @pytest.mark.parametrize("n", [16_000, 17_000])
+    def test_long_series(self, n):
+        """From m=32768 the reference's own 1-D product is computed in place."""
+        assert_rows_match_reference(np.vstack([ar1(0.95, n, seed) for seed in range(6)]
+                                              + [np.full(n, 0.3)]))
+
+    @pytest.mark.parametrize("n", [4, 5, 600, 601])
+    def test_antithetic_rows_never_truncate(self, n):
+        series = block_of(["antithetic"] * 3, n, seed=n)
+        for row in series:
+            rho = autocorrelation(row, n - 1)
+            padded = rho if n % 2 == 0 else np.append(rho, 0.0)
+            assert np.all(padded[0::2] + padded[1::2] > 0)
+        assert_rows_match_reference(series)
+
+
+class TestEssByQuantity:
+    def test_rows_match_reference_per_quantity(self):
+        rng = np.random.default_rng(14)
+        draws = [_draws(np.column_stack([ar1(phi, 300, seed=i), rng.normal(size=300)]))
+                 for i, phi in enumerate((0.2, 0.8, 0.95))]
+        quantities = [coordinate("p1"), coordinate("p0")]
+        got = ess_by_quantity(draws, quantities)
+        assert got.shape == (3, 2)
+        for r, d in enumerate(draws):
+            for j, col in enumerate((1, 0)):
+                assert got[r, j] == effective_sample_size(d.values[:, col])
+
+    def test_unequal_lengths_raise(self):
+        draws = [_draws(ar1(0.5, n, seed=n).reshape(-1, 1)) for n in (3, 5)]
+        with pytest.raises(ValueError, match="equal lengths"):
+            ess_by_quantity(draws, [coordinate("p0")])
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_short_chains_read_nan(self, n):
+        draws = [_draws(np.arange(float(n)).reshape(-1, 1) * k) for k in (1, 2)]
+        assert np.isnan(ess_by_quantity(draws, [coordinate("p0")])).all()
+
+
 class TestMinEssAcrossQuantities:
     def test_single_quantity(self):
         x = ar1(0.5, 20_000, seed=9)
         draws = _draws(x.reshape(-1, 1))
         direct = effective_sample_size(x)
-        assert min_ess(ess_by_quantity(draws, [coordinate("p0")])) == pytest.approx(direct)
+        assert min_ess(ess_by_quantity([draws], [coordinate("p0")])[0]) == pytest.approx(direct)
 
     def test_minimum_dominated_by_slow_quantity(self):
         n = 50_000
         iid = np.random.default_rng(10).normal(size=n)
         slow = ar1(0.9, n, seed=11)
         draws = _draws(np.column_stack([iid, slow]))
-        got = min_ess(ess_by_quantity(draws, [coordinate("p0"), coordinate("p1")]))
+        got = min_ess(ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")])[0])
         assert got == pytest.approx(effective_sample_size(slow))
 
     def test_constant_quantity_excluded(self):
         n = 5000
         varying = ar1(0.5, n, seed=12)
         draws = _draws(np.column_stack([varying, np.ones(n)]))
-        got = min_ess(ess_by_quantity(draws, [coordinate("p0"), coordinate("p1")]))
+        got = min_ess(ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")])[0])
         assert got == pytest.approx(effective_sample_size(varying))
 
     def test_all_constant_raises(self):
         draws = _draws(np.ones((100, 1)))
         with pytest.raises(AllConstant):
-            min_ess(ess_by_quantity(draws, [coordinate("p0")]))
+            min_ess(ess_by_quantity([draws], [coordinate("p0")])[0])

@@ -218,3 +218,18 @@ class TestWriteReport:
         counted(report, "build_histogram")
         write_report(two_quantity_artifact(), ReportRequest(artifact_path="x"), tmp_path)
         assert calls == {"ecdf_summary": 2, "ecdf_band": 1, "build_histogram": 2}
+
+    @pytest.mark.parametrize("formats, expected", [
+        (("svg",), 0), (("json",), 2), (("csv",), 2), (("svg", "csv", "json"), 2)])
+    def test_summary_rows_only_for_summary_formats(self, tmp_path, monkeypatch, formats,
+                                                   expected):
+        calls = []
+        original = report.summarize
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+        monkeypatch.setattr(report, "summarize", counted)
+        write_report(two_quantity_artifact(), ReportRequest(artifact_path="x", formats=formats),
+                     tmp_path)
+        assert len(calls) == expected

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +18,12 @@ from sbc.model import (
 from sbc.models import EightSchoolsSpec, LinRegSpec, NormalNormalSpec, make_eight_schools, make_lin_reg, make_normal_normal
 from sbc.rankstats import rank_statistic
 from sbc.samplers import (
+    DIVERGENCE_THRESHOLD,
+    HMC_TARGET_ACCEPT,
     Corruption,
     SamplerConfig,
+    _draw_block,
+    _start,
     corrupt,
     fit_meanfield_vi,
     leapfrog,
@@ -150,10 +155,12 @@ class TestHmc:
         rng = np.random.default_rng(51)
         z0 = rng.normal(size=(1, 2))
         p0 = rng.normal(size=(1, 2))
-        z1, p1 = leapfrog(z0, p0, 0.05, 40, target.grad)
-        z2, p2 = leapfrog(z1, -p1, 0.05, 40, target.grad)
+        z1, p1, g1 = leapfrog(z0, p0, target.grad(z0), 0.05, 40, target.grad)
+        z2, p2, g2 = leapfrog(z1, -p1, g1, 0.05, 40, target.grad)
         np.testing.assert_allclose(z2, z0, atol=1e-10)
         np.testing.assert_allclose(-p2, p0, atol=1e-10)
+        np.testing.assert_array_equal(g1, target.grad(z1))
+        np.testing.assert_array_equal(g2, target.grad(z2))
 
     def test_same_seed_identical_chain(self, std_normal_model):
         a = fit_one(sample_hmc, std_normal_model, Dataset(np.array([0.0])), 200, 0.2, 10, 20,
@@ -171,6 +178,121 @@ class TestHmc:
         assert sum(draws.diagnostics["divergences"] for draws in block.rows) > 0
         assert block.diagnostics["divergences"] == sum(
             draws.diagnostics["divergences"] for draws in block.rows)
+
+
+def parent_leapfrog(z, p, step, n, grad):
+    """The leapfrog that evaluated the gradient at its start point on every call."""
+    z, p = z.copy(), p.copy()
+    half = 0.5 * step
+    g = grad(z)
+    p += half * g
+    for i in range(n):
+        z += step * p
+        g = grad(z)
+        if i < n - 1:
+            p += step * g
+    p += half * g
+    return z, p
+
+
+def reference_sample_hmc(model, datasets, n_steps, step_size, n_leapfrog, warmup, rngs,
+                         lengths=None):
+    """HMC as it was before the gradient was carried between transitions."""
+    with np.errstate(all="ignore"):
+        target, z, logp, momenta, unifs, lengths, failures = _start(
+            model, datasets, rngs, warmup, n_steps, lengths)
+        log_step = np.full(z.shape[0], math.log(step_size))
+        chain = np.empty((n_steps,) + z.shape)
+        accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
+        divergences = np.empty((n_steps, z.shape[0]), dtype=bool)
+        for t in range(warmup + n_steps):
+            p0 = momenta[t]
+            h0 = 0.5 * (p0 * p0).sum(axis=1) - logp
+            z_new, p_new = parent_leapfrog(z, p0, np.exp(log_step)[:, np.newaxis], n_leapfrog,
+                                           target.grad)
+            logp_new = target.logpdf(z_new)
+            delta_h = -logp_new + 0.5 * (p_new * p_new).sum(axis=1) - h0
+            divergent = ~np.isfinite(delta_h) | (delta_h > DIVERGENCE_THRESHOLD)
+            accept_prob = np.where(divergent, 0.0, np.exp(np.minimum(0.0, -delta_h)))
+            took = ~divergent & (unifs[t] < accept_prob)
+            z = np.where(took[:, np.newaxis], z_new, z)
+            logp = np.where(took, logp_new, logp)
+            if t < warmup:
+                log_step += (accept_prob - HMC_TARGET_ACCEPT) / math.sqrt(t + 1.0)
+            else:
+                chain[t - warmup] = z
+                accepted[t - warmup] = took
+                divergences[t - warmup] = divergent
+
+    diagnostics = [{"acceptance_rate": float(accepted[:n, k].sum()) / n,
+                    "divergences": int(divergences[:n, k].sum()),
+                    "step_size": math.exp(log_step[k])}
+                   for k, n in enumerate(lengths.tolist())]
+    return _draw_block(model, len(rngs), chain, lengths, failures, diagnostics)
+
+
+def assert_same_rows(a, b):
+    assert len(a.rows) == len(b.rows)
+    for x, y in zip(a.rows, b.rows):
+        if isinstance(y, Exception):
+            assert type(x) is type(y) and str(x) == str(y)
+        else:
+            assert_same_draws(x, y)
+    assert a.diagnostics == b.diagnostics
+
+
+class TestCarriedGradient:
+    """HMC that carries each row's gradient draws what the recomputing HMC drew."""
+
+    def test_ragged_lengths_match_reference(self):
+        model, datasets = lin_reg_datasets(5, seed=66)
+
+        def fit(sampler):
+            return sampler(model, datasets, 70, 0.3, 10, 40,
+                           [RandomStream(66, i, "chain-rerun") for i in range(5)],
+                           [70, 25, 70, 41, 3])
+        assert_same_rows(fit(sample_hmc), fit(reference_sample_hmc))
+
+    def test_failed_initial_point_matches_reference(self):
+        model = make_flagged_model(cut=5.0)
+        datasets = [Dataset(np.array([y])) for y in (0.3, 9.0, -1.2, 0.8)]
+
+        def fit(sampler):
+            return sampler(model, datasets, 50, 0.5, 5, 20,
+                           [RandomStream(67, i, "chain") for i in range(4)])
+        block = fit(sample_hmc)
+        assert isinstance(block.rows[1], NonFiniteDensity)
+        assert_same_rows(block, fit(reference_sample_hmc))
+
+    def test_divergent_rows_match_reference(self):
+        model = make_eight_schools(EightSchoolsSpec(parameterization="centered"))
+        datasets = [model.data_simulator(model.prior_simulator(RandomStream(68, i, "prior")),
+                                         RandomStream(68, i, "data")) for i in range(6)]
+
+        def fit(sampler):
+            return sampler(model, datasets, 60, 2.5, 20, 10,
+                           [RandomStream(68, i, "chain") for i in range(6)])
+        block = fit(sample_hmc)
+        assert block.diagnostics["divergences"] > 0
+        assert_same_rows(block, fit(reference_sample_hmc))
+
+    def test_gradient_calls(self, correlated_gaussian_model):
+        calls = []
+
+        def counting_factory(datasets):
+            target = posterior_target(correlated_gaussian_model, datasets)
+
+            def grad(Z):
+                calls.append(Z.shape[0])
+                return target.grad(Z)
+            return PosteriorTarget(target.logpdf, grad)
+
+        model = dataclasses.replace(correlated_gaussian_model,
+                                    posterior_factory=counting_factory)
+        n_steps, n_leapfrog, warmup = 30, 7, 12
+        sample_hmc(model, [Dataset(np.array([0.0]))] * 3, n_steps, 0.3, n_leapfrog, warmup,
+                   [RandomStream(69, i, "chain") for i in range(3)])
+        assert len(calls) == 1 + (warmup + n_steps) * n_leapfrog
 
 
 def lin_reg_datasets(n, seed):
