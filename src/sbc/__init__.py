@@ -18,12 +18,9 @@ from .errors import (
     TooShort,
     UnknownParameter,
     UnknownQuantity,
-    ZeroVariance,
 )
 from .ess import (
     ChainPlan,
-    autocorrelation,
-    effective_sample_size,
     ess_by_quantity,
     min_ess,
     required_chain_length,

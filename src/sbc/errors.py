@@ -37,10 +37,6 @@ class Diverged(SbcError):
     """The variational objective became non-finite during optimization."""
 
 
-class ZeroVariance(SbcError):
-    """Autocorrelation of a constant series is undefined."""
-
-
 class AllConstant(SbcError):
     """Every registered quantity is constant over the chain."""
 

@@ -1,4 +1,4 @@
-"""Autocorrelation, effective sample size, and chain thinning.
+"""Effective sample size and chain thinning.
 
 A correlated chain of N_samp draws carries roughly N_samp / (1 + 2 sum rho_m)
 independent draws' worth of information.  Ranking against correlated draws
@@ -8,10 +8,10 @@ longer if it falls short, then keep a uniform-stride subset.
 
 Effective sizes are estimated for many chains at once: ``ess_by_quantity``
 evaluates each quantity on every chain of a group of equal-length chains,
-and ``effective_sample_sizes`` transforms and truncates all their series as
-one (rows, n) array.  Each row's value is bit-identical to
-``effective_sample_size`` on that series alone, which stays as the
-per-series reference.
+and ``effective_sample_sizes``, the one estimator, transforms and truncates
+all their series as one (rows, n) array.  A row has an estimate exactly when
+it is not constant and its lag-0 autocovariance is finite and positive;
+every other row, and every row of a chain shorter than 4 draws, reads NaN.
 """
 
 from __future__ import annotations
@@ -22,59 +22,12 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import AllConstant, TooShort, ZeroVariance
+from .errors import AllConstant, TooShort
 from .model import PosteriorDraws
 
 # Effective size may legitimately exceed the chain length for antithetic
 # chains; allow up to this factor before clamping.
 ANTITHETIC_ALLOWANCE = 2.0
-_SQRT_TINY = math.sqrt(np.finfo(np.float64).tiny)
-
-
-def autocorrelation(series, max_lag: int) -> np.ndarray:
-    """Sample autocorrelations rho_0..rho_max_lag via FFT.
-
-    Centered estimator normalized by the overall sample variance, so
-    rho_0 == 1 exactly.
-    """
-    x = np.asarray(series, dtype=np.float64)
-    n = x.size
-    if n < 4:
-        raise ValueError(f"need at least 4 samples, got {n}")
-    if max_lag < 0 or max_lag >= n:
-        raise ValueError("max_lag must be in [0, n)")
-    x = x - x.mean()
-    var = float(x @ x) / n
-    if var == 0.0:
-        raise ZeroVariance("autocorrelation of a constant series is undefined")
-    m = 1
-    while m < 2 * n:
-        m <<= 1
-    f = np.fft.rfft(x, m)
-    acov = np.fft.irfft(f * np.conj(f), m)[: max_lag + 1] / n
-    return acov / acov[0]
-
-
-def effective_sample_size(series) -> float:
-    """N_samp / (1 + 2 sum rho_m) with paired-sum truncation.
-
-    Consecutive lag pairs (rho_2t + rho_2t+1) are summed while positive and
-    the sum is truncated at the first non-positive pair; pair sums of a true
-    autocorrelation function are positive, so a non-positive estimate marks
-    the noise floor.
-    """
-    x = np.asarray(series, dtype=np.float64)
-    n = x.size
-    rho = autocorrelation(x, n - 1)
-    padded = rho if n % 2 == 0 else np.append(rho, 0.0)
-    pair_sums = padded[0::2] + padded[1::2]
-    kept = 0.0
-    for pair in pair_sums:
-        if pair <= 0.0:
-            break
-        kept += pair
-    tau = 2.0 * kept - 1.0
-    return float(min(n / tau, ANTITHETIC_ALLOWANCE * n) if tau > 0 else ANTITHETIC_ALLOWANCE * n)
 
 
 class ChainPlan(NamedTuple):
@@ -109,52 +62,48 @@ def thin_to(draws: PosteriorDraws, L: int) -> PosteriorDraws:
 
 
 def effective_sample_sizes(series) -> np.ndarray:
-    """:func:`effective_sample_size` of each row of an (R, n) array of series.
+    """Effective sample size N / (1 + 2 sum rho_m) of each row of an (R, n) array.
 
-    Every step is the reference's, applied to all rows at once, so each row's
-    value is bit-identical to the reference on that row alone.  A constant
-    row, and every row of a block shorter than 4 draws, has no estimate and
-    reads NaN.
+    Autocorrelations come from one FFT of the centred rows, normalised by
+    their lag-0 autocovariance, and are truncated by :func:`_truncated_ess`.
+    A constant row (``np.ptp`` exactly zero), a row whose lag-0 autocovariance
+    is not finite and positive (its mean or its squared deviations overflow,
+    or its variance underflows to zero), and every row of a block shorter
+    than 4 draws has no estimate and reads NaN.  Each row's value depends on
+    that row alone.
     """
     series = np.asarray(series, dtype=np.float64)
     R, n = series.shape
     out = np.full(R, np.nan)
     if n < 4:
         return out
-    x = series - series.mean(axis=1, keepdims=True)
-    # Where every deviation squares below the smallest normal float, the
-    # reference's variance x @ x / n may round to zero.  Those rows, constant
-    # ones among them, are left to the reference itself.
-    small = np.abs(x).max(axis=1) < _SQRT_TINY
-    for k in np.flatnonzero(small).tolist():
-        try:
-            out[k] = effective_sample_size(series[k])
-        except ZeroVariance:
-            pass
     m = 1
     while m < 2 * n:
         m <<= 1
-    rows = np.flatnonzero(~small)
-    f = np.fft.rfft(x[rows] if small.any() else x, m)
-    del x
+    f = np.fft.rfft(series - series.mean(axis=1, keepdims=True), m)
     # The reference's own product, row by row: numpy reuses a large
     # temporary as the output and swaps the operands, which rounds the
     # imaginary parts differently, so the outcome depends on the size of
     # the product and must be that of one row.  Each row's power spectrum
     # overwrites its transform.
-    for k in range(rows.size):
+    for k in range(R):
         f[k] = f[k] * np.conj(f[k])
     acov = np.fft.irfft(f, m)[:, :n] / n
-    out[rows] = _truncated_ess(acov / acov[:, :1], n)
+    del f
+    acov0 = acov[:, 0]
+    ok = (np.ptp(series, axis=1) != 0) & (acov0 > 0) & (acov0 < np.inf)
+    out[ok] = _truncated_ess(acov[ok] / acov0[ok, None], n)
     return out
 
 
 def _truncated_ess(rho: np.ndarray, n: int) -> np.ndarray:
-    """The reference's paired-sum truncation for each row of (R, n) autocorrelations.
+    """Geyer's paired-sum truncation for each row of (R, n) finite autocorrelations.
 
-    A row's kept sum is its cumulative pair sum before the first pair that
-    is <= 0 (NaN pairs are kept, as the reference's loop keeps them);
-    ``np.cumsum`` adds in the loop's order.
+    Consecutive lag pairs (rho_2t + rho_2t+1) are summed while positive: pair
+    sums of a true autocorrelation function are positive, so the first
+    non-positive pair marks the noise floor.  A row's kept sum is its
+    cumulative pair sum before that pair; ``np.cumsum`` adds left to right.
+    The effective size may exceed n for antithetic chains, up to a cap.
     """
     if n % 2:
         rho = np.concatenate([rho, np.zeros((rho.shape[0], 1))], axis=1)
