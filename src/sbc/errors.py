@@ -38,7 +38,7 @@ class Diverged(SbcError):
 
 
 class AllConstant(SbcError):
-    """Every registered quantity is constant over the chain."""
+    """No registered quantity has an effective-size estimate: each is constant or degenerate."""
 
 
 class TooShort(SbcError):

@@ -70,7 +70,7 @@ def effective_sample_sizes(series) -> np.ndarray:
     is not finite and positive (its mean or its squared deviations overflow,
     or its variance underflows to zero), and every row of a block shorter
     than 4 draws has no estimate and reads NaN.  Each row's value depends on
-    that row alone.
+    that row alone, not on the block's size.
     """
     series = np.asarray(series, dtype=np.float64)
     R, n = series.shape
@@ -81,13 +81,11 @@ def effective_sample_sizes(series) -> np.ndarray:
     while m < 2 * n:
         m <<= 1
     f = np.fft.rfft(series - series.mean(axis=1, keepdims=True), m)
-    # The reference's own product, row by row: numpy reuses a large
-    # temporary as the output and swaps the operands, which rounds the
-    # imaginary parts differently, so the outcome depends on the size of
-    # the product and must be that of one row.  Each row's power spectrum
-    # overwrites its transform.
-    for k in range(R):
-        f[k] = f[k] * np.conj(f[k])
+    # The power spectrum |f|^2 = re^2 + im^2 overwrites the transform.
+    re, im = f.real, f.imag
+    np.square(re, out=re)
+    re += np.square(im, out=im)
+    im[...] = 0.0
     acov = np.fft.irfft(f, m)[:, :n] / n
     del f
     acov0 = acov[:, 0]
@@ -103,7 +101,6 @@ def _truncated_ess(rho: np.ndarray, n: int) -> np.ndarray:
     sums of a true autocorrelation function are positive, so the first
     non-positive pair marks the noise floor.  A row's kept sum is its
     cumulative pair sum before that pair; ``np.cumsum`` adds left to right.
-    The effective size may exceed n for antithetic chains, up to a cap.
     """
     if n % 2:
         rho = np.concatenate([rho, np.zeros((rho.shape[0], 1))], axis=1)
@@ -124,9 +121,9 @@ def ess_by_quantity(draws: Sequence[PosteriorDraws], quantities) -> np.ndarray:
 
     Row r, column j is the effective size of ``quantities[j]`` over
     ``draws[r]``.  Each quantity is evaluated chain by chain and its R
-    series are estimated together (:func:`effective_sample_sizes`).  A
-    constant series, or a chain shorter than 4 draws, has no estimate and
-    reads NaN.  Raises ValueError if the chains differ in length.
+    series are estimated together (:func:`effective_sample_sizes`), so a
+    constant or degenerate series, or a chain shorter than 4 draws, reads
+    NaN.  Raises ValueError if the chains differ in length.
     """
     lengths = {len(d) for d in draws}
     if len(lengths) > 1:
@@ -142,10 +139,10 @@ def ess_by_quantity(draws: Sequence[PosteriorDraws], quantities) -> np.ndarray:
 def min_ess(ess: np.ndarray) -> float:
     """Smallest effective sample size, skipping quantities without an estimate.
 
-    Constant series count as infinitely effective; if every series is
-    constant there is nothing to thin by.
+    Series without an estimate count as infinitely effective; if no series
+    has one there is nothing to thin by.
     """
     finite = ess[~np.isnan(ess)]
     if finite.size == 0:
-        raise AllConstant("every quantity is constant over the chain")
+        raise AllConstant("every quantity is constant or degenerate over the chain")
     return float(finite.min())

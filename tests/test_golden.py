@@ -6,7 +6,8 @@ depend on the seed.  Digests are only comparable under the numpy version they
 were recorded with, so another version skips the test.
 
 A change that alters results on purpose re-records the digests with
-``PYTHONPATH=src python tests/test_golden.py`` and says why in its notes.
+``PYTHONPATH=src python tests/test_golden.py``, which lists every (case, file)
+digest it changes, and says why in its notes.
 """
 
 import hashlib
@@ -81,13 +82,19 @@ def test_outputs_match_recorded_digests(name, tmp_path):
 
 
 def record() -> None:
-    """Rewrite the digest file from the current code."""
+    """Rewrite the digest file from the current code, first printing each (case, file)
+    whose digest differs from the recorded one."""
     import tempfile
 
+    recorded = _recorded()["runs"] if DIGESTS.exists() else {}
     runs = {}
     for name, (config, report) in sorted(CASES.items()):
         with tempfile.TemporaryDirectory() as tmp:
             runs[name] = output_digests(CONFIGS[config], Path(tmp), **report)
+        old = recorded.get(name, {})
+        for file in sorted(runs[name].keys() | old.keys()):
+            if runs[name].get(file) != old.get(file):
+                print(f"{name} {file}: {old.get(file)} -> {runs[name].get(file)}")
     DIGESTS.write_text(json.dumps({"numpy": np.__version__, "runs": runs}, indent=1,
                                   sort_keys=True) + "\n", encoding="utf-8")
 
