@@ -27,10 +27,7 @@ from .ess import (
     thin_to,
 )
 from .model import (
-    Dataset,
     GenerativeModel,
-    ParamVector,
-    PosteriorDraws,
     PosteriorTarget,
     Quantity,
     UnconstrainingMap,

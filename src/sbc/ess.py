@@ -17,13 +17,11 @@ every other row, and every row of a chain shorter than 4 draws, reads NaN.
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import AllConstant, TooShort
-from .model import PosteriorDraws
 
 # Effective size may legitimately exceed the chain length for antithetic
 # chains; allow up to this factor before clamping.
@@ -53,12 +51,12 @@ def required_chain_length(current_length: int, L: int, n_eff: float,
     return ChainPlan(needed, False)
 
 
-def thin_to(draws: PosteriorDraws, L: int) -> PosteriorDraws:
-    """Keep L uniform-stride states: indices floor(i * length / L), i < L."""
+def thin_to(draws: np.ndarray, L: int) -> np.ndarray:
+    """Keep L uniform-stride states of a chain: indices floor(i * length / L), i < L."""
     n = len(draws)
     if n < L:
         raise TooShort(f"chain of length {n} cannot be thinned to {L}")
-    return replace(draws, values=draws.values[(np.arange(L) * n) // L])
+    return draws[(np.arange(L) * n) // L]
 
 
 def effective_sample_sizes(series) -> np.ndarray:
@@ -116,21 +114,22 @@ def _truncated_ess(rho: np.ndarray, n: int) -> np.ndarray:
     return ess
 
 
-def ess_by_quantity(draws: Sequence[PosteriorDraws], quantities) -> np.ndarray:
+def ess_by_quantity(draws: Sequence[np.ndarray], quantities, names) -> np.ndarray:
     """Effective sample sizes of R equal-length chains: an (R, Q) array.
 
-    Row r, column j is the effective size of ``quantities[j]`` over
-    ``draws[r]``.  Each quantity is evaluated chain by chain and its R
-    series are estimated together (:func:`effective_sample_sizes`), so a
-    constant or degenerate series, or a chain shorter than 4 draws, reads
-    NaN.  Raises ValueError if the chains differ in length.
+    Row r, column j is the effective size of ``quantities[j]`` over the
+    (n, d) chain ``draws[r]``, whose columns ``names`` names.  Each quantity
+    is evaluated chain by chain and its R series are estimated together
+    (:func:`effective_sample_sizes`), so a constant or degenerate series, or
+    a chain shorter than 4 draws, reads NaN.  Raises ValueError if the chains
+    differ in length.
     """
     lengths = {len(d) for d in draws}
     if len(lengths) > 1:
         raise ValueError(f"chains must have equal lengths, got {sorted(lengths)}")
     out = np.full((len(draws), len(quantities)), np.nan)
     for j, q in enumerate(quantities):
-        series = np.stack([np.asarray(q.batch_evaluator(d.values, d.names), dtype=np.float64)
+        series = np.stack([np.asarray(q.batch_evaluator(d, names), dtype=np.float64)
                            for d in draws])
         out[:, j] = effective_sample_sizes(series)
     return out

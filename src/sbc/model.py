@@ -1,7 +1,11 @@
 """Generative-model and posterior-sampler contracts.
 
 A generative model couples a prior simulator, a data simulator, and one
-posterior density over named parameters.  Scalar quantities of interest map
+posterior density over named parameters.  Its simulators return plain
+arrays: a (d,) parameter vector on the constrained scale and an (n,)
+observation vector.  A runner stacks a block of R replications' draws as
+(R, d) and (R, n) arrays and checks them once; densities and the exact
+posterior take the (R, n) observations.  Scalar quantities of interest map
 parameter vectors to the real line; they are what the rank statistics are
 computed on.
 
@@ -16,54 +20,13 @@ value depends on that row alone, never on how many rows share the batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteParameter, UnknownParameter
+from .errors import UnknownParameter
 from .streams import RandomStream
-
-
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=np.float64)
-    a.flags.writeable = False
-    return a
-
-
-@dataclass(frozen=True)
-class ParamVector:
-    """An ordered, named point in parameter space (constrained scale)."""
-
-    names: tuple[str, ...]
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        if self.values.ndim != 1 or self.values.size < 1:
-            raise ValueError("ParamVector requires a non-empty 1-d value array")
-        if len(self.names) != self.values.size:
-            raise ValueError("names and values must have equal length")
-        if len(set(self.names)) != len(self.names):
-            raise ValueError("parameter names must be unique")
-        if not np.isfinite(self.values).all():
-            raise NonFiniteParameter(f"non-finite parameter values: {self.values}")
-
-
-@dataclass(frozen=True)
-class Dataset:
-    """One simulated (or observed) dataset."""
-
-    observations: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "observations", _readonly(self.observations))
-        if not np.isfinite(self.observations).all():
-            raise ValueError("observations must be finite")
-
-    @property
-    def n_obs(self) -> int:
-        return self.observations.shape[0]
 
 
 @dataclass(frozen=True)
@@ -136,50 +99,31 @@ class PosteriorTarget:
 class GenerativeModel:
     """The contract every built-in model implements.
 
-    ``posterior_factory`` binds the model to a sequence of datasets and
-    returns its one posterior density, batched over them: log prior + log
-    likelihood at the constrained point that the unconstraining map sends z
-    to, plus the map's log-Jacobian, defined up to an additive constant, with
-    its gradient in z (see :class:`PosteriorTarget`).
+    ``prior_simulator`` draws a (d,) parameter vector, in the order of
+    ``parameter_names``, from a stream; ``data_simulator`` draws an (n,)
+    observation vector given one.  Neither checks its output: the runner
+    checks a block's draws once.  ``posterior_factory`` binds the model to
+    an (R, n) array of observations, one dataset per row, and returns its
+    one posterior density, batched over them: log prior + log likelihood at
+    the constrained point that the unconstraining map sends z to, plus the
+    map's log-Jacobian, defined up to an additive constant, with its
+    gradient in z (see :class:`PosteriorTarget`).  A model with one
+    parameter and a closed-form posterior has ``exact_posterior``, which
+    maps (R, n) observations to the R posterior means and the R standard
+    deviations.
     """
 
     name: str
     parameter_names: tuple[str, ...]
-    prior_simulator: Callable[[RandomStream], ParamVector]
-    data_simulator: Callable[[ParamVector, RandomStream], Dataset]
-    posterior_factory: Callable[[Sequence[Dataset]], PosteriorTarget]
+    prior_simulator: Callable[[RandomStream], np.ndarray]
+    data_simulator: Callable[[np.ndarray, RandomStream], np.ndarray]
+    posterior_factory: Callable[[np.ndarray], PosteriorTarget]
     quantities: tuple[Quantity, ...]
     unconstraining_map: UnconstrainingMap
-    exact_posterior: Callable[[Dataset], tuple[float, float]] | None = None
+    exact_posterior: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]] | None = None
 
 
-@dataclass(frozen=True)
-class PosteriorDraws:
-    """An ordered collection of parameter draws from one posterior fit.
-
-    Rows of ``values`` are draws on the constrained scale, columns follow
-    ``names``; ``chain_length_raw`` is the length of the chain before any
-    thinning.  ``diagnostics`` holds the MCMC samplers' health for the run's
-    ``meta.json``: acceptance rate and final step size, and for HMC the
-    divergence count.
-    """
-
-    names: tuple[str, ...]
-    values: np.ndarray
-    chain_length_raw: int
-    diagnostics: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        object.__setattr__(self, "values", _readonly(self.values))
-        if self.values.ndim != 2 or self.values.shape[0] < 1:
-            raise ValueError("draws must form a non-empty (n, d) matrix")
-        if not np.isfinite(self.values).all():
-            raise ValueError("posterior draws must be finite")
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-def posterior_target(model: GenerativeModel, datasets: Sequence[Dataset]) -> PosteriorTarget:
-    """Bind a model to datasets as its batched unconstrained-scale target (row r: dataset r)."""
-    return model.posterior_factory(datasets)
+def posterior_target(model: GenerativeModel, observations: np.ndarray) -> PosteriorTarget:
+    """Bind a model to (R, n) observations as its batched unconstrained-scale target (row r:
+    dataset r)."""
+    return model.posterior_factory(observations)

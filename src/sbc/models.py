@@ -1,10 +1,11 @@
 """Built-in generative models: normal-normal, linear regression, eight schools.
 
-Each factory returns a :class:`~sbc.model.GenerativeModel` whose one
-density, ``posterior_factory``, is written on the unconstrained scale with
-the log-Jacobian of its log-transformed coordinates folded in.  It reduces
-each dataset to the sufficient statistics it needs, stacked over the batch
-as (R,) or (R, J) arrays, and evaluates (R, d) points elementwise; sums run
+Each factory returns a :class:`~sbc.model.GenerativeModel` whose
+simulators return plain arrays and whose one density, ``posterior_factory``,
+is written on the unconstrained scale with the log-Jacobian of its
+log-transformed coordinates folded in.  It reduces the (R, n) observations
+to the sufficient statistics it needs, as (R,) row sums or the (R, J)
+observations themselves, and evaluates (R, d) points elementwise; sums run
 within a row only, so a row's value does not depend on its batch.
 
 The linear regression model deliberately allows the simulator's prior on the
@@ -16,16 +17,13 @@ inject a misspecified-prior defect on purpose.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Sequence
-
 import numpy as np
 
 from .errors import InvalidSpec
 from .model import (
-    Dataset,
     GenerativeModel,
-    ParamVector,
     PosteriorTarget,
     Quantity,
     UnconstrainingMap,
@@ -43,10 +41,17 @@ EIGHT_SCHOOLS_MU_SD = 5.0
 EIGHT_SCHOOLS_TAU_SD = 5.0
 
 
+def _is_scale(value: float) -> bool:
+    """A positive finite scale whose square is a finite normal float, so that its
+    square and its inverse square neither overflow nor underflow."""
+    return value > 0 and sys.float_info.min <= value * value < math.inf
+
+
 def _require_positive(spec_name: str, **fields: float) -> None:
     for name, value in fields.items():
-        if not (value > 0) or not math.isfinite(value):
-            raise InvalidSpec(f"{spec_name}.{name} must be a positive finite number, got {value}")
+        if not _is_scale(value):
+            raise InvalidSpec(f"{spec_name}.{name} must be a positive finite number whose "
+                              f"square neither overflows nor underflows, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -72,21 +77,20 @@ def make_normal_normal(spec: NormalNormalSpec) -> GenerativeModel:
     m0, s0, s, n = spec.prior_mean, spec.prior_sd, spec.likelihood_sd, spec.n_obs
     names = ("mu",)
 
-    def prior_simulator(rng: RandomStream) -> ParamVector:
-        return ParamVector(names, np.array([rng.normal(m0, s0)]))
+    def prior_simulator(rng: RandomStream) -> np.ndarray:
+        return np.array([rng.normal(m0, s0)])
 
-    def data_simulator(theta: ParamVector, rng: RandomStream) -> Dataset:
-        mu = theta.values[0]
-        return Dataset(rng.normal(mu, s, size=n))
+    def data_simulator(theta: np.ndarray, rng: RandomStream) -> np.ndarray:
+        return rng.normal(theta[0], s, size=n)
 
-    def exact_posterior(data: Dataset) -> tuple[float, float]:
-        prec = 1.0 / s0**2 + data.n_obs / s**2
-        mean = (m0 / s0**2 + float(np.sum(data.observations)) / s**2) / prec
-        return mean, math.sqrt(1.0 / prec)
+    def exact_posterior(observations: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        prec = 1.0 / s0**2 + observations.shape[1] / s**2
+        mean = (m0 / s0**2 + observations.sum(axis=1) / s**2) / prec
+        return mean, np.full(mean.shape, math.sqrt(1.0 / prec))
 
-    def posterior_factory(datasets: Sequence[Dataset]) -> PosteriorTarget:
-        sum_y = np.array([np.sum(data.observations) for data in datasets])
-        n_obs = np.array([data.n_obs for data in datasets], dtype=np.float64)
+    def posterior_factory(observations: np.ndarray) -> PosteriorTarget:
+        sum_y = observations.sum(axis=1)
+        n_obs = float(observations.shape[1])
         inv_v0, inv_v = 1.0 / s0**2, 1.0 / s**2
 
         def logpdf(Z: np.ndarray) -> np.ndarray:
@@ -160,22 +164,21 @@ def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
     gen_sb = spec.gen_prior_sd_beta
     names = ("alpha", "beta", "sigma")
 
-    def prior_simulator(rng: RandomStream) -> ParamVector:
+    def prior_simulator(rng: RandomStream) -> np.ndarray:
         alpha = rng.normal(0.0, sa)
         beta = rng.normal(0.0, gen_sb)
         sigma = abs(rng.normal(0.0, sc))
-        return ParamVector(names, np.array([alpha, beta, sigma]))
+        return np.array([alpha, beta, sigma])
 
-    def data_simulator(theta: ParamVector, rng: RandomStream) -> Dataset:
-        alpha, beta, sigma = theta.values
-        y = alpha + beta * x + rng.normal(0.0, sigma, size=n)
-        return Dataset(y)
+    def data_simulator(theta: np.ndarray, rng: RandomStream) -> np.ndarray:
+        alpha, beta, sigma = theta
+        return alpha + beta * x + rng.normal(0.0, sigma, size=n)
 
-    def posterior_factory(datasets: Sequence[Dataset]) -> PosteriorTarget:
+    def posterior_factory(observations: np.ndarray) -> PosteriorTarget:
         s_x, s_xx = float(np.sum(x)), float(np.sum(x * x))
-        s_y = np.array([np.sum(data.observations) for data in datasets])
-        s_yy = np.array([np.sum(data.observations ** 2) for data in datasets])
-        s_xy = np.array([np.sum(x * data.observations) for data in datasets])
+        s_y = observations.sum(axis=1)
+        s_yy = (observations ** 2).sum(axis=1)
+        s_xy = (x * observations).sum(axis=1)
         inv_va, inv_vb, inv_vc = 1.0 / sa**2, 1.0 / sb**2, 1.0 / sc**2
 
         def _residual_sums(alpha, beta):
@@ -228,8 +231,9 @@ class EightSchoolsSpec:
         if self.J != 8:
             raise InvalidSpec("EightSchoolsSpec.J must be 8")
         object.__setattr__(self, "sigma_j", tuple(float(v) for v in self.sigma_j))
-        if len(self.sigma_j) != 8 or not all(v > 0 for v in self.sigma_j):
-            raise InvalidSpec("EightSchoolsSpec.sigma_j must be 8 positive values")
+        if len(self.sigma_j) != 8 or not all(_is_scale(v) for v in self.sigma_j):
+            raise InvalidSpec("EightSchoolsSpec.sigma_j must be 8 positive finite values whose "
+                              "squares neither overflow nor underflow")
         if self.parameterization not in ("centered", "non-centered"):
             raise InvalidSpec("parameterization must be 'centered' or 'non-centered'")
 
@@ -251,24 +255,21 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
     names = ("mu", "tau") + tuple(f"{effect}[{j}]" for j in range(1, J + 1))
     transforms = ("identity", "log") + ("identity",) * J
 
-    def prior_simulator(rng: RandomStream) -> ParamVector:
+    def prior_simulator(rng: RandomStream) -> np.ndarray:
         mu = rng.normal(0.0, mu_sd)
         tau = abs(rng.normal(0.0, tau_sd))
         eta = rng.standard_normal(J)
         effects = mu + tau * eta if centered else eta
-        return ParamVector(names, np.concatenate(([mu, tau], effects)))
+        return np.concatenate(([mu, tau], effects))
 
-    def data_simulator(theta: ParamVector, rng: RandomStream) -> Dataset:
-        mu, tau = theta.values[0], theta.values[1]
-        eff = theta.values[2:]
+    def data_simulator(theta: np.ndarray, rng: RandomStream) -> np.ndarray:
+        mu, tau, eff = theta[0], theta[1], theta[2:]
         means = eff if centered else mu + tau * eff
-        y = means + sigma * rng.standard_normal(J)
-        return Dataset(y)
+        return means + sigma * rng.standard_normal(J)
 
     if centered:
 
-        def posterior_factory(datasets: Sequence[Dataset]) -> PosteriorTarget:
-            y = np.array([data.observations for data in datasets]).reshape(len(datasets), J)
+        def posterior_factory(y: np.ndarray) -> PosteriorTarget:
             inv_s2 = 1.0 / sigma**2
 
             def logpdf(Z: np.ndarray) -> np.ndarray:
@@ -295,8 +296,7 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
 
     else:
 
-        def posterior_factory(datasets: Sequence[Dataset]) -> PosteriorTarget:
-            y = np.array([data.observations for data in datasets]).reshape(len(datasets), J)
+        def posterior_factory(y: np.ndarray) -> PosteriorTarget:
             inv_s2 = 1.0 / sigma**2
 
             def _residuals(mu, tau, eta):

@@ -3,13 +3,15 @@
 Each replication draws a ground truth from the prior, simulates a dataset,
 fits the configured sampler, and records the rank of the ground truth within
 the posterior draws for every quantity of interest.  Replications are
-independent, so they run in blocks: a block derives each purpose's random
-streams for all its rows in one pass, draws its priors and data row by row,
-fits all its datasets in one lockstep sampler call, estimates every MCMC
-chain's effective sample sizes in one call per group of equal-length chains
-(the whole block with thinning off or in Algorithm 2's first pass, each
-rerun length after it), and ranks each quantity in one pass over the
-block's stacked draws.  Every random stream is derived
+independent, so they run in blocks, as arrays from simulation to rank: a
+block derives each purpose's random streams for all its rows in one pass,
+stacks its rows' priors as an (R, d) array and their data as (R, n), checks
+each once, fits all its datasets in one sampler call (the exact sampler and
+the lockstep MCMC and VI samplers alike), estimates every MCMC chain's
+effective sample sizes in one call per group of equal-length chains (the
+whole block with thinning off or in Algorithm 2's first pass, each rerun
+length after it), and ranks each quantity in one pass over the block's
+(R, L, d) draws.  Every random stream is derived
 from (master_seed, replication index, purpose tag), and the batched
 densities and quantities keep each row's arithmetic within its row, so
 results are bit-identical for any block size and any number of workers.
@@ -39,6 +41,7 @@ from .errors import (
     FormatVersionMismatch,
     InvalidArtifact,
     NonFiniteInput,
+    NonFiniteParameter,
     SbcError,
     UnknownQuantity,
 )
@@ -223,14 +226,18 @@ def _build(config: RunConfig) -> tuple[GenerativeModel, tuple[Quantity, ...]]:
 
 
 class _Row:
-    """One replication's state while its block runs; ``failure`` ends it."""
+    """One replication's state while its block runs; ``failure`` ends it.
 
-    __slots__ = ("i", "diag", "failure", "theta", "data", "length", "draws", "ess", "ranks")
+    ``k`` indexes the row in its block's stacked priors and observations.
+    """
 
-    def __init__(self, i: int, n_quantities: int):
+    __slots__ = ("i", "k", "diag", "failure", "length", "draws", "ess", "ranks")
+
+    def __init__(self, i: int, n_quantities: int, length: int):
         self.i = i
         self.diag: dict = {"replication": i}
         self.failure: str | None = None
+        self.length = length
         self.ess = np.full(n_quantities, np.nan)
 
     def fail(self, exc: SbcError) -> None:
@@ -251,88 +258,165 @@ def _each(rows: list[_Row], step) -> list[_Row]:
     return [row for row in rows if row.failure is None]
 
 
-def _streams(seed: int, rows: list[_Row], tag: str) -> dict[int, RandomStream]:
-    """Each row's stream for ``tag``, keyed by replication, derived in one pass."""
-    indices = [row.i for row in rows]
-    return dict(zip(indices, RandomStream.block(seed, indices, tag)))
+def _streams(seed: int, rows: list[_Row], tag: str) -> list[RandomStream]:
+    """Each row's stream for ``tag``, in the rows' order, derived in one pass."""
+    return RandomStream.block(seed, [row.i for row in rows], tag)
 
 
-def _fit(model: GenerativeModel, config: RunConfig, rows: list[_Row], tag: str) -> None:
+def _keep_finite(rows: list[_Row], values: np.ndarray, error) -> tuple[list[_Row], np.ndarray]:
+    """Fail each row whose row of ``values`` is not finite with ``error(values[r])``; returns
+    the other rows and their values."""
+    ok = np.isfinite(values).all(axis=1)
+    if ok.all():
+        return rows, values
+    for r in np.flatnonzero(~ok).tolist():
+        rows[r].fail(error(values[r]))
+    return [row for row in rows if row.failure is None], values[ok]
+
+
+def _simulate(model: GenerativeModel, seed: int,
+              rows: list[_Row]) -> tuple[list[_Row], np.ndarray, np.ndarray]:
+    """Draw the rows' priors and data; returns the live rows, their priors and observations.
+
+    Each row draws its prior, then its data given that prior, from its own
+    streams.  The priors are stacked as an (R, d) array and checked once: a
+    row with a non-finite prior fails (NonFiniteParameter) and draws no data.
+    The others' observations are stacked as (R', n) and checked once: a row
+    with non-finite data fails (NonFiniteInput).  A live row's ``k`` indexes
+    the returned arrays.
+    """
+    with np.errstate(all="ignore"):  # a non-finite draw fails its row below
+        priors = np.array([model.prior_simulator(rng) for rng in _streams(seed, rows, "prior")],
+                          dtype=np.float64).reshape(len(rows), len(model.parameter_names))
+        rows, priors = _keep_finite(rows, priors, lambda theta: NonFiniteParameter(
+            f"non-finite parameter values: {theta}"))
+        if not rows:
+            return rows, priors, np.empty((0, 0))
+        observations = np.array([model.data_simulator(theta, rng) for theta, rng
+                                 in zip(priors, _streams(seed, rows, "data"))], dtype=np.float64)
+    live, observations = _keep_finite(rows, observations.reshape(len(rows), -1), lambda _: (
+        NonFiniteInput("simulated observations must be finite")))
+    for k, row in enumerate(live):
+        row.k = k
+    return live, priors[[row.failure is None for row in rows]], observations
+
+
+def _fit(model: GenerativeModel, config: RunConfig, rows: list[_Row], observations: np.ndarray,
+         tag: str) -> None:
     """Fit each row's dataset for ``row.length`` draws; sets ``row.draws`` or fails the row.
 
-    MCMC and VI rows are fitted in lockstep, longest first, in groups whose
-    noise array holds at most BLOCK_FLOATS values; the rows of a group may
-    differ in length.  The exact sampler fits row by row.
+    Rows are fitted with the MCMC or VI sampler in lockstep, longest first,
+    in groups whose noise array holds at most BLOCK_FLOATS values; the rows
+    of a group may differ in length.  An MCMC fit's health goes to ``row.diag``.
     """
     if not rows:
         return
     cfg, seed = config.sampler, config.master_seed
-    rngs = _streams(seed, rows, tag)
-    if cfg.kind == "exact-conjugate":
-        def exact(row):
-            row.draws = sample_exact_conjugate(model, row.data, row.length, rngs[row.i])
-        _each(rows, exact)
-        return
-    vi_rngs = _streams(seed, rows, "vi") if cfg.kind == "meanfield-vi" else {}
     rows = sorted(rows, key=lambda row: -row.length)
+    rngs = _streams(seed, rows, tag)
+    vi_rngs = _streams(seed, rows, "vi") if cfg.kind == "meanfield-vi" else []
     start = 0
     while start < len(rows):
         n_steps = rows[start].length
         steps = cfg.vi_iterations if cfg.kind == "meanfield-vi" else n_steps + cfg.warmup
-        group = rows[start:start + max(1, BLOCK_FLOATS // (steps * len(model.parameter_names)))]
-        start += len(group)
-        datasets, lengths = [row.data for row in group], [row.length for row in group]
-        group_rngs = [rngs[row.i] for row in group]
-        if cfg.kind == "rw-metropolis":
-            fitted = sample_rw_metropolis(model, datasets, n_steps, cfg.step_size, cfg.warmup,
-                                          group_rngs, lengths).rows
-        elif cfg.kind == "hmc":
-            fitted = sample_hmc(model, datasets, n_steps, cfg.step_size, cfg.n_leapfrog,
-                                cfg.warmup, group_rngs, lengths).rows
-        else:
-            approxes = fit_meanfield_vi(model, datasets, cfg.vi_iterations, cfg.vi_learning_rate,
-                                        [vi_rngs[row.i] for row in group])
+        stop = start + max(1, BLOCK_FLOATS // (steps * len(model.parameter_names)))
+        group = rows[start:stop]
+        data = observations[[row.k for row in group]]
+        lengths, group_rngs = [row.length for row in group], rngs[start:stop]
+        if cfg.kind == "meanfield-vi":
+            approxes = fit_meanfield_vi(model, data, cfg.vi_iterations, cfg.vi_learning_rate,
+                                        vi_rngs[start:stop])
             fitted = [a if isinstance(a, SbcError) else a.sample(n, rng)
                       for a, n, rng in zip(approxes, lengths, group_rngs)]
-        for row, result in zip(group, fitted):
+            health = [{}] * len(group)
+        else:
+            block = (sample_rw_metropolis(model, data, n_steps, cfg.step_size, cfg.warmup,
+                                          group_rngs, lengths)
+                     if cfg.kind == "rw-metropolis" else
+                     sample_hmc(model, data, n_steps, cfg.step_size, cfg.n_leapfrog,
+                                cfg.warmup, group_rngs, lengths))
+            fitted, health = block.rows, block.row_diagnostics
+        for row, result, diag in zip(group, fitted, health):
             if isinstance(result, SbcError):
                 row.fail(result)
             else:
                 row.draws = result
+                row.diag.update(diag)
+        start = stop
 
 
-def _estimate(rows: list[_Row], quantities: tuple[Quantity, ...]) -> None:
+def _estimate(rows: list[_Row], quantities: tuple[Quantity, ...], names: tuple[str, ...]) -> None:
     """Set each live row's ESS: one :func:`ess_by_quantity` call per group of equal-length chains."""
     groups: dict[int, list[_Row]] = {}
     for row in rows:
         if row.failure is None:
             groups.setdefault(len(row.draws), []).append(row)
     for group in groups.values():
-        for row, ess in zip(group, ess_by_quantity([row.draws for row in group], quantities)):
+        for row, ess in zip(group, ess_by_quantity([row.draws for row in group], quantities,
+                                                   names)):
             row.ess = ess
 
 
-def _rank(rows: list[_Row], quantities: tuple[Quantity, ...]) -> None:
-    """Set each row's ranks, or fail the row; one pass per quantity over the stacked rows.
+def _sample(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
+            rows: list[_Row], observations: np.ndarray) -> tuple[list[_Row], np.ndarray]:
+    """Fit the rows with an MCMC or VI sampler; returns the live rows and their (R, L, d) draws.
 
-    Each quantity is evaluated once on all rows' draws, stacked into one
-    (R * L, d) matrix, and once on their (R, d) prior points.  A row with a
-    non-finite value of any quantity fails alone; the others are ranked.
+    MCMC chains' ESS is estimated for the block at once (see
+    :func:`_estimate`); Algorithm 2's plan and thinning are per row.  The
+    block's Algorithm-2 reruns are fitted in one more lockstep call, each row
+    for its own planned length, and estimated once per rerun length.
     """
-    if not rows:
-        return
-    draws = np.concatenate([row.draws.values for row in rows])
-    priors = np.stack([row.theta.values for row in rows])
-    draw_names, prior_names = rows[0].draws.names, rows[0].theta.names
-    ranks = np.zeros((len(rows), len(quantities)), dtype=np.int64)
-    finite = np.ones(len(rows), dtype=bool)
+    _fit(model, config, rows, observations, "chain")
+    if config.sampler.kind in _MCMC_KINDS:
+        _estimate(rows, quantities, model.parameter_names)
+    if config.thinning != "off":
+        reruns: list[_Row] = []
+
+        def plan(row):
+            chain_plan = required_chain_length(row.length, config.L, min_ess(row.ess),
+                                               config.max_chain_length)
+            row.diag["cap_hit"] = chain_plan.cap_hit
+            if chain_plan.length > row.length:
+                row.length = chain_plan.length
+                reruns.append(row)
+
+        _each(rows, plan)
+        _fit(model, config, reruns, observations, "chain-rerun")
+        _estimate(reruns, quantities, model.parameter_names)
+
+        def thin(row):
+            ess_min = min_ess(row.ess)
+            row.diag["ess_min"] = ess_min
+            row.diag["still_short"] = bool(ess_min < config.L)
+            row.draws = thin_to(row.draws, config.L)
+
+        _each(rows, thin)
+    live = [row for row in rows if row.failure is None]
+    return live, np.stack([row.draws for row in live]) if live else None
+
+
+def _rank(rows: list[_Row], draws: np.ndarray, priors: np.ndarray,
+          quantities: tuple[Quantity, ...], names: tuple[str, ...]) -> None:
+    """Set each row's ranks, or fail the row; one :func:`rank_statistic` call per quantity.
+
+    Row r's (L, d) draws ``draws[r]`` are ranked against its prior
+    ``priors[r]``, columns named by ``names``.  Each quantity is evaluated
+    once on the block's draws, as one (R * L, d) matrix, and once on its
+    priors.  A row with a non-finite value of any quantity fails alone; the
+    others are ranked, and rows are copied out only when one is non-finite.
+    """
+    R = len(rows)
+    flat = draws.reshape(-1, draws.shape[-1])
+    ranks = np.zeros((R, len(quantities)), dtype=np.int64)
+    finite = np.ones(R, dtype=bool)
     for j, q in enumerate(quantities):
-        series = np.asarray(q.batch_evaluator(draws, draw_names),
-                            dtype=np.float64).reshape(len(rows), -1)
-        prior = np.asarray(q.batch_evaluator(priors, prior_names), dtype=np.float64)
+        series = np.asarray(q.batch_evaluator(flat, names), dtype=np.float64).reshape(R, -1)
+        prior = np.asarray(q.batch_evaluator(priors, names), dtype=np.float64)
         ok = np.isfinite(series).all(axis=1) & np.isfinite(prior)
         finite &= ok
-        if ok.any():
+        if ok.all():
+            ranks[:, j] = rank_statistic(series, prior)
+        elif ok.any():
             ranks[ok, j] = rank_statistic(series[ok], prior[ok])
     for row, row_ranks, ok in zip(rows, ranks, finite):
         if ok:
@@ -346,63 +430,30 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
     """Run a block of replications; returns each one's row of the rank table, or its failure.
 
     Each purpose's streams (prior, data, chain, rerun, VI) are derived for
-    the whole block in one pass.  Priors and data are drawn per row and the
-    block is fitted in lockstep.  MCMC chains' ESS is estimated for the
-    block at once (see :func:`_estimate`); Algorithm 2's plan and thinning
-    are per row.  The block's Algorithm-2 reruns are fitted in one more
-    lockstep call, each row for its own planned length, and estimated once
-    per rerun length.  Corruption is applied per row, then each quantity is
-    ranked for the whole block at once (see :func:`_rank`).
+    the whole block in one pass.  The block's priors and data are drawn row
+    by row and checked as stacked arrays (see :func:`_simulate`).  The exact
+    sampler draws the block's (R, L, 1) draws in one call; the MCMC and VI
+    samplers fit it in lockstep (see :func:`_sample`).  Corruption is applied
+    to the block's draws, then each quantity is ranked for the whole block
+    at once (see :func:`_rank`).
     """
-    seed = config.master_seed
-    rows = [_Row(i, len(quantities)) for i in indices]
-    prior_rngs, data_rngs = _streams(seed, rows, "prior"), _streams(seed, rows, "data")
-
-    def simulate(row):
-        row.theta = model.prior_simulator(prior_rngs[row.i])
-        row.data = model.data_simulator(row.theta, data_rngs[row.i])
-        row.length = config.L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * config.L
-
-    live = _each(rows, simulate)
-    _fit(model, config, live, "chain")
-    if config.sampler.kind in _MCMC_KINDS:
-        _estimate(live, quantities)
-    if config.thinning != "off":
-        reruns: list[_Row] = []
-
-        def plan(row):
-            chain_plan = required_chain_length(row.length, config.L, min_ess(row.ess),
-                                               config.max_chain_length)
-            row.diag["cap_hit"] = chain_plan.cap_hit
-            if chain_plan.length > row.length:
-                row.length = chain_plan.length
-                reruns.append(row)
-
-        live = _each(live, plan)
-        _fit(model, config, reruns, "chain-rerun")
-        _estimate(reruns, quantities)
-
-        def thin(row):
-            ess_min = min_ess(row.ess)
-            row.diag["ess_min"] = ess_min
-            row.diag["still_short"] = bool(ess_min < config.L)
-            row.draws = thin_to(row.draws, config.L)
-
-        _each(live, thin)
-
-    def prepare(row):
-        for key in ("acceptance_rate", "divergences", "step_size"):
-            if key in row.draws.diagnostics:
-                row.diag[key] = row.draws.diagnostics[key]
-        row.draws = corrupt(row.draws, config.corruption)
-
-    _rank(_each(rows, prepare), quantities)
+    seed, L = config.master_seed, config.L
+    length = L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * L
+    rows = [_Row(i, len(quantities), length) for i in indices]
+    live, priors, observations = _simulate(model, seed, rows)
+    if config.sampler.kind == "exact-conjugate":
+        draws = sample_exact_conjugate(model, observations, L, _streams(seed, live, "chain"))
+    else:
+        live, draws = _sample(config, model, quantities, live, observations)
+        priors = priors[[row.k for row in live]]
+    if live:
+        params = model.parameter_names
+        _rank(live, corrupt(draws, params, config.corruption), priors, quantities, params)
     names = tuple(q.name for q in quantities)
     return [{"replication": row.i, "diagnostics": row.diag, "failure": row.failure}
             if row.failure is not None else
             {"replication": row.i, "quantities": names, "ranks": row.ranks, "ess": row.ess,
-             "chain_length": row.draws.chain_length_raw, "diagnostics": row.diag,
-             "failure": None}
+             "chain_length": row.length, "diagnostics": row.diag, "failure": None}
             for row in rows]
 
 

@@ -5,15 +5,17 @@ One exact reference sampler (conjugate normal-normal), two MCMC samplers
 variational fit.  All MCMC runs happen on the unconstrained scale and start
 from a fresh prior draw, which stresses mixing honestly.
 
-The MCMC and VI samplers fit R replications in lockstep: they take R
-datasets and R random streams, hold the states as (R, d) arrays, and call
-the model's batched density once per step for all rows.  Each row keeps its
-own step size, adaptation state and stream, from which it draws its initial
-point, its noise and its uniforms in the order a single fit would, so a
-row's draws do not depend on the other rows.  A fit runs under one
-``np.errstate``; rows whose arithmetic overflows are masked once per step
-(rejected, or failed), and a row that cannot be fitted fails alone.  The
-exact sampler has no loop to vectorise and fits one dataset per call.
+Every sampler fits R replications in one call: it takes an (R, n) array of
+observations, one dataset per row, and R random streams.  The MCMC and VI
+samplers hold their states as (R, d) arrays and call the model's batched
+density once per step for all rows.  Each row keeps its own step size,
+adaptation state and stream, from which it draws its initial point, its
+noise and its uniforms in the order a single fit would, so a row's draws do
+not depend on the other rows.  A fit runs under one ``np.errstate``; rows
+whose arithmetic overflows are masked once per step (rejected, or failed),
+and a row that cannot be fitted fails alone.  The exact sampler makes one
+batched posterior call and then draws each row's L values from its own
+stream.
 
 Corruption wrappers inject the canonical failure modes (shifted or rescaled
 marginals) into otherwise exact draws so the diagnostics can be exercised
@@ -23,7 +25,7 @@ end to end.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +37,7 @@ from .errors import (
     SbcError,
     UnknownParameter,
 )
-from .model import Dataset, GenerativeModel, PosteriorDraws, posterior_target
+from .model import GenerativeModel, posterior_target
 from .streams import RandomStream
 
 SAMPLER_KINDS = ("exact-conjugate", "rw-metropolis", "hmc", "meanfield-vi")
@@ -89,30 +91,41 @@ class Corruption:
             raise InvalidSpec("corruption requires a target_quantity")
 
 
-def sample_exact_conjugate(model: GenerativeModel, data: Dataset, L: int,
-                           rng: RandomStream) -> PosteriorDraws:
-    """L independent draws from the closed-form conjugate posterior."""
+def sample_exact_conjugate(model: GenerativeModel, observations: np.ndarray, L: int,
+                           rngs) -> np.ndarray:
+    """L independent draws from each row's closed-form conjugate posterior: an (R, L, 1) array.
+
+    Row r is the posterior given ``observations[r]``, drawn from ``rngs[r]``
+    as ``rng.normal(mean, sd, size=L)``, so it equals a one-row call.  A row
+    whose posterior is not finite gets non-finite draws.
+    """
     if model.exact_posterior is None:
         raise NotConjugate(f"model {model.name!r} has no closed-form posterior")
     if L < 1:
         raise ValueError("L must be >= 1")
-    mean, sd = model.exact_posterior(data)
-    values = rng.normal(mean, sd, size=L).reshape(L, 1)
-    return PosteriorDraws(names=model.parameter_names, values=values, chain_length_raw=L)
+    mean, sd = model.exact_posterior(observations)
+    draws = np.empty((len(rngs), L, 1))
+    for out, rng, m, s in zip(draws, rngs, mean.tolist(), sd.tolist()):
+        out[:, 0] = rng.normal(m, s, size=L)
+    return draws
 
 
 @dataclass(frozen=True)
 class DrawBlock:
     """Draws of one lockstep fit of R replications.
 
-    ``rows[r]`` is the :class:`PosteriorDraws` of the replication whose
-    stream was ``rngs[r]``, or the :class:`SbcError` that failed that row
-    alone.  Each fitted row carries its own diagnostics; the block's
-    ``diagnostics`` summarise them as the fitted rows' mean acceptance rate
-    and their total divergences.
+    ``rows[r]`` is the (length, d) array of constrained draws of the
+    replication whose stream was ``rngs[r]``, columns in the order of the
+    model's parameter names, or the :class:`SbcError` that failed that row
+    alone.  ``row_diagnostics[r]`` is that row's health for the run's
+    ``meta.json`` (empty for a failed row): acceptance rate and final step
+    size, and for HMC the divergence count.  The block's ``diagnostics``
+    summarise them as the fitted rows' mean acceptance rate and their total
+    divergences.
     """
 
-    rows: tuple[PosteriorDraws | SbcError, ...]
+    rows: tuple[np.ndarray | SbcError, ...]
+    row_diagnostics: tuple[dict, ...]
     diagnostics: dict
 
 
@@ -120,50 +133,43 @@ def _draw_block(model: GenerativeModel, n_rows: int, chain, lengths, failures: d
                 diagnostics: list[dict]) -> DrawBlock:
     """Per-row draws: fitted row k keeps the first ``lengths[k]`` states of ``chain[:, k]``."""
     fitted = [r for r in range(n_rows) if r not in failures]
-    rows = dict(failures)
+    rows, row_diagnostics = dict(failures), dict.fromkeys(failures, {})
     for k, r in enumerate(fitted):
-        rows[r] = PosteriorDraws(
-            names=model.parameter_names,
-            values=model.unconstraining_map.constrain_matrix(chain[:lengths[k], k]),
-            chain_length_raw=int(lengths[k]),
-            diagnostics=diagnostics[k],
-        )
+        rows[r] = model.unconstraining_map.constrain_matrix(chain[:lengths[k], k])
+        row_diagnostics[r] = diagnostics[k]
     rates = [diag["acceptance_rate"] for diag in diagnostics]
-    return DrawBlock(tuple(rows[r] for r in range(n_rows)), {
+    return DrawBlock(tuple(rows[r] for r in range(n_rows)),
+                     tuple(row_diagnostics[r] for r in range(n_rows)), {
         "acceptance_rate": float(np.mean(rates)) if rates else 0.0,
         "divergences": sum(diag.get("divergences", 0) for diag in diagnostics),
     })
 
 
-def _start(model: GenerativeModel, datasets, rngs, warmup: int, n_steps: int, lengths):
+def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int, lengths):
     """Initial points, the rows' noise and uniforms, and the target bound to the fittable rows.
 
     Row r runs warmup + lengths[r] steps (n_steps when ``lengths`` is None).
     It draws its initial point from the prior, then a (steps, d) block of
     standard normals, then ``steps`` uniforms, all from its own stream; past
     its last step it is padded with zero noise and uniforms of 1, which
-    reject every move.  A row whose initial point cannot be drawn, or whose
-    initial density is non-finite (:class:`NonFiniteDensity`), fails alone.
+    reject every move.  A row whose initial density is non-finite, at a
+    non-finite initial point too, fails alone (:class:`NonFiniteDensity`).
     Returns (target, z, logp, noise, unifs, lengths, failures) over the R'
     fittable rows: noise (warmup + n_steps, R', d), uniforms
     (warmup + n_steps, R'), their lengths (R',), and a map from each failed
     row to its error.
     """
     d = len(model.parameter_names)
-    Z = np.zeros((len(rngs), d))
-    failures: dict[int, SbcError] = {}
-    for r, rng in enumerate(rngs):
-        try:
-            Z[r] = model.unconstraining_map.unconstrain(model.prior_simulator(rng).values)
-        except SbcError as exc:
-            failures[r] = exc
-    target = posterior_target(model, datasets)
+    Z = np.array([model.unconstraining_map.unconstrain(model.prior_simulator(rng))
+                  for rng in rngs]).reshape(len(rngs), d)
+    target = posterior_target(model, observations)
     logp = target.logpdf(Z)
-    for r in np.flatnonzero(~np.isfinite(logp)).tolist():
-        failures.setdefault(r, NonFiniteDensity(f"non-finite log density at initial point {Z[r]}"))
+    failures: dict[int, SbcError] = {
+        r: NonFiniteDensity(f"non-finite log density at initial point {Z[r]}")
+        for r in np.flatnonzero(~(np.isfinite(logp) & np.isfinite(Z).all(axis=1))).tolist()}
     fitted = [r for r in range(len(rngs)) if r not in failures]
     if failures:
-        target = posterior_target(model, [datasets[r] for r in fitted])
+        target = posterior_target(model, observations[fitted])
         Z, logp = Z[fitted], logp[fitted]
     lengths = np.array([n_steps if lengths is None else lengths[r] for r in fitted], dtype=int)
     noise = np.zeros((warmup + n_steps, len(fitted), d))
@@ -175,11 +181,11 @@ def _start(model: GenerativeModel, datasets, rngs, warmup: int, n_steps: int, le
     return target, Z, logp, noise, unifs, lengths, failures
 
 
-def sample_rw_metropolis(model: GenerativeModel, datasets, n_steps: int, step_size: float,
+def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, step_size: float,
                          warmup: int, rngs, lengths=None) -> DrawBlock:
     """Random-walk Metropolis chains of n_steps post-warmup states, one per dataset.
 
-    Row r fits ``datasets[r]`` with the stream ``rngs[r]``; all rows advance
+    Row r fits ``observations[r]`` with the stream ``rngs[r]``; all rows advance
     in lockstep.  ``lengths[r]`` (at most n_steps) shortens row r's chain;
     its draws are those of a fit of that length alone.  Each row's step size
     adapts toward the standard acceptance target during warmup only and is
@@ -187,7 +193,7 @@ def sample_rw_metropolis(model: GenerativeModel, datasets, n_steps: int, step_si
     """
     with np.errstate(all="ignore"):
         target, z, logp, noise, unifs, lengths, failures = _start(
-            model, datasets, rngs, warmup, n_steps, lengths)
+            model, observations, rngs, warmup, n_steps, lengths)
         d = z.shape[1]
         accept_target = RW_TARGET_ACCEPT_1D if d == 1 else RW_TARGET_ACCEPT_ND
         log_step = np.full(z.shape[0], math.log(step_size))
@@ -234,11 +240,11 @@ def leapfrog(z: np.ndarray, p: np.ndarray, g: np.ndarray, step, n: int,
     return z, p, g
 
 
-def sample_hmc(model: GenerativeModel, datasets, n_steps: int, step_size: float,
+def sample_hmc(model: GenerativeModel, observations, n_steps: int, step_size: float,
                n_leapfrog: int, warmup: int, rngs, lengths=None) -> DrawBlock:
     """Fixed-path HMC with identity mass matrix and Metropolis correction.
 
-    Row r fits ``datasets[r]`` with the stream ``rngs[r]``; all rows advance
+    Row r fits ``observations[r]`` with the stream ``rngs[r]``; all rows advance
     in lockstep, one batched gradient per leapfrog step.  ``lengths[r]`` (at
     most n_steps) shortens row r's chain; its draws are those of a fit of
     that length alone.  Trajectories whose energy error exceeds
@@ -255,7 +261,7 @@ def sample_hmc(model: GenerativeModel, datasets, n_steps: int, step_size: float,
     """
     with np.errstate(all="ignore"):
         target, z, logp, momenta, unifs, lengths, failures = _start(
-            model, datasets, rngs, warmup, n_steps, lengths)
+            model, observations, rngs, warmup, n_steps, lengths)
         g = target.grad(z)
         log_step = np.full(z.shape[0], math.log(step_size))
         chain = np.empty((n_steps,) + z.shape)
@@ -292,32 +298,30 @@ def sample_hmc(model: GenerativeModel, datasets, n_steps: int, step_size: float,
 class GaussianApprox:
     """Mean-field Gaussian fit on the unconstrained scale; supports exact sampling."""
 
-    parameter_names: tuple[str, ...]
     means: np.ndarray
     log_sds: np.ndarray
     unconstraining_map: object
 
-    def sample(self, L: int, rng: RandomStream) -> PosteriorDraws:
+    def sample(self, L: int, rng: RandomStream) -> np.ndarray:
+        """L draws on the constrained scale: an (L, d) array."""
         eps = rng.standard_normal((L, self.means.size))
         Z = self.means + np.exp(self.log_sds) * eps
-        return PosteriorDraws(names=self.parameter_names,
-                              values=self.unconstraining_map.constrain_matrix(Z),
-                              chain_length_raw=L)
+        return self.unconstraining_map.constrain_matrix(Z)
 
 
-def fit_meanfield_vi(model: GenerativeModel, datasets, iterations: int,
+def fit_meanfield_vi(model: GenerativeModel, observations, iterations: int,
                      learning_rate: float, rngs) -> list[GaussianApprox | Diverged]:
     """Fit a per-coordinate Gaussian to each dataset by stochastic gradient ascent on the ELBO.
 
     Single-sample reparameterized gradients with step decay t^-0.5.  The
     entropy term contributes +1 to each log-sd gradient.  Row r fits
-    ``datasets[r]`` with the stream ``rngs[r]``, all rows in lockstep.
+    ``observations[r]`` with the stream ``rngs[r]``, all rows in lockstep.
     Returns one :class:`GaussianApprox` per row, or the :class:`Diverged`
     error of a row whose gradient or parameters went non-finite; that row
     stops there and the others go on.
     """
-    target = posterior_target(model, datasets)
-    R, d = len(datasets), len(model.parameter_names)
+    target = posterior_target(model, observations)
+    R, d = len(observations), len(model.parameter_names)
     m = np.zeros((R, d))
     omega = np.zeros((R, d))
     eps = np.empty((iterations, R, d))
@@ -346,26 +350,29 @@ def fit_meanfield_vi(model: GenerativeModel, datasets, iterations: int,
             m = np.where(active[:, np.newaxis], m_new, m)
             omega = np.where(active[:, np.newaxis], omega_new, omega)
     return [failures[r] if r in failures else GaussianApprox(
-        parameter_names=model.parameter_names,
         means=m[r],
         log_sds=omega[r],
         unconstraining_map=model.unconstraining_map,
     ) for r in range(R)]
 
 
-def corrupt(draws: PosteriorDraws, c: Corruption) -> PosteriorDraws:
-    """Apply a corruption to one coordinate of every draw."""
+def corrupt(draws: np.ndarray, names: tuple[str, ...], c: Corruption) -> np.ndarray:
+    """Apply a corruption to one coordinate of every draw of an (R, L, d) block.
+
+    Columns follow ``names``.  A scale corruption centres each row on its own
+    mean, so a row's result does not depend on the other rows.
+    """
     if c.kind == "none":
         return draws
     try:
-        j = draws.names.index(c.target_quantity)
+        j = names.index(c.target_quantity)
     except ValueError:
-        raise UnknownParameter(
-            f"corruption target {c.target_quantity!r} not in {draws.names}") from None
-    values = draws.values.copy()
+        raise UnknownParameter(f"corruption target {c.target_quantity!r} not in {names}") from None
+    draws = draws.copy()
+    column = draws[..., j]
     if c.kind == "shift":
-        values[:, j] += c.amount
+        column += c.amount
     else:
-        center = values[:, j].mean()
-        values[:, j] = center + c.amount * (values[:, j] - center)
-    return replace(draws, values=values)
+        center = column.mean(axis=-1, keepdims=True)
+        column[...] = center + c.amount * (column - center)
+    return draws

@@ -1,55 +1,9 @@
-"""Shared test fixtures: small hand-built models with known geometry."""
+"""Shared fixtures: small hand-built models with known geometry (see sbc_test_models)."""
 
 import numpy as np
 import pytest
 
-from sbc.model import (
-    Dataset,
-    GenerativeModel,
-    ParamVector,
-    PosteriorTarget,
-    UnconstrainingMap,
-    coordinate,
-)
-
-
-def _fixed_dataset(*_args):
-    return Dataset(np.array([0.0]))
-
-
-def make_gaussian_model(precision: np.ndarray, names=None) -> GenerativeModel:
-    """Zero-mean Gaussian posterior with the given precision matrix.
-
-    The data simulator is a stub (the density ignores the datasets it is
-    bound to), which is enough to exercise samplers against a target with
-    known moments.
-    """
-    precision = np.asarray(precision, dtype=np.float64)
-    d = precision.shape[0]
-    names = tuple(names) if names else tuple(f"x{i}" for i in range(d))
-    cov = np.linalg.inv(precision)
-    chol = np.linalg.cholesky(cov)
-
-    def prior_simulator(rng):
-        return ParamVector(names, chol @ rng.standard_normal(d))
-
-    def grad(Z):
-        # Row by row, elementwise: a matrix product could round a row differently
-        # depending on the other rows of the batch.
-        return -(Z[:, np.newaxis, :] * precision).sum(axis=2)
-
-    def posterior_factory(datasets):
-        return PosteriorTarget(lambda Z: 0.5 * (grad(Z) * Z).sum(axis=1), grad)
-
-    return GenerativeModel(
-        name=f"gaussian-{d}d",
-        parameter_names=names,
-        prior_simulator=prior_simulator,
-        data_simulator=_fixed_dataset,
-        posterior_factory=posterior_factory,
-        quantities=tuple(coordinate(n) for n in names),
-        unconstraining_map=UnconstrainingMap(("identity",) * d),
-    )
+from sbc_test_models import make_gaussian_model
 
 
 @pytest.fixture
@@ -62,38 +16,3 @@ def correlated_gaussian_model():
     rho = 0.9
     cov = np.array([[1.0, rho], [rho, 1.0]])
     return make_gaussian_model(np.linalg.inv(cov))
-
-
-def make_flagged_model(cut: float) -> GenerativeModel:
-    """Normal-normal model whose density is undefined for datasets with y > cut.
-
-    x ~ N(0, 1) and y | x ~ N(x, 1).  For a dataset whose observation exceeds
-    ``cut`` the log density is -inf and the gradient NaN, so that dataset's
-    fit fails at its initial point (MCMC) or at its first gradient (VI) while
-    every other dataset is fitted as usual; ``cut = inf`` flags none.
-    """
-    names = ("x",)
-
-    def posterior_factory(datasets):
-        y = np.array([data.observations[0] for data in datasets])
-        flagged = y > cut
-
-        def logpdf(Z):
-            x = Z[:, 0]
-            return np.where(flagged, -np.inf, -0.5 * x * x - 0.5 * (y - x) ** 2)
-
-        def grad(Z):
-            x = Z[:, 0]
-            return np.where(flagged, np.nan, y - 2.0 * x)[:, np.newaxis]
-
-        return PosteriorTarget(logpdf, grad)
-
-    return GenerativeModel(
-        name="flagged-normal",
-        parameter_names=names,
-        prior_simulator=lambda rng: ParamVector(names, np.array([rng.normal()])),
-        data_simulator=lambda theta, rng: Dataset(theta.values + rng.normal(size=1)),
-        posterior_factory=posterior_factory,
-        quantities=(coordinate("x"),),
-        unconstraining_map=UnconstrainingMap(("identity",)),
-    )

@@ -1,12 +1,14 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 
 from sbc import models
 from sbc.cli import main
+from sbc.streams import RandomStream
 
-from conftest import make_flagged_model
+from sbc_test_models import make_flagged_model
 
 
 @pytest.fixture
@@ -115,6 +117,59 @@ def test_failure_rate_exit_3(tmp_path, capsys, monkeypatch):
         "master_seed": 1}))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 3
     assert "floor(0.01 * N) = 0 failures allowed at N=20" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, sampler", [
+    ({"kind": "eight-schools", "parameterization": "non-centered",
+      "sigma_j": [1e308, 10, 16, 11, 9, 11, 10, 18]}, "hmc"),
+    ({"kind": "normal-normal", "prior_sd": 1e-200}, "exact-conjugate"),
+    ({"kind": "lin-reg", "prior_sd_alpha": 1e200}, "hmc"),
+    ({"kind": "lin-reg", "noise_sd_prior_scale": 1e200}, "hmc"),
+])
+def test_scale_whose_square_overflows_or_underflows_exits_2(model, sampler, tmp_path, capsys):
+    config = tmp_path / "scale.json"
+    config.write_text(json.dumps({"model": model, "sampler": {"kind": sampler},
+                                  "N": 20, "L": 15, "master_seed": 1}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert "neither overflow" in capsys.readouterr().err
+
+
+@dataclasses.dataclass(frozen=True)
+class InfDataSpec:
+    cut: float
+
+
+def make_inf_data_model(cut):
+    """Normal-normal whose simulated observation reads inf where it exceeds ``cut``."""
+    base = models.model_from_dict({"kind": "normal-normal"})
+
+    def data_simulator(theta, rng):
+        y = base.data_simulator(theta, rng)
+        return np.where(y > cut, np.inf, y)
+
+    return dataclasses.replace(base, data_simulator=data_simulator)
+
+
+@pytest.mark.parametrize("sampler", ["exact-conjugate", "hmc"])
+def test_non_finite_data_fails_its_row(sampler, tmp_path, capsys, monkeypatch):
+    """A row with inf data fails alone (exit 0) and counts against the failure cap (exit 3)."""
+    monkeypatch.setitem(models.MODEL_KINDS, "inf-data",
+                        (InfDataSpec, lambda spec: make_inf_data_model(spec.cut)))
+    base = models.model_from_dict({"kind": "normal-normal"})
+    ys = [base.data_simulator(base.prior_simulator(RandomStream(1, i, "prior")),
+                              RandomStream(1, i, "data"))[0] for i in range(100)]
+    second, first = sorted(ys)[-2:]
+    config = tmp_path / "inf.json"
+    for cut, N, code in (((second + first) / 2, 100, 0), (0.0, 20, 3)):
+        config.write_text(json.dumps({
+            "model": {"kind": "inf-data", "cut": cut},
+            "sampler": {"kind": sampler, "warmup": 20}, "N": N, "L": 15, "master_seed": 1}))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == code
+    meta = json.loads((tmp_path / "o" / "meta.json").read_text())
+    reason = "NonFiniteInput: simulated observations must be finite"
+    assert meta["failures"] == [{"replication": int(np.argmax(ys)), "reason": reason}]
+    assert "first failure: NonFiniteInput: simulated observations must be finite" in (
+        capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("sampler", ["hmc", "rw-metropolis"])

@@ -14,7 +14,7 @@ from sbc.ess import (
     required_chain_length,
     thin_to,
 )
-from sbc.model import PosteriorDraws, coordinate
+from sbc.model import coordinate
 
 
 def ar1(phi: float, n: int, seed: int) -> np.ndarray:
@@ -161,31 +161,30 @@ class TestRequiredChainLength:
         assert required_chain_length(1000, 99, 70.0).length == math.ceil(1000 * 99 / 70)
 
 
-def _draws(values: np.ndarray) -> PosteriorDraws:
-    values = np.atleast_2d(values.T).T if values.ndim == 1 else values
-    return PosteriorDraws(
-        names=tuple(f"p{i}" for i in range(values.shape[1])),
-        values=values,
-        chain_length_raw=values.shape[0],
-    )
+# Column names of the (n, d) chains below, d <= 2.
+NAMES = ("p0", "p1")
+
+
+def _draws(values: np.ndarray) -> np.ndarray:
+    return np.atleast_2d(values.T).T if values.ndim == 1 else values
 
 
 class TestThinTo:
     def test_exact_stride(self):
         draws = _draws(np.arange(1000, dtype=float).reshape(-1, 1))
         thinned = thin_to(draws, 100)
-        np.testing.assert_array_equal(thinned.values[:, 0], np.arange(0, 1000, 10))
-        assert thinned.chain_length_raw == 1000
+        np.testing.assert_array_equal(thinned[:, 0], np.arange(0, 1000, 10))
+        assert len(thinned) == 100
 
     def test_identity_when_equal(self):
         draws = _draws(np.arange(100, dtype=float).reshape(-1, 1))
-        np.testing.assert_array_equal(thin_to(draws, 100).values, draws.values)
+        np.testing.assert_array_equal(thin_to(draws, 100), draws)
 
     def test_no_repeats_when_slightly_longer(self):
         draws = _draws(np.arange(105, dtype=float).reshape(-1, 1))
         thinned = thin_to(draws, 100)
         assert len(thinned) == 100
-        assert len(np.unique(thinned.values[:, 0])) == 100
+        assert len(np.unique(thinned[:, 0])) == 100
 
     def test_too_short(self):
         with pytest.raises(TooShort):
@@ -290,21 +289,21 @@ class TestEssByQuantity:
         draws = [_draws(np.column_stack([ar1(phi, 300, seed=i), rng.normal(size=300)]))
                  for i, phi in enumerate((0.2, 0.8, 0.95))]
         quantities = [coordinate("p1"), coordinate("p0")]
-        got = ess_by_quantity(draws, quantities)
+        got = ess_by_quantity(draws, quantities, NAMES)
         assert got.shape == (3, 2)
         for r, d in enumerate(draws):
             for j, col in enumerate((1, 0)):
-                assert got[r, j] == effective_sample_size(d.values[:, col])
+                assert got[r, j] == effective_sample_size(d[:, col])
 
     def test_unequal_lengths_raise(self):
         draws = [_draws(ar1(0.5, n, seed=n).reshape(-1, 1)) for n in (3, 5)]
         with pytest.raises(ValueError, match="equal lengths"):
-            ess_by_quantity(draws, [coordinate("p0")])
+            ess_by_quantity(draws, [coordinate("p0")], NAMES)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_short_chains_read_nan(self, n):
         draws = [_draws(np.arange(float(n)).reshape(-1, 1) * k) for k in (1, 2)]
-        assert np.isnan(ess_by_quantity(draws, [coordinate("p0")])).all()
+        assert np.isnan(ess_by_quantity(draws, [coordinate("p0")], NAMES)).all()
 
 
 class TestMinEssAcrossQuantities:
@@ -312,21 +311,22 @@ class TestMinEssAcrossQuantities:
         x = ar1(0.5, 20_000, seed=9)
         draws = _draws(x.reshape(-1, 1))
         direct = effective_sample_size(x)
-        assert min_ess(ess_by_quantity([draws], [coordinate("p0")])[0]) == pytest.approx(direct)
+        ess = ess_by_quantity([draws], [coordinate("p0")], NAMES)[0]
+        assert min_ess(ess) == pytest.approx(direct)
 
     def test_minimum_dominated_by_slow_quantity(self):
         n = 50_000
         iid = np.random.default_rng(10).normal(size=n)
         slow = ar1(0.9, n, seed=11)
         draws = _draws(np.column_stack([iid, slow]))
-        got = min_ess(ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")])[0])
+        got = min_ess(ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")], NAMES)[0])
         assert got == pytest.approx(effective_sample_size(slow))
 
     def test_constant_quantity_excluded(self):
         for n, c in [(5000, 1.0), (99, 0.1), (99, 0.3), (99, 1e-3), (990, 3.3)]:
             varying = ar1(0.5, n, seed=12)
             draws = _draws(np.column_stack([varying, np.full(n, c)]))
-            ess = ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")])[0]
+            ess = ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")], NAMES)[0]
             assert np.isnan(ess[1])
             assert min_ess(ess) == ess[0] == effective_sample_size(varying)
 
@@ -335,11 +335,11 @@ class TestMinEssAcrossQuantities:
         AR(1) quantity's effective size, not by 1."""
         varying = ar1(0.9, 99, seed=13)
         draws = _draws(np.column_stack([np.full(99, 0.1), varying]))
-        ess = min_ess(ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")])[0])
+        ess = min_ess(ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")], NAMES)[0])
         assert ess == effective_sample_sizes(varying[None])[0]
         assert required_chain_length(99, 99, ess) == (math.ceil(99 * 99 / ess), False)
 
     def test_all_constant_raises(self):
         draws = _draws(np.ones((100, 1)))
         with pytest.raises(AllConstant):
-            min_ess(ess_by_quantity([draws], [coordinate("p0")])[0])
+            min_ess(ess_by_quantity([draws], [coordinate("p0")], NAMES)[0])

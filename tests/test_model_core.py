@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,10 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from sbc.errors import NonFiniteParameter, UnknownParameter
+from sbc.errors import UnknownParameter
 from sbc.model import (
-    Dataset,
-    ParamVector,
     Quantity,
     UnconstrainingMap,
     coordinate,
@@ -26,6 +25,7 @@ from sbc.models import (
     make_lin_reg,
     make_normal_normal,
 )
+from sbc.runner import _Row, _simulate
 from sbc.samplers import sample_rw_metropolis
 from sbc.streams import RandomStream
 
@@ -37,67 +37,76 @@ ALL_MODELS = [
 ]
 
 
+def simulate_block(model, seed, n):
+    """Replications 0..n-1's live rows, stacked priors and observations, and all rows."""
+    rows = [_Row(i, 1, 1) for i in range(n)]
+    return (*_simulate(model, seed, rows), rows)
+
+
+def with_prior(model, change):
+    """``model`` with each prior draw passed through ``change``."""
+    return dataclasses.replace(
+        model, prior_simulator=lambda rng: change(model.prior_simulator(rng)))
+
+
 class TestParamVector:
+    """A parameter vector is a (d,) float array, ordered as the model's parameter names."""
+
     def test_basic_access(self):
-        theta = ParamVector(("mu", "sigma"), np.array([1.05, 2.0]))
-        assert theta.values[theta.names.index("sigma")] == 2.0
-        assert theta.values.shape == (2,)
+        model = make_lin_reg(LinRegSpec())
+        theta = model.prior_simulator(RandomStream(9, 0, "prior"))
+        assert theta.shape == (3,) and theta.dtype == np.float64
+        assert theta[model.parameter_names.index("sigma")] > 0
 
     def test_unknown_name(self):
-        theta = ParamVector(("mu",), np.array([1.05]))
         with pytest.raises(UnknownParameter):
-            at_point(coordinate("sigma"), theta)
+            at_point(coordinate("sigma"), np.array([1.05]), ("mu",))
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteParameter):
-            ParamVector(("mu",), np.array([np.nan]))
-
-    def test_duplicate_names_rejected(self):
-        with pytest.raises(ValueError):
-            ParamVector(("a", "a"), np.array([1.0, 2.0]))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            ParamVector((), np.array([]))
-
-    def test_values_immutable(self):
-        theta = ParamVector(("mu",), np.array([1.0]))
-        with pytest.raises(ValueError):
-            theta.values[0] = 2.0
+        """A block's non-finite prior draw fails its row alone, naming the values."""
+        model = with_prior(make_normal_normal(NormalNormalSpec()),
+                           lambda theta: np.where(theta > 0.5, np.nan, theta))
+        live, priors, _, rows = simulate_block(model, 5, 40)
+        drawn = [model.prior_simulator(RandomStream(5, i, "prior"))[0] for i in range(40)]
+        assert [row.i for row in live] == [i for i in range(40) if not np.isnan(drawn[i])]
+        for row in rows:
+            if row not in live:
+                assert row.failure == "NonFiniteParameter: non-finite parameter values: [nan]"
+        np.testing.assert_array_equal(priors[:, 0], [drawn[row.i] for row in live])
 
 
-def at_point(q: Quantity, theta: ParamVector) -> float:
+def at_point(q: Quantity, values: np.ndarray, names: tuple[str, ...]) -> float:
     """A quantity at one parameter vector: its evaluator on a 1-row matrix."""
-    out = q.batch_evaluator(theta.values[np.newaxis], theta.names)
+    out = q.batch_evaluator(values[np.newaxis], names)
     assert out.shape == (1,)
     return float(out[0])
 
 
 class TestQuantity:
     def test_coordinate_projection(self):
-        assert at_point(coordinate("mu"), ParamVector(("mu",), np.array([1.05]))) == 1.05
+        assert at_point(coordinate("mu"), np.array([1.05]), ("mu",)) == 1.05
 
     def test_log_quantity(self):
         q = Quantity("log_tau", lambda v, names: np.log(v[:, names.index("tau")]))
-        theta = ParamVector(("tau",), np.array([1.0]))
-        assert at_point(q, theta) == 0.0
+        assert at_point(q, np.array([1.0]), ("tau",)) == 0.0
 
     def test_eight_schools_projection(self):
         model = make_eight_schools(EightSchoolsSpec())
         theta = model.prior_simulator(RandomStream(1, 0, "prior"))
         (q,) = [q for q in model.quantities if q.name == "theta[1]"]
-        assert at_point(q, theta) == theta.values[theta.names.index("theta[1]")]
+        names = model.parameter_names
+        assert at_point(q, theta, names) == theta[names.index("theta[1]")]
 
     def test_batch_evaluator_agrees_with_scalar(self):
         """Over n draws, each value equals the quantity at that single draw."""
         model = make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))
         theta = model.prior_simulator(RandomStream(2, 0, "prior"))
         data = model.data_simulator(theta, RandomStream(2, 0, "data"))
-        (draws,) = sample_rw_metropolis(model, [data], 50, 0.5, 20,
+        (draws,) = sample_rw_metropolis(model, data[np.newaxis], 50, 0.5, 20,
                                         [RandomStream(2, 0, "chain")]).rows
         for q in model.quantities:
-            batch = q.batch_evaluator(draws.values, draws.names)
-            scalar = [at_point(q, ParamVector(draws.names, row)) for row in draws.values]
+            batch = q.batch_evaluator(draws, model.parameter_names)
+            scalar = [at_point(q, row, model.parameter_names) for row in draws]
             np.testing.assert_array_equal(batch, scalar)
 
 
@@ -132,26 +141,44 @@ def test_gradient_matches_finite_differences(model, seed):
     """Central differences on the unconstrained scale, at a prior draw and its dataset."""
     theta = model.prior_simulator(RandomStream(seed, 0, "prior"))
     data = model.data_simulator(theta, RandomStream(seed, 0, "data"))
-    target = posterior_target(model, [data])
-    z = model.unconstraining_map.unconstrain(theta.values)
+    target = posterior_target(model, data[np.newaxis])
+    z = model.unconstraining_map.unconstrain(theta)
     fd = finite_difference(lambda point: target.logpdf(point[np.newaxis])[0], z)
     np.testing.assert_allclose(target.grad(z[np.newaxis])[0], fd, rtol=1e-5, atol=1e-5)
+
+
+def models_with_n_obs(n_obs):
+    """The built-in models with n_obs observations per dataset (eight schools has 8)."""
+    return [make_normal_normal(NormalNormalSpec(n_obs=n_obs)), make_lin_reg(LinRegSpec(n_obs)),
+            *ALL_MODELS[2:]]
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.name)
 def test_batched_rows_do_not_depend_on_the_batch(model):
     """Row r of a batch equals the same point and dataset evaluated alone, bit for bit."""
+    assert_rows_match_single_rows(model)
+
+
+@pytest.mark.parametrize("n_obs", [1, 25, 129])
+@pytest.mark.parametrize("k", range(len(ALL_MODELS)), ids=[m.name for m in ALL_MODELS])
+def test_batched_rows_at_each_n_obs(k, n_obs):
+    """The same with 1, 25 and 129 observations per dataset (row sums of an (R, n) block
+    equal those of each row alone)."""
+    assert_rows_match_single_rows(models_with_n_obs(n_obs)[k])
+
+
+def assert_rows_match_single_rows(model):
     rng = np.random.default_rng(11)
     thetas = [model.prior_simulator(RandomStream(300, i, "prior")) for i in range(9)]
-    datasets = [model.data_simulator(theta, RandomStream(300, i, "data"))
-                for i, theta in enumerate(thetas)]
-    Z = np.array([model.unconstraining_map.unconstrain(theta.values) for theta in thetas])
+    observations = np.array([model.data_simulator(theta, RandomStream(300, i, "data"))
+                             for i, theta in enumerate(thetas)])
+    Z = np.array([model.unconstraining_map.unconstrain(theta) for theta in thetas])
     Z += rng.normal(0, 0.3, size=Z.shape)
-    target = posterior_target(model, datasets)
+    target = posterior_target(model, observations)
     logp, grad = target.logpdf(Z), target.grad(Z)
     assert logp.shape == (9,) and grad.shape == Z.shape
     for part in [slice(i, i + 1) for i in range(9)] + [slice(2, 7)]:
-        alone = posterior_target(model, datasets[part])
+        alone = posterior_target(model, observations[part])
         np.testing.assert_array_equal(alone.logpdf(Z[part]), logp[part])
         np.testing.assert_array_equal(alone.grad(Z[part]), grad[part])
 
@@ -159,7 +186,7 @@ def test_batched_rows_do_not_depend_on_the_batch(model):
 def _reference_normal_normal(data, z):
     spec = NormalNormalSpec()
     return (stats.norm.logpdf(z[0], spec.prior_mean, spec.prior_sd)
-            + stats.norm.logpdf(data.observations, z[0], spec.likelihood_sd).sum())
+            + stats.norm.logpdf(data, z[0], spec.likelihood_sd).sum())
 
 
 def _reference_lin_reg(data, z):
@@ -170,7 +197,7 @@ def _reference_lin_reg(data, z):
     return (stats.norm.logpdf(alpha, 0.0, spec.prior_sd_alpha)
             + stats.norm.logpdf(beta, 0.0, spec.prior_sd_beta)
             + stats.halfnorm.logpdf(sigma, scale=spec.noise_sd_prior_scale)
-            + stats.norm.logpdf(data.observations, mean, sigma).sum()
+            + stats.norm.logpdf(data, mean, sigma).sum()
             + u)
 
 
@@ -187,7 +214,7 @@ def _reference_eight_schools(centered):
         return (stats.norm.logpdf(mu, 0.0, EIGHT_SCHOOLS_MU_SD)
                 + stats.halfnorm.logpdf(tau, scale=EIGHT_SCHOOLS_TAU_SD)
                 + effects_lp
-                + stats.norm.logpdf(data.observations, means, EIGHT_SCHOOLS_SIGMA).sum()
+                + stats.norm.logpdf(data, means, EIGHT_SCHOOLS_SIGMA).sum()
                 + w)
 
     return reference
@@ -211,8 +238,8 @@ def test_density_differences_match_scipy_reference(model):
     for k in range(20):
         theta = model.prior_simulator(RandomStream(200 + k, 0, "prior"))
         data = model.data_simulator(theta, RandomStream(200 + k, 0, "data"))
-        target = posterior_target(model, [data, data])
-        z1 = model.unconstraining_map.unconstrain(theta.values)
+        target = posterior_target(model, np.array([data, data]))
+        z1 = model.unconstraining_map.unconstrain(theta)
         z2 = z1 + rng.normal(0, 0.3, size=z1.size)
         lp1, lp2 = target.logpdf(np.array([z1, z2]))
         np.testing.assert_allclose(lp1 - lp2,
@@ -225,30 +252,55 @@ class TestDrawReproducibility:
     def test_prior_and_data_bit_identical(self, model):
         t1 = model.prior_simulator(RandomStream(5, 3, "prior"))
         t2 = model.prior_simulator(RandomStream(5, 3, "prior"))
-        np.testing.assert_array_equal(t1.values, t2.values)
+        np.testing.assert_array_equal(t1, t2)
         d1 = model.data_simulator(t1, RandomStream(5, 3, "data"))
         d2 = model.data_simulator(t2, RandomStream(5, 3, "data"))
-        np.testing.assert_array_equal(d1.observations, d2.observations)
+        np.testing.assert_array_equal(d1, d2)
+        # A block draws each row's prior and data as that row alone would.
+        _, priors, observations, _ = simulate_block(model, 5, 4)
+        np.testing.assert_array_equal(priors[3], t1)
+        np.testing.assert_array_equal(observations[3], d1)
 
     def test_data_requires_finite_theta(self):
-        # A non-finite theta cannot be built, and data simulated from one forced
-        # past that check is rejected in turn.
-        with pytest.raises(NonFiniteParameter):
-            ParamVector(("mu",), np.array([np.inf]))
-        model = make_normal_normal(NormalNormalSpec())
-        theta = ParamVector(("mu",), np.array([0.0]))
-        object.__setattr__(theta, "values", np.array([np.inf]))
-        with pytest.raises(ValueError, match="observations must be finite"):
-            model.data_simulator(theta, RandomStream(1, 0, "data"))
+        """A row whose prior draw is not finite fails before its data are simulated."""
+        base = make_normal_normal(NormalNormalSpec())
+        simulated = []
+
+        def data_simulator(theta, rng):
+            simulated.append(theta.copy())
+            return base.data_simulator(theta, rng)
+
+        model = dataclasses.replace(with_prior(base, lambda t: np.where(t > 0.5, np.inf, t)),
+                                    data_simulator=data_simulator)
+        live, priors, observations, rows = simulate_block(model, 1, 30)
+        failed = [row for row in rows if row.failure is not None]
+        assert failed and all(row.failure.startswith("NonFiniteParameter") for row in failed)
+        assert len(simulated) == len(live) and np.isfinite(simulated).all()
+        assert observations.shape == (len(live), 1)
 
 
 class TestDataset:
+    """A dataset is an (n,) observation vector; a block stacks them as (R, n)."""
+
     def test_observation_count(self):
         model = make_lin_reg(LinRegSpec(n_obs=25))
         theta = model.prior_simulator(RandomStream(9, 0, "prior"))
         data = model.data_simulator(theta, RandomStream(9, 0, "data"))
-        assert data.n_obs == 25
+        assert data.shape == (25,)
+        assert simulate_block(model, 9, 3)[2].shape == (3, 25)
 
     def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            Dataset(np.array([1.0, np.inf]))
+        """A block's non-finite simulated dataset fails its row alone."""
+        base = make_lin_reg(LinRegSpec(n_obs=4))
+        model = dataclasses.replace(
+            base, data_simulator=lambda theta, rng: np.where(
+                theta[1] > 5.0, np.inf, base.data_simulator(theta, rng)))
+        live, priors, observations, rows = simulate_block(model, 2, 50)
+        betas = [base.prior_simulator(RandomStream(2, i, "prior"))[1] for i in range(50)]
+        assert [row.i for row in live] == [i for i in range(50) if betas[i] <= 5.0] != []
+        assert {row.failure for row in rows if row not in live} == {
+            "NonFiniteInput: simulated observations must be finite"}
+        assert np.isfinite(observations).all() and observations.shape == (len(live), 4)
+        for row in live:
+            np.testing.assert_array_equal(priors[row.k], base.prior_simulator(
+                RandomStream(2, row.i, "prior")))

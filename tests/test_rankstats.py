@@ -398,14 +398,12 @@ def test_theorem1_rank_uniformity_statistical():
     L = 9
     N = 10_000
     seed = 20260810
-    counts = np.zeros(L + 1, dtype=int)
-    mu_q = model.quantities[0]
-    for i in range(N):
-        theta = model.prior_simulator(RandomStream(seed, i, "prior"))
-        data = model.data_simulator(theta, RandomStream(seed, i, "data"))
-        draws = sample_exact_conjugate(model, data, L, RandomStream(seed, i, "chain"))
-        rank = rank_statistic(draws.values[:, 0], theta.values[0])
-        counts[rank] += 1
+    priors = np.array([model.prior_simulator(RandomStream(seed, i, "prior")) for i in range(N)])
+    observations = np.array([model.data_simulator(theta, RandomStream(seed, i, "data"))
+                             for i, theta in enumerate(priors)])
+    draws = sample_exact_conjugate(model, observations, L,
+                                   [RandomStream(seed, i, "chain") for i in range(N)])
+    counts = np.bincount(rank_statistic(draws[:, :, 0], priors[:, 0]), minlength=L + 1)
     stat, dof = chi_square_uniformity(counts)
     assert dof == 9
     assert stat < CHI2_999_DOF9

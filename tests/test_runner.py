@@ -34,7 +34,7 @@ from sbc.models import model_from_dict
 from sbc.samplers import Corruption, SamplerConfig, sample_exact_conjugate
 from sbc.streams import RandomStream
 
-from conftest import make_flagged_model
+from sbc_test_models import make_flagged_model
 
 
 def exact_config(N=100, L=19, seed=7, **kwargs):
@@ -448,7 +448,7 @@ def observations(config):
     seed = config.master_seed
     return np.array([
         model.data_simulator(model.prior_simulator(RandomStream(seed, i, "prior")),
-                             RandomStream(seed, i, "data")).observations[0]
+                             RandomStream(seed, i, "data"))[0]
         for i in range(config.N)])
 
 
@@ -462,7 +462,7 @@ def expected_reason(config, i):
     if config.sampler.kind == "meanfield-vi":
         return "Diverged: non-finite ELBO gradient at iteration 0"
     model = make_flagged_model(math.inf)
-    z0 = model.prior_simulator(RandomStream(config.master_seed, i, "chain")).values
+    z0 = model.prior_simulator(RandomStream(config.master_seed, i, "chain"))
     return f"NonFiniteDensity: non-finite log density at initial point {z0}"
 
 
@@ -502,6 +502,51 @@ class TestRowFailures:
             f"allowed at N={N}; first failure: {expected_reason(config, first)}")
 
 
+def inf_data_model(cut):
+    """Normal-normal whose simulated observation reads inf where it exceeds ``cut``."""
+    model = model_from_dict({"kind": "normal-normal"})
+
+    def data_simulator(theta, rng):
+        y = model.data_simulator(theta, rng)
+        return np.where(y > cut, np.inf, y)
+
+    return dataclasses.replace(model, data_simulator=data_simulator)
+
+
+class TestNonFiniteData:
+    """A replication whose simulated data are not finite fails alone and counts against the cap."""
+
+    @pytest.mark.parametrize("kind", ["exact-conjugate", "hmc"])
+    @pytest.mark.parametrize("block", [7, 128])
+    def test_row_with_inf_data_fails_alone(self, monkeypatch, kind, block):
+        monkeypatch.setattr(runner, "BLOCK_SIZE", block)
+        config = RunConfig(sampler=SamplerConfig(kind=kind, warmup=50), N=100, L=19,
+                           master_seed=84)
+        ys = observations(config)  # the flagged model draws normal-normal's prior and data
+        bad = int(np.argmax(ys))
+        runs = {}
+        for cut in (cut_above(ys, 1), math.inf):
+            monkeypatch.setattr(runner, "model_from_dict", lambda d, cut=cut: inf_data_model(cut))
+            runs[cut] = run(config)
+        flagged, clean = runs.values()
+        reason = "NonFiniteInput: simulated observations must be finite"
+        assert flagged.failures == ({"replication": bad, "reason": reason},)
+        assert clean.failures == ()
+        kept = clean.replications != bad
+        np.testing.assert_array_equal(flagged.replications, clean.replications[kept])
+        np.testing.assert_array_equal(flagged.ranks, clean.ranks[kept])
+        assert flagged.diagnostics == tuple(
+            d for d in clean.diagnostics if d["replication"] != bad)
+
+    def test_failure_cap_counts_inf_data(self, monkeypatch):
+        config = exact_config(N=100, L=19, seed=85)
+        ys = observations(config)
+        monkeypatch.setattr(runner, "model_from_dict",
+                            lambda d: inf_data_model(cut_above(ys, 2)))
+        with pytest.raises(FailureRateExceeded, match="2 replications failed.*NonFiniteInput"):
+            run(config)
+
+
 def capped_normal_model(cut):
     """Exact normal-normal with a second quantity, mu where mu <= cut and inf above it."""
     model = model_from_dict({"kind": "normal-normal"})
@@ -520,9 +565,9 @@ class TestNonFiniteQuantity:
         for i in range(config.N):
             theta = model.prior_simulator(RandomStream(config.master_seed, i, "prior"))
             data = model.data_simulator(theta, RandomStream(config.master_seed, i, "data"))
-            draws = sample_exact_conjugate(model, data, config.L,
-                                           RandomStream(config.master_seed, i, "chain"))
-            peaks.append(max(theta.values[0], draws.values.max()))
+            draws = sample_exact_conjugate(model, data[np.newaxis], config.L,
+                                           [RandomStream(config.master_seed, i, "chain")])
+            peaks.append(max(theta[0], draws.max()))
         bad = int(np.argmax(peaks))
         runs = {}
         for cut in (cut_above(np.array(peaks), 1), math.inf):
