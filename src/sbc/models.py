@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import InvalidSpec

@@ -152,8 +152,8 @@ def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int
     It draws its initial point from the prior, then a (steps, d) block of
     standard normals, then ``steps`` uniforms, all from its own stream; past
     its last step it is padded with zero noise and uniforms of 1, which
-    reject every move.  A row whose initial density is non-finite, at a
-    non-finite initial point too, fails alone (:class:`NonFiniteDensity`).
+    reject every move.  A row whose initial point or initial density is
+    non-finite fails alone (:class:`NonFiniteDensity`).
     Returns (target, z, logp, noise, unifs, lengths, failures) over the R'
     fittable rows: noise (warmup + n_steps, R', d), uniforms
     (warmup + n_steps, R'), their lengths (R',), and a map from each failed
