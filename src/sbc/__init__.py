@@ -32,6 +32,7 @@ from .model import (
     Quantity,
     UnconstrainingMap,
     coordinate,
+    evaluate,
     posterior_target,
 )
 from .models import (
@@ -76,7 +77,6 @@ from .runner import (
 from .samplers import (
     Corruption,
     DrawBlock,
-    GaussianApprox,
     SamplerConfig,
     corrupt,
     fit_meanfield_vi,

@@ -1,7 +1,8 @@
 """Command-line interface.
 
-Exit codes: 0 success, 2 configuration error, 3 run aborted because too many
-replications failed, 4 report error.
+Exit codes: 0 success, 2 configuration error (including an output directory
+that cannot be created), 3 run aborted because too many replications failed,
+4 report error.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import dataclasses
 import json
 import os
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, FailureRateExceeded, SbcError
 from .models import MODEL_KINDS
@@ -90,6 +92,12 @@ def _cmd_run(args) -> int:
         )
     except (ConfigError, SbcError, ValueError) as exc:
         print(f"sbc: config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+
+    try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"sbc: cannot create output directory: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
     try:

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config number checks that raise them."""
+
+import math
 
 
 class SbcError(Exception):
@@ -67,3 +69,18 @@ class ConfigError(SbcError):
 
 class InvalidArtifact(SbcError):
     """A persisted artifact's rank table is malformed or inconsistent with its config."""
+
+
+def require_integers(error: type[SbcError], owner: str, **fields) -> None:
+    """Raise ``error`` unless every field is an int; a bool is not one."""
+    for name, value in fields.items():
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise error(f"{owner}.{name} must be an integer, got {value!r}")
+
+
+def require_finite(error: type[SbcError], owner: str, **fields) -> None:
+    """Raise ``error`` unless every field is a finite int or float; a bool is not one."""
+    for name, value in fields.items():
+        if (not isinstance(value, (int, float)) or isinstance(value, bool)
+                or not math.isfinite(value)):
+            raise error(f"{owner}.{name} must be a finite number, got {value!r}")

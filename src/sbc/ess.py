@@ -7,21 +7,23 @@ near-independent states before ranking: estimate the effective size, rerun
 longer if it falls short, then keep a uniform-stride subset.
 
 Effective sizes are estimated for many chains at once: ``ess_by_quantity``
-evaluates each quantity on every chain of a group of equal-length chains,
-and ``effective_sample_sizes``, the one estimator, transforms and truncates
-all their series as one (rows, n) array.  A row has an estimate exactly when
-it is not constant and its lag-0 autocovariance is finite and positive;
-every other row, and every row of a chain shorter than 4 draws, reads NaN.
+evaluates each quantity on an (R, n, d) block of equal-length chains in one
+call (:func:`sbc.model.evaluate`), and ``effective_sample_sizes``, the one
+estimator, transforms and truncates all its series as one (R, n) array.  A
+row has an estimate exactly when it is not constant and its lag-0
+autocovariance is finite and positive; every other row, and every row of a
+chain shorter than 4 draws, reads NaN.
 """
 
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import AllConstant, TooShort
+from .model import evaluate
 
 # Effective size may legitimately exceed the chain length for antithetic
 # chains; allow up to this factor before clamping.
@@ -68,7 +70,11 @@ def effective_sample_sizes(series) -> np.ndarray:
     is not finite and positive (its mean or its squared deviations overflow,
     or its variance underflows to zero), and every row of a block shorter
     than 4 draws has no estimate and reads NaN.  Each row's value depends on
-    that row alone, not on the block's size.
+    that row alone, not on the block's size, as long as the rows are
+    row-major: a C-ordered array, or a strided view whose rows run along its
+    last axis, such as a quantity's values on an (R, n, d) block
+    (:func:`sbc.model.evaluate`).  An F-ordered block changes the order in
+    which each row's mean is summed, and so its bits.
     """
     series = np.asarray(series, dtype=np.float64)
     R, n = series.shape
@@ -114,24 +120,18 @@ def _truncated_ess(rho: np.ndarray, n: int) -> np.ndarray:
     return ess
 
 
-def ess_by_quantity(draws: Sequence[np.ndarray], quantities, names) -> np.ndarray:
-    """Effective sample sizes of R equal-length chains: an (R, Q) array.
+def ess_by_quantity(draws: np.ndarray, quantities, names) -> np.ndarray:
+    """Effective sample sizes of the R chains of an (R, n, d) block: an (R, Q) array.
 
-    Row r, column j is the effective size of ``quantities[j]`` over the
-    (n, d) chain ``draws[r]``, whose columns ``names`` names.  Each quantity
-    is evaluated chain by chain and its R series are estimated together
+    Row r, column j is the effective size of ``quantities[j]`` over the chain
+    ``draws[r]``, whose columns ``names`` names.  Each quantity is evaluated
+    on the whole block at once and its R series are estimated together
     (:func:`effective_sample_sizes`), so a constant or degenerate series, or
-    a chain shorter than 4 draws, reads NaN.  Raises ValueError if the chains
-    differ in length.
+    a chain shorter than 4 draws, reads NaN.
     """
-    lengths = {len(d) for d in draws}
-    if len(lengths) > 1:
-        raise ValueError(f"chains must have equal lengths, got {sorted(lengths)}")
-    out = np.full((len(draws), len(quantities)), np.nan)
+    out = np.empty((len(draws), len(quantities)))
     for j, q in enumerate(quantities):
-        series = np.stack([np.asarray(q.batch_evaluator(d, names), dtype=np.float64)
-                           for d in draws])
-        out[:, j] = effective_sample_sizes(series)
+        out[:, j] = effective_sample_sizes(evaluate(q, draws, names))
     return out
 
 

@@ -6,8 +6,9 @@ arrays: a (d,) parameter vector on the constrained scale and an (n,)
 observation vector.  A runner stacks a block of R replications' draws as
 (R, d) and (R, n) arrays and checks them once; densities and the exact
 posterior take the (R, n) observations.  Scalar quantities of interest map
-parameter vectors to the real line; they are what the rank statistics are
-computed on.
+parameter vectors to the real line; they are what the rank statistics and
+the effective sample sizes are computed on, and one function,
+:func:`evaluate`, applies a quantity to any (..., d) array for both.
 
 Samplers never see constrained parameters: every model carries an
 unconstraining map (elementwise identity or log), and its density is written
@@ -34,12 +35,21 @@ class Quantity:
     """A scalar function of the parameters used as an SBC test statistic.
 
     ``batch_evaluator`` maps an (n, d) matrix of draws, whose columns are
-    named by its second argument, to an n-vector.  A single parameter vector
-    is evaluated as a 1-row matrix.
+    named by its second argument, to an n-vector.  It is called only through
+    :func:`evaluate`, which gives it any (..., d) array as one matrix.
     """
 
     name: str
     batch_evaluator: Callable[[np.ndarray, tuple[str, ...]], np.ndarray]
+
+
+def evaluate(quantity: Quantity, values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """``quantity`` at each parameter vector of a (..., d) array whose columns ``names``
+    names: one ``batch_evaluator`` call on the array as a (-1, d) matrix (a view where its
+    layout allows), reshaped to a float64 array of shape (...)."""
+    matrix = values.reshape(-1, values.shape[-1])
+    return np.asarray(quantity.batch_evaluator(matrix, names),
+                      dtype=np.float64).reshape(values.shape[:-1])
 
 
 def coordinate(name: str) -> Quantity:
@@ -75,9 +85,11 @@ class UnconstrainingMap:
         return z
 
     def constrain_matrix(self, Z: np.ndarray) -> np.ndarray:
-        V = np.array(Z, dtype=np.float64)
-        V[:, self._log_mask] = np.exp(V[:, self._log_mask])
-        return V
+        """Map a float64 (..., d) array of unconstrained points to the constrained scale in
+        place, one log column at a time; returns it."""
+        for j in np.flatnonzero(self._log_mask).tolist():
+            np.exp(Z[..., j], out=Z[..., j])
+        return Z
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec
+from .errors import InvalidSpec, require_finite, require_integers
 from .model import (
     GenerativeModel,
     PosteriorTarget,
@@ -67,6 +67,8 @@ class NormalNormalSpec:
     n_obs: int = 1
 
     def __post_init__(self):
+        require_integers(InvalidSpec, "NormalNormalSpec", n_obs=self.n_obs)
+        require_finite(InvalidSpec, "NormalNormalSpec", prior_mean=self.prior_mean)
         _require_positive("NormalNormalSpec", prior_sd=self.prior_sd,
                           likelihood_sd=self.likelihood_sd)
         if self.n_obs < 1:
@@ -135,6 +137,7 @@ class LinRegSpec:
     gen_prior_sd_beta: float | None = None
 
     def __post_init__(self):
+        require_integers(InvalidSpec, "LinRegSpec", n_obs=self.n_obs)
         if self.n_obs < 1:
             raise InvalidSpec("LinRegSpec.n_obs must be >= 1")
         _require_positive("LinRegSpec", prior_sd_alpha=self.prior_sd_alpha,
@@ -149,8 +152,11 @@ class LinRegSpec:
             object.__setattr__(self, "covariates", tuple(float(v) for v in self.covariates))
         if len(self.covariates) != self.n_obs:
             raise InvalidSpec("LinRegSpec.covariates length must equal n_obs")
-        if not all(math.isfinite(v) for v in self.covariates):
-            raise InvalidSpec("LinRegSpec.covariates must be finite")
+        x = np.asarray(self.covariates)
+        with np.errstate(over="ignore"):
+            if not math.isfinite(np.sum(x * x)):  # bounds sum(x) too
+                raise InvalidSpec("LinRegSpec.covariates must be finite, with a finite sum "
+                                  "of squares")
 
 
 def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
@@ -229,6 +235,7 @@ class EightSchoolsSpec:
     parameterization: str = "centered"
 
     def __post_init__(self):
+        require_integers(InvalidSpec, "EightSchoolsSpec", J=self.J)
         if self.J != 8:
             raise InvalidSpec("EightSchoolsSpec.J must be 8")
         object.__setattr__(self, "sigma_j", tuple(float(v) for v in self.sigma_j))

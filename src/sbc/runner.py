@@ -7,12 +7,13 @@ independent, so they run in blocks, as arrays from simulation to rank: a
 block derives each purpose's random streams for all its rows in one pass,
 stacks its rows' priors as an (R, d) array and their data as (R, n), checks
 each once, fits all its datasets in one sampler call (the exact sampler and
-the lockstep MCMC and VI samplers alike), estimates every MCMC chain's
-effective sample sizes in one call per group of equal-length chains (the
-whole block with thinning off or in Algorithm 2's first pass, each rerun
-length after it), and ranks each quantity in one pass over the block's
-(R, L, d) draws.  Every random stream is derived
-from (master_seed, replication index, purpose tag), and the batched
+the lockstep MCMC and VI samplers alike, each returning one (R, n, d) array
+of draws), estimates MCMC chains' effective sample sizes from that array in
+one call per run of equal-length chains (the whole block with thinning off
+or in Algorithm 2's first pass, each rerun length after it), and ranks each
+quantity in one pass over the block's (R, L, d) draws.  Quantities are
+evaluated one way for both, by :func:`sbc.model.evaluate`.  Every random
+stream is derived from (master_seed, replication index, purpose tag), and the batched
 densities and quantities keep each row's arithmetic within its row, so
 results are bit-identical for any block size and any number of workers.
 """
@@ -28,7 +29,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, groupby
 from pathlib import Path
 from typing import Iterator
 
@@ -44,9 +45,10 @@ from .errors import (
     NonFiniteParameter,
     SbcError,
     UnknownQuantity,
+    require_integers,
 )
 from .ess import ess_by_quantity, min_ess, required_chain_length, thin_to
-from .model import GenerativeModel, Quantity
+from .model import GenerativeModel, Quantity, evaluate
 from .models import model_from_dict
 from .rankstats import rank_statistic
 from .samplers import (
@@ -93,6 +95,9 @@ class RunConfig:
         # Canonicalize the model mapping through JSON so that save/load
         # round-trips compare equal (tuples become lists, keys become str).
         object.__setattr__(self, "model", json.loads(json.dumps(self.model)))
+        require_integers(ConfigError, "RunConfig", N=self.N, L=self.L,
+                         master_seed=self.master_seed, max_chain_length=self.max_chain_length,
+                         worker_count_hint=self.worker_count_hint)
         if self.N < 1 or self.L < 1:
             raise ConfigError("N and L must be >= 1")
         if self.thinning not in ("off", "algorithm-2"):
@@ -301,13 +306,16 @@ def _simulate(model: GenerativeModel, seed: int,
     return live, priors[[row.failure is None for row in rows]], observations
 
 
-def _fit(model: GenerativeModel, config: RunConfig, rows: list[_Row], observations: np.ndarray,
-         tag: str) -> None:
+def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, ...],
+         rows: list[_Row], observations: np.ndarray, tag: str) -> None:
     """Fit each row's dataset for ``row.length`` draws; sets ``row.draws`` or fails the row.
 
     Rows are fitted with the MCMC or VI sampler in lockstep, longest first,
     in groups whose noise array holds at most BLOCK_FLOATS values; the rows
-    of a group may differ in length.  An MCMC fit's health goes to ``row.diag``.
+    of a group may differ in length.  A row's draws are a view of its
+    group's (R, n, d) block, and an MCMC fit's health goes to ``row.diag``
+    and its ESS is estimated from the block, one :func:`ess_by_quantity` call
+    per run of equal-length rows.
     """
     if not rows:
         return
@@ -324,51 +332,41 @@ def _fit(model: GenerativeModel, config: RunConfig, rows: list[_Row], observatio
         data = observations[[row.k for row in group]]
         lengths, group_rngs = [row.length for row in group], rngs[start:stop]
         if cfg.kind == "meanfield-vi":
-            approxes = fit_meanfield_vi(model, data, cfg.vi_iterations, cfg.vi_learning_rate,
-                                        vi_rngs[start:stop])
-            fitted = [a if isinstance(a, SbcError) else a.sample(n, rng)
-                      for a, n, rng in zip(approxes, lengths, group_rngs)]
-            health = [{}] * len(group)
+            block = fit_meanfield_vi(model, data, cfg.vi_iterations, cfg.vi_learning_rate,
+                                     vi_rngs[start:stop], n_steps, group_rngs)
+        elif cfg.kind == "rw-metropolis":
+            block = sample_rw_metropolis(model, data, n_steps, cfg.step_size, cfg.warmup,
+                                         group_rngs, lengths)
         else:
-            block = (sample_rw_metropolis(model, data, n_steps, cfg.step_size, cfg.warmup,
-                                          group_rngs, lengths)
-                     if cfg.kind == "rw-metropolis" else
-                     sample_hmc(model, data, n_steps, cfg.step_size, cfg.n_leapfrog,
-                                cfg.warmup, group_rngs, lengths))
-            fitted, health = block.rows, block.row_diagnostics
-        for row, result, diag in zip(group, fitted, health):
-            if isinstance(result, SbcError):
-                row.fail(result)
+            block = sample_hmc(model, data, n_steps, cfg.step_size, cfg.n_leapfrog,
+                               cfg.warmup, group_rngs, lengths)
+        for k, row in enumerate(group):
+            if k in block.failures:
+                row.fail(block.failures[k])
             else:
-                row.draws = result
-                row.diag.update(diag)
+                row.draws = block.draws[k, :row.length]
+                row.diag.update(block.row_diagnostics[k])
+        if cfg.kind in _MCMC_KINDS:
+            first = 0
+            for n, run in groupby(group, key=lambda row: row.length):
+                run = list(run)
+                for row, ess in zip(run, ess_by_quantity(block.draws[first:first + len(run), :n],
+                                                         quantities, model.parameter_names)):
+                    row.ess = ess
+                first += len(run)
         start = stop
-
-
-def _estimate(rows: list[_Row], quantities: tuple[Quantity, ...], names: tuple[str, ...]) -> None:
-    """Set each live row's ESS: one :func:`ess_by_quantity` call per group of equal-length chains."""
-    groups: dict[int, list[_Row]] = {}
-    for row in rows:
-        if row.failure is None:
-            groups.setdefault(len(row.draws), []).append(row)
-    for group in groups.values():
-        for row, ess in zip(group, ess_by_quantity([row.draws for row in group], quantities,
-                                                   names)):
-            row.ess = ess
 
 
 def _sample(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
             rows: list[_Row], observations: np.ndarray) -> tuple[list[_Row], np.ndarray]:
     """Fit the rows with an MCMC or VI sampler; returns the live rows and their (R, L, d) draws.
 
-    MCMC chains' ESS is estimated for the block at once (see
-    :func:`_estimate`); Algorithm 2's plan and thinning are per row.  The
-    block's Algorithm-2 reruns are fitted in one more lockstep call, each row
-    for its own planned length, and estimated once per rerun length.
+    MCMC chains' ESS is estimated with the fit (see :func:`_fit`);
+    Algorithm 2's plan and thinning are per row.  The block's Algorithm-2
+    reruns are fitted in one more lockstep call, each row for its own
+    planned length.
     """
-    _fit(model, config, rows, observations, "chain")
-    if config.sampler.kind in _MCMC_KINDS:
-        _estimate(rows, quantities, model.parameter_names)
+    _fit(model, config, quantities, rows, observations, "chain")
     if config.thinning != "off":
         reruns: list[_Row] = []
 
@@ -381,8 +379,7 @@ def _sample(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantit
                 reruns.append(row)
 
         _each(rows, plan)
-        _fit(model, config, reruns, observations, "chain-rerun")
-        _estimate(reruns, quantities, model.parameter_names)
+        _fit(model, config, quantities, reruns, observations, "chain-rerun")
 
         def thin(row):
             ess_min = min_ess(row.ess)
@@ -401,17 +398,14 @@ def _rank(rows: list[_Row], draws: np.ndarray, priors: np.ndarray,
 
     Row r's (L, d) draws ``draws[r]`` are ranked against its prior
     ``priors[r]``, columns named by ``names``.  Each quantity is evaluated
-    once on the block's draws, as one (R * L, d) matrix, and once on its
-    priors.  A row with a non-finite value of any quantity fails alone; the
+    once on the block's draws and once on its priors (:func:`evaluate`).
+    A row with a non-finite value of any quantity fails alone; the
     others are ranked, and rows are copied out only when one is non-finite.
     """
-    R = len(rows)
-    flat = draws.reshape(-1, draws.shape[-1])
-    ranks = np.zeros((R, len(quantities)), dtype=np.int64)
-    finite = np.ones(R, dtype=bool)
+    ranks = np.zeros((len(rows), len(quantities)), dtype=np.int64)
+    finite = np.ones(len(rows), dtype=bool)
     for j, q in enumerate(quantities):
-        series = np.asarray(q.batch_evaluator(flat, names), dtype=np.float64).reshape(R, -1)
-        prior = np.asarray(q.batch_evaluator(priors, names), dtype=np.float64)
+        series, prior = evaluate(q, draws, names), evaluate(q, priors, names)
         ok = np.isfinite(series).all(axis=1) & np.isfinite(prior)
         finite &= ok
         if ok.all():

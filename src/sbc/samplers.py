@@ -6,16 +6,19 @@ variational fit.  All MCMC runs happen on the unconstrained scale and start
 from a fresh prior draw, which stresses mixing honestly.
 
 Every sampler fits R replications in one call: it takes an (R, n) array of
-observations, one dataset per row, and R random streams.  The MCMC and VI
-samplers hold their states as (R, d) arrays and call the model's batched
-density once per step for all rows.  Each row keeps its own step size,
-adaptation state and stream, from which it draws its initial point, its
-noise and its uniforms in the order a single fit would, so a row's draws do
-not depend on the other rows.  A fit runs under one ``np.errstate``; rows
-whose arithmetic overflows are masked once per step (rejected, or failed),
-and a row that cannot be fitted fails alone.  The exact sampler makes one
-batched posterior call and then draws each row's L values from its own
-stream.
+observations, one dataset per row, and R random streams, and returns one
+(R, n, d) array of constrained draws, row r's chain at ``[r, :lengths[r]]``.
+The MCMC and VI samplers hold their states as (R, d) arrays and call the
+model's batched density once per step for all rows.  Each row keeps its own
+step size, adaptation state and stream, from which it draws its initial
+point, its noise and its uniforms in the order a single fit would, so a
+row's draws do not depend on the other rows.  A fit runs under one
+``np.errstate``; rows whose arithmetic overflows are masked once per step
+(rejected, or failed), and a row that cannot be fitted fails alone: its
+draws are NaN and its error is in the block's ``failures``
+(:class:`DrawBlock`).  The exact sampler makes one batched posterior call
+and then draws each row's L values from its own stream into a bare
+(R, L, 1) array.
 
 Corruption wrappers inject the canonical failure modes (shifted or rescaled
 marginals) into otherwise exact draws so the diagnostics can be exercised
@@ -36,9 +39,10 @@ from .errors import (
     NotConjugate,
     SbcError,
     UnknownParameter,
+    require_finite,
+    require_integers,
 )
 from .model import GenerativeModel, posterior_target
-from .streams import RandomStream
 
 SAMPLER_KINDS = ("exact-conjugate", "rw-metropolis", "hmc", "meanfield-vi")
 
@@ -61,6 +65,10 @@ class SamplerConfig:
     warmup: int = 200
 
     def __post_init__(self):
+        require_integers(InvalidSpec, "SamplerConfig", n_leapfrog=self.n_leapfrog,
+                         vi_iterations=self.vi_iterations, warmup=self.warmup)
+        require_finite(InvalidSpec, "SamplerConfig", step_size=self.step_size,
+                       vi_learning_rate=self.vi_learning_rate)
         if self.kind not in SAMPLER_KINDS:
             raise InvalidSpec(f"unknown sampler kind {self.kind!r}; choose from {SAMPLER_KINDS}")
         if not (self.step_size > 0 and self.vi_learning_rate > 0):
@@ -83,6 +91,7 @@ class Corruption:
     target_quantity: str = ""
 
     def __post_init__(self):
+        require_finite(InvalidSpec, "Corruption", amount=self.amount)
         if self.kind not in ("none", "shift", "scale"):
             raise InvalidSpec(f"unknown corruption kind {self.kind!r}")
         if self.kind == "scale" and not self.amount > 0:
@@ -112,52 +121,52 @@ def sample_exact_conjugate(model: GenerativeModel, observations: np.ndarray, L: 
 
 @dataclass(frozen=True)
 class DrawBlock:
-    """Draws of one lockstep fit of R replications.
+    """Draws of one lockstep MCMC or VI fit of R replications.
 
-    ``rows[r]`` is the (length, d) array of constrained draws of the
-    replication whose stream was ``rngs[r]``, columns in the order of the
-    model's parameter names, or the :class:`SbcError` that failed that row
-    alone.  ``row_diagnostics[r]`` is that row's health for the run's
-    ``meta.json`` (empty for a failed row): acceptance rate and final step
-    size, and for HMC the divergence count.  The block's ``diagnostics``
-    summarise them as the fitted rows' mean acceptance rate and their total
-    divergences.
+    ``draws`` is one C-ordered (R, n, d) array of constrained draws, columns
+    in the order of the model's parameter names: row r belongs to the
+    replication whose stream was ``rngs[r]``, and its chain is
+    ``draws[r, :lengths[r]]`` (an MCMC row past its length repeats its last
+    state).  A row that failed alone is NaN throughout, and ``failures``
+    maps it to its :class:`SbcError`.  ``row_diagnostics[r]`` is row r's
+    health for the run's ``meta.json`` (empty for a failed row and for VI):
+    acceptance rate and final step size, and for HMC the divergence count.
     """
 
-    rows: tuple[np.ndarray | SbcError, ...]
+    draws: np.ndarray
+    failures: dict[int, SbcError]
     row_diagnostics: tuple[dict, ...]
-    diagnostics: dict
+
+    @property
+    def diagnostics(self) -> dict:
+        """The MCMC rows' mean acceptance rate (0.0 if there are none) and total divergences."""
+        rates = [diag["acceptance_rate"] for diag in self.row_diagnostics if diag]
+        return {"acceptance_rate": float(np.mean(rates)) if rates else 0.0,
+                "divergences": sum(diag.get("divergences", 0) for diag in self.row_diagnostics)}
 
 
-def _draw_block(model: GenerativeModel, n_rows: int, chain, lengths, failures: dict,
-                diagnostics: list[dict]) -> DrawBlock:
-    """Per-row draws: fitted row k keeps the first ``lengths[k]`` states of ``chain[:, k]``."""
-    fitted = [r for r in range(n_rows) if r not in failures]
-    rows, row_diagnostics = dict(failures), dict.fromkeys(failures, {})
-    for k, r in enumerate(fitted):
-        rows[r] = model.unconstraining_map.constrain_matrix(chain[:lengths[k], k])
-        row_diagnostics[r] = diagnostics[k]
-    rates = [diag["acceptance_rate"] for diag in diagnostics]
-    return DrawBlock(tuple(rows[r] for r in range(n_rows)),
-                     tuple(row_diagnostics[r] for r in range(n_rows)), {
-        "acceptance_rate": float(np.mean(rates)) if rates else 0.0,
-        "divergences": sum(diag.get("divergences", 0) for diag in diagnostics),
-    })
+def _draw_block(model: GenerativeModel, draws: np.ndarray, failures: dict,
+                diagnostics) -> DrawBlock:
+    """Wrap a fit's (R, n, d) unconstrained draws, constrained in place, with NaN draws and
+    empty health in its failed rows; ``diagnostics`` holds every row's health."""
+    draws[list(failures)] = np.nan
+    return DrawBlock(model.unconstraining_map.constrain_matrix(draws), failures,
+                     tuple({} if r in failures else diag for r, diag in enumerate(diagnostics)))
 
 
 def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int, lengths):
-    """Initial points, the rows' noise and uniforms, and the target bound to the fittable rows.
+    """Initial points, the rows' noise and uniforms, and the target bound to their datasets.
 
     Row r runs warmup + lengths[r] steps (n_steps when ``lengths`` is None).
     It draws its initial point from the prior, then a (steps, d) block of
     standard normals, then ``steps`` uniforms, all from its own stream; past
     its last step it is padded with zero noise and uniforms of 1, which
     reject every move.  A row whose initial point or initial density is
-    non-finite fails alone (:class:`NonFiniteDensity`).
-    Returns (target, z, logp, noise, unifs, lengths, failures) over the R'
-    fittable rows: noise (warmup + n_steps, R', d), uniforms
-    (warmup + n_steps, R'), their lengths (R',), and a map from each failed
-    row to its error.
+    non-finite fails alone (:class:`NonFiniteDensity`): it draws no noise,
+    so it rejects every move, and its arithmetic never reaches another row.
+    Returns (target, z, logp, noise, unifs, lengths, failures): noise
+    (warmup + n_steps, R, d), uniforms (warmup + n_steps, R), the rows'
+    lengths (R,), and a map from each failed row to its error.
     """
     d = len(model.parameter_names)
     Z = np.array([model.unconstraining_map.unconstrain(model.prior_simulator(rng))
@@ -167,17 +176,14 @@ def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int
     failures: dict[int, SbcError] = {
         r: NonFiniteDensity(f"non-finite log density at initial point {Z[r]}")
         for r in np.flatnonzero(~(np.isfinite(logp) & np.isfinite(Z).all(axis=1))).tolist()}
-    fitted = [r for r in range(len(rngs)) if r not in failures]
-    if failures:
-        target = posterior_target(model, observations[fitted])
-        Z, logp = Z[fitted], logp[fitted]
-    lengths = np.array([n_steps if lengths is None else lengths[r] for r in fitted], dtype=int)
-    noise = np.zeros((warmup + n_steps, len(fitted), d))
-    unifs = np.ones((warmup + n_steps, len(fitted)))
-    for k, r in enumerate(fitted):
-        steps = warmup + lengths[k]
-        noise[:steps, k] = rngs[r].standard_normal((steps, d))
-        unifs[:steps, k] = rngs[r].uniform(size=steps)
+    lengths = np.full(len(rngs), n_steps) if lengths is None else np.asarray(lengths)
+    noise = np.zeros((warmup + n_steps, len(rngs), d))
+    unifs = np.ones((warmup + n_steps, len(rngs)))
+    for r, rng in enumerate(rngs):
+        if r not in failures:
+            steps = warmup + lengths[r]
+            noise[:steps, r] = rng.standard_normal((steps, d))
+            unifs[:steps, r] = rng.uniform(size=steps)
     return target, Z, logp, noise, unifs, lengths, failures
 
 
@@ -197,7 +203,7 @@ def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, ste
         d = z.shape[1]
         accept_target = RW_TARGET_ACCEPT_1D if d == 1 else RW_TARGET_ACCEPT_ND
         log_step = np.full(z.shape[0], math.log(step_size))
-        chain = np.empty((n_steps,) + z.shape)
+        draws = np.empty((len(rngs), n_steps, d))
         accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
         for t in range(warmup + n_steps):
             proposal = z + np.exp(log_step)[:, np.newaxis] * noise[t]
@@ -211,12 +217,12 @@ def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, ste
             if t < warmup:
                 log_step += (accept_prob - accept_target) / math.sqrt(t + 1.0)
             else:
-                chain[t - warmup] = z
+                draws[:, t - warmup] = z
                 accepted[t - warmup] = took
 
-    diagnostics = [{"acceptance_rate": float(accepted[:n, k].sum()) / n,
-                    "step_size": math.exp(log_step[k])} for k, n in enumerate(lengths.tolist())]
-    return _draw_block(model, len(rngs), chain, lengths, failures, diagnostics)
+        return _draw_block(model, draws, failures, [
+            {"acceptance_rate": float(accepted[:n, r].sum()) / n,
+             "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())])
 
 
 def leapfrog(z: np.ndarray, p: np.ndarray, g: np.ndarray, step, n: int,
@@ -264,7 +270,7 @@ def sample_hmc(model: GenerativeModel, observations, n_steps: int, step_size: fl
             model, observations, rngs, warmup, n_steps, lengths)
         g = target.grad(z)
         log_step = np.full(z.shape[0], math.log(step_size))
-        chain = np.empty((n_steps,) + z.shape)
+        draws = np.empty((len(rngs), n_steps, z.shape[1]))
         accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
         divergences = np.empty((n_steps, z.shape[0]), dtype=bool)
         for t in range(warmup + n_steps):
@@ -283,42 +289,28 @@ def sample_hmc(model: GenerativeModel, observations, n_steps: int, step_size: fl
             if t < warmup:
                 log_step += (accept_prob - HMC_TARGET_ACCEPT) / math.sqrt(t + 1.0)
             else:
-                chain[t - warmup] = z
+                draws[:, t - warmup] = z
                 accepted[t - warmup] = took
                 divergences[t - warmup] = divergent
 
-    diagnostics = [{"acceptance_rate": float(accepted[:n, k].sum()) / n,
-                    "divergences": int(divergences[:n, k].sum()),
-                    "step_size": math.exp(log_step[k])}
-                   for k, n in enumerate(lengths.tolist())]
-    return _draw_block(model, len(rngs), chain, lengths, failures, diagnostics)
-
-
-@dataclass(frozen=True)
-class GaussianApprox:
-    """Mean-field Gaussian fit on the unconstrained scale; supports exact sampling."""
-
-    means: np.ndarray
-    log_sds: np.ndarray
-    unconstraining_map: object
-
-    def sample(self, L: int, rng: RandomStream) -> np.ndarray:
-        """L draws on the constrained scale: an (L, d) array."""
-        eps = rng.standard_normal((L, self.means.size))
-        Z = self.means + np.exp(self.log_sds) * eps
-        return self.unconstraining_map.constrain_matrix(Z)
+        return _draw_block(model, draws, failures, [
+            {"acceptance_rate": float(accepted[:n, r].sum()) / n,
+             "divergences": int(divergences[:n, r].sum()),
+             "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())])
 
 
 def fit_meanfield_vi(model: GenerativeModel, observations, iterations: int,
-                     learning_rate: float, rngs) -> list[GaussianApprox | Diverged]:
-    """Fit a per-coordinate Gaussian to each dataset by stochastic gradient ascent on the ELBO.
+                     learning_rate: float, rngs, n_draws: int, draw_rngs) -> DrawBlock:
+    """Fit a per-coordinate Gaussian to each dataset by stochastic gradient ascent on the ELBO,
+    then draw ``n_draws`` points from each fit.
 
     Single-sample reparameterized gradients with step decay t^-0.5.  The
     entropy term contributes +1 to each log-sd gradient.  Row r fits
-    ``observations[r]`` with the stream ``rngs[r]``, all rows in lockstep.
-    Returns one :class:`GaussianApprox` per row, or the :class:`Diverged`
-    error of a row whose gradient or parameters went non-finite; that row
-    stops there and the others go on.
+    ``observations[r]`` with the stream ``rngs[r]``, all rows in lockstep,
+    and then draws ``m + exp(omega) * eps`` on the unconstrained scale, with
+    ``eps`` an (n_draws, d) block of standard normals from ``draw_rngs[r]``.
+    A row whose gradient or parameters go non-finite stops there, fails with
+    :class:`Diverged` and draws nothing; the others go on.
     """
     target = posterior_target(model, observations)
     R, d = len(observations), len(model.parameter_names)
@@ -349,11 +341,12 @@ def fit_meanfield_vi(model: GenerativeModel, observations, iterations: int,
                 break
             m = np.where(active[:, np.newaxis], m_new, m)
             omega = np.where(active[:, np.newaxis], omega_new, omega)
-    return [failures[r] if r in failures else GaussianApprox(
-        means=m[r],
-        log_sds=omega[r],
-        unconstraining_map=model.unconstraining_map,
-    ) for r in range(R)]
+        draws = np.empty((R, n_draws, d))
+        for r in np.flatnonzero(active).tolist():
+            draws[r] = draw_rngs[r].standard_normal((n_draws, d))
+        draws *= np.exp(omega)[:, np.newaxis]
+        draws += m[:, np.newaxis]
+        return _draw_block(model, draws, failures, [{}] * R)
 
 
 def corrupt(draws: np.ndarray, names: tuple[str, ...], c: Corruption) -> np.ndarray:

@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
-from sbc import models
+from sbc import cli, models
 from sbc.cli import main
 from sbc.streams import RandomStream
 
@@ -132,6 +133,42 @@ def test_scale_whose_square_overflows_or_underflows_exits_2(model, sampler, tmp_
                                   "N": 20, "L": 15, "master_seed": 1}))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
     assert "neither overflow" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("change", [
+    {"N": 50.5},
+    {"L": 15.0},
+    {"master_seed": 1.5},
+    {"sampler": {"kind": "hmc", "n_leapfrog": 2.5}},
+    {"sampler": {"kind": "hmc", "step_size": math.inf}},
+    {"model": {"kind": "normal-normal", "n_obs": 2.5}},
+    {"model": {"kind": "normal-normal", "prior_mean": math.inf}},
+    {"corruption": {"kind": "shift", "amount": math.nan, "target_quantity": "mu"}},
+    {"model": {"kind": "lin-reg", "n_obs": 3, "covariates": [1e200, 1.0, 2.0]},
+     "sampler": {"kind": "hmc"}},
+])
+def test_non_integer_or_non_finite_numbers_exit_2(change, tmp_path, capsys):
+    """Integer fields take ints only, float fields finite numbers, and lin-reg covariates
+    a finite sum of squares; anything else is a one-line config error, not a run."""
+    config = tmp_path / "numbers.json"
+    config.write_text(json.dumps({"model": {"kind": "normal-normal"},
+                                  "sampler": {"kind": "exact-conjugate"},
+                                  "N": 20, "L": 15, "master_seed": 1, **change}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sbc: config error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_out_that_cannot_be_created_exits_2_before_running(tiny_config, tmp_path, capsys,
+                                                           monkeypatch):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("the run started"))
+    for out in (blocker / "artifact", blocker):
+        assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sbc: cannot create output directory: ") and err.count("\n") == 1
 
 
 @dataclasses.dataclass(frozen=True)

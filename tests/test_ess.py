@@ -283,11 +283,16 @@ class TestBlockEss:
         assert_rows_match_reference(series)
 
 
+def one_chain(values: np.ndarray) -> np.ndarray:
+    """A 1-chain (1, n, d) block of an (n, d) chain."""
+    return values[np.newaxis]
+
+
 class TestEssByQuantity:
     def test_rows_match_reference_per_quantity(self):
         rng = np.random.default_rng(14)
-        draws = [_draws(np.column_stack([ar1(phi, 300, seed=i), rng.normal(size=300)]))
-                 for i, phi in enumerate((0.2, 0.8, 0.95))]
+        draws = np.stack([np.column_stack([ar1(phi, 300, seed=i), rng.normal(size=300)])
+                          for i, phi in enumerate((0.2, 0.8, 0.95))])
         quantities = [coordinate("p1"), coordinate("p0")]
         got = ess_by_quantity(draws, quantities, NAMES)
         assert got.shape == (3, 2)
@@ -295,14 +300,24 @@ class TestEssByQuantity:
             for j, col in enumerate((1, 0)):
                 assert got[r, j] == effective_sample_size(d[:, col])
 
-    def test_unequal_lengths_raise(self):
-        draws = [_draws(ar1(0.5, n, seed=n).reshape(-1, 1)) for n in (3, 5)]
-        with pytest.raises(ValueError, match="equal lengths"):
-            ess_by_quantity(draws, [coordinate("p0")], NAMES)
+    @pytest.mark.parametrize("n", [99, 300, 8193])
+    def test_strided_block_matches_copies(self, n):
+        """The leading n draws of a longer block, a strided view, give the bits of a
+        C-ordered copy and of each chain alone."""
+        rng = np.random.default_rng(n)
+        block = rng.normal(size=(5, n + 7, 2)).cumsum(axis=1)
+        view = block[1:4, :n]
+        quantities = [coordinate("p0"), coordinate("p1")]
+        got = ess_by_quantity(view, quantities, NAMES)
+        np.testing.assert_array_equal(got, ess_by_quantity(np.ascontiguousarray(view),
+                                                           quantities, NAMES))
+        for r, chain in enumerate(view):
+            np.testing.assert_array_equal(got[r], ess_by_quantity(one_chain(chain.copy()),
+                                                                  quantities, NAMES)[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_short_chains_read_nan(self, n):
-        draws = [_draws(np.arange(float(n)).reshape(-1, 1) * k) for k in (1, 2)]
+        draws = np.stack([np.arange(float(n)).reshape(-1, 1) * k for k in (1, 2)])
         assert np.isnan(ess_by_quantity(draws, [coordinate("p0")], NAMES)).all()
 
 
@@ -311,7 +326,7 @@ class TestMinEssAcrossQuantities:
         x = ar1(0.5, 20_000, seed=9)
         draws = _draws(x.reshape(-1, 1))
         direct = effective_sample_size(x)
-        ess = ess_by_quantity([draws], [coordinate("p0")], NAMES)[0]
+        ess = ess_by_quantity(one_chain(draws), [coordinate("p0")], NAMES)[0]
         assert min_ess(ess) == pytest.approx(direct)
 
     def test_minimum_dominated_by_slow_quantity(self):
@@ -319,14 +334,15 @@ class TestMinEssAcrossQuantities:
         iid = np.random.default_rng(10).normal(size=n)
         slow = ar1(0.9, n, seed=11)
         draws = _draws(np.column_stack([iid, slow]))
-        got = min_ess(ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")], NAMES)[0])
+        got = min_ess(ess_by_quantity(one_chain(draws), [coordinate("p0"), coordinate("p1")],
+                                      NAMES)[0])
         assert got == pytest.approx(effective_sample_size(slow))
 
     def test_constant_quantity_excluded(self):
         for n, c in [(5000, 1.0), (99, 0.1), (99, 0.3), (99, 1e-3), (990, 3.3)]:
             varying = ar1(0.5, n, seed=12)
             draws = _draws(np.column_stack([varying, np.full(n, c)]))
-            ess = ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")], NAMES)[0]
+            ess = ess_by_quantity(one_chain(draws), [coordinate("p0"), coordinate("p1")], NAMES)[0]
             assert np.isnan(ess[1])
             assert min_ess(ess) == ess[0] == effective_sample_size(varying)
 
@@ -335,11 +351,12 @@ class TestMinEssAcrossQuantities:
         AR(1) quantity's effective size, not by 1."""
         varying = ar1(0.9, 99, seed=13)
         draws = _draws(np.column_stack([np.full(99, 0.1), varying]))
-        ess = min_ess(ess_by_quantity([draws], [coordinate("p0"), coordinate("p1")], NAMES)[0])
+        ess = min_ess(ess_by_quantity(one_chain(draws), [coordinate("p0"), coordinate("p1")],
+                                      NAMES)[0])
         assert ess == effective_sample_sizes(varying[None])[0]
         assert required_chain_length(99, 99, ess) == (math.ceil(99 * 99 / ess), False)
 
     def test_all_constant_raises(self):
         draws = _draws(np.ones((100, 1)))
         with pytest.raises(AllConstant):
-            min_ess(ess_by_quantity([draws], [coordinate("p0")], NAMES)[0])
+            min_ess(ess_by_quantity(one_chain(draws), [coordinate("p0")], NAMES)[0])

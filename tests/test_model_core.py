@@ -12,6 +12,7 @@ from sbc.model import (
     Quantity,
     UnconstrainingMap,
     coordinate,
+    evaluate,
     posterior_target,
 )
 from sbc.models import (
@@ -103,11 +104,27 @@ class TestQuantity:
         theta = model.prior_simulator(RandomStream(2, 0, "prior"))
         data = model.data_simulator(theta, RandomStream(2, 0, "data"))
         (draws,) = sample_rw_metropolis(model, data[np.newaxis], 50, 0.5, 20,
-                                        [RandomStream(2, 0, "chain")]).rows
+                                        [RandomStream(2, 0, "chain")]).draws
         for q in model.quantities:
             batch = q.batch_evaluator(draws, model.parameter_names)
             scalar = [at_point(q, row, model.parameter_names) for row in draws]
             np.testing.assert_array_equal(batch, scalar)
+
+    def test_evaluate_any_leading_shape(self):
+        """On an (R, n, d) block, the leading draws of a longer one (a strided view)
+        and an (R, d) matrix, each row's values equal that row evaluated alone, and
+        the block's coordinate is a view of it."""
+        model = make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))
+        names = model.parameter_names
+        block = np.random.default_rng(3).normal(size=(4, 30, len(names)))
+        for q in model.quantities:
+            for values in (block, block[1:3, :20], block[:, 0]):
+                got = evaluate(q, values, names)
+                assert got.shape == values.shape[:-1] and got.dtype == np.float64
+                for r, row in enumerate(values):
+                    np.testing.assert_array_equal(
+                        got[r], q.batch_evaluator(np.atleast_2d(row), names).reshape(got[r].shape))
+        assert np.shares_memory(evaluate(coordinate("tau"), block, names), block)
 
 
 class TestUnconstrainingMap:
@@ -118,6 +135,13 @@ class TestUnconstrainingMap:
             v = np.array([rng.normal(), rng.uniform(1e-6, 50), rng.uniform(1e-6, 50)])
             back = umap.constrain_matrix(umap.unconstrain(v)[np.newaxis])[0]
             np.testing.assert_allclose(back, v, rtol=0, atol=1e-12)
+
+    def test_constrains_any_leading_shape_in_place(self):
+        umap = UnconstrainingMap(("identity", "log", "log"))
+        Z = np.random.default_rng(43).normal(size=(3, 5, 3))
+        want = np.concatenate([Z[..., :1], np.exp(Z[..., 1:])], axis=-1)
+        assert umap.constrain_matrix(Z) is Z
+        np.testing.assert_array_equal(Z, want)
 
     def test_unknown_transform_rejected(self):
         with pytest.raises(ValueError):

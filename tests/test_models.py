@@ -56,6 +56,31 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             make_spec(value)
 
+    @pytest.mark.parametrize("covariates", [(1e200, 1.0, 2.0), (1e154, 1e154, 1e154),
+                                            (-math.inf, 1.0, 2.0), (math.nan, 1.0, 2.0)])
+    def test_lin_reg_rejects_covariates_whose_sum_of_squares_overflows(self, covariates):
+        with pytest.raises(InvalidSpec, match="finite sum of squares"):
+            LinRegSpec(n_obs=3, covariates=covariates)
+
+    def test_lin_reg_accepts_covariates_with_a_finite_sum_of_squares(self):
+        x = (1e153, -1e153, 2.0)
+        model = make_lin_reg(LinRegSpec(n_obs=3, covariates=x))
+        target = posterior_target(model, np.zeros((1, 3)))
+        assert np.isfinite(target.logpdf(np.zeros((1, 3)))).all()
+
+    @pytest.mark.parametrize("make_spec", [
+        lambda: NormalNormalSpec(n_obs=2.5),
+        lambda: NormalNormalSpec(n_obs=True),
+        lambda: NormalNormalSpec(prior_mean=math.inf),
+        lambda: NormalNormalSpec(prior_mean=math.nan),
+        lambda: NormalNormalSpec(prior_mean="0"),
+        lambda: LinRegSpec(n_obs=3.0, covariates=(1.0, 2.0, 3.0)),
+        lambda: EightSchoolsSpec(J=8.0),
+    ])
+    def test_rejects_non_integer_and_non_finite_numbers(self, make_spec):
+        with pytest.raises(InvalidSpec, match="must be an integer|must be a finite number"):
+            make_spec()
+
     @pytest.mark.parametrize("value", [1e154, 1e-150, 1.0])
     def test_accepts_scales_whose_square_is_normal(self, value):
         NormalNormalSpec(prior_sd=value, likelihood_sd=value)

@@ -18,6 +18,7 @@ from sbc.errors import (
     FailureRateExceeded,
     FormatVersionMismatch,
     InvalidArtifact,
+    InvalidSpec,
 )
 from sbc.rankstats import build_histogram, chi_square_uniformity, classify_shape, default_bins
 from sbc.runner import (
@@ -101,6 +102,26 @@ class TestRunConfig:
     def test_missing_required_key(self):
         with pytest.raises(ConfigError):
             config_from_dict({"model": {"kind": "normal-normal"}})
+
+    @pytest.mark.parametrize("field", ["N", "L", "master_seed", "max_chain_length",
+                                       "worker_count_hint"])
+    @pytest.mark.parametrize("value", [20.0, 20.5, True, "20"])
+    def test_integer_fields_take_ints_only(self, field, value):
+        with pytest.raises(ConfigError, match=f"RunConfig.{field} must be an integer"):
+            RunConfig(**{field: value})
+
+    @pytest.mark.parametrize("make", [
+        lambda: SamplerConfig(n_leapfrog=10.0),
+        lambda: SamplerConfig(vi_iterations=False),
+        lambda: SamplerConfig(warmup=2.5),
+        lambda: SamplerConfig(step_size=math.inf),
+        lambda: SamplerConfig(vi_learning_rate=math.nan),
+        lambda: Corruption(kind="shift", amount=-math.inf, target_quantity="mu"),
+        lambda: Corruption(amount=True),
+    ])
+    def test_sampler_and_corruption_numbers(self, make):
+        with pytest.raises(InvalidSpec, match="must be an integer|must be a finite number"):
+            make()
 
 
 class TestRunSbc:
@@ -242,6 +263,15 @@ class TestDeterminism:
                 out = tmp_path / f"b{block}-w{workers}"
                 files[block, workers] = saved_files(
                     dataclasses.replace(config, worker_count_hint=workers), out)
+        if config.sampler.kind != "exact-conjugate":
+            # Lockstep groups of one row, and of two or three rows (a row's noise
+            # holds 69 * 3, 210 * 1 and 300 * 1 floats in the first fits here).
+            for floats in (1, 700):
+                monkeypatch.setattr(runner, "BLOCK_FLOATS", floats)
+                for workers in (1, 2):
+                    out = tmp_path / f"f{floats}-w{workers}"
+                    files[f"floats={floats}", workers] = saved_files(
+                        dataclasses.replace(config, worker_count_hint=workers), out)
         reference = files[config.N, 1]
         assert reference[1].count(b'"replication"') == config.N  # per-row diagnostics
         for key, got in files.items():

@@ -42,13 +42,14 @@ def fit_block_one(sampler, model, data, *args):
 
 def fit_one(sampler, model, data, *args):
     """Fit one dataset as a 1-row lockstep batch; returns that row's draws or error."""
-    (row,) = fit_block_one(sampler, model, data, *args).rows
-    return row
+    block = fit_block_one(sampler, model, data, *args)
+    return block.failures.get(0, block.draws[0])
 
 
-def fit_vi_one(model, data, iterations, learning_rate, rng):
-    (approx,) = fit_meanfield_vi(model, data[np.newaxis], iterations, learning_rate, [rng])
-    return approx
+def fit_vi_one(model, data, iterations, learning_rate, rng, n_draws, draw_rng):
+    """The 1-row DrawBlock of a VI fit of one dataset."""
+    return fit_meanfield_vi(model, data[np.newaxis], iterations, learning_rate, [rng],
+                            n_draws, [draw_rng])
 
 
 def exact_one(model, data, L, rng):
@@ -131,7 +132,7 @@ class TestRwMetropolis:
         block = fit_block_one(sample_rw_metropolis, std_normal_model, np.array([0.0]),
                               2000, 1e-6, 0, RandomStream(45, 0, "chain"))
         assert block.row_diagnostics[0]["acceptance_rate"] > 0.999
-        x = block.rows[0][:, 0]
+        x = block.draws[0, :, 0]
         assert np.corrcoef(x[:-1], x[1:])[0, 1] > 0.99
 
     def test_same_seed_identical_chain(self, std_normal_model):
@@ -240,7 +241,7 @@ def reference_sample_hmc(model, datasets, n_steps, step_size, n_leapfrog, warmup
         target, z, logp, momenta, unifs, lengths, failures = _start(
             model, datasets, rngs, warmup, n_steps, lengths)
         log_step = np.full(z.shape[0], math.log(step_size))
-        chain = np.empty((n_steps,) + z.shape)
+        draws = np.empty((len(rngs), n_steps, z.shape[1]))
         accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
         divergences = np.empty((n_steps, z.shape[0]), dtype=bool)
         for t in range(warmup + n_steps):
@@ -258,25 +259,26 @@ def reference_sample_hmc(model, datasets, n_steps, step_size, n_leapfrog, warmup
             if t < warmup:
                 log_step += (accept_prob - HMC_TARGET_ACCEPT) / math.sqrt(t + 1.0)
             else:
-                chain[t - warmup] = z
+                draws[:, t - warmup] = z
                 accepted[t - warmup] = took
                 divergences[t - warmup] = divergent
 
-    diagnostics = [{"acceptance_rate": float(accepted[:n, k].sum()) / n,
-                    "divergences": int(divergences[:n, k].sum()),
-                    "step_size": math.exp(log_step[k])}
-                   for k, n in enumerate(lengths.tolist())]
-    return _draw_block(model, len(rngs), chain, lengths, failures, diagnostics)
+        return _draw_block(model, draws, failures, [
+            {"acceptance_rate": float(accepted[:n, r].sum()) / n,
+             "divergences": int(divergences[:n, r].sum()),
+             "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())])
 
 
 def assert_same_rows(a, b):
-    assert len(a.rows) == len(b.rows)
-    for i, y in enumerate(b.rows):
-        if isinstance(y, Exception):
-            assert type(a.rows[i]) is type(y) and str(a.rows[i]) == str(y)
-            assert a.row_diagnostics[i] == b.row_diagnostics[i] == {}
-        else:
-            assert_same_row(a, i, b, i)
+    """DrawBlocks a and b hold the same draws (NaN in the same failed rows), the same
+    errors and the same health."""
+    np.testing.assert_array_equal(a.draws, b.draws)
+    assert a.failures.keys() == b.failures.keys()
+    for r, error in b.failures.items():
+        assert type(a.failures[r]) is type(error) and str(a.failures[r]) == str(error)
+        assert a.row_diagnostics[r] == b.row_diagnostics[r] == {}
+    for r in range(len(b.draws)):
+        assert_same_row(a, r, b, r)
     assert a.diagnostics == b.diagnostics
 
 
@@ -300,7 +302,7 @@ class TestCarriedGradient:
             return sampler(model, datasets, 50, 0.5, 5, 20,
                            [RandomStream(67, i, "chain") for i in range(4)])
         block = fit(sample_hmc)
-        assert isinstance(block.rows[1], NonFiniteDensity)
+        assert isinstance(block.failures[1], NonFiniteDensity)
         assert_same_rows(block, fit(reference_sample_hmc))
 
     def test_divergent_rows_match_reference(self):
@@ -343,8 +345,9 @@ def lin_reg_datasets(n, seed):
 
 
 def assert_same_row(a, i, b, j):
-    """Row i of DrawBlock a has the draws and health of row j of DrawBlock b."""
-    np.testing.assert_array_equal(a.rows[i], b.rows[j])
+    """Row i of DrawBlock a has the draws and health of row j of DrawBlock b, over
+    b's n draws: a's row may run longer."""
+    np.testing.assert_array_equal(a.draws[i, :b.draws.shape[1]], b.draws[j])
     assert a.row_diagnostics[i].keys() == b.row_diagnostics[j].keys()
     for key, value in a.row_diagnostics[i].items():
         np.testing.assert_array_equal(value, b.row_diagnostics[j][key])
@@ -378,21 +381,34 @@ class TestLockstep:
         *step, warmup = settings
         block = sampler(model, datasets, 70, *step, warmup,
                         [RandomStream(65, i, "chain-rerun") for i in range(4)], lengths)
-        for i, draws in enumerate(block.rows):
-            assert len(draws) == lengths[i]
+        assert block.draws.shape == (4, 70, 3) and block.draws.flags.c_contiguous
+        for i, n in enumerate(lengths):
+            # Past its length a row repeats its last state.
+            assert (block.draws[i, n:] == block.draws[i, n - 1]).all()
             assert_same_row(block, i, fit_block_one(sampler, model, datasets[i], lengths[i],
                                                     *settings, RandomStream(65, i, "chain-rerun")),
                             0)
 
-    def test_vi_rows_match_single_row_fits(self):
-        model = make_normal_normal(NormalNormalSpec(n_obs=3))
-        datasets = np.array([np.array([0.1, -0.4, 2.0]) * i for i in range(5)])
-        approxes = fit_meanfield_vi(model, datasets, 500, 0.05,
-                                    [RandomStream(62, i, "vi") for i in range(5)])
-        for i, approx in enumerate(approxes):
-            alone = fit_vi_one(model, datasets[i], 500, 0.05, RandomStream(62, i, "vi"))
-            np.testing.assert_array_equal(approx.means, alone.means)
-            np.testing.assert_array_equal(approx.log_sds, alone.log_sds)
+    @pytest.mark.parametrize("model", [
+        make_normal_normal(NormalNormalSpec(n_obs=25)),
+        make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))],
+        ids=["normal-normal", "eight-schools-non-centered"])
+    def test_vi_rows_match_single_row_fits(self, model):
+        """Each row's draws, on the constrained scale (eight schools' tau is a log
+        coordinate), equal a one-row fit's."""
+        datasets = np.array([
+            model.data_simulator(model.prior_simulator(RandomStream(62, i, "prior")),
+                                 RandomStream(62, i, "data")) for i in range(5)])
+        block = fit_meanfield_vi(model, datasets, 500, 0.05,
+                                 [RandomStream(62, i, "vi") for i in range(5)], 40,
+                                 [RandomStream(62, i, "chain") for i in range(5)])
+        d = len(model.parameter_names)
+        assert block.draws.shape == (5, 40, d) and not block.failures
+        assert block.row_diagnostics == ({},) * 5
+        for i in range(5):
+            alone = fit_vi_one(model, datasets[i], 500, 0.05, RandomStream(62, i, "vi"), 40,
+                               RandomStream(62, i, "chain"))
+            assert_same_row(block, i, alone, 0)
 
     def test_failed_row_leaves_other_rows_unchanged(self):
         """Rows with a non-finite initial density or ELBO gradient fail alone."""
@@ -401,19 +417,25 @@ class TestLockstep:
         block = sample_hmc(model, datasets, 50, 0.5, 5, 20,
                            [RandomStream(63, i, "chain") for i in range(4)])
         z0 = model.prior_simulator(RandomStream(63, 1, "chain"))
-        assert isinstance(block.rows[1], NonFiniteDensity)
-        assert str(block.rows[1]) == f"non-finite log density at initial point {z0}"
+        assert list(block.failures) == [1]
+        assert isinstance(block.failures[1], NonFiniteDensity)
+        assert str(block.failures[1]) == f"non-finite log density at initial point {z0}"
+        assert np.isnan(block.draws[1]).all()
         assert block.row_diagnostics[1] == {}
         for i in (0, 2, 3):
             assert_same_row(block, i, fit_block_one(sample_hmc, model, datasets[i], 50, 0.5,
                                                     5, 20, RandomStream(63, i, "chain")), 0)
-        approxes = fit_meanfield_vi(model, datasets, 300, 0.05,
-                                    [RandomStream(63, i, "vi") for i in range(4)])
-        assert isinstance(approxes[1], Diverged)
-        assert str(approxes[1]) == "non-finite ELBO gradient at iteration 0"
+        block = fit_meanfield_vi(model, datasets, 300, 0.05,
+                                 [RandomStream(63, i, "vi") for i in range(4)], 30,
+                                 [RandomStream(63, i, "chain") for i in range(4)])
+        assert list(block.failures) == [1]
+        assert isinstance(block.failures[1], Diverged)
+        assert str(block.failures[1]) == "non-finite ELBO gradient at iteration 0"
+        assert np.isnan(block.draws[1]).all()
         for i in (0, 2, 3):
-            alone = fit_vi_one(model, datasets[i], 300, 0.05, RandomStream(63, i, "vi"))
-            np.testing.assert_array_equal(approxes[i].means, alone.means)
+            alone = fit_vi_one(model, datasets[i], 300, 0.05, RandomStream(63, i, "vi"), 30,
+                               RandomStream(63, i, "chain"))
+            assert_same_row(block, i, alone, 0)
 
     def test_hmc_matches_exact_posterior(self):
         """One conjugate dataset: the chain's mean and sd match the closed form."""
@@ -430,31 +452,34 @@ class TestLockstep:
 
 class TestMeanfieldVi:
     def test_standard_normal_recovered(self, std_normal_model):
-        approx = fit_vi_one(std_normal_model, np.array([0.0]),
-                            10_000, 0.05, RandomStream(55, 0, "vi"))
-        assert abs(approx.means[0]) < 0.05
-        assert abs(math.exp(approx.log_sds[0]) - 1.0) < 0.1
+        draws = fit_vi_one(std_normal_model, np.array([0.0]), 10_000, 0.05,
+                           RandomStream(55, 0, "vi"), 50_000, RandomStream(55, 0, "chain")).draws
+        assert abs(draws.mean()) < 0.05
+        assert abs(draws.std() - 1.0) < 0.1
 
     def test_correlated_target_underestimates_variance(self, correlated_gaussian_model):
         # Mean-field KL optimum has variance 1/Lambda_ii = 1 - rho^2 = 0.19,
         # strictly below the true marginal variance of 1.
-        approx = fit_vi_one(correlated_gaussian_model, np.array([0.0]),
-                            20_000, 0.05, RandomStream(56, 0, "vi"))
-        sds = np.exp(approx.log_sds)
+        draws = fit_vi_one(correlated_gaussian_model, np.array([0.0]), 20_000, 0.05,
+                           RandomStream(56, 0, "vi"), 50_000, RandomStream(56, 0, "chain")).draws
+        sds = draws[0].std(axis=0)
         assert np.all(sds < 0.9)
         np.testing.assert_allclose(sds, math.sqrt(0.19), atol=0.1)
 
-    def test_sampling_from_approximation(self, std_normal_model):
-        approx = fit_vi_one(std_normal_model, np.array([0.0]),
-                            5000, 0.05, RandomStream(57, 0, "vi"))
-        draws = approx.sample(50_000, RandomStream(57, 0, "chain"))
-        assert len(draws) == 50_000
-        assert abs(draws.mean() - approx.means[0]) < 0.02
+    def test_draws_are_affine_in_the_draw_stream(self, std_normal_model):
+        """A row draws m + exp(omega) * eps, eps standard normals from its draw stream."""
+        (draws,) = fit_vi_one(std_normal_model, np.array([0.0]), 5000, 0.05,
+                              RandomStream(57, 0, "vi"), 1000, RandomStream(57, 0, "chain")).draws
+        eps = RandomStream(57, 0, "chain").standard_normal((1000, 1))
+        sd = (draws[1] - draws[0]) / (eps[1] - eps[0])
+        assert sd > 0
+        np.testing.assert_allclose(draws, draws[0] + sd * (eps - eps[0]), rtol=1e-12, atol=1e-12)
 
     def test_divergence_detected(self, std_normal_model):
-        approx = fit_vi_one(std_normal_model, np.array([0.0]),
-                            2000, 1e6, RandomStream(58, 0, "vi"))
-        assert isinstance(approx, Diverged)
+        block = fit_vi_one(std_normal_model, np.array([0.0]), 2000, 1e6,
+                           RandomStream(58, 0, "vi"), 10, RandomStream(58, 0, "chain"))
+        assert isinstance(block.failures[0], Diverged)
+        assert np.isnan(block.draws).all()
 
 
 class TestCorrupt:
