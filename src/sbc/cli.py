@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 configuration error (including an output directory
-that cannot be created), 3 run aborted because too many replications failed,
-4 report error.
+that cannot be created or an artifact that cannot be written there), 3 run
+aborted because too many replications failed, 4 report error.
 """
 
 from __future__ import annotations
@@ -106,7 +106,11 @@ def _cmd_run(args) -> int:
         print(f"sbc: run aborted: {exc}", file=sys.stderr)
         return EXIT_RUN_ABORTED
 
-    out = save_artifact(artifact, args.out)
+    try:
+        out = save_artifact(artifact, args.out)
+    except OSError as exc:
+        print(f"sbc: cannot write artifact: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"artifact written to {out}")
     print(f"replications: {config.N}  failures: {len(artifact.failures)}  "
           f"wall clock: {artifact.wall_clock_seconds:.1f}s")

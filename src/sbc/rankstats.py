@@ -16,7 +16,11 @@ Every band rests on one routine, :func:`binomial_quantiles`.  Its quantiles
 are exactly those of summing the binomial pmf sequentially from k = 0 until
 the running sum reaches the level, but it computes them for a whole grid of
 success probabilities at once (all L+1 points of an ECDF band in one call),
-in chunks of rows that bound its working set.
+in chunks of rows that bound its working set.  It sums each row over a
+window of O(sqrt(n)) terms around the binomial's mode, not all n+1: the
+pmf is log-concave, which bounds the mass the window leaves out, and a level
+within that bound of a window's sum, or crossed outside the window, is
+summed again over every term, so no quantile changes.
 """
 
 from __future__ import annotations
@@ -118,9 +122,12 @@ def rebin(ranks, L: int, B: int) -> np.ndarray:
 
 
 # binomial_quantiles works through the probability grid in chunks of rows
-# whose (rows, n+1) temporaries hold at most this many floats (256 KiB), so a
-# band costs a few such temporaries however many points it has.
+# whose (rows, window) temporaries hold at most this many floats (256 KiB), so
+# a band costs a few such temporaries however many points it has.
 QUANTILE_CHUNK_FLOATS = 2**15
+# Each row's pmf is summed over a window reaching this many standard
+# deviations of Binomial(n, 1/2), the widest binomial, to each side of its mode.
+QUANTILE_WINDOW_SDS = 12
 _LOG_MIN_NORMAL = math.log(np.finfo(np.float64).tiny)
 
 
@@ -130,14 +137,29 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
     Returns a (len(ps), len(qs)) int64 array.  Each entry is exactly what
     summing the pmf in sequence gives: ``cdf += math.exp(log_pmf(k))`` for
     k = 0, 1, ... until ``cdf >= q``, and n if that never happens; p <= 0
-    gives 0 and p >= 1 gives n.  The log-pmf is evaluated with that sum's
+    gives 0 and p >= 1 gives n.
+
+    Each p's pmf is summed over a window of W = min(n+1, 2h+1) terms around
+    its mode floor((n+1)p), with h = ceil(QUANTILE_WINDOW_SDS * sqrt(n) / 2),
+    so a row costs O(sqrt(n)) terms rather than n+1; for n <= 146 the window
+    is the whole row.  Every log term is evaluated with the sequential sum's
     operations in the same order (``math.lgamma`` once per k, ``math.log``
     once per p) and ``np.cumsum`` adds in the same order, a chunk of p rows
-    at a time.  numpy's ``exp`` may differ from ``math.exp`` by an ulp, and
-    pmf terms below the smallest normal float are left out; both move a
-    running sum by far less than a bound kept here.  A row with a sum within
-    that bound of a level is summed again with ``math.exp`` over every term,
-    so no quantile differs.
+    at a time.  A window's running sums then differ from the sequential
+    ones by less than a bound kept here:
+
+    - numpy's ``exp`` may differ from ``math.exp`` by an ulp, and pmf terms
+      below the smallest normal float are left out;
+    - the n+1-W terms outside the window are left out.  The pmf is
+      log-concave and the window holds its mode, so each of them is at most
+      the larger of the two terms just outside the window; their sum is at
+      most n+1-W times that term, doubled to cover the rounding of the
+      computed terms.
+
+    A row whose sum is within that bound of a level, or whose crossing of a
+    level is not inside its window (at the window's first term when the
+    window starts past k = 0, or past its end when it ends before n), is
+    summed again with ``math.exp`` over every term, so no quantile differs.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=np.float64))
     if not np.all((qs >= 0.0) & (qs <= 1.0)):
@@ -150,35 +172,56 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
         return out
 
     lgamma = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
-    lead = lgamma[n] - lgamma - lgamma[::-1]  # lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1)
-    k = np.arange(n + 1, dtype=np.float64)
-    rest = n - k
-    # A bound on |cdf - exact sequential cdf|: relative, for numpy's exp within
-    # 2**-40 of math.exp and both running sums' rounding; absolute, for the
-    # left-out terms (their exp is slow, and they add at most (n+1) * 2**-1021).
+    # lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) at lead[k+1] for k = 0..n; the
+    # -inf at k = -1 and k = n+1 makes the terms just outside the row read 0.
+    lead = np.full(n + 3, -np.inf)
+    lead[1:-1] = lgamma[n] - lgamma - lgamma[::-1]
+    half = math.ceil(QUANTILE_WINDOW_SDS * math.sqrt(n) / 2)
+    width = min(n + 1, 2 * half + 1)
+    # A bound on |cdf - exact sequential cdf|, before the terms outside the
+    # window: relative, for numpy's exp within 2**-40 of math.exp and both
+    # running sums' rounding; absolute, for the terms below the smallest normal
+    # float (their exp is slow, and they add at most (n+1) * 2**-1021).
     rtol = 2.0**-40 + 2.0**-51 * (n + 1)
     slack = 2.0 * rtol * qs + (n + 1) * 2.0**-1020
-    levels = np.column_stack([qs - slack, qs + slack]).ravel()
 
-    def log_pmf(rows) -> np.ndarray:
+    def log_pmf(lead_rows, ks, rows) -> np.ndarray:
+        """lead + k log(p) + (n-k) log(1-p) at k = ks, a row per p = ps[rows]; overwrites ks."""
         log_p = np.array([[math.log(p)] for p in ps[rows]])
         log_1p = np.array([[math.log1p(-p)] for p in ps[rows]])
-        return lead + k * log_p + rest * log_1p
+        logs = lead_rows + ks * log_p
+        ks *= -1.0
+        ks += n
+        ks *= log_1p
+        logs += ks
+        return logs
 
-    chunk = max(1, QUANTILE_CHUNK_FLOATS // (n + 1))
+    # Row i sums k = firsts[i] .. firsts[i]+width-1, a window holding its mode
+    # (give or take the rounding of (n+1)p, which the window's half-width
+    # absorbs) and, at each end, the term just outside it.
+    modes = np.floor((n + 1) * ps[inner]).astype(np.int64)
+    firsts = np.minimum(np.maximum(modes - half, 0), n + 1 - width)
+    windows = np.lib.stride_tricks.sliding_window_view(lead, width + 2)
+    offsets = np.arange(-1.0, width + 1)
+    chunk = max(1, QUANTILE_CHUNK_FLOATS // (width + 2))
     for start in range(0, inner.size, chunk):
-        rows = inner[start:start + chunk]
-        logs = log_pmf(rows)
-        cdf = np.exp(logs, out=np.zeros_like(logs), where=logs >= _LOG_MIN_NORMAL)
-        np.cumsum(cdf, axis=1, out=cdf)
-        for i, row in zip(rows, cdf):
-            # cdf is non-decreasing, so searchsorted counts the sums below a level.
-            below = np.searchsorted(row, levels).reshape(-1, 2)
-            out[i] = np.minimum(below[:, 0], n)
-            unsure = np.flatnonzero(below[:, 0] != below[:, 1])
-            if unsure.size:
-                terms = np.fromiter(map(math.exp, log_pmf([i])[0]), np.float64, n + 1)
-                out[i, unsure] = np.minimum(np.searchsorted(np.cumsum(terms), qs[unsure]), n)
+        rows, first = inner[start:start + chunk], firsts[start:start + chunk, None]
+        logs = log_pmf(windows[first[:, 0]], first + offsets, rows)
+        terms = np.exp(logs, out=np.zeros_like(logs), where=logs >= _LOG_MIN_NORMAL)
+        left_out = 2.0 * (n + 1 - width) * np.maximum(terms[:, :1], terms[:, -1:])
+        cdf = np.cumsum(terms[:, 1:-1], axis=1)
+        # cdf is non-decreasing, so searchsorted counts the sums below a level.
+        tol = slack + left_out
+        levels = np.concatenate([qs - tol, qs + tol], axis=1)
+        below = np.array([np.searchsorted(*pair) for pair in zip(cdf, levels)])
+        lo, hi = below[:, :qs.size], below[:, qs.size:]
+        out[rows] = np.minimum(first + lo, n)
+        unsure = (lo != hi) | ((lo == 0) & (first > 0)) | ((lo == width) & (first + width <= n))
+        for r in np.flatnonzero(unsure.any(axis=1)):
+            i, redo = rows[r], unsure[r]
+            logs = log_pmf(lead[1:-1], np.arange(n + 1.0)[None], [i])[0]
+            sums = np.cumsum(np.fromiter(map(math.exp, logs), np.float64, n + 1))
+            out[i, redo] = np.minimum(np.searchsorted(sums, qs[redo]), n)
     return out
 
 

@@ -656,10 +656,14 @@ def load_artifact(path) -> RunArtifact:
     _verify_checksums(root)
 
     meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
+    if not isinstance(meta, dict):
+        raise InvalidArtifact("meta.json must hold a JSON object")
     version = str(meta.get("format_version", ""))
     if version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
         raise FormatVersionMismatch(
             f"artifact format {version!r} not supported by reader {FORMAT_VERSION!r}")
+    if not isinstance(meta.get("config"), dict):
+        raise InvalidArtifact("meta.json: config must be an object")
     raw_config = dict(meta["config"])
     if version == "1.0":
         raw_config.pop("output_path", None)  # recorded but never read; dropped in 1.1

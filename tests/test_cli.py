@@ -171,6 +171,14 @@ def test_out_that_cannot_be_created_exits_2_before_running(tiny_config, tmp_path
         assert err.startswith("sbc: cannot create output directory: ") and err.count("\n") == 1
 
 
+def test_artifact_that_cannot_be_written_exits_2(tiny_config, tmp_path, capsys):
+    out = tmp_path / "artifact"
+    (out / "meta.json").mkdir(parents=True)
+    assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("sbc: cannot write artifact: ") and err.count("\n") == 1
+
+
 @dataclasses.dataclass(frozen=True)
 class InfDataSpec:
     cut: float

@@ -254,6 +254,36 @@ class TestBinomialQuantiles:
             monkeypatch.setattr(rankstats, "QUANTILE_CHUNK_FLOATS", floats)
             np.testing.assert_array_equal(binomial_quantiles(qs, n, ps), expected)
 
+    def test_window_width_does_not_change_results(self, monkeypatch):
+        # At n=2000 the default windows (539 terms) start past k=0 for p above
+        # about 0.13 and end before n below about 0.87, so levels 0, 1e-9, 1-1e-9
+        # and 1 cross at a window's first term or past its end and are summed
+        # again.  Windows of 1 and 47 terms leave out most of the pmf, so a level
+        # that crosses inside them is summed again for the terms left out.  At
+        # p = 1 - 2**-53 a window of 1 holds nearly all the mass at k = n, and
+        # level 0 is summed again only for crossing at the window's first term.
+        qs, n = (*SPECIAL_LEVELS, 0.5), 2000
+        ps = [*np.linspace(0.0, 1.0, 23), 1.0 - 2.0**-53]
+        expected = _reference_grid(qs, n, ps)
+        for sds in (0, 1, rankstats.QUANTILE_WINDOW_SDS, 1e9):
+            monkeypatch.setattr(rankstats, "QUANTILE_WINDOW_SDS", sds)
+            np.testing.assert_array_equal(binomial_quantiles(qs, n, ps), expected)
+
+    def test_exact_nn_band(self):
+        # The band of N=10000 ranks on 0..1023 (windows of 1201 of the 10001
+        # terms) at every 16th point and the first and last 8, against the
+        # reference's running sums, computed once per point.
+        N, L = 10_000, 1023
+        tail = (1.0 - 0.99) / 2.0
+        points = sorted({*range(0, L + 1, 16), *range(8), *range(L - 7, L + 1)})
+        expected = np.array([
+            np.minimum(np.searchsorted(sequential_binomial_cdf(N, (k + 1) / (L + 1)),
+                                       [tail, 1.0 - tail]), N) if k < L else [N, N]
+            for k in points])
+        band = ecdf_band(N, L)
+        np.testing.assert_array_equal(band.low[points], expected[:, 0] / N)
+        np.testing.assert_array_equal(band.high[points], expected[:, 1] / N)
+
     @pytest.mark.parametrize("q", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, math.nan])
     def test_bad_level_rejected(self, q):
         with pytest.raises(ValueError, match=r"quantile level must be in \[0, 1\]"):

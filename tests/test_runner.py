@@ -401,9 +401,10 @@ class TestRankTableValidation:
 
 
 class TestMetaValidation:
-    """meta.json's failure and diagnostics lists are outside input too (N=20, none failed)."""
+    """meta.json is outside input too: its shape, config, failures and diagnostics (N=20)."""
 
     @pytest.mark.parametrize("key, value", [
+        ("config", 5),
         ("failures", [3]),
         ("failures", None),
         ("diagnostics", None),
@@ -416,7 +417,7 @@ class TestMetaValidation:
         ("diagnostics", "one per replication"),
         ("diagnostics", [{"replication": i} for i in range(19)]),
         ("diagnostics", list(range(20))),
-    ], ids=["failure-not-object", "failures-null", "diagnostics-null",
+    ], ids=["config-not-object", "failure-not-object", "failures-null", "diagnostics-null",
             "replication-string", "replication-bool", "replication-N", "replication-negative",
             "reason-not-string", "replication-twice", "diagnostics-string",
             "diagnostics-one-short", "diagnostic-not-object"])
@@ -428,6 +429,15 @@ class TestMetaValidation:
         with pytest.raises(InvalidArtifact, match="meta.json"):
             load_artifact(out)
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+
+    def test_meta_not_an_object_rejected(self, tmp_path, capsys):
+        out = save_artifact(run(exact_config(N=20)), tmp_path / "run")
+        rewrite(out, "meta.json", b"[]\n")
+        with pytest.raises(InvalidArtifact, match="meta.json"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("sbc: report error: meta.json") and err.count("\n") == 1
 
 
 _names = st.lists(st.text(alphabet="abz_[],.\"' 019", min_size=1, max_size=6),
