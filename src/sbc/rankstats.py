@@ -143,10 +143,11 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
     its mode floor((n+1)p), with h = ceil(QUANTILE_WINDOW_SDS * sqrt(n) / 2),
     so a row costs O(sqrt(n)) terms rather than n+1; for n <= 146 the window
     is the whole row.  Every log term is evaluated with the sequential sum's
-    operations in the same order (``math.lgamma`` once per k, ``math.log``
-    once per p) and ``np.cumsum`` adds in the same order, a chunk of p rows
-    at a time.  A window's running sums then differ from the sequential
-    ones by less than a bound kept here:
+    operations in the same order (``math.lgamma`` once per argument, only
+    for the k the windows read unless the whole row takes fewer calls or a
+    row is summed again, and ``math.log`` once per p) and ``np.cumsum`` adds
+    in the same order, a chunk of p rows at a time.  A window's running sums
+    then differ from the sequential ones by less than a bound kept here:
 
     - numpy's ``exp`` may differ from ``math.exp`` by an ulp, and pmf terms
       below the smallest normal float are left out;
@@ -171,13 +172,33 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
     if inner.size == 0:
         return out
 
-    lgamma = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
-    # lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) at lead[k+1] for k = 0..n; the
-    # -inf at k = -1 and k = n+1 makes the terms just outside the row read 0.
-    lead = np.full(n + 3, -np.inf)
-    lead[1:-1] = lgamma[n] - lgamma - lgamma[::-1]
     half = math.ceil(QUANTILE_WINDOW_SDS * math.sqrt(n) / 2)
     width = min(n + 1, 2 * half + 1)
+    # Row i sums k = firsts[i] .. firsts[i]+width-1, a window holding its mode
+    # (give or take the rounding of (n+1)p, which the window's half-width
+    # absorbs) and, at each end, the term just outside it.
+    modes = np.floor((n + 1) * ps[inner]).astype(np.int64)
+    firsts = np.minimum(np.maximum(modes - half, 0), n + 1 - width)
+    # lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) at lead[k+1], for the k the
+    # windows read (all k = 0..n once a row is summed again); the -inf at
+    # k = -1 and k = n+1 makes the terms just outside the row read 0.
+    lead = np.full(n + 3, -np.inf)
+
+    def fill_lead(lo: int, hi: int) -> bool:
+        """Set lead at k = lo..hi, calling math.lgamma at k+1, n-k+1 and n+1, or at every
+        k+1 of the row when that is fewer calls; returns whether the whole row is set."""
+        size = hi - lo + 1
+        if 2 * size < n + 1:
+            lead[lo + 1:hi + 2] = (
+                math.lgamma(n + 1)
+                - np.fromiter(map(math.lgamma, range(lo + 1, hi + 2)), np.float64, size)
+                - np.fromiter(map(math.lgamma, range(n - lo + 1, n - hi, -1)), np.float64, size))
+            return False
+        lgamma = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
+        lead[1:-1] = lgamma[n] - lgamma - lgamma[::-1]
+        return True
+
+    whole = fill_lead(max(int(firsts.min()) - 1, 0), min(int(firsts.max()) + width, n))
     # A bound on |cdf - exact sequential cdf|, before the terms outside the
     # window: relative, for numpy's exp within 2**-40 of math.exp and both
     # running sums' rounding; absolute, for the terms below the smallest normal
@@ -196,11 +217,6 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
         logs += ks
         return logs
 
-    # Row i sums k = firsts[i] .. firsts[i]+width-1, a window holding its mode
-    # (give or take the rounding of (n+1)p, which the window's half-width
-    # absorbs) and, at each end, the term just outside it.
-    modes = np.floor((n + 1) * ps[inner]).astype(np.int64)
-    firsts = np.minimum(np.maximum(modes - half, 0), n + 1 - width)
     windows = np.lib.stride_tricks.sliding_window_view(lead, width + 2)
     offsets = np.arange(-1.0, width + 1)
     chunk = max(1, QUANTILE_CHUNK_FLOATS // (width + 2))
@@ -219,6 +235,8 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
         unsure = (lo != hi) | ((lo == 0) & (first > 0)) | ((lo == width) & (first + width <= n))
         for r in np.flatnonzero(unsure.any(axis=1)):
             i, redo = rows[r], unsure[r]
+            if not whole:
+                whole = fill_lead(0, n)
             logs = log_pmf(lead[1:-1], np.arange(n + 1.0)[None], [i])[0]
             sums = np.cumsum(np.fromiter(map(math.exp, logs), np.float64, n + 1))
             out[i, redo] = np.minimum(np.searchsorted(sums, qs[redo]), n)

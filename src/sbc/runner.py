@@ -4,18 +4,20 @@ Each replication draws a ground truth from the prior, simulates a dataset,
 fits the configured sampler, and records the rank of the ground truth within
 the posterior draws for every quantity of interest.  Replications are
 independent, so they run in blocks, as arrays from simulation to rank: a
-block derives each purpose's random streams for all its rows in one pass,
-stacks its rows' priors as an (R, d) array and their data as (R, n), checks
-each once, fits all its datasets in one sampler call (the exact sampler and
-the lockstep MCMC and VI samplers alike, each returning one (R, n, d) array
-of draws), estimates MCMC chains' effective sample sizes from that array in
-one call per run of equal-length chains (the whole block with thinning off
-or in Algorithm 2's first pass, each rerun length after it), and ranks each
-quantity in one pass over the block's (R, L, d) draws.  Quantities are
-evaluated one way for both, by :func:`sbc.model.evaluate`.  Every random
-stream is derived from (master_seed, replication index, purpose tag), and the batched
-densities and quantities keep each row's arithmetic within its row, so
-results are bit-identical for any block size and any number of workers.
+run (or pool chunk) derives each purpose's random-stream keys for all its
+rows in one pass, and a block's streams of one purpose share one re-keyed
+generator.  A block stacks its rows' priors as an (R, d) array and their
+data as (R, n), checks each once, fits all its datasets in one sampler call
+(the exact sampler and the lockstep MCMC and VI samplers alike, each
+returning one (R, n, d) array of draws), estimates MCMC chains' effective
+sample sizes from that array in one call per run of equal-length chains
+(the whole block with thinning off or in Algorithm 2's first pass, each
+rerun length after it), and ranks each quantity in one pass over the
+block's (R, L, d) draws.  Quantities are evaluated one way for both, by
+:func:`sbc.model.evaluate`.  Every random stream is derived from
+(master_seed, replication index, purpose tag), and the batched densities
+and quantities keep each row's arithmetic within its row, so results are
+bit-identical for any block size and any number of workers.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import partial
+from functools import lru_cache, partial
 from itertools import chain, groupby
 from pathlib import Path
 from typing import Iterator
@@ -60,7 +62,7 @@ from .samplers import (
     sample_hmc,
     sample_rw_metropolis,
 )
-from .streams import RandomStream
+from .streams import RandomStream, philox_keys
 
 FORMAT_VERSION = "1.1"
 INITIAL_CHAIN_FACTOR = 10
@@ -230,6 +232,14 @@ def _build(config: RunConfig) -> tuple[GenerativeModel, tuple[Quantity, ...]]:
     return model, tuple(sorted(model.quantities, key=lambda q: q.name))
 
 
+@lru_cache(maxsize=None)
+def _no_ess(n_quantities: int) -> np.ndarray:
+    """The read-only all-NaN ESS row that every row holds until its chain's ESS is set."""
+    ess = np.full(n_quantities, np.nan)
+    ess.flags.writeable = False
+    return ess
+
+
 class _Row:
     """One replication's state while its block runs; ``failure`` ends it.
 
@@ -243,7 +253,7 @@ class _Row:
         self.diag: dict = {"replication": i}
         self.failure: str | None = None
         self.length = length
-        self.ess = np.full(n_quantities, np.nan)
+        self.ess = _no_ess(n_quantities)
 
     def fail(self, exc: SbcError) -> None:
         self.failure = f"{type(exc).__name__}: {exc}"
@@ -263,9 +273,26 @@ def _each(rows: list[_Row], step) -> list[_Row]:
     return [row for row in rows if row.failure is None]
 
 
-def _streams(seed: int, rows: list[_Row], tag: str) -> list[RandomStream]:
-    """Each row's stream for ``tag``, in the rows' order, derived in one pass."""
-    return RandomStream.block(seed, [row.i for row in rows], tag)
+class _Streams:
+    """The random streams of a range of replications.
+
+    Each tag's Philox keys are derived for the whole range in one pass, on
+    the tag's first use, and each call hands out a block of them.
+    """
+
+    def __init__(self, seed: int, indices: range):
+        self.seed, self.indices = seed, indices
+        self.keys: dict[str, np.ndarray] = {}
+
+    def __call__(self, rows: list[_Row], tag: str) -> Iterator[RandomStream]:
+        """Each row's stream for ``tag``, in the rows' order (see :meth:`RandomStream.block`)."""
+        keys = self.keys.get(tag)
+        if keys is None:
+            keys = self.keys[tag] = philox_keys(
+                self.seed, np.arange(self.indices.start, self.indices.stop), tag)
+        replications = [row.i for row in rows]
+        return RandomStream.block(self.seed, replications, tag,
+                                  keys[np.subtract(replications, self.indices.start)])
 
 
 def _keep_finite(rows: list[_Row], values: np.ndarray, error) -> tuple[list[_Row], np.ndarray]:
@@ -279,7 +306,7 @@ def _keep_finite(rows: list[_Row], values: np.ndarray, error) -> tuple[list[_Row
     return [row for row in rows if row.failure is None], values[ok]
 
 
-def _simulate(model: GenerativeModel, seed: int,
+def _simulate(model: GenerativeModel, streams: _Streams,
               rows: list[_Row]) -> tuple[list[_Row], np.ndarray, np.ndarray]:
     """Draw the rows' priors and data; returns the live rows, their priors and observations.
 
@@ -291,14 +318,14 @@ def _simulate(model: GenerativeModel, seed: int,
     the returned arrays.
     """
     with np.errstate(all="ignore"):  # a non-finite draw fails its row below
-        priors = np.array([model.prior_simulator(rng) for rng in _streams(seed, rows, "prior")],
+        priors = np.array([model.prior_simulator(rng) for rng in streams(rows, "prior")],
                           dtype=np.float64).reshape(len(rows), len(model.parameter_names))
         rows, priors = _keep_finite(rows, priors, lambda theta: NonFiniteParameter(
             f"non-finite parameter values: {theta}"))
         if not rows:
             return rows, priors, np.empty((0, 0))
         observations = np.array([model.data_simulator(theta, rng) for theta, rng
-                                 in zip(priors, _streams(seed, rows, "data"))], dtype=np.float64)
+                                 in zip(priors, streams(rows, "data"))], dtype=np.float64)
     live, observations = _keep_finite(rows, observations.reshape(len(rows), -1), lambda _: (
         NonFiniteInput("simulated observations must be finite")))
     for k, row in enumerate(live):
@@ -307,22 +334,20 @@ def _simulate(model: GenerativeModel, seed: int,
 
 
 def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, ...],
-         rows: list[_Row], observations: np.ndarray, tag: str) -> None:
+         streams: _Streams, rows: list[_Row], observations: np.ndarray, tag: str) -> None:
     """Fit each row's dataset for ``row.length`` draws; sets ``row.draws`` or fails the row.
 
     Rows are fitted with the MCMC or VI sampler in lockstep, longest first,
-    in groups whose noise array holds at most BLOCK_FLOATS values; the rows
-    of a group may differ in length.  A row's draws are a view of its
-    group's (R, n, d) block, and an MCMC fit's health goes to ``row.diag``
-    and its ESS is estimated from the block, one :func:`ess_by_quantity` call
-    per run of equal-length rows.
+    in groups whose noise array holds at most BLOCK_FLOATS values, each group
+    with its own block of streams; the rows of a group may differ in length.
+    A row's draws are a view of its group's (R, n, d) block, and an MCMC
+    fit's health goes to ``row.diag`` and its ESS is estimated from the
+    block, one :func:`ess_by_quantity` call per run of equal-length rows.
     """
     if not rows:
         return
-    cfg, seed = config.sampler, config.master_seed
+    cfg = config.sampler
     rows = sorted(rows, key=lambda row: -row.length)
-    rngs = _streams(seed, rows, tag)
-    vi_rngs = _streams(seed, rows, "vi") if cfg.kind == "meanfield-vi" else []
     start = 0
     while start < len(rows):
         n_steps = rows[start].length
@@ -330,16 +355,16 @@ def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, 
         stop = start + max(1, BLOCK_FLOATS // (steps * len(model.parameter_names)))
         group = rows[start:stop]
         data = observations[[row.k for row in group]]
-        lengths, group_rngs = [row.length for row in group], rngs[start:stop]
+        lengths, rngs = [row.length for row in group], streams(group, tag)
         if cfg.kind == "meanfield-vi":
             block = fit_meanfield_vi(model, data, cfg.vi_iterations, cfg.vi_learning_rate,
-                                     vi_rngs[start:stop], n_steps, group_rngs)
+                                     streams(group, "vi"), n_steps, rngs)
         elif cfg.kind == "rw-metropolis":
             block = sample_rw_metropolis(model, data, n_steps, cfg.step_size, cfg.warmup,
-                                         group_rngs, lengths)
+                                         rngs, lengths)
         else:
             block = sample_hmc(model, data, n_steps, cfg.step_size, cfg.n_leapfrog,
-                               cfg.warmup, group_rngs, lengths)
+                               cfg.warmup, rngs, lengths)
         for k, row in enumerate(group):
             if k in block.failures:
                 row.fail(block.failures[k])
@@ -358,7 +383,8 @@ def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, 
 
 
 def _sample(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
-            rows: list[_Row], observations: np.ndarray) -> tuple[list[_Row], np.ndarray]:
+            streams: _Streams, rows: list[_Row],
+            observations: np.ndarray) -> tuple[list[_Row], np.ndarray]:
     """Fit the rows with an MCMC or VI sampler; returns the live rows and their (R, L, d) draws.
 
     MCMC chains' ESS is estimated with the fit (see :func:`_fit`);
@@ -366,7 +392,7 @@ def _sample(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantit
     reruns are fitted in one more lockstep call, each row for its own
     planned length.
     """
-    _fit(model, config, quantities, rows, observations, "chain")
+    _fit(model, config, quantities, streams, rows, observations, "chain")
     if config.thinning != "off":
         reruns: list[_Row] = []
 
@@ -379,7 +405,7 @@ def _sample(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantit
                 reruns.append(row)
 
         _each(rows, plan)
-        _fit(model, config, quantities, reruns, observations, "chain-rerun")
+        _fit(model, config, quantities, streams, reruns, observations, "chain-rerun")
 
         def thin(row):
             ess_min = min_ess(row.ess)
@@ -420,25 +446,26 @@ def _rank(rows: list[_Row], draws: np.ndarray, priors: np.ndarray,
 
 
 def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
-               indices) -> list[dict]:
+               streams: _Streams, indices) -> list[dict]:
     """Run a block of replications; returns each one's row of the rank table, or its failure.
 
-    Each purpose's streams (prior, data, chain, rerun, VI) are derived for
-    the whole block in one pass.  The block's priors and data are drawn row
-    by row and checked as stacked arrays (see :func:`_simulate`).  The exact
+    Each purpose's streams (prior, data, chain, rerun, VI) come from
+    ``streams``, which derives their keys for its whole range.  The block's
+    priors and data are drawn row by row and checked as stacked arrays (see
+    :func:`_simulate`).  The exact
     sampler draws the block's (R, L, 1) draws in one call; the MCMC and VI
     samplers fit it in lockstep (see :func:`_sample`).  Corruption is applied
     to the block's draws, then each quantity is ranked for the whole block
     at once (see :func:`_rank`).
     """
-    seed, L = config.master_seed, config.L
+    L = config.L
     length = L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * L
     rows = [_Row(i, len(quantities), length) for i in indices]
-    live, priors, observations = _simulate(model, seed, rows)
+    live, priors, observations = _simulate(model, streams, rows)
     if config.sampler.kind == "exact-conjugate":
-        draws = sample_exact_conjugate(model, observations, L, _streams(seed, live, "chain"))
+        draws = sample_exact_conjugate(model, observations, L, streams(live, "chain"))
     else:
-        live, draws = _sample(config, model, quantities, live, observations)
+        live, draws = _sample(config, model, quantities, streams, live, observations)
         priors = priors[[row.k for row in live]]
     if live:
         params = model.parameter_names
@@ -453,9 +480,11 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
 
 def _run_blocks(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
                 indices: range) -> Iterator[dict]:
-    """Run the indices block by block; yields rows in order."""
+    """Run the indices block by block, with one key derivation per tag; yields rows in order."""
+    streams = _Streams(config.master_seed, indices)
     for start in range(0, len(indices), BLOCK_SIZE):
-        yield from _run_block(config, model, quantities, indices[start:start + BLOCK_SIZE])
+        yield from _run_block(config, model, quantities, streams,
+                              indices[start:start + BLOCK_SIZE])
 
 
 def _run_chunk(config: RunConfig, indices: range) -> list[dict]:
@@ -612,8 +641,9 @@ def _rank_table(rows: list[list[str]], config: RunConfig, failures) -> dict:
 
     The rows must hold one rank in [0, L] for each quantity of each completed
     replication: replications ascending, each listing the same quantities in
-    the same order, every row with the run's L and its replication's raw
-    chain length.
+    the same order, every row with the run's L, an ``n_eff`` that is empty
+    or finite and positive, and its replication's raw chain length, at
+    least L.
     """
     try:
         if any(len(row) != len(_CSV_HEADER) for row in rows):
@@ -629,6 +659,12 @@ def _rank_table(rows: list[list[str]], config: RunConfig, failures) -> dict:
         raise InvalidArtifact(f"ranks.csv has L values other than the run's L={config.L}")
     if np.any((ranks < 0) | (ranks > config.L)):
         raise InvalidArtifact(f"ranks.csv has ranks outside [0, {config.L}]")
+    estimated = ess[[bool(row[4]) for row in rows]]
+    if not np.all(np.isfinite(estimated) & (estimated > 0)):
+        raise InvalidArtifact("ranks.csv has an n_eff that is neither empty nor finite and "
+                              "positive")
+    if np.any(lengths < config.L):
+        raise InvalidArtifact(f"ranks.csv has a raw_chain_length below L={config.L}")
 
     failed = {f["replication"] for f in failures}
     completed = [i for i in range(config.N) if i not in failed]

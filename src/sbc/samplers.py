@@ -6,12 +6,14 @@ variational fit.  All MCMC runs happen on the unconstrained scale and start
 from a fresh prior draw, which stresses mixing honestly.
 
 Every sampler fits R replications in one call: it takes an (R, n) array of
-observations, one dataset per row, and R random streams, and returns one
-(R, n, d) array of constrained draws, row r's chain at ``[r, :lengths[r]]``.
-The MCMC and VI samplers hold their states as (R, d) arrays and call the
-model's batched density once per step for all rows.  Each row keeps its own
-step size, adaptation state and stream, from which it draws its initial
-point, its noise and its uniforms in the order a single fit would, so a
+observations, one dataset per row, and an iterable of R random streams,
+which it takes in order and uses one at a time (a block's streams share one
+generator, see :mod:`sbc.streams`), and returns one (R, n, d) array of
+constrained draws, row r's chain at ``[r, :lengths[r]]``.  The MCMC and VI
+samplers hold their states as (R, d) arrays and call the model's batched
+density once per step for all rows.  Each row keeps its own step size,
+adaptation state and stream, from which it draws its initial point, its
+noise and its uniforms in one pass, in the order a single fit would, so a
 row's draws do not depend on the other rows.  A fit runs under one
 ``np.errstate``; rows whose arithmetic overflows are masked once per step
 (rejected, or failed), and a row that cannot be fitted fails alone: its
@@ -104,16 +106,16 @@ def sample_exact_conjugate(model: GenerativeModel, observations: np.ndarray, L: 
                            rngs) -> np.ndarray:
     """L independent draws from each row's closed-form conjugate posterior: an (R, L, 1) array.
 
-    Row r is the posterior given ``observations[r]``, drawn from ``rngs[r]``
-    as ``rng.normal(mean, sd, size=L)``, so it equals a one-row call.  A row
-    whose posterior is not finite gets non-finite draws.
+    Row r is the posterior given ``observations[r]``, drawn from the r-th
+    stream of ``rngs`` as ``rng.normal(mean, sd, size=L)``, so it equals a
+    one-row call.  A row whose posterior is not finite gets non-finite draws.
     """
     if model.exact_posterior is None:
         raise NotConjugate(f"model {model.name!r} has no closed-form posterior")
     if L < 1:
         raise ValueError("L must be >= 1")
     mean, sd = model.exact_posterior(observations)
-    draws = np.empty((len(rngs), L, 1))
+    draws = np.empty((len(observations), L, 1))
     for out, rng, m, s in zip(draws, rngs, mean.tolist(), sd.tolist()):
         out[:, 0] = rng.normal(m, s, size=L)
     return draws
@@ -125,7 +127,7 @@ class DrawBlock:
 
     ``draws`` is one C-ordered (R, n, d) array of constrained draws, columns
     in the order of the model's parameter names: row r belongs to the
-    replication whose stream was ``rngs[r]``, and its chain is
+    replication whose stream was the r-th of ``rngs``, and its chain is
     ``draws[r, :lengths[r]]`` (an MCMC row past its length repeats its last
     state).  A row that failed alone is NaN throughout, and ``failures``
     maps it to its :class:`SbcError`.  ``row_diagnostics[r]`` is row r's
@@ -158,32 +160,36 @@ def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int
     """Initial points, the rows' noise and uniforms, and the target bound to their datasets.
 
     Row r runs warmup + lengths[r] steps (n_steps when ``lengths`` is None).
-    It draws its initial point from the prior, then a (steps, d) block of
-    standard normals, then ``steps`` uniforms, all from its own stream; past
-    its last step it is padded with zero noise and uniforms of 1, which
-    reject every move.  A row whose initial point or initial density is
-    non-finite fails alone (:class:`NonFiniteDensity`): it draws no noise,
-    so it rejects every move, and its arithmetic never reaches another row.
-    Returns (target, z, logp, noise, unifs, lengths, failures): noise
-    (warmup + n_steps, R, d), uniforms (warmup + n_steps, R), the rows'
-    lengths (R,), and a map from each failed row to its error.
+    The rows take their streams in order, each in one pass: row r draws its
+    initial point from the prior, then a (steps, d) block of standard
+    normals, then ``steps`` uniforms; past its last step it is padded with
+    zero noise and uniforms of 1, which reject every move.  A row whose
+    initial point or initial density is non-finite fails alone
+    (:class:`NonFiniteDensity`): its noise and uniforms are reset to zero and
+    1 (the discarded draws came from its own stream), so it rejects every
+    move, and its arithmetic never reaches another row.  Returns (target, z,
+    logp, noise, unifs, lengths, failures): noise (warmup + n_steps, R, d),
+    uniforms (warmup + n_steps, R), the rows' lengths (R,), and a map from
+    each failed row to its error.
     """
-    d = len(model.parameter_names)
-    Z = np.array([model.unconstraining_map.unconstrain(model.prior_simulator(rng))
-                  for rng in rngs]).reshape(len(rngs), d)
+    R, d = len(observations), len(model.parameter_names)
+    lengths = np.full(R, n_steps) if lengths is None else np.asarray(lengths)
+    Z = np.empty((R, d))
+    noise = np.zeros((warmup + n_steps, R, d))
+    unifs = np.ones((warmup + n_steps, R))
+    for r, rng in enumerate(rngs):
+        Z[r] = model.unconstraining_map.unconstrain(model.prior_simulator(rng))
+        steps = warmup + lengths[r]
+        noise[:steps, r] = rng.standard_normal((steps, d))
+        unifs[:steps, r] = rng.uniform(size=steps)
     target = posterior_target(model, observations)
     logp = target.logpdf(Z)
+    failed = np.flatnonzero(~(np.isfinite(logp) & np.isfinite(Z).all(axis=1)))
+    noise[:, failed] = 0.0
+    unifs[:, failed] = 1.0
     failures: dict[int, SbcError] = {
         r: NonFiniteDensity(f"non-finite log density at initial point {Z[r]}")
-        for r in np.flatnonzero(~(np.isfinite(logp) & np.isfinite(Z).all(axis=1))).tolist()}
-    lengths = np.full(len(rngs), n_steps) if lengths is None else np.asarray(lengths)
-    noise = np.zeros((warmup + n_steps, len(rngs), d))
-    unifs = np.ones((warmup + n_steps, len(rngs)))
-    for r, rng in enumerate(rngs):
-        if r not in failures:
-            steps = warmup + lengths[r]
-            noise[:steps, r] = rng.standard_normal((steps, d))
-            unifs[:steps, r] = rng.uniform(size=steps)
+        for r in failed.tolist()}
     return target, Z, logp, noise, unifs, lengths, failures
 
 
@@ -191,7 +197,7 @@ def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, ste
                          warmup: int, rngs, lengths=None) -> DrawBlock:
     """Random-walk Metropolis chains of n_steps post-warmup states, one per dataset.
 
-    Row r fits ``observations[r]`` with the stream ``rngs[r]``; all rows advance
+    Row r fits ``observations[r]`` with the r-th stream of ``rngs``; all rows advance
     in lockstep.  ``lengths[r]`` (at most n_steps) shortens row r's chain;
     its draws are those of a fit of that length alone.  Each row's step size
     adapts toward the standard acceptance target during warmup only and is
@@ -203,7 +209,7 @@ def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, ste
         d = z.shape[1]
         accept_target = RW_TARGET_ACCEPT_1D if d == 1 else RW_TARGET_ACCEPT_ND
         log_step = np.full(z.shape[0], math.log(step_size))
-        draws = np.empty((len(rngs), n_steps, d))
+        draws = np.empty((z.shape[0], n_steps, d))
         accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
         for t in range(warmup + n_steps):
             proposal = z + np.exp(log_step)[:, np.newaxis] * noise[t]
@@ -250,7 +256,7 @@ def sample_hmc(model: GenerativeModel, observations, n_steps: int, step_size: fl
                n_leapfrog: int, warmup: int, rngs, lengths=None) -> DrawBlock:
     """Fixed-path HMC with identity mass matrix and Metropolis correction.
 
-    Row r fits ``observations[r]`` with the stream ``rngs[r]``; all rows advance
+    Row r fits ``observations[r]`` with the r-th stream of ``rngs``; all rows advance
     in lockstep, one batched gradient per leapfrog step.  ``lengths[r]`` (at
     most n_steps) shortens row r's chain; its draws are those of a fit of
     that length alone.  Trajectories whose energy error exceeds
@@ -270,7 +276,7 @@ def sample_hmc(model: GenerativeModel, observations, n_steps: int, step_size: fl
             model, observations, rngs, warmup, n_steps, lengths)
         g = target.grad(z)
         log_step = np.full(z.shape[0], math.log(step_size))
-        draws = np.empty((len(rngs), n_steps, z.shape[1]))
+        draws = np.empty((z.shape[0], n_steps, z.shape[1]))
         accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
         divergences = np.empty((n_steps, z.shape[0]), dtype=bool)
         for t in range(warmup + n_steps):
@@ -306,11 +312,13 @@ def fit_meanfield_vi(model: GenerativeModel, observations, iterations: int,
 
     Single-sample reparameterized gradients with step decay t^-0.5.  The
     entropy term contributes +1 to each log-sd gradient.  Row r fits
-    ``observations[r]`` with the stream ``rngs[r]``, all rows in lockstep,
-    and then draws ``m + exp(omega) * eps`` on the unconstrained scale, with
-    ``eps`` an (n_draws, d) block of standard normals from ``draw_rngs[r]``.
-    A row whose gradient or parameters go non-finite stops there, fails with
-    :class:`Diverged` and draws nothing; the others go on.
+    ``observations[r]`` with the r-th stream of ``rngs``, all rows in
+    lockstep, and then draws ``m + exp(omega) * eps`` on the unconstrained
+    scale, with ``eps`` an (n_draws, d) block of standard normals from the
+    r-th stream of ``draw_rngs``; both are taken in order.  A row whose
+    gradient or parameters go non-finite stops there, fails with
+    :class:`Diverged` and draws nothing (its draw stream is passed over);
+    the others go on.
     """
     target = posterior_target(model, observations)
     R, d = len(observations), len(model.parameter_names)
@@ -342,8 +350,9 @@ def fit_meanfield_vi(model: GenerativeModel, observations, iterations: int,
             m = np.where(active[:, np.newaxis], m_new, m)
             omega = np.where(active[:, np.newaxis], omega_new, omega)
         draws = np.empty((R, n_draws, d))
-        for r in np.flatnonzero(active).tolist():
-            draws[r] = draw_rngs[r].standard_normal((n_draws, d))
+        for r, rng in enumerate(draw_rngs):
+            if active[r]:
+                draws[r] = rng.standard_normal((n_draws, d))
         draws *= np.exp(omega)[:, np.newaxis]
         draws += m[:, np.newaxis]
         return _draw_block(model, draws, failures, [{}] * R)

@@ -18,6 +18,16 @@ the wrap-around the hash relies on).  The port is tested against
 ``SeedSequence`` itself on random seeds, replications and tags, and against
 draws frozen from the ``SeedSequence`` implementation.
 
+Building a ``Generator(Philox)`` per stream costs several microseconds of
+fixed overhead, so the streams of one block and tag (:meth:`RandomStream.block`)
+share one generator: each stream's constructor re-keys it through the bit
+generator's public ``state`` setter (its key, counter 0 and an empty
+buffer), which gives exactly the draws of a freshly built one.  Such a
+stream is valid from its creation until the block makes the next one, so
+a block's streams are used one at a time and in order; a superseded stream
+raises on a draw rather than draw another stream's numbers.  A standalone
+:class:`RandomStream` has a generator of its own.
+
 ``numpy.random`` is imported only when a stream is built, so importing this
 module stays cheap.
 """
@@ -26,6 +36,7 @@ from __future__ import annotations
 
 import hashlib
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -121,51 +132,85 @@ def philox_keys(master_seed: int, replications, tag: str) -> np.ndarray:
                      state[2] | state[3] << np.uint64(32)], axis=1)
 
 
-@lru_cache(maxsize=None)
-def _generator_factory():
-    """A function from a Philox key to a Generator; imports numpy.random on first use."""
-    from numpy.random import Generator, Philox
-    from numpy.random.bit_generator import ISeedSequence
+class _Superseded:
+    """The generator of a block stream once its block has made the next stream."""
 
-    class FixedKey(ISeedSequence):
-        """Seeds Philox with a precomputed key (what SeedSequence's state would be)."""
+    def __getattr__(self, name):
+        raise RuntimeError("this stream was superseded: a block's streams share one "
+                           "generator and are valid one at a time, in order")
 
-        def __init__(self, key: np.ndarray):
-            self.key = key
 
-        def generate_state(self, n_words, dtype=np.uint32):
-            if n_words != 2 or dtype is not np.uint64:  # what Philox asks for
-                raise ValueError("a fixed key provides only Philox's two 64-bit words")
-            return self.key
+_SUPERSEDED = _Superseded()
 
-    # Philox's default counter is 0; passed as an array it skips a slower
-    # conversion from a Python int (about 40% of building the generator).
-    counter = np.zeros(4, dtype=np.uint64)
-    counter.flags.writeable = False
-    return lambda key: Generator(Philox(seed=FixedKey(key), counter=counter))
+
+class _SharedGenerator:
+    """One ``Generator(Philox)``, re-keyed for each stream that takes it in turn.
+
+    A Philox stream is fixed by its key and counter alone, so setting the
+    key, counter 0 and an empty buffer through the bit generator's public
+    ``state`` setter gives exactly the draws of a freshly built generator,
+    at a fraction of the cost of building one.
+    """
+
+    __slots__ = ("gen", "_bit_generator", "_state", "_owner")
+
+    def __init__(self):
+        from numpy.random import Generator, Philox
+
+        self.gen = Generator(Philox(key=0))
+        self._bit_generator = self.gen.bit_generator
+        self._state = {"bit_generator": "Philox", "state": {"counter": [0] * 4, "key": None},
+                       "buffer": [0] * 4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
+        self._owner = None
+
+    def take(self, stream: RandomStream, key):
+        """The generator, re-keyed to ``key`` for ``stream``; its previous taker can no
+        longer draw."""
+        if self._owner is not None:
+            self._owner.gen = _SUPERSEDED
+        self._owner = stream
+        self._state["state"]["key"] = key
+        self._bit_generator.state = self._state
+        return self.gen
 
 
 class RandomStream:
     """Single-owner source of randomness for one purpose within one replication.
 
     Streams must never be shared between concurrent consumers; derive a fresh
-    one per (replication, tag) instead.  ``key`` is the stream's Philox key
-    when the caller has derived it already (see :meth:`block`).
+    one per (replication, tag) instead.  A standalone stream has its own
+    generator.  The streams of one :meth:`block` share one, re-keyed by each
+    stream's constructor, so each is valid from its creation until the block
+    makes the next: they are used one at a time and in order, and drawing
+    from a superseded stream raises RuntimeError.  ``key`` is the stream's
+    Philox key, two 64-bit words, when the caller has derived it already.
     """
 
+    __slots__ = ("replication", "gen")
+
     def __init__(self, master_seed: int, replication: int = 0, tag: str = "root", *,
-                 key: np.ndarray | None = None):
+                 key=None, shared: _SharedGenerator | None = None):
         if key is None:
-            key = philox_keys(master_seed, [replication], tag)[0]
+            key = philox_keys(master_seed, [replication], tag)[0].tolist()
         self.replication = int(replication)
-        self.gen = _generator_factory()(key)
+        self.gen = (_SharedGenerator() if shared is None else shared).take(self, key)
 
     @classmethod
-    def block(cls, master_seed: int, replications, tag: str) -> list[RandomStream]:
-        """The streams (master_seed, i, tag) for every i in replications, keyed in one pass."""
+    def block(cls, master_seed: int, replications, tag: str,
+              keys: np.ndarray | None = None) -> Iterator[RandomStream]:
+        """The streams (master_seed, i, tag) for every i in replications, in order, sharing
+        one generator; each is made when the previous one is done.
+
+        ``keys`` are the streams' (R, 2) Philox keys when the caller has derived
+        them already; otherwise they are derived here, in one pass, before the
+        first stream is made (so a replication out of range raises at the call).
+        """
         replications = [int(i) for i in replications]
-        keys = philox_keys(master_seed, replications, tag)
-        return [cls(master_seed, i, tag, key=key) for i, key in zip(replications, keys)]
+        if keys is None:
+            keys = philox_keys(master_seed, replications, tag)
+        shared = _SharedGenerator()
+        return (cls(master_seed, i, tag, key=key, shared=shared)
+                for i, key in zip(replications, keys.tolist()))
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self.gen.normal(loc, scale, size)

@@ -400,6 +400,30 @@ class TestRankTableValidation:
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
 
 
+    @pytest.mark.parametrize("cell, value", [
+        (4, "-5.0"), (4, "0.0"), (4, "inf"), (4, "nan"), (5, "0"), (5, "14"),
+    ], ids=["n_eff-negative", "n_eff-zero", "n_eff-inf", "n_eff-nan", "chain-length-0",
+            "chain-length-below-L"])
+    def test_impossible_n_eff_or_chain_length_rejected(self, tmp_path, capsys, cell, value):
+        """The writer writes an empty n_eff or a finite positive one, and every raw chain
+        holds at least L draws; an HMC artifact (L=15) with another value exits 4."""
+        config = RunConfig(model={"kind": "normal-normal"},
+                           sampler=SamplerConfig(kind="hmc", warmup=20), N=40, L=15,
+                           master_seed=5)
+        out = save_artifact(run(config), tmp_path / "run")
+        assert np.isfinite(load_artifact(out).ess).all()
+        header, *rows = (out / "ranks.csv").read_text().splitlines()
+        first = rows[0].split(",")
+        first[cell] = value
+        rows[0] = ",".join(first)
+        rewrite(out, "ranks.csv", "\n".join([header, *rows, ""]).encode())
+        with pytest.raises(InvalidArtifact, match="n_eff" if cell == 4 else "raw_chain_length"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("sbc: report error: ranks.csv") and err.count("\n") == 1
+
+
 class TestMetaValidation:
     """meta.json is outside input too: its shape, config, failures and diagnostics (N=20)."""
 

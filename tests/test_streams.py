@@ -56,11 +56,46 @@ def test_block_keys_equal_seed_sequence(seed, replications, tag):
 
 def test_block_streams_equal_single_streams():
     replications = [0, 3, 4, 1000, 2**32 - 1]
-    block = RandomStream.block(2**40 + 7, replications, "chain")
-    assert [s.replication for s in block] == replications
-    for i, stream in zip(replications, block):
-        np.testing.assert_array_equal(stream.standard_normal(20),
-                                      RandomStream(2**40 + 7, i, "chain").standard_normal(20))
+    seen = []
+    for stream in RandomStream.block(2**40 + 7, replications, "chain"):
+        seen.append(stream.replication)
+        np.testing.assert_array_equal(
+            stream.standard_normal(20),
+            RandomStream(2**40 + 7, stream.replication, "chain").standard_normal(20))
+    assert seen == replications
+
+
+def fresh_generator(seed, i, tag):
+    """A newly built Generator(Philox) on the stream's key, as numpy would seed it."""
+    return np.random.Generator(np.random.Philox(key=philox_keys(seed, [i], tag)[0]))
+
+
+def test_block_stream_after_a_mid_buffer_stream_equals_a_fresh_one():
+    """Re-keying resets the counter and both buffers a previous stream left part used."""
+    streams = RandomStream.block(77, [5, 6, 7], "chain")
+    first = next(streams)
+    first.gen.integers(0, 2**32 - 1, size=3, dtype=np.uint32)  # an odd count of uint32s
+    state = first.gen.bit_generator.state
+    assert state["has_uint32"] == 1 and state["buffer_pos"] < 4
+    second = next(streams)
+    assert second.standard_normal(50).tolist() == RandomStream(77, 6, "chain").standard_normal(
+        50).tolist() == fresh_generator(77, 6, "chain").standard_normal(50).tolist()
+    second.uniform(size=1)
+    third = next(streams)
+    assert third.gen.integers(0, 2**32 - 1, size=5, dtype=np.uint32).tolist() == (
+        fresh_generator(77, 7, "chain").integers(0, 2**32 - 1, size=5, dtype=np.uint32).tolist())
+
+
+def test_superseded_block_stream_raises():
+    streams = RandomStream.block(3, [0, 1], "prior")
+    first = next(streams)
+    first.normal(0.0, 1.0)
+    second = next(streams)
+    for draw in (first.normal, first.standard_normal, first.uniform):
+        with pytest.raises(RuntimeError, match="superseded"):
+            draw()
+    assert second.standard_normal(4).tolist() == RandomStream(3, 1, "prior").standard_normal(
+        4).tolist()
 
 
 # First three standard normals of each stream, frozen from the implementation
@@ -77,13 +112,13 @@ GOLDEN_DRAWS = {
 def test_golden_draws(key):
     assert RandomStream(*key).standard_normal(3).tolist() == GOLDEN_DRAWS[key]
     seed, i, tag = key
-    assert RandomStream.block(seed, [i], tag)[0].standard_normal(3).tolist() == GOLDEN_DRAWS[key]
+    assert next(RandomStream.block(seed, [i], tag)).standard_normal(3).tolist() == GOLDEN_DRAWS[key]
 
 
 def test_out_of_range_arguments_rejected():
     with pytest.raises(ValueError):
         RandomStream(0, 2**32)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError):  # at the call, before any stream is made
         RandomStream.block(0, [1, 2**32], "chain")
     with pytest.raises(ValueError):
         RandomStream(0, -1)
