@@ -36,6 +36,10 @@ CONFIGS = {
                        "thinning": "algorithm-2", "master_seed": 14},
     "rw-linreg-alg2": {"model": {"kind": "lin-reg"}, "sampler": {"kind": "rw-metropolis"},
                        "N": 20, "L": 31, "thinning": "algorithm-2", "master_seed": 15},
+    # Every proposal's log density overflows to -inf or NaN and is rejected.
+    "rw-linreg-overflow": {"model": {"kind": "lin-reg"},
+                           "sampler": {"kind": "rw-metropolis", "step_size": 1e200, "warmup": 0},
+                           "N": 20, "L": 31, "master_seed": 17},
     "vi-nn": {"model": {"kind": "normal-normal"},
               "sampler": {"kind": "meanfield-vi", "vi_iterations": 500},
               "N": 100, "L": 99, "master_seed": 16},

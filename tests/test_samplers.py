@@ -18,6 +18,8 @@ from sbc.rankstats import rank_statistic
 from sbc.samplers import (
     DIVERGENCE_THRESHOLD,
     HMC_TARGET_ACCEPT,
+    RW_TARGET_ACCEPT_1D,
+    RW_TARGET_ACCEPT_ND,
     Corruption,
     SamplerConfig,
     _draw_block,
@@ -269,6 +271,37 @@ def reference_sample_hmc(model, datasets, n_steps, step_size, n_leapfrog, warmup
              "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())])
 
 
+def reference_sample_rw_metropolis(model, datasets, n_steps, step_size, warmup, rngs,
+                                   lengths=None):
+    """Random-walk Metropolis as it was written before it shared HMC's transition loop."""
+    with np.errstate(all="ignore"):
+        target, z, logp, noise, unifs, lengths, failures = _start(
+            model, datasets, rngs, warmup, n_steps, lengths)
+        d = z.shape[1]
+        accept_target = RW_TARGET_ACCEPT_1D if d == 1 else RW_TARGET_ACCEPT_ND
+        log_step = np.full(z.shape[0], math.log(step_size))
+        draws = np.empty((z.shape[0], n_steps, d))
+        accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
+        for t in range(warmup + n_steps):
+            proposal = z + np.exp(log_step)[:, np.newaxis] * noise[t]
+            logp_prop = target.logpdf(proposal)
+            log_ratio = logp_prop - logp
+            accept_prob = np.where(np.isfinite(log_ratio),
+                                   np.exp(np.minimum(0.0, log_ratio)), 0.0)
+            took = unifs[t] < accept_prob
+            z = np.where(took[:, np.newaxis], proposal, z)
+            logp = np.where(took, logp_prop, logp)
+            if t < warmup:
+                log_step += (accept_prob - accept_target) / math.sqrt(t + 1.0)
+            else:
+                draws[:, t - warmup] = z
+                accepted[t - warmup] = took
+
+        return _draw_block(model, draws, failures, [
+            {"acceptance_rate": float(accepted[:n, r].sum()) / n,
+             "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())])
+
+
 def assert_same_rows(a, b):
     """DrawBlocks a and b hold the same draws (NaN in the same failed rows), the same
     errors and the same health."""
@@ -342,6 +375,87 @@ def lin_reg_datasets(n, seed):
     return model, np.array([
         model.data_simulator(model.prior_simulator(RandomStream(seed, i, "prior")),
                              RandomStream(seed, i, "data")) for i in range(n)])
+
+
+def make_walled_model():
+    """x ~ N(0, 1) whose log density is -inf below -1.5, NaN above 1.5 and +inf above 3,
+    so random-walk proposals reach every kind of non-finite log density."""
+    def posterior_factory(observations):
+        def logpdf(Z):
+            x = Z[:, 0]
+            return np.select([x < -1.5, x > 3.0, x > 1.5], [-np.inf, np.inf, np.nan],
+                             -0.5 * x * x)
+        return PosteriorTarget(logpdf, np.zeros_like)
+
+    return GenerativeModel(
+        name="walled-normal",
+        parameter_names=("x",),
+        prior_simulator=lambda rng: np.array([0.3 * rng.normal()]),
+        data_simulator=lambda theta, rng: np.array([0.0]),
+        posterior_factory=posterior_factory,
+        quantities=(coordinate("x"),),
+        unconstraining_map=UnconstrainingMap(("identity",)),
+    )
+
+
+def without_gradient(model, densities):
+    """``model`` whose targets raise on a gradient call and append each batch of log
+    densities they evaluate to ``densities``."""
+    def factory(observations):
+        target = model.posterior_factory(observations)
+
+        def logpdf(Z):
+            densities.append(target.logpdf(Z))
+            return densities[-1]
+
+        def grad(Z):
+            raise AssertionError("random-walk Metropolis evaluated a gradient")
+        return PosteriorTarget(logpdf, grad)
+
+    return dataclasses.replace(model, posterior_factory=factory)
+
+
+class TestRwMatchesReference:
+    """Random-walk Metropolis draws what its own transition loop drew."""
+
+    def test_ragged_lengths_match_reference(self):
+        model, datasets = lin_reg_datasets(5, seed=73)
+
+        def fit(sampler):
+            return sampler(model, datasets, 70, 0.5, 40,
+                           [RandomStream(73, i, "chain-rerun") for i in range(5)],
+                           [70, 25, 70, 41, 3])
+        assert_same_rows(fit(sample_rw_metropolis), fit(reference_sample_rw_metropolis))
+
+    def test_failed_initial_point_matches_reference(self):
+        model = make_flagged_model(cut=5.0)
+        datasets = np.array([[y] for y in (0.3, 9.0, -1.2, 0.8)])
+
+        def fit(sampler):
+            return sampler(model, datasets, 50, 0.5, 20,
+                           [RandomStream(74, i, "chain") for i in range(4)])
+        block = fit(sample_rw_metropolis)
+        assert isinstance(block.failures[1], NonFiniteDensity)
+        assert_same_rows(block, fit(reference_sample_rw_metropolis))
+
+    @pytest.mark.parametrize("model, datasets, step_size, kinds", [
+        (make_walled_model(), np.zeros((4, 1)), 1.0, (np.isnan, np.isneginf, np.isposinf)),
+        (*lin_reg_datasets(4, seed=75), 1e200, (np.isnan, np.isneginf)),
+    ], ids=["walled", "lin-reg-overflow"])
+    def test_non_finite_proposals_match_reference(self, model, datasets, step_size, kinds):
+        """Proposals whose log density is NaN, -inf or +inf are rejected as before,
+        during warmup and after it, and no gradient is evaluated."""
+        densities = []
+        model = without_gradient(model, densities)
+
+        def fit(sampler):
+            return sampler(model, datasets, 60, step_size, 30,
+                           [RandomStream(75, i, "chain-rerun") for i in range(4)],
+                           [60, 20, 60, 45])
+        block = fit(sample_rw_metropolis)
+        proposed = np.concatenate(densities[1:])  # the first batch is the initial points
+        assert all(kind(proposed).any() for kind in kinds)
+        assert_same_rows(block, fit(reference_sample_rw_metropolis))
 
 
 def assert_same_row(a, i, b, j):
