@@ -376,9 +376,6 @@ def model_from_dict(d: dict) -> GenerativeModel:
     unknown = set(d) - allowed
     if unknown:
         raise InvalidSpec(f"unknown keys for model {kind!r}: {sorted(unknown)}")
-    for key in ("covariates", "sigma_j"):
-        if key in d and d[key] is not None:
-            d[key] = tuple(d[key])
     try:
         spec = spec_cls(**d)
     except TypeError as exc:

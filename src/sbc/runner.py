@@ -62,7 +62,7 @@ from .samplers import (
     sample_hmc,
     sample_rw_metropolis,
 )
-from .streams import RandomStream, philox_keys
+from .streams import RandomStream, SharedGenerator, philox_keys
 
 FORMAT_VERSION = "1.1"
 INITIAL_CHAIN_FACTOR = 10
@@ -276,23 +276,24 @@ def _each(rows: list[_Row], step) -> list[_Row]:
 class _Streams:
     """The random streams of a range of replications.
 
-    Each tag's Philox keys are derived for the whole range in one pass, on
-    the tag's first use, and each call hands out a block of them.
+    On a tag's first use its Philox keys are derived for the whole range in
+    one pass and its one generator is built; each call hands out a block of
+    them, whose streams are used before the tag's next block makes its first.
     """
 
     def __init__(self, seed: int, indices: range):
         self.seed, self.indices = seed, indices
-        self.keys: dict[str, np.ndarray] = {}
+        self.tags: dict[str, tuple[np.ndarray, SharedGenerator]] = {}
 
     def __call__(self, rows: list[_Row], tag: str) -> Iterator[RandomStream]:
         """Each row's stream for ``tag``, in the rows' order (see :meth:`RandomStream.block`)."""
-        keys = self.keys.get(tag)
-        if keys is None:
-            keys = self.keys[tag] = philox_keys(
-                self.seed, np.arange(self.indices.start, self.indices.stop), tag)
+        if tag not in self.tags:
+            indices = np.arange(self.indices.start, self.indices.stop)
+            self.tags[tag] = philox_keys(self.seed, indices, tag), SharedGenerator()
+        keys, shared = self.tags[tag]
         replications = [row.i for row in rows]
         return RandomStream.block(self.seed, replications, tag,
-                                  keys[np.subtract(replications, self.indices.start)])
+                                  keys[np.subtract(replications, self.indices.start)], shared)
 
 
 def _keep_finite(rows: list[_Row], values: np.ndarray, error) -> tuple[list[_Row], np.ndarray]:

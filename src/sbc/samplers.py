@@ -22,6 +22,16 @@ draws are NaN and its error is in the block's ``failures``
 and then draws each row's L values from its own stream into a bare
 (R, L, 1) array.
 
+Both MCMC samplers are one Metropolis loop, :func:`_metropolis`, with
+different proposals: random-walk Metropolis proposes ``z + step * noise``,
+HMC takes the noise as momentum and proposes a leapfrog trajectory's end
+with the negated energy error as log ratio.  A non-finite log ratio, or one
+below -DIVERGENCE_THRESHOLD, is divergent and rejected (exp underflows to 0
+there anyway); any other is accepted with probability min(1, exp(ratio)).
+Warmup moves each row's log step size by (acceptance probability - target)
+/ sqrt(t + 1) and then freezes it, so the retained chain is Markovian; row r
+keeps lengths[r] <= n_steps states, those of a fit of that length alone.
+
 Corruption wrappers inject the canonical failure modes (shifted or rescaled
 marginals) into otherwise exact draws so the diagnostics can be exercised
 end to end.
@@ -53,7 +63,7 @@ RW_TARGET_ACCEPT_1D = 0.44
 RW_TARGET_ACCEPT_ND = 0.234
 HMC_TARGET_ACCEPT = 0.8
 
-# Energy error beyond which a trajectory is counted as divergent.
+# Energy error (negated log ratio) beyond which a proposal is divergent.
 DIVERGENCE_THRESHOLD = 1e3
 
 
@@ -193,42 +203,59 @@ def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int
     return target, Z, logp, noise, unifs, lengths, failures
 
 
+def _metropolis(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int,
+                lengths, step_size: float, accept_target: float, kernel, health) -> DrawBlock:
+    """Lockstep Metropolis chains.  ``kernel(target, z)`` returns the rows' initial state,
+    a tuple of (R, d) arrays led by the point, and ``propose(state, logp, step, noise)``,
+    which returns a proposed state, its log density and its log ratio.  A live row's
+    health is ``health(acceptance_rate, divergences, step_size)``."""
+    with np.errstate(all="ignore"):
+        target, z, logp, noise, unifs, lengths, failures = _start(
+            model, observations, rngs, warmup, n_steps, lengths)
+        state, propose = kernel(target, z)
+        log_step = np.full(z.shape[0], math.log(step_size))
+        draws = np.empty((z.shape[0], n_steps, z.shape[1]))
+        accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
+        divergences = np.empty((n_steps, z.shape[0]), dtype=bool)
+        for t in range(warmup + n_steps):
+            proposed, logp_new, log_ratio = propose(state, logp, np.exp(log_step)[:, np.newaxis],
+                                                    noise[t])
+            divergent = ~np.isfinite(log_ratio) | (log_ratio < -DIVERGENCE_THRESHOLD)
+            accept_prob = np.where(divergent, 0.0, np.exp(np.minimum(0.0, log_ratio)))
+            took = unifs[t] < accept_prob  # never where divergent: uniforms are >= 0
+            state = tuple(np.where(took[:, np.newaxis], new, old)
+                          for new, old in zip(proposed, state))
+            logp = np.where(took, logp_new, logp)
+            if t < warmup:
+                log_step += (accept_prob - accept_target) / math.sqrt(t + 1.0)
+            else:
+                draws[:, t - warmup] = state[0]
+                accepted[t - warmup] = took
+                divergences[t - warmup] = divergent
+
+        return _draw_block(model, draws, failures, [
+            health(float(accepted[:n, r].sum()) / n, int(divergences[:n, r].sum()),
+                   math.exp(log_step[r])) for r, n in enumerate(lengths.tolist())])
+
+
 def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, step_size: float,
                          warmup: int, rngs, lengths=None) -> DrawBlock:
     """Random-walk Metropolis chains of n_steps post-warmup states, one per dataset.
 
-    Row r fits ``observations[r]`` with the r-th stream of ``rngs``; all rows advance
-    in lockstep.  ``lengths[r]`` (at most n_steps) shortens row r's chain;
-    its draws are those of a fit of that length alone.  Each row's step size
-    adapts toward the standard acceptance target during warmup only and is
-    frozen afterwards so the retained chain is Markovian.
+    Step sizes adapt toward RW_TARGET_ACCEPT_1D (one coordinate) or
+    RW_TARGET_ACCEPT_ND; a row's health is its acceptance rate and step size.
     """
-    with np.errstate(all="ignore"):
-        target, z, logp, noise, unifs, lengths, failures = _start(
-            model, observations, rngs, warmup, n_steps, lengths)
-        d = z.shape[1]
-        accept_target = RW_TARGET_ACCEPT_1D if d == 1 else RW_TARGET_ACCEPT_ND
-        log_step = np.full(z.shape[0], math.log(step_size))
-        draws = np.empty((z.shape[0], n_steps, d))
-        accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
-        for t in range(warmup + n_steps):
-            proposal = z + np.exp(log_step)[:, np.newaxis] * noise[t]
+    def kernel(target, z):
+        def propose(state, logp, step, noise):
+            proposal = state[0] + step * noise
             logp_prop = target.logpdf(proposal)
-            log_ratio = logp_prop - logp
-            accept_prob = np.where(np.isfinite(log_ratio),
-                                   np.exp(np.minimum(0.0, log_ratio)), 0.0)
-            took = unifs[t] < accept_prob
-            z = np.where(took[:, np.newaxis], proposal, z)
-            logp = np.where(took, logp_prop, logp)
-            if t < warmup:
-                log_step += (accept_prob - accept_target) / math.sqrt(t + 1.0)
-            else:
-                draws[:, t - warmup] = z
-                accepted[t - warmup] = took
+            return (proposal,), logp_prop, logp_prop - logp
+        return (z,), propose
 
-        return _draw_block(model, draws, failures, [
-            {"acceptance_rate": float(accepted[:n, r].sum()) / n,
-             "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())])
+    d = len(model.parameter_names)
+    return _metropolis(model, observations, rngs, warmup, n_steps, lengths, step_size,
+                       RW_TARGET_ACCEPT_1D if d == 1 else RW_TARGET_ACCEPT_ND, kernel,
+                       lambda rate, _, step: {"acceptance_rate": rate, "step_size": step})
 
 
 def leapfrog(z: np.ndarray, p: np.ndarray, g: np.ndarray, step, n: int,
@@ -254,55 +281,28 @@ def leapfrog(z: np.ndarray, p: np.ndarray, g: np.ndarray, step, n: int,
 
 def sample_hmc(model: GenerativeModel, observations, n_steps: int, step_size: float,
                n_leapfrog: int, warmup: int, rngs, lengths=None) -> DrawBlock:
-    """Fixed-path HMC with identity mass matrix and Metropolis correction.
+    """Fixed-path HMC with identity mass matrix and n_leapfrog steps per proposal.
 
-    Row r fits ``observations[r]`` with the r-th stream of ``rngs``; all rows advance
-    in lockstep, one batched gradient per leapfrog step.  ``lengths[r]`` (at
-    most n_steps) shortens row r's chain; its draws are those of a fit of
-    that length alone.  Trajectories whose energy error exceeds
-    DIVERGENCE_THRESHOLD (or goes non-finite) are rejected and counted as
-    divergences.  Each row's step size adapts toward 0.8 acceptance during
-    warmup only.
-
-    Each row carries the gradient at its current state from one transition
-    to the next: it is computed once before the first transition, replaced
-    by a trajectory's end gradient when the row accepts, and kept when it
-    rejects.  The batched gradient is row-local, so the carried value equals
-    a recomputed one bit for bit, and a fit makes 1 + transitions *
-    n_leapfrog gradient calls.
+    Step sizes adapt toward HMC_TARGET_ACCEPT; a row's health is its
+    acceptance rate, divergence count and step size.  A row's state carries
+    its gradient, computed once and then taken from each accepted trajectory's
+    end, which equals a recomputed one bit for bit (the batched gradient is
+    row-local): a fit makes 1 + transitions * n_leapfrog gradient calls.
     """
-    with np.errstate(all="ignore"):
-        target, z, logp, momenta, unifs, lengths, failures = _start(
-            model, observations, rngs, warmup, n_steps, lengths)
-        g = target.grad(z)
-        log_step = np.full(z.shape[0], math.log(step_size))
-        draws = np.empty((z.shape[0], n_steps, z.shape[1]))
-        accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
-        divergences = np.empty((n_steps, z.shape[0]), dtype=bool)
-        for t in range(warmup + n_steps):
-            p0 = momenta[t]
+    def kernel(target, z):
+        def propose(state, logp, step, p0):
             h0 = 0.5 * (p0 * p0).sum(axis=1) - logp
-            z_new, p_new, g_new = leapfrog(z, p0, g, np.exp(log_step)[:, np.newaxis],
-                                           n_leapfrog, target.grad)
+            z_new, p_new, g_new = leapfrog(state[0], p0, state[1], step, n_leapfrog, target.grad)
             logp_new = target.logpdf(z_new)
             delta_h = -logp_new + 0.5 * (p_new * p_new).sum(axis=1) - h0
-            divergent = ~np.isfinite(delta_h) | (delta_h > DIVERGENCE_THRESHOLD)
-            accept_prob = np.where(divergent, 0.0, np.exp(np.minimum(0.0, -delta_h)))
-            took = ~divergent & (unifs[t] < accept_prob)
-            z = np.where(took[:, np.newaxis], z_new, z)
-            g = np.where(took[:, np.newaxis], g_new, g)
-            logp = np.where(took, logp_new, logp)
-            if t < warmup:
-                log_step += (accept_prob - HMC_TARGET_ACCEPT) / math.sqrt(t + 1.0)
-            else:
-                draws[:, t - warmup] = z
-                accepted[t - warmup] = took
-                divergences[t - warmup] = divergent
+            return (z_new, g_new), logp_new, -delta_h
+        return (z, target.grad(z)), propose
 
-        return _draw_block(model, draws, failures, [
-            {"acceptance_rate": float(accepted[:n, r].sum()) / n,
-             "divergences": int(divergences[:n, r].sum()),
-             "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())])
+    return _metropolis(model, observations, rngs, warmup, n_steps, lengths, step_size,
+                       HMC_TARGET_ACCEPT, kernel,
+                       lambda rate, divergences, step: {"acceptance_rate": rate,
+                                                        "divergences": divergences,
+                                                        "step_size": step})
 
 
 def fit_meanfield_vi(model: GenerativeModel, observations, iterations: int,

@@ -18,15 +18,15 @@ the wrap-around the hash relies on).  The port is tested against
 ``SeedSequence`` itself on random seeds, replications and tags, and against
 draws frozen from the ``SeedSequence`` implementation.
 
-Building a ``Generator(Philox)`` per stream costs several microseconds of
-fixed overhead, so the streams of one block and tag (:meth:`RandomStream.block`)
-share one generator: each stream's constructor re-keys it through the bit
-generator's public ``state`` setter (its key, counter 0 and an empty
-buffer), which gives exactly the draws of a freshly built one.  Such a
-stream is valid from its creation until the block makes the next one, so
-a block's streams are used one at a time and in order; a superseded stream
-raises on a draw rather than draw another stream's numbers.  A standalone
-:class:`RandomStream` has a generator of its own.
+Building a ``Generator(Philox)`` costs tens of microseconds of fixed
+overhead, so streams of one tag share one :class:`SharedGenerator`, per
+block or across a caller's blocks (:meth:`RandomStream.block`): each
+stream's constructor re-keys it through the bit generator's public ``state``
+setter (its key, counter 0 and an empty buffer), which gives exactly the
+draws of a freshly built one.  Such a stream is valid until the generator's
+next stream is made, so they are used one at a time and in order; a
+superseded stream raises on a draw rather than draw another stream's
+numbers.  A standalone :class:`RandomStream` has a generator of its own.
 
 ``numpy.random`` is imported only when a stream is built, so importing this
 module stays cheap.
@@ -143,7 +143,7 @@ class _Superseded:
 _SUPERSEDED = _Superseded()
 
 
-class _SharedGenerator:
+class SharedGenerator:
     """One ``Generator(Philox)``, re-keyed for each stream that takes it in turn.
 
     A Philox stream is fixed by its key and counter alone, so setting the
@@ -189,26 +189,27 @@ class RandomStream:
     __slots__ = ("replication", "gen")
 
     def __init__(self, master_seed: int, replication: int = 0, tag: str = "root", *,
-                 key=None, shared: _SharedGenerator | None = None):
+                 key=None, shared: SharedGenerator | None = None):
         if key is None:
             key = philox_keys(master_seed, [replication], tag)[0].tolist()
         self.replication = int(replication)
-        self.gen = (_SharedGenerator() if shared is None else shared).take(self, key)
+        self.gen = (SharedGenerator() if shared is None else shared).take(self, key)
 
     @classmethod
-    def block(cls, master_seed: int, replications, tag: str,
-              keys: np.ndarray | None = None) -> Iterator[RandomStream]:
+    def block(cls, master_seed: int, replications, tag: str, keys: np.ndarray | None = None,
+              shared: SharedGenerator | None = None) -> Iterator[RandomStream]:
         """The streams (master_seed, i, tag) for every i in replications, in order, sharing
         one generator; each is made when the previous one is done.
 
         ``keys`` are the streams' (R, 2) Philox keys when the caller has derived
         them already; otherwise they are derived here, in one pass, before the
         first stream is made (so a replication out of range raises at the call).
+        ``shared`` is the generator to re-key, when the caller keeps one per tag.
         """
         replications = [int(i) for i in replications]
         if keys is None:
             keys = philox_keys(master_seed, replications, tag)
-        shared = _SharedGenerator()
+        shared = SharedGenerator() if shared is None else shared
         return (cls(master_seed, i, tag, key=key, shared=shared)
                 for i, key in zip(replications, keys.tolist()))
 

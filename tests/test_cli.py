@@ -7,6 +7,7 @@ import pytest
 
 from sbc import cli, models
 from sbc.cli import main
+from sbc.runner import config_from_dict, run, save_artifact
 from sbc.streams import RandomStream
 
 from sbc_test_models import make_flagged_model
@@ -146,10 +147,13 @@ def test_scale_whose_square_overflows_or_underflows_exits_2(model, sampler, tmp_
     {"corruption": {"kind": "shift", "amount": math.nan, "target_quantity": "mu"}},
     {"model": {"kind": "lin-reg", "n_obs": 3, "covariates": [1e200, 1.0, 2.0]},
      "sampler": {"kind": "hmc"}},
+    {"model": {"kind": "lin-reg", "covariates": 5}, "sampler": {"kind": "hmc"}},
+    {"model": {"kind": "eight-schools", "sigma_j": 3}, "sampler": {"kind": "hmc"}},
 ])
 def test_non_integer_or_non_finite_numbers_exit_2(change, tmp_path, capsys):
-    """Integer fields take ints only, float fields finite numbers, and lin-reg covariates
-    a finite sum of squares; anything else is a one-line config error, not a run."""
+    """Integer fields take ints only, float fields finite numbers, lin-reg covariates and
+    eight-schools sigma_j lists, and covariates a finite sum of squares; anything else is
+    a one-line config error, not a run."""
     config = tmp_path / "numbers.json"
     config.write_text(json.dumps({"model": {"kind": "normal-normal"},
                                   "sampler": {"kind": "exact-conjugate"},
@@ -245,6 +249,17 @@ def test_report_errors_exit_4(tiny_config, tmp_path):
                  "--out", str(tmp_path / "r")]) == 4
     assert main(["report", "--run", str(run_dir), "--format", "png",
                  "--out", str(tmp_path / "r")]) == 4
+
+
+@pytest.mark.parametrize("model", [{"kind": "lin-reg", "covariates": 5},
+                                   {"kind": "eight-schools", "sigma_j": 3}])
+def test_report_on_a_model_that_cannot_be_built_exits_4(model, tiny_config, tmp_path, capsys):
+    artifact = run(config_from_dict(json.loads(tiny_config.read_text())))
+    config = dataclasses.replace(artifact.config, model=model)
+    out = save_artifact(dataclasses.replace(artifact, config=config), tmp_path / "artifact")
+    assert main(["report", "--run", str(out), "--out", str(tmp_path / "r")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("sbc: report error: invalid model spec") and err.count("\n") == 1
 
 
 def test_report_names_a_repeated_quantity_once(tiny_config, tmp_path, capsys):

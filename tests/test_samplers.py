@@ -378,13 +378,14 @@ def lin_reg_datasets(n, seed):
 
 
 def make_walled_model():
-    """x ~ N(0, 1) whose log density is -inf below -1.5, NaN above 1.5 and +inf above 3,
-    so random-walk proposals reach every kind of non-finite log density."""
+    """x ~ N(0, 1) whose log density is -1e4 below -1.5, -inf below -3, NaN above 1.5 and
+    +inf above 3, so random-walk proposals reach every kind of non-finite log density and
+    finite log ratios below -DIVERGENCE_THRESHOLD."""
     def posterior_factory(observations):
         def logpdf(Z):
             x = Z[:, 0]
-            return np.select([x < -1.5, x > 3.0, x > 1.5], [-np.inf, np.inf, np.nan],
-                             -0.5 * x * x)
+            return np.select([x < -3.0, x < -1.5, x > 3.0, x > 1.5],
+                             [-np.inf, -1e4, np.inf, np.nan], -0.5 * x * x)
         return PosteriorTarget(logpdf, np.zeros_like)
 
     return GenerativeModel(
@@ -439,12 +440,13 @@ class TestRwMatchesReference:
         assert_same_rows(block, fit(reference_sample_rw_metropolis))
 
     @pytest.mark.parametrize("model, datasets, step_size, kinds", [
-        (make_walled_model(), np.zeros((4, 1)), 1.0, (np.isnan, np.isneginf, np.isposinf)),
+        (make_walled_model(), np.zeros((4, 1)), 1.0,
+         (np.isnan, np.isneginf, np.isposinf, lambda logp: logp == -1e4)),
         (*lin_reg_datasets(4, seed=75), 1e200, (np.isnan, np.isneginf)),
     ], ids=["walled", "lin-reg-overflow"])
     def test_non_finite_proposals_match_reference(self, model, datasets, step_size, kinds):
-        """Proposals whose log density is NaN, -inf or +inf are rejected as before,
-        during warmup and after it, and no gradient is evaluated."""
+        """Proposals whose log density is NaN, -inf, +inf or far below the current one are
+        rejected as before, during warmup and after it, and no gradient is evaluated."""
         densities = []
         model = without_gradient(model, densities)
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sbc.runner import _Row, _Streams
 from sbc.streams import RandomStream, _tag_code, philox_keys
 
 
@@ -96,6 +97,27 @@ def test_superseded_block_stream_raises():
             draw()
     assert second.standard_normal(4).tolist() == RandomStream(3, 1, "prior").standard_normal(
         4).tolist()
+
+
+def test_blocks_of_one_tag_share_a_generator():
+    """A run's blocks of one tag re-key one generator: an earlier block's stream is
+    superseded once a later block makes its first, and every draw is its stream's own."""
+    streams = _Streams(31, range(10, 20))
+    rows = [_Row(i, 1, 5) for i in range(10, 20)]
+    for earlier in streams(rows[:4], "chain"):
+        generator = earlier.gen
+    later = streams(rows[6:9], "chain")  # makes no stream yet
+    assert earlier.standard_normal(3).tolist() == RandomStream(31, 13, "chain").standard_normal(
+        3).tolist()
+    for row, stream in zip(rows[6:9], later):
+        assert stream.gen is generator
+        assert stream.uniform(size=4).tolist() == RandomStream(31, row.i, "chain").uniform(
+            size=4).tolist()
+    with pytest.raises(RuntimeError, match="superseded"):
+        earlier.standard_normal()
+    data = next(streams(rows[:1], "data"))
+    assert data.gen is not generator
+    assert data.normal(size=2).tolist() == RandomStream(31, 10, "data").normal(size=2).tolist()
 
 
 # First three standard normals of each stream, frozen from the implementation
