@@ -78,9 +78,18 @@ def require_integers(error: type[SbcError], owner: str, **fields) -> None:
             raise error(f"{owner}.{name} must be an integer, got {value!r}")
 
 
+def is_finite_number(value) -> bool:
+    """Whether ``value`` is an int or float, not a bool, that is finite as a float."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def require_finite(error: type[SbcError], owner: str, **fields) -> None:
-    """Raise ``error`` unless every field is a finite int or float; a bool is not one."""
+    """Raise ``error`` unless every field is a finite number (see :func:`is_finite_number`)."""
     for name, value in fields.items():
-        if (not isinstance(value, (int, float)) or isinstance(value, bool)
-                or not math.isfinite(value)):
+        if not is_finite_number(value):
             raise error(f"{owner}.{name} must be a finite number, got {value!r}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, require_finite, require_integers
+from .errors import InvalidSpec, is_finite_number, require_finite, require_integers
 from .model import (
     GenerativeModel,
     PosteriorTarget,
@@ -48,9 +48,17 @@ def _is_scale(value: float) -> bool:
     return value > 0 and sys.float_info.min <= value * value < math.inf
 
 
+def _finite_floats(values, message: str) -> tuple[float, ...]:
+    """``values`` as floats; anything but a list or tuple of finite numbers raises
+    InvalidSpec(message), so a string is not read character by character."""
+    if not isinstance(values, (list, tuple)) or not all(map(is_finite_number, values)):
+        raise InvalidSpec(message)
+    return tuple(float(v) for v in values)
+
+
 def _require_positive(spec_name: str, **fields: float) -> None:
     for name, value in fields.items():
-        if not _is_scale(value):
+        if not (is_finite_number(value) and _is_scale(float(value))):
             raise InvalidSpec(f"{spec_name}.{name} must be a positive finite number whose "
                               f"square neither overflows nor underflows, got {value}")
 
@@ -146,17 +154,18 @@ class LinRegSpec:
         if self.gen_prior_sd_beta is None:
             object.__setattr__(self, "gen_prior_sd_beta", self.prior_sd_beta)
         _require_positive("LinRegSpec", gen_prior_sd_beta=self.gen_prior_sd_beta)
+        finite = ("LinRegSpec.covariates must be a list of finite numbers, with a finite sum "
+                  "of squares")
         if self.covariates is None:
             object.__setattr__(self, "covariates", _default_covariates(self.n_obs))
         else:
-            object.__setattr__(self, "covariates", tuple(float(v) for v in self.covariates))
+            object.__setattr__(self, "covariates", _finite_floats(self.covariates, finite))
         if len(self.covariates) != self.n_obs:
             raise InvalidSpec("LinRegSpec.covariates length must equal n_obs")
         x = np.asarray(self.covariates)
         with np.errstate(over="ignore"):
             if not math.isfinite(np.sum(x * x)):  # bounds sum(x) too
-                raise InvalidSpec("LinRegSpec.covariates must be finite, with a finite sum "
-                                  "of squares")
+                raise InvalidSpec(finite)
 
 
 def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
@@ -238,10 +247,11 @@ class EightSchoolsSpec:
         require_integers(InvalidSpec, "EightSchoolsSpec", J=self.J)
         if self.J != 8:
             raise InvalidSpec("EightSchoolsSpec.J must be 8")
-        object.__setattr__(self, "sigma_j", tuple(float(v) for v in self.sigma_j))
+        scales = ("EightSchoolsSpec.sigma_j must be a list of 8 positive finite numbers whose "
+                  "squares neither overflow nor underflow")
+        object.__setattr__(self, "sigma_j", _finite_floats(self.sigma_j, scales))
         if len(self.sigma_j) != 8 or not all(_is_scale(v) for v in self.sigma_j):
-            raise InvalidSpec("EightSchoolsSpec.sigma_j must be 8 positive finite values whose "
-                              "squares neither overflow nor underflow")
+            raise InvalidSpec(scales)
         if self.parameterization not in ("centered", "non-centered"):
             raise InvalidSpec("parameterization must be 'centered' or 'non-centered'")
 

@@ -330,9 +330,6 @@ OUTER_FACTOR = 1.5
 SPIKE_FLATNESS = 1.5
 BIAS_SIGMA = 3.0
 
-SHAPE_LABELS = ("uniform", "u-shaped", "cap-shaped", "biased-low-ranks",
-                "biased-high-ranks", "boundary-spikes", "inconclusive")
-
 
 def classify_shape(hist: SbcHistogram) -> str:
     """Heuristic label for the histogram's deviation from uniformity.

@@ -4,15 +4,15 @@ Each replication draws a ground truth from the prior, simulates a dataset,
 fits the configured sampler, and records the rank of the ground truth within
 the posterior draws for every quantity of interest.  Replications are
 independent, so they run in blocks, as arrays from simulation to rank: a
-run (or pool chunk) derives each purpose's random-stream keys for all its
-rows in one pass, and a block's streams of one purpose share one re-keyed
-generator.  A block stacks its rows' priors as an (R, d) array and their
-data as (R, n), checks each once, fits all its datasets in one sampler call
-(the exact sampler and the lockstep MCMC and VI samplers alike, each
-returning one (R, n, d) array of draws), estimates MCMC chains' effective
-sample sizes from that array in one call per run of equal-length chains
-(the whole block with thinning off or in Algorithm 2's first pass, each
-rerun length after it), and ranks each quantity in one pass over the
+run (or pool chunk) keys one Philox generator per purpose, and each row's
+stream of that purpose is the generator moved to the row's counter block
+(see :mod:`sbc.streams`).  A block stacks its rows' priors as an (R, d)
+array and their data as (R, n), checks each once, fits all its datasets in
+one sampler call (the exact sampler and the lockstep MCMC and VI samplers
+alike, each returning one (R, n, d) array of draws), estimates MCMC chains'
+effective sample sizes from that array in one call per run of equal-length
+chains (the whole block with thinning off or in Algorithm 2's first pass,
+each rerun length after it), and ranks each quantity in one pass over the
 block's (R, L, d) draws.  Quantities are evaluated one way for both, by
 :func:`sbc.model.evaluate`.  Every random stream is derived from
 (master_seed, replication index, purpose tag), and the batched densities
@@ -62,7 +62,7 @@ from .samplers import (
     sample_hmc,
     sample_rw_metropolis,
 )
-from .streams import RandomStream, SharedGenerator, philox_keys
+from .streams import Streams
 
 FORMAT_VERSION = "1.1"
 INITIAL_CHAIN_FACTOR = 10
@@ -273,29 +273,6 @@ def _each(rows: list[_Row], step) -> list[_Row]:
     return [row for row in rows if row.failure is None]
 
 
-class _Streams:
-    """The random streams of a range of replications.
-
-    On a tag's first use its Philox keys are derived for the whole range in
-    one pass and its one generator is built; each call hands out a block of
-    them, whose streams are used before the tag's next block makes its first.
-    """
-
-    def __init__(self, seed: int, indices: range):
-        self.seed, self.indices = seed, indices
-        self.tags: dict[str, tuple[np.ndarray, SharedGenerator]] = {}
-
-    def __call__(self, rows: list[_Row], tag: str) -> Iterator[RandomStream]:
-        """Each row's stream for ``tag``, in the rows' order (see :meth:`RandomStream.block`)."""
-        if tag not in self.tags:
-            indices = np.arange(self.indices.start, self.indices.stop)
-            self.tags[tag] = philox_keys(self.seed, indices, tag), SharedGenerator()
-        keys, shared = self.tags[tag]
-        replications = [row.i for row in rows]
-        return RandomStream.block(self.seed, replications, tag,
-                                  keys[np.subtract(replications, self.indices.start)], shared)
-
-
 def _keep_finite(rows: list[_Row], values: np.ndarray, error) -> tuple[list[_Row], np.ndarray]:
     """Fail each row whose row of ``values`` is not finite with ``error(values[r])``; returns
     the other rows and their values."""
@@ -307,7 +284,7 @@ def _keep_finite(rows: list[_Row], values: np.ndarray, error) -> tuple[list[_Row
     return [row for row in rows if row.failure is None], values[ok]
 
 
-def _simulate(model: GenerativeModel, streams: _Streams,
+def _simulate(model: GenerativeModel, streams: Streams,
               rows: list[_Row]) -> tuple[list[_Row], np.ndarray, np.ndarray]:
     """Draw the rows' priors and data; returns the live rows, their priors and observations.
 
@@ -319,14 +296,16 @@ def _simulate(model: GenerativeModel, streams: _Streams,
     the returned arrays.
     """
     with np.errstate(all="ignore"):  # a non-finite draw fails its row below
-        priors = np.array([model.prior_simulator(rng) for rng in streams(rows, "prior")],
+        priors = np.array([model.prior_simulator(rng)
+                           for rng in streams([row.i for row in rows], "prior")],
                           dtype=np.float64).reshape(len(rows), len(model.parameter_names))
         rows, priors = _keep_finite(rows, priors, lambda theta: NonFiniteParameter(
             f"non-finite parameter values: {theta}"))
         if not rows:
             return rows, priors, np.empty((0, 0))
         observations = np.array([model.data_simulator(theta, rng) for theta, rng
-                                 in zip(priors, streams(rows, "data"))], dtype=np.float64)
+                                 in zip(priors, streams([row.i for row in rows], "data"))],
+                                dtype=np.float64)
     live, observations = _keep_finite(rows, observations.reshape(len(rows), -1), lambda _: (
         NonFiniteInput("simulated observations must be finite")))
     for k, row in enumerate(live):
@@ -335,7 +314,7 @@ def _simulate(model: GenerativeModel, streams: _Streams,
 
 
 def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, ...],
-         streams: _Streams, rows: list[_Row], observations: np.ndarray, tag: str) -> None:
+         streams: Streams, rows: list[_Row], observations: np.ndarray, tag: str) -> None:
     """Fit each row's dataset for ``row.length`` draws; sets ``row.draws`` or fails the row.
 
     Rows are fitted with the MCMC or VI sampler in lockstep, longest first,
@@ -356,10 +335,11 @@ def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, 
         stop = start + max(1, BLOCK_FLOATS // (steps * len(model.parameter_names)))
         group = rows[start:stop]
         data = observations[[row.k for row in group]]
-        lengths, rngs = [row.length for row in group], streams(group, tag)
+        indices = [row.i for row in group]
+        lengths, rngs = [row.length for row in group], streams(indices, tag)
         if cfg.kind == "meanfield-vi":
             block = fit_meanfield_vi(model, data, cfg.vi_iterations, cfg.vi_learning_rate,
-                                     streams(group, "vi"), n_steps, rngs)
+                                     streams(indices, "vi"), n_steps, rngs)
         elif cfg.kind == "rw-metropolis":
             block = sample_rw_metropolis(model, data, n_steps, cfg.step_size, cfg.warmup,
                                          rngs, lengths)
@@ -384,7 +364,7 @@ def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, 
 
 
 def _sample(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
-            streams: _Streams, rows: list[_Row],
+            streams: Streams, rows: list[_Row],
             observations: np.ndarray) -> tuple[list[_Row], np.ndarray]:
     """Fit the rows with an MCMC or VI sampler; returns the live rows and their (R, L, d) draws.
 
@@ -447,24 +427,24 @@ def _rank(rows: list[_Row], draws: np.ndarray, priors: np.ndarray,
 
 
 def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
-               streams: _Streams, indices) -> list[dict]:
+               streams: Streams, indices) -> list[dict]:
     """Run a block of replications; returns each one's row of the rank table, or its failure.
 
     Each purpose's streams (prior, data, chain, rerun, VI) come from
-    ``streams``, which derives their keys for its whole range.  The block's
-    priors and data are drawn row by row and checked as stacked arrays (see
-    :func:`_simulate`).  The exact
-    sampler draws the block's (R, L, 1) draws in one call; the MCMC and VI
-    samplers fit it in lockstep (see :func:`_sample`).  Corruption is applied
-    to the block's draws, then each quantity is ranked for the whole block
-    at once (see :func:`_rank`).
+    ``streams``, which keys each purpose once per run or pool chunk.  The
+    block's priors and data are drawn row by row and checked as stacked
+    arrays (see :func:`_simulate`).  The exact sampler draws the block's
+    (R, L, 1) draws in one call; the MCMC and VI samplers fit it in lockstep
+    (see :func:`_sample`).  Corruption is applied to the block's draws, then
+    each quantity is ranked for the whole block at once (see :func:`_rank`).
     """
     L = config.L
     length = L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * L
     rows = [_Row(i, len(quantities), length) for i in indices]
     live, priors, observations = _simulate(model, streams, rows)
     if config.sampler.kind == "exact-conjugate":
-        draws = sample_exact_conjugate(model, observations, L, streams(live, "chain"))
+        draws = sample_exact_conjugate(model, observations, L,
+                                       streams([row.i for row in live], "chain"))
     else:
         live, draws = _sample(config, model, quantities, streams, live, observations)
         priors = priors[[row.k for row in live]]
@@ -481,8 +461,8 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
 
 def _run_blocks(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
                 indices: range) -> Iterator[dict]:
-    """Run the indices block by block, with one key derivation per tag; yields rows in order."""
-    streams = _Streams(config.master_seed, indices)
+    """Run the indices block by block, with one Philox key per tag; yields rows in order."""
+    streams = Streams(config.master_seed)
     for start in range(0, len(indices), BLOCK_SIZE):
         yield from _run_block(config, model, quantities, streams,
                               indices[start:start + BLOCK_SIZE])

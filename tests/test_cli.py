@@ -149,6 +149,19 @@ def test_scale_whose_square_overflows_or_underflows_exits_2(model, sampler, tmp_
      "sampler": {"kind": "hmc"}},
     {"model": {"kind": "lin-reg", "covariates": 5}, "sampler": {"kind": "hmc"}},
     {"model": {"kind": "eight-schools", "sigma_j": 3}, "sampler": {"kind": "hmc"}},
+    # Strings and bools are not numbers, and a string is not a list of its characters.
+    {"model": {"kind": "lin-reg", "n_obs": 2, "covariates": "12"}, "sampler": {"kind": "hmc"}},
+    {"model": {"kind": "lin-reg", "n_obs": 2, "covariates": [True, False]},
+     "sampler": {"kind": "hmc"}},
+    {"model": {"kind": "lin-reg", "n_obs": 2, "covariates": ["1.5", "2"]},
+     "sampler": {"kind": "hmc"}},
+    {"model": {"kind": "eight-schools", "sigma_j": "12345678"}, "sampler": {"kind": "hmc"}},
+    # An integer too large for a float.
+    {"model": {"kind": "lin-reg", "n_obs": 2, "covariates": [10**400, 1]},
+     "sampler": {"kind": "hmc"}},
+    {"model": {"kind": "normal-normal", "prior_mean": 10**400}},
+    {"model": {"kind": "normal-normal", "prior_sd": 10**400}},
+    {"model": {"kind": "normal-normal", "prior_sd": 10**200}},  # its square overflows
 ])
 def test_non_integer_or_non_finite_numbers_exit_2(change, tmp_path, capsys):
     """Integer fields take ints only, float fields finite numbers, lin-reg covariates and
@@ -252,7 +265,11 @@ def test_report_errors_exit_4(tiny_config, tmp_path):
 
 
 @pytest.mark.parametrize("model", [{"kind": "lin-reg", "covariates": 5},
-                                   {"kind": "eight-schools", "sigma_j": 3}])
+                                   {"kind": "eight-schools", "sigma_j": 3},
+                                   {"kind": "lin-reg", "n_obs": 2, "covariates": "12"},
+                                   {"kind": "lin-reg", "n_obs": 2, "covariates": [True, False]},
+                                   {"kind": "lin-reg", "n_obs": 2, "covariates": ["1.5", "2"]},
+                                   {"kind": "eight-schools", "sigma_j": "12345678"}])
 def test_report_on_a_model_that_cannot_be_built_exits_4(model, tiny_config, tmp_path, capsys):
     artifact = run(config_from_dict(json.loads(tiny_config.read_text())))
     config = dataclasses.replace(artifact.config, model=model)

@@ -26,9 +26,9 @@ from sbc.models import (
     make_lin_reg,
     make_normal_normal,
 )
-from sbc.runner import _Row, _simulate, _Streams
+from sbc.runner import _Row, _simulate
 from sbc.samplers import sample_rw_metropolis
-from sbc.streams import RandomStream
+from sbc.streams import RandomStream, Streams
 
 ALL_MODELS = [
     make_normal_normal(NormalNormalSpec()),
@@ -41,7 +41,7 @@ ALL_MODELS = [
 def simulate_block(model, seed, n):
     """Replications 0..n-1's live rows, stacked priors and observations, and all rows."""
     rows = [_Row(i, 1, 1) for i in range(n)]
-    return (*_simulate(model, _Streams(seed, range(n)), rows), rows)
+    return (*_simulate(model, Streams(seed), rows), rows)
 
 
 def with_prior(model, change):

@@ -62,6 +62,20 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec, match="finite sum of squares"):
             LinRegSpec(n_obs=3, covariates=covariates)
 
+    @pytest.mark.parametrize("make_spec", [
+        lambda: LinRegSpec(n_obs=2, covariates="12"),
+        lambda: LinRegSpec(n_obs=2, covariates=[True, False]),
+        lambda: LinRegSpec(n_obs=2, covariates=["1.5", "2"]),
+        lambda: LinRegSpec(n_obs=2, covariates=iter([1.0, 2.0])),
+        lambda: LinRegSpec(n_obs=2, covariates=[10**400, 1]),
+        lambda: EightSchoolsSpec(sigma_j="12345678"),
+        lambda: EightSchoolsSpec(sigma_j=[True] * 8),
+        lambda: EightSchoolsSpec(sigma_j=["1"] * 8),
+    ])
+    def test_vector_fields_take_lists_of_finite_numbers_only(self, make_spec):
+        with pytest.raises(InvalidSpec, match="must be a list of"):
+            make_spec()
+
     def test_lin_reg_accepts_covariates_with_a_finite_sum_of_squares(self):
         x = (1e153, -1e153, 2.0)
         model = make_lin_reg(LinRegSpec(n_obs=3, covariates=x))

@@ -49,12 +49,19 @@ def _referenced_names(tree: ast.AST) -> set[str]:
 
 
 def _definitions(tree: ast.Module) -> list[tuple[str, str]]:
-    """(qualified name, name) of module-level functions and classes, their methods and
-    their annotated fields; dunder names are left out."""
+    """(qualified name, name) of module-level functions, classes and assigned names, the
+    classes' methods and their annotated fields; dunder names are left out."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             out.append((node.name, node.name))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not (
+                            name.id.startswith("__") and name.id.endswith("__")):
+                        out.append((name.id, name.id))
         if isinstance(node, ast.ClassDef):
             for member in node.body:
                 if isinstance(member, ast.FunctionDef):
@@ -91,8 +98,9 @@ def test_every_import_is_used():
 
 
 def test_every_definition_is_referenced():
-    """Each function, class, method and class field of `sbc` is used by `sbc` or the
-    benchmark somewhere beyond its definition; exports in `__init__.py` do not count."""
+    """Each function, class, module-level name, method and class field of `sbc` is used by
+    `sbc` or the benchmark somewhere beyond its definition; exports in `__init__.py` do not
+    count."""
     sources = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
     sources += sorted(PERFBENCH.glob("*.py")) + sorted(PERFBENCH.glob("tests/*.py"))
     referenced: set[str] = set()
