@@ -36,7 +36,7 @@ class ChainPlan(NamedTuple):
 
 
 def required_chain_length(current_length: int, L: int, n_eff: float,
-                          max_chain_length: int | None = None) -> ChainPlan:
+                          max_chain_length: int) -> ChainPlan:
     """Length needed so a rerun chain holds about L effective draws.
 
     Returns the current length unchanged when n_eff already reaches L;
@@ -48,17 +48,22 @@ def required_chain_length(current_length: int, L: int, n_eff: float,
     if n_eff >= L:
         return ChainPlan(current_length, False)
     needed = math.ceil(current_length * L / n_eff)
-    if max_chain_length is not None and needed > max_chain_length:
+    if needed > max_chain_length:
         return ChainPlan(max_chain_length, True)
     return ChainPlan(needed, False)
 
 
-def thin_to(draws: np.ndarray, L: int) -> np.ndarray:
-    """Keep L uniform-stride states of a chain: indices floor(i * length / L), i < L."""
-    n = len(draws)
-    if n < L:
-        raise TooShort(f"chain of length {n} cannot be thinned to {L}")
-    return draws[(np.arange(L) * n) // L]
+def thin_to(draws: np.ndarray, L: int, lengths) -> np.ndarray:
+    """Keep L uniform-stride states of each chain of an (R, n, d) block, in one gather.
+
+    Row r's chain is ``draws[r, :lengths[r]]``, and it keeps the states at
+    floor(i * lengths[r] / L), i < L: an (R, L, d) array.
+    """
+    lengths = np.asarray(lengths, dtype=np.int64)
+    if (lengths < L).any():
+        raise TooShort(f"chain of length {lengths.min()} cannot be thinned to {L}")
+    steps = (np.arange(L) * lengths[:, np.newaxis]) // L
+    return draws[np.arange(len(draws))[:, np.newaxis], steps]
 
 
 def effective_sample_sizes(series) -> np.ndarray:

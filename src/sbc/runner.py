@@ -3,18 +3,21 @@
 Each replication draws a ground truth from the prior, simulates a dataset,
 fits the configured sampler, and records the rank of the ground truth within
 the posterior draws for every quantity of interest.  Replications are
-independent, so they run in blocks, as arrays from simulation to rank: a
-run (or pool chunk) keys one Philox generator per purpose, and each row's
-stream of that purpose is the generator moved to the row's counter block
-(see :mod:`sbc.streams`).  A block stacks its rows' priors as an (R, d)
-array and their data as (R, n), checks each once, fits all its datasets in
-one sampler call (the exact sampler and the lockstep MCMC and VI samplers
-alike, each returning one (R, n, d) array of draws), estimates MCMC chains'
-effective sample sizes from that array in one call per run of equal-length
-chains (the whole block with thinning off or in Algorithm 2's first pass,
-each rerun length after it), and ranks each quantity in one pass over the
-block's (R, L, d) draws.  Quantities are evaluated one way for both, by
-:func:`sbc.model.evaluate`.  Every random stream is derived from
+independent, so they run in blocks, and a block runs as one table of arrays
+indexed by row, from simulation to rank: a run (or pool chunk) keys one
+Philox generator per purpose, and each row's stream of that purpose is the
+generator moved to the row's counter block (see :mod:`sbc.streams`).  A
+block stacks its rows' priors as an (R, d) array and their data as (R, n),
+checks each once, fits all its datasets in one sampler call (the exact
+sampler and the lockstep MCMC and VI samplers alike, each returning one
+(R, n, d) array of draws), thins each fit in one gather, estimates MCMC
+chains' effective sample sizes from it in one call per run of equal-length
+chains, and ranks each quantity in one pass over the block's (R, L, d)
+draws.  A failed row keeps the reason it failed and leaves the index array
+of live rows; the others go on.  Each block returns its completed rows'
+replications, ranks, ESS and chain lengths as arrays, and the run
+concatenates them.  Quantities are evaluated one way for ranks and ESS
+alike, by :func:`sbc.model.evaluate`.  Every random stream is derived from
 (master_seed, replication index, purpose tag), and the batched densities
 and quantities keep each row's arithmetic within its row, so results are
 bit-identical for any block size and any number of workers.
@@ -30,7 +33,7 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from itertools import chain, groupby
 from pathlib import Path
 from typing import Iterator
@@ -47,6 +50,7 @@ from .errors import (
     NonFiniteParameter,
     SbcError,
     UnknownQuantity,
+    is_finite_number,
     require_integers,
 )
 from .ess import ess_by_quantity, min_ess, required_chain_length, thin_to
@@ -232,185 +236,122 @@ def _build(config: RunConfig) -> tuple[GenerativeModel, tuple[Quantity, ...]]:
     return model, tuple(sorted(model.quantities, key=lambda q: q.name))
 
 
-@lru_cache(maxsize=None)
-def _no_ess(n_quantities: int) -> np.ndarray:
-    """The read-only all-NaN ESS row that every row holds until its chain's ESS is set."""
-    ess = np.full(n_quantities, np.nan)
-    ess.flags.writeable = False
-    return ess
+class _Block:
+    """The rows of one block while it runs, as arrays indexed by row: replication, chain
+    length, ESS (NaN until the row's chain has one), health, and why the row failed (None
+    while it is live)."""
 
+    __slots__ = ("replications", "lengths", "ess", "diagnostics", "reasons")
 
-class _Row:
-    """One replication's state while its block runs; ``failure`` ends it.
+    def __init__(self, indices, n_quantities: int, length: int):
+        self.replications = np.asarray(indices, dtype=np.int64)
+        self.lengths = np.full(len(indices), length)
+        self.ess = np.full((len(indices), n_quantities), np.nan)
+        self.diagnostics = [{"replication": i} for i in self.replications.tolist()]
+        self.reasons: list[str | None] = [None] * len(indices)
 
-    ``k`` indexes the row in its block's stacked priors and observations.
-    """
+    def fail(self, r: int, exc: SbcError) -> None:
+        self.reasons[r] = f"{type(exc).__name__}: {exc}"
 
-    __slots__ = ("i", "k", "diag", "failure", "length", "draws", "ess", "ranks")
-
-    def __init__(self, i: int, n_quantities: int, length: int):
-        self.i = i
-        self.diag: dict = {"replication": i}
-        self.failure: str | None = None
-        self.length = length
-        self.ess = _no_ess(n_quantities)
-
-    def fail(self, exc: SbcError) -> None:
-        self.failure = f"{type(exc).__name__}: {exc}"
-
-
-def _each(rows: list[_Row], step) -> list[_Row]:
-    """Apply ``step`` to every live row; an SbcError fails that row alone.
-
-    Returns the rows still live.
-    """
-    for row in rows:
-        if row.failure is None:
-            try:
-                step(row)
-            except SbcError as exc:
-                row.fail(exc)
-    return [row for row in rows if row.failure is None]
-
-
-def _keep_finite(rows: list[_Row], values: np.ndarray, error) -> tuple[list[_Row], np.ndarray]:
-    """Fail each row whose row of ``values`` is not finite with ``error(values[r])``; returns
-    the other rows and their values."""
-    ok = np.isfinite(values).all(axis=1)
-    if ok.all():
-        return rows, values
-    for r in np.flatnonzero(~ok).tolist():
-        rows[r].fail(error(values[r]))
-    return [row for row in rows if row.failure is None], values[ok]
+    def live(self, rows: np.ndarray) -> np.ndarray:
+        """The rows of ``rows`` that have not failed."""
+        return rows[[self.reasons[r] is None for r in rows.tolist()]]
 
 
 def _simulate(model: GenerativeModel, streams: Streams,
-              rows: list[_Row]) -> tuple[list[_Row], np.ndarray, np.ndarray]:
-    """Draw the rows' priors and data; returns the live rows, their priors and observations.
+              block: _Block) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the block's priors and data; returns the live rows, the (R, d) priors and the
+    (R, n) observations, both indexed by row.
 
     Each row draws its prior, then its data given that prior, from its own
-    streams.  The priors are stacked as an (R, d) array and checked once: a
-    row with a non-finite prior fails (NonFiniteParameter) and draws no data.
-    The others' observations are stacked as (R', n) and checked once: a row
-    with non-finite data fails (NonFiniteInput).  A live row's ``k`` indexes
-    the returned arrays.
+    streams.  The priors are stacked and checked once: a row with a
+    non-finite prior fails (NonFiniteParameter) and draws no data.  The
+    others' observations are stacked and checked once: a row with non-finite
+    data fails (NonFiniteInput).
     """
+    rows = np.arange(len(block.replications))
     with np.errstate(all="ignore"):  # a non-finite draw fails its row below
-        priors = np.array([model.prior_simulator(rng)
-                           for rng in streams([row.i for row in rows], "prior")],
+        priors = np.array([model.prior_simulator(rng) for rng
+                           in streams(block.replications.tolist(), "prior")],
                           dtype=np.float64).reshape(len(rows), len(model.parameter_names))
-        rows, priors = _keep_finite(rows, priors, lambda theta: NonFiniteParameter(
-            f"non-finite parameter values: {theta}"))
-        if not rows:
-            return rows, priors, np.empty((0, 0))
-        observations = np.array([model.data_simulator(theta, rng) for theta, rng
-                                 in zip(priors, streams([row.i for row in rows], "data"))],
-                                dtype=np.float64)
-    live, observations = _keep_finite(rows, observations.reshape(len(rows), -1), lambda _: (
-        NonFiniteInput("simulated observations must be finite")))
-    for k, row in enumerate(live):
-        row.k = k
-    return live, priors[[row.failure is None for row in rows]], observations
+        finite = np.isfinite(priors).all(axis=1)
+        for r in rows[~finite].tolist():
+            block.fail(r, NonFiniteParameter(f"non-finite parameter values: {priors[r]}"))
+        rows = rows[finite]
+        if not rows.size:
+            return rows, priors, np.empty((len(priors), 0))
+        data = np.array([model.data_simulator(theta, rng) for theta, rng
+                         in zip(priors[rows], streams(block.replications[rows].tolist(), "data"))],
+                        dtype=np.float64).reshape(len(rows), -1)
+    observations = np.empty((len(priors), data.shape[1]))
+    observations[rows] = data
+    finite = np.isfinite(data).all(axis=1)
+    for r in rows[~finite].tolist():
+        block.fail(r, NonFiniteInput("simulated observations must be finite"))
+    return rows[finite], priors, observations
 
 
 def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, ...],
-         streams: Streams, rows: list[_Row], observations: np.ndarray, tag: str) -> None:
-    """Fit each row's dataset for ``row.length`` draws; sets ``row.draws`` or fails the row.
+         streams: Streams, block: _Block, observations: np.ndarray, draws: np.ndarray,
+         rows: np.ndarray, tag: str) -> None:
+    """Fit each row's dataset for the row's chain length; fails the row, or sets its
+    health, its ESS and its L thinned draws, ``draws[r]``.
 
     Rows are fitted with the MCMC or VI sampler in lockstep, longest first,
     in groups whose noise array holds at most BLOCK_FLOATS values, each group
     with its own block of streams; the rows of a group may differ in length.
-    A row's draws are a view of its group's (R, n, d) block, and an MCMC
-    fit's health goes to ``row.diag`` and its ESS is estimated from the
-    block, one :func:`ess_by_quantity` call per run of equal-length rows.
+    A group's (R, n, d) draws are thinned in one gather (:func:`thin_to`),
+    and an MCMC group's ESS is estimated from them, one
+    :func:`ess_by_quantity` call per run of equal-length rows.
     """
-    if not rows:
-        return
     cfg = config.sampler
-    rows = sorted(rows, key=lambda row: -row.length)
+    rows = rows[np.argsort(-block.lengths[rows], kind="stable")]
     start = 0
     while start < len(rows):
-        n_steps = rows[start].length
+        n_steps = int(block.lengths[rows[start]])
         steps = cfg.vi_iterations if cfg.kind == "meanfield-vi" else n_steps + cfg.warmup
-        stop = start + max(1, BLOCK_FLOATS // (steps * len(model.parameter_names)))
-        group = rows[start:stop]
-        data = observations[[row.k for row in group]]
-        indices = [row.i for row in group]
-        lengths, rngs = [row.length for row in group], streams(indices, tag)
+        group = rows[start:start + max(1, BLOCK_FLOATS // (steps * len(model.parameter_names)))]
+        data, lengths = observations[group], block.lengths[group]
+        indices = block.replications[group].tolist()
+        rngs = streams(indices, tag)
         if cfg.kind == "meanfield-vi":
-            block = fit_meanfield_vi(model, data, cfg.vi_iterations, cfg.vi_learning_rate,
-                                     streams(indices, "vi"), n_steps, rngs)
+            fit = fit_meanfield_vi(model, data, cfg.vi_iterations, cfg.vi_learning_rate,
+                                   streams(indices, "vi"), n_steps, rngs)
         elif cfg.kind == "rw-metropolis":
-            block = sample_rw_metropolis(model, data, n_steps, cfg.step_size, cfg.warmup,
-                                         rngs, lengths)
+            fit = sample_rw_metropolis(model, data, n_steps, cfg.step_size, cfg.warmup,
+                                       rngs, lengths)
         else:
-            block = sample_hmc(model, data, n_steps, cfg.step_size, cfg.n_leapfrog,
-                               cfg.warmup, rngs, lengths)
-        for k, row in enumerate(group):
-            if k in block.failures:
-                row.fail(block.failures[k])
+            fit = sample_hmc(model, data, n_steps, cfg.step_size, cfg.n_leapfrog,
+                             cfg.warmup, rngs, lengths)
+        for k, r in enumerate(group.tolist()):
+            if k in fit.failures:
+                block.fail(r, fit.failures[k])
             else:
-                row.draws = block.draws[k, :row.length]
-                row.diag.update(block.row_diagnostics[k])
+                block.diagnostics[r].update(fit.row_diagnostics[k])
+        draws[group] = thin_to(fit.draws, config.L, lengths)
         if cfg.kind in _MCMC_KINDS:
             first = 0
-            for n, run in groupby(group, key=lambda row: row.length):
-                run = list(run)
-                for row, ess in zip(run, ess_by_quantity(block.draws[first:first + len(run), :n],
-                                                         quantities, model.parameter_names)):
-                    row.ess = ess
-                first += len(run)
-        start = stop
+            for n, run in groupby(lengths.tolist()):
+                stop = first + len(list(run))
+                block.ess[group[first:stop]] = ess_by_quantity(fit.draws[first:stop, :n],
+                                                               quantities, model.parameter_names)
+                first = stop
+        start += len(group)
 
 
-def _sample(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
-            streams: Streams, rows: list[_Row],
-            observations: np.ndarray) -> tuple[list[_Row], np.ndarray]:
-    """Fit the rows with an MCMC or VI sampler; returns the live rows and their (R, L, d) draws.
-
-    MCMC chains' ESS is estimated with the fit (see :func:`_fit`);
-    Algorithm 2's plan and thinning are per row.  The block's Algorithm-2
-    reruns are fitted in one more lockstep call, each row for its own
-    planned length.
-    """
-    _fit(model, config, quantities, streams, rows, observations, "chain")
-    if config.thinning != "off":
-        reruns: list[_Row] = []
-
-        def plan(row):
-            chain_plan = required_chain_length(row.length, config.L, min_ess(row.ess),
-                                               config.max_chain_length)
-            row.diag["cap_hit"] = chain_plan.cap_hit
-            if chain_plan.length > row.length:
-                row.length = chain_plan.length
-                reruns.append(row)
-
-        _each(rows, plan)
-        _fit(model, config, quantities, streams, reruns, observations, "chain-rerun")
-
-        def thin(row):
-            ess_min = min_ess(row.ess)
-            row.diag["ess_min"] = ess_min
-            row.diag["still_short"] = bool(ess_min < config.L)
-            row.draws = thin_to(row.draws, config.L)
-
-        _each(rows, thin)
-    live = [row for row in rows if row.failure is None]
-    return live, np.stack([row.draws for row in live]) if live else None
-
-
-def _rank(rows: list[_Row], draws: np.ndarray, priors: np.ndarray,
-          quantities: tuple[Quantity, ...], names: tuple[str, ...]) -> None:
-    """Set each row's ranks, or fail the row; one :func:`rank_statistic` call per quantity.
+def _rank(draws: np.ndarray, priors: np.ndarray, quantities: tuple[Quantity, ...],
+          names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The rows' (R, Q) ranks and which rows have them; one :func:`rank_statistic` call
+    per quantity.
 
     Row r's (L, d) draws ``draws[r]`` are ranked against its prior
     ``priors[r]``, columns named by ``names``.  Each quantity is evaluated
-    once on the block's draws and once on its priors (:func:`evaluate`).
-    A row with a non-finite value of any quantity fails alone; the
-    others are ranked, and rows are copied out only when one is non-finite.
+    once on the block's draws and once on its priors (:func:`evaluate`).  A
+    row with a non-finite value of any quantity has no ranks; the others are
+    ranked, and rows are copied out only when one is non-finite.
     """
-    ranks = np.zeros((len(rows), len(quantities)), dtype=np.int64)
-    finite = np.ones(len(rows), dtype=bool)
+    ranks = np.zeros((len(draws), len(quantities)), dtype=np.int64)
+    finite = np.ones(len(draws), dtype=bool)
     for j, q in enumerate(quantities):
         series, prior = evaluate(q, draws, names), evaluate(q, priors, names)
         ok = np.isfinite(series).all(axis=1) & np.isfinite(prior)
@@ -419,85 +360,108 @@ def _rank(rows: list[_Row], draws: np.ndarray, priors: np.ndarray,
             ranks[:, j] = rank_statistic(series, prior)
         elif ok.any():
             ranks[ok, j] = rank_statistic(series[ok], prior[ok])
-    for row, row_ranks, ok in zip(rows, ranks, finite):
-        if ok:
-            row.ranks = row_ranks
-        else:
-            row.fail(NonFiniteInput("rank_statistic requires finite inputs"))
+    return ranks, finite
 
 
 def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
-               streams: Streams, indices) -> list[dict]:
-    """Run a block of replications; returns each one's row of the rank table, or its failure.
+               streams: Streams, indices) -> dict:
+    """Run a block of replications as one table; returns its completed rows' replications
+    (R,), ranks (R, Q), ESS (R, Q), chain lengths (R,) and diagnostics, and its failures
+    in replication order.
 
     Each purpose's streams (prior, data, chain, rerun, VI) come from
     ``streams``, which keys each purpose once per run or pool chunk.  The
     block's priors and data are drawn row by row and checked as stacked
-    arrays (see :func:`_simulate`).  The exact sampler draws the block's
-    (R, L, 1) draws in one call; the MCMC and VI samplers fit it in lockstep
-    (see :func:`_sample`).  Corruption is applied to the block's draws, then
-    each quantity is ranked for the whole block at once (see :func:`_rank`).
+    arrays (see :func:`_simulate`).  The exact sampler draws the live rows'
+    (R, L, 1) draws in one call; the MCMC and VI samplers fit them in
+    lockstep (see :func:`_fit`), and with Algorithm 2 each row's plan is made
+    from its ESS and the rows that fall short are refitted in one more
+    lockstep call, each for its own planned length.  Corruption is applied to
+    the live rows' draws, then each quantity is ranked for them all at once
+    (see :func:`_rank`).  A failed row keeps its first failure's reason.
     """
-    L = config.L
-    length = L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * L
-    rows = [_Row(i, len(quantities), length) for i in indices]
-    live, priors, observations = _simulate(model, streams, rows)
+    L, names = config.L, model.parameter_names
+    block = _Block(indices, len(quantities),
+                   L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * L)
+    live, priors, observations = _simulate(model, streams, block)
     if config.sampler.kind == "exact-conjugate":
-        draws = sample_exact_conjugate(model, observations, L,
-                                       streams([row.i for row in live], "chain"))
+        draws = sample_exact_conjugate(model, observations[live], L,
+                                       streams(block.replications[live].tolist(), "chain"))
     else:
-        live, draws = _sample(config, model, quantities, streams, live, observations)
-        priors = priors[[row.k for row in live]]
-    if live:
-        params = model.parameter_names
-        _rank(live, corrupt(draws, params, config.corruption), priors, quantities, params)
-    names = tuple(q.name for q in quantities)
-    return [{"replication": row.i, "diagnostics": row.diag, "failure": row.failure}
-            if row.failure is not None else
-            {"replication": row.i, "quantities": names, "ranks": row.ranks, "ess": row.ess,
-             "chain_length": row.length, "diagnostics": row.diag, "failure": None}
-            for row in rows]
+        draws = np.empty((len(priors), L, len(names)))
+        _fit(model, config, quantities, streams, block, observations, draws, live, "chain")
+        if config.thinning != "off":
+            reruns = []
+            for r in block.live(live).tolist():
+                try:
+                    plan = required_chain_length(int(block.lengths[r]), L, min_ess(block.ess[r]),
+                                                 config.max_chain_length)
+                except SbcError as exc:
+                    block.fail(r, exc)
+                    continue
+                block.diagnostics[r]["cap_hit"] = plan.cap_hit
+                if plan.length > block.lengths[r]:
+                    block.lengths[r] = plan.length
+                    reruns.append(r)
+            _fit(model, config, quantities, streams, block, observations, draws,
+                 np.array(reruns, dtype=np.int64), "chain-rerun")
+            for r in block.live(live).tolist():
+                try:
+                    ess_min = min_ess(block.ess[r])
+                except SbcError as exc:
+                    block.fail(r, exc)
+                    continue
+                block.diagnostics[r].update(ess_min=ess_min, still_short=bool(ess_min < L))
+        live = block.live(live)
+        draws = draws[live]
+    ranks = np.empty((0, len(quantities)), dtype=np.int64)
+    if live.size:  # rank_statistic needs at least one row
+        ranks, finite = _rank(corrupt(draws, names, config.corruption), priors[live],
+                              quantities, names)
+        for r in live[~finite].tolist():
+            block.fail(r, NonFiniteInput("rank_statistic requires finite inputs"))
+        live, ranks = live[finite], ranks[finite]
+    return {"replications": block.replications[live], "ranks": ranks, "ess": block.ess[live],
+            "chain_lengths": block.lengths[live],
+            "diagnostics": [block.diagnostics[r] for r in live.tolist()],
+            "failures": [{"replication": i, "reason": reason}
+                         for i, reason in zip(block.replications.tolist(), block.reasons)
+                         if reason is not None]}
 
 
 def _run_blocks(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
                 indices: range) -> Iterator[dict]:
-    """Run the indices block by block, with one Philox key per tag; yields rows in order."""
+    """Run the indices block by block, with one Philox key per tag; yields the blocks'
+    tables in order."""
     streams = Streams(config.master_seed)
     for start in range(0, len(indices), BLOCK_SIZE):
-        yield from _run_block(config, model, quantities, streams,
-                              indices[start:start + BLOCK_SIZE])
+        yield _run_block(config, model, quantities, streams, indices[start:start + BLOCK_SIZE])
 
 
 def _run_chunk(config: RunConfig, indices: range) -> list[dict]:
-    """A pool task: build the model, then the rows of a range of replications."""
+    """A pool task: build the model, then the tables of a range of replications' blocks."""
     return list(_run_blocks(config, *_build(config), indices))
 
 
-def _collect(config: RunConfig, results) -> dict:
-    """The RunArtifact fields that results determine; both executors yield them in order."""
+def _collect(config: RunConfig, tables) -> dict:
+    """The RunArtifact fields that the blocks' tables determine, concatenated; both
+    executors yield the tables in order.  The run aborts once more than
+    floor(FAILURE_RATE_CAP * N) replications have failed."""
     max_failures = math.floor(FAILURE_RATE_CAP * config.N)
-    rows: list[dict] = []
+    done: list[dict] = []
     failures: list[dict] = []
-    for result in results:
-        if result["failure"] is None:
-            rows.append(result)
-            continue
-        failures.append({"replication": result["replication"], "reason": result["failure"]})
+    for table in tables:
+        failures += table["failures"]
         if len(failures) > max_failures:
             raise FailureRateExceeded(
-                f"{len(failures)} replications failed; at most "
+                f"{max_failures + 1} replications failed; at most "
                 f"floor({FAILURE_RATE_CAP:g} * N) = {max_failures} failures allowed at "
                 f"N={config.N}; first failure: {failures[0]['reason']}")
-    # The cap is below N, so at least one replication completed.
-    return {
-        "quantities": rows[0]["quantities"],
-        "replications": np.array([r["replication"] for r in rows], dtype=np.int64),
-        "ranks": np.array([r["ranks"] for r in rows], dtype=np.int64),
-        "ess": np.array([r["ess"] for r in rows], dtype=np.float64),
-        "chain_lengths": np.array([r["chain_length"] for r in rows], dtype=np.int64),
-        "diagnostics": tuple(r["diagnostics"] for r in rows),
-        "failures": tuple(failures),
-    }
+        done.append(table)
+    return {**{key: np.concatenate([table[key] for table in done])
+               for key in ("replications", "ranks", "ess", "chain_lengths")},
+            "diagnostics": tuple(chain.from_iterable(table["diagnostics"] for table in done)),
+            "failures": tuple(failures)}
 
 
 def run(config: RunConfig) -> RunArtifact:
@@ -521,14 +485,14 @@ def run(config: RunConfig) -> RunArtifact:
     else:
         size = min(BLOCK_SIZE, math.ceil(config.N / workers))
         chunks = [range(start, min(start + size, config.N)) for start in range(0, config.N, size)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             try:
                 table = _collect(config, chain.from_iterable(
                     pool.map(partial(_run_chunk, config), chunks)))
             except FailureRateExceeded:
                 pool.shutdown(wait=False, cancel_futures=True)
                 raise
-    return RunArtifact(config=config, **table,
+    return RunArtifact(config=config, quantities=tuple(q.name for q in quantities), **table,
                        wall_clock_seconds=time.perf_counter() - started)
 
 
@@ -679,6 +643,13 @@ def load_artifact(path) -> RunArtifact:
     if version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
         raise FormatVersionMismatch(
             f"artifact format {version!r} not supported by reader {FORMAT_VERSION!r}")
+    missing = [key for key in ("failures", "diagnostics", "wall_clock_seconds") if key not in meta]
+    if missing:
+        raise InvalidArtifact(f"meta.json has no {missing[0]!r} key")
+    seconds = meta["wall_clock_seconds"]
+    if not (is_finite_number(seconds) and seconds >= 0):
+        raise InvalidArtifact(f"meta.json: wall_clock_seconds must be a finite, non-negative "
+                              f"number, got {seconds!r}")
     if not isinstance(meta.get("config"), dict):
         raise InvalidArtifact("meta.json: config must be an object")
     raw_config = dict(meta["config"])
@@ -699,6 +670,6 @@ def load_artifact(path) -> RunArtifact:
         **table,
         diagnostics=tuple(meta["diagnostics"]),
         failures=failures,
-        wall_clock_seconds=meta["wall_clock_seconds"],
+        wall_clock_seconds=seconds,
         format_version=version,
     )

@@ -169,7 +169,7 @@ def _draw_block(model: GenerativeModel, draws: np.ndarray, failures: dict,
 def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int, lengths):
     """Initial points, the rows' noise and uniforms, and the target bound to their datasets.
 
-    Row r runs warmup + lengths[r] steps (n_steps when ``lengths`` is None).
+    Row r runs warmup + lengths[r] steps, lengths[r] <= n_steps.
     The rows take their streams in order, each in one pass: row r draws its
     initial point from the prior, then a (steps, d) block of standard
     normals, then ``steps`` uniforms; past its last step it is padded with
@@ -183,7 +183,7 @@ def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int
     each failed row to its error.
     """
     R, d = len(observations), len(model.parameter_names)
-    lengths = np.full(R, n_steps) if lengths is None else np.asarray(lengths)
+    lengths = np.asarray(lengths)
     Z = np.empty((R, d))
     noise = np.zeros((warmup + n_steps, R, d))
     unifs = np.ones((warmup + n_steps, R))
@@ -239,8 +239,9 @@ def _metropolis(model: GenerativeModel, observations, rngs, warmup: int, n_steps
 
 
 def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, step_size: float,
-                         warmup: int, rngs, lengths=None) -> DrawBlock:
-    """Random-walk Metropolis chains of n_steps post-warmup states, one per dataset.
+                         warmup: int, rngs, lengths) -> DrawBlock:
+    """Random-walk Metropolis chains of lengths[r] <= n_steps post-warmup states, one per
+    dataset.
 
     Step sizes adapt toward RW_TARGET_ACCEPT_1D (one coordinate) or
     RW_TARGET_ACCEPT_ND; a row's health is its acceptance rate and step size.
@@ -280,8 +281,9 @@ def leapfrog(z: np.ndarray, p: np.ndarray, g: np.ndarray, step, n: int,
 
 
 def sample_hmc(model: GenerativeModel, observations, n_steps: int, step_size: float,
-               n_leapfrog: int, warmup: int, rngs, lengths=None) -> DrawBlock:
-    """Fixed-path HMC with identity mass matrix and n_leapfrog steps per proposal.
+               n_leapfrog: int, warmup: int, rngs, lengths) -> DrawBlock:
+    """Fixed-path HMC with identity mass matrix and n_leapfrog steps per proposal; row r
+    keeps lengths[r] <= n_steps post-warmup states.
 
     Step sizes adapt toward HMC_TARGET_ACCEPT; a row's health is its
     acceptance rate, divergence count and step size.  A row's state carries

@@ -148,17 +148,17 @@ class TestEffectiveSampleSize:
 
 class TestRequiredChainLength:
     def test_scaling_formula(self):
-        assert required_chain_length(1000, 100, 50.0) == (2000, False)
+        assert required_chain_length(1000, 100, 50.0, 100_000) == (2000, False)
 
     def test_already_sufficient(self):
-        assert required_chain_length(1000, 100, 200.0) == (1000, False)
+        assert required_chain_length(1000, 100, 200.0, 100_000) == (1000, False)
 
     def test_cap(self):
-        plan = required_chain_length(1000, 100, 0.5, max_chain_length=100_000)
+        plan = required_chain_length(1000, 100, 0.5, 100_000)
         assert plan == (100_000, True)
 
     def test_rounding_up(self):
-        assert required_chain_length(1000, 99, 70.0).length == math.ceil(1000 * 99 / 70)
+        assert required_chain_length(1000, 99, 70.0, 100_000).length == math.ceil(1000 * 99 / 70)
 
 
 # Column names of the (n, d) chains below, d <= 2.
@@ -169,33 +169,49 @@ def _draws(values: np.ndarray) -> np.ndarray:
     return np.atleast_2d(values.T).T if values.ndim == 1 else values
 
 
+def thin_one(draws: np.ndarray, L: int) -> np.ndarray:
+    """An (n, d) chain thinned to L, as a one-row block of its own length."""
+    return thin_to(draws[np.newaxis], L, [len(draws)])[0]
+
+
 class TestThinTo:
     def test_exact_stride(self):
         draws = _draws(np.arange(1000, dtype=float).reshape(-1, 1))
-        thinned = thin_to(draws, 100)
+        thinned = thin_one(draws, 100)
         np.testing.assert_array_equal(thinned[:, 0], np.arange(0, 1000, 10))
         assert len(thinned) == 100
 
     def test_identity_when_equal(self):
         draws = _draws(np.arange(100, dtype=float).reshape(-1, 1))
-        np.testing.assert_array_equal(thin_to(draws, 100), draws)
+        np.testing.assert_array_equal(thin_one(draws, 100), draws)
 
     def test_no_repeats_when_slightly_longer(self):
         draws = _draws(np.arange(105, dtype=float).reshape(-1, 1))
-        thinned = thin_to(draws, 100)
+        thinned = thin_one(draws, 100)
         assert len(thinned) == 100
         assert len(np.unique(thinned[:, 0])) == 100
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            thin_to(_draws(np.arange(50, dtype=float).reshape(-1, 1)), 100)
+            thin_one(_draws(np.arange(50, dtype=float).reshape(-1, 1)), 100)
+        with pytest.raises(TooShort):
+            thin_to(np.zeros((2, 200, 1)), 100, [200, 99])
 
     def test_output_length_property(self):
         rng = np.random.default_rng(8)
         for _ in range(20):
             n = int(rng.integers(1, 500))
             L = int(rng.integers(1, n + 1))
-            assert len(thin_to(_draws(rng.normal(size=(n, 1))), L)) == L
+            assert len(thin_one(_draws(rng.normal(size=(n, 1))), L)) == L
+
+    def test_ragged_rows_equal_rows_thinned_alone(self):
+        """Each row of a block keeps the states its own chain would keep alone."""
+        draws = np.random.default_rng(9).normal(size=(4, 300, 2))
+        lengths = [300, 100, 217, 31]
+        thinned = thin_to(draws, 31, lengths)
+        assert thinned.shape == (4, 31, 2)
+        for r, n in enumerate(lengths):
+            np.testing.assert_array_equal(thinned[r], thin_one(draws[r, :n], 31))
 
 
 def assert_rows_match_reference(series) -> np.ndarray:
@@ -354,7 +370,7 @@ class TestMinEssAcrossQuantities:
         ess = min_ess(ess_by_quantity(one_chain(draws), [coordinate("p0"), coordinate("p1")],
                                       NAMES)[0])
         assert ess == effective_sample_sizes(varying[None])[0]
-        assert required_chain_length(99, 99, ess) == (math.ceil(99 * 99 / ess), False)
+        assert required_chain_length(99, 99, ess, 100_000) == (math.ceil(99 * 99 / ess), False)
 
     def test_all_constant_raises(self):
         draws = _draws(np.ones((100, 1)))

@@ -26,7 +26,7 @@ from sbc.models import (
     make_lin_reg,
     make_normal_normal,
 )
-from sbc.runner import _Row, _simulate
+from sbc.runner import _Block, _simulate
 from sbc.samplers import sample_rw_metropolis
 from sbc.streams import RandomStream, Streams
 
@@ -39,9 +39,11 @@ ALL_MODELS = [
 
 
 def simulate_block(model, seed, n):
-    """Replications 0..n-1's live rows, stacked priors and observations, and all rows."""
-    rows = [_Row(i, 1, 1) for i in range(n)]
-    return (*_simulate(model, Streams(seed), rows), rows)
+    """The live rows of a block of replications 0..n-1, their stacked priors and
+    observations, and each row's failure reason (None for a live row)."""
+    block = _Block(range(n), 1, 1)
+    live, priors, observations = _simulate(model, Streams(seed), block)
+    return live, priors[live], observations[live], block.reasons
 
 
 def with_prior(model, change):
@@ -67,13 +69,13 @@ class TestParamVector:
         """A block's non-finite prior draw fails its row alone, naming the values."""
         model = with_prior(make_normal_normal(NormalNormalSpec()),
                            lambda theta: np.where(theta > 0.5, np.nan, theta))
-        live, priors, _, rows = simulate_block(model, 5, 40)
+        live, priors, _, reasons = simulate_block(model, 5, 40)
         drawn = [model.prior_simulator(RandomStream(5, i, "prior"))[0] for i in range(40)]
-        assert [row.i for row in live] == [i for i in range(40) if not np.isnan(drawn[i])]
-        for row in rows:
-            if row not in live:
-                assert row.failure == "NonFiniteParameter: non-finite parameter values: [nan]"
-        np.testing.assert_array_equal(priors[:, 0], [drawn[row.i] for row in live])
+        assert live.tolist() == [i for i in range(40) if not np.isnan(drawn[i])]
+        for i, reason in enumerate(reasons):
+            if i not in live:
+                assert reason == "NonFiniteParameter: non-finite parameter values: [nan]"
+        np.testing.assert_array_equal(priors[:, 0], [drawn[i] for i in live])
 
 
 def at_point(q: Quantity, values: np.ndarray, names: tuple[str, ...]) -> float:
@@ -104,7 +106,7 @@ class TestQuantity:
         theta = model.prior_simulator(RandomStream(2, 0, "prior"))
         data = model.data_simulator(theta, RandomStream(2, 0, "data"))
         (draws,) = sample_rw_metropolis(model, data[np.newaxis], 50, 0.5, 20,
-                                        [RandomStream(2, 0, "chain")]).draws
+                                        [RandomStream(2, 0, "chain")], [50]).draws
         for q in model.quantities:
             batch = q.batch_evaluator(draws, model.parameter_names)
             scalar = [at_point(q, row, model.parameter_names) for row in draws]
@@ -292,9 +294,9 @@ class TestDrawReproducibility:
 
         model = dataclasses.replace(with_prior(base, lambda t: np.where(t > 0.5, np.inf, t)),
                                     data_simulator=data_simulator)
-        live, priors, observations, rows = simulate_block(model, 1, 30)
-        failed = [row for row in rows if row.failure is not None]
-        assert failed and all(row.failure.startswith("NonFiniteParameter") for row in failed)
+        live, priors, observations, reasons = simulate_block(model, 1, 30)
+        failed = [reason for reason in reasons if reason is not None]
+        assert failed and all(reason.startswith("NonFiniteParameter") for reason in failed)
         assert len(simulated) == len(live) and np.isfinite(simulated).all()
         assert observations.shape == (len(live), 1)
 
@@ -315,12 +317,12 @@ class TestDataset:
         model = dataclasses.replace(
             base, data_simulator=lambda theta, rng: np.where(
                 theta[1] > 5.0, np.inf, base.data_simulator(theta, rng)))
-        live, priors, observations, rows = simulate_block(model, 2, 50)
+        live, priors, observations, reasons = simulate_block(model, 2, 50)
         betas = [base.prior_simulator(RandomStream(2, i, "prior"))[1] for i in range(50)]
-        assert [row.i for row in live] == [i for i in range(50) if betas[i] <= 5.0] != []
-        assert {row.failure for row in rows if row not in live} == {
+        assert live.tolist() == [i for i in range(50) if betas[i] <= 5.0] != []
+        assert {reason for i, reason in enumerate(reasons) if i not in live} == {
             "NonFiniteInput: simulated observations must be finite"}
         assert np.isfinite(observations).all() and observations.shape == (len(live), 4)
-        for row in live:
-            np.testing.assert_array_equal(priors[row.k], base.prior_simulator(
-                RandomStream(2, row.i, "prior")))
+        for k, i in enumerate(live.tolist()):
+            np.testing.assert_array_equal(priors[k], base.prior_simulator(
+                RandomStream(2, i, "prior")))

@@ -295,6 +295,30 @@ class TestDeterminism:
             runs[workers] = (out / "ranks.csv").read_bytes()
         assert runs[1] == runs[4]
 
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
+        """N=10 over 7 workers makes 5 chunks of 2 replications, so the pool gets 5 workers."""
+        workers = []
+
+        class InProcessPool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+        pooled = run(exact_config(N=10, worker_count_hint=7))
+        assert workers == [5]
+        assert_same_table(pooled, run(exact_config(N=10)))
+
     def test_same_seed_same_records(self):
         a = run(exact_config(N=30, seed=41))
         b = run(exact_config(N=30, seed=41))
@@ -428,8 +452,13 @@ class TestRankTableValidation:
         assert err.startswith("sbc: report error: ranks.csv") and err.count("\n") == 1
 
 
+# Marks a meta.json key that a case deletes.
+DELETED = object()
+
+
 class TestMetaValidation:
-    """meta.json is outside input too: its shape, config, failures and diagnostics (N=20)."""
+    """meta.json is outside input too: its shape, config, failures, diagnostics and wall
+    clock (N=20)."""
 
     @pytest.mark.parametrize("key, value", [
         ("config", 5),
@@ -445,17 +474,29 @@ class TestMetaValidation:
         ("diagnostics", "one per replication"),
         ("diagnostics", [{"replication": i} for i in range(19)]),
         ("diagnostics", list(range(20))),
+        ("failures", DELETED),
+        ("diagnostics", DELETED),
+        ("wall_clock_seconds", DELETED),
+        ("wall_clock_seconds", "soon"),
+        ("wall_clock_seconds", -1.0),
     ], ids=["config-not-object", "failure-not-object", "failures-null", "diagnostics-null",
             "replication-string", "replication-bool", "replication-N", "replication-negative",
             "reason-not-string", "replication-twice", "diagnostics-string",
-            "diagnostics-one-short", "diagnostic-not-object"])
+            "diagnostics-one-short", "diagnostic-not-object", "failures-deleted",
+            "diagnostics-deleted", "wall-clock-deleted", "wall-clock-string",
+            "wall-clock-negative"])
     def test_bad_list_rejected(self, tmp_path, key, value):
         out = save_artifact(run(exact_config(N=20)), tmp_path / "run")
         meta = json.loads((out / "meta.json").read_text())
-        meta[key] = value
+        if value is DELETED:
+            del meta[key]
+        else:
+            meta[key] = value
         rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
-        with pytest.raises(InvalidArtifact, match="meta.json"):
+        with pytest.raises(InvalidArtifact, match="meta.json") as caught:
             load_artifact(out)
+        if value is DELETED or key == "wall_clock_seconds":
+            assert key in str(caught.value)
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
 
     def test_meta_not_an_object_rejected(self, tmp_path, capsys):
@@ -538,7 +579,7 @@ class TestRowFailures:
     """A replication whose fit fails is dropped alone; the rest of its block is unaffected."""
 
     @pytest.mark.parametrize("kind", ["hmc", "meanfield-vi"])
-    @pytest.mark.parametrize("block", [7, 128])
+    @pytest.mark.parametrize("block", [1, 7, 128])
     def test_failed_row_fails_alone(self, monkeypatch, kind, block):
         monkeypatch.setattr(runner, "BLOCK_SIZE", block)
         config = RunConfig(sampler=SamplerConfig(kind=kind, warmup=50, vi_iterations=200),
@@ -556,8 +597,10 @@ class TestRowFailures:
             d for d in clean.diagnostics if d["replication"] != bad)
 
     @pytest.mark.parametrize("kind", ["hmc", "meanfield-vi"])
-    @pytest.mark.parametrize("N, n_bad", [(50, 1), (100, 2)])
+    @pytest.mark.parametrize("N, n_bad", [(50, 1), (100, 2), (100, 3)])
     def test_failure_cap_counts_row_failures(self, monkeypatch, kind, N, n_bad):
+        """The run aborts at the failure that passes the cap, even when its block holds
+        more: the message counts floor(0.01 * N) + 1 failures and names the first."""
         config = RunConfig(sampler=SamplerConfig(kind=kind, warmup=50, vi_iterations=200),
                            N=N, L=19, master_seed=82)
         ys = observations(config)
@@ -566,7 +609,7 @@ class TestRowFailures:
         with pytest.raises(FailureRateExceeded) as caught:
             flagged_run(monkeypatch, config, cut_above(ys, n_bad))
         assert str(caught.value) == (
-            f"{n_bad} replications failed; at most floor(0.01 * N) = {allowed} failures "
+            f"{allowed + 1} replications failed; at most floor(0.01 * N) = {allowed} failures "
             f"allowed at N={N}; first failure: {expected_reason(config, first)}")
 
 
@@ -585,7 +628,7 @@ class TestNonFiniteData:
     """A replication whose simulated data are not finite fails alone and counts against the cap."""
 
     @pytest.mark.parametrize("kind", ["exact-conjugate", "hmc"])
-    @pytest.mark.parametrize("block", [7, 128])
+    @pytest.mark.parametrize("block", [1, 7, 128])
     def test_row_with_inf_data_fails_alone(self, monkeypatch, kind, block):
         monkeypatch.setattr(runner, "BLOCK_SIZE", block)
         config = RunConfig(sampler=SamplerConfig(kind=kind, warmup=50), N=100, L=19,
@@ -624,7 +667,7 @@ def capped_normal_model(cut):
 
 
 class TestNonFiniteQuantity:
-    @pytest.mark.parametrize("block", [7, 128])
+    @pytest.mark.parametrize("block", [1, 7, 128])
     def test_row_with_non_finite_quantity_fails_alone(self, monkeypatch, block):
         monkeypatch.setattr(runner, "BLOCK_SIZE", block)
         config = exact_config(N=100, L=19, seed=83)

@@ -37,9 +37,10 @@ from sbc_test_models import make_flagged_model
 
 
 def fit_block_one(sampler, model, data, *args):
-    """Fit one dataset as a 1-row lockstep batch; returns the 1-row DrawBlock."""
-    *settings, rng = args
-    return sampler(model, data[np.newaxis], *settings, [rng])
+    """Fit one dataset as a 1-row lockstep batch of n_steps, the first setting; returns the
+    1-row DrawBlock."""
+    n_steps, *settings, rng = args
+    return sampler(model, data[np.newaxis], n_steps, *settings, [rng], [n_steps])
 
 
 def fit_one(sampler, model, data, *args):
@@ -215,7 +216,7 @@ class TestHmc:
             model.data_simulator(model.prior_simulator(RandomStream(54, i, "prior")),
                                  RandomStream(54, i, "data")) for i in range(20)])
         block = sample_hmc(model, datasets, 200, 2.5, 20, 0,
-                           [RandomStream(54, i, "chain") for i in range(20)])
+                           [RandomStream(54, i, "chain") for i in range(20)], [200] * 20)
         assert sum(diag["divergences"] for diag in block.row_diagnostics) > 0
         assert block.diagnostics["divergences"] == sum(
             diag["divergences"] for diag in block.row_diagnostics)
@@ -237,7 +238,7 @@ def parent_leapfrog(z, p, step, n, grad):
 
 
 def reference_sample_hmc(model, datasets, n_steps, step_size, n_leapfrog, warmup, rngs,
-                         lengths=None):
+                         lengths):
     """HMC as it was before the gradient was carried between transitions."""
     with np.errstate(all="ignore"):
         target, z, logp, momenta, unifs, lengths, failures = _start(
@@ -272,7 +273,7 @@ def reference_sample_hmc(model, datasets, n_steps, step_size, n_leapfrog, warmup
 
 
 def reference_sample_rw_metropolis(model, datasets, n_steps, step_size, warmup, rngs,
-                                   lengths=None):
+                                   lengths):
     """Random-walk Metropolis as it was written before it shared HMC's transition loop."""
     with np.errstate(all="ignore"):
         target, z, logp, noise, unifs, lengths, failures = _start(
@@ -333,7 +334,7 @@ class TestCarriedGradient:
 
         def fit(sampler):
             return sampler(model, datasets, 50, 0.5, 5, 20,
-                           [RandomStream(67, i, "chain") for i in range(4)])
+                           [RandomStream(67, i, "chain") for i in range(4)], [50] * 4)
         block = fit(sample_hmc)
         assert isinstance(block.failures[1], NonFiniteDensity)
         assert_same_rows(block, fit(reference_sample_hmc))
@@ -346,7 +347,7 @@ class TestCarriedGradient:
 
         def fit(sampler):
             return sampler(model, datasets, 60, 2.5, 20, 10,
-                           [RandomStream(68, i, "chain") for i in range(6)])
+                           [RandomStream(68, i, "chain") for i in range(6)], [60] * 6)
         block = fit(sample_hmc)
         assert block.diagnostics["divergences"] > 0
         assert_same_rows(block, fit(reference_sample_hmc))
@@ -366,7 +367,7 @@ class TestCarriedGradient:
                                     posterior_factory=counting_factory)
         n_steps, n_leapfrog, warmup = 30, 7, 12
         sample_hmc(model, np.zeros((3, 1)), n_steps, 0.3, n_leapfrog, warmup,
-                   [RandomStream(69, i, "chain") for i in range(3)])
+                   [RandomStream(69, i, "chain") for i in range(3)], [n_steps] * 3)
         assert len(calls) == 1 + (warmup + n_steps) * n_leapfrog
 
 
@@ -434,7 +435,7 @@ class TestRwMatchesReference:
 
         def fit(sampler):
             return sampler(model, datasets, 50, 0.5, 20,
-                           [RandomStream(74, i, "chain") for i in range(4)])
+                           [RandomStream(74, i, "chain") for i in range(4)], [50] * 4)
         block = fit(sample_rw_metropolis)
         assert isinstance(block.failures[1], NonFiniteDensity)
         assert_same_rows(block, fit(reference_sample_rw_metropolis))
@@ -477,9 +478,9 @@ class TestLockstep:
     def test_rows_match_single_row_fits(self, sampler, settings):
         model, datasets = lin_reg_datasets(6, seed=61)
         block = sampler(model, datasets, *settings,
-                        [RandomStream(61, i, "chain") for i in range(6)])
+                        [RandomStream(61, i, "chain") for i in range(6)], [settings[0]] * 6)
         part = sampler(model, datasets[2:5], *settings,
-                       [RandomStream(61, i, "chain") for i in range(2, 5)])
+                       [RandomStream(61, i, "chain") for i in range(2, 5)], [settings[0]] * 3)
         for i in range(6):
             assert_same_row(block, i, fit_block_one(sampler, model, datasets[i], *settings,
                                                     RandomStream(61, i, "chain")), 0)
@@ -531,7 +532,7 @@ class TestLockstep:
         model = make_flagged_model(cut=5.0)
         datasets = np.array([[y] for y in (0.3, 9.0, -1.2, 0.8)])
         block = sample_hmc(model, datasets, 50, 0.5, 5, 20,
-                           [RandomStream(63, i, "chain") for i in range(4)])
+                           [RandomStream(63, i, "chain") for i in range(4)], [50] * 4)
         z0 = model.prior_simulator(RandomStream(63, 1, "chain"))
         assert list(block.failures) == [1]
         assert isinstance(block.failures[1], NonFiniteDensity)
