@@ -22,7 +22,6 @@ from .errors import (
 from .ess import (
     ChainPlan,
     ess_by_quantity,
-    min_ess,
     required_chain_length,
     thin_to,
 )

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AllConstant, TooShort
+from .errors import TooShort
 from .model import evaluate
 
 # Effective size may legitimately exceed the chain length for antithetic
@@ -138,15 +138,3 @@ def ess_by_quantity(draws: np.ndarray, quantities, names) -> np.ndarray:
     for j, q in enumerate(quantities):
         out[:, j] = effective_sample_sizes(evaluate(q, draws, names))
     return out
-
-
-def min_ess(ess: np.ndarray) -> float:
-    """Smallest effective sample size, skipping quantities without an estimate.
-
-    Series without an estimate count as infinitely effective; if no series
-    has one there is nothing to thin by.
-    """
-    finite = ess[~np.isnan(ess)]
-    if finite.size == 0:
-        raise AllConstant("every quantity is constant or degenerate over the chain")
-    return float(finite.min())

@@ -1,26 +1,20 @@
 """Replication harness: runs the calibration loop and persists artifacts.
 
 Each replication draws a ground truth from the prior, simulates a dataset,
-fits the configured sampler, and records the rank of the ground truth within
-the posterior draws for every quantity of interest.  Replications are
-independent, so they run in blocks, and a block runs as one table of arrays
-indexed by row, from simulation to rank: a run (or pool chunk) keys one
-Philox generator per purpose, and each row's stream of that purpose is the
-generator moved to the row's counter block (see :mod:`sbc.streams`).  A
-block stacks its rows' priors as an (R, d) array and their data as (R, n),
-checks each once, fits all its datasets in one sampler call (the exact
-sampler and the lockstep MCMC and VI samplers alike, each returning one
-(R, n, d) array of draws), thins each fit in one gather, estimates MCMC
-chains' effective sample sizes from it in one call per run of equal-length
-chains, and ranks each quantity in one pass over the block's (R, L, d)
-draws.  A failed row keeps the reason it failed and leaves the index array
-of live rows; the others go on.  Each block returns its completed rows'
-replications, ranks, ESS and chain lengths as arrays, and the run
-concatenates them.  Quantities are evaluated one way for ranks and ESS
-alike, by :func:`sbc.model.evaluate`.  Every random stream is derived from
-(master_seed, replication index, purpose tag), and the batched densities
-and quantities keep each row's arithmetic within its row, so results are
-bit-identical for any block size and any number of workers.
+fits the configured sampler, and ranks the ground truth among the posterior
+draws for every quantity of interest.  Replications are independent, so they
+run in blocks, and a block runs as one table of arrays indexed by row, from
+simulation to rank: (R, d) priors and (R, n) data, each checked once, one
+sampler call's (R, n, d) draws, thinned in one gather, (R, Q) ESS and ranks,
+and one (R,) column per health measure.  A failed row keeps the reason it
+failed and leaves the index array of live rows; the others go on.  Each
+block returns its completed rows as arrays, with each row's ``meta.json``
+object built once from its health columns, and the run concatenates them.
+Every random stream is derived from (master_seed, replication index, purpose
+tag), through one Philox generator per purpose and run or pool chunk (see
+:mod:`sbc.streams`), and the batched densities and quantities keep each
+row's arithmetic within its row, so results are bit-identical for any block
+size and any number of workers.
 """
 
 from __future__ import annotations
@@ -30,6 +24,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -41,6 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (
+    AllConstant,
     ChecksumMismatch,
     ConfigError,
     FailureRateExceeded,
@@ -53,7 +49,7 @@ from .errors import (
     is_finite_number,
     require_integers,
 )
-from .ess import ess_by_quantity, min_ess, required_chain_length, thin_to
+from .ess import ess_by_quantity, required_chain_length, thin_to
 from .model import GenerativeModel, Quantity, evaluate
 from .models import model_from_dict
 from .rankstats import rank_statistic
@@ -238,24 +234,42 @@ def _build(config: RunConfig) -> tuple[GenerativeModel, tuple[Quantity, ...]]:
 
 class _Block:
     """The rows of one block while it runs, as arrays indexed by row: replication, chain
-    length, ESS (NaN until the row's chain has one), health, and why the row failed (None
-    while it is live)."""
+    length, ESS (NaN until the row's chain has one), why the row failed (None while it is
+    live), and ``health``, one (R,) column per measure of ``meta.json``'s diagnostics: the
+    sampler's (:class:`sbc.samplers.DrawBlock`), and with Algorithm 2 ``cap_hit``,
+    ``ess_min`` and ``still_short``.  A live row has a value in every column."""
 
-    __slots__ = ("replications", "lengths", "ess", "diagnostics", "reasons")
+    __slots__ = ("replications", "lengths", "ess", "health", "reasons")
 
     def __init__(self, indices, n_quantities: int, length: int):
         self.replications = np.asarray(indices, dtype=np.int64)
         self.lengths = np.full(len(indices), length)
         self.ess = np.full((len(indices), n_quantities), np.nan)
-        self.diagnostics = [{"replication": i} for i in self.replications.tolist()]
-        self.reasons: list[str | None] = [None] * len(indices)
+        self.health: dict[str, np.ndarray] = {}
+        self.reasons = np.full(len(indices), None, dtype=object)
 
-    def fail(self, r: int, exc: SbcError) -> None:
-        self.reasons[r] = f"{type(exc).__name__}: {exc}"
+    def fail(self, rows, exc: SbcError) -> None:
+        """Fail a row, or an index array of rows, for ``exc``."""
+        self.reasons[rows] = f"{type(exc).__name__}: {exc}"
 
     def live(self, rows: np.ndarray) -> np.ndarray:
         """The rows of ``rows`` that have not failed."""
-        return rows[[self.reasons[r] is None for r in rows.tolist()]]
+        return rows[np.equal(self.reasons[rows], None)]
+
+    def record(self, rows: np.ndarray, **columns: np.ndarray) -> None:
+        """Set ``rows``' values of each named health column."""
+        for name, values in columns.items():
+            column = np.zeros(len(self.replications), values.dtype)
+            self.health.setdefault(name, column)[rows] = values
+
+    def ess_floor(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Algorithm 2's floor: each of ``rows``' smallest ESS over the quantities that have
+        one.  Rows with none fail (AllConstant); returns the others and their floors."""
+        floor = np.fmin.reduce(self.ess[rows], axis=1, initial=np.nan)
+        missing = np.isnan(floor)
+        self.fail(rows[missing],
+                  AllConstant("every quantity is constant or degenerate over the chain"))
+        return rows[~missing], floor[~missing]
 
 
 def _simulate(model: GenerativeModel, streams: Streams,
@@ -286,8 +300,7 @@ def _simulate(model: GenerativeModel, streams: Streams,
     observations = np.empty((len(priors), data.shape[1]))
     observations[rows] = data
     finite = np.isfinite(data).all(axis=1)
-    for r in rows[~finite].tolist():
-        block.fail(r, NonFiniteInput("simulated observations must be finite"))
+    block.fail(rows[~finite], NonFiniteInput("simulated observations must be finite"))
     return rows[finite], priors, observations
 
 
@@ -323,11 +336,9 @@ def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, 
         else:
             fit = sample_hmc(model, data, n_steps, cfg.step_size, cfg.n_leapfrog,
                              cfg.warmup, rngs, lengths)
-        for k, r in enumerate(group.tolist()):
-            if k in fit.failures:
-                block.fail(r, fit.failures[k])
-            else:
-                block.diagnostics[r].update(fit.row_diagnostics[k])
+        for k, exc in fit.failures.items():
+            block.fail(group[k], exc)
+        block.record(group, **fit.health)
         draws[group] = thin_to(fit.draws, config.L, lengths)
         if cfg.kind in _MCMC_KINDS:
             first = 0
@@ -374,15 +385,16 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
     block's priors and data are drawn row by row and checked as stacked
     arrays (see :func:`_simulate`).  The exact sampler draws the live rows'
     (R, L, 1) draws in one call; the MCMC and VI samplers fit them in
-    lockstep (see :func:`_fit`), and with Algorithm 2 each row's plan is made
-    from its ESS and the rows that fall short are refitted in one more
-    lockstep call, each for its own planned length.  Corruption is applied to
-    the live rows' draws, then each quantity is ranked for them all at once
-    (see :func:`_rank`).  A failed row keeps its first failure's reason.
+    lockstep (see :func:`_fit`).  With Algorithm 2, the block's ESS floors
+    are taken at once (:meth:`_Block.ess_floor`), each row's plan is made from
+    its floor, the rows that fall short are refitted in one more lockstep
+    call, each for its own planned length, and the floors are taken again.
+    Corruption is applied to the live rows' draws, then each quantity is
+    ranked for them all at once (see :func:`_rank`).
     """
     L, names = config.L, model.parameter_names
-    block = _Block(indices, len(quantities),
-                   L if config.thinning == "off" else INITIAL_CHAIN_FACTOR * L)
+    block = _Block(indices, len(quantities), L if config.thinning == "off"
+                   else min(INITIAL_CHAIN_FACTOR * L, config.max_chain_length))
     live, priors, observations = _simulate(model, streams, block)
     if config.sampler.kind == "exact-conjugate":
         draws = sample_exact_conjugate(model, observations[live], L,
@@ -391,41 +403,32 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
         draws = np.empty((len(priors), L, len(names)))
         _fit(model, config, quantities, streams, block, observations, draws, live, "chain")
         if config.thinning != "off":
-            reruns = []
-            for r in block.live(live).tolist():
-                try:
-                    plan = required_chain_length(int(block.lengths[r]), L, min_ess(block.ess[r]),
-                                                 config.max_chain_length)
-                except SbcError as exc:
-                    block.fail(r, exc)
-                    continue
-                block.diagnostics[r]["cap_hit"] = plan.cap_hit
-                if plan.length > block.lengths[r]:
-                    block.lengths[r] = plan.length
-                    reruns.append(r)
-            _fit(model, config, quantities, streams, block, observations, draws,
-                 np.array(reruns, dtype=np.int64), "chain-rerun")
-            for r in block.live(live).tolist():
-                try:
-                    ess_min = min_ess(block.ess[r])
-                except SbcError as exc:
-                    block.fail(r, exc)
-                    continue
-                block.diagnostics[r].update(ess_min=ess_min, still_short=bool(ess_min < L))
+            rows, floor = block.ess_floor(block.live(live))
+            plans = np.array([required_chain_length(n, L, ess_min, config.max_chain_length)
+                              for n, ess_min in zip(block.lengths[rows].tolist(), floor.tolist())],
+                             dtype=np.int64).reshape(-1, 2)  # (length, cap_hit) per row
+            reruns = rows[plans[:, 0] > block.lengths[rows]]
+            block.lengths[rows] = plans[:, 0]
+            block.record(rows, cap_hit=plans[:, 1].astype(bool))
+            _fit(model, config, quantities, streams, block, observations, draws, reruns,
+                 "chain-rerun")
+            rows, floor = block.ess_floor(block.live(rows))
+            block.record(rows, ess_min=floor, still_short=floor < L)
         live = block.live(live)
         draws = draws[live]
     ranks = np.empty((0, len(quantities)), dtype=np.int64)
     if live.size:  # rank_statistic needs at least one row
         ranks, finite = _rank(corrupt(draws, names, config.corruption), priors[live],
                               quantities, names)
-        for r in live[~finite].tolist():
-            block.fail(r, NonFiniteInput("rank_statistic requires finite inputs"))
+        block.fail(live[~finite], NonFiniteInput("rank_statistic requires finite inputs"))
         live, ranks = live[finite], ranks[finite]
+    health = zip(block.replications[live].tolist(),
+                 *(column[live].tolist() for column in block.health.values()))
     return {"replications": block.replications[live], "ranks": ranks, "ess": block.ess[live],
             "chain_lengths": block.lengths[live],
-            "diagnostics": [block.diagnostics[r] for r in live.tolist()],
+            "diagnostics": [dict(zip(("replication", *block.health), row)) for row in health],
             "failures": [{"replication": i, "reason": reason}
-                         for i, reason in zip(block.replications.tolist(), block.reasons)
+                         for i, reason in zip(block.replications.tolist(), block.reasons.tolist())
                          if reason is not None]}
 
 
@@ -545,11 +548,16 @@ def save_artifact(artifact: RunArtifact, path) -> Path:
 
 
 def _verify_checksums(root: Path) -> None:
-    """Check every file sha256sums.txt lists; meta.json and ranks.csv must be listed."""
+    """Check every file sha256sums.txt lists; meta.json and ranks.csv must be listed.  Each
+    line must be a lowercase 64-hex-digit SHA-256, two spaces and the plain name of a file
+    in the artifact directory, so no file outside it is read."""
     sums = {}
     for line in (root / "sha256sums.txt").read_text(encoding="utf-8").splitlines():
-        digest, name = line.split(None, 1)
-        sums[name.strip()] = digest
+        match = re.fullmatch(r"([0-9a-f]{64})  ([^/\\\0]+)", line)
+        if match is None or match[2] in (".", ".."):
+            raise InvalidArtifact(f"sha256sums.txt: {line!r} is not a SHA-256 digest, two "
+                                  f"spaces and a file name")
+        sums[match[2]] = match[1]
     unlisted = [name for name in ("meta.json", "ranks.csv") if name not in sums]
     if unlisted:
         raise ChecksumMismatch(f"sha256sums.txt has no checksum for {unlisted}")
@@ -559,11 +567,10 @@ def _verify_checksums(root: Path) -> None:
             raise ChecksumMismatch(f"{name}: expected sha256 {digest}, got {actual}")
 
 
-def _checked_failures(meta: dict, config: RunConfig) -> tuple[dict, ...]:
-    """meta.json's failures: objects with a unique replication in [0, N) and a reason.
-
-    Its diagnostics must hold one object per completed replication.
-    """
+def _checked_failures(meta: dict, config: RunConfig) -> tuple[tuple[dict, ...], list[int]]:
+    """meta.json's failures, objects with a unique replication in [0, N) and a reason, and
+    the completed replications.  Its diagnostics must hold one object per completed
+    replication, naming it, in ascending order (that of ranks.csv)."""
     failures, diagnostics = meta["failures"], meta["diagnostics"]
     if not (isinstance(failures, list) and all(
             isinstance(f, dict) and type(f.get("replication")) is int
@@ -571,17 +578,20 @@ def _checked_failures(meta: dict, config: RunConfig) -> tuple[dict, ...]:
             for f in failures)):
         raise InvalidArtifact(f"meta.json: failures must be a list of objects with an integer "
                               f"replication in [0, {config.N}) and a string reason")
-    if len({f["replication"] for f in failures}) != len(failures):
+    failed = {f["replication"] for f in failures}
+    if len(failed) != len(failures):
         raise InvalidArtifact("meta.json: a replication is listed as failed more than once")
-    completed = config.N - len(failures)
-    if not (isinstance(diagnostics, list) and len(diagnostics) == completed
-            and all(isinstance(d, dict) for d in diagnostics)):
-        raise InvalidArtifact(f"meta.json: diagnostics must be a list of {completed} objects, "
-                              f"one per completed replication")
-    return tuple(failures)
+    completed = [i for i in range(config.N) if i not in failed]
+    if not (isinstance(diagnostics, list) and len(diagnostics) == len(completed) and all(
+            isinstance(d, dict) and type(d.get("replication")) is int and d["replication"] == i
+            for d, i in zip(diagnostics, completed))):
+        raise InvalidArtifact(f"meta.json: diagnostics must be a list of {len(completed)} "
+                              f"objects, one per completed replication, ascending, each "
+                              f"naming its replication")
+    return tuple(failures), completed
 
 
-def _rank_table(rows: list[list[str]], config: RunConfig, failures) -> dict:
+def _rank_table(rows: list[list[str]], config: RunConfig, completed: list[int]) -> dict:
     """The rank-table fields of a RunArtifact, from the rows of ranks.csv.
 
     The rows must hold one rank in [0, L] for each quantity of each completed
@@ -611,8 +621,6 @@ def _rank_table(rows: list[list[str]], config: RunConfig, failures) -> dict:
     if np.any(lengths < config.L):
         raise InvalidArtifact(f"ranks.csv has a raw_chain_length below L={config.L}")
 
-    failed = {f["replication"] for f in failures}
-    completed = [i for i in range(config.N) if i not in failed]
     n = len(completed)
     q = len(rows) // n if n else 0
     quantities = tuple(row[1] for row in rows[:q])
@@ -656,14 +664,14 @@ def load_artifact(path) -> RunArtifact:
     if version == "1.0":
         raw_config.pop("output_path", None)  # recorded but never read; dropped in 1.1
     config = config_from_dict(raw_config)
-    failures = _checked_failures(meta, config)
+    failures, completed = _checked_failures(meta, config)
 
     with (root / "ranks.csv").open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != _CSV_HEADER:
             raise FormatVersionMismatch(f"unexpected ranks.csv header: {header}")
-        table = _rank_table(list(reader), config, failures)
+        table = _rank_table(list(reader), config, completed)
 
     return RunArtifact(
         config=config,

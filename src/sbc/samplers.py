@@ -9,7 +9,8 @@ Every sampler fits R replications in one call: it takes an (R, n) array of
 observations, one dataset per row, and an iterable of R random streams,
 which it takes in order and uses one at a time (a block's streams share one
 generator, see :mod:`sbc.streams`), and returns one (R, n, d) array of
-constrained draws, row r's chain at ``[r, :lengths[r]]``.  The MCMC and VI
+constrained draws, row r's chain at ``[r, :lengths[r]]``; the MCMC samplers
+add each row's health as (R,) columns (:class:`DrawBlock`).  The MCMC and VI
 samplers hold their states as (R, d) arrays and call the model's batched
 density once per step for all rows.  Each row keeps its own step size,
 adaptation state and stream, from which it draws its initial point, its
@@ -140,30 +141,32 @@ class DrawBlock:
     replication whose stream was the r-th of ``rngs``, and its chain is
     ``draws[r, :lengths[r]]`` (an MCMC row past its length repeats its last
     state).  A row that failed alone is NaN throughout, and ``failures``
-    maps it to its :class:`SbcError`.  ``row_diagnostics[r]`` is row r's
-    health for the run's ``meta.json`` (empty for a failed row and for VI):
-    acceptance rate and final step size, and for HMC the divergence count.
+    maps it to its :class:`SbcError`.  ``health`` maps each measure of the
+    run's ``meta.json`` to its (R,) column: MCMC's ``acceptance_rate`` and
+    final ``step_size``, and HMC's ``divergences``; VI has none.  A failed
+    row's values have no meaning.
     """
 
     draws: np.ndarray
     failures: dict[int, SbcError]
-    row_diagnostics: tuple[dict, ...]
+    health: dict[str, np.ndarray]
 
     @property
     def diagnostics(self) -> dict:
-        """The MCMC rows' mean acceptance rate (0.0 if there are none) and total divergences."""
-        rates = [diag["acceptance_rate"] for diag in self.row_diagnostics if diag]
-        return {"acceptance_rate": float(np.mean(rates)) if rates else 0.0,
-                "divergences": sum(diag.get("divergences", 0) for diag in self.row_diagnostics)}
+        """The live rows' mean acceptance rate (0.0 if there are none) and total divergences."""
+        live = np.delete(np.arange(len(self.draws)), list(self.failures))
+        health = {name: column[live] for name, column in self.health.items()}
+        rates = health.get("acceptance_rate", ())
+        return {"acceptance_rate": float(np.mean(rates)) if len(rates) else 0.0,
+                "divergences": int(np.sum(health.get("divergences", 0)))}
 
 
 def _draw_block(model: GenerativeModel, draws: np.ndarray, failures: dict,
-                diagnostics) -> DrawBlock:
-    """Wrap a fit's (R, n, d) unconstrained draws, constrained in place, with NaN draws and
-    empty health in its failed rows; ``diagnostics`` holds every row's health."""
+                health: dict) -> DrawBlock:
+    """Wrap a fit's (R, n, d) unconstrained draws, constrained in place, with NaN draws in
+    its failed rows."""
     draws[list(failures)] = np.nan
-    return DrawBlock(model.unconstraining_map.constrain_matrix(draws), failures,
-                     tuple({} if r in failures else diag for r, diag in enumerate(diagnostics)))
+    return DrawBlock(model.unconstraining_map.constrain_matrix(draws), failures, health)
 
 
 def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int, lengths):
@@ -204,11 +207,13 @@ def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int
 
 
 def _metropolis(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int,
-                lengths, step_size: float, accept_target: float, kernel, health) -> DrawBlock:
+                lengths, step_size: float, accept_target: float, kernel,
+                columns: tuple[str, ...]) -> DrawBlock:
     """Lockstep Metropolis chains.  ``kernel(target, z)`` returns the rows' initial state,
     a tuple of (R, d) arrays led by the point, and ``propose(state, logp, step, noise)``,
-    which returns a proposed state, its log density and its log ratio.  A live row's
-    health is ``health(acceptance_rate, divergences, step_size)``."""
+    which returns a proposed state, its log density and its log ratio.  ``columns`` names
+    the health kept, of ``acceptance_rate`` and ``divergences`` over each row's lengths[r]
+    retained steps and its final ``step_size``."""
     with np.errstate(all="ignore"):
         target, z, logp, noise, unifs, lengths, failures = _start(
             model, observations, rngs, warmup, n_steps, lengths)
@@ -233,9 +238,12 @@ def _metropolis(model: GenerativeModel, observations, rngs, warmup: int, n_steps
                 accepted[t - warmup] = took
                 divergences[t - warmup] = divergent
 
-        return _draw_block(model, draws, failures, [
-            health(float(accepted[:n, r].sum()) / n, int(divergences[:n, r].sum()),
-                   math.exp(log_step[r])) for r, n in enumerate(lengths.tolist())])
+        kept = np.arange(n_steps)[:, np.newaxis] < lengths
+        # math.exp, not np.exp: the two differ in the last bit on some arguments.
+        health = {"acceptance_rate": (accepted & kept).sum(axis=0) / lengths,
+                  "divergences": (divergences & kept).sum(axis=0),
+                  "step_size": np.array([math.exp(x) for x in log_step.tolist()])}
+        return _draw_block(model, draws, failures, {name: health[name] for name in columns})
 
 
 def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, step_size: float,
@@ -244,7 +252,7 @@ def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, ste
     dataset.
 
     Step sizes adapt toward RW_TARGET_ACCEPT_1D (one coordinate) or
-    RW_TARGET_ACCEPT_ND; a row's health is its acceptance rate and step size.
+    RW_TARGET_ACCEPT_ND; the health columns are ``acceptance_rate`` and ``step_size``.
     """
     def kernel(target, z):
         def propose(state, logp, step, noise):
@@ -256,7 +264,7 @@ def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, ste
     d = len(model.parameter_names)
     return _metropolis(model, observations, rngs, warmup, n_steps, lengths, step_size,
                        RW_TARGET_ACCEPT_1D if d == 1 else RW_TARGET_ACCEPT_ND, kernel,
-                       lambda rate, _, step: {"acceptance_rate": rate, "step_size": step})
+                       ("acceptance_rate", "step_size"))
 
 
 def leapfrog(z: np.ndarray, p: np.ndarray, g: np.ndarray, step, n: int,
@@ -285,8 +293,8 @@ def sample_hmc(model: GenerativeModel, observations, n_steps: int, step_size: fl
     """Fixed-path HMC with identity mass matrix and n_leapfrog steps per proposal; row r
     keeps lengths[r] <= n_steps post-warmup states.
 
-    Step sizes adapt toward HMC_TARGET_ACCEPT; a row's health is its
-    acceptance rate, divergence count and step size.  A row's state carries
+    Step sizes adapt toward HMC_TARGET_ACCEPT; the health columns are
+    ``acceptance_rate``, ``divergences`` and ``step_size``.  A row's state carries
     its gradient, computed once and then taken from each accepted trajectory's
     end, which equals a recomputed one bit for bit (the batched gradient is
     row-local): a fit makes 1 + transitions * n_leapfrog gradient calls.
@@ -301,10 +309,7 @@ def sample_hmc(model: GenerativeModel, observations, n_steps: int, step_size: fl
         return (z, target.grad(z)), propose
 
     return _metropolis(model, observations, rngs, warmup, n_steps, lengths, step_size,
-                       HMC_TARGET_ACCEPT, kernel,
-                       lambda rate, divergences, step: {"acceptance_rate": rate,
-                                                        "divergences": divergences,
-                                                        "step_size": step})
+                       HMC_TARGET_ACCEPT, kernel, ("acceptance_rate", "divergences", "step_size"))
 
 
 def fit_meanfield_vi(model: GenerativeModel, observations, iterations: int,
@@ -357,7 +362,7 @@ def fit_meanfield_vi(model: GenerativeModel, observations, iterations: int,
                 draws[r] = rng.standard_normal((n_draws, d))
         draws *= np.exp(omega)[:, np.newaxis]
         draws += m[:, np.newaxis]
-        return _draw_block(model, draws, failures, [{}] * R)
+        return _draw_block(model, draws, failures, {})
 
 
 def corrupt(draws: np.ndarray, names: tuple[str, ...], c: Corruption) -> np.ndarray:

@@ -100,20 +100,19 @@ class RandomStream:
 
     Streams must never be shared between concurrent consumers; derive a fresh
     one per (replication, tag) instead.  A standalone stream has its own
-    generator.  The streams of one :class:`Streams` tag share one, moved by
-    each stream's constructor, so each is valid from its creation until the
-    next: they are used one at a time and in order, and drawing from a
-    superseded stream raises RuntimeError.
+    generator, and its replication is checked here.  The streams of one
+    :class:`Streams` tag share one, moved by each stream's constructor, so each
+    is valid from its creation until the next: they are used one at a time and
+    in order, and drawing from a superseded stream raises RuntimeError.  Their
+    replications are checked by the :class:`Streams` call that makes them.
     """
 
     __slots__ = ("replication", "gen")
 
     def __init__(self, master_seed: int, replication: int = 0, tag: str = "root", *,
                  shared: SharedGenerator | None = None):
-        self.replication = _replication(replication)
-        if shared is None:
-            shared = SharedGenerator(master_seed, tag)
-        self.gen = shared.take(self, self.replication)
+        self.replication = _replication(replication) if shared is None else replication
+        self.gen = (shared or SharedGenerator(master_seed, tag)).take(self, self.replication)
 
     def normal(self, loc=0.0, scale=1.0, size=None):
         return self.gen.normal(loc, scale, size)

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sbc.errors import AllConstant, TooShort
+from sbc import runner
+from sbc.errors import TooShort
 from sbc.ess import (
     ANTITHETIC_ALLOWANCE,
     effective_sample_sizes,
     ess_by_quantity,
-    min_ess,
     required_chain_length,
     thin_to,
 )
@@ -337,21 +337,40 @@ class TestEssByQuantity:
         assert np.isnan(ess_by_quantity(draws, [coordinate("p0")], NAMES)).all()
 
 
-class TestMinEssAcrossQuantities:
+ALL_CONSTANT = "AllConstant: every quantity is constant or degenerate over the chain"
+
+
+def ess_floor(*rows):
+    """Algorithm 2's floor of each (Q,) ESS row, as a runner block takes it (None for a row
+    without one), and each row's failure reason."""
+    ess = np.array(rows, dtype=np.float64).reshape(len(rows), -1)
+    block = runner._Block(range(len(rows)), ess.shape[1], 99)
+    block.ess[:] = ess
+    live, floor = block.ess_floor(np.arange(len(rows)))
+    floors = [None] * len(rows)
+    for r, value in zip(live.tolist(), floor.tolist()):
+        floors[r] = value
+    return floors, block.reasons.tolist()
+
+
+class TestEssFloor:
+    """Each row's smallest ESS over the quantities that have one, for a whole block; a row
+    with none fails AllConstant."""
+
     def test_single_quantity(self):
         x = ar1(0.5, 20_000, seed=9)
         draws = _draws(x.reshape(-1, 1))
         direct = effective_sample_size(x)
         ess = ess_by_quantity(one_chain(draws), [coordinate("p0")], NAMES)[0]
-        assert min_ess(ess) == pytest.approx(direct)
+        assert ess_floor(ess)[0][0] == pytest.approx(direct)
 
     def test_minimum_dominated_by_slow_quantity(self):
         n = 50_000
         iid = np.random.default_rng(10).normal(size=n)
         slow = ar1(0.9, n, seed=11)
         draws = _draws(np.column_stack([iid, slow]))
-        got = min_ess(ess_by_quantity(one_chain(draws), [coordinate("p0"), coordinate("p1")],
-                                      NAMES)[0])
+        [got], _ = ess_floor(ess_by_quantity(one_chain(draws),
+                                             [coordinate("p0"), coordinate("p1")], NAMES)[0])
         assert got == pytest.approx(effective_sample_size(slow))
 
     def test_constant_quantity_excluded(self):
@@ -360,19 +379,30 @@ class TestMinEssAcrossQuantities:
             draws = _draws(np.column_stack([varying, np.full(n, c)]))
             ess = ess_by_quantity(one_chain(draws), [coordinate("p0"), coordinate("p1")], NAMES)[0]
             assert np.isnan(ess[1])
-            assert min_ess(ess) == ess[0] == effective_sample_size(varying)
+            assert ess_floor(ess)[0] == [ess[0]] == [effective_sample_size(varying)]
 
     def test_constant_quantity_does_not_plan_the_rerun(self):
         """A 0.1-constant quantity beside an AR(1) one: the plan scales by the
         AR(1) quantity's effective size, not by 1."""
         varying = ar1(0.9, 99, seed=13)
         draws = _draws(np.column_stack([np.full(99, 0.1), varying]))
-        ess = min_ess(ess_by_quantity(one_chain(draws), [coordinate("p0"), coordinate("p1")],
-                                      NAMES)[0])
+        [ess], _ = ess_floor(ess_by_quantity(one_chain(draws),
+                                             [coordinate("p0"), coordinate("p1")], NAMES)[0])
         assert ess == effective_sample_sizes(varying[None])[0]
         assert required_chain_length(99, 99, ess, 100_000) == (math.ceil(99 * 99 / ess), False)
 
-    def test_all_constant_raises(self):
+    def test_all_constant_fails(self):
         draws = _draws(np.ones((100, 1)))
-        with pytest.raises(AllConstant):
-            min_ess(ess_by_quantity(one_chain(draws), [coordinate("p0")], NAMES)[0])
+        assert ess_floor(ess_by_quantity(one_chain(draws), [coordinate("p0")], NAMES)[0]) == (
+            [None], [ALL_CONSTANT])
+
+    def test_block_rows_take_their_own_floor(self):
+        floors, reasons = ess_floor([3.0, np.nan, 2.0], [np.nan, 5.0, np.nan], [7.0, 7.0, 1.5])
+        assert floors == [2.0, 5.0, 1.5] and reasons == [None] * 3
+
+    def test_row_without_an_estimate_fails_alone(self):
+        assert ess_floor([np.nan, np.nan], [4.0, 6.0], [np.nan, np.nan]) == (
+            [None, 4.0, None], [ALL_CONSTANT, None, ALL_CONSTANT])
+
+    def test_no_quantities_fail_every_row(self):
+        assert ess_floor([], []) == ([None, None], [ALL_CONSTANT, ALL_CONSTANT])

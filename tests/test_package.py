@@ -3,7 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
-import sbc
+SRC = Path(__file__).resolve().parents[1] / "src" / "sbc"
+PERFBENCH = SRC.parents[1] / "perfbench"
 
 
 def test_import_does_not_load_scipy():
@@ -11,7 +12,7 @@ def test_import_does_not_load_scipy():
 
     numpy.random is loaded only when the first random stream is built.
     """
-    src = str(Path(sbc.__file__).resolve().parents[1])
+    src = str(SRC.parent)
     probe = ("import sys; sys.path.insert(0, sys.argv[1]); import sbc; "
              "print('scipy' in sys.modules, 'numpy.random' in sys.modules)")
     result = subprocess.run([sys.executable, "-c", probe, src],
@@ -19,17 +20,32 @@ def test_import_does_not_load_scipy():
     assert result.stdout.strip() == "False False"
 
 
-SRC = Path(sbc.__file__).resolve().parent
-PERFBENCH = SRC.parents[1] / "perfbench"
+def _docstrings(tree: ast.AST) -> list[ast.Expr]:
+    """The docstring statements of a module and of its classes and functions."""
+    return [node.body[0] for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)
+            and isinstance(node.body[0].value.value, str)]
+
+
+def line_counts(path: Path) -> tuple[int, int]:
+    """A module's total lines and its code lines: those neither blank, nor a comment
+    alone, nor part of a docstring."""
+    source = path.read_text(encoding="utf-8")
+    docstring_lines = {line for doc in _docstrings(ast.parse(source))
+                       for line in range(doc.lineno, doc.end_lineno + 1)}
+    lines = source.splitlines()
+    code = [line for number, line in enumerate(lines, 1) if number not in docstring_lines
+            and line.strip() and not line.lstrip().startswith("#")]
+    return len(lines), len(code)
 
 
 def _referenced_names(tree: ast.AST) -> set[str]:
     """Every name a module uses: loaded names, attributes, keyword arguments, imported
     names, and the parts of string constants spelling an identifier or a dotted path
     (hooks and ``getattr`` name their targets that way).  Docstrings are skipped."""
-    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
-                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
-                  and node.body and isinstance(node.body[0], ast.Expr)}
+    docstrings = {id(doc.value) for doc in _docstrings(tree)}
     names: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
@@ -111,3 +127,34 @@ def test_every_definition_is_referenced():
                     for qualified, name in _definitions(_parse(path))
                     if name not in referenced]
     assert unreferenced == []
+
+
+def test_line_counts_skip_blanks_comments_and_docstrings(tmp_path):
+    module = tmp_path / "module.py"
+    module.write_text('''"""Module docstring
+over two lines."""
+
+# A comment.
+import math  # a trailing comment
+
+
+class A:
+    """One line."""
+
+    def f(self):
+        """Two
+        lines."""
+        return "#not a comment"
+''')
+    assert line_counts(module) == (14, 4)
+
+
+if __name__ == "__main__":
+    # Net line count of src/sbc: each module's total lines and code lines.
+    totals = [0, 0]
+    print(f"{'module':<16}{'total':>7}{'code':>7}")
+    for path in sorted(SRC.glob("*.py")):
+        counts = line_counts(path)
+        totals = [a + b for a, b in zip(totals, counts)]
+        print(f"{path.name:<16}{counts[0]:>7}{counts[1]:>7}")
+    print(f"{'src/sbc':<16}{totals[0]:>7}{totals[1]:>7}")

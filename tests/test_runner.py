@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import json
@@ -30,7 +31,7 @@ from sbc.runner import (
     run,
     save_artifact,
 )
-from sbc.model import Quantity
+from sbc.model import PosteriorTarget, Quantity
 from sbc.models import model_from_dict
 from sbc.samplers import Corruption, SamplerConfig, sample_exact_conjugate
 from sbc.streams import RandomStream
@@ -209,6 +210,20 @@ class TestRunSbcMcmc:
         assert dof == 9
         assert stat < 27.877  # chi-square(9) upper 0.001 quantile
         assert classify_shape(hist) == "uniform"
+
+    def test_first_chain_respects_max_chain_length(self):
+        """The first chain has min(10 * L, max_chain_length) draws: no chain runs past the
+        cap, and rows that fall short of L report it."""
+        config = RunConfig(
+            model={"kind": "eight-schools", "parameterization": "non-centered"},
+            sampler=SamplerConfig(kind="hmc"), N=6, L=19, thinning="algorithm-2",
+            master_seed=3, max_chain_length=40)
+        artifact = run(config)
+        assert artifact.failures == ()
+        np.testing.assert_array_equal(artifact.chain_lengths, np.full(6, 40))
+        for diag in artifact.diagnostics:
+            assert diag["cap_hit"] == diag["still_short"] == (diag["ess_min"] < config.L)
+        assert any(diag["cap_hit"] for diag in artifact.diagnostics)
 
     def test_cap_hit_reported_for_sticky_chain(self):
         config = RunConfig(
@@ -398,6 +413,27 @@ class TestPersistence:
             load_artifact(out)
 
 
+    @pytest.mark.parametrize("line", ["", "deadbeef  ../../../../etc/hostname",
+                                      f"{'0' * 64}  /etc/hostname", f"{'0' * 64}  ..",
+                                      f"{'0' * 64} meta.json", f"{'A' * 64}  meta.json"],
+                             ids=["blank", "outside-path", "absolute-path", "parent-dir",
+                                  "one-space", "uppercase-digest"])
+    def test_malformed_checksum_line_rejected(self, tmp_path, monkeypatch, line):
+        """Each line is a 64-hex-digit digest, two spaces and a plain file name; any other
+        line is named in the error, and no file outside the artifact is opened."""
+        out = save_artifact(run(exact_config(N=10)), tmp_path / "run")
+        sums = out / "sha256sums.txt"
+        sums.write_text(sums.read_text() + line + "\n")
+        opened = []
+        read_bytes = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: opened.append(self) or read_bytes(self))
+        with pytest.raises(InvalidArtifact, match="sha256sums.txt") as caught:
+            load_artifact(out)
+        assert repr(line) in str(caught.value)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        assert all(path.parent == out for path in opened)
+
+
 class TestRankTableValidation:
     """ranks.csv is outside input: a bad table is rejected on load and by `sbc report`."""
 
@@ -474,6 +510,8 @@ class TestMetaValidation:
         ("diagnostics", "one per replication"),
         ("diagnostics", [{"replication": i} for i in range(19)]),
         ("diagnostics", list(range(20))),
+        ("diagnostics", [{"replication": i} for i in [1, 0, *range(2, 20)]]),
+        ("diagnostics", [{"replication": 0.0}] + [{"replication": i} for i in range(1, 20)]),
         ("failures", DELETED),
         ("diagnostics", DELETED),
         ("wall_clock_seconds", DELETED),
@@ -482,7 +520,8 @@ class TestMetaValidation:
     ], ids=["config-not-object", "failure-not-object", "failures-null", "diagnostics-null",
             "replication-string", "replication-bool", "replication-N", "replication-negative",
             "reason-not-string", "replication-twice", "diagnostics-string",
-            "diagnostics-one-short", "diagnostic-not-object", "failures-deleted",
+            "diagnostics-one-short", "diagnostic-not-object", "diagnostics-swapped",
+            "diagnostic-replication-float", "failures-deleted",
             "diagnostics-deleted", "wall-clock-deleted", "wall-clock-string",
             "wall-clock-negative"])
     def test_bad_list_rejected(self, tmp_path, key, value):
@@ -497,6 +536,16 @@ class TestMetaValidation:
             load_artifact(out)
         if value is DELETED or key == "wall_clock_seconds":
             assert key in str(caught.value)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+
+    def test_diagnostics_must_name_the_completed_replications(self, tmp_path, capsys):
+        """Entry i of diagnostics belongs to the i-th completed replication."""
+        out = save_artifact(run(exact_config(N=5)), tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+        meta["diagnostics"] = [{"replication": 999, "acceptance_rate": "bogus"}] * 5
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        with pytest.raises(InvalidArtifact, match="meta.json: diagnostics"):
+            load_artifact(out)
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
 
     def test_meta_not_an_object_rejected(self, tmp_path, capsys):
@@ -692,3 +741,59 @@ class TestNonFiniteQuantity:
         np.testing.assert_array_equal(flagged.replications, clean.replications[kept])
         np.testing.assert_array_equal(flagged.ranks, clean.ranks[kept])
         np.testing.assert_array_equal(clean.ranks_for("capped"), clean.ranks_for("mu"))
+
+
+def stuck_model(cut, stuck_fit):
+    """The flagged model's normal-normal, except that for a dataset with y > cut the chain
+    cannot leave its initial point from that dataset's ``stuck_fit``-th fit on (1: its
+    first chain, 2: its Algorithm-2 rerun).  There every density after a target's first
+    call, which evaluates the initial points, reads -inf, so random-walk Metropolis rejects
+    every move and the model's one quantity is constant over the chain."""
+    base = make_flagged_model(math.inf)
+    fits = collections.Counter()
+
+    def posterior_factory(observations):
+        target = base.posterior_factory(observations)
+        ys = observations[:, 0].tolist()
+        fits.update(y for y in ys if y > cut)
+        stuck = np.array([y > cut and fits[y] >= stuck_fit for y in ys])
+        calls = []
+
+        def logpdf(Z):
+            logp = target.logpdf(Z)
+            if calls:
+                logp = np.where(stuck, -np.inf, logp)
+            calls.append(len(Z))
+            return logp
+
+        return PosteriorTarget(logpdf, target.grad)
+
+    return dataclasses.replace(base, posterior_factory=posterior_factory)
+
+
+class TestAlgorithm2Floor:
+    """A row of an Algorithm-2 block without any ESS estimate fails alone, before its rerun
+    or after it, and leaves the other rows' results unchanged."""
+
+    @pytest.mark.parametrize("stuck_fit", [1, 2], ids=["first-chain", "rerun"])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_constant_row_fails_alone(self, monkeypatch, block, stuck_fit):
+        monkeypatch.setattr(runner, "BLOCK_SIZE", block)
+        config = RunConfig(sampler=SamplerConfig(kind="rw-metropolis", step_size=0.2, warmup=0),
+                           N=14, L=19, thinning="algorithm-2", master_seed=86)
+        ys = observations(config)
+        bad = int(np.argmax(ys))
+        rows, failures = {}, {}
+        for cut in (cut_above(ys, 1), math.inf):
+            model = stuck_model(cut, stuck_fit)
+            tables = list(runner._run_blocks(config, model, model.quantities, range(config.N)))
+            rows[cut] = [row for table in tables for row in zip(
+                *(table[key].tolist() for key in ("replications", "ranks", "ess", "chain_lengths")),
+                table["diagnostics"])]
+            failures[cut] = [failure for table in tables for failure in table["failures"]]
+        flagged, clean = rows.values()
+        reason = "AllConstant: every quantity is constant or degenerate over the chain"
+        assert list(failures.values()) == [[{"replication": bad, "reason": reason}], []]
+        assert flagged == [row for row in clean if row[0] != bad]
+        # The first chains fall short of L, so the stuck row is rerun before it sticks.
+        assert clean[bad][3] > 10 * config.L

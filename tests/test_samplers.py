@@ -134,7 +134,7 @@ class TestRwMetropolis:
     def test_tiny_step_degenerate_limit(self, std_normal_model):
         block = fit_block_one(sample_rw_metropolis, std_normal_model, np.array([0.0]),
                               2000, 1e-6, 0, RandomStream(45, 0, "chain"))
-        assert block.row_diagnostics[0]["acceptance_rate"] > 0.999
+        assert block.health["acceptance_rate"][0] > 0.999
         x = block.draws[0, :, 0]
         assert np.corrcoef(x[:-1], x[1:])[0, 1] > 0.99
 
@@ -182,7 +182,7 @@ class TestRwMetropolis:
     def test_warmup_adapts_toward_target_acceptance(self, std_normal_model):
         block = fit_block_one(sample_rw_metropolis, std_normal_model, np.array([0.0]),
                               4000, 50.0, 2000, RandomStream(49, 0, "chain"))
-        assert 0.3 < block.row_diagnostics[0]["acceptance_rate"] < 0.6
+        assert 0.3 < block.health["acceptance_rate"][0] < 0.6
 
 
 class TestHmc:
@@ -217,9 +217,8 @@ class TestHmc:
                                  RandomStream(54, i, "data")) for i in range(20)])
         block = sample_hmc(model, datasets, 200, 2.5, 20, 0,
                            [RandomStream(54, i, "chain") for i in range(20)], [200] * 20)
-        assert sum(diag["divergences"] for diag in block.row_diagnostics) > 0
-        assert block.diagnostics["divergences"] == sum(
-            diag["divergences"] for diag in block.row_diagnostics)
+        assert block.health["divergences"].sum() > 0
+        assert block.diagnostics["divergences"] == block.health["divergences"].sum()
 
 
 def parent_leapfrog(z, p, step, n, grad):
@@ -235,6 +234,11 @@ def parent_leapfrog(z, p, step, n, grad):
             p += step * g
     p += half * g
     return z, p
+
+
+def health_columns(rows):
+    """Per-row health objects as a DrawBlock's columns."""
+    return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
 def reference_sample_hmc(model, datasets, n_steps, step_size, n_leapfrog, warmup, rngs,
@@ -266,10 +270,10 @@ def reference_sample_hmc(model, datasets, n_steps, step_size, n_leapfrog, warmup
                 accepted[t - warmup] = took
                 divergences[t - warmup] = divergent
 
-        return _draw_block(model, draws, failures, [
+        return _draw_block(model, draws, failures, health_columns([
             {"acceptance_rate": float(accepted[:n, r].sum()) / n,
              "divergences": int(divergences[:n, r].sum()),
-             "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())])
+             "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())]))
 
 
 def reference_sample_rw_metropolis(model, datasets, n_steps, step_size, warmup, rngs,
@@ -298,19 +302,18 @@ def reference_sample_rw_metropolis(model, datasets, n_steps, step_size, warmup, 
                 draws[:, t - warmup] = z
                 accepted[t - warmup] = took
 
-        return _draw_block(model, draws, failures, [
+        return _draw_block(model, draws, failures, health_columns([
             {"acceptance_rate": float(accepted[:n, r].sum()) / n,
-             "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())])
+             "step_size": math.exp(log_step[r])} for r, n in enumerate(lengths.tolist())]))
 
 
 def assert_same_rows(a, b):
     """DrawBlocks a and b hold the same draws (NaN in the same failed rows), the same
-    errors and the same health."""
+    errors and the same health in their other rows."""
     np.testing.assert_array_equal(a.draws, b.draws)
     assert a.failures.keys() == b.failures.keys()
     for r, error in b.failures.items():
         assert type(a.failures[r]) is type(error) and str(a.failures[r]) == str(error)
-        assert a.row_diagnostics[r] == b.row_diagnostics[r] == {}
     for r in range(len(b.draws)):
         assert_same_row(a, r, b, r)
     assert a.diagnostics == b.diagnostics
@@ -462,12 +465,13 @@ class TestRwMatchesReference:
 
 
 def assert_same_row(a, i, b, j):
-    """Row i of DrawBlock a has the draws and health of row j of DrawBlock b, over
-    b's n draws: a's row may run longer."""
+    """Row i of DrawBlock a has the draws of row j of DrawBlock b, over b's n draws (a's
+    row may run longer), and unless it failed, the same health."""
     np.testing.assert_array_equal(a.draws[i, :b.draws.shape[1]], b.draws[j])
-    assert a.row_diagnostics[i].keys() == b.row_diagnostics[j].keys()
-    for key, value in a.row_diagnostics[i].items():
-        np.testing.assert_array_equal(value, b.row_diagnostics[j][key])
+    assert a.health.keys() == b.health.keys()
+    if i not in a.failures:
+        for key, column in a.health.items():
+            assert column[i] == b.health[key][j], key
 
 
 class TestLockstep:
@@ -486,8 +490,8 @@ class TestLockstep:
                                                     RandomStream(61, i, "chain")), 0)
         for k, i in enumerate(range(2, 5)):
             assert_same_row(part, k, block, i)
-        rates = [diag["acceptance_rate"] for diag in block.row_diagnostics]
-        assert block.diagnostics["acceptance_rate"] == pytest.approx(np.mean(rates))
+        assert block.diagnostics["acceptance_rate"] == pytest.approx(
+            np.mean(block.health["acceptance_rate"]))
 
     @pytest.mark.parametrize("sampler, settings", [
         (sample_hmc, (0.3, 10, 40)), (sample_rw_metropolis, (0.5, 40))])
@@ -521,7 +525,7 @@ class TestLockstep:
                                  [RandomStream(62, i, "chain") for i in range(5)])
         d = len(model.parameter_names)
         assert block.draws.shape == (5, 40, d) and not block.failures
-        assert block.row_diagnostics == ({},) * 5
+        assert block.health == {}
         for i in range(5):
             alone = fit_vi_one(model, datasets[i], 500, 0.05, RandomStream(62, i, "vi"), 40,
                                RandomStream(62, i, "chain"))
@@ -538,8 +542,11 @@ class TestLockstep:
         assert isinstance(block.failures[1], NonFiniteDensity)
         assert str(block.failures[1]) == f"non-finite log density at initial point {z0}"
         assert np.isnan(block.draws[1]).all()
-        assert block.row_diagnostics[1] == {}
-        for i in (0, 2, 3):
+        live = [0, 2, 3]  # the block's totals leave the failed row out
+        assert block.diagnostics == {
+            "acceptance_rate": float(np.mean(block.health["acceptance_rate"][live])),
+            "divergences": int(block.health["divergences"][live].sum())}
+        for i in live:
             assert_same_row(block, i, fit_block_one(sample_hmc, model, datasets[i], 50, 0.5,
                                                     5, 20, RandomStream(63, i, "chain")), 0)
         block = fit_meanfield_vi(model, datasets, 300, 0.05,

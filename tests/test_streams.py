@@ -3,6 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sbc import streams
 from sbc.streams import _MAX_REPLICATION, RandomStream, Streams, _tag_code
 
 
@@ -152,3 +153,15 @@ def test_out_of_range_arguments_rejected():
         RandomStream(-1, 0)
     with pytest.raises(ValueError):
         Streams(-1)([0], "chain")
+
+
+def test_each_replication_is_checked_once(monkeypatch):
+    """A Streams call checks its replications once, not again in each stream it makes; a
+    standalone stream checks its own."""
+    checked = []
+    check = streams._replication
+    monkeypatch.setattr(streams, "_replication", lambda i: checked.append(i) or check(i))
+    made = list(Streams(7)(range(5), "chain"))
+    assert checked == list(range(5)) and [s.replication for s in made] == list(range(5))
+    RandomStream(7, 3, "chain")
+    assert checked == [*range(5), 3]
