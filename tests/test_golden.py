@@ -34,6 +34,9 @@ CONFIGS = {
     "hmc-8s-nc-alg2": {"model": {"kind": "eight-schools", "parameterization": "non-centered"},
                        "sampler": {"kind": "hmc"}, "N": 20, "L": 99,
                        "thinning": "algorithm-2", "master_seed": 14},
+    "hmc-8s-nc-off": {"model": {"kind": "eight-schools", "parameterization": "non-centered"},
+                      "sampler": {"kind": "hmc"}, "N": 20, "L": 99, "thinning": "off",
+                      "master_seed": 18},
     "rw-linreg-alg2": {"model": {"kind": "lin-reg"}, "sampler": {"kind": "rw-metropolis"},
                        "N": 20, "L": 31, "thinning": "algorithm-2", "master_seed": 15},
     # Every proposal's log density overflows to -inf or NaN and is rejected.
