@@ -48,6 +48,7 @@ from .rankstats import (
     EcdfSummary,
     SbcHistogram,
     build_histogram,
+    build_histograms,
     chi_square_uniformity,
     classify_shape,
     default_bins,
@@ -58,7 +59,7 @@ from .rankstats import (
 )
 from .report import (
     ReportRequest,
-    rank_histogram,
+    rank_histograms,
     render_ecdf_svg,
     render_histogram_svg,
     summarize,

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from .errors import ConfigError, FailureRateExceeded, SbcError
 from .models import MODEL_KINDS
-from .report import ReportRequest, rank_histogram, summarize, write_report
+from .report import ReportRequest, rank_histograms, summarize, write_report
 from .runner import FAILURE_RATE_CAP, config_from_dict, load_artifact, run, save_artifact
 from .samplers import SAMPLER_KINDS, SamplerConfig
 
@@ -114,8 +114,9 @@ def _cmd_run(args) -> int:
     print(f"artifact written to {out}")
     print(f"replications: {config.N}  failures: {len(artifact.failures)}  "
           f"wall clock: {artifact.wall_clock_seconds:.1f}s")
-    for quantity in artifact.quantities:
-        s = summarize(artifact, quantity, rank_histogram(artifact, quantity))
+    for quantity, hist in zip(artifact.quantities,
+                              rank_histograms(artifact, artifact.quantities)):
+        s = summarize(artifact, quantity, hist)
         print(f"  {quantity}: {s['classification']} "
               f"(chi2={s['chi_square']:.1f}, dof={s['chi_square_dof']}, "
               f"{s['bins_outside_band']}/{s['B']} bins outside band)")

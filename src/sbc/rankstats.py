@@ -250,31 +250,44 @@ def default_bins(N: int, L: int) -> int:
     return max(feasible) if feasible else 1
 
 
-def build_histogram(ranks, L: int, B: int, coverage: float = 0.99) -> SbcHistogram:
-    """Rebin ranks and attach the exact binomial band, its median and rank moments.
+def build_histograms(columns, L: int, B: int, coverage: float = 0.99) -> list[SbcHistogram]:
+    """Rebin each column of ranks and attach the exact binomial band, its median and the
+    column's rank moments.
 
-    The band is the Binomial(N, 1/B) quantiles at (1-coverage)/2 and
-    1-(1-coverage)/2, all three quantiles from one :func:`binomial_quantiles`
-    call.
+    Every column holds the same number N of ranks, so one band serves them
+    all: the Binomial(N, 1/B) quantiles at (1-coverage)/2 and
+    1-(1-coverage)/2, and the median, from one :func:`binomial_quantiles`
+    call.  Each column's counts, mean and variance come from that column
+    alone.
     """
-    ranks = np.asarray(ranks, dtype=np.int64)
-    if ranks.size < 1 or B < 1 or not (0.0 < coverage < 1.0):
+    columns = [np.asarray(ranks, dtype=np.int64) for ranks in columns]
+    N = columns[0].size if columns else 0
+    if N < 1 or B < 1 or not (0.0 < coverage < 1.0):
         raise ValueError("need N >= 1, B >= 1, 0 < coverage < 1")
-    counts = rebin(ranks, L, B)
+    if any(ranks.size != N for ranks in columns):
+        raise ValueError("every column must hold the same number of ranks")
     tail = (1.0 - coverage) / 2.0
-    low, median, high = binomial_quantiles([tail, 0.5, 1.0 - tail], ranks.size, 1.0 / B)[0]
-    normalized = ranks / L if L > 0 else np.zeros(ranks.size)
-    return SbcHistogram(
-        counts=tuple(int(c) for c in counts),
-        N=int(ranks.size),
-        L=L,
-        band_low=int(low),
-        band_high=int(high),
-        band_median=int(median),
-        band_coverage=coverage,
-        rank_mean_normalized=float(np.mean(normalized)),
-        rank_var_normalized=float(np.var(normalized)),
-    )
+    low, median, high = binomial_quantiles([tail, 0.5, 1.0 - tail], N, 1.0 / B)[0].tolist()
+    hists = []
+    for ranks in columns:
+        normalized = ranks / L if L > 0 else np.zeros(N)
+        hists.append(SbcHistogram(
+            counts=tuple(rebin(ranks, L, B).tolist()),
+            N=N,
+            L=L,
+            band_low=low,
+            band_high=high,
+            band_median=median,
+            band_coverage=coverage,
+            rank_mean_normalized=float(np.mean(normalized)),
+            rank_var_normalized=float(np.var(normalized)),
+        ))
+    return hists
+
+
+def build_histogram(ranks, L: int, B: int, coverage: float = 0.99) -> SbcHistogram:
+    """The histogram of one column of ranks (see :func:`build_histograms`)."""
+    return build_histograms([ranks], L, B, coverage)[0]
 
 
 def ecdf_band(N: int, L: int, coverage: float = 0.99) -> EcdfBand:

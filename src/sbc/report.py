@@ -10,6 +10,14 @@ A histogram is drawn from its :class:`SbcHistogram`, band and median
 included.  Both ECDF plots are drawn from one :class:`EcdfSummary`, the
 ECDF's values and its band: the difference plot subtracts the band's
 uniform expectation from the values and the bounds.
+
+The bands depend on (N, L, B, coverage) alone, which every quantity of an
+artifact shares, so a report computes them once: the histogram band and its
+median in one quantile call (:func:`sbc.rankstats.build_histograms`), and
+the ECDF band with its frame, the x coordinates formatted once and the band
+polygon and baseline of each y range.  Per quantity it computes the rank
+counts and moments, the ECDF values, the curve's coordinates and the
+documents.  Nothing is kept from one report to the next.
 """
 
 from __future__ import annotations
@@ -21,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .rankstats import (
+    EcdfBand,
     EcdfSummary,
     SbcHistogram,
-    build_histogram,
+    build_histograms,
     chi_square_uniformity,
     classify_shape,
     default_bins,
@@ -67,18 +76,31 @@ class ReportRequest:
         object.__setattr__(self, "quantities", tuple(dict.fromkeys(self.quantities)))
 
 
-def rank_histogram(artifact: RunArtifact, quantity: str, B: int | None = None,
-                   coverage: float = 0.99) -> SbcHistogram:
-    """The quantity's rank histogram in B bins (by default :func:`default_bins`'s choice)."""
-    ranks = artifact.ranks_for(quantity)
+def rank_histograms(artifact: RunArtifact, quantities, B: int | None = None,
+                    coverage: float = 0.99) -> list[SbcHistogram]:
+    """Each quantity's rank histogram in B bins (by default :func:`default_bins`'s choice),
+    all drawn against one band."""
+    columns = [artifact.ranks_for(q) for q in quantities]
     if B is None:
-        B = default_bins(ranks.size, artifact.L)
-    return build_histogram(ranks, artifact.L, B, coverage)
+        B = default_bins(artifact.ranks.shape[0], artifact.L)
+    return build_histograms(columns, artifact.L, B, coverage)
 
 
-def _coords(xs: np.ndarray, ys: np.ndarray) -> str:
-    """SVG point list of the coordinate arrays."""
-    return " ".join(map("{:.2f},{:.2f}".format, xs.tolist(), ys.tolist()))
+def _formatted(values: np.ndarray) -> list[str]:
+    """Each value as an SVG coordinate, to two decimals."""
+    return list(map("{:.2f}".format, values.tolist()))
+
+
+def _points(xs: list[str], ys: list[str]) -> str:
+    """SVG point list of formatted x coordinates, each ending in a comma, and y coordinates."""
+    return " ".join(map(str.__add__, xs, ys))
+
+
+def _interleaved(evens: list, odds: list) -> list:
+    """evens[0], odds[0], evens[1], odds[1], ..., evens[-1]; evens has one item more."""
+    out = evens + odds
+    out[0::2], out[1::2] = evens, odds
+    return out
 
 
 def _document(title: str, marks: list[str], axis_y: float, L: int, labels: list[str]) -> str:
@@ -143,38 +165,65 @@ def render_histogram_svg(hist: SbcHistogram, quantity: str) -> str:
     return _document(title, marks, y_of(0), hist.L, [y_label])
 
 
+class _EcdfFrame:
+    """What every ECDF plot drawn against one band shares, built once per report.
+
+    It holds the x coordinates of 0..L, each formatted once, in the orders
+    the step curve and the band's outline take them; the extent of the band
+    less its uniform expectation; and the band polygon and baseline marks of
+    each y range (mode, y_lo, y_hi) drawn so far.  An ECDF plot's y range is
+    [0, 1].  A difference plot's is set by the band's extent unless its curve
+    leaves it.  So most plots of a report share their band marks, and per
+    plot only the curve is formatted.
+    """
+
+    def __init__(self, band: EcdfBand):
+        self.band = band
+        xs = [x + "," for x in _formatted(MARGIN_LEFT + PLOT_W * np.arange(band.L + 1) / band.L)]
+        self.xs, self.outline_xs, self.step_xs = xs, xs + xs[::-1], _interleaved(xs, xs[1:])
+        self.extent = float(np.max(np.abs(np.stack([band.low, band.high]) - band.expected)))
+        self.band_marks: dict[tuple[str, float, float], list[str]] = {}
+
+    def render(self, summary: EcdfSummary, quantity: str, mode: str) -> str:
+        """SVG of the quantity's rank ECDF (or ECDF difference) against the frame's band."""
+        band = self.band
+        # The difference plot subtracts the uniform expectation from everything it draws.
+        shift = band.expected if mode == "diff" else 0.0
+        curve = summary.values - shift
+        y_lo, y_hi = 0.0, 1.0
+        if mode == "diff":
+            span = max(self.extent, float(np.max(np.abs(curve))), 1e-9) * 1.15
+            y_lo, y_hi = -span, span
+
+        def y_of(v):
+            return MARGIN_TOP + PLOT_H * (1.0 - (v - y_lo) / (y_hi - y_lo))
+
+        key = (mode, y_lo, y_hi)
+        if key not in self.band_marks:
+            low, high, baseline = (a - shift for a in (band.low, band.high, band.expected))
+            outline = _points(self.outline_xs, _formatted(y_of(np.concatenate([high, low[::-1]]))))
+            self.band_marks[key] = [
+                f'<polygon points="{outline}" fill="{BAND_GRAY}"/>',
+                f'<polyline points="{_points(self.xs, _formatted(y_of(baseline)))}" '
+                f'fill="none" stroke="{MEDIAN_GRAY}" stroke-width="1"/>',
+            ]
+        ys = _formatted(y_of(curve))
+        steps = _points(self.step_xs, _interleaved(ys, ys[:-1]))
+        values_attr = " ".join(map(repr, curve.tolist()))
+        marks = self.band_marks[key] + [
+            f'<polyline points="{steps}" fill="none" '
+            f'stroke="{DATA_RED}" stroke-width="1.5" data-values="{values_attr}"/>',
+        ]
+        title = (f"{quantity} rank ECDF{' difference' if mode == 'diff' else ''} "
+                 f"(N={band.N}, L={band.L})")
+        return _document(title, marks, y_of(y_lo), band.L, [])
+
+
 def render_ecdf_svg(summary: EcdfSummary, quantity: str, mode: str = "ecdf") -> str:
     """SVG of the quantity's rank ECDF (or ECDF minus uniform expectation) with its band."""
     if mode not in ("ecdf", "diff"):
         raise ValueError("mode must be 'ecdf' or 'diff'")
-    band = summary.band
-    L = band.L
-    # The difference plot subtracts the uniform expectation from everything it draws.
-    shift = band.expected if mode == "diff" else 0.0
-    curve, low, high, baseline = (a - shift for a in (summary.values, band.low, band.high,
-                                                      band.expected))
-    y_lo, y_hi = 0.0, 1.0
-    if mode == "diff":
-        span = max(float(np.max(np.abs(low))), float(np.max(np.abs(high))),
-                   float(np.max(np.abs(curve))), 1e-9) * 1.15
-        y_lo, y_hi = -span, span
-
-    def y_of(v):
-        return MARGIN_TOP + PLOT_H * (1.0 - (v - y_lo) / (y_hi - y_lo))
-
-    xs = MARGIN_LEFT + PLOT_W * np.arange(L + 1) / L
-    outline = _coords(np.concatenate([xs, xs[::-1]]), y_of(np.concatenate([high, low[::-1]])))
-    steps = _coords(np.repeat(xs, 2)[1:], np.repeat(y_of(curve), 2)[:-1])
-    values_attr = " ".join(map(repr, curve.tolist()))
-    marks = [
-        f'<polygon points="{outline}" fill="{BAND_GRAY}"/>',
-        f'<polyline points="{_coords(xs, y_of(baseline))}" '
-        f'fill="none" stroke="{MEDIAN_GRAY}" stroke-width="1"/>',
-        f'<polyline points="{steps}" fill="none" '
-        f'stroke="{DATA_RED}" stroke-width="1.5" data-values="{values_attr}"/>',
-    ]
-    title = f"{quantity} rank ECDF{' difference' if mode == 'diff' else ''} (N={band.N}, L={L})"
-    return _document(title, marks, y_of(y_lo), L, [])
+    return _EcdfFrame(summary.band).render(summary, quantity, mode)
 
 
 def summarize(artifact: RunArtifact, quantity: str, hist: SbcHistogram) -> dict:
@@ -227,30 +276,30 @@ def safe_filename(name: str) -> str:
 def write_report(artifact: RunArtifact, request: ReportRequest, out_dir) -> list[str]:
     """Render every requested artifact; returns the relative file names written.
 
-    Each quantity's histogram and ECDF summary are built once and shared by
-    the files that show them, and its summary row only when ``json`` or
-    ``csv`` is requested.  The ECDF band depends only on (N, L,
-    coverage), which every quantity of the artifact shares, so it is computed
-    once per call.
+    What depends only on (N, L, B, coverage), which every quantity of the
+    artifact shares, is built once per call: the histogram band, the ECDF
+    band and its frame (:class:`_EcdfFrame`).  Each quantity's histogram and
+    ECDF summary are built once and shared by the files that show them, and
+    its summary row only when ``json`` or ``csv`` is requested.
     """
     from pathlib import Path
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     quantities = request.quantities or artifact.quantities
-    hists = [rank_histogram(artifact, q, request.bins, request.coverage) for q in quantities]
+    hists = rank_histograms(artifact, quantities, request.bins, request.coverage)
     rows = ([summarize(artifact, q, h) for q, h in zip(quantities, hists)]
             if {"json", "csv"} & set(request.formats) else [])
     written: list[str] = []
     if "svg" in request.formats:
-        band = ecdf_band(artifact.ranks.shape[0], artifact.L, request.coverage)
+        frame = _EcdfFrame(ecdf_band(artifact.ranks.shape[0], artifact.L, request.coverage))
         for q, hist in zip(quantities, hists):
-            ecdf = ecdf_summary(artifact.ranks_for(q), band)
+            ecdf = ecdf_summary(artifact.ranks_for(q), frame.band)
             stem = safe_filename(q)
             for suffix, doc in (
                 ("hist", render_histogram_svg(hist, q)),
-                ("ecdf", render_ecdf_svg(ecdf, q, "ecdf")),
-                ("ecdf_diff", render_ecdf_svg(ecdf, q, "diff")),
+                ("ecdf", frame.render(ecdf, q, "ecdf")),
+                ("ecdf_diff", frame.render(ecdf, q, "diff")),
             ):
                 name = f"{stem}_{suffix}.svg"
                 (out / name).write_text(doc, encoding="utf-8")

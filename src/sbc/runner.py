@@ -548,15 +548,17 @@ def save_artifact(artifact: RunArtifact, path) -> Path:
 
 
 def _verify_checksums(root: Path) -> None:
-    """Check every file sha256sums.txt lists; meta.json and ranks.csv must be listed.  Each
-    line must be a lowercase 64-hex-digit SHA-256, two spaces and the plain name of a file
-    in the artifact directory, so no file outside it is read."""
+    """Check every file sha256sums.txt lists; meta.json and ranks.csv must be listed, and no
+    file twice.  Each line must be a lowercase 64-hex-digit SHA-256, two spaces and the
+    plain name of a file in the artifact directory, so no file outside it is read."""
     sums = {}
     for line in (root / "sha256sums.txt").read_text(encoding="utf-8").splitlines():
         match = re.fullmatch(r"([0-9a-f]{64})  ([^/\\\0]+)", line)
         if match is None or match[2] in (".", ".."):
             raise InvalidArtifact(f"sha256sums.txt: {line!r} is not a SHA-256 digest, two "
                                   f"spaces and a file name")
+        if match[2] in sums:
+            raise InvalidArtifact(f"sha256sums.txt lists {match[2]!r} more than once")
         sums[match[2]] = match[1]
     unlisted = [name for name in ("meta.json", "ranks.csv") if name not in sums]
     if unlisted:
@@ -567,10 +569,23 @@ def _verify_checksums(root: Path) -> None:
             raise ChecksumMismatch(f"{name}: expected sha256 {digest}, got {actual}")
 
 
+# What each value of a meta.json diagnostics entry must be, by the key the writer gives
+# it; an entry's other keys are not read.
+_DIAGNOSTIC_VALUES = {
+    "acceptance_rate": ("a float in [0, 1]", lambda v: type(v) is float and 0.0 <= v <= 1.0),
+    "divergences": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
+    "step_size": ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0),
+    "cap_hit": ("a boolean", lambda v: type(v) is bool),
+    "still_short": ("a boolean", lambda v: type(v) is bool),
+    "ess_min": ("a finite number > 0", lambda v: is_finite_number(v) and v > 0),
+}
+
+
 def _checked_failures(meta: dict, config: RunConfig) -> tuple[tuple[dict, ...], list[int]]:
     """meta.json's failures, objects with a unique replication in [0, N) and a reason, and
     the completed replications.  Its diagnostics must hold one object per completed
-    replication, naming it, in ascending order (that of ranks.csv)."""
+    replication, naming it, in ascending order (that of ranks.csv), each of whose values
+    is what its key's entry in ``_DIAGNOSTIC_VALUES`` requires."""
     failures, diagnostics = meta["failures"], meta["diagnostics"]
     if not (isinstance(failures, list) and all(
             isinstance(f, dict) and type(f.get("replication")) is int
@@ -582,12 +597,21 @@ def _checked_failures(meta: dict, config: RunConfig) -> tuple[tuple[dict, ...], 
     if len(failed) != len(failures):
         raise InvalidArtifact("meta.json: a replication is listed as failed more than once")
     completed = [i for i in range(config.N) if i not in failed]
-    if not (isinstance(diagnostics, list) and len(diagnostics) == len(completed) and all(
-            isinstance(d, dict) and type(d.get("replication")) is int and d["replication"] == i
-            for d, i in zip(diagnostics, completed))):
-        raise InvalidArtifact(f"meta.json: diagnostics must be a list of {len(completed)} "
-                              f"objects, one per completed replication, ascending, each "
-                              f"naming its replication")
+    shape = (f"meta.json: diagnostics must be a list of {len(completed)} objects, one per "
+             f"completed replication, ascending, each naming its replication")
+    if not (isinstance(diagnostics, list) and len(diagnostics) == len(completed)):
+        raise InvalidArtifact(shape)
+    for d, i in zip(diagnostics, completed):
+        if not (isinstance(d, dict) and type(d.get("replication")) is int
+                and d["replication"] == i):
+            raise InvalidArtifact(shape)
+        if len(d) == 1:  # the replication alone, as with the exact sampler
+            continue
+        for key, value in d.items():
+            expected, valid = _DIAGNOSTIC_VALUES.get(key, (None, None))
+            if valid is not None and not valid(value):
+                raise InvalidArtifact(f"meta.json: diagnostics of replication {i}: {key} "
+                                      f"must be {expected}, got {value!r}")
     return tuple(failures), completed
 
 
@@ -640,7 +664,8 @@ def _rank_table(rows: list[list[str]], config: RunConfig, completed: list[int]) 
 
 
 def load_artifact(path) -> RunArtifact:
-    """Read an artifact directory back, verifying checksums, version and the rank table."""
+    """Read an artifact directory back, verifying checksums, version, meta.json and the rank
+    table, whose size meta.json's ``n_records`` must give."""
     root = Path(path)
     _verify_checksums(root)
 
@@ -651,7 +676,8 @@ def load_artifact(path) -> RunArtifact:
     if version.split(".")[0] != FORMAT_VERSION.split(".")[0]:
         raise FormatVersionMismatch(
             f"artifact format {version!r} not supported by reader {FORMAT_VERSION!r}")
-    missing = [key for key in ("failures", "diagnostics", "wall_clock_seconds") if key not in meta]
+    missing = [key for key in ("failures", "diagnostics", "wall_clock_seconds", "n_records")
+               if key not in meta]
     if missing:
         raise InvalidArtifact(f"meta.json has no {missing[0]!r} key")
     seconds = meta["wall_clock_seconds"]
@@ -672,6 +698,10 @@ def load_artifact(path) -> RunArtifact:
         if header != _CSV_HEADER:
             raise FormatVersionMismatch(f"unexpected ranks.csv header: {header}")
         table = _rank_table(list(reader), config, completed)
+    n_records = meta["n_records"]
+    if not (type(n_records) is int and n_records == table["ranks"].size):
+        raise InvalidArtifact(f"meta.json: n_records must be the rank table's "
+                              f"{table['ranks'].size} records, got {n_records!r}")
 
     return RunArtifact(
         config=config,

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sbc import cli, models
+from sbc import cli, models, rankstats
 from sbc.cli import main
 from sbc.runner import config_from_dict, run, save_artifact
 from sbc.streams import RandomStream
@@ -57,6 +57,27 @@ def test_single_bin_run_is_inconclusive(tmp_path, capsys):
         "master_seed": 16}))
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
     assert "  mu: inconclusive (chi2=0.0, dof=0, 0/1 bins outside band)" in capsys.readouterr().out
+
+
+def test_run_summary_draws_every_quantity_against_one_band(tmp_path, capsys, monkeypatch):
+    """`sbc run` prints one line per quantity, all from one histogram-band quantile call:
+    18 for non-centered eight schools."""
+    config = tmp_path / "eight-schools.json"
+    config.write_text(json.dumps({
+        "model": {"kind": "eight-schools", "parameterization": "non-centered"},
+        "sampler": {"kind": "hmc", "warmup": 20}, "N": 20, "L": 19, "master_seed": 3}))
+    band_calls = []
+    quantiles = rankstats.binomial_quantiles
+
+    def counted(qs, n, ps):
+        band_calls.append(n)
+        return quantiles(qs, n, ps)
+    monkeypatch.setattr(rankstats, "binomial_quantiles", counted)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 0
+    assert band_calls == [20]
+    lines = capsys.readouterr().out.splitlines()[2:]
+    assert len(lines) == 18
+    assert all(line.endswith("bins outside band)") for line in lines)
 
 
 def test_seed_override_changes_ranks(tiny_config, tmp_path):

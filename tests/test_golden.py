@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from sbc.report import ReportRequest, write_report
-from sbc.runner import config_from_dict, run, save_artifact
+from sbc.runner import config_from_dict, load_artifact, run, save_artifact
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 
@@ -59,9 +59,10 @@ def _sha256(blob: bytes) -> str:
 
 def output_digests(config: dict, root: Path, **report) -> dict[str, str]:
     """Run ``config``, save it and report on it under ``root`` with the ``report``
-    settings; digest every written file."""
+    settings; digest every written file.  The saved artifact must load back."""
     artifact = run(config_from_dict(config))
     out = save_artifact(artifact, root / "artifact")
+    assert load_artifact(out).diagnostics == artifact.diagnostics
     meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
     del meta["wall_clock_seconds"], meta["config"]["worker_count_hint"]
     digests = {

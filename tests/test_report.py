@@ -5,12 +5,13 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+import sbc.rankstats as rankstats
 import sbc.report as report
 from sbc.errors import UnknownQuantity
-from sbc.rankstats import ecdf_band, ecdf_summary, rebin
+from sbc.rankstats import binomial_quantiles, ecdf_band, ecdf_summary, rebin
 from sbc.report import (
     ReportRequest,
-    rank_histogram,
+    rank_histograms,
     render_ecdf_svg,
     render_histogram_svg,
     summarize,
@@ -32,6 +33,18 @@ def artifact_from_ranks(ranks, L=19, quantities=("mu",)):
                        ranks=ranks, ess=np.full(ranks.shape, np.nan),
                        chain_lengths=np.full(n, L), diagnostics=(), failures=(),
                        wall_clock_seconds=0.0)
+
+
+def eighteen_quantity_artifact(shifted=None):
+    """300 replications of 18 quantities q00..q17 at L=49, each column's ranks spread
+    over 0..49 in its own order; the ``shifted`` quantity's ranks all sit in its top fifth."""
+    i = np.arange(300)
+    steps = [m for m in range(1, 50, 2) if m % 5][:18]
+    columns = [(i * m + i * i // 131) % 50 for m in steps]
+    names = tuple(f"q{j:02d}" for j in range(18))
+    if shifted is not None:
+        columns[names.index(shifted)] = 40 + i % 10
+    return artifact_from_ranks(np.column_stack(columns), L=49, quantities=names)
 
 
 def two_quantity_artifact():
@@ -70,7 +83,7 @@ def exact_artifact():
 
 class TestHistogramSvg:
     def test_well_formed_and_counts_recoverable(self, exact_artifact):
-        doc = render_histogram_svg(rank_histogram(exact_artifact, "mu", B=10), "mu")
+        doc = render_histogram_svg(rank_histograms(exact_artifact, ["mu"], B=10)[0], "mu")
         root = ET.fromstring(doc)
         bars = [el for el in root.iter() if el.get("data-count") is not None]
         counts = [int(el.get("data-count")) for el in bars]
@@ -78,7 +91,7 @@ class TestHistogramSvg:
         np.testing.assert_array_equal(counts, expected)
 
     def test_bar_heights_proportional_to_counts(self, exact_artifact):
-        doc = render_histogram_svg(rank_histogram(exact_artifact, "mu", B=10), "mu")
+        doc = render_histogram_svg(rank_histograms(exact_artifact, ["mu"], B=10)[0], "mu")
         root = ET.fromstring(doc)
         bars = [el for el in root.iter() if el.get("data-count") is not None]
         heights = np.array([float(el.get("height")) for el in bars])
@@ -88,19 +101,19 @@ class TestHistogramSvg:
         assert ratio.std() < 0.02 * ratio.mean()
 
     def test_byte_stable(self, exact_artifact):
-        a = render_histogram_svg(rank_histogram(exact_artifact, "mu", B=10), "mu")
-        b = render_histogram_svg(rank_histogram(exact_artifact, "mu", B=10), "mu")
+        a = render_histogram_svg(rank_histograms(exact_artifact, ["mu"], B=10)[0], "mu")
+        b = render_histogram_svg(rank_histograms(exact_artifact, ["mu"], B=10)[0], "mu")
         assert a == b
 
     def test_band_annotated(self, exact_artifact):
-        doc = render_histogram_svg(rank_histogram(exact_artifact, "mu", B=10), "mu")
+        doc = render_histogram_svg(rank_histograms(exact_artifact, ["mu"], B=10)[0], "mu")
         root = ET.fromstring(doc)
         band = [el for el in root.iter() if el.get("data-band-low") is not None]
         assert len(band) == 1
 
     def test_unknown_quantity(self, exact_artifact):
         with pytest.raises(UnknownQuantity):
-            rank_histogram(exact_artifact, "sigma")
+            rank_histograms(exact_artifact, ["mu", "sigma"])
 
 
 class TestEcdfSvg:
@@ -134,7 +147,7 @@ class TestEcdfSvg:
 
 class TestSummarize:
     def test_contents(self, exact_artifact):
-        s = summarize(exact_artifact, "mu", rank_histogram(exact_artifact, "mu", B=10))
+        s = summarize(exact_artifact, "mu", rank_histograms(exact_artifact, ["mu"], B=10)[0])
         assert s["N"] == 400
         assert s["B"] == 10
         assert sum(s["counts"]) == 400
@@ -147,11 +160,11 @@ class TestSummarize:
         json.loads(json.dumps(s))
 
     def test_default_binning_rule(self, exact_artifact):
-        s = summarize(exact_artifact, "mu", rank_histogram(exact_artifact, "mu"))
+        s = summarize(exact_artifact, "mu", rank_histograms(exact_artifact, ["mu"])[0])
         assert s["B"] == 20  # largest divisor of 20 with 400/B >= 20
 
     def test_counts_sum_excludes_failures(self, exact_artifact):
-        s = summarize(exact_artifact, "mu", rank_histogram(exact_artifact, "mu"))
+        s = summarize(exact_artifact, "mu", rank_histograms(exact_artifact, ["mu"])[0])
         assert sum(s["counts"]) == s["N"] - 0
 
 
@@ -165,7 +178,7 @@ class TestWriteReport:
         assert "mu" in summary
 
     def test_csv_has_one_row_per_quantity(self, exact_artifact):
-        rows = [summarize(exact_artifact, "mu", rank_histogram(exact_artifact, "mu", B=10))]
+        rows = [summarize(exact_artifact, "mu", rank_histograms(exact_artifact, ["mu"], B=10)[0])]
         text = summary_csv(rows)
         lines = text.strip().split("\n")
         assert len(lines) == 2
@@ -203,7 +216,9 @@ class TestWriteReport:
         assert digests == FROZEN_REPORT_SHA256
 
     def test_each_summary_and_the_band_built_once(self, tmp_path, monkeypatch):
-        calls = {"ecdf_summary": 0, "ecdf_band": 0, "build_histogram": 0}
+        """Whatever the number of quantities, a report makes one histogram-band quantile
+        call and one ECDF band, and one ECDF summary per quantity."""
+        calls = {"ecdf_summary": 0, "ecdf_band": 0, "histogram band": 0}
 
         def counted(module, name):
             original = getattr(module, name)
@@ -213,11 +228,56 @@ class TestWriteReport:
                 return original(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
+        def quantiles(qs, n, ps):
+            calls["histogram band"] += np.size(ps) == 1  # an ECDF band has L+1 points
+            return binomial_quantiles(qs, n, ps)
+
         counted(report, "ecdf_summary")
         counted(report, "ecdf_band")
-        counted(report, "build_histogram")
-        write_report(two_quantity_artifact(), ReportRequest(artifact_path="x"), tmp_path)
-        assert calls == {"ecdf_summary": 2, "ecdf_band": 1, "build_histogram": 2}
+        monkeypatch.setattr(rankstats, "binomial_quantiles", quantiles)
+        for artifact in (two_quantity_artifact(), eighteen_quantity_artifact()):
+            calls.update(dict.fromkeys(calls, 0))
+            write_report(artifact, ReportRequest(artifact_path="x"), tmp_path)
+            assert calls == {"ecdf_summary": len(artifact.quantities), "ecdf_band": 1,
+                             "histogram band": 1}
+
+    def test_subset_report_matches_full_report(self, tmp_path):
+        """A report of some quantities writes their files byte for byte as the report of
+        every quantity does."""
+        artifact = eighteen_quantity_artifact()
+        full = write_report(artifact, ReportRequest(artifact_path="x"), tmp_path / "full")
+        subset = ("q07", "q00")
+        picked = write_report(artifact, ReportRequest(artifact_path="x", quantities=subset,
+                                                      formats=("svg",)), tmp_path / "subset")
+        assert picked == [f"{q}_{suffix}.svg" for q in subset
+                          for suffix in ("hist", "ecdf", "ecdf_diff")]
+        assert set(picked) < set(full)
+        for name in picked:
+            assert (tmp_path / "subset" / name).read_bytes() == (
+                tmp_path / "full" / name).read_bytes()
+
+    def test_curve_outside_the_band_gets_its_own_range(self, tmp_path):
+        """A shifted quantity's ECDF difference leaves the band's extent, and the others stay
+        inside it: each SVG of one report equals the plot of its quantity rendered alone,
+        and the report draws three sets of band marks, the ECDF's, the shared difference
+        range's and the shifted quantity's."""
+        artifact = eighteen_quantity_artifact(shifted="q03")
+        request = ReportRequest(artifact_path="x", bins=5)
+        write_report(artifact, request, tmp_path)
+        band = ecdf_band(artifact.ranks.shape[0], artifact.L, request.coverage)
+        frame = report._EcdfFrame(band)
+        for q in artifact.quantities:
+            ecdf = ecdf_summary(artifact.ranks_for(q), band)
+            hist = rank_histograms(artifact, [q], request.bins, request.coverage)[0]
+            leaves = np.max(np.abs(ecdf.values - band.expected)) > frame.extent
+            assert leaves == (q == "q03")
+            for suffix, doc in (("hist", render_histogram_svg(hist, q)),
+                                ("ecdf", render_ecdf_svg(ecdf, q, "ecdf")),
+                                ("ecdf_diff", render_ecdf_svg(ecdf, q, "diff"))):
+                assert (tmp_path / f"{q}_{suffix}.svg").read_text(encoding="utf-8") == doc
+            for mode in ("ecdf", "diff"):
+                assert frame.render(ecdf, q, mode) == render_ecdf_svg(ecdf, q, mode)
+        assert [key[0] for key in frame.band_marks] == ["ecdf", "diff", "diff"]
 
     @pytest.mark.parametrize("formats, expected", [
         (("svg",), 0), (("json",), 2), (("csv",), 2), (("svg", "csv", "json"), 2)])

@@ -434,6 +434,25 @@ class TestPersistence:
         assert all(path.parent == out for path in opened)
 
 
+    @pytest.mark.parametrize("listing", ["stale-then-right", "right-twice"])
+    def test_file_listed_twice_rejected(self, tmp_path, listing):
+        """A meta.json edited after the run and listed under its old digest, then its new
+        one, is rejected, and so is a name listed twice under one digest."""
+        out = save_artifact(run(exact_config(N=10)), tmp_path / "run")
+        stale = hashlib.sha256((out / "meta.json").read_bytes()).hexdigest()
+        meta = json.loads((out / "meta.json").read_text())
+        meta["wall_clock_seconds"] += 1.0
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        sums = out / "sha256sums.txt"
+        lines = sums.read_text().splitlines()
+        right = next(line for line in lines if line.endswith("  meta.json"))
+        extra = f"{stale}  meta.json" if listing == "stale-then-right" else right
+        sums.write_text("\n".join([extra, *lines]) + "\n")
+        with pytest.raises(InvalidArtifact, match="lists 'meta.json' more than once"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+
+
 class TestRankTableValidation:
     """ranks.csv is outside input: a bad table is rejected on load and by `sbc report`."""
 
@@ -547,6 +566,58 @@ class TestMetaValidation:
         with pytest.raises(InvalidArtifact, match="meta.json: diagnostics"):
             load_artifact(out)
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+
+    @pytest.mark.parametrize("value", [7, 5.0, True, DELETED],
+                             ids=["seven", "float", "bool", "deleted"])
+    def test_n_records_must_count_the_rank_table(self, tmp_path, value):
+        """n_records is the rank table's replications times quantities: 5 here."""
+        out = save_artifact(run(exact_config(N=5)), tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+        assert meta["n_records"] == 5
+        if value is DELETED:
+            del meta["n_records"]
+        else:
+            meta["n_records"] = value
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        with pytest.raises(InvalidArtifact, match="meta.json.*n_records"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+
+    @pytest.mark.parametrize("key, value", [
+        ("acceptance_rate", "bogus"), ("acceptance_rate", 1.5), ("acceptance_rate", -0.25),
+        ("acceptance_rate", 1), ("acceptance_rate", math.nan),
+        ("divergences", -1), ("divergences", 2.0), ("divergences", True),
+        ("step_size", -0.5), ("step_size", math.inf), ("step_size", "0.1"),
+        ("cap_hit", 1), ("cap_hit", "true"), ("still_short", 0), ("still_short", None),
+        ("ess_min", 0.0), ("ess_min", -3.0), ("ess_min", math.nan), ("ess_min", False),
+    ])
+    def test_impossible_diagnostic_value_rejected(self, tmp_path, capsys, key, value):
+        """Each value the writer puts in a diagnostics entry is checked on load."""
+        out = save_artifact(run(exact_config(N=5)), tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+        meta["diagnostics"][3] = {"replication": 3, key: value}
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        with pytest.raises(InvalidArtifact, match=f"replication 3: {key} must be"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("sbc: report error: meta.json: diagnostics") and err.count("\n") == 1
+
+    def test_possible_and_unknown_diagnostic_values_load(self, tmp_path):
+        """Values at the edges of what the writer gives load, and keys it does not write are
+        not read."""
+        out = save_artifact(run(exact_config(N=5)), tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+        meta["diagnostics"][:4] = [
+            {"replication": 0, "acceptance_rate": 0.0, "divergences": 0, "step_size": 0.0,
+             "cap_hit": False, "still_short": True, "ess_min": 1e-300},
+            {"replication": 1, "acceptance_rate": 1.0, "divergences": 10**6, "step_size": 3,
+             "cap_hit": True, "still_short": False, "ess_min": 2},
+            {"replication": 2, "elbo": "not read", "acceptance": -1},
+            {"replication": 3},
+        ]
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        assert load_artifact(out).diagnostics == tuple(meta["diagnostics"])
 
     def test_meta_not_an_object_rejected(self, tmp_path, capsys):
         out = save_artifact(run(exact_config(N=20)), tmp_path / "run")
