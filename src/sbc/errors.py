@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and the config number checks that raise them."""
+"""Exception types shared across the package, the rules that config fields state beside
+them, and the one strict parser of a JSON config object."""
 
 import math
+from dataclasses import MISSING, field, fields
+from typing import Any, Callable, NamedTuple
 
 
 class SbcError(Exception):
@@ -71,11 +74,32 @@ class InvalidArtifact(SbcError):
     """A persisted artifact's rank table is malformed or inconsistent with its config."""
 
 
-def require_integers(error: type[SbcError], owner: str, **fields) -> None:
-    """Raise ``error`` unless every field is an int; a bool is not one."""
-    for name, value in fields.items():
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise error(f"{owner}.{name} must be an integer, got {value!r}")
+class Rule(NamedTuple):
+    """What a config value must be: ``text`` ends the sentence "<field> must be ...", and
+    ``test`` tells whether a value is that."""
+
+    text: str
+    test: Callable[[Any], bool]
+
+
+def checked(rule: Rule, default=MISSING, **kwargs):
+    """A dataclass field whose value :func:`check_fields` holds to ``rule``."""
+    return field(default=default, metadata={"rule": rule}, **kwargs)
+
+
+def check_fields(obj, error: type[Exception], prefix: str | None = None) -> None:
+    """Raise ``error`` for the first field of dataclass ``obj`` whose value its rule refuses,
+    naming the field after ``prefix``, by default the class name and a dot."""
+    prefix = f"{type(obj).__name__}." if prefix is None else prefix
+    for f in fields(obj):
+        rule, value = f.metadata.get("rule"), getattr(obj, f.name)
+        if rule is not None and not rule.test(value):
+            raise error(f"{prefix}{f.name} must be {rule.text}, got {value!r}")
+
+
+def is_integer(value) -> bool:
+    """Whether ``value`` is an int; a bool is not one."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def is_finite_number(value) -> bool:
@@ -88,8 +112,36 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def require_finite(error: type[SbcError], owner: str, **fields) -> None:
-    """Raise ``error`` unless every field is a finite number (see :func:`is_finite_number`)."""
-    for name, value in fields.items():
-        if not is_finite_number(value):
-            raise error(f"{owner}.{name} must be a finite number, got {value!r}")
+def integer(at_least: int) -> Rule:
+    return Rule(f"an integer >= {at_least}", lambda v: is_integer(v) and v >= at_least)
+
+
+def one_of(*choices) -> Rule:
+    return Rule("one of " + ", ".join(map(repr, choices)), lambda v: v in choices)
+
+
+FINITE = Rule("a finite number", is_finite_number)
+POSITIVE = Rule("a finite number > 0", lambda v: is_finite_number(v) and v > 0)
+NON_NEGATIVE = Rule("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0)
+BOOLEAN = Rule("a boolean", lambda v: type(v) is bool)
+
+
+def parse(cls, obj, error: type[SbcError], what: str, required=(), **nested):
+    """``cls`` built from the JSON object ``obj``, whose keys must be among ``cls``'s fields
+    and include ``required``; the value of each key named in ``nested`` is first passed
+    through that function.  Any other error becomes ``error``, "invalid <what>: ..."; one
+    that already is an ``error`` is raised as it is."""
+    if not isinstance(obj, dict):
+        raise error(f"{what} must be a JSON object")
+    unknown = set(obj) - {f.name for f in fields(cls)}
+    if unknown:
+        raise error(f"unknown {what} keys: {sorted(unknown)}")
+    missing = set(required) - set(obj)
+    if missing:
+        raise error(f"missing {what} keys: {sorted(missing)}")
+    try:
+        return cls(**{k: nested[k](v) if k in nested else v for k, v in obj.items()})
+    except error:
+        raise
+    except (TypeError, SbcError) as exc:
+        raise error(f"invalid {what}: {exc}") from exc

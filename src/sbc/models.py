@@ -22,7 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidSpec, is_finite_number, require_finite, require_integers
+from .errors import (
+    FINITE,
+    InvalidSpec,
+    Rule,
+    check_fields,
+    checked,
+    integer,
+    is_finite_number,
+    is_integer,
+    one_of,
+    parse,
+)
 from .model import (
     GenerativeModel,
     PosteriorTarget,
@@ -42,25 +53,31 @@ EIGHT_SCHOOLS_MU_SD = 5.0
 EIGHT_SCHOOLS_TAU_SD = 5.0
 
 
-def _is_scale(value: float) -> bool:
-    """A positive finite scale whose square is a finite normal float, so that its
-    square and its inverse square neither overflow nor underflow."""
-    return value > 0 and sys.float_info.min <= value * value < math.inf
+def _is_scale(value) -> bool:
+    """Whether ``value`` is a positive finite number whose square is a finite normal float,
+    so that its square and its inverse square neither overflow nor underflow."""
+    return (is_finite_number(value) and value > 0
+            and sys.float_info.min <= float(value) * float(value) < math.inf)
 
 
-def _finite_floats(values, message: str) -> tuple[float, ...]:
-    """``values`` as floats; anything but a list or tuple of finite numbers raises
-    InvalidSpec(message), so a string is not read character by character."""
-    if not isinstance(values, (list, tuple)) or not all(map(is_finite_number, values)):
-        raise InvalidSpec(message)
-    return tuple(float(v) for v in values)
+def _is_list_of(test, value) -> bool:
+    """Whether ``value`` is a list or tuple each of whose items passes ``test``; a string
+    is not one."""
+    return isinstance(value, (list, tuple)) and all(map(test, value))
 
 
-def _require_positive(spec_name: str, **fields: float) -> None:
-    for name, value in fields.items():
-        if not (is_finite_number(value) and _is_scale(float(value))):
-            raise InvalidSpec(f"{spec_name}.{name} must be a positive finite number whose "
-                              f"square neither overflows nor underflows, got {value}")
+def _has_finite_sum_of_squares(values) -> bool:  # which bounds their sum too
+    x = np.asarray(values, dtype=float)
+    with np.errstate(over="ignore"):
+        return math.isfinite(np.sum(x * x))
+
+
+_SCALE = Rule("a finite number > 0 whose square neither overflows nor underflows", _is_scale)
+_COVARIATES = Rule("a list of finite numbers with a finite sum of squares, or None",
+                   lambda v: v is None or (_is_list_of(is_finite_number, v)
+                                           and _has_finite_sum_of_squares(v)))
+_SIGMA_J = Rule("a list of finite numbers > 0 whose squares neither overflow nor underflow",
+                lambda v: _is_list_of(_is_scale, v))
 
 
 # ---------------------------------------------------------------------------
@@ -69,18 +86,13 @@ def _require_positive(spec_name: str, **fields: float) -> None:
 
 @dataclass(frozen=True)
 class NormalNormalSpec:
-    prior_mean: float = 0.0
-    prior_sd: float = 1.0
-    likelihood_sd: float = 1.0
-    n_obs: int = 1
+    prior_mean: float = checked(FINITE, 0.0)
+    prior_sd: float = checked(_SCALE, 1.0)
+    likelihood_sd: float = checked(_SCALE, 1.0)
+    n_obs: int = checked(integer(1), 1)
 
     def __post_init__(self):
-        require_integers(InvalidSpec, "NormalNormalSpec", n_obs=self.n_obs)
-        require_finite(InvalidSpec, "NormalNormalSpec", prior_mean=self.prior_mean)
-        _require_positive("NormalNormalSpec", prior_sd=self.prior_sd,
-                          likelihood_sd=self.likelihood_sd)
-        if self.n_obs < 1:
-            raise InvalidSpec("NormalNormalSpec.n_obs must be >= 1")
+        check_fields(self, InvalidSpec)
 
 
 def make_normal_normal(spec: NormalNormalSpec) -> GenerativeModel:
@@ -137,35 +149,21 @@ def _default_covariates(n_obs: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class LinRegSpec:
-    n_obs: int = 25
-    covariates: tuple[float, ...] | None = None
-    prior_sd_alpha: float = 10.0
-    prior_sd_beta: float = 10.0
-    noise_sd_prior_scale: float = 5.0
-    gen_prior_sd_beta: float | None = None
+    n_obs: int = checked(integer(1), 25)
+    covariates: tuple[float, ...] | None = checked(_COVARIATES, None)
+    prior_sd_alpha: float = checked(_SCALE, 10.0)
+    prior_sd_beta: float = checked(_SCALE, 10.0)
+    noise_sd_prior_scale: float = checked(_SCALE, 5.0)
+    gen_prior_sd_beta: float | None = checked(_SCALE, None)
 
     def __post_init__(self):
-        require_integers(InvalidSpec, "LinRegSpec", n_obs=self.n_obs)
-        if self.n_obs < 1:
-            raise InvalidSpec("LinRegSpec.n_obs must be >= 1")
-        _require_positive("LinRegSpec", prior_sd_alpha=self.prior_sd_alpha,
-                          prior_sd_beta=self.prior_sd_beta,
-                          noise_sd_prior_scale=self.noise_sd_prior_scale)
         if self.gen_prior_sd_beta is None:
             object.__setattr__(self, "gen_prior_sd_beta", self.prior_sd_beta)
-        _require_positive("LinRegSpec", gen_prior_sd_beta=self.gen_prior_sd_beta)
-        finite = ("LinRegSpec.covariates must be a list of finite numbers, with a finite sum "
-                  "of squares")
-        if self.covariates is None:
-            object.__setattr__(self, "covariates", _default_covariates(self.n_obs))
-        else:
-            object.__setattr__(self, "covariates", _finite_floats(self.covariates, finite))
+        check_fields(self, InvalidSpec)
+        x = _default_covariates(self.n_obs) if self.covariates is None else self.covariates
+        object.__setattr__(self, "covariates", tuple(map(float, x)))
         if len(self.covariates) != self.n_obs:
             raise InvalidSpec("LinRegSpec.covariates length must equal n_obs")
-        x = np.asarray(self.covariates)
-        with np.errstate(over="ignore"):
-            if not math.isfinite(np.sum(x * x)):  # bounds sum(x) too
-                raise InvalidSpec(finite)
 
 
 def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
@@ -239,21 +237,16 @@ def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
 
 @dataclass(frozen=True)
 class EightSchoolsSpec:
-    J: int = 8
-    sigma_j: tuple[float, ...] = EIGHT_SCHOOLS_SIGMA
-    parameterization: str = "centered"
+    J: int = checked(Rule("an integer equal to 8", lambda v: is_integer(v) and v == 8), 8)
+    sigma_j: tuple[float, ...] = checked(_SIGMA_J, EIGHT_SCHOOLS_SIGMA)
+    parameterization: str = checked(one_of("centered", "non-centered"), "centered")
 
     def __post_init__(self):
-        require_integers(InvalidSpec, "EightSchoolsSpec", J=self.J)
-        if self.J != 8:
-            raise InvalidSpec("EightSchoolsSpec.J must be 8")
-        scales = ("EightSchoolsSpec.sigma_j must be a list of 8 positive finite numbers whose "
-                  "squares neither overflow nor underflow")
-        object.__setattr__(self, "sigma_j", _finite_floats(self.sigma_j, scales))
-        if len(self.sigma_j) != 8 or not all(_is_scale(v) for v in self.sigma_j):
-            raise InvalidSpec(scales)
-        if self.parameterization not in ("centered", "non-centered"):
-            raise InvalidSpec("parameterization must be 'centered' or 'non-centered'")
+        check_fields(self, InvalidSpec)
+        object.__setattr__(self, "sigma_j", tuple(map(float, self.sigma_j)))
+        if len(self.sigma_j) != self.J:
+            raise InvalidSpec(f"EightSchoolsSpec.sigma_j must have J={self.J} entries, got "
+                              f"{len(self.sigma_j)}")
 
 
 def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
@@ -379,15 +372,7 @@ def model_from_dict(d: dict) -> GenerativeModel:
     """Build a model from a config mapping: {"kind": ..., <spec fields>}."""
     d = dict(d)
     kind = d.pop("kind", None)
-    if kind not in MODEL_KINDS:
+    if not isinstance(kind, str) or kind not in MODEL_KINDS:
         raise InvalidSpec(f"unknown model kind {kind!r}; choose from {sorted(MODEL_KINDS)}")
     spec_cls, factory = MODEL_KINDS[kind]
-    allowed = set(spec_cls.__dataclass_fields__)
-    unknown = set(d) - allowed
-    if unknown:
-        raise InvalidSpec(f"unknown keys for model {kind!r}: {sorted(unknown)}")
-    try:
-        spec = spec_cls(**d)
-    except TypeError as exc:
-        raise InvalidSpec(str(exc)) from exc
-    return factory(spec)
+    return factory(parse(spec_cls, d, InvalidSpec, f"{kind!r} model"))

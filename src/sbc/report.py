@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import Rule, check_fields, checked, is_finite_number, is_integer
 from .rankstats import (
     EcdfBand,
     EcdfSummary,
@@ -58,20 +59,17 @@ REPORT_FORMATS = ("svg", "csv", "json")
 class ReportRequest:
     artifact_path: str
     quantities: tuple[str, ...] = ()
-    bins: int | None = None
-    formats: tuple[str, ...] = REPORT_FORMATS
-    coverage: float = 0.99
+    bins: int | None = checked(  # an integer, or None for default_bins's choice
+        Rule("at least 1", lambda v: v is None or (is_integer(v) and v >= 1)), None)
+    formats: tuple[str, ...] = checked(Rule(
+        f"a non-empty list of formats to choose from {','.join(REPORT_FORMATS)}",
+        lambda v: isinstance(v, (list, tuple)) and v and set(v) <= set(REPORT_FORMATS)),
+        REPORT_FORMATS)
+    coverage: float = checked(
+        Rule("a number in (0, 1)", lambda v: is_finite_number(v) and 0 < v < 1), 0.99)
 
     def __post_init__(self):
-        if not self.formats:
-            raise ValueError(f"no report format given; choose from {','.join(REPORT_FORMATS)}")
-        bad = set(self.formats) - set(REPORT_FORMATS)
-        if bad:
-            raise ValueError(f"unknown report formats: {sorted(bad)}")
-        if not (0.0 < self.coverage < 1.0):
-            raise ValueError("coverage must be in (0, 1)")
-        if self.bins is not None and self.bins < 1:
-            raise ValueError(f"bins must be at least 1, got {self.bins}")
+        check_fields(self, ValueError, prefix="")  # named as `sbc report`'s options are
         # A quantity named twice is reported once, where it is first named.
         object.__setattr__(self, "quantities", tuple(dict.fromkeys(self.quantities)))
 

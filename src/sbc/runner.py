@@ -24,6 +24,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -36,6 +37,9 @@ from typing import Iterator
 import numpy as np
 
 from .errors import (
+    BOOLEAN,
+    NON_NEGATIVE,
+    POSITIVE,
     AllConstant,
     ChecksumMismatch,
     ConfigError,
@@ -44,10 +48,14 @@ from .errors import (
     InvalidArtifact,
     NonFiniteInput,
     NonFiniteParameter,
+    Rule,
     SbcError,
     UnknownQuantity,
-    is_finite_number,
-    require_integers,
+    check_fields,
+    checked,
+    integer,
+    one_of,
+    parse,
 )
 from .ess import ess_by_quantity, required_chain_length, thin_to
 from .model import GenerativeModel, Quantity, evaluate
@@ -83,87 +91,41 @@ _MCMC_KINDS = ("rw-metropolis", "hmc")
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: dict = field(default_factory=lambda: {"kind": "normal-normal"})
+    model: dict = checked(Rule("a JSON object", lambda v: isinstance(v, dict)),
+                          default_factory=lambda: {"kind": "normal-normal"})
     sampler: SamplerConfig = field(default_factory=SamplerConfig)
     corruption: Corruption = field(default_factory=Corruption)
-    N: int = 2000
-    L: int = 99
-    thinning: str = "off"
-    master_seed: int = 0
-    max_chain_length: int = DEFAULT_MAX_CHAIN_LENGTH
-    worker_count_hint: int = 1
+    N: int = checked(integer(1), 2000)
+    L: int = checked(integer(1), 99)
+    thinning: str = checked(one_of("off", "algorithm-2"), "off")
+    master_seed: int = checked(integer(0), 0)
+    max_chain_length: int = checked(integer(1), DEFAULT_MAX_CHAIN_LENGTH)
+    worker_count_hint: int = checked(integer(1), 1)
 
     def __post_init__(self):
         # Canonicalize the model mapping through JSON so that save/load
         # round-trips compare equal (tuples become lists, keys become str).
         object.__setattr__(self, "model", json.loads(json.dumps(self.model)))
-        require_integers(ConfigError, "RunConfig", N=self.N, L=self.L,
-                         master_seed=self.master_seed, max_chain_length=self.max_chain_length,
-                         worker_count_hint=self.worker_count_hint)
-        if self.N < 1 or self.L < 1:
-            raise ConfigError("N and L must be >= 1")
-        if self.thinning not in ("off", "algorithm-2"):
-            raise ConfigError("thinning must be 'off' or 'algorithm-2'")
+        check_fields(self, ConfigError)
         if self.thinning == "algorithm-2" and self.sampler.kind not in _MCMC_KINDS:
             raise ConfigError("algorithm-2 thinning requires an MCMC sampler")
-        if self.master_seed < 0:
-            raise ConfigError("master_seed must be a non-negative integer")
         if self.max_chain_length < self.L:
             raise ConfigError("max_chain_length must be >= L")
-        if self.worker_count_hint < 1:
-            raise ConfigError("worker_count_hint must be >= 1")
 
 
 def config_to_dict(config: RunConfig) -> dict:
-    d = asdict(config)
-    d["model"] = dict(config.model)
-    return d
-
-
-_REQUIRED_KEYS = {"model", "sampler"}
-_OPTIONAL_KEYS = {"corruption", "N", "L", "thinning", "master_seed",
-                  "max_chain_length", "worker_count_hint"}
-
-
-def _sub_config(cls, d: dict, what: str):
-    if not isinstance(d, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    allowed = set(cls.__dataclass_fields__)
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    try:
-        return cls(**d)
-    except (TypeError, SbcError) as exc:
-        raise ConfigError(f"invalid {what}: {exc}") from exc
+    return asdict(config)
 
 
 def config_from_dict(d: dict) -> RunConfig:
     """Strict parse of the JSON run-config shape; unknown keys are rejected."""
-    if not isinstance(d, dict):
-        raise ConfigError("run config must be a JSON object")
-    unknown = set(d) - _REQUIRED_KEYS - _OPTIONAL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(d)
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-    if not isinstance(d["model"], dict):
-        raise ConfigError("model must be a JSON object with a 'kind' key")
+    config = parse(RunConfig, d, ConfigError, "config", required=("model", "sampler"),
+                   sampler=partial(parse, SamplerConfig, error=ConfigError, what="sampler"),
+                   corruption=partial(parse, Corruption, error=ConfigError, what="corruption"))
     try:
-        model = model_from_dict(d["model"])  # validate eagerly for fast feedback
+        model = model_from_dict(config.model)  # validate eagerly for fast feedback
     except SbcError as exc:
         raise ConfigError(f"invalid model spec: {exc}") from exc
-    kwargs = {k: v for k, v in d.items() if k not in ("model", "sampler", "corruption")}
-    try:
-        config = RunConfig(
-            model=dict(d["model"]),
-            sampler=_sub_config(SamplerConfig, d["sampler"], "sampler"),
-            corruption=_sub_config(Corruption, d.get("corruption", {}), "corruption"),
-            **kwargs,
-        )
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
     _check_model(config, model)
     return config
 
@@ -467,6 +429,13 @@ def _collect(config: RunConfig, tables) -> dict:
             "failures": tuple(failures)}
 
 
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):  # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run(config: RunConfig) -> RunArtifact:
     """Run every replication of a calibration.
 
@@ -475,14 +444,15 @@ def run(config: RunConfig) -> RunArtifact:
     replications, the serial path all of them; every row draws from its own
     (seed, replication, tag) streams and computes its values within its own
     row, so the result does not depend on the block size or the worker
-    count.  With ``thinning='algorithm-2'`` each MCMC chain's effective
-    sample size is estimated, the chain is rerun longer when it falls short
-    of L, and the draws are thinned to L before ranking.  A config that
-    would fail every replication raises ConfigError before any runs.
+    count, which is capped at the CPUs this process may use.  With
+    ``thinning='algorithm-2'`` each MCMC chain's effective sample size is
+    estimated, the chain is rerun longer when it falls short of L, and the
+    draws are thinned to L before ranking.  A config that would fail every
+    replication raises ConfigError before any runs.
     """
     started = time.perf_counter()
     model, quantities = _build(config)
-    workers = config.worker_count_hint
+    workers = min(config.worker_count_hint, _usable_cpus())
     if workers == 1:
         table = _collect(config, _run_blocks(config, model, quantities, range(config.N)))
     else:
@@ -547,10 +517,11 @@ def save_artifact(artifact: RunArtifact, path) -> Path:
     return out
 
 
-def _verify_checksums(root: Path) -> None:
-    """Check every file sha256sums.txt lists; meta.json and ranks.csv must be listed, and no
-    file twice.  Each line must be a lowercase 64-hex-digit SHA-256, two spaces and the
-    plain name of a file in the artifact directory, so no file outside it is read."""
+def _verified_files(root: Path) -> dict[str, bytes]:
+    """The bytes of every file sha256sums.txt lists, each checked against its checksum;
+    meta.json and ranks.csv must be listed, and no file twice.  Each line must be a
+    lowercase 64-hex-digit SHA-256, two spaces and the plain name of a file in the
+    artifact directory, so no file outside it is read."""
     sums = {}
     for line in (root / "sha256sums.txt").read_text(encoding="utf-8").splitlines():
         match = re.fullmatch(r"([0-9a-f]{64})  ([^/\\\0]+)", line)
@@ -563,21 +534,24 @@ def _verify_checksums(root: Path) -> None:
     unlisted = [name for name in ("meta.json", "ranks.csv") if name not in sums]
     if unlisted:
         raise ChecksumMismatch(f"sha256sums.txt has no checksum for {unlisted}")
+    blobs = {}
     for name, digest in sums.items():
-        actual = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        blobs[name] = (root / name).read_bytes()
+        actual = hashlib.sha256(blobs[name]).hexdigest()
         if actual != digest:
             raise ChecksumMismatch(f"{name}: expected sha256 {digest}, got {actual}")
+    return blobs
 
 
 # What each value of a meta.json diagnostics entry must be, by the key the writer gives
 # it; an entry's other keys are not read.
 _DIAGNOSTIC_VALUES = {
-    "acceptance_rate": ("a float in [0, 1]", lambda v: type(v) is float and 0.0 <= v <= 1.0),
-    "divergences": ("an integer >= 0", lambda v: type(v) is int and v >= 0),
-    "step_size": ("a finite number >= 0", lambda v: is_finite_number(v) and v >= 0),
-    "cap_hit": ("a boolean", lambda v: type(v) is bool),
-    "still_short": ("a boolean", lambda v: type(v) is bool),
-    "ess_min": ("a finite number > 0", lambda v: is_finite_number(v) and v > 0),
+    "acceptance_rate": Rule("a float in [0, 1]", lambda v: type(v) is float and 0 <= v <= 1),
+    "divergences": integer(0),
+    "step_size": NON_NEGATIVE,
+    "cap_hit": BOOLEAN,
+    "still_short": BOOLEAN,
+    "ess_min": POSITIVE,
 }
 
 
@@ -608,10 +582,10 @@ def _checked_failures(meta: dict, config: RunConfig) -> tuple[tuple[dict, ...], 
         if len(d) == 1:  # the replication alone, as with the exact sampler
             continue
         for key, value in d.items():
-            expected, valid = _DIAGNOSTIC_VALUES.get(key, (None, None))
-            if valid is not None and not valid(value):
+            rule = _DIAGNOSTIC_VALUES.get(key)
+            if rule is not None and not rule.test(value):
                 raise InvalidArtifact(f"meta.json: diagnostics of replication {i}: {key} "
-                                      f"must be {expected}, got {value!r}")
+                                      f"must be {rule.text}, got {value!r}")
     return tuple(failures), completed
 
 
@@ -665,11 +639,10 @@ def _rank_table(rows: list[list[str]], config: RunConfig, completed: list[int]) 
 
 def load_artifact(path) -> RunArtifact:
     """Read an artifact directory back, verifying checksums, version, meta.json and the rank
-    table, whose size meta.json's ``n_records`` must give."""
-    root = Path(path)
-    _verify_checksums(root)
-
-    meta = json.loads((root / "meta.json").read_text(encoding="utf-8"))
+    table, whose size meta.json's ``n_records`` must give.  It parses the bytes whose
+    checksums it checked, so each file is read once."""
+    blobs = _verified_files(Path(path))
+    meta = json.loads(blobs["meta.json"].decode("utf-8"))
     if not isinstance(meta, dict):
         raise InvalidArtifact("meta.json must hold a JSON object")
     version = str(meta.get("format_version", ""))
@@ -681,9 +654,9 @@ def load_artifact(path) -> RunArtifact:
     if missing:
         raise InvalidArtifact(f"meta.json has no {missing[0]!r} key")
     seconds = meta["wall_clock_seconds"]
-    if not (is_finite_number(seconds) and seconds >= 0):
-        raise InvalidArtifact(f"meta.json: wall_clock_seconds must be a finite, non-negative "
-                              f"number, got {seconds!r}")
+    if not NON_NEGATIVE.test(seconds):
+        raise InvalidArtifact(f"meta.json: wall_clock_seconds must be {NON_NEGATIVE.text}, "
+                              f"got {seconds!r}")
     if not isinstance(meta.get("config"), dict):
         raise InvalidArtifact("meta.json: config must be an object")
     raw_config = dict(meta["config"])
@@ -692,12 +665,11 @@ def load_artifact(path) -> RunArtifact:
     config = config_from_dict(raw_config)
     failures, completed = _checked_failures(meta, config)
 
-    with (root / "ranks.csv").open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != _CSV_HEADER:
-            raise FormatVersionMismatch(f"unexpected ranks.csv header: {header}")
-        table = _rank_table(list(reader), config, completed)
+    reader = csv.reader(io.StringIO(blobs["ranks.csv"].decode("utf-8"), newline=""))
+    header = next(reader, None)
+    if header != _CSV_HEADER:
+        raise FormatVersionMismatch(f"unexpected ranks.csv header: {header}")
+    table = _rank_table(list(reader), config, completed)
     n_records = meta["n_records"]
     if not (type(n_records) is int and n_records == table["ranks"].size):
         raise InvalidArtifact(f"meta.json: n_records must be the rank table's "

@@ -46,14 +46,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    FINITE,
+    POSITIVE,
     Diverged,
     InvalidSpec,
     NonFiniteDensity,
     NotConjugate,
     SbcError,
     UnknownParameter,
-    require_finite,
-    require_integers,
+    check_fields,
+    checked,
+    integer,
+    one_of,
 )
 from .model import GenerativeModel, posterior_target
 
@@ -70,24 +74,15 @@ DIVERGENCE_THRESHOLD = 1e3
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    kind: str = "exact-conjugate"
-    step_size: float = 0.5
-    n_leapfrog: int = 10
-    vi_iterations: int = 10_000
-    vi_learning_rate: float = 0.05
-    warmup: int = 200
+    kind: str = checked(one_of(*SAMPLER_KINDS), "exact-conjugate")
+    step_size: float = checked(POSITIVE, 0.5)
+    n_leapfrog: int = checked(integer(1), 10)
+    vi_iterations: int = checked(integer(1), 10_000)
+    vi_learning_rate: float = checked(POSITIVE, 0.05)
+    warmup: int = checked(integer(0), 200)
 
     def __post_init__(self):
-        require_integers(InvalidSpec, "SamplerConfig", n_leapfrog=self.n_leapfrog,
-                         vi_iterations=self.vi_iterations, warmup=self.warmup)
-        require_finite(InvalidSpec, "SamplerConfig", step_size=self.step_size,
-                       vi_learning_rate=self.vi_learning_rate)
-        if self.kind not in SAMPLER_KINDS:
-            raise InvalidSpec(f"unknown sampler kind {self.kind!r}; choose from {SAMPLER_KINDS}")
-        if not (self.step_size > 0 and self.vi_learning_rate > 0):
-            raise InvalidSpec("step_size and vi_learning_rate must be positive")
-        if self.n_leapfrog < 1 or self.vi_iterations < 1 or self.warmup < 0:
-            raise InvalidSpec("n_leapfrog and vi_iterations must be >= 1, warmup >= 0")
+        check_fields(self, InvalidSpec)
 
 
 @dataclass(frozen=True)
@@ -99,14 +94,12 @@ class Corruption:
     ``amount`` (overdispersed posterior for amount > 1, underdispersed below).
     """
 
-    kind: str = "none"
-    amount: float = 0.0
+    kind: str = checked(one_of("none", "shift", "scale"), "none")
+    amount: float = checked(FINITE, 0.0)
     target_quantity: str = ""
 
     def __post_init__(self):
-        require_finite(InvalidSpec, "Corruption", amount=self.amount)
-        if self.kind not in ("none", "shift", "scale"):
-            raise InvalidSpec(f"unknown corruption kind {self.kind!r}")
+        check_fields(self, InvalidSpec)
         if self.kind == "scale" and not self.amount > 0:
             raise InvalidSpec("scale corruption requires amount > 0")
         if self.kind != "none" and not self.target_quantity:

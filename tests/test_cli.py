@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from sbc import cli, models, rankstats
+from sbc import cli, models, rankstats, runner
 from sbc.cli import main
 from sbc.runner import config_from_dict, run, save_artifact
 from sbc.streams import RandomStream
@@ -90,6 +90,7 @@ def test_seed_override_changes_ranks(tiny_config, tmp_path):
 
 
 def test_workers_env_var(tiny_config, tmp_path, monkeypatch):
+    monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)  # a real 2-process pool
     serial = tmp_path / "serial"
     main(["run", "--config", str(tiny_config), "--out", str(serial)])
     monkeypatch.setenv("SBC_WORKERS", "2")

@@ -208,6 +208,11 @@ class TestWriteReport:
         with pytest.raises(ValueError, match="bins must be at least 1"):
             ReportRequest(artifact_path="x", bins=bins)
 
+    @pytest.mark.parametrize("bins", [True, 2.5, 4.0, "4"])
+    def test_bins_that_are_not_integers_rejected_when_built(self, bins):
+        with pytest.raises(ValueError, match="bins must be at least 1"):
+            ReportRequest(artifact_path="x", bins=bins)
+
     def test_files_match_frozen_digests(self, tmp_path):
         written = write_report(two_quantity_artifact(), ReportRequest(artifact_path="x"),
                                tmp_path)

@@ -124,6 +124,36 @@ class TestRunConfig:
         with pytest.raises(InvalidSpec, match="must be an integer|must be a finite number"):
             make()
 
+    @pytest.mark.parametrize("model", [5, "normal-normal", ["kind", "normal-normal"], None])
+    def test_model_that_is_not_an_object_rejected_when_built(self, model):
+        with pytest.raises(ConfigError, match="RunConfig.model must be a JSON object"):
+            RunConfig(model=model)
+
+    def test_parse_errors_are_wrapped_once(self):
+        d = config_to_dict(exact_config())
+        d["sampler"]["warmup"] = -1
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(d)
+        assert str(caught.value) == "invalid sampler: SamplerConfig.warmup must be an " \
+                                    "integer >= 0, got -1"
+        d = {**config_to_dict(exact_config()), "N": 0}
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(d)
+        assert str(caught.value) == "RunConfig.N must be an integer >= 1, got 0"
+        d = config_to_dict(exact_config())
+        d["model"]["n_obs"] = 0
+        with pytest.raises(ConfigError) as caught:
+            config_from_dict(d)
+        assert str(caught.value) == "invalid model spec: NormalNormalSpec.n_obs must be an " \
+                                    "integer >= 1, got 0"
+
+    @pytest.mark.parametrize("kind", [[], {}, 1, None])
+    def test_model_kind_that_is_not_a_name_is_a_config_error(self, kind):
+        d = config_to_dict(exact_config())
+        d["model"]["kind"] = kind
+        with pytest.raises(ConfigError, match="unknown model kind"):
+            config_from_dict(d)
+
 
 class TestRunSbc:
     def test_single_replication_yields_one_record_per_quantity(self):
@@ -276,6 +306,7 @@ class TestDeterminism:
     def test_block_size_and_workers_leave_files_unchanged(self, tmp_path, monkeypatch, name):
         config = INVARIANCE_CONFIGS[name]
         files = {}
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)  # a real 2-process pool
         for block in (1, 7, config.N):
             monkeypatch.setattr(runner, "BLOCK_SIZE", block)
             for workers in (1, 2):
@@ -300,7 +331,8 @@ class TestDeterminism:
             assert len(set(lengths[lengths > 10 * config.L].tolist())) >= 2
 
 
-    def test_worker_counts_give_identical_ranks(self, tmp_path):
+    def test_worker_counts_give_identical_ranks(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 2)  # 4 workers get 2 processes
         base = exact_config(N=48, L=19, seed=31)
         runs = {}
         for workers in (1, 4):
@@ -310,15 +342,21 @@ class TestDeterminism:
             runs[workers] = (out / "ranks.csv").read_bytes()
         assert runs[1] == runs[4]
 
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch):
-        """N=10 over 7 workers makes 5 chunks of 2 replications, so the pool gets 5 workers."""
-        workers = []
+    @pytest.mark.parametrize("cpus, N, pool, chunk_sizes", [
+        # N=10 over 7 workers makes 5 chunks of 2 replications, so the pool gets 5 workers.
+        (64, 10, 5, [2] * 5),
+        # With 2 CPUs, 7 workers are 2: N=300 makes chunks of a full block.
+        (2, 300, 2, [128, 128, 44]),
+    ], ids=["chunk-bound", "cpu-bound"])
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch, cpus, N, pool,
+                                                  chunk_sizes):
+        pools, chunks = [], []
 
         class InProcessPool:
-            """Records its worker count and maps in this process."""
+            """Records its worker count and chunk sizes and maps in this process."""
 
             def __init__(self, max_workers):
-                workers.append(max_workers)
+                pools.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -326,13 +364,30 @@ class TestDeterminism:
             def __exit__(self, *exc_info):
                 return False
 
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
+            def map(self, fn, ranges):
+                chunks.extend(len(r) for r in ranges)
+                return map(fn, ranges)
 
         monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
-        pooled = run(exact_config(N=10, worker_count_hint=7))
-        assert workers == [5]
-        assert_same_table(pooled, run(exact_config(N=10)))
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
+        pooled = run(exact_config(N=N, worker_count_hint=7))
+        assert (pools, chunks) == ([pool], chunk_sizes)
+        assert_same_table(pooled, run(exact_config(N=N)))
+
+    def test_one_usable_cpu_takes_the_serial_path(self, monkeypatch):
+        monkeypatch.setattr(runner, "ProcessPoolExecutor",
+                            lambda **kwargs: pytest.fail("a pool was started"))
+        monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
+        assert_same_table(run(exact_config(N=10, worker_count_hint=7)),
+                          run(exact_config(N=10)))
+
+    def test_usable_cpus_counts_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(runner.os, "sched_getaffinity", lambda pid: {0, 3, 5},
+                            raising=False)
+        assert runner._usable_cpus() == 3
+        monkeypatch.delattr(runner.os, "sched_getaffinity")
+        monkeypatch.setattr(runner.os, "cpu_count", lambda: None)
+        assert runner._usable_cpus() == 1
 
     def test_same_seed_same_records(self):
         a = run(exact_config(N=30, seed=41))
@@ -386,6 +441,39 @@ class TestPersistence:
     def test_missing_directory_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_artifact(tmp_path / "nope")
+
+    def test_each_file_is_read_once(self, tmp_path, monkeypatch):
+        """load_artifact parses the bytes whose checksums it checked."""
+        out = save_artifact(run(exact_config(N=10)), tmp_path / "run")
+        reads, depth = collections.Counter(), [0]
+        for method in ("read_bytes", "read_text", "open"):
+            def counted(path, *args, _original=getattr(Path, method), **kwargs):
+                # read_bytes and read_text call open: count the outermost call alone.
+                reads[path.name] += depth[0] == 0
+                depth[0] += 1
+                try:
+                    return _original(path, *args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            monkeypatch.setattr(Path, method, counted)
+        load_artifact(out)
+        assert reads["meta.json"] == 1 and reads["ranks.csv"] == 1
+
+    @pytest.mark.parametrize("name, shape", [("exact-nn", (20, 1)),
+                                             ("hmc-8s-nc-alg2", (5, 18))])
+    def test_artifacts_written_by_the_format_1_0_writer_load(self, tmp_path, capsys, name,
+                                                             shape):
+        """Artifacts that the first release's ``sbc run`` wrote: exact normal-normal, and
+        non-centered eight schools under HMC with Algorithm 2."""
+        fixture = Path(__file__).parent / "data" / "format-1.0" / name
+        artifact = load_artifact(fixture)
+        assert artifact.format_version == "1.0"
+        assert artifact.ranks.shape == shape
+        assert main(["report", "--run", str(fixture), "--out", str(tmp_path / "r")]) == 0
+        capsys.readouterr()
+        reloaded = load_artifact(save_artifact(artifact, tmp_path / "resaved"))
+        assert reloaded.config == artifact.config
+        assert_same_table(reloaded, artifact)
 
     def test_format_1_0_config_with_output_path_loads(self, tmp_path):
         artifact = run(exact_config(N=5))
