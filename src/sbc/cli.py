@@ -114,10 +114,9 @@ def _cmd_run(args) -> int:
     print(f"artifact written to {out}")
     print(f"replications: {config.N}  failures: {len(artifact.failures)}  "
           f"wall clock: {artifact.wall_clock_seconds:.1f}s")
-    for quantity, hist in zip(artifact.quantities,
-                              rank_histograms(artifact, artifact.quantities)):
-        s = summarize(artifact, quantity, hist)
-        print(f"  {quantity}: {s['classification']} "
+    for s in summarize(artifact, artifact.quantities,
+                       rank_histograms(artifact, artifact.quantities)):
+        print(f"  {s['quantity']}: {s['classification']} "
               f"(chi2={s['chi_square']:.1f}, dof={s['chi_square_dof']}, "
               f"{s['bins_outside_band']}/{s['B']} bins outside band)")
     return EXIT_OK

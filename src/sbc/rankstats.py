@@ -17,10 +17,12 @@ are exactly those of summing the binomial pmf sequentially from k = 0 until
 the running sum reaches the level, but it computes them for a whole grid of
 success probabilities at once (all L+1 points of an ECDF band in one call),
 in chunks of rows that bound its working set.  It sums each row over a
-window of O(sqrt(n)) terms around the binomial's mode, not all n+1: the
-pmf is log-concave, which bounds the mass the window leaves out, and a level
-within that bound of a window's sum, or crossed outside the window, is
-summed again over every term, so no quantile changes.
+window sized by that row's own Binomial(n, p), not all n+1 terms: from a
+few of its standard deviations left of its mode to past the crossing of the
+largest level.  The pmf is log-concave, which bounds the mass left of the
+window, the only mass a running sum in it leaves out, and a level within
+that bound of a window's sum, or crossed outside the window, is summed
+again over every term, so no quantile changes.
 """
 
 from __future__ import annotations
@@ -125,10 +127,49 @@ def rebin(ranks, L: int, B: int) -> np.ndarray:
 # whose (rows, window) temporaries hold at most this many floats (256 KiB), so
 # a band costs a few such temporaries however many points it has.
 QUANTILE_CHUNK_FLOATS = 2**15
-# Each row's pmf is summed over a window reaching this many standard
-# deviations of Binomial(n, 1/2), the widest binomial, to each side of its mode.
-QUANTILE_WINDOW_SDS = 12
+# Each row's pmf is summed from this many standard deviations of its own
+# binomial left of its mode (see _windows).  9 is the smallest integer for
+# which no row was summed again in 128 ECDF and histogram bands, n = 10 to
+# 200,000: at 8 one was, and at 7 nineteen were.
+QUANTILE_WINDOW_SDS = 9
 _LOG_MIN_NORMAL = math.log(np.finfo(np.float64).tiny)
+
+
+def _windows(qs: np.ndarray, n: int, ps: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """The windows :func:`binomial_quantiles` sums, as chunks (rows, firsts, width): the
+    rows of ``ps`` strictly inside (0, 1), and row i's window k = firsts[i] ..
+    firsts[i]+width-1.
+
+    A row's own window reaches QUANTILE_WINDOW_SDS of its standard deviations
+    sqrt(np(1-p)) left of its mode floor((n+1)p), and right of the mean np as
+    far as Bernstein's inequality, P(X >= np + t) <= exp(-t^2 / (2(np(1-p) + t/3))),
+    puts the crossing of the largest level, but no further than its left reach.
+    Rows are taken widest first, and each chunk's rows are widened to its first
+    row's width, moving left where that would pass k = n, so that a chunk's
+    (rows, width) temporaries hold at most QUANTILE_CHUNK_FLOATS floats.
+    """
+    inner = np.flatnonzero((ps > 0.0) & (ps < 1.0))
+    if inner.size == 0 or qs.size == 0:
+        return []
+    p = ps[inner]
+    var = n * p * (1.0 - p)
+    reach = QUANTILE_WINDOW_SDS * np.sqrt(var)
+    top = float(qs.max())
+    a = -math.log1p(-top) if top < 1.0 else math.inf  # 1 - top = exp(-a)
+    past_mean = np.minimum(a / 3.0 + np.sqrt(a * a / 9.0 + 2.0 * a * var), reach)
+    modes = np.minimum(np.floor((n + 1) * p), n)
+    firsts = np.maximum(modes - np.ceil(reach), 0.0).astype(np.int64)
+    lasts = np.minimum(np.maximum(np.ceil(n * p + past_mean), modes), n).astype(np.int64)
+    widths = lasts - firsts + 1
+    order = np.argsort(-widths, kind="stable")
+    chunks = []
+    start = 0
+    while start < order.size:
+        width = int(widths[order[start]])
+        rows = order[start:start + max(1, QUANTILE_CHUNK_FLOATS // (width + 1))]
+        chunks.append((inner[rows], np.minimum(firsts[rows], n + 1 - width), width))
+        start += rows.size
+    return chunks
 
 
 def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
@@ -137,52 +178,50 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
     Returns a (len(ps), len(qs)) int64 array.  Each entry is exactly what
     summing the pmf in sequence gives: ``cdf += math.exp(log_pmf(k))`` for
     k = 0, 1, ... until ``cdf >= q``, and n if that never happens; p <= 0
-    gives 0 and p >= 1 gives n.
+    gives 0 and p >= 1 gives n.  A negative n, or a p that is NaN or outside
+    [0, 1], raises ValueError.
 
-    Each p's pmf is summed over a window of W = min(n+1, 2h+1) terms around
-    its mode floor((n+1)p), with h = ceil(QUANTILE_WINDOW_SDS * sqrt(n) / 2),
-    so a row costs O(sqrt(n)) terms rather than n+1; for n <= 146 the window
-    is the whole row.  Every log term is evaluated with the sequential sum's
-    operations in the same order (``math.lgamma`` once per argument, only
-    for the k the windows read unless the whole row takes fewer calls or a
-    row is summed again, and ``math.log`` once per p) and ``np.cumsum`` adds
-    in the same order, a chunk of p rows at a time.  A window's running sums
-    then differ from the sequential ones by less than a bound kept here:
+    Each p's pmf is summed over a window sized by its own binomial (see
+    :func:`_windows`), so a row costs O(sqrt(np(1-p))) terms rather than n+1.
+    Every log term is evaluated with the sequential sum's operations in the
+    same order (``math.lgamma`` once per argument, only for the k the windows
+    read unless the whole row takes fewer calls or a row is summed again, and
+    ``math.log`` once per p) and ``np.cumsum`` adds in the same order, a chunk
+    of rows at a time.  A window's running sums then differ from the
+    sequential ones by less than a bound kept here:
 
     - numpy's ``exp`` may differ from ``math.exp`` by an ulp, and pmf terms
       below the smallest normal float are left out;
-    - the n+1-W terms outside the window are left out.  The pmf is
-      log-concave and the window holds its mode, so each of them is at most
-      the larger of the two terms just outside the window; their sum is at
-      most n+1-W times that term, doubled to cover the rounding of the
-      computed terms.
+    - the ``first`` terms left of the window, the only ones a running sum in
+      it includes, are left out.  The pmf is log-concave and the window starts
+      at or before its mode, so each of them is at most the term just left of
+      the window; their sum is at most ``first`` times that term, doubled to
+      cover the rounding of the computed terms.
 
     A row whose sum is within that bound of a level, or whose crossing of a
     level is not inside its window (at the window's first term when the
     window starts past k = 0, or past its end when it ends before n), is
-    summed again with ``math.exp`` over every term, so no quantile differs.
+    summed again with ``math.exp`` over every term, so a window's width sets
+    the cost and never a quantile.
     """
     qs = np.atleast_1d(np.asarray(qs, dtype=np.float64))
     if not np.all((qs >= 0.0) & (qs <= 1.0)):
         raise ValueError("quantile level must be in [0, 1]")
     ps = np.atleast_1d(np.asarray(ps, dtype=np.float64))
+    if not np.all((ps >= 0.0) & (ps <= 1.0)):
+        raise ValueError("success probability must be in [0, 1]")
+    if n < 0:
+        raise ValueError(f"number of trials must be >= 0, got {n}")
     out = np.empty((ps.size, qs.size), dtype=np.int64)
     out[:] = np.where(ps <= 0.0, 0, n)[:, None]
-    inner = np.flatnonzero((ps > 0.0) & (ps < 1.0))
-    if inner.size == 0:
+    chunks = _windows(qs, n, ps)
+    if not chunks:
         return out
 
-    half = math.ceil(QUANTILE_WINDOW_SDS * math.sqrt(n) / 2)
-    width = min(n + 1, 2 * half + 1)
-    # Row i sums k = firsts[i] .. firsts[i]+width-1, a window holding its mode
-    # (give or take the rounding of (n+1)p, which the window's half-width
-    # absorbs) and, at each end, the term just outside it.
-    modes = np.floor((n + 1) * ps[inner]).astype(np.int64)
-    firsts = np.minimum(np.maximum(modes - half, 0), n + 1 - width)
     # lgamma(n+1) - lgamma(k+1) - lgamma(n-k+1) at lead[k+1], for the k the
     # windows read (all k = 0..n once a row is summed again); the -inf at
-    # k = -1 and k = n+1 makes the terms just outside the row read 0.
-    lead = np.full(n + 3, -np.inf)
+    # k = -1 makes the term just left of a window that starts at 0 read 0.
+    lead = np.full(n + 2, -np.inf)
 
     def fill_lead(lo: int, hi: int) -> bool:
         """Set lead at k = lo..hi, calling math.lgamma at k+1, n-k+1 and n+1, or at every
@@ -195,11 +234,12 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
                 - np.fromiter(map(math.lgamma, range(n - lo + 1, n - hi, -1)), np.float64, size))
             return False
         lgamma = np.fromiter(map(math.lgamma, range(1, n + 2)), np.float64, n + 1)
-        lead[1:-1] = lgamma[n] - lgamma - lgamma[::-1]
+        lead[1:] = lgamma[n] - lgamma - lgamma[::-1]
         return True
 
-    whole = fill_lead(max(int(firsts.min()) - 1, 0), min(int(firsts.max()) + width, n))
-    # A bound on |cdf - exact sequential cdf|, before the terms outside the
+    whole = fill_lead(max(min(int(first.min()) for _, first, _ in chunks) - 1, 0),
+                      max(int(first.max()) + width - 1 for _, first, width in chunks))
+    # A bound on |cdf - exact sequential cdf|, before the terms left of the
     # window: relative, for numpy's exp within 2**-40 of math.exp and both
     # running sums' rounding; absolute, for the terms below the smallest normal
     # float (their exp is slow, and they add at most (n+1) * 2**-1021).
@@ -208,8 +248,9 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
 
     def log_pmf(lead_rows, ks, rows) -> np.ndarray:
         """lead + k log(p) + (n-k) log(1-p) at k = ks, a row per p = ps[rows]; overwrites ks."""
-        log_p = np.array([[math.log(p)] for p in ps[rows]])
-        log_1p = np.array([[math.log1p(-p)] for p in ps[rows]])
+        p = ps[rows].tolist()
+        log_p = np.fromiter(map(math.log, p), np.float64, len(p))[:, None]
+        log_1p = np.fromiter((math.log1p(-x) for x in p), np.float64, len(p))[:, None]
         logs = lead_rows + ks * log_p
         ks *= -1.0
         ks += n
@@ -217,15 +258,14 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
         logs += ks
         return logs
 
-    windows = np.lib.stride_tricks.sliding_window_view(lead, width + 2)
-    offsets = np.arange(-1.0, width + 1)
-    chunk = max(1, QUANTILE_CHUNK_FLOATS // (width + 2))
-    for start in range(0, inner.size, chunk):
-        rows, first = inner[start:start + chunk], firsts[start:start + chunk, None]
-        logs = log_pmf(windows[first[:, 0]], first + offsets, rows)
+    for rows, first, width in chunks:
+        # Terms k = first-1 .. first+width-1: the one just left of the window, then the window.
+        windows = np.lib.stride_tricks.sliding_window_view(lead, width + 1)
+        first = first[:, None]
+        logs = log_pmf(windows[first[:, 0]], first + np.arange(-1.0, width), rows)
         terms = np.exp(logs, out=np.zeros_like(logs), where=logs >= _LOG_MIN_NORMAL)
-        left_out = 2.0 * (n + 1 - width) * np.maximum(terms[:, :1], terms[:, -1:])
-        cdf = np.cumsum(terms[:, 1:-1], axis=1)
+        left_out = 2.0 * first * terms[:, :1]
+        cdf = np.cumsum(terms[:, 1:], axis=1)
         # cdf is non-decreasing, so searchsorted counts the sums below a level.
         tol = slack + left_out
         levels = np.concatenate([qs - tol, qs + tol], axis=1)
@@ -237,7 +277,7 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
             i, redo = rows[r], unsure[r]
             if not whole:
                 whole = fill_lead(0, n)
-            logs = log_pmf(lead[1:-1], np.arange(n + 1.0)[None], [i])[0]
+            logs = log_pmf(lead[1:], np.arange(n + 1.0)[None], [i])[0]
             sums = np.cumsum(np.fromiter(map(math.exp, logs), np.float64, n + 1))
             out[i, redo] = np.minimum(np.searchsorted(sums, qs[redo]), n)
     return out
@@ -295,6 +335,8 @@ def ecdf_band(N: int, L: int, coverage: float = 0.99) -> EcdfBand:
 
     Every quantile comes from one :func:`binomial_quantiles` call.
     """
+    if N < 1 or not (0.0 < coverage < 1.0):
+        raise ValueError(f"need N >= 1 and 0 < coverage < 1, got N={N}, coverage={coverage}")
     tail = (1.0 - coverage) / 2.0
     expected = np.arange(1, L + 2) / (L + 1)
     bounds = binomial_quantiles([tail, 1.0 - tail], N, expected) / N

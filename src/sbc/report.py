@@ -224,31 +224,51 @@ def render_ecdf_svg(summary: EcdfSummary, quantity: str, mode: str = "ecdf") -> 
     return _EcdfFrame(summary.band).render(summary, quantity, mode)
 
 
-def summarize(artifact: RunArtifact, quantity: str, hist: SbcHistogram) -> dict:
-    """JSON-serializable summary of one quantity's calibration evidence, from its histogram."""
-    stat, dof = chi_square_uniformity(hist.counts)
-    counts = np.asarray(hist.counts)
-    outside = int(np.sum((counts < hist.band_low) | (counts > hist.band_high)))
-    ess = artifact.ess_for(quantity)
-    return {
-        "quantity": quantity,
-        "N": hist.N,
-        "L": hist.L,
-        "B": hist.B,
-        "counts": list(hist.counts),
-        "band_low": hist.band_low,
-        "band_high": hist.band_high,
-        "band_coverage": hist.band_coverage,
-        "bins_outside_band": outside,
-        "chi_square": stat,
-        "chi_square_dof": dof,
-        "classification": classify_shape(hist),
-        "rank_mean_normalized": hist.rank_mean_normalized,
-        "rank_var_normalized": hist.rank_var_normalized,
-        "failure_count": len(artifact.failures),
-        "ess_quartiles": ([float(q) for q in np.percentile(ess, [25, 50, 75])]
-                          if ess.size else None),
-    }
+def summarize(artifact: RunArtifact, quantities, hists) -> list[dict]:
+    """JSON-serializable summary of each quantity's calibration evidence, from its histogram.
+
+    A quantity's ESS quartiles are taken over the replications with an
+    estimate for it, and are None where none has one.  Quantities whose
+    estimates are missing from the same replications share one
+    ``np.percentile`` call, so a report takes one unless a quantity's series
+    was constant where another's was not.
+    """
+    ess = artifact.ess_columns(quantities)
+    known = ~np.isnan(ess)
+    groups: dict[bytes, list[int]] = {}
+    for j, column in enumerate(known.T):
+        groups.setdefault(column.tobytes(), []).append(j)
+    ess_quartiles = [None] * len(quantities)
+    for columns in groups.values():
+        rows = known[:, columns[0]]
+        if rows.any():
+            quartiles = np.percentile(ess[rows][:, columns], [25, 50, 75], axis=0)
+            for j, values in zip(columns, quartiles.T.tolist()):
+                ess_quartiles[j] = values
+    summaries = []
+    for quantity, hist, quartiles in zip(quantities, hists, ess_quartiles):
+        stat, dof = chi_square_uniformity(hist.counts)
+        counts = np.asarray(hist.counts)
+        outside = int(np.sum((counts < hist.band_low) | (counts > hist.band_high)))
+        summaries.append({
+            "quantity": quantity,
+            "N": hist.N,
+            "L": hist.L,
+            "B": hist.B,
+            "counts": list(hist.counts),
+            "band_low": hist.band_low,
+            "band_high": hist.band_high,
+            "band_coverage": hist.band_coverage,
+            "bins_outside_band": outside,
+            "chi_square": stat,
+            "chi_square_dof": dof,
+            "classification": classify_shape(hist),
+            "rank_mean_normalized": hist.rank_mean_normalized,
+            "rank_var_normalized": hist.rank_var_normalized,
+            "failure_count": len(artifact.failures),
+            "ess_quartiles": quartiles,
+        })
+    return summaries
 
 
 _CSV_COLUMNS = ["quantity", "N", "L", "B", "band_low", "band_high",
@@ -286,8 +306,7 @@ def write_report(artifact: RunArtifact, request: ReportRequest, out_dir) -> list
     out.mkdir(parents=True, exist_ok=True)
     quantities = request.quantities or artifact.quantities
     hists = rank_histograms(artifact, quantities, request.bins, request.coverage)
-    rows = ([summarize(artifact, q, h) for q, h in zip(quantities, hists)]
-            if {"json", "csv"} & set(request.formats) else [])
+    rows = summarize(artifact, quantities, hists) if {"json", "csv"} & set(request.formats) else []
     written: list[str] = []
     if "svg" in request.formats:
         frame = _EcdfFrame(ecdf_band(artifact.ranks.shape[0], artifact.L, request.coverage))

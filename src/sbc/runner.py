@@ -28,7 +28,7 @@ import os
 import re
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, groupby
 from pathlib import Path
@@ -93,8 +93,11 @@ _MCMC_KINDS = ("rw-metropolis", "hmc")
 class RunConfig:
     model: dict = checked(Rule("a JSON object", lambda v: isinstance(v, dict)),
                           default_factory=lambda: {"kind": "normal-normal"})
-    sampler: SamplerConfig = field(default_factory=SamplerConfig)
-    corruption: Corruption = field(default_factory=Corruption)
+    sampler: SamplerConfig = checked(
+        Rule("a SamplerConfig", lambda v: isinstance(v, SamplerConfig)),
+        default_factory=SamplerConfig)
+    corruption: Corruption = checked(
+        Rule("a Corruption", lambda v: isinstance(v, Corruption)), default_factory=Corruption)
     N: int = checked(integer(1), 2000)
     L: int = checked(integer(1), 99)
     thinning: str = checked(one_of("off", "algorithm-2"), "off")
@@ -177,10 +180,9 @@ class RunArtifact:
     def ranks_for(self, quantity: str) -> np.ndarray:
         return self.ranks[:, self._column(quantity)]
 
-    def ess_for(self, quantity: str) -> np.ndarray:
-        """The quantity's effective sample sizes, for replications that have one."""
-        ess = self.ess[:, self._column(quantity)]
-        return ess[~np.isnan(ess)]
+    def ess_columns(self, quantities) -> np.ndarray:
+        """The quantities' effective sample sizes, a column each, NaN where there is none."""
+        return self.ess[:, [self._column(q) for q in quantities]]
 
     @property
     def L(self) -> int:

@@ -60,6 +60,8 @@ def sequential_binomial_cdf(n: int, p: float) -> list[float]:
 
 
 SPECIAL_LEVELS = (0.0, 1.0, 1e-9, 0.005, 0.995, 1.0 - 1e-9)
+# The levels at which a window is tested where it is narrowest.
+WINDOW_LEVELS = (1e-9, 0.005, 0.5, 0.995, 1.0 - 1e-9, 1.0)
 
 
 @st.composite
@@ -284,6 +286,64 @@ class TestBinomialQuantiles:
         np.testing.assert_array_equal(band.low[points], expected[:, 0] / N)
         np.testing.assert_array_equal(band.high[points], expected[:, 1] / N)
 
+    @pytest.mark.parametrize("p", [1 / 4096, 4095 / 4096])
+    def test_narrow_windows_of_a_skewed_binomial(self, p):
+        # At n=200,000 the row's sd is about 7, so its window holds 112 or 113 of
+        # the 200,001 terms.  At 4095/4096 the 199,889 terms left of it, whose tail
+        # is Poisson-like rather than normal, are all bounded by the term next
+        # to the window.
+        n = 200_000
+        np.testing.assert_array_equal(binomial_quantiles(WINDOW_LEVELS, n, [p]),
+                                      _reference_grid(WINDOW_LEVELS, n, [p]))
+        assert binomial_quantiles([], n, [p]).shape == (1, 0)
+        # Levels on a running sum, and an ulp from it, inside the window.
+        sums = sequential_binomial_cdf(n, p)
+        qs = [level for k in np.searchsorted(sums, [0.005, 0.5, 0.995])
+              for level in (sums[k], np.nextafter(sums[k], 0.0), np.nextafter(sums[k], 2.0))
+              if level <= 1.0]
+        np.testing.assert_array_equal(binomial_quantiles(qs, n, [p])[0],
+                                      np.minimum(np.searchsorted(sums, qs), n))
+
+    def test_narrow_windows_of_small_n(self):
+        # Each row's sd is below 1 at the extreme p, so its window holds a term or two.
+        ps = [2.0**-53, 1e-9, 1e-3, 0.05, 0.95, 1.0 - 1e-3, 1.0 - 1e-9, 1.0 - 2.0**-53]
+        for n in range(1, 21):
+            np.testing.assert_array_equal(binomial_quantiles(WINDOW_LEVELS, n, ps),
+                                          _reference_grid(WINDOW_LEVELS, n, ps))
+            assert binomial_quantiles([], n, ps).shape == (len(ps), 0)
+
+    def test_exact_nn_band_window_size(self, monkeypatch):
+        # Every window term the band of N=10000 ranks on 0..1023 sums.  A window
+        # sized for Binomial(n, 1/2) in every row would make 1023 x 1201 = 1,228,623.
+        sizes = []
+        windows = rankstats._windows
+
+        def recorded(qs, n, ps):
+            chunks = windows(qs, n, ps)
+            sizes.extend(rows.size * width for rows, _, width in chunks)
+            return chunks
+        monkeypatch.setattr(rankstats, "_windows", recorded)
+        ecdf_band(10_000, 1023)
+        assert sum(sizes) == 517_663
+
+    def test_windows_take_each_row_once_in_bounded_chunks(self):
+        qs, n = np.array([0.005, 0.995]), 10_000
+        ps = np.concatenate([np.arange(1025) / 1024, [0.5, 2.0**-53]])
+        chunks = rankstats._windows(qs, n, ps)
+        rows = np.concatenate([rows for rows, _, _ in chunks])
+        np.testing.assert_array_equal(np.sort(rows), np.flatnonzero((ps > 0.0) & (ps < 1.0)))
+        widths = [width for _, _, width in chunks]
+        assert widths == sorted(widths, reverse=True)
+        for rows, firsts, width in chunks:
+            assert rows.size * (width + 1) <= max(rankstats.QUANTILE_CHUNK_FLOATS, width + 1)
+            assert firsts.min() >= 0 and firsts.max() + width <= n + 1
+
+    @pytest.mark.parametrize("n, p", [(-1, 0.5), (10, math.nan), (10, -1e-12),
+                                      (10, 1.0 + 1e-12), (10, [0.2, math.nan])])
+    def test_bad_trials_or_probability_rejected(self, n, p):
+        with pytest.raises(ValueError, match="number of trials|success probability"):
+            binomial_quantiles(0.5, n, p)
+
     @pytest.mark.parametrize("q", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, math.nan])
     def test_bad_level_rejected(self, q):
         with pytest.raises(ValueError, match=r"quantile level must be in \[0, 1\]"):
@@ -340,6 +400,12 @@ class TestEcdf:
     def test_band_for_another_count_rejected(self):
         with pytest.raises(ValueError, match="against a band for N=20"):
             ecdf_summary(np.zeros(10, dtype=int), ecdf_band(20, 9))
+
+    @pytest.mark.parametrize("N, coverage", [(0, 0.99), (-1, 0.99), (5, 0.0), (5, 1.0),
+                                             (5, -0.5), (5, 1.5), (5, math.nan)])
+    def test_bad_band_arguments_rejected(self, N, coverage):
+        with pytest.raises(ValueError, match="need N >= 1 and 0 < coverage < 1"):
+            ecdf_band(N, 9, coverage)
 
 
 class TestChiSquare:

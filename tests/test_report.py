@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import xml.etree.ElementTree as ET
@@ -147,7 +148,7 @@ class TestEcdfSvg:
 
 class TestSummarize:
     def test_contents(self, exact_artifact):
-        s = summarize(exact_artifact, "mu", rank_histograms(exact_artifact, ["mu"], B=10)[0])
+        s, = summarize(exact_artifact, ["mu"], rank_histograms(exact_artifact, ["mu"], B=10))
         assert s["N"] == 400
         assert s["B"] == 10
         assert sum(s["counts"]) == 400
@@ -160,11 +161,37 @@ class TestSummarize:
         json.loads(json.dumps(s))
 
     def test_default_binning_rule(self, exact_artifact):
-        s = summarize(exact_artifact, "mu", rank_histograms(exact_artifact, ["mu"])[0])
+        s, = summarize(exact_artifact, ["mu"], rank_histograms(exact_artifact, ["mu"]))
         assert s["B"] == 20  # largest divisor of 20 with 400/B >= 20
 
+    @pytest.mark.parametrize("n", [1, 2, 5, 300])
+    @pytest.mark.parametrize("constant_series", [False, True])
+    def test_ess_quartiles_equal_each_quantity_alone(self, monkeypatch, n, constant_series):
+        # A replication without a chain has no estimate for any quantity, and a
+        # constant series none for its own quantity.
+        rng = np.random.default_rng(n)
+        ess = rng.lognormal(3.0, 2.0, size=(n, 18))
+        ess[rng.random(n) < 0.3] = np.nan
+        if constant_series:
+            ess[rng.random(n) < 0.5, 4] = np.nan
+            ess[:, 7] = np.nan
+        artifact = eighteen_quantity_artifact()
+        artifact = dataclasses.replace(artifact, ranks=artifact.ranks[:n], ess=ess,
+                                       replications=np.arange(n))
+        calls, percentile = [], np.percentile
+        monkeypatch.setattr(np, "percentile", lambda *a, **k: calls.append(a) or percentile(*a, **k))
+        rows = summarize(artifact, artifact.quantities,
+                         rank_histograms(artifact, artifact.quantities, B=1))
+        for j, row in enumerate(rows):
+            column = ess[:, j][~np.isnan(ess[:, j])]
+            assert row["ess_quartiles"] == ([float(q) for q in percentile(column, [25, 50, 75])]
+                                            if column.size else None)
+        # One call for each set of quantities missing estimates in the same replications.
+        patterns = {known.tobytes() for known in ~np.isnan(ess.T) if known.any()}
+        assert len(calls) == len(patterns) <= (2 if constant_series else 1)
+
     def test_counts_sum_excludes_failures(self, exact_artifact):
-        s = summarize(exact_artifact, "mu", rank_histograms(exact_artifact, ["mu"])[0])
+        s, = summarize(exact_artifact, ["mu"], rank_histograms(exact_artifact, ["mu"]))
         assert sum(s["counts"]) == s["N"] - 0
 
 
@@ -178,7 +205,7 @@ class TestWriteReport:
         assert "mu" in summary
 
     def test_csv_has_one_row_per_quantity(self, exact_artifact):
-        rows = [summarize(exact_artifact, "mu", rank_histograms(exact_artifact, ["mu"], B=10)[0])]
+        rows = summarize(exact_artifact, ["mu"], rank_histograms(exact_artifact, ["mu"], B=10))
         text = summary_csv(rows)
         lines = text.strip().split("\n")
         assert len(lines) == 2
@@ -292,7 +319,7 @@ class TestWriteReport:
         original = report.summarize
 
         def counted(*args, **kwargs):
-            calls.append(args[1])
+            calls.extend(args[1])
             return original(*args, **kwargs)
         monkeypatch.setattr(report, "summarize", counted)
         write_report(two_quantity_artifact(), ReportRequest(artifact_path="x", formats=formats),

@@ -129,6 +129,15 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="RunConfig.model must be a JSON object"):
             RunConfig(model=model)
 
+    @pytest.mark.parametrize("thinning", ["off", "algorithm-2"])
+    @pytest.mark.parametrize("field, value, rule", [
+        ("sampler", 5, "a SamplerConfig"), ("sampler", {"kind": "hmc"}, "a SamplerConfig"),
+        ("corruption", "x", "a Corruption"), ("corruption", None, "a Corruption")])
+    def test_sampler_and_corruption_of_another_type_rejected_when_built(self, field, value,
+                                                                         rule, thinning):
+        with pytest.raises(ConfigError, match=f"RunConfig.{field} must be {rule}, got"):
+            RunConfig(N=3, thinning=thinning, **{field: value})
+
     def test_parse_errors_are_wrapped_once(self):
         d = config_to_dict(exact_config())
         d["sampler"]["warmup"] = -1
@@ -161,7 +170,7 @@ class TestRunSbc:
         assert artifact.quantities == ("mu",)
         assert artifact.ranks.shape == (1, 1)
         assert np.isnan(artifact.ess).all()
-        assert artifact.ess_for("mu").size == 0
+        assert np.isnan(artifact.ess_columns(["mu"])).all()
 
     def test_all_ranks_in_range(self):
         artifact = run(exact_config(N=200, L=19))
