@@ -3,6 +3,9 @@
 Exit codes: 0 success, 2 configuration error (including an output directory
 that cannot be created or an artifact that cannot be written there), 3 run
 aborted because too many replications failed, 4 report error.
+
+The run and report layers are imported by the subcommands that use them, so
+``list-models`` and ``list-samplers`` load only the config and model layers.
 """
 
 from __future__ import annotations
@@ -14,11 +17,9 @@ import os
 import sys
 from pathlib import Path
 
+from .config import FAILURE_RATE_CAP, SAMPLER_KINDS, SamplerConfig, config_from_dict
 from .errors import ConfigError, FailureRateExceeded, SbcError
 from .models import MODEL_KINDS
-from .report import ReportRequest, rank_histograms, summarize, write_report
-from .runner import FAILURE_RATE_CAP, config_from_dict, load_artifact, run, save_artifact
-from .samplers import SAMPLER_KINDS, SamplerConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -71,6 +72,9 @@ def _schema(cls) -> dict:
 
 
 def _cmd_run(args) -> int:
+    from .report import rank_histograms, summarize
+    from .runner import run, save_artifact
+
     try:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -123,6 +127,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_report(args) -> int:
+    from .report import ReportRequest, write_report
+    from .runner import load_artifact
+
     try:
         artifact = load_artifact(args.run)
         formats = tuple(f.strip() for f in args.format.split(",") if f.strip())

@@ -22,12 +22,14 @@ value depends on that row alone, never on how many rows share the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
 from .errors import UnknownParameter
-from .streams import RandomStream
+
+if TYPE_CHECKING:
+    from .streams import RandomStream
 
 
 @dataclass(frozen=True)

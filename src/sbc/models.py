@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -41,7 +42,9 @@ from .model import (
     UnconstrainingMap,
     coordinate,
 )
-from .streams import RandomStream
+
+if TYPE_CHECKING:
+    from .streams import RandomStream
 
 # Canonical eight-schools standard errors (Rubin 1981).
 EIGHT_SCHOOLS_SIGMA = (15.0, 10.0, 16.0, 11.0, 9.0, 11.0, 10.0, 18.0)

@@ -172,14 +172,20 @@ def _windows(qs: np.ndarray, n: int, ps: np.ndarray) -> list[tuple[np.ndarray, n
     return chunks
 
 
+def _is_count(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer >= 0; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 0
+
+
 def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
     """Smallest k with P(Binomial(n, p) <= k) >= q, for every p in ps and q in qs.
 
     Returns a (len(ps), len(qs)) int64 array.  Each entry is exactly what
     summing the pmf in sequence gives: ``cdf += math.exp(log_pmf(k))`` for
     k = 0, 1, ... until ``cdf >= q``, and n if that never happens; p <= 0
-    gives 0 and p >= 1 gives n.  A negative n, or a p that is NaN or outside
-    [0, 1], raises ValueError.
+    gives 0 and p >= 1 gives n.  An n that is not an integer >= 0 (a Python
+    or numpy integer, not a bool), or a p that is NaN or outside [0, 1],
+    raises ValueError.
 
     Each p's pmf is summed over a window sized by its own binomial (see
     :func:`_windows`), so a row costs O(sqrt(np(1-p))) terms rather than n+1.
@@ -210,8 +216,8 @@ def binomial_quantiles(qs, n: int, ps) -> np.ndarray:
     ps = np.atleast_1d(np.asarray(ps, dtype=np.float64))
     if not np.all((ps >= 0.0) & (ps <= 1.0)):
         raise ValueError("success probability must be in [0, 1]")
-    if n < 0:
-        raise ValueError(f"number of trials must be >= 0, got {n}")
+    if not _is_count(n):
+        raise ValueError(f"number of trials must be an integer >= 0, got {n!r}")
     out = np.empty((ps.size, qs.size), dtype=np.int64)
     out[:] = np.where(ps <= 0.0, 0, n)[:, None]
     chunks = _windows(qs, n, ps)
@@ -333,10 +339,13 @@ def build_histogram(ranks, L: int, B: int, coverage: float = 0.99) -> SbcHistogr
 def ecdf_band(N: int, L: int, coverage: float = 0.99) -> EcdfBand:
     """The pointwise ECDF band of N uniform ranks on 0..L (see :class:`EcdfBand`).
 
-    Every quantile comes from one :func:`binomial_quantiles` call.
+    Every quantile comes from one :func:`binomial_quantiles` call.  An L that
+    is not an integer >= 0 raises ValueError.
     """
     if N < 1 or not (0.0 < coverage < 1.0):
         raise ValueError(f"need N >= 1 and 0 < coverage < 1, got N={N}, coverage={coverage}")
+    if not _is_count(L):
+        raise ValueError(f"L must be an integer >= 0, got {L!r}")
     tail = (1.0 - coverage) / 2.0
     expected = np.arange(1, L + 2) / (L + 1)
     bounds = binomial_quantiles([tail, 1.0 - tail], N, expected) / N

@@ -27,8 +27,7 @@ import math
 import os
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from functools import partial
 from itertools import chain, groupby
 from pathlib import Path
@@ -36,13 +35,20 @@ from typing import Iterator
 
 import numpy as np
 
+from .config import (
+    FAILURE_RATE_CAP,
+    MCMC_KINDS,
+    RunConfig,
+    check_model,
+    config_from_dict,
+    config_to_dict,
+)
 from .errors import (
     BOOLEAN,
     NON_NEGATIVE,
     POSITIVE,
     AllConstant,
     ChecksumMismatch,
-    ConfigError,
     FailureRateExceeded,
     FormatVersionMismatch,
     InvalidArtifact,
@@ -51,19 +57,13 @@ from .errors import (
     Rule,
     SbcError,
     UnknownQuantity,
-    check_fields,
-    checked,
     integer,
-    one_of,
-    parse,
 )
 from .ess import ess_by_quantity, required_chain_length, thin_to
 from .model import GenerativeModel, Quantity, evaluate
 from .models import model_from_dict
 from .rankstats import rank_statistic
 from .samplers import (
-    Corruption,
-    SamplerConfig,
     corrupt,
     fit_meanfield_vi,
     sample_exact_conjugate,
@@ -74,10 +74,6 @@ from .streams import Streams
 
 FORMAT_VERSION = "1.1"
 INITIAL_CHAIN_FACTOR = 10
-DEFAULT_MAX_CHAIN_LENGTH = 100_000
-# A run aborts once more than floor(FAILURE_RATE_CAP * N) replications fail,
-# so no failure is allowed when N < 100.
-FAILURE_RATE_CAP = 0.01
 # Replications run in blocks of at most BLOCK_SIZE rows, fitted in lockstep.
 BLOCK_SIZE = 128
 # A lockstep fit holds its noise as one (steps, rows, d) float64 array, and an
@@ -85,63 +81,6 @@ BLOCK_SIZE = 128
 # which that array has at most BLOCK_FLOATS entries (16 MiB), which caps the
 # memory of Algorithm 2's long reruns.
 BLOCK_FLOATS = 2**21
-
-_MCMC_KINDS = ("rw-metropolis", "hmc")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    model: dict = checked(Rule("a JSON object", lambda v: isinstance(v, dict)),
-                          default_factory=lambda: {"kind": "normal-normal"})
-    sampler: SamplerConfig = checked(
-        Rule("a SamplerConfig", lambda v: isinstance(v, SamplerConfig)),
-        default_factory=SamplerConfig)
-    corruption: Corruption = checked(
-        Rule("a Corruption", lambda v: isinstance(v, Corruption)), default_factory=Corruption)
-    N: int = checked(integer(1), 2000)
-    L: int = checked(integer(1), 99)
-    thinning: str = checked(one_of("off", "algorithm-2"), "off")
-    master_seed: int = checked(integer(0), 0)
-    max_chain_length: int = checked(integer(1), DEFAULT_MAX_CHAIN_LENGTH)
-    worker_count_hint: int = checked(integer(1), 1)
-
-    def __post_init__(self):
-        # Canonicalize the model mapping through JSON so that save/load
-        # round-trips compare equal (tuples become lists, keys become str).
-        object.__setattr__(self, "model", json.loads(json.dumps(self.model)))
-        check_fields(self, ConfigError)
-        if self.thinning == "algorithm-2" and self.sampler.kind not in _MCMC_KINDS:
-            raise ConfigError("algorithm-2 thinning requires an MCMC sampler")
-        if self.max_chain_length < self.L:
-            raise ConfigError("max_chain_length must be >= L")
-
-
-def config_to_dict(config: RunConfig) -> dict:
-    return asdict(config)
-
-
-def config_from_dict(d: dict) -> RunConfig:
-    """Strict parse of the JSON run-config shape; unknown keys are rejected."""
-    config = parse(RunConfig, d, ConfigError, "config", required=("model", "sampler"),
-                   sampler=partial(parse, SamplerConfig, error=ConfigError, what="sampler"),
-                   corruption=partial(parse, Corruption, error=ConfigError, what="corruption"))
-    try:
-        model = model_from_dict(config.model)  # validate eagerly for fast feedback
-    except SbcError as exc:
-        raise ConfigError(f"invalid model spec: {exc}") from exc
-    _check_model(config, model)
-    return config
-
-
-def _check_model(config: RunConfig, model: GenerativeModel) -> None:
-    """Reject a config that would fail every replication of ``model``."""
-    if config.sampler.kind == "exact-conjugate" and model.exact_posterior is None:
-        raise ConfigError(f"the exact-conjugate sampler needs a closed-form posterior; "
-                          f"model {model.name!r} has none")
-    target = config.corruption.target_quantity
-    if config.corruption.kind != "none" and target not in model.parameter_names:
-        raise ConfigError(f"corruption target {target!r} is not a parameter of model "
-                          f"{model.name!r}; choose from {list(model.parameter_names)}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +131,7 @@ class RunArtifact:
 def _build(config: RunConfig) -> tuple[GenerativeModel, tuple[Quantity, ...]]:
     """The run's checked model, and its quantities in the rank table's column order (by name)."""
     model = model_from_dict(config.model)
-    _check_model(config, model)
+    check_model(config, model)
     return model, tuple(sorted(model.quantities, key=lambda q: q.name))
 
 
@@ -304,7 +243,7 @@ def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, 
             block.fail(group[k], exc)
         block.record(group, **fit.health)
         draws[group] = thin_to(fit.draws, config.L, lengths)
-        if cfg.kind in _MCMC_KINDS:
+        if cfg.kind in MCMC_KINDS:
             first = 0
             for n, run in groupby(lengths.tolist()):
                 stop = first + len(list(run))
@@ -458,6 +397,8 @@ def run(config: RunConfig) -> RunArtifact:
     if workers == 1:
         table = _collect(config, _run_blocks(config, model, quantities, range(config.N)))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # a serial run never loads the pool
+
         size = min(BLOCK_SIZE, math.ceil(config.N / workers))
         chunks = [range(start, min(start + size, config.N)) for start in range(0, config.N, size)]
         with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:

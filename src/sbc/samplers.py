@@ -42,26 +42,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import (
-    FINITE,
-    POSITIVE,
-    Diverged,
-    InvalidSpec,
-    NonFiniteDensity,
-    NotConjugate,
-    SbcError,
-    UnknownParameter,
-    check_fields,
-    checked,
-    integer,
-    one_of,
-)
+from .errors import Diverged, NonFiniteDensity, NotConjugate, SbcError, UnknownParameter
 from .model import GenerativeModel, posterior_target
 
-SAMPLER_KINDS = ("exact-conjugate", "rw-metropolis", "hmc", "meanfield-vi")
+if TYPE_CHECKING:
+    from .config import Corruption
 
 # Standard acceptance-rate targets for warmup step-size adaptation.
 RW_TARGET_ACCEPT_1D = 0.44
@@ -70,40 +59,6 @@ HMC_TARGET_ACCEPT = 0.8
 
 # Energy error (negated log ratio) beyond which a proposal is divergent.
 DIVERGENCE_THRESHOLD = 1e3
-
-
-@dataclass(frozen=True)
-class SamplerConfig:
-    kind: str = checked(one_of(*SAMPLER_KINDS), "exact-conjugate")
-    step_size: float = checked(POSITIVE, 0.5)
-    n_leapfrog: int = checked(integer(1), 10)
-    vi_iterations: int = checked(integer(1), 10_000)
-    vi_learning_rate: float = checked(POSITIVE, 0.05)
-    warmup: int = checked(integer(0), 200)
-
-    def __post_init__(self):
-        check_fields(self, InvalidSpec)
-
-
-@dataclass(frozen=True)
-class Corruption:
-    """Deterministic defect injected into posterior draws.
-
-    ``shift`` adds ``amount`` to one coordinate (posterior biased by +amount);
-    ``scale`` multiplies that coordinate's deviations from the draw mean by
-    ``amount`` (overdispersed posterior for amount > 1, underdispersed below).
-    """
-
-    kind: str = checked(one_of("none", "shift", "scale"), "none")
-    amount: float = checked(FINITE, 0.0)
-    target_quantity: str = ""
-
-    def __post_init__(self):
-        check_fields(self, InvalidSpec)
-        if self.kind == "scale" and not self.amount > 0:
-            raise InvalidSpec("scale corruption requires amount > 0")
-        if self.kind != "none" and not self.target_quantity:
-            raise InvalidSpec("corruption requires a target_quantity")
 
 
 def sample_exact_conjugate(model: GenerativeModel, observations: np.ndarray, L: int,

@@ -7,7 +7,8 @@ import pytest
 
 from sbc import cli, models, rankstats, runner
 from sbc.cli import main
-from sbc.runner import config_from_dict, run, save_artifact
+from sbc.config import config_from_dict
+from sbc.runner import run, save_artifact
 from sbc.streams import RandomStream
 
 from sbc_test_models import make_flagged_model
@@ -203,7 +204,7 @@ def test_out_that_cannot_be_created_exits_2_before_running(tiny_config, tmp_path
                                                            monkeypatch):
     blocker = tmp_path / "file"
     blocker.write_text("")
-    monkeypatch.setattr(cli, "run", lambda config: pytest.fail("the run started"))
+    monkeypatch.setattr(runner, "run", lambda config: pytest.fail("the run started"))
     for out in (blocker / "artifact", blocker):
         assert main(["run", "--config", str(tiny_config), "--out", str(out)]) == 2
         err = capsys.readouterr().err

@@ -15,11 +15,10 @@ import sys
 import numpy as np
 import pytest
 
+from sbc.config import SAMPLER_KINDS, Corruption, RunConfig, SamplerConfig
 from sbc.errors import ConfigError, InvalidSpec
 from sbc.models import EIGHT_SCHOOLS_SIGMA, EightSchoolsSpec, LinRegSpec, NormalNormalSpec
 from sbc.report import REPORT_FORMATS, ReportRequest
-from sbc.runner import RunConfig
-from sbc.samplers import SAMPLER_KINDS, Corruption, SamplerConfig
 
 # ---------------------------------------------------------------------------
 # The reference checks

@@ -17,8 +17,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sbc.config import config_from_dict
 from sbc.report import ReportRequest, write_report
-from sbc.runner import config_from_dict, load_artifact, run, save_artifact
+from sbc.runner import load_artifact, run, save_artifact
 
 DIGESTS = Path(__file__).with_name("golden_digests.json")
 

@@ -344,6 +344,16 @@ class TestBinomialQuantiles:
         with pytest.raises(ValueError, match="number of trials|success probability"):
             binomial_quantiles(0.5, n, p)
 
+    def test_trials_that_are_not_an_integer_rejected(self):
+        for n in (10.5, 10.0, True, "10"):
+            with pytest.raises(ValueError, match="number of trials must be an integer >= 0"):
+                binomial_quantiles(0.5, n, 0.3)
+
+    def test_numpy_integer_trials_accepted(self):
+        for n in (np.int64(10), np.int32(10), np.uint8(10)):
+            np.testing.assert_array_equal(binomial_quantiles([0.05, 0.5], n, 0.3),
+                                          binomial_quantiles([0.05, 0.5], 10, 0.3))
+
     @pytest.mark.parametrize("q", [-1e-12, -0.5, 1.0 + 1e-12, 2.0, math.nan])
     def test_bad_level_rejected(self, q):
         with pytest.raises(ValueError, match=r"quantile level must be in \[0, 1\]"):
@@ -406,6 +416,15 @@ class TestEcdf:
     def test_bad_band_arguments_rejected(self, N, coverage):
         with pytest.raises(ValueError, match="need N >= 1 and 0 < coverage < 1"):
             ecdf_band(N, 9, coverage)
+
+    def test_negative_L_rejected(self):
+        with pytest.raises(ValueError, match="L must be an integer >= 0, got -1"):
+            ecdf_band(10, -1)
+
+    @pytest.mark.parametrize("L", [2.5, 9.0, True])
+    def test_L_that_is_not_an_integer_rejected(self, L):
+        with pytest.raises(ValueError, match="L must be an integer >= 0"):
+            ecdf_band(10, L)
 
 
 class TestChiSquare:

@@ -8,6 +8,7 @@ import pytest
 
 import sbc.rankstats as rankstats
 import sbc.report as report
+from sbc.config import RunConfig, SamplerConfig
 from sbc.errors import UnknownQuantity
 from sbc.rankstats import binomial_quantiles, ecdf_band, ecdf_summary, rebin
 from sbc.report import (
@@ -19,8 +20,7 @@ from sbc.report import (
     summary_csv,
     write_report,
 )
-from sbc.runner import RunArtifact, RunConfig, run
-from sbc.samplers import SamplerConfig
+from sbc.runner import RunArtifact, run
 
 
 def artifact_from_ranks(ranks, L=19, quantities=("mu",)):

@@ -1,4 +1,5 @@
 import collections
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from sbc import runner
 from sbc.cli import main
+from sbc.config import Corruption, RunConfig, SamplerConfig, config_from_dict, config_to_dict
 from sbc.errors import (
     ChecksumMismatch,
     ConfigError,
@@ -22,18 +24,10 @@ from sbc.errors import (
     InvalidSpec,
 )
 from sbc.rankstats import build_histogram, chi_square_uniformity, classify_shape, default_bins
-from sbc.runner import (
-    RunArtifact,
-    RunConfig,
-    config_from_dict,
-    config_to_dict,
-    load_artifact,
-    run,
-    save_artifact,
-)
+from sbc.runner import RunArtifact, load_artifact, run, save_artifact
 from sbc.model import PosteriorTarget, Quantity
 from sbc.models import model_from_dict
-from sbc.samplers import Corruption, SamplerConfig, sample_exact_conjugate
+from sbc.samplers import sample_exact_conjugate
 from sbc.streams import RandomStream
 
 from sbc_test_models import make_flagged_model
@@ -377,14 +371,14 @@ class TestDeterminism:
                 chunks.extend(len(r) for r in ranges)
                 return map(fn, ranges)
 
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(runner, "_usable_cpus", lambda: cpus)
         pooled = run(exact_config(N=N, worker_count_hint=7))
         assert (pools, chunks) == ([pool], chunk_sizes)
         assert_same_table(pooled, run(exact_config(N=N)))
 
     def test_one_usable_cpu_takes_the_serial_path(self, monkeypatch):
-        monkeypatch.setattr(runner, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             lambda **kwargs: pytest.fail("a pool was started"))
         monkeypatch.setattr(runner, "_usable_cpus", lambda: 1)
         assert_same_table(run(exact_config(N=10, worker_count_hint=7)),

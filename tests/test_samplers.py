@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from sbc.config import Corruption, SamplerConfig
 from sbc.errors import Diverged, InvalidSpec, NonFiniteDensity, NotConjugate, UnknownParameter
 from sbc.ess import effective_sample_sizes
 from sbc.model import (
@@ -20,8 +21,6 @@ from sbc.samplers import (
     HMC_TARGET_ACCEPT,
     RW_TARGET_ACCEPT_1D,
     RW_TARGET_ACCEPT_ND,
-    Corruption,
-    SamplerConfig,
     _draw_block,
     _start,
     corrupt,
