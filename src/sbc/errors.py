@@ -112,8 +112,11 @@ def is_finite_number(value) -> bool:
         return False
 
 
-def integer(at_least: int) -> Rule:
-    return Rule(f"an integer >= {at_least}", lambda v: is_integer(v) and v >= at_least)
+def integer(at_least: int, at_most: int | None = None) -> Rule:
+    if at_most is None:
+        return Rule(f"an integer >= {at_least}", lambda v: is_integer(v) and v >= at_least)
+    return Rule(f"an integer in [{at_least}, {at_most}]",
+                lambda v: is_integer(v) and at_least <= v <= at_most)
 
 
 def one_of(*choices) -> Rule:

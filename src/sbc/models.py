@@ -92,7 +92,7 @@ class NormalNormalSpec:
     prior_mean: float = checked(FINITE, 0.0)
     prior_sd: float = checked(_SCALE, 1.0)
     likelihood_sd: float = checked(_SCALE, 1.0)
-    n_obs: int = checked(integer(1), 1)
+    n_obs: int = checked(integer(1, 2**20), 1)  # a block's (128, n_obs) data fit in 1 GiB
 
     def __post_init__(self):
         check_fields(self, InvalidSpec)
@@ -152,7 +152,7 @@ def _default_covariates(n_obs: int) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class LinRegSpec:
-    n_obs: int = checked(integer(1), 25)
+    n_obs: int = checked(integer(1, 2**20), 25)  # as NormalNormalSpec.n_obs
     covariates: tuple[float, ...] | None = checked(_COVARIATES, None)
     prior_sd_alpha: float = checked(_SCALE, 10.0)
     prior_sd_beta: float = checked(_SCALE, 10.0)

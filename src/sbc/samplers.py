@@ -26,12 +26,17 @@ and then draws each row's L values from its own stream into a bare
 Both MCMC samplers are one Metropolis loop, :func:`_metropolis`, with
 different proposals: random-walk Metropolis proposes ``z + step * noise``,
 HMC takes the noise as momentum and proposes a leapfrog trajectory's end
-with the negated energy error as log ratio.  A non-finite log ratio, or one
-below -DIVERGENCE_THRESHOLD, is divergent and rejected (exp underflows to 0
-there anyway); any other is accepted with probability min(1, exp(ratio)).
-Warmup moves each row's log step size by (acceptance probability - target)
-/ sqrt(t + 1) and then freezes it, so the retained chain is Markovian; row r
-keeps lengths[r] <= n_steps states, those of a fit of that length alone.
+with the negated energy error as log ratio.  The loop keeps one
+:class:`ChainState` of (R, .) arrays, and each row has warmup + lengths[r]
+transitions: it stops moving when they run out, or at once if its start
+failed, and its acceptances and divergences are counted as its transitions
+happen.  A non-finite log ratio, or one below -DIVERGENCE_THRESHOLD, is
+divergent and rejected (exp underflows to 0 there anyway); any other is
+accepted with probability min(1, exp(ratio)).  Warmup moves each row's log
+step size by (acceptance probability - target) / sqrt(t + 1), on one clock
+shared by all rows, and then freezes it, so the retained chain is Markovian;
+row r keeps lengths[r] <= n_steps states, those of a fit of that length
+alone, and repeats its last one to n_steps.
 
 Corruption wrappers inject the canonical failure modes (shifted or rescaled
 marginals) into otherwise exact draws so the diagnostics can be exercised
@@ -117,80 +122,78 @@ def _draw_block(model: GenerativeModel, draws: np.ndarray, failures: dict,
     return DrawBlock(model.unconstraining_map.constrain_matrix(draws), failures, health)
 
 
-def _start(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int, lengths):
-    """Initial points, the rows' noise and uniforms, and the target bound to their datasets.
+@dataclass
+class ChainState:
+    """Lockstep chains' state, one row per chain: the point, the kernel's extras at it
+    (HMC's gradient), its log density, the log step size and the transitions left.  A row
+    moves only while it has transitions left; one whose start failed has none."""
 
-    Row r runs warmup + lengths[r] steps, lengths[r] <= n_steps.
-    The rows take their streams in order, each in one pass: row r draws its
-    initial point from the prior, then a (steps, d) block of standard
-    normals, then ``steps`` uniforms; past its last step it is padded with
-    zero noise and uniforms of 1, which reject every move.  A row whose
-    initial point or initial density is non-finite fails alone
-    (:class:`NonFiniteDensity`): its noise and uniforms are reset to zero and
-    1 (the discarded draws came from its own stream), so it rejects every
-    move, and its arithmetic never reaches another row.  Returns (target, z,
-    logp, noise, unifs, lengths, failures): noise (warmup + n_steps, R, d),
-    uniforms (warmup + n_steps, R), the rows' lengths (R,), and a map from
-    each failed row to its error.
-    """
-    R, d = len(observations), len(model.parameter_names)
-    lengths = np.asarray(lengths)
-    Z = np.empty((R, d))
-    noise = np.zeros((warmup + n_steps, R, d))
-    unifs = np.ones((warmup + n_steps, R))
-    for r, rng in enumerate(rngs):
-        Z[r] = model.unconstraining_map.unconstrain(model.prior_simulator(rng))
-        steps = warmup + lengths[r]
-        noise[:steps, r] = rng.standard_normal((steps, d))
-        unifs[:steps, r] = rng.uniform(size=steps)
-    target = posterior_target(model, observations)
-    logp = target.logpdf(Z)
-    failed = np.flatnonzero(~(np.isfinite(logp) & np.isfinite(Z).all(axis=1)))
-    noise[:, failed] = 0.0
-    unifs[:, failed] = 1.0
-    failures: dict[int, SbcError] = {
-        r: NonFiniteDensity(f"non-finite log density at initial point {Z[r]}")
-        for r in failed.tolist()}
-    return target, Z, logp, noise, unifs, lengths, failures
+    point: np.ndarray
+    extras: tuple[np.ndarray, ...]
+    logp: np.ndarray
+    log_step: np.ndarray
+    left: np.ndarray
 
 
 def _metropolis(model: GenerativeModel, observations, rngs, warmup: int, n_steps: int,
                 lengths, step_size: float, accept_target: float, kernel,
                 columns: tuple[str, ...]) -> DrawBlock:
-    """Lockstep Metropolis chains.  ``kernel(target, z)`` returns the rows' initial state,
-    a tuple of (R, d) arrays led by the point, and ``propose(state, logp, step, noise)``,
-    which returns a proposed state, its log density and its log ratio.  ``columns`` names
-    the health kept, of ``acceptance_rate`` and ``divergences`` over each row's lengths[r]
-    retained steps and its final ``step_size``."""
+    """Lockstep Metropolis chains; row r makes warmup + lengths[r] transitions.
+
+    The rows take their streams in order, each in one pass: row r draws its
+    initial point from the prior, then a (warmup + lengths[r], d) block of
+    standard normals, then as many uniforms.  A row whose initial point or
+    initial density is non-finite fails alone (:class:`NonFiniteDensity`) and
+    never moves.  ``kernel(target, z)`` returns the extras at the initial
+    points and ``propose(state, step, noise)``, which returns a proposed point,
+    its extras, its log density and its log ratio.  ``columns`` names the health
+    kept, of ``acceptance_rate`` and ``divergences`` over each row's lengths[r]
+    retained transitions and its final ``step_size``."""
+    lengths = np.asarray(lengths)
+    if lengths.dtype.kind not in "iu" or not np.all((lengths >= 1) & (lengths <= n_steps)):
+        raise ValueError(f"lengths must be integers in [1, n_steps={n_steps}], got {lengths}")
+    R, d = len(observations), len(model.parameter_names)
     with np.errstate(all="ignore"):
-        target, z, logp, noise, unifs, lengths, failures = _start(
-            model, observations, rngs, warmup, n_steps, lengths)
-        state, propose = kernel(target, z)
-        log_step = np.full(z.shape[0], math.log(step_size))
-        draws = np.empty((z.shape[0], n_steps, z.shape[1]))
-        accepted = np.empty((n_steps, z.shape[0]), dtype=bool)
-        divergences = np.empty((n_steps, z.shape[0]), dtype=bool)
+        z = np.empty((R, d))
+        # Past its transitions a row's noise and uniforms stay 0: it proposes but never moves.
+        noise = np.zeros((warmup + n_steps, R, d))
+        unifs = np.zeros((warmup + n_steps, R))
+        for r, (rng, steps) in enumerate(zip(rngs, (warmup + lengths).tolist())):
+            z[r] = model.unconstraining_map.unconstrain(model.prior_simulator(rng))
+            noise[:steps, r] = rng.standard_normal((steps, d))
+            unifs[:steps, r] = rng.uniform(size=steps)
+        target = posterior_target(model, observations)
+        logp = target.logpdf(z)
+        ok = np.isfinite(logp) & np.isfinite(z).all(axis=1)
+        failures = {r: NonFiniteDensity(f"non-finite log density at initial point {z[r]}")
+                    for r in np.flatnonzero(~ok).tolist()}
+        extras, propose = kernel(target, z)
+        state = ChainState(z, extras, logp, np.full(R, math.log(step_size)),
+                           np.where(ok, warmup + lengths, 0))
+        draws = np.empty((R, n_steps, d))
+        accepted, divergences = np.zeros((2, R), dtype=int)
         for t in range(warmup + n_steps):
-            proposed, logp_new, log_ratio = propose(state, logp, np.exp(log_step)[:, np.newaxis],
-                                                    noise[t])
+            live = state.left > 0
+            point, extras, logp_new, log_ratio = propose(
+                state, np.exp(state.log_step)[:, np.newaxis], noise[t])
             divergent = ~np.isfinite(log_ratio) | (log_ratio < -DIVERGENCE_THRESHOLD)
             accept_prob = np.where(divergent, 0.0, np.exp(np.minimum(0.0, log_ratio)))
-            took = unifs[t] < accept_prob  # never where divergent: uniforms are >= 0
-            state = tuple(np.where(took[:, np.newaxis], new, old)
-                          for new, old in zip(proposed, state))
-            logp = np.where(took, logp_new, logp)
+            took = live & (unifs[t] < accept_prob)  # never where divergent: uniforms are >= 0
+            state.point = np.where(took[:, np.newaxis], point, state.point)
+            state.extras = tuple(np.where(took[:, np.newaxis], new, old)
+                                 for new, old in zip(extras, state.extras))
+            state.logp = np.where(took, logp_new, state.logp)
+            state.left -= live
             if t < warmup:
-                log_step += (accept_prob - accept_target) / math.sqrt(t + 1.0)
+                state.log_step += (accept_prob - accept_target) / math.sqrt(t + 1.0)
             else:
-                draws[:, t - warmup] = state[0]
-                accepted[t - warmup] = took
-                divergences[t - warmup] = divergent
+                draws[:, t - warmup] = state.point
+                accepted += took
+                divergences += live & divergent
 
-        kept = np.arange(n_steps)[:, np.newaxis] < lengths
         # math.exp, not np.exp: the two differ in the last bit on some arguments.
-        health = {"acceptance_rate": (accepted & kept).sum(axis=0) / lengths,
-                  "divergences": (divergences & kept).sum(axis=0),
-                  "step_size": np.array([math.exp(x) for x in log_step.tolist()])}
+        health = {"acceptance_rate": accepted / lengths, "divergences": divergences,
+                  "step_size": np.array([math.exp(x) for x in state.log_step.tolist()])}
         return _draw_block(model, draws, failures, {name: health[name] for name in columns})
 
 
@@ -203,11 +206,11 @@ def sample_rw_metropolis(model: GenerativeModel, observations, n_steps: int, ste
     RW_TARGET_ACCEPT_ND; the health columns are ``acceptance_rate`` and ``step_size``.
     """
     def kernel(target, z):
-        def propose(state, logp, step, noise):
-            proposal = state[0] + step * noise
+        def propose(state, step, noise):
+            proposal = state.point + step * noise
             logp_prop = target.logpdf(proposal)
-            return (proposal,), logp_prop, logp_prop - logp
-        return (z,), propose
+            return proposal, (), logp_prop, logp_prop - state.logp
+        return (), propose
 
     d = len(model.parameter_names)
     return _metropolis(model, observations, rngs, warmup, n_steps, lengths, step_size,
@@ -248,13 +251,13 @@ def sample_hmc(model: GenerativeModel, observations, n_steps: int, step_size: fl
     row-local): a fit makes 1 + transitions * n_leapfrog gradient calls.
     """
     def kernel(target, z):
-        def propose(state, logp, step, p0):
-            h0 = 0.5 * (p0 * p0).sum(axis=1) - logp
-            z_new, p_new, g_new = leapfrog(state[0], p0, state[1], step, n_leapfrog, target.grad)
-            logp_new = target.logpdf(z_new)
-            delta_h = -logp_new + 0.5 * (p_new * p_new).sum(axis=1) - h0
-            return (z_new, g_new), logp_new, -delta_h
-        return (z, target.grad(z)), propose
+        def propose(state, step, p0):
+            h0 = 0.5 * (p0 * p0).sum(axis=1) - state.logp
+            z, p, g = leapfrog(state.point, p0, *state.extras, step, n_leapfrog, target.grad)
+            logp_new = target.logpdf(z)
+            delta_h = -logp_new + 0.5 * (p * p).sum(axis=1) - h0
+            return z, (g,), logp_new, -delta_h
+        return (target.grad(z),), propose
 
     return _metropolis(model, observations, rngs, warmup, n_steps, lengths, step_size,
                        HMC_TARGET_ACCEPT, kernel, ("acceptance_rate", "divergences", "step_size"))

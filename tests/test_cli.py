@@ -200,6 +200,17 @@ def test_non_integer_or_non_finite_numbers_exit_2(change, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("model, spec", [("normal-normal", "NormalNormalSpec"),
+                                         ("lin-reg", "LinRegSpec")])
+def test_n_obs_above_2_to_the_20_exits_2(model, spec, tmp_path, capsys):
+    config = tmp_path / "n_obs.json"
+    config.write_text(json.dumps({"model": {"kind": model, "n_obs": 2**20 + 1},
+                                  "sampler": {"kind": "hmc"}, "N": 20, "L": 15}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"sbc: config error: invalid model spec: {spec}.n_obs "
+                                       "must be an integer in [1, 1048576], got 1048577\n")
+
+
 def test_out_that_cannot_be_created_exits_2_before_running(tiny_config, tmp_path, capsys,
                                                            monkeypatch):
     blocker = tmp_path / "file"

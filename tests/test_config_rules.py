@@ -308,3 +308,13 @@ CROSS_FIELD_CASES = {
 @pytest.mark.parametrize("cls", list(CROSS_FIELD_CASES), ids=lambda cls: cls.__name__)
 def test_cross_field_cases_accept_and_refuse_what_the_old_checks_did(cls):
     assert mismatches(cls, CROSS_FIELD_CASES[cls]) == []
+
+
+@pytest.mark.parametrize("cls", [NormalNormalSpec, LinRegSpec], ids=lambda cls: cls.__name__)
+def test_n_obs_is_at_most_2_to_the_20(cls):
+    """A block's (128, n_obs) observations then fit in 1 GiB; a larger n_obs is refused
+    before lin-reg builds its default covariates."""
+    assert cls(n_obs=2**20).n_obs == 2**20
+    with pytest.raises(InvalidSpec, match=rf"^{cls.__name__}\.n_obs must be an integer in "
+                                          r"\[1, 1048576\], got 1048577$"):
+        cls(n_obs=2**20 + 1)

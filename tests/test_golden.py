@@ -35,6 +35,11 @@ CONFIGS = {
     "hmc-8s-nc-alg2": {"model": {"kind": "eight-schools", "parameterization": "non-centered"},
                        "sampler": {"kind": "hmc"}, "N": 20, "L": 99,
                        "thinning": "algorithm-2", "master_seed": 14},
+    # Nineteen of twenty rows stop at max_chain_length, still short of L effective draws.
+    "hmc-8s-c-alg2-cap": {"model": {"kind": "eight-schools", "parameterization": "centered"},
+                          "sampler": {"kind": "hmc"}, "N": 20, "L": 31,
+                          "thinning": "algorithm-2", "max_chain_length": 600,
+                          "master_seed": 20},
     "hmc-8s-nc-off": {"model": {"kind": "eight-schools", "parameterization": "non-centered"},
                       "sampler": {"kind": "hmc"}, "N": 20, "L": 99, "thinning": "off",
                       "master_seed": 18},

@@ -257,12 +257,12 @@ class TestBinomialQuantiles:
             np.testing.assert_array_equal(binomial_quantiles(qs, n, ps), expected)
 
     def test_window_width_does_not_change_results(self, monkeypatch):
-        # At n=2000 the default windows (539 terms) start past k=0 for p above
-        # about 0.13 and end before n below about 0.87, so levels 0, 1e-9, 1-1e-9
-        # and 1 cross at a window's first term or past its end and are summed
-        # again.  Windows of 1 and 47 terms leave out most of the pmf, so a level
-        # that crosses inside them is summed again for the terms left out.  At
-        # p = 1 - 2**-53 a window of 1 holds nearly all the mass at k = n, and
+        # At n=2000 the default windows (one chunk of 405 terms) start past k=0
+        # from p about 0.045 and end before n up to about 0.86, so levels 0, 1e-9,
+        # 1-1e-9 and 1 cross at a window's first term or past its end and are
+        # summed again.  Windows of 2 and 47 terms leave out most of the pmf, so a
+        # level that crosses inside them is summed again for the terms left out.
+        # At p = 1 - 2**-53 a window of 2 holds nearly all the mass at k = n, and
         # level 0 is summed again only for crossing at the window's first term.
         qs, n = (*SPECIAL_LEVELS, 0.5), 2000
         ps = [*np.linspace(0.0, 1.0, 23), 1.0 - 2.0**-53]
@@ -272,7 +272,7 @@ class TestBinomialQuantiles:
             np.testing.assert_array_equal(binomial_quantiles(qs, n, ps), expected)
 
     def test_exact_nn_band(self):
-        # The band of N=10000 ranks on 0..1023 (windows of 1201 of the 10001
+        # The band of N=10000 ranks on 0..1023 (windows of 280 to 617 of the 10001
         # terms) at every 16th point and the first and last 8, against the
         # reference's running sums, computed once per point.
         N, L = 10_000, 1023

@@ -148,7 +148,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as caught:
             config_from_dict(d)
         assert str(caught.value) == "invalid model spec: NormalNormalSpec.n_obs must be an " \
-                                    "integer >= 1, got 0"
+                                    "integer in [1, 1048576], got 0"
 
     @pytest.mark.parametrize("kind", [[], {}, 1, None])
     def test_model_kind_that_is_not_a_name_is_a_config_error(self, kind):

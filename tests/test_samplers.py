@@ -22,7 +22,6 @@ from sbc.samplers import (
     RW_TARGET_ACCEPT_1D,
     RW_TARGET_ACCEPT_ND,
     _draw_block,
-    _start,
     corrupt,
     fit_meanfield_vi,
     leapfrog,
@@ -240,11 +239,49 @@ def health_columns(rows):
     return {key: np.array([row[key] for row in rows]) for key in rows[0]}
 
 
+def reference_start(model, observations, rngs, warmup, n_steps, lengths):
+    """Initial points, the rows' noise and uniforms, and the target bound to their datasets,
+    as the samplers drew them before a row stopped when its transitions ran out.
+
+    Row r runs warmup + lengths[r] steps, lengths[r] <= n_steps.
+    The rows take their streams in order, each in one pass: row r draws its
+    initial point from the prior, then a (steps, d) block of standard
+    normals, then ``steps`` uniforms; past its last step it is padded with
+    zero noise and uniforms of 1, which reject every move.  A row whose
+    initial point or initial density is non-finite fails alone
+    (:class:`NonFiniteDensity`): its noise and uniforms are reset to zero and
+    1 (the discarded draws came from its own stream), so it rejects every
+    move, and its arithmetic never reaches another row.  Returns (target, z,
+    logp, noise, unifs, lengths, failures): noise (warmup + n_steps, R, d),
+    uniforms (warmup + n_steps, R), the rows' lengths (R,), and a map from
+    each failed row to its error.
+    """
+    R, d = len(observations), len(model.parameter_names)
+    lengths = np.asarray(lengths)
+    Z = np.empty((R, d))
+    noise = np.zeros((warmup + n_steps, R, d))
+    unifs = np.ones((warmup + n_steps, R))
+    for r, rng in enumerate(rngs):
+        Z[r] = model.unconstraining_map.unconstrain(model.prior_simulator(rng))
+        steps = warmup + lengths[r]
+        noise[:steps, r] = rng.standard_normal((steps, d))
+        unifs[:steps, r] = rng.uniform(size=steps)
+    target = posterior_target(model, observations)
+    logp = target.logpdf(Z)
+    failed = np.flatnonzero(~(np.isfinite(logp) & np.isfinite(Z).all(axis=1)))
+    noise[:, failed] = 0.0
+    unifs[:, failed] = 1.0
+    failures = {
+        r: NonFiniteDensity(f"non-finite log density at initial point {Z[r]}")
+        for r in failed.tolist()}
+    return target, Z, logp, noise, unifs, lengths, failures
+
+
 def reference_sample_hmc(model, datasets, n_steps, step_size, n_leapfrog, warmup, rngs,
                          lengths):
     """HMC as it was before the gradient was carried between transitions."""
     with np.errstate(all="ignore"):
-        target, z, logp, momenta, unifs, lengths, failures = _start(
+        target, z, logp, momenta, unifs, lengths, failures = reference_start(
             model, datasets, rngs, warmup, n_steps, lengths)
         log_step = np.full(z.shape[0], math.log(step_size))
         draws = np.empty((len(rngs), n_steps, z.shape[1]))
@@ -279,7 +316,7 @@ def reference_sample_rw_metropolis(model, datasets, n_steps, step_size, warmup, 
                                    lengths):
     """Random-walk Metropolis as it was written before it shared HMC's transition loop."""
     with np.errstate(all="ignore"):
-        target, z, logp, noise, unifs, lengths, failures = _start(
+        target, z, logp, noise, unifs, lengths, failures = reference_start(
             model, datasets, rngs, warmup, n_steps, lengths)
         d = z.shape[1]
         accept_target = RW_TARGET_ACCEPT_1D if d == 1 else RW_TARGET_ACCEPT_ND
@@ -339,6 +376,19 @@ class TestCarriedGradient:
                            [RandomStream(67, i, "chain") for i in range(4)], [50] * 4)
         block = fit(sample_hmc)
         assert isinstance(block.failures[1], NonFiniteDensity)
+        assert_same_rows(block, fit(reference_sample_hmc))
+
+    def test_failed_row_in_ragged_block_matches_reference(self):
+        """A failed row starts with no transitions left while the others stop one by one."""
+        model = make_flagged_model(cut=5.0)
+        datasets = np.array([[y] for y in (0.3, 9.0, -1.2, 0.8)])
+
+        def fit(sampler):
+            return sampler(model, datasets, 50, 0.5, 5, 20,
+                           [RandomStream(76, i, "chain-rerun") for i in range(4)],
+                           [50, 20, 35, 3])
+        block = fit(sample_hmc)
+        assert list(block.failures) == [1]
         assert_same_rows(block, fit(reference_sample_hmc))
 
     def test_divergent_rows_match_reference(self):
@@ -440,6 +490,19 @@ class TestRwMatchesReference:
                            [RandomStream(74, i, "chain") for i in range(4)], [50] * 4)
         block = fit(sample_rw_metropolis)
         assert isinstance(block.failures[1], NonFiniteDensity)
+        assert_same_rows(block, fit(reference_sample_rw_metropolis))
+
+    def test_failed_row_in_ragged_block_matches_reference(self):
+        """A failed row starts with no transitions left while the others stop one by one."""
+        model = make_flagged_model(cut=5.0)
+        datasets = np.array([[y] for y in (0.3, 9.0, -1.2, 0.8)])
+
+        def fit(sampler):
+            return sampler(model, datasets, 50, 0.5, 20,
+                           [RandomStream(77, i, "chain-rerun") for i in range(4)],
+                           [50, 20, 35, 3])
+        block = fit(sample_rw_metropolis)
+        assert list(block.failures) == [1]
         assert_same_rows(block, fit(reference_sample_rw_metropolis))
 
     @pytest.mark.parametrize("model, datasets, step_size, kinds", [
@@ -571,6 +634,18 @@ class TestLockstep:
         n_eff = effective_sample_sizes(x[None])[0]
         assert abs(x.mean() - mean) < 4 * sd / math.sqrt(n_eff)
         assert x.std() == pytest.approx(sd, rel=4 / math.sqrt(n_eff) + 0.01)
+
+
+@pytest.mark.parametrize("sampler, settings", [
+    (sample_hmc, (0.3, 5, 5)), (sample_rw_metropolis, (0.5, 5))], ids=["hmc", "rw"])
+@pytest.mark.parametrize("lengths", [[10, 12], [0, 10], [-1, 10], [10.5, 10]],
+                         ids=["too-long", "zero", "negative", "fractional"])
+def test_lengths_outside_one_to_n_steps_are_refused(sampler, settings, lengths):
+    """Each row's length must be an integer in [1, n_steps]."""
+    model, datasets = lin_reg_datasets(2, seed=78)
+    with pytest.raises(ValueError, match=r"lengths must be integers in \[1, n_steps=10\]"):
+        sampler(model, datasets, 10, *settings,
+                [RandomStream(78, i, "chain") for i in range(2)], lengths)
 
 
 class TestMeanfieldVi:
