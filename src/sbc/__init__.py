@@ -22,7 +22,7 @@ _EXPORTS = {name: module for module, names in {
                "UnknownParameter", "UnknownQuantity"),
     "ess": ("ChainPlan", "ess_by_quantity", "required_chain_length", "thin_to"),
     "model": ("GenerativeModel", "PosteriorTarget", "Quantity", "UnconstrainingMap",
-              "coordinate", "evaluate", "posterior_target"),
+              "coordinate", "posterior_target"),
     "models": ("EightSchoolsSpec", "LinRegSpec", "NormalNormalSpec", "make_eight_schools",
                "make_lin_reg", "make_normal_normal", "model_from_dict"),
     "rankstats": ("EcdfBand", "EcdfSummary", "SbcHistogram", "build_histogram",

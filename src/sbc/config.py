@@ -81,7 +81,7 @@ class RunConfig:
         default_factory=SamplerConfig)
     corruption: Corruption = checked(
         Rule("a Corruption", lambda v: isinstance(v, Corruption)), default_factory=Corruption)
-    N: int = checked(integer(1), 2000)
+    N: int = checked(integer(1, 2**32), 2000)  # replication i < 2**32 owns Philox counter block i
     L: int = checked(integer(1), 99)
     thinning: str = checked(one_of("off", "algorithm-2"), "off")
     master_seed: int = checked(integer(0), 0)

@@ -8,7 +8,8 @@ longer if it falls short, then keep a uniform-stride subset.
 
 Effective sizes are estimated for many chains at once: ``ess_by_quantity``
 evaluates each quantity on an (R, n, d) block of equal-length chains in one
-call (:func:`sbc.model.evaluate`), and ``effective_sample_sizes``, the one
+call (a quantity reads any (..., d) array in its model's column order, see
+:class:`sbc.model.Quantity`), and ``effective_sample_sizes``, the one
 estimator, transforms and truncates all its series as one (R, n) array.  A
 row has an estimate exactly when it is not constant and its lag-0
 autocovariance is finite and positive; every other row, and every row of a
@@ -23,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import TooShort
-from .model import evaluate
 
 # Effective size may legitimately exceed the chain length for antithetic
 # chains; allow up to this factor before clamping.
@@ -77,9 +77,9 @@ def effective_sample_sizes(series) -> np.ndarray:
     than 4 draws has no estimate and reads NaN.  Each row's value depends on
     that row alone, not on the block's size, as long as the rows are
     row-major: a C-ordered array, or a strided view whose rows run along its
-    last axis, such as a quantity's values on an (R, n, d) block
-    (:func:`sbc.model.evaluate`).  An F-ordered block changes the order in
-    which each row's mean is summed, and so its bits.
+    last axis, such as a coordinate's values on an (R, n, d) block or on its
+    leading draws.  An F-ordered block changes the order in which each row's
+    mean is summed, and so its bits.
     """
     series = np.asarray(series, dtype=np.float64)
     R, n = series.shape
@@ -125,16 +125,16 @@ def _truncated_ess(rho: np.ndarray, n: int) -> np.ndarray:
     return ess
 
 
-def ess_by_quantity(draws: np.ndarray, quantities, names) -> np.ndarray:
+def ess_by_quantity(draws: np.ndarray, quantities) -> np.ndarray:
     """Effective sample sizes of the R chains of an (R, n, d) block: an (R, Q) array.
 
     Row r, column j is the effective size of ``quantities[j]`` over the chain
-    ``draws[r]``, whose columns ``names`` names.  Each quantity is evaluated
+    ``draws[r]``, in its model's column order.  Each quantity is evaluated
     on the whole block at once and its R series are estimated together
     (:func:`effective_sample_sizes`), so a constant or degenerate series, or
     a chain shorter than 4 draws, reads NaN.
     """
     out = np.empty((len(draws), len(quantities)))
     for j, q in enumerate(quantities):
-        out[:, j] = effective_sample_sizes(evaluate(q, draws, names))
+        out[:, j] = effective_sample_sizes(q.batch_evaluator(draws))
     return out

@@ -7,8 +7,9 @@ observation vector.  A runner stacks a block of R replications' draws as
 (R, d) and (R, n) arrays and checks them once; densities and the exact
 posterior take the (R, n) observations.  Scalar quantities of interest map
 parameter vectors to the real line; they are what the rank statistics and
-the effective sample sizes are computed on, and one function,
-:func:`evaluate`, applies a quantity to any (..., d) array for both.
+the effective sample sizes are computed on.  A quantity binds the columns
+it reads when its model is built, so it reads any (..., d) array in its
+model's column order: a block's (R, d) priors and its (R, n, d) draws alike.
 
 Samplers never see constrained parameters: every model carries an
 unconstraining map (elementwise identity or log), and its density is written
@@ -36,34 +37,24 @@ if TYPE_CHECKING:
 class Quantity:
     """A scalar function of the parameters used as an SBC test statistic.
 
-    ``batch_evaluator`` maps an (n, d) matrix of draws, whose columns are
-    named by its second argument, to an n-vector.  It is called only through
-    :func:`evaluate`, which gives it any (..., d) array as one matrix.
+    ``batch_evaluator`` maps a float64 (..., d) array of parameter vectors,
+    columns in the order of its model's parameter names, to the float64 (...)
+    array of its values, each from its own vector.  It binds the columns it
+    reads when the model is built (see :func:`coordinate`).
     """
 
     name: str
-    batch_evaluator: Callable[[np.ndarray, tuple[str, ...]], np.ndarray]
+    batch_evaluator: Callable[[np.ndarray], np.ndarray]
 
 
-def evaluate(quantity: Quantity, values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-    """``quantity`` at each parameter vector of a (..., d) array whose columns ``names``
-    names: one ``batch_evaluator`` call on the array as a (-1, d) matrix (a view where its
-    layout allows), reshaped to a float64 array of shape (...)."""
-    matrix = values.reshape(-1, values.shape[-1])
-    return np.asarray(quantity.batch_evaluator(matrix, names),
-                      dtype=np.float64).reshape(values.shape[:-1])
-
-
-def coordinate(name: str) -> Quantity:
-    """Projection quantity returning the parameter called ``name``."""
-
-    def _batch(values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
-        try:
-            return values[:, names.index(name)]
-        except ValueError:
-            raise UnknownParameter(f"no parameter named {name!r}; have {names}") from None
-
-    return Quantity(name=name, batch_evaluator=_batch)
+def coordinate(name: str, names: tuple[str, ...]) -> Quantity:
+    """Projection quantity returning the parameter called ``name`` of a model whose columns
+    ``names`` names: the view ``values[..., j]``.  An unknown name raises
+    :class:`UnknownParameter` here, when the model is built."""
+    if name not in names:
+        raise UnknownParameter(f"no parameter named {name!r}; have {names}")
+    j = names.index(name)
+    return Quantity(name=name, batch_evaluator=lambda values: values[..., j])
 
 
 class UnconstrainingMap:
@@ -82,8 +73,9 @@ class UnconstrainingMap:
         self._log_mask = np.array([t == "log" for t in transforms])
 
     def unconstrain(self, values: np.ndarray) -> np.ndarray:
+        """A float64 copy of a (..., d) array of constrained points, unconstrained."""
         z = np.array(values, dtype=np.float64)
-        z[self._log_mask] = np.log(z[self._log_mask])
+        z[..., self._log_mask] = np.log(z[..., self._log_mask])
         return z
 
     def constrain_matrix(self, Z: np.ndarray) -> np.ndarray:

@@ -136,7 +136,7 @@ def make_normal_normal(spec: NormalNormalSpec) -> GenerativeModel:
         prior_simulator=prior_simulator,
         data_simulator=data_simulator,
         posterior_factory=posterior_factory,
-        quantities=(coordinate("mu"),),
+        quantities=(coordinate("mu", names),),
         unconstraining_map=UnconstrainingMap(("identity",)),
         exact_posterior=exact_posterior,
     )
@@ -229,7 +229,7 @@ def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
         prior_simulator=prior_simulator,
         data_simulator=data_simulator,
         posterior_factory=posterior_factory,
-        quantities=tuple(coordinate(p) for p in names),
+        quantities=tuple(coordinate(p, names) for p in names),
         unconstraining_map=UnconstrainingMap(("identity", "identity", "log")),
     )
 
@@ -268,6 +268,7 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
     effect = "theta" if centered else "eta"
     names = ("mu", "tau") + tuple(f"{effect}[{j}]" for j in range(1, J + 1))
     transforms = ("identity", "log") + ("identity",) * J
+    quantities = tuple(coordinate(p, names) for p in names)
 
     def prior_simulator(rng: RandomStream) -> np.ndarray:
         mu = rng.normal(0.0, mu_sd)
@@ -306,8 +307,6 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
 
             return PosteriorTarget(logpdf, grad)
 
-        quantities = tuple(coordinate(p) for p in names)
-
     else:
 
         def posterior_factory(y: np.ndarray) -> PosteriorTarget:
@@ -337,17 +336,12 @@ def make_eight_schools(spec: EightSchoolsSpec) -> GenerativeModel:
             return PosteriorTarget(logpdf, grad)
 
         def _derived_theta(j: int) -> Quantity:
-            def _batch(values: np.ndarray, nm: tuple[str, ...]) -> np.ndarray:
-                mu = values[:, nm.index("mu")]
-                tau = values[:, nm.index("tau")]
-                eta = values[:, nm.index(f"eta[{j}]")]
-                return mu + tau * eta
+            mu, tau, eta = (coordinate(p, names).batch_evaluator
+                            for p in ("mu", "tau", f"eta[{j}]"))
+            return Quantity(name=f"theta[{j}]",
+                            batch_evaluator=lambda values: mu(values) + tau(values) * eta(values))
 
-            return Quantity(name=f"theta[{j}]", batch_evaluator=_batch)
-
-        quantities = tuple(coordinate(p) for p in names) + tuple(
-            _derived_theta(j) for j in range(1, J + 1)
-        )
+        quantities += tuple(_derived_theta(j) for j in range(1, J + 1))
 
     return GenerativeModel(
         name=f"eight-schools-{spec.parameterization}",

@@ -22,6 +22,8 @@ documents.  Nothing is kept from one report to the next.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 from dataclasses import dataclass
@@ -278,13 +280,13 @@ _CSV_COLUMNS = ["quantity", "N", "L", "B", "band_low", "band_high",
 
 
 def summary_csv(rows: list[dict]) -> str:
-    """One CSV row per quantity summary."""
-    lines = [",".join(_CSV_COLUMNS)]
-    for row in rows:
-        ess = row["ess_quartiles"] or ["", "", ""]
-        values = [row[c] for c in _CSV_COLUMNS[:13]] + list(ess)
-        lines.append(",".join(str(v) for v in values))
-    return "\n".join(lines) + "\n"
+    """One CSV row per quantity summary, quoted where a value needs it, as in ranks.csv."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(_CSV_COLUMNS)
+    writer.writerows([row[c] for c in _CSV_COLUMNS[:13]] + (row["ess_quartiles"] or [""] * 3)
+                     for row in rows)
+    return buf.getvalue()
 
 
 def safe_filename(name: str) -> str:

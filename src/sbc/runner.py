@@ -6,10 +6,12 @@ draws for every quantity of interest.  Replications are independent, so they
 run in blocks, and a block runs as one table of arrays indexed by row, from
 simulation to rank: (R, d) priors and (R, n) data, each checked once, one
 sampler call's (R, n, d) draws, thinned in one gather, (R, Q) ESS and ranks,
-and one (R,) column per health measure.  A failed row keeps the reason it
-failed and leaves the index array of live rows; the others go on.  Each
-block returns its completed rows as arrays, with each row's ``meta.json``
-object built once from its health columns, and the run concatenates them.
+and one (R,) column per health measure.  A quantity reads any (..., d) array
+in its model's column order, so it is evaluated on the stacked priors and
+draws directly.  A failed row keeps the reason it failed and leaves the
+index array of live rows; the others go on.  Each block returns its
+completed rows as arrays, with each row's ``meta.json`` object built once
+from its health columns, and the run concatenates them.
 Every random stream is derived from (master_seed, replication index, purpose
 tag), through one Philox generator per purpose and run or pool chunk (see
 :mod:`sbc.streams`), and the batched densities and quantities keep each
@@ -60,7 +62,7 @@ from .errors import (
     integer,
 )
 from .ess import ess_by_quantity, required_chain_length, thin_to
-from .model import GenerativeModel, Quantity, evaluate
+from .model import GenerativeModel, Quantity
 from .models import model_from_dict
 from .rankstats import rank_statistic
 from .samplers import (
@@ -248,26 +250,26 @@ def _fit(model: GenerativeModel, config: RunConfig, quantities: tuple[Quantity, 
             for n, run in groupby(lengths.tolist()):
                 stop = first + len(list(run))
                 block.ess[group[first:stop]] = ess_by_quantity(fit.draws[first:stop, :n],
-                                                               quantities, model.parameter_names)
+                                                               quantities)
                 first = stop
         start += len(group)
 
 
-def _rank(draws: np.ndarray, priors: np.ndarray, quantities: tuple[Quantity, ...],
-          names: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
+def _rank(draws: np.ndarray, priors: np.ndarray,
+          quantities: tuple[Quantity, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The rows' (R, Q) ranks and which rows have them; one :func:`rank_statistic` call
     per quantity.
 
     Row r's (L, d) draws ``draws[r]`` are ranked against its prior
-    ``priors[r]``, columns named by ``names``.  Each quantity is evaluated
-    once on the block's draws and once on its priors (:func:`evaluate`).  A
+    ``priors[r]``, both in the model's column order.  Each quantity is
+    evaluated once on the block's draws and once on its priors.  A
     row with a non-finite value of any quantity has no ranks; the others are
     ranked, and rows are copied out only when one is non-finite.
     """
     ranks = np.zeros((len(draws), len(quantities)), dtype=np.int64)
     finite = np.ones(len(draws), dtype=bool)
     for j, q in enumerate(quantities):
-        series, prior = evaluate(q, draws, names), evaluate(q, priors, names)
+        series, prior = q.batch_evaluator(draws), q.batch_evaluator(priors)
         ok = np.isfinite(series).all(axis=1) & np.isfinite(prior)
         finite &= ok
         if ok.all():
@@ -322,7 +324,7 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
     ranks = np.empty((0, len(quantities)), dtype=np.int64)
     if live.size:  # rank_statistic needs at least one row
         ranks, finite = _rank(corrupt(draws, names, config.corruption), priors[live],
-                              quantities, names)
+                              quantities)
         block.fail(live[~finite], NonFiniteInput("rank_statistic requires finite inputs"))
         live, ranks = live[finite], ranks[finite]
     health = zip(block.replications[live].tolist(),

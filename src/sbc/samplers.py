@@ -8,7 +8,8 @@ from a fresh prior draw, which stresses mixing honestly.
 Every sampler fits R replications in one call: it takes an (R, n) array of
 observations, one dataset per row, and an iterable of R random streams,
 which it takes in order and uses one at a time (a block's streams share one
-generator, see :mod:`sbc.streams`), and returns one (R, n, d) array of
+generator, see :mod:`sbc.streams`); another number of streams, or of chain
+lengths, raises ValueError.  It returns one (R, n, d) array of
 constrained draws, row r's chain at ``[r, :lengths[r]]``; the MCMC samplers
 add each row's health as (R,) columns (:class:`DrawBlock`).  The MCMC and VI
 samplers hold their states as (R, d) arrays and call the model's batched
@@ -80,7 +81,7 @@ def sample_exact_conjugate(model: GenerativeModel, observations: np.ndarray, L: 
         raise ValueError("L must be >= 1")
     mean, sd = model.exact_posterior(observations)
     draws = np.empty((len(observations), L, 1))
-    for out, rng, m, s in zip(draws, rngs, mean.tolist(), sd.tolist()):
+    for out, rng, m, s in zip(draws, rngs, mean.tolist(), sd.tolist(), strict=True):
         out[:, 0] = rng.normal(m, s, size=L)
     return draws
 
@@ -158,10 +159,11 @@ def _metropolis(model: GenerativeModel, observations, rngs, warmup: int, n_steps
         # Past its transitions a row's noise and uniforms stay 0: it proposes but never moves.
         noise = np.zeros((warmup + n_steps, R, d))
         unifs = np.zeros((warmup + n_steps, R))
-        for r, (rng, steps) in enumerate(zip(rngs, (warmup + lengths).tolist())):
-            z[r] = model.unconstraining_map.unconstrain(model.prior_simulator(rng))
+        for r, rng, steps in zip(range(R), rngs, (warmup + lengths).tolist(), strict=True):
+            z[r] = model.prior_simulator(rng)
             noise[:steps, r] = rng.standard_normal((steps, d))
             unifs[:steps, r] = rng.uniform(size=steps)
+        z = model.unconstraining_map.unconstrain(z)
         target = posterior_target(model, observations)
         logp = target.logpdf(z)
         ok = np.isfinite(logp) & np.isfinite(z).all(axis=1)
@@ -283,7 +285,7 @@ def fit_meanfield_vi(model: GenerativeModel, observations, iterations: int,
     m = np.zeros((R, d))
     omega = np.zeros((R, d))
     eps = np.empty((iterations, R, d))
-    for r, rng in enumerate(rngs):
+    for r, rng in zip(range(R), rngs, strict=True):
         eps[:, r] = rng.standard_normal((iterations, d))
     failures: dict[int, Diverged] = {}
     active = np.ones(R, dtype=bool)
@@ -308,7 +310,7 @@ def fit_meanfield_vi(model: GenerativeModel, observations, iterations: int,
             m = np.where(active[:, np.newaxis], m_new, m)
             omega = np.where(active[:, np.newaxis], omega_new, omega)
         draws = np.empty((R, n_draws, d))
-        for r, rng in enumerate(draw_rngs):
+        for r, rng in zip(range(R), draw_rngs, strict=True):
             if active[r]:
                 draws[r] = rng.standard_normal((n_draws, d))
         draws *= np.exp(omega)[:, np.newaxis]

@@ -43,7 +43,7 @@ def make_gaussian_model(precision: np.ndarray, names=None) -> GenerativeModel:
         prior_simulator=prior_simulator,
         data_simulator=_fixed_dataset,
         posterior_factory=posterior_factory,
-        quantities=tuple(coordinate(n) for n in names),
+        quantities=tuple(coordinate(n, names) for n in names),
         unconstraining_map=UnconstrainingMap(("identity",) * d),
     )
 
@@ -78,6 +78,6 @@ def make_flagged_model(cut: float) -> GenerativeModel:
         prior_simulator=lambda rng: np.array([rng.normal()]),
         data_simulator=lambda theta, rng: theta + rng.normal(size=1),
         posterior_factory=posterior_factory,
-        quantities=(coordinate("x"),),
+        quantities=(coordinate("x", names),),
         unconstraining_map=UnconstrainingMap(("identity",)),
     )

@@ -318,3 +318,12 @@ def test_n_obs_is_at_most_2_to_the_20(cls):
     with pytest.raises(InvalidSpec, match=rf"^{cls.__name__}\.n_obs must be an integer in "
                                           r"\[1, 1048576\], got 1048577$"):
         cls(n_obs=2**20 + 1)
+
+
+def test_N_is_at_most_2_to_the_32():
+    """Replication i owns Philox counter block i, and the streams refuse i >= 2**32, so a
+    larger N is refused when the config is made, not when its replication 2**32 runs."""
+    assert RunConfig(N=2**32).N == 2**32
+    with pytest.raises(ConfigError, match=r"^RunConfig\.N must be an integer in "
+                                          r"\[1, 4294967296\], got 4294967297$"):
+        RunConfig(N=2**32 + 1)

@@ -161,8 +161,9 @@ class TestRequiredChainLength:
         assert required_chain_length(1000, 99, 70.0, 100_000).length == math.ceil(1000 * 99 / 70)
 
 
-# Column names of the (n, d) chains below, d <= 2.
+# Column names of the (n, d) chains below, d <= 2, and their coordinates.
 NAMES = ("p0", "p1")
+P0, P1 = (coordinate(p, NAMES) for p in NAMES)
 
 
 def _draws(values: np.ndarray) -> np.ndarray:
@@ -309,8 +310,8 @@ class TestEssByQuantity:
         rng = np.random.default_rng(14)
         draws = np.stack([np.column_stack([ar1(phi, 300, seed=i), rng.normal(size=300)])
                           for i, phi in enumerate((0.2, 0.8, 0.95))])
-        quantities = [coordinate("p1"), coordinate("p0")]
-        got = ess_by_quantity(draws, quantities, NAMES)
+        quantities = [P1, P0]
+        got = ess_by_quantity(draws, quantities)
         assert got.shape == (3, 2)
         for r, d in enumerate(draws):
             for j, col in enumerate((1, 0)):
@@ -323,18 +324,18 @@ class TestEssByQuantity:
         rng = np.random.default_rng(n)
         block = rng.normal(size=(5, n + 7, 2)).cumsum(axis=1)
         view = block[1:4, :n]
-        quantities = [coordinate("p0"), coordinate("p1")]
-        got = ess_by_quantity(view, quantities, NAMES)
+        quantities = [P0, P1]
+        got = ess_by_quantity(view, quantities)
         np.testing.assert_array_equal(got, ess_by_quantity(np.ascontiguousarray(view),
-                                                           quantities, NAMES))
+                                                           quantities))
         for r, chain in enumerate(view):
             np.testing.assert_array_equal(got[r], ess_by_quantity(one_chain(chain.copy()),
-                                                                  quantities, NAMES)[0])
+                                                                  quantities)[0])
 
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_short_chains_read_nan(self, n):
         draws = np.stack([np.arange(float(n)).reshape(-1, 1) * k for k in (1, 2)])
-        assert np.isnan(ess_by_quantity(draws, [coordinate("p0")], NAMES)).all()
+        assert np.isnan(ess_by_quantity(draws, [P0])).all()
 
 
 ALL_CONSTANT = "AllConstant: every quantity is constant or degenerate over the chain"
@@ -361,7 +362,7 @@ class TestEssFloor:
         x = ar1(0.5, 20_000, seed=9)
         draws = _draws(x.reshape(-1, 1))
         direct = effective_sample_size(x)
-        ess = ess_by_quantity(one_chain(draws), [coordinate("p0")], NAMES)[0]
+        ess = ess_by_quantity(one_chain(draws), [P0])[0]
         assert ess_floor(ess)[0][0] == pytest.approx(direct)
 
     def test_minimum_dominated_by_slow_quantity(self):
@@ -369,15 +370,14 @@ class TestEssFloor:
         iid = np.random.default_rng(10).normal(size=n)
         slow = ar1(0.9, n, seed=11)
         draws = _draws(np.column_stack([iid, slow]))
-        [got], _ = ess_floor(ess_by_quantity(one_chain(draws),
-                                             [coordinate("p0"), coordinate("p1")], NAMES)[0])
+        [got], _ = ess_floor(ess_by_quantity(one_chain(draws), [P0, P1])[0])
         assert got == pytest.approx(effective_sample_size(slow))
 
     def test_constant_quantity_excluded(self):
         for n, c in [(5000, 1.0), (99, 0.1), (99, 0.3), (99, 1e-3), (990, 3.3)]:
             varying = ar1(0.5, n, seed=12)
             draws = _draws(np.column_stack([varying, np.full(n, c)]))
-            ess = ess_by_quantity(one_chain(draws), [coordinate("p0"), coordinate("p1")], NAMES)[0]
+            ess = ess_by_quantity(one_chain(draws), [P0, P1])[0]
             assert np.isnan(ess[1])
             assert ess_floor(ess)[0] == [ess[0]] == [effective_sample_size(varying)]
 
@@ -386,14 +386,13 @@ class TestEssFloor:
         AR(1) quantity's effective size, not by 1."""
         varying = ar1(0.9, 99, seed=13)
         draws = _draws(np.column_stack([np.full(99, 0.1), varying]))
-        [ess], _ = ess_floor(ess_by_quantity(one_chain(draws),
-                                             [coordinate("p0"), coordinate("p1")], NAMES)[0])
+        [ess], _ = ess_floor(ess_by_quantity(one_chain(draws), [P0, P1])[0])
         assert ess == effective_sample_sizes(varying[None])[0]
         assert required_chain_length(99, 99, ess, 100_000) == (math.ceil(99 * 99 / ess), False)
 
     def test_all_constant_fails(self):
         draws = _draws(np.ones((100, 1)))
-        assert ess_floor(ess_by_quantity(one_chain(draws), [coordinate("p0")], NAMES)[0]) == (
+        assert ess_floor(ess_by_quantity(one_chain(draws), [P0])[0]) == (
             [None], [ALL_CONSTANT])
 
     def test_block_rows_take_their_own_floor(self):

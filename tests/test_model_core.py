@@ -12,7 +12,6 @@ from sbc.model import (
     Quantity,
     UnconstrainingMap,
     coordinate,
-    evaluate,
     posterior_target,
 )
 from sbc.models import (
@@ -61,9 +60,9 @@ class TestParamVector:
         assert theta.shape == (3,) and theta.dtype == np.float64
         assert theta[model.parameter_names.index("sigma")] > 0
 
-    def test_unknown_name(self):
-        with pytest.raises(UnknownParameter):
-            at_point(coordinate("sigma"), np.array([1.05]), ("mu",))
+    def test_unknown_name_raises_when_built(self):
+        with pytest.raises(UnknownParameter, match="no parameter named 'sigma'"):
+            coordinate("sigma", ("mu",))
 
     def test_non_finite_rejected(self):
         """A block's non-finite prior draw fails its row alone, naming the values."""
@@ -78,27 +77,27 @@ class TestParamVector:
         np.testing.assert_array_equal(priors[:, 0], [drawn[i] for i in live])
 
 
-def at_point(q: Quantity, values: np.ndarray, names: tuple[str, ...]) -> float:
-    """A quantity at one parameter vector: its evaluator on a 1-row matrix."""
-    out = q.batch_evaluator(values[np.newaxis], names)
-    assert out.shape == (1,)
-    return float(out[0])
+def at_point(q: Quantity, values: np.ndarray) -> float:
+    """A quantity at one (d,) parameter vector."""
+    out = q.batch_evaluator(values)
+    assert np.shape(out) == ()
+    return float(out)
 
 
 class TestQuantity:
     def test_coordinate_projection(self):
-        assert at_point(coordinate("mu"), np.array([1.05]), ("mu",)) == 1.05
+        assert at_point(coordinate("mu", ("mu",)), np.array([1.05])) == 1.05
 
     def test_log_quantity(self):
-        q = Quantity("log_tau", lambda v, names: np.log(v[:, names.index("tau")]))
-        assert at_point(q, np.array([1.0]), ("tau",)) == 0.0
+        tau = coordinate("tau", ("mu", "tau")).batch_evaluator
+        q = Quantity("log_tau", lambda values: np.log(tau(values)))
+        assert at_point(q, np.array([3.0, 1.0])) == 0.0
 
     def test_eight_schools_projection(self):
         model = make_eight_schools(EightSchoolsSpec())
         theta = model.prior_simulator(RandomStream(1, 0, "prior"))
         (q,) = [q for q in model.quantities if q.name == "theta[1]"]
-        names = model.parameter_names
-        assert at_point(q, theta, names) == theta[names.index("theta[1]")]
+        assert at_point(q, theta) == theta[model.parameter_names.index("theta[1]")]
 
     def test_batch_evaluator_agrees_with_scalar(self):
         """Over n draws, each value equals the quantity at that single draw."""
@@ -108,25 +107,23 @@ class TestQuantity:
         (draws,) = sample_rw_metropolis(model, data[np.newaxis], 50, 0.5, 20,
                                         [RandomStream(2, 0, "chain")], [50]).draws
         for q in model.quantities:
-            batch = q.batch_evaluator(draws, model.parameter_names)
-            scalar = [at_point(q, row, model.parameter_names) for row in draws]
-            np.testing.assert_array_equal(batch, scalar)
+            np.testing.assert_array_equal(q.batch_evaluator(draws),
+                                          [at_point(q, row) for row in draws])
 
-    def test_evaluate_any_leading_shape(self):
+    def test_any_leading_shape(self):
         """On an (R, n, d) block, the leading draws of a longer one (a strided view)
         and an (R, d) matrix, each row's values equal that row evaluated alone, and
-        the block's coordinate is a view of it."""
+        a coordinate is a view of its input."""
         model = make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))
-        names = model.parameter_names
-        block = np.random.default_rng(3).normal(size=(4, 30, len(names)))
-        for q in model.quantities:
-            for values in (block, block[1:3, :20], block[:, 0]):
-                got = evaluate(q, values, names)
+        block = np.random.default_rng(3).normal(size=(4, 30, len(model.parameter_names)))
+        for values in (block, block[1:3, :20], block[:, 0]):
+            for q in model.quantities:
+                got = q.batch_evaluator(values)
                 assert got.shape == values.shape[:-1] and got.dtype == np.float64
                 for r, row in enumerate(values):
-                    np.testing.assert_array_equal(
-                        got[r], q.batch_evaluator(np.atleast_2d(row), names).reshape(got[r].shape))
-        assert np.shares_memory(evaluate(coordinate("tau"), block, names), block)
+                    np.testing.assert_array_equal(got[r], q.batch_evaluator(row.copy()))
+            tau = coordinate("tau", model.parameter_names).batch_evaluator(values)
+            assert np.shares_memory(tau, values)
 
 
 class TestUnconstrainingMap:
@@ -144,6 +141,17 @@ class TestUnconstrainingMap:
         want = np.concatenate([Z[..., :1], np.exp(Z[..., 1:])], axis=-1)
         assert umap.constrain_matrix(Z) is Z
         np.testing.assert_array_equal(Z, want)
+
+    def test_unconstrains_rows_as_one_array(self):
+        """An (R, d) array unconstrains to the rows unconstrained one at a time, bit for
+        bit, and the input is not changed."""
+        umap = UnconstrainingMap(("identity", "log", "log"))
+        rng = np.random.default_rng(44)
+        values = np.column_stack([rng.normal(size=37), rng.uniform(1e-6, 50, size=(37, 2))])
+        before = values.copy()
+        np.testing.assert_array_equal(umap.unconstrain(values),
+                                      [umap.unconstrain(row) for row in values])
+        np.testing.assert_array_equal(values, before)
 
     def test_unknown_transform_rejected(self):
         with pytest.raises(ValueError):

@@ -245,15 +245,19 @@ class TestEightSchools:
             assert lp_c + 8 * math.log(tau) == pytest.approx(lp_n, abs=1e-8)
 
     def test_derived_theta_quantities(self):
+        """theta[j] reads the columns of mu, tau and eta[j] and equals mu + tau * eta[j]
+        bit for bit, on one vector and on a block."""
         model = make_eight_schools(EightSchoolsSpec(parameterization="non-centered"))
         names = [q.name for q in model.quantities]
         assert "theta[1]" in names and "eta[8]" in names
-        theta = model.prior_simulator(RandomStream(38, 0, "prior"))
-        q = model.quantities[names.index("theta[3]")]
-        mu, tau, eta = (theta[model.parameter_names.index(n)] for n in ("mu", "tau", "eta[3]"))
-        expected = mu + tau * eta
-        value = q.batch_evaluator(theta[np.newaxis], model.parameter_names)
-        assert value == pytest.approx([expected])
+        block = np.array([[model.prior_simulator(RandomStream(38, 3 * r + i, "prior"))
+                           for i in range(3)] for r in range(2)])
+        for j in range(1, 9):
+            q = model.quantities[names.index(f"theta[{j}]")]
+            mu, tau, eta = (block[..., model.parameter_names.index(n)]
+                            for n in ("mu", "tau", f"eta[{j}]"))
+            np.testing.assert_array_equal(q.batch_evaluator(block), mu + tau * eta)
+            assert q.batch_evaluator(block[1, 2]) == mu[1, 2] + tau[1, 2] * eta[1, 2]
 
 
 class TestModelRegistry:

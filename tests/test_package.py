@@ -81,6 +81,17 @@ assert not added & set(sbc.__all__), added
 """)
 
 
+def test_model_layer_exports_its_contract_alone():
+    """A quantity is called through its own ``batch_evaluator``; no wrapper is exported."""
+    loaded_modules("""
+import sbc
+model = sorted(name for name, module in sbc._EXPORTS.items() if module == 'model')
+assert model == ['GenerativeModel', 'PosteriorTarget', 'Quantity', 'UnconstrainingMap',
+                 'coordinate', 'posterior_target'], model
+assert not hasattr(sbc, 'evaluate') and not hasattr(sbc.model, 'evaluate')
+""")
+
+
 def test_cli_subcommands_load_only_their_layers(tmp_path):
     """``list-models`` and ``list-samplers`` load the config and model layers alone, and
     ``report`` loads no pool."""

@@ -1,5 +1,7 @@
+import csv
 import dataclasses
 import hashlib
+import io
 import json
 import xml.etree.ElementTree as ET
 
@@ -209,6 +211,15 @@ class TestWriteReport:
         text = summary_csv(rows)
         lines = text.strip().split("\n")
         assert len(lines) == 2
+
+    def test_csv_quotes_a_name_with_a_comma(self):
+        """Each row has one field per column, and a quoted name reads back whole."""
+        artifact = artifact_from_ranks(np.arange(40).reshape(20, 2) % 20,
+                                       quantities=("a,b", "mu"))
+        rows = summarize(artifact, ["a,b", "mu"], rank_histograms(artifact, ["a,b", "mu"], B=5))
+        table = list(csv.reader(io.StringIO(summary_csv(rows))))
+        assert [len(row) for row in table] == [16] * 3
+        assert [row[0] for row in table] == ["quantity", "a,b", "mu"]
 
     def test_subset_of_formats(self, exact_artifact, tmp_path):
         request = ReportRequest(artifact_path="x", formats=("json",))

@@ -142,7 +142,7 @@ class TestRunConfig:
         d = {**config_to_dict(exact_config()), "N": 0}
         with pytest.raises(ConfigError) as caught:
             config_from_dict(d)
-        assert str(caught.value) == "RunConfig.N must be an integer >= 1, got 0"
+        assert str(caught.value) == "RunConfig.N must be an integer in [1, 4294967296], got 0"
         d = config_to_dict(exact_config())
         d["model"]["n_obs"] = 0
         with pytest.raises(ConfigError) as caught:
@@ -872,8 +872,8 @@ class TestNonFiniteData:
 def capped_normal_model(cut):
     """Exact normal-normal with a second quantity, mu where mu <= cut and inf above it."""
     model = model_from_dict({"kind": "normal-normal"})
-    capped = Quantity("capped", lambda values, names: np.where(values[:, 0] > cut, np.inf,
-                                                               values[:, 0]))
+    capped = Quantity("capped", lambda values: np.where(values[..., 0] > cut, np.inf,
+                                                        values[..., 0]))
     return dataclasses.replace(model, quantities=model.quantities + (capped,))
 
 

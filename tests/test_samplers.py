@@ -151,7 +151,7 @@ class TestRwMetropolis:
             data_simulator=lambda th, rng: np.array([0.0]),
             posterior_factory=lambda observations: PosteriorTarget(
                 lambda Z: np.full(len(Z), -np.inf), np.zeros_like),
-            quantities=(coordinate("x"),),
+            quantities=(coordinate("x", ("x",)),),
             unconstraining_map=UnconstrainingMap(("identity",)),
         )
         row = fit_one(sample_rw_metropolis, model, np.array([0.0]), 10, 1.0, 0,
@@ -447,7 +447,7 @@ def make_walled_model():
         prior_simulator=lambda rng: np.array([0.3 * rng.normal()]),
         data_simulator=lambda theta, rng: np.array([0.0]),
         posterior_factory=posterior_factory,
-        quantities=(coordinate("x"),),
+        quantities=(coordinate("x", ("x",)),),
         unconstraining_map=UnconstrainingMap(("identity",)),
     )
 
@@ -646,6 +646,52 @@ def test_lengths_outside_one_to_n_steps_are_refused(sampler, settings, lengths):
     with pytest.raises(ValueError, match=r"lengths must be integers in \[1, n_steps=10\]"):
         sampler(model, datasets, 10, *settings,
                 [RandomStream(78, i, "chain") for i in range(2)], lengths)
+
+
+def streams(count, tag):
+    return [RandomStream(79, i, tag) for i in range(count)]
+
+
+# Each sampler on three normal-normal datasets, given ``rngs`` as the streams under test
+# and ``lengths`` as its chains' lengths.
+STREAMED_FITS = {
+    "exact": lambda model, data, rngs, lengths: sample_exact_conjugate(model, data, 5, rngs),
+    "rw": lambda model, data, rngs, lengths: sample_rw_metropolis(model, data, 10, 0.5, 5,
+                                                                  rngs, lengths),
+    "hmc": lambda model, data, rngs, lengths: sample_hmc(model, data, 10, 0.3, 5, 5, rngs,
+                                                         lengths),
+    "vi": lambda model, data, rngs, lengths: fit_meanfield_vi(model, data, 20, 0.05, rngs, 5,
+                                                              streams(3, "chain")),
+    "vi-draws": lambda model, data, rngs, lengths: fit_meanfield_vi(
+        model, data, 20, 0.05, streams(3, "vi"), 5, rngs),
+}
+
+
+def normal_normal_datasets(n, seed):
+    model = make_normal_normal(NormalNormalSpec(n_obs=4))
+    return model, np.array([
+        model.data_simulator(model.prior_simulator(RandomStream(seed, i, "prior")),
+                             RandomStream(seed, i, "data")) for i in range(n)])
+
+
+@pytest.mark.parametrize("fit", list(STREAMED_FITS))
+@pytest.mark.parametrize("count", [2, 4], ids=["one-too-few", "one-too-many"])
+def test_one_stream_per_row_is_required(fit, count):
+    """A sampler given one stream fewer or one more than its rows raises ValueError; with
+    one per row it fits them all."""
+    model, datasets = normal_normal_datasets(3, seed=79)
+    with pytest.raises(ValueError, match=r"zip\(\) argument 2 is (shorter|longer)"):
+        STREAMED_FITS[fit](model, datasets, streams(count, "chain"), [10] * 3)
+    draws = STREAMED_FITS[fit](model, datasets, streams(3, "chain"), [10] * 3)
+    assert np.isfinite(getattr(draws, "draws", draws)).all()
+
+
+@pytest.mark.parametrize("fit", ["rw", "hmc"])
+@pytest.mark.parametrize("count", [2, 4], ids=["one-too-few", "one-too-many"])
+def test_one_length_per_row_is_required(fit, count):
+    model, datasets = normal_normal_datasets(3, seed=80)
+    with pytest.raises(ValueError, match=r"zip\(\) argument 3 is (shorter|longer)"):
+        STREAMED_FITS[fit](model, datasets, streams(3, "chain"), [10] * count)
 
 
 class TestMeanfieldVi:
