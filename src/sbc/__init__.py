@@ -25,9 +25,9 @@ _EXPORTS = {name: module for module, names in {
               "coordinate", "posterior_target"),
     "models": ("EightSchoolsSpec", "LinRegSpec", "NormalNormalSpec", "make_eight_schools",
                "make_lin_reg", "make_normal_normal", "model_from_dict"),
-    "rankstats": ("EcdfBand", "EcdfSummary", "SbcHistogram", "build_histogram",
-                  "build_histograms", "chi_square_uniformity", "classify_shape",
-                  "default_bins", "ecdf_band", "ecdf_summary", "rank_statistic", "rebin"),
+    "rankstats": ("EcdfBand", "SbcHistogram", "build_histogram", "build_histograms",
+                  "chi_square_uniformity", "classify_shape", "default_bins", "ecdf_band",
+                  "ecdf_summary", "rank_statistic", "rebin"),
     "report": ("ReportRequest", "rank_histograms", "render_ecdf_svg", "render_histogram_svg",
                "summarize", "write_report"),
     "runner": ("RunArtifact", "load_artifact", "run", "save_artifact"),

@@ -43,9 +43,10 @@ class SamplerConfig:
     kind: str = checked(one_of(*SAMPLER_KINDS), "exact-conjugate")
     step_size: float = checked(POSITIVE, 0.5)
     n_leapfrog: int = checked(integer(1), 10)
-    vi_iterations: int = checked(integer(1), 10_000)
+    # One eight-schools row's (vi_iterations, 10) noise then takes 320 MiB.
+    vi_iterations: int = checked(integer(1, 2**22), 10_000)
     vi_learning_rate: float = checked(POSITIVE, 0.05)
-    warmup: int = checked(integer(0), 200)
+    warmup: int = checked(integer(0, 2**22), 200)  # see RunConfig.max_chain_length
 
     def __post_init__(self):
         check_fields(self, InvalidSpec)
@@ -82,10 +83,12 @@ class RunConfig:
     corruption: Corruption = checked(
         Rule("a Corruption", lambda v: isinstance(v, Corruption)), default_factory=Corruption)
     N: int = checked(integer(1, 2**32), 2000)  # replication i < 2**32 owns Philox counter block i
-    L: int = checked(integer(1), 99)
+    L: int = checked(integer(1, 2**20), 99)  # a block's (128, L) draws of a coordinate: 1 GiB
     thinning: str = checked(one_of("off", "algorithm-2"), "off")
     master_seed: int = checked(integer(0), 0)
-    max_chain_length: int = checked(integer(1), DEFAULT_MAX_CHAIN_LENGTH)
+    # With warmup <= 2**22 too, one eight-schools row's (warmup + length, 10) noise and
+    # (length, 10) chain then fit in about 1 GiB.
+    max_chain_length: int = checked(integer(1, 2**22), DEFAULT_MAX_CHAIN_LENGTH)
     worker_count_hint: int = checked(integer(1), 1)
 
     def __post_init__(self):

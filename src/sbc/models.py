@@ -146,10 +146,6 @@ def make_normal_normal(spec: NormalNormalSpec) -> GenerativeModel:
 # Linear regression
 # ---------------------------------------------------------------------------
 
-def _default_covariates(n_obs: int) -> tuple[float, ...]:
-    return tuple((i + 1) / n_obs for i in range(n_obs))
-
-
 @dataclass(frozen=True)
 class LinRegSpec:
     n_obs: int = checked(integer(1, 2**20), 25)  # as NormalNormalSpec.n_obs
@@ -163,20 +159,20 @@ class LinRegSpec:
         if self.gen_prior_sd_beta is None:
             object.__setattr__(self, "gen_prior_sd_beta", self.prior_sd_beta)
         check_fields(self, InvalidSpec)
-        x = _default_covariates(self.n_obs) if self.covariates is None else self.covariates
-        object.__setattr__(self, "covariates", tuple(map(float, x)))
-        if len(self.covariates) != self.n_obs:
-            raise InvalidSpec("LinRegSpec.covariates length must equal n_obs")
+        if self.covariates is not None:
+            object.__setattr__(self, "covariates", tuple(map(float, self.covariates)))
+            if len(self.covariates) != self.n_obs:
+                raise InvalidSpec("LinRegSpec.covariates length must equal n_obs")
 
 
 def make_lin_reg(spec: LinRegSpec) -> GenerativeModel:
     """y_n = alpha + beta * x_n + eps_n with Gaussian priors and half-normal noise sd.
 
     The simulator draws beta from N(0, gen_prior_sd_beta^2) while the density
-    uses N(0, prior_sd_beta^2).
+    uses N(0, prior_sd_beta^2).  Without given covariates, x_n = n / n_obs.
     """
-    x = np.asarray(spec.covariates)
     n = spec.n_obs
+    x = np.arange(1, n + 1) / n if spec.covariates is None else np.asarray(spec.covariates)
     sa, sb, sc = spec.prior_sd_alpha, spec.prior_sd_beta, spec.noise_sd_prior_scale
     gen_sb = spec.gen_prior_sd_beta
     names = ("alpha", "beta", "sigma")

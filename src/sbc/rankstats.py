@@ -3,14 +3,14 @@
 The rank of a prior draw within L posterior draws is uniform on {0, ..., L}
 when the posterior sampler is exact, so departures from discrete uniformity
 localize inference bugs.  This module computes ranks, rebins them for
-display, derives exact binomial variation bands, builds ECDF summaries, and
+display, derives exact binomial variation bands, computes ECDF values, and
 classifies the common failure shapes.
 
-An ECDF has one type, :class:`EcdfSummary`: its values at 0..L plus the
-:class:`EcdfBand` it is drawn against.  The band holds the uniform
-expectation and the pointwise bounds, depends on (N, L, coverage) alone and
-is shared by every quantity of a run; the ECDF difference plot subtracts the
-band's expectation when it is drawn.
+An ECDF is an array, its values at 0..L.  The :class:`EcdfBand` it is drawn
+against holds the uniform expectation and the pointwise bounds, depends on
+(N, L, coverage) alone and is shared by every quantity of a run; the report
+picks the band, and the ECDF difference plot subtracts the band's
+expectation when it is drawn.
 
 Every band rests on one routine, :func:`binomial_quantiles`.  Its quantiles
 are exactly those of summing the binomial pmf sequentially from k = 0 until
@@ -77,14 +77,6 @@ class EcdfBand:
     N: int
     L: int
     coverage: float
-
-
-@dataclass(frozen=True)
-class EcdfSummary:
-    """Empirical CDF of ranks at each value 0..L of ``band``, with that band."""
-
-    values: np.ndarray
-    band: EcdfBand
 
 
 def rank_statistic(posterior_values, prior_value):
@@ -353,8 +345,8 @@ def ecdf_band(N: int, L: int, coverage: float = 0.99) -> EcdfBand:
                     coverage=coverage)
 
 
-def ecdf_summary(ranks, band: EcdfBand) -> EcdfSummary:
-    """ECDF of ranks at each value 0..L of ``band``, drawn against the band.
+def ecdf_summary(ranks, band: EcdfBand) -> np.ndarray:
+    """The (L+1,) ECDF of ranks at each value 0..L of ``band``.
 
     The band must be the one for as many ranks as are given.
     """
@@ -364,8 +356,7 @@ def ecdf_summary(ranks, band: EcdfBand) -> EcdfSummary:
         raise ValueError(f"{ranks.size} ranks against a band for N={band.N}")
     if ranks.size and (ranks.min() < 0 or ranks.max() > L):
         raise ValueError("ranks outside [0, L]")
-    values = np.cumsum(np.bincount(ranks, minlength=L + 1)) / band.N
-    return EcdfSummary(values=values, band=band)
+    return np.cumsum(np.bincount(ranks, minlength=L + 1)) / band.N
 
 
 def chi_square_uniformity(counts) -> tuple[float, int]:

@@ -7,9 +7,9 @@ formatted in one pass per element.  Styling follows the usual convention:
 red for the data, gray for the variation expected under uniformity.
 
 A histogram is drawn from its :class:`SbcHistogram`, band and median
-included.  Both ECDF plots are drawn from one :class:`EcdfSummary`, the
-ECDF's values and its band: the difference plot subtracts the band's
-uniform expectation from the values and the bounds.
+included.  Both ECDF plots are drawn from the ECDF's values, an array, against
+the :class:`EcdfBand` that the report picks: the difference plot subtracts
+the band's uniform expectation from the values and the bounds.
 
 The bands depend on (N, L, B, coverage) alone, which every quantity of an
 artifact shares, so a report computes them once: the histogram band and its
@@ -33,7 +33,6 @@ import numpy as np
 from .errors import Rule, check_fields, checked, is_finite_number, is_integer
 from .rankstats import (
     EcdfBand,
-    EcdfSummary,
     SbcHistogram,
     build_histograms,
     chi_square_uniformity,
@@ -184,12 +183,13 @@ class _EcdfFrame:
         self.extent = float(np.max(np.abs(np.stack([band.low, band.high]) - band.expected)))
         self.band_marks: dict[tuple[str, float, float], list[str]] = {}
 
-    def render(self, summary: EcdfSummary, quantity: str, mode: str) -> str:
-        """SVG of the quantity's rank ECDF (or ECDF difference) against the frame's band."""
+    def render(self, values: np.ndarray, quantity: str, mode: str) -> str:
+        """SVG of the quantity's rank ECDF ``values`` at 0..L (or their difference from the
+        uniform expectation) against the frame's band."""
         band = self.band
         # The difference plot subtracts the uniform expectation from everything it draws.
         shift = band.expected if mode == "diff" else 0.0
-        curve = summary.values - shift
+        curve = values - shift
         y_lo, y_hi = 0.0, 1.0
         if mode == "diff":
             span = max(self.extent, float(np.max(np.abs(curve))), 1e-9) * 1.15
@@ -219,11 +219,13 @@ class _EcdfFrame:
         return _document(title, marks, y_of(y_lo), band.L, [])
 
 
-def render_ecdf_svg(summary: EcdfSummary, quantity: str, mode: str = "ecdf") -> str:
-    """SVG of the quantity's rank ECDF (or ECDF minus uniform expectation) with its band."""
+def render_ecdf_svg(values: np.ndarray, band: EcdfBand, quantity: str,
+                    mode: str = "ecdf") -> str:
+    """SVG of the quantity's rank ECDF ``values`` (or ECDF minus uniform expectation)
+    against ``band``."""
     if mode not in ("ecdf", "diff"):
         raise ValueError("mode must be 'ecdf' or 'diff'")
-    return _EcdfFrame(summary.band).render(summary, quantity, mode)
+    return _EcdfFrame(band).render(values, quantity, mode)
 
 
 def summarize(artifact: RunArtifact, quantities, hists) -> list[dict]:
@@ -299,22 +301,29 @@ def write_report(artifact: RunArtifact, request: ReportRequest, out_dir) -> list
     What depends only on (N, L, B, coverage), which every quantity of the
     artifact shares, is built once per call: the histogram band, the ECDF
     band and its frame (:class:`_EcdfFrame`).  Each quantity's histogram and
-    ECDF summary are built once and shared by the files that show them, and
-    its summary row only when ``json`` or ``csv`` is requested.
+    ECDF values are built once and shared by the files that show them, and
+    its summary row only when ``json`` or ``csv`` is requested.  With ``svg``,
+    two quantities whose plots would share a file name raise ValueError
+    before any file is written.
     """
     from pathlib import Path
 
+    quantities = request.quantities or artifact.quantities
+    stems: dict[str, str] = {}  # each plotted quantity by its file name stem
+    for q in quantities if "svg" in request.formats else ():
+        stem = safe_filename(q)
+        if stems.setdefault(stem, q) != q:
+            raise ValueError(f"quantities {stems[stem]!r} and {q!r} would both be plotted "
+                             f"to {stem}_*.svg")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    quantities = request.quantities or artifact.quantities
     hists = rank_histograms(artifact, quantities, request.bins, request.coverage)
     rows = summarize(artifact, quantities, hists) if {"json", "csv"} & set(request.formats) else []
     written: list[str] = []
     if "svg" in request.formats:
         frame = _EcdfFrame(ecdf_band(artifact.ranks.shape[0], artifact.L, request.coverage))
-        for q, hist in zip(quantities, hists):
+        for stem, q, hist in zip(stems, quantities, hists):
             ecdf = ecdf_summary(artifact.ranks_for(q), frame.band)
-            stem = safe_filename(q)
             for suffix, doc in (
                 ("hist", render_histogram_svg(hist, q)),
                 ("ecdf", frame.render(ecdf, q, "ecdf")),

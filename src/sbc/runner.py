@@ -105,7 +105,6 @@ class RunArtifact:
     diagnostics: tuple[dict, ...]
     failures: tuple[dict, ...]
     wall_clock_seconds: float
-    format_version: str = FORMAT_VERSION
 
     def __post_init__(self):
         for table in (self.replications, self.ranks, self.ess, self.chain_lengths):
@@ -439,7 +438,7 @@ def _ranks_csv_bytes(artifact: RunArtifact) -> bytes:
 
 def _meta_json_bytes(artifact: RunArtifact) -> bytes:
     meta = {
-        "format_version": artifact.format_version,
+        "format_version": FORMAT_VERSION,
         "config": config_to_dict(artifact.config),
         "failures": list(artifact.failures),
         "diagnostics": list(artifact.diagnostics),
@@ -450,7 +449,7 @@ def _meta_json_bytes(artifact: RunArtifact) -> bytes:
 
 
 def save_artifact(artifact: RunArtifact, path) -> Path:
-    """Write the artifact directory; returns its path."""
+    """Write the artifact directory, at this writer's FORMAT_VERSION; returns its path."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     files = {"meta.json": _meta_json_bytes(artifact), "ranks.csv": _ranks_csv_bytes(artifact)}
@@ -504,7 +503,11 @@ def _checked_failures(meta: dict, config: RunConfig) -> tuple[tuple[dict, ...], 
     """meta.json's failures, objects with a unique replication in [0, N) and a reason, and
     the completed replications.  Its diagnostics must hold one object per completed
     replication, naming it, in ascending order (that of ranks.csv), each of whose values
-    is what its key's entry in ``_DIAGNOSTIC_VALUES`` requires."""
+    is what its key's entry in ``_DIAGNOSTIC_VALUES`` requires.
+
+    The completed replications are read from the diagnostics: N - len(failures) of them,
+    ascending, in [0, N) and none failed, which is the rest of range(N) in order, so the
+    check's memory grows with the files and not with N."""
     failures, diagnostics = meta["failures"], meta["diagnostics"]
     if not (isinstance(failures, list) and all(
             isinstance(f, dict) and type(f.get("replication")) is int
@@ -515,15 +518,17 @@ def _checked_failures(meta: dict, config: RunConfig) -> tuple[tuple[dict, ...], 
     failed = {f["replication"] for f in failures}
     if len(failed) != len(failures):
         raise InvalidArtifact("meta.json: a replication is listed as failed more than once")
-    completed = [i for i in range(config.N) if i not in failed]
-    shape = (f"meta.json: diagnostics must be a list of {len(completed)} objects, one per "
-             f"completed replication, ascending, each naming its replication")
-    if not (isinstance(diagnostics, list) and len(diagnostics) == len(completed)):
+    shape = (f"meta.json: diagnostics must be a list of {config.N - len(failed)} objects, one "
+             f"per completed replication, ascending, each naming its replication")
+    if not (isinstance(diagnostics, list) and len(diagnostics) + len(failed) == config.N):
         raise InvalidArtifact(shape)
-    for d, i in zip(diagnostics, completed):
-        if not (isinstance(d, dict) and type(d.get("replication")) is int
-                and d["replication"] == i):
+    completed: list[int] = []
+    for d in diagnostics:
+        i = d.get("replication") if isinstance(d, dict) else None
+        if not (type(i) is int and (completed[-1] if completed else -1) < i < config.N
+                and i not in failed):
             raise InvalidArtifact(shape)
+        completed.append(i)
         if len(d) == 1:  # the replication alone, as with the exact sampler
             continue
         for key, value in d.items():
@@ -626,5 +631,4 @@ def load_artifact(path) -> RunArtifact:
         diagnostics=tuple(meta["diagnostics"]),
         failures=failures,
         wall_clock_seconds=seconds,
-        format_version=version,
     )

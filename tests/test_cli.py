@@ -211,6 +211,27 @@ def test_n_obs_above_2_to_the_20_exits_2(model, spec, tmp_path, capsys):
                                        "must be an integer in [1, 1048576], got 1048577\n")
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"L": 2**20 + 1, "max_chain_length": 2**22},
+     "RunConfig.L must be an integer in [1, 1048576], got 1048577"),
+    ({"max_chain_length": 2**22 + 1},
+     "RunConfig.max_chain_length must be an integer in [1, 4194304], got 4194305"),
+    ({"sampler": {"kind": "hmc", "warmup": 2**22 + 1}},
+     "invalid sampler: SamplerConfig.warmup must be an integer in [0, 4194304], got 4194305"),
+    ({"sampler": {"kind": "meanfield-vi", "vi_iterations": 2**22 + 1}},
+     "invalid sampler: SamplerConfig.vi_iterations must be an integer in [1, 4194304], "
+     "got 4194305"),
+], ids=["L", "max_chain_length", "warmup", "vi_iterations"])
+def test_sizes_above_their_bounds_exit_2(change, message, tmp_path, capsys):
+    config = tmp_path / "sizes.json"
+    config.write_text(json.dumps({"model": {"kind": "normal-normal"},
+                                  "sampler": {"kind": "exact-conjugate"}, "N": 20, "L": 15,
+                                  **change}))
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"sbc: config error: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_out_that_cannot_be_created_exits_2_before_running(tiny_config, tmp_path, capsys,
                                                            monkeypatch):
     blocker = tmp_path / "file"
@@ -324,6 +345,19 @@ def test_report_names_a_repeated_quantity_once(tiny_config, tmp_path, capsys):
         "mu_hist.svg", "mu_ecdf.svg", "mu_ecdf_diff.svg", "summary.json", "summary.csv"))
     rows = (report_dir / "summary.csv").read_text().splitlines()[1:]
     assert [row.split(",")[0] for row in rows] == ["mu"]
+
+
+def test_report_refuses_quantities_that_share_a_file_name(tiny_config, tmp_path, capsys):
+    """The plots of `a/b` and `a_b` would both be written to a_b_*.svg."""
+    artifact = run(config_from_dict(json.loads(tiny_config.read_text())))
+    ranks = np.repeat(artifact.ranks, 2, axis=1)
+    out = save_artifact(dataclasses.replace(artifact, quantities=("a/b", "a_b"), ranks=ranks,
+                                            ess=np.repeat(artifact.ess, 2, axis=1)),
+                        tmp_path / "artifact")
+    assert main(["report", "--run", str(out), "--out", str(tmp_path / "r")]) == 4
+    assert capsys.readouterr().err == ("sbc: report error: quantities 'a/b' and 'a_b' would "
+                                       "both be plotted to a_b_*.svg\n")
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("formats", ["", ",", " , "])

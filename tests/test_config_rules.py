@@ -191,7 +191,7 @@ CLASSES = {
         "n_leapfrog": [3],
         "vi_iterations": "size",
         "vi_learning_rate": [1e-300],
-        "warmup": [3],
+        "warmup": "size",
     }),
     Corruption: (InvalidSpec, reference_corruption, {
         "kind": ["none", "shift", "scale", "Shift"],
@@ -313,7 +313,7 @@ def test_cross_field_cases_accept_and_refuse_what_the_old_checks_did(cls):
 @pytest.mark.parametrize("cls", [NormalNormalSpec, LinRegSpec], ids=lambda cls: cls.__name__)
 def test_n_obs_is_at_most_2_to_the_20(cls):
     """A block's (128, n_obs) observations then fit in 1 GiB; a larger n_obs is refused
-    before lin-reg builds its default covariates."""
+    when the spec is made."""
     assert cls(n_obs=2**20).n_obs == 2**20
     with pytest.raises(InvalidSpec, match=rf"^{cls.__name__}\.n_obs must be an integer in "
                                           r"\[1, 1048576\], got 1048577$"):
@@ -327,3 +327,20 @@ def test_N_is_at_most_2_to_the_32():
     with pytest.raises(ConfigError, match=r"^RunConfig\.N must be an integer in "
                                           r"\[1, 4294967296\], got 4294967297$"):
         RunConfig(N=2**32 + 1)
+
+
+@pytest.mark.parametrize("cls, field, low, high", [
+    (RunConfig, "L", 1, 2**20),
+    (RunConfig, "max_chain_length", 1, 2**22),
+    (SamplerConfig, "warmup", 0, 2**22),
+    (SamplerConfig, "vi_iterations", 1, 2**22),
+], ids=lambda v: v.__name__ if isinstance(v, type) else str(v))
+def test_sizes_that_allocate_are_bounded(cls, field, low, high):
+    """Each size that sets an array's length is refused above its bound when the config is
+    made, not when the run fails to allocate it."""
+    error = ConfigError if cls is RunConfig else InvalidSpec
+    others = {"max_chain_length": 2**22} if field == "L" else {}  # max_chain_length >= L
+    assert getattr(cls(**others, **{field: high}), field) == high
+    with pytest.raises(error, match=rf"^{cls.__name__}\.{field} must be an integer in "
+                                    rf"\[{low}, {high}\], got {high + 1}$"):
+        cls(**others, **{field: high + 1})

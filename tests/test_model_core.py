@@ -223,7 +223,7 @@ def _reference_lin_reg(data, z):
     spec = LinRegSpec()
     alpha, beta, u = z
     sigma = math.exp(u)
-    mean = alpha + beta * np.asarray(spec.covariates)
+    mean = alpha + beta * np.array([(i + 1) / spec.n_obs for i in range(spec.n_obs)])
     return (stats.norm.logpdf(alpha, 0.0, spec.prior_sd_alpha)
             + stats.norm.logpdf(beta, 0.0, spec.prior_sd_beta)
             + stats.halfnorm.logpdf(sigma, scale=spec.noise_sd_prior_scale)

@@ -204,9 +204,23 @@ class TestLinReg:
         expected = -beta**2 / 200 + beta**2 / 2  # only the beta prior differs
         assert diff == pytest.approx(expected, rel=1e-9)
 
-    def test_default_covariates(self):
-        spec = LinRegSpec(n_obs=4)
-        assert spec.covariates == (0.25, 0.5, 0.75, 1.0)
+    @pytest.mark.parametrize("n_obs", [1, 3, 25, 2**20])
+    def test_default_covariates(self, n_obs):
+        """A spec keeps the covariates it is given, None by default, and the model then uses
+        (i + 1) / n_obs: its simulator and density equal, bit for bit, those of a model
+        given these covariates."""
+        assert LinRegSpec().covariates is None and LinRegSpec(n_obs=n_obs).covariates is None
+        default = make_lin_reg(LinRegSpec(n_obs=n_obs))
+        given = make_lin_reg(LinRegSpec(n_obs=n_obs,
+                                        covariates=[(i + 1) / n_obs for i in range(n_obs)]))
+        theta = default.prior_simulator(RandomStream(35, 0, "prior"))
+        data = default.data_simulator(theta, RandomStream(35, 0, "data"))
+        np.testing.assert_array_equal(given.data_simulator(theta, RandomStream(35, 0, "data")),
+                                      data)
+        z = default.unconstraining_map.unconstrain(theta)[np.newaxis]
+        actual, expected = (posterior_target(m, data[np.newaxis]) for m in (default, given))
+        np.testing.assert_array_equal(actual.logpdf(z), expected.logpdf(z))
+        np.testing.assert_array_equal(actual.grad(z), expected.grad(z))
 
 
 class TestEightSchools:

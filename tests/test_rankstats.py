@@ -364,47 +364,48 @@ class TestBinomialQuantiles:
             sequential_binomial_quantile(q, 10, 0.3)
 
 
-def summary_of(ranks, L):
-    """ECDF summary of the ranks against the default band for their count."""
+def ecdf_of(ranks, L):
+    """ECDF values of the ranks, and the default band for their count."""
     ranks = np.asarray(ranks)
-    return ecdf_summary(ranks, ecdf_band(ranks.size, L))
+    band = ecdf_band(ranks.size, L)
+    return ecdf_summary(ranks, band), band
 
 
 class TestEcdf:
     def test_perfect_uniformity_diff_zero(self):
         L = 9
         ranks = np.arange(L + 1)
-        s = summary_of(ranks, L)
-        np.testing.assert_allclose(s.values, s.band.expected)
-        np.testing.assert_allclose(s.values - s.band.expected, 0.0, atol=1e-15)
+        values, band = ecdf_of(ranks, L)
+        np.testing.assert_allclose(values, band.expected)
+        np.testing.assert_allclose(values - band.expected, 0.0, atol=1e-15)
 
     def test_point_mass_at_zero(self):
         L = 9
-        s = summary_of(np.zeros(100, dtype=int), L)
-        np.testing.assert_allclose(s.values, 1.0)
-        assert (s.values - s.band.expected)[0] == pytest.approx(1 - 1 / (L + 1))
+        values, band = ecdf_of(np.zeros(100, dtype=int), L)
+        np.testing.assert_allclose(values, 1.0)
+        assert (values - band.expected)[0] == pytest.approx(1 - 1 / (L + 1))
 
     def test_final_diff_always_zero(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
             ranks = rng.integers(0, 100, size=200)
-            s = summary_of(ranks, 99)
-            assert (s.values - s.band.expected)[-1] == pytest.approx(0.0)
+            values, band = ecdf_of(ranks, 99)
+            assert (values - band.expected)[-1] == pytest.approx(0.0)
 
     def test_values_nondecreasing_and_end_at_one(self):
         rng = np.random.default_rng(6)
         ranks = rng.integers(0, 100, size=500)
-        s = summary_of(ranks, 99)
-        assert np.all(np.diff(s.values) >= 0)
-        assert s.values[-1] == 1.0
-        assert np.all(np.diff(s.band.expected) > 0)
+        values, band = ecdf_of(ranks, 99)
+        assert np.all(np.diff(values) >= 0)
+        assert values[-1] == 1.0
+        assert np.all(np.diff(band.expected) > 0)
 
     def test_pointwise_envelope_coverage_for_uniform_ranks(self):
         # Statistical property: about 1% of the 100 points may fall outside.
         rng = np.random.default_rng(2026)
         ranks = rng.integers(0, 100, size=2000)
-        s = summary_of(ranks, 99)
-        inside = np.sum((s.values >= s.band.low) & (s.values <= s.band.high))
+        values, band = ecdf_of(ranks, 99)
+        inside = np.sum((values >= band.low) & (values <= band.high))
         assert inside >= 97
 
     def test_band_for_another_count_rejected(self):

@@ -71,9 +71,9 @@ FROZEN_REPORT_SHA256 = {
 
 
 def ecdf_of(artifact, quantity):
-    """The quantity's ECDF summary against the artifact's 99% band."""
-    return ecdf_summary(artifact.ranks_for(quantity), ecdf_band(artifact.ranks.shape[0],
-                                                                artifact.L))
+    """The quantity's ECDF values, and the artifact's 99% band."""
+    band = ecdf_band(artifact.ranks.shape[0], artifact.L)
+    return ecdf_summary(artifact.ranks_for(quantity), band), band
 
 
 @pytest.fixture(scope="module")
@@ -123,7 +123,7 @@ class TestEcdfSvg:
     def test_perfect_uniform_diff_is_zero(self):
         L = 19
         artifact = artifact_from_ranks(list(range(L + 1)), L=L)
-        doc = render_ecdf_svg(ecdf_of(artifact, "mu"), "mu", mode="diff")
+        doc = render_ecdf_svg(*ecdf_of(artifact, "mu"), "mu", mode="diff")
         root = ET.fromstring(doc)
         curve = [el for el in root.iter() if el.get("data-values") is not None][0]
         values = [float(v) for v in curve.get("data-values").split()]
@@ -132,7 +132,7 @@ class TestEcdfSvg:
     def test_point_mass_steps_to_one_at_zero(self):
         L = 19
         artifact = artifact_from_ranks([0] * 50, L=L)
-        doc = render_ecdf_svg(ecdf_of(artifact, "mu"), "mu", mode="ecdf")
+        doc = render_ecdf_svg(*ecdf_of(artifact, "mu"), "mu", mode="ecdf")
         root = ET.fromstring(doc)
         curve = [el for el in root.iter() if el.get("data-values") is not None][0]
         values = [float(v) for v in curve.get("data-values").split()]
@@ -140,12 +140,12 @@ class TestEcdfSvg:
 
     def test_byte_stable(self, exact_artifact):
         for mode in ("ecdf", "diff"):
-            assert (render_ecdf_svg(ecdf_of(exact_artifact, "mu"), "mu", mode)
-                    == render_ecdf_svg(ecdf_of(exact_artifact, "mu"), "mu", mode))
+            assert (render_ecdf_svg(*ecdf_of(exact_artifact, "mu"), "mu", mode)
+                    == render_ecdf_svg(*ecdf_of(exact_artifact, "mu"), "mu", mode))
 
     def test_bad_mode(self, exact_artifact):
         with pytest.raises(ValueError):
-            render_ecdf_svg(ecdf_of(exact_artifact, "mu"), "mu", mode="qq")
+            render_ecdf_svg(*ecdf_of(exact_artifact, "mu"), "mu", mode="qq")
 
 
 class TestSummarize:
@@ -260,7 +260,7 @@ class TestWriteReport:
 
     def test_each_summary_and_the_band_built_once(self, tmp_path, monkeypatch):
         """Whatever the number of quantities, a report makes one histogram-band quantile
-        call and one ECDF band, and one ECDF summary per quantity."""
+        call and one ECDF band, and one ECDF value array per quantity."""
         calls = {"ecdf_summary": 0, "ecdf_band": 0, "histogram band": 0}
 
         def counted(module, name):
@@ -312,15 +312,28 @@ class TestWriteReport:
         for q in artifact.quantities:
             ecdf = ecdf_summary(artifact.ranks_for(q), band)
             hist = rank_histograms(artifact, [q], request.bins, request.coverage)[0]
-            leaves = np.max(np.abs(ecdf.values - band.expected)) > frame.extent
+            leaves = np.max(np.abs(ecdf - band.expected)) > frame.extent
             assert leaves == (q == "q03")
             for suffix, doc in (("hist", render_histogram_svg(hist, q)),
-                                ("ecdf", render_ecdf_svg(ecdf, q, "ecdf")),
-                                ("ecdf_diff", render_ecdf_svg(ecdf, q, "diff"))):
+                                ("ecdf", render_ecdf_svg(ecdf, band, q, "ecdf")),
+                                ("ecdf_diff", render_ecdf_svg(ecdf, band, q, "diff"))):
                 assert (tmp_path / f"{q}_{suffix}.svg").read_text(encoding="utf-8") == doc
             for mode in ("ecdf", "diff"):
-                assert frame.render(ecdf, q, mode) == render_ecdf_svg(ecdf, q, mode)
+                assert frame.render(ecdf, q, mode) == render_ecdf_svg(ecdf, band, q, mode)
         assert [key[0] for key in frame.band_marks] == ["ecdf", "diff", "diff"]
+
+    def test_quantities_that_share_a_file_name_refused_before_any_file(self, tmp_path):
+        """`a/b` and `a_b` would both be plotted to a_b_*.svg; without svg no file is named
+        after a quantity."""
+        artifact = artifact_from_ranks(np.arange(40) % 20, quantities=("x", "a/b", "a_b",
+                                                                        "y"))
+        with pytest.raises(ValueError, match=r"^quantities 'a/b' and 'a_b' would both be "
+                                             r"plotted to a_b_\*\.svg$"):
+            write_report(artifact, ReportRequest(artifact_path="x"), tmp_path / "r")
+        assert not (tmp_path / "r").exists()
+        written = write_report(artifact, ReportRequest(artifact_path="x", formats=("json",)),
+                               tmp_path / "r")
+        assert written == ["summary.json"]
 
     @pytest.mark.parametrize("formats, expected", [
         (("svg",), 0), (("json",), 2), (("csv",), 2), (("svg", "csv", "json"), 2)])

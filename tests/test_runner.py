@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sbc import runner
+from sbc import report, runner
 from sbc.cli import main
 from sbc.config import Corruption, RunConfig, SamplerConfig, config_from_dict, config_to_dict
 from sbc.errors import (
@@ -44,6 +45,19 @@ def assert_same_table(a, b):
     assert a.quantities == b.quantities
     for name in ("replications", "ranks", "ess", "chain_lengths"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+
+def assert_resaved_at_1_1(artifact, out):
+    """Saved again, the artifact is written at format 1.1, with no output_path, and loads
+    back equal."""
+    meta = json.loads((save_artifact(artifact, out) / "meta.json").read_text())
+    assert meta["format_version"] == "1.1" and "output_path" not in meta["config"]
+    reloaded = load_artifact(out)
+    assert reloaded.config == artifact.config
+    assert_same_table(reloaded, artifact)
+    assert reloaded.failures == artifact.failures
+    assert reloaded.diagnostics == artifact.diagnostics
+    assert reloaded.wall_clock_seconds == artifact.wall_clock_seconds
 
 
 def rewrite(out, name, blob):
@@ -138,7 +152,7 @@ class TestRunConfig:
         with pytest.raises(ConfigError) as caught:
             config_from_dict(d)
         assert str(caught.value) == "invalid sampler: SamplerConfig.warmup must be an " \
-                                    "integer >= 0, got -1"
+                                    "integer in [0, 4194304], got -1"
         d = {**config_to_dict(exact_config()), "N": 0}
         with pytest.raises(ConfigError) as caught:
             config_from_dict(d)
@@ -436,7 +450,7 @@ class TestPersistence:
             rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
 
         rewrite_version("1.7")
-        assert load_artifact(out).format_version == "1.7"
+        assert_resaved_at_1_1(load_artifact(out), tmp_path / "resaved")
         rewrite_version("2.0")
         with pytest.raises(FormatVersionMismatch):
             load_artifact(out)
@@ -469,14 +483,12 @@ class TestPersistence:
         """Artifacts that the first release's ``sbc run`` wrote: exact normal-normal, and
         non-centered eight schools under HMC with Algorithm 2."""
         fixture = Path(__file__).parent / "data" / "format-1.0" / name
+        assert json.loads((fixture / "meta.json").read_text())["format_version"] == "1.0"
         artifact = load_artifact(fixture)
-        assert artifact.format_version == "1.0"
         assert artifact.ranks.shape == shape
         assert main(["report", "--run", str(fixture), "--out", str(tmp_path / "r")]) == 0
         capsys.readouterr()
-        reloaded = load_artifact(save_artifact(artifact, tmp_path / "resaved"))
-        assert reloaded.config == artifact.config
-        assert_same_table(reloaded, artifact)
+        assert_resaved_at_1_1(artifact, tmp_path / "resaved")
 
     def test_format_1_0_config_with_output_path_loads(self, tmp_path):
         artifact = run(exact_config(N=5))
@@ -709,6 +721,54 @@ class TestMetaValidation:
         ]
         rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
         assert load_artifact(out).diagnostics == tuple(meta["diagnostics"])
+
+    def test_diagnostics_must_not_name_a_failed_replication(self, tmp_path):
+        """N - len(failures) entries, ascending and in [0, N), none of them failed, are the
+        completed replications; here entry 3 names the failed replication 3."""
+        out = save_artifact(run(exact_config(N=20)), tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+        meta["failures"] = [{"replication": 3, "reason": "x"}]
+        del meta["diagnostics"][19]
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        with pytest.raises(InvalidArtifact, match="meta.json: diagnostics must be a list of 19"):
+            load_artifact(out)
+
+    def test_a_huge_N_is_refused_without_memory_that_grows_with_it(self, tmp_path):
+        """The completed replications are read from the diagnostics, not listed from
+        range(N): a meta.json that claims N = 2,000,000 beside three completed rows is
+        refused within 1 MB."""
+        out = save_artifact(run(exact_config(N=3)), tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+        meta["config"]["N"] = 2_000_000
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        tracemalloc.start()
+        try:
+            with pytest.raises(InvalidArtifact, match="a list of 2000000 objects"):
+                load_artifact(out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_an_L_above_its_bound_is_refused_before_the_report(self, tmp_path, capsys,
+                                                              monkeypatch):
+        """An artifact whose meta.json and ranks.csv agree on L = 10**12 is refused on
+        load, so `sbc report` exits 4 before it bins anything."""
+        out = save_artifact(run(exact_config(N=3)), tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+        meta["config"]["L"] = meta["config"]["max_chain_length"] = 10**12
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        header, *rows = (out / "ranks.csv").read_text().splitlines()
+        rows = [row.split(",") for row in rows]
+        for row in rows:
+            row[3] = row[5] = str(10**12)
+        rewrite(out, "ranks.csv", "\n".join([header, *map(",".join, rows), ""]).encode())
+        with pytest.raises(ConfigError, match=r"RunConfig\.L must be an integer in "
+                                              r"\[1, 1048576\], got 1000000000000"):
+            load_artifact(out)
+        monkeypatch.setattr(report, "write_report", lambda *args: pytest.fail("report ran"))
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        assert capsys.readouterr().err.startswith("sbc: report error: RunConfig.L must be")
 
     def test_meta_not_an_object_rejected(self, tmp_path, capsys):
         out = save_artifact(run(exact_config(N=20)), tmp_path / "run")
