@@ -25,11 +25,11 @@ _EXPORTS = {name: module for module, names in {
               "coordinate", "posterior_target"),
     "models": ("EightSchoolsSpec", "LinRegSpec", "NormalNormalSpec", "make_eight_schools",
                "make_lin_reg", "make_normal_normal", "model_from_dict"),
-    "rankstats": ("EcdfBand", "SbcHistogram", "build_histogram", "build_histograms",
-                  "chi_square_uniformity", "classify_shape", "default_bins", "ecdf_band",
-                  "ecdf_summary", "rank_statistic", "rebin"),
-    "report": ("ReportRequest", "rank_histograms", "render_ecdf_svg", "render_histogram_svg",
-               "summarize", "write_report"),
+    "rankstats": ("EcdfBand", "HistogramBand", "build_histogram", "chi_square_uniformity",
+                  "classify_shape", "default_bins", "ecdf_band", "ecdf_summary",
+                  "histogram_band", "rank_statistic"),
+    "report": ("EcdfFrame", "ReportRequest", "rank_histograms", "render_ecdf_svg",
+               "render_histogram_svg", "summarize", "write_report"),
     "runner": ("RunArtifact", "load_artifact", "run", "save_artifact"),
     "samplers": ("DrawBlock", "corrupt", "fit_meanfield_vi", "sample_exact_conjugate",
                  "sample_hmc", "sample_rw_metropolis"),

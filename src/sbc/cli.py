@@ -78,7 +78,7 @@ def _cmd_run(args) -> int:
     try:
         with open(args.config, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         print(f"sbc: cannot read config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -118,8 +118,8 @@ def _cmd_run(args) -> int:
     print(f"artifact written to {out}")
     print(f"replications: {config.N}  failures: {len(artifact.failures)}  "
           f"wall clock: {artifact.wall_clock_seconds:.1f}s")
-    for s in summarize(artifact, artifact.quantities,
-                       rank_histograms(artifact, artifact.quantities)):
+    counts, band = rank_histograms(artifact, artifact.quantities)
+    for s in summarize(artifact, artifact.quantities, counts, band):
         print(f"  {s['quantity']}: {s['classification']} "
               f"(chi2={s['chi_square']:.1f}, dof={s['chi_square_dof']}, "
               f"{s['bins_outside_band']}/{s['B']} bins outside band)")

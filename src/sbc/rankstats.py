@@ -2,15 +2,17 @@
 
 The rank of a prior draw within L posterior draws is uniform on {0, ..., L}
 when the posterior sampler is exact, so departures from discrete uniformity
-localize inference bugs.  This module computes ranks, rebins them for
-display, derives exact binomial variation bands, computes ECDF values, and
+localize inference bugs.  This module computes ranks, derives exact binomial
+variation bands, counts ranks into display bins, computes ECDF values, and
 classifies the common failure shapes.
 
-An ECDF is an array, its values at 0..L.  The :class:`EcdfBand` it is drawn
-against holds the uniform expectation and the pointwise bounds, depends on
-(N, L, coverage) alone and is shared by every quantity of a run; the report
-picks the band, and the ECDF difference plot subtracts the band's
-expectation when it is drawn.
+A histogram is its (B,) counts and an ECDF its (L+1,) values at 0..L, each
+an array drawn against a band, a :class:`HistogramBand` or an
+:class:`EcdfBand`.  A band holds the variation expected under uniformity,
+depends on (N, L, B, coverage) or (N, L, coverage) alone and is shared by
+every quantity of a run.  The report picks the bands; :func:`build_histogram`
+and :func:`ecdf_summary` check the ranks against them, and the ECDF
+difference plot subtracts the band's expectation when it is drawn.
 
 Every band rests on one routine, :func:`binomial_quantiles`.  Its quantiles
 are exactly those of summing the binomial pmf sequentially from k = 0 until
@@ -36,27 +38,23 @@ from .errors import IndivisibleBinning, NonFiniteInput
 
 
 @dataclass(frozen=True)
-class SbcHistogram:
-    """Binned rank counts with a binomial variation band.
+class HistogramBand:
+    """Binomial variation band of a histogram of N ranks on 0..L in B display bins.
 
     Display bin b collects the raw ranks in [b * (L+1)/B, (b+1) * (L+1)/B).
-    The band and its median are quantiles of Binomial(N, 1/B), the count of
-    one display bin under uniformity.
+    ``low``, ``median`` and ``high`` are the Binomial(N, 1/B) quantiles at
+    (1-coverage)/2, 1/2 and 1-(1-coverage)/2, the count of one display bin
+    under uniformity.  The band depends on (N, L, B, coverage) alone, so one
+    band serves every quantity of a run.
     """
 
-    counts: tuple[int, ...]
     N: int
     L: int
-    band_low: int
-    band_high: int
-    band_median: int
-    band_coverage: float
-    rank_mean_normalized: float
-    rank_var_normalized: float
-
-    @property
-    def B(self) -> int:
-        return len(self.counts)
+    B: int
+    low: int
+    median: int
+    high: int
+    coverage: float
 
 
 @dataclass(frozen=True)
@@ -99,20 +97,6 @@ def rank_statistic(posterior_values, prior_value):
         raise NonFiniteInput("rank_statistic requires finite inputs")
     ranks = np.sum(values < prior[..., np.newaxis], axis=-1)
     return int(ranks) if ranks.ndim == 0 else ranks
-
-
-def rebin(ranks, L: int, B: int) -> np.ndarray:
-    """Collect raw ranks into B equal-width display bins; returns counts."""
-    ranks = np.asarray(ranks, dtype=np.int64)
-    if (L + 1) % B != 0:
-        raise IndivisibleBinning(
-            f"B={B} does not divide L+1={L + 1}; pick L so that L+1 is divisible "
-            "by a large power of 2 (e.g. L=1023), or choose a divisor of L+1"
-        )
-    if ranks.size and (ranks.min() < 0 or ranks.max() > L):
-        raise ValueError("ranks outside [0, L]")
-    width = (L + 1) // B
-    return np.bincount(ranks // width, minlength=B)
 
 
 # binomial_quantiles works through the probability grid in chunks of rows
@@ -288,56 +272,47 @@ def default_bins(N: int, L: int) -> int:
     return max(feasible) if feasible else 1
 
 
-def build_histograms(columns, L: int, B: int, coverage: float = 0.99) -> list[SbcHistogram]:
-    """Rebin each column of ranks and attach the exact binomial band, its median and the
-    column's rank moments.
+def histogram_band(N: int, L: int, B: int, coverage: float = 0.99) -> HistogramBand:
+    """The band of a histogram of N uniform ranks on 0..L in B bins (see
+    :class:`HistogramBand`), from one :func:`binomial_quantiles` call.
 
-    Every column holds the same number N of ranks, so one band serves them
-    all: the Binomial(N, 1/B) quantiles at (1-coverage)/2 and
-    1-(1-coverage)/2, and the median, from one :func:`binomial_quantiles`
-    call.  Each column's counts, mean and variance come from that column
-    alone.
+    A B that does not divide L+1 raises IndivisibleBinning.
     """
-    columns = [np.asarray(ranks, dtype=np.int64) for ranks in columns]
-    N = columns[0].size if columns else 0
     if N < 1 or B < 1 or not (0.0 < coverage < 1.0):
         raise ValueError("need N >= 1, B >= 1, 0 < coverage < 1")
-    if any(ranks.size != N for ranks in columns):
-        raise ValueError("every column must hold the same number of ranks")
+    if (L + 1) % B != 0:
+        raise IndivisibleBinning(
+            f"B={B} does not divide L+1={L + 1}; pick L so that L+1 is divisible "
+            "by a large power of 2 (e.g. L=1023), or choose a divisor of L+1"
+        )
     tail = (1.0 - coverage) / 2.0
     low, median, high = binomial_quantiles([tail, 0.5, 1.0 - tail], N, 1.0 / B)[0].tolist()
-    hists = []
-    for ranks in columns:
-        normalized = ranks / L if L > 0 else np.zeros(N)
-        hists.append(SbcHistogram(
-            counts=tuple(rebin(ranks, L, B).tolist()),
-            N=N,
-            L=L,
-            band_low=low,
-            band_high=high,
-            band_median=median,
-            band_coverage=coverage,
-            rank_mean_normalized=float(np.mean(normalized)),
-            rank_var_normalized=float(np.var(normalized)),
-        ))
-    return hists
+    return HistogramBand(N=N, L=L, B=B, low=low, median=median, high=high, coverage=coverage)
 
 
-def build_histogram(ranks, L: int, B: int, coverage: float = 0.99) -> SbcHistogram:
-    """The histogram of one column of ranks (see :func:`build_histograms`)."""
-    return build_histograms([ranks], L, B, coverage)[0]
+def build_histogram(ranks, band: HistogramBand) -> np.ndarray:
+    """The (B,) counts of ranks in each display bin of ``band``.
+
+    The band must be the one for as many ranks as are given.
+    """
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.size != band.N:
+        raise ValueError(f"{ranks.size} ranks against a band for N={band.N}")
+    if ranks.min() < 0 or ranks.max() > band.L:
+        raise ValueError("ranks outside [0, L]")
+    return np.bincount(ranks // ((band.L + 1) // band.B), minlength=band.B)
 
 
 def ecdf_band(N: int, L: int, coverage: float = 0.99) -> EcdfBand:
     """The pointwise ECDF band of N uniform ranks on 0..L (see :class:`EcdfBand`).
 
     Every quantile comes from one :func:`binomial_quantiles` call.  An L that
-    is not an integer >= 0 raises ValueError.
+    is not an integer >= 1 raises ValueError.
     """
     if N < 1 or not (0.0 < coverage < 1.0):
         raise ValueError(f"need N >= 1 and 0 < coverage < 1, got N={N}, coverage={coverage}")
-    if not _is_count(L):
-        raise ValueError(f"L must be an integer >= 0, got {L!r}")
+    if not (_is_count(L) and L >= 1):
+        raise ValueError(f"L must be an integer >= 1, got {L!r}")
     tail = (1.0 - coverage) / 2.0
     expected = np.arange(1, L + 2) / (L + 1)
     bounds = binomial_quantiles([tail, 1.0 - tail], N, expected) / N
@@ -386,8 +361,9 @@ SPIKE_FLATNESS = 1.5
 BIAS_SIGMA = 3.0
 
 
-def classify_shape(hist: SbcHistogram) -> str:
-    """Heuristic label for the histogram's deviation from uniformity.
+def classify_shape(counts, band: HistogramBand, rank_mean: float) -> str:
+    """Heuristic label for the deviation from uniformity of a histogram's ``counts``, drawn
+    against ``band``, whose ranks' mean divided by L is ``rank_mean``.
 
     Checked in order: boundary spikes (both extreme bins above the band, the
     interior inside it and flat), then u/cap shapes (both extreme bins
@@ -398,11 +374,9 @@ def classify_shape(hist: SbcHistogram) -> str:
     so a histogram that shows no mean-rank bias is "inconclusive", not
     uniform.
     """
-    counts = np.asarray(hist.counts, dtype=np.float64)
+    counts = np.asarray(counts, dtype=np.float64)
     B = counts.size
-    N = hist.N
-    if N < 1:
-        return "uniform"
+    N = band.N
     expected_bin = N / B
 
     if B >= 6:
@@ -411,9 +385,9 @@ def classify_shape(hist: SbcHistogram) -> str:
         central_mean = counts[lo:hi].mean()
         neighbor_mean = counts[[1, 2, -3, -2]].mean()
         spikes = (
-            counts[0] > hist.band_high
-            and counts[-1] > hist.band_high
-            and np.all(interior <= hist.band_high)
+            counts[0] > band.high
+            and counts[-1] > band.high
+            and np.all(interior <= band.high)
             and neighbor_mean <= SPIKE_FLATNESS * max(central_mean, 1.0)
         )
         if spikes:
@@ -432,7 +406,7 @@ def classify_shape(hist: SbcHistogram) -> str:
         if outer_low and central > expected_central:
             return "cap-shaped"
 
-    displacement = hist.rank_mean_normalized - 0.5
+    displacement = rank_mean - 0.5
     if abs(displacement) > BIAS_SIGMA / math.sqrt(12.0 * N):
         return "biased-high-ranks" if displacement > 0 else "biased-low-ranks"
     return "uniform" if B >= 4 else "inconclusive"

@@ -6,18 +6,22 @@ byte-identical files.  Coordinates are computed as numpy arrays and
 formatted in one pass per element.  Styling follows the usual convention:
 red for the data, gray for the variation expected under uniformity.
 
-A histogram is drawn from its :class:`SbcHistogram`, band and median
-included.  Both ECDF plots are drawn from the ECDF's values, an array, against
-the :class:`EcdfBand` that the report picks: the difference plot subtracts
-the band's uniform expectation from the values and the bounds.
+Each plot has one path.  A histogram is drawn from its counts, an array,
+against the :class:`~sbc.rankstats.HistogramBand` that the report picks,
+band and median included (:func:`render_histogram_svg`).  Both ECDF plots
+are drawn from the ECDF's values, an array, against an :class:`EcdfFrame`
+of the :class:`~sbc.rankstats.EcdfBand` that the report picks
+(:func:`render_ecdf_svg`): the difference plot subtracts the band's uniform
+expectation from the values and the bounds.
 
 The bands depend on (N, L, B, coverage) alone, which every quantity of an
 artifact shares, so a report computes them once: the histogram band and its
-median in one quantile call (:func:`sbc.rankstats.build_histograms`), and
-the ECDF band with its frame, the x coordinates formatted once and the band
+median in one quantile call (:func:`sbc.rankstats.histogram_band`), and the
+ECDF band with its frame, the x coordinates formatted once and the band
 polygon and baseline of each y range.  Per quantity it computes the rank
-counts and moments, the ECDF values, the curve's coordinates and the
-documents.  Nothing is kept from one report to the next.
+counts (:func:`sbc.rankstats.build_histogram`), the ECDF values, the
+curve's coordinates and the documents, and for a summary the rank moments.
+Nothing is kept from one report to the next.
 """
 
 from __future__ import annotations
@@ -33,13 +37,14 @@ import numpy as np
 from .errors import Rule, check_fields, checked, is_finite_number, is_integer
 from .rankstats import (
     EcdfBand,
-    SbcHistogram,
-    build_histograms,
+    HistogramBand,
+    build_histogram,
     chi_square_uniformity,
     classify_shape,
     default_bins,
     ecdf_band,
     ecdf_summary,
+    histogram_band,
 )
 from .runner import RunArtifact
 
@@ -76,13 +81,14 @@ class ReportRequest:
 
 
 def rank_histograms(artifact: RunArtifact, quantities, B: int | None = None,
-                    coverage: float = 0.99) -> list[SbcHistogram]:
-    """Each quantity's rank histogram in B bins (by default :func:`default_bins`'s choice),
-    all drawn against one band."""
+                    coverage: float = 0.99) -> tuple[np.ndarray, HistogramBand]:
+    """Each quantity's rank counts in B bins (by default :func:`default_bins`'s choice), a
+    (Q, B) array, and the one band they are all drawn against."""
     columns = [artifact.ranks_for(q) for q in quantities]
-    if B is None:
-        B = default_bins(artifact.ranks.shape[0], artifact.L)
-    return build_histograms(columns, artifact.L, B, coverage)
+    N = artifact.ranks.shape[0]
+    band = histogram_band(N, artifact.L, default_bins(N, artifact.L) if B is None else B,
+                          coverage)
+    return np.array([build_histogram(ranks, band) for ranks in columns]), band
 
 
 def _formatted(values: np.ndarray) -> list[str]:
@@ -126,14 +132,15 @@ def _document(title: str, marks: list[str], axis_y: float, L: int, labels: list[
     ]) + "\n"
 
 
-def render_histogram_svg(hist: SbcHistogram, quantity: str) -> str:
-    """Self-contained SVG of the quantity's rank histogram with its binomial variation band.
+def render_histogram_svg(counts: np.ndarray, band: HistogramBand, quantity: str) -> str:
+    """Self-contained SVG of the quantity's rank histogram ``counts`` with the binomial
+    variation ``band``.
 
     Bars carry their raw count in a data-count attribute so the document is
     exactly recoverable.
     """
-    n_bins = hist.B
-    top = max(max(hist.counts), hist.band_high)
+    n_bins = band.B
+    top = max(int(counts.max()), band.high)
     y_max = max(top, 1) * 1.08
 
     def y_of(c):
@@ -142,38 +149,38 @@ def render_histogram_svg(hist: SbcHistogram, quantity: str) -> str:
     pad = 0.06 * PLOT_W / n_bins
     width = PLOT_W / n_bins - 2 * pad
     xs = MARGIN_LEFT + PLOT_W * np.arange(n_bins) / n_bins + pad
-    tops = y_of(np.asarray(hist.counts))
+    tops = y_of(counts)
     heights = y_of(0) - tops
     marks = [
-        f'<rect x="{MARGIN_LEFT:.2f}" y="{y_of(hist.band_high):.2f}" '
-        f'width="{PLOT_W:.2f}" height="{y_of(hist.band_low) - y_of(hist.band_high):.2f}" '
-        f'fill="{BAND_GRAY}" data-band-low="{hist.band_low}" data-band-high="{hist.band_high}"/>',
-        f'<line x1="{MARGIN_LEFT:.2f}" y1="{y_of(hist.band_median):.2f}" '
-        f'x2="{MARGIN_LEFT + PLOT_W:.2f}" y2="{y_of(hist.band_median):.2f}" '
+        f'<rect x="{MARGIN_LEFT:.2f}" y="{y_of(band.high):.2f}" '
+        f'width="{PLOT_W:.2f}" height="{y_of(band.low) - y_of(band.high):.2f}" '
+        f'fill="{BAND_GRAY}" data-band-low="{band.low}" data-band-high="{band.high}"/>',
+        f'<line x1="{MARGIN_LEFT:.2f}" y1="{y_of(band.median):.2f}" '
+        f'x2="{MARGIN_LEFT + PLOT_W:.2f}" y2="{y_of(band.median):.2f}" '
         f'stroke="{MEDIAN_GRAY}" stroke-width="1.5"/>',
     ] + [
         f'<rect x="{x:.2f}" y="{y:.2f}" width="{width:.2f}" height="{h:.2f}" '
         f'fill="{DATA_RED}" data-count="{count}"/>'
-        for x, y, h, count in zip(xs.tolist(), tops.tolist(), heights.tolist(), hist.counts)
+        for x, y, h, count in zip(xs.tolist(), tops.tolist(), heights.tolist(), counts.tolist())
     ]
     y_label = (
         f'<text x="{MARGIN_LEFT - 6:.2f}" y="{y_of(y_max / 1.08) + 4:.2f}" '
         f'text-anchor="end" font-family="sans-serif" font-size="12" '
         f'fill="{AXIS_GRAY}">{top}</text>')
-    title = f"{quantity} rank histogram (N={hist.N}, L={hist.L}, B={n_bins})"
-    return _document(title, marks, y_of(0), hist.L, [y_label])
+    title = f"{quantity} rank histogram (N={band.N}, L={band.L}, B={n_bins})"
+    return _document(title, marks, y_of(0), band.L, [y_label])
 
 
-class _EcdfFrame:
+class EcdfFrame:
     """What every ECDF plot drawn against one band shares, built once per report.
 
-    It holds the x coordinates of 0..L, each formatted once, in the orders
-    the step curve and the band's outline take them; the extent of the band
-    less its uniform expectation; and the band polygon and baseline marks of
-    each y range (mode, y_lo, y_hi) drawn so far.  An ECDF plot's y range is
-    [0, 1].  A difference plot's is set by the band's extent unless its curve
-    leaves it.  So most plots of a report share their band marks, and per
-    plot only the curve is formatted.
+    It holds the band; the x coordinates of 0..L, each formatted once, in
+    the orders the step curve and the band's outline take them; the extent of
+    the band less its uniform expectation; and the band polygon and baseline
+    marks of each y range (mode, y_lo, y_hi) drawn so far.  An ECDF plot's y
+    range is [0, 1].  A difference plot's is set by the band's extent unless
+    its curve leaves it.  So most plots of a report share their band marks,
+    and per plot only the curve is formatted.
     """
 
     def __init__(self, band: EcdfBand):
@@ -183,53 +190,51 @@ class _EcdfFrame:
         self.extent = float(np.max(np.abs(np.stack([band.low, band.high]) - band.expected)))
         self.band_marks: dict[tuple[str, float, float], list[str]] = {}
 
-    def render(self, values: np.ndarray, quantity: str, mode: str) -> str:
-        """SVG of the quantity's rank ECDF ``values`` at 0..L (or their difference from the
-        uniform expectation) against the frame's band."""
-        band = self.band
-        # The difference plot subtracts the uniform expectation from everything it draws.
-        shift = band.expected if mode == "diff" else 0.0
-        curve = values - shift
-        y_lo, y_hi = 0.0, 1.0
-        if mode == "diff":
-            span = max(self.extent, float(np.max(np.abs(curve))), 1e-9) * 1.15
-            y_lo, y_hi = -span, span
 
-        def y_of(v):
-            return MARGIN_TOP + PLOT_H * (1.0 - (v - y_lo) / (y_hi - y_lo))
-
-        key = (mode, y_lo, y_hi)
-        if key not in self.band_marks:
-            low, high, baseline = (a - shift for a in (band.low, band.high, band.expected))
-            outline = _points(self.outline_xs, _formatted(y_of(np.concatenate([high, low[::-1]]))))
-            self.band_marks[key] = [
-                f'<polygon points="{outline}" fill="{BAND_GRAY}"/>',
-                f'<polyline points="{_points(self.xs, _formatted(y_of(baseline)))}" '
-                f'fill="none" stroke="{MEDIAN_GRAY}" stroke-width="1"/>',
-            ]
-        ys = _formatted(y_of(curve))
-        steps = _points(self.step_xs, _interleaved(ys, ys[:-1]))
-        values_attr = " ".join(map(repr, curve.tolist()))
-        marks = self.band_marks[key] + [
-            f'<polyline points="{steps}" fill="none" '
-            f'stroke="{DATA_RED}" stroke-width="1.5" data-values="{values_attr}"/>',
-        ]
-        title = (f"{quantity} rank ECDF{' difference' if mode == 'diff' else ''} "
-                 f"(N={band.N}, L={band.L})")
-        return _document(title, marks, y_of(y_lo), band.L, [])
-
-
-def render_ecdf_svg(values: np.ndarray, band: EcdfBand, quantity: str,
+def render_ecdf_svg(values: np.ndarray, frame: EcdfFrame, quantity: str,
                     mode: str = "ecdf") -> str:
-    """SVG of the quantity's rank ECDF ``values`` (or ECDF minus uniform expectation)
-    against ``band``."""
+    """SVG of the quantity's rank ECDF ``values`` at 0..L (or, with mode "diff", their
+    difference from the uniform expectation) against the band of ``frame``, whose band
+    marks it keeps for the next plot of the same y range."""
     if mode not in ("ecdf", "diff"):
         raise ValueError("mode must be 'ecdf' or 'diff'")
-    return _EcdfFrame(band).render(values, quantity, mode)
+    band = frame.band
+    # The difference plot subtracts the uniform expectation from everything it draws.
+    shift = band.expected if mode == "diff" else 0.0
+    curve = values - shift
+    y_lo, y_hi = 0.0, 1.0
+    if mode == "diff":
+        span = max(frame.extent, float(np.max(np.abs(curve))), 1e-9) * 1.15
+        y_lo, y_hi = -span, span
+
+    def y_of(v):
+        return MARGIN_TOP + PLOT_H * (1.0 - (v - y_lo) / (y_hi - y_lo))
+
+    key = (mode, y_lo, y_hi)
+    if key not in frame.band_marks:
+        low, high, baseline = (a - shift for a in (band.low, band.high, band.expected))
+        outline = _points(frame.outline_xs, _formatted(y_of(np.concatenate([high, low[::-1]]))))
+        frame.band_marks[key] = [
+            f'<polygon points="{outline}" fill="{BAND_GRAY}"/>',
+            f'<polyline points="{_points(frame.xs, _formatted(y_of(baseline)))}" '
+            f'fill="none" stroke="{MEDIAN_GRAY}" stroke-width="1"/>',
+        ]
+    ys = _formatted(y_of(curve))
+    steps = _points(frame.step_xs, _interleaved(ys, ys[:-1]))
+    values_attr = " ".join(map(repr, curve.tolist()))
+    marks = frame.band_marks[key] + [
+        f'<polyline points="{steps}" fill="none" '
+        f'stroke="{DATA_RED}" stroke-width="1.5" data-values="{values_attr}"/>',
+    ]
+    title = (f"{quantity} rank ECDF{' difference' if mode == 'diff' else ''} "
+             f"(N={band.N}, L={band.L})")
+    return _document(title, marks, y_of(y_lo), band.L, [])
 
 
-def summarize(artifact: RunArtifact, quantities, hists) -> list[dict]:
-    """JSON-serializable summary of each quantity's calibration evidence, from its histogram.
+def summarize(artifact: RunArtifact, quantities, counts: np.ndarray,
+              band: HistogramBand) -> list[dict]:
+    """JSON-serializable summary of each quantity's calibration evidence, from its row of the
+    (Q, B) ``counts`` drawn against ``band``, and its ranks' moments.
 
     A quantity's ESS quartiles are taken over the replications with an
     estimate for it, and are None where none has one.  Quantities whose
@@ -250,25 +255,25 @@ def summarize(artifact: RunArtifact, quantities, hists) -> list[dict]:
             for j, values in zip(columns, quartiles.T.tolist()):
                 ess_quartiles[j] = values
     summaries = []
-    for quantity, hist, quartiles in zip(quantities, hists, ess_quartiles):
-        stat, dof = chi_square_uniformity(hist.counts)
-        counts = np.asarray(hist.counts)
-        outside = int(np.sum((counts < hist.band_low) | (counts > hist.band_high)))
+    for quantity, row, quartiles in zip(quantities, counts, ess_quartiles):
+        stat, dof = chi_square_uniformity(row)
+        normalized = artifact.ranks_for(quantity) / band.L
+        rank_mean = float(np.mean(normalized))
         summaries.append({
             "quantity": quantity,
-            "N": hist.N,
-            "L": hist.L,
-            "B": hist.B,
-            "counts": list(hist.counts),
-            "band_low": hist.band_low,
-            "band_high": hist.band_high,
-            "band_coverage": hist.band_coverage,
-            "bins_outside_band": outside,
+            "N": band.N,
+            "L": band.L,
+            "B": band.B,
+            "counts": row.tolist(),
+            "band_low": band.low,
+            "band_high": band.high,
+            "band_coverage": band.coverage,
+            "bins_outside_band": int(np.sum((row < band.low) | (row > band.high))),
             "chi_square": stat,
             "chi_square_dof": dof,
-            "classification": classify_shape(hist),
-            "rank_mean_normalized": hist.rank_mean_normalized,
-            "rank_var_normalized": hist.rank_var_normalized,
+            "classification": classify_shape(row, band, rank_mean),
+            "rank_mean_normalized": rank_mean,
+            "rank_var_normalized": float(np.var(normalized)),
             "failure_count": len(artifact.failures),
             "ess_quartiles": quartiles,
         })
@@ -300,11 +305,13 @@ def write_report(artifact: RunArtifact, request: ReportRequest, out_dir) -> list
 
     What depends only on (N, L, B, coverage), which every quantity of the
     artifact shares, is built once per call: the histogram band, the ECDF
-    band and its frame (:class:`_EcdfFrame`).  Each quantity's histogram and
+    band and its frame (:class:`EcdfFrame`).  Each quantity's counts and
     ECDF values are built once and shared by the files that show them, and
-    its summary row only when ``json`` or ``csv`` is requested.  With ``svg``,
-    two quantities whose plots would share a file name raise ValueError
-    before any file is written.
+    its summary row only when ``json`` or ``csv`` is requested.  The bands,
+    counts and summary rows are built before ``out_dir`` is created, so a
+    report refused for an unknown quantity or bins that do not divide L+1
+    creates nothing; so does one with ``svg`` whose quantities' plots would
+    share a file name.
     """
     from pathlib import Path
 
@@ -315,19 +322,20 @@ def write_report(artifact: RunArtifact, request: ReportRequest, out_dir) -> list
         if stems.setdefault(stem, q) != q:
             raise ValueError(f"quantities {stems[stem]!r} and {q!r} would both be plotted "
                              f"to {stem}_*.svg")
+    counts, band = rank_histograms(artifact, quantities, request.bins, request.coverage)
+    rows = (summarize(artifact, quantities, counts, band)
+            if {"json", "csv"} & set(request.formats) else [])
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    hists = rank_histograms(artifact, quantities, request.bins, request.coverage)
-    rows = summarize(artifact, quantities, hists) if {"json", "csv"} & set(request.formats) else []
     written: list[str] = []
     if "svg" in request.formats:
-        frame = _EcdfFrame(ecdf_band(artifact.ranks.shape[0], artifact.L, request.coverage))
-        for stem, q, hist in zip(stems, quantities, hists):
+        frame = EcdfFrame(ecdf_band(artifact.ranks.shape[0], artifact.L, request.coverage))
+        for stem, q, row in zip(stems, quantities, counts):
             ecdf = ecdf_summary(artifact.ranks_for(q), frame.band)
             for suffix, doc in (
-                ("hist", render_histogram_svg(hist, q)),
-                ("ecdf", frame.render(ecdf, q, "ecdf")),
-                ("ecdf_diff", frame.render(ecdf, q, "diff")),
+                ("hist", render_histogram_svg(row, band, q)),
+                ("ecdf", render_ecdf_svg(ecdf, frame, q, "ecdf")),
+                ("ecdf_diff", render_ecdf_svg(ecdf, frame, q, "diff")),
             ):
                 name = f"{stem}_{suffix}.svg"
                 (out / name).write_text(doc, encoding="utf-8")

@@ -590,9 +590,13 @@ def _rank_table(rows: list[list[str]], config: RunConfig, completed: list[int]) 
 def load_artifact(path) -> RunArtifact:
     """Read an artifact directory back, verifying checksums, version, meta.json and the rank
     table, whose size meta.json's ``n_records`` must give.  It parses the bytes whose
-    checksums it checked, so each file is read once."""
+    checksums it checked, so each file is read once.  A meta.json that does not decode or
+    parse, nested too deep for the parser included, raises InvalidArtifact."""
     blobs = _verified_files(Path(path))
-    meta = json.loads(blobs["meta.json"].decode("utf-8"))
+    try:
+        meta = json.loads(blobs["meta.json"].decode("utf-8"))
+    except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
+        raise InvalidArtifact(f"meta.json does not parse: {exc}") from None
     if not isinstance(meta, dict):
         raise InvalidArtifact("meta.json must hold a JSON object")
     version = str(meta.get("format_version", ""))

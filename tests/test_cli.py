@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import math
 
@@ -317,6 +318,45 @@ def test_report_errors_exit_4(tiny_config, tmp_path):
                  "--out", str(tmp_path / "r")]) == 4
     assert main(["report", "--run", str(run_dir), "--format", "png",
                  "--out", str(tmp_path / "r")]) == 4
+
+
+@pytest.mark.parametrize("option", [["--quantity", "zeta"], ["--bins", "7"]])
+def test_refused_report_creates_nothing(option, tiny_config, tmp_path, capsys):
+    """An unknown quantity, or bins that do not divide L+1 = 20, is refused before the
+    output directory is made."""
+    run_dir = tmp_path / "artifact"
+    main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
+    capsys.readouterr()
+    assert main(["report", "--run", str(run_dir), *option, "--out", str(tmp_path / "r")]) == 4
+    assert capsys.readouterr().err.startswith("sbc: report error: ")
+    assert not (tmp_path / "r").exists()
+
+
+# Nested deeper than Python's JSON parser recurses.
+DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def test_config_nested_too_deep_exits_2(tmp_path, capsys):
+    config = tmp_path / "deep.json"
+    config.write_text(DEEP_JSON)
+    assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("sbc: cannot read config: ")
+
+
+def test_report_on_meta_nested_too_deep_exits_4(tiny_config, tmp_path, capsys):
+    """A checksummed meta.json that the parser cannot read is a damaged artifact."""
+    run_dir = tmp_path / "artifact"
+    main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
+    capsys.readouterr()
+    (run_dir / "meta.json").write_text(DEEP_JSON)
+    sums = (run_dir / "sha256sums.txt").read_text().splitlines()
+    digest = hashlib.sha256(DEEP_JSON.encode()).hexdigest()
+    (run_dir / "sha256sums.txt").write_text("".join(
+        f"{digest}  meta.json\n" if line.endswith("  meta.json") else f"{line}\n"
+        for line in sums))
+    assert main(["report", "--run", str(run_dir), "--out", str(tmp_path / "r")]) == 4
+    assert capsys.readouterr().err.startswith("sbc: report error: meta.json does not parse: ")
+    assert not (tmp_path / "r").exists()
 
 
 @pytest.mark.parametrize("model", [{"kind": "lin-reg", "covariates": 5},

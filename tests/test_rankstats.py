@@ -17,8 +17,8 @@ from sbc.rankstats import (
     default_bins,
     ecdf_band,
     ecdf_summary,
+    histogram_band,
     rank_statistic,
-    rebin,
 )
 from sbc.samplers import sample_exact_conjugate
 from sbc.streams import RandomStream
@@ -118,21 +118,27 @@ class TestRankStatistic:
             assert rank_statistic(v, p) + rank_statistic(-v, -p) == L
 
 
-class TestRebin:
+def rebinned(ranks, L: int, B: int) -> np.ndarray:
+    """The counts of ranks in B display bins of 0..L."""
+    ranks = np.asarray(ranks)
+    return build_histogram(ranks, histogram_band(ranks.size, L, B))
+
+
+class TestBuildHistogram:
     def test_pairing(self):
-        np.testing.assert_array_equal(rebin([0, 1, 2, 3], 3, 2), [2, 2])
+        np.testing.assert_array_equal(rebinned([0, 1, 2, 3], 3, 2), [2, 2])
 
     def test_point_mass_goes_to_last_bin(self):
-        counts = rebin([5] * 7, 5, 6)
+        counts = rebinned([5] * 7, 5, 6)
         np.testing.assert_array_equal(counts, [0, 0, 0, 0, 0, 7])
 
     def test_neighbors_share_bin(self):
-        counts = rebin([0, 1], 99, 50)
+        counts = rebinned([0, 1], 99, 50)
         assert counts[0] == 2
 
     def test_indivisible_binning_message(self):
         with pytest.raises(IndivisibleBinning, match="power of 2"):
-            rebin([0, 1], 99, 7)
+            histogram_band(2, 99, 7)
 
     def test_counts_sum_to_n(self):
         rng = np.random.default_rng(7)
@@ -140,32 +146,41 @@ class TestRebin:
             L = 99
             ranks = rng.integers(0, L + 1, size=int(rng.integers(1, 500)))
             for B in (1, 2, 4, 5, 10, 20, 25, 50, 100):
-                assert rebin(ranks, L, B).sum() == ranks.size
+                assert rebinned(ranks, L, B).sum() == ranks.size
+
+    def test_band_for_another_count_rejected(self):
+        with pytest.raises(ValueError, match="against a band for N=20"):
+            build_histogram(np.zeros(10, dtype=int), histogram_band(20, 9, 5))
+
+    @pytest.mark.parametrize("ranks", [[0, -1], [0, 10]])
+    def test_ranks_outside_range_rejected(self, ranks):
+        with pytest.raises(ValueError, match=r"ranks outside \[0, L\]"):
+            build_histogram(ranks, histogram_band(2, 9, 5))
 
 
-def histogram_band(N: int, B: int, coverage: float = 0.99) -> tuple[int, int]:
-    """(band_low, band_high) of a histogram of N ranks in B bins, with L = B - 1."""
-    hist = build_histogram(np.zeros(N, dtype=int), B - 1, B, coverage)
-    return hist.band_low, hist.band_high
+def band_bounds(N: int, B: int, coverage: float = 0.99) -> tuple[int, int]:
+    """(low, high) of the band of a histogram of N ranks in B bins, with L = B - 1."""
+    band = histogram_band(N, B - 1, B, coverage)
+    return band.low, band.high
 
 
 class TestUniformBand:
     def test_single_fair_bernoulli(self):
-        assert histogram_band(1, 2) == (0, 1)
+        assert band_bounds(1, 2) == (0, 1)
 
     def test_degenerate_p_equal_one(self):
-        assert histogram_band(40, 1) == (40, 40)
+        assert band_bounds(40, 1) == (40, 40)
 
     def test_frozen_oracle_values(self):
         # Frozen from an exact binomial CDF oracle (scipy.stats.binom.ppf).
-        assert histogram_band(2000, 100) == (10, 32)
-        assert histogram_band(2000, 20) == (76, 126)
-        assert histogram_band(1000, 20) == (33, 69)
+        assert band_bounds(2000, 100) == (10, 32)
+        assert band_bounds(2000, 20) == (76, 126)
+        assert band_bounds(1000, 20) == (33, 69)
 
     def test_matches_scipy_across_grid(self):
         for N in (1, 10, 100, 2000, 5000):
             for B in (1, 2, 3, 10, 20, 100):
-                lo, hi = histogram_band(N, B)
+                lo, hi = band_bounds(N, B)
                 assert lo == int(stats.binom.ppf(0.005, N, 1 / B))
                 assert hi == int(stats.binom.ppf(0.995, N, 1 / B))
 
@@ -174,24 +189,23 @@ class TestUniformBand:
         for _ in range(50):
             N = int(rng.integers(1, 3000))
             B = int(rng.integers(1, 120))
-            lo, hi = histogram_band(N, B, coverage=0.5 + 0.49 * rng.random())
+            lo, hi = band_bounds(N, B, coverage=0.5 + 0.49 * rng.random())
             assert lo <= N / B <= hi
 
     @pytest.mark.parametrize("N, L, B", [(1, 0, 1), (1, 1, 2), (1, 99, 100), (7, 9, 1),
                                          (40, 19, 20), (400, 99, 100), (2000, 1023, 1024),
                                          (5000, 99, 20), (333, 14, 15)])
     def test_median_equals_reference(self, N, L, B):
-        ranks = np.arange(N) % (L + 1)
         for coverage in (0.5, 0.9, 0.99):
-            hist = build_histogram(ranks, L, B, coverage)
-            assert hist.band_median == sequential_binomial_quantile(0.5, N, 1.0 / B)
-            assert hist.band_low <= hist.band_median <= hist.band_high
+            band = histogram_band(N, L, B, coverage)
+            assert band.median == sequential_binomial_quantile(0.5, N, 1.0 / B)
+            assert band.low <= band.median <= band.high
 
     @pytest.mark.parametrize("N, B, coverage", [(0, 2, 0.99), (10, 2, 0.0), (10, 2, 1.0),
                                                 (10, 2, -0.5), (10, 2, math.nan), (10, 0, 0.99)])
     def test_bad_arguments_rejected(self, N, B, coverage):
         with pytest.raises(ValueError, match="need N >= 1, B >= 1, 0 < coverage < 1"):
-            build_histogram(np.zeros(N, dtype=int), 9, B, coverage)
+            histogram_band(N, 9, B, coverage)
 
 
 class TestBinomialQuantile:
@@ -419,12 +433,17 @@ class TestEcdf:
             ecdf_band(N, 9, coverage)
 
     def test_negative_L_rejected(self):
-        with pytest.raises(ValueError, match="L must be an integer >= 0, got -1"):
+        with pytest.raises(ValueError, match="L must be an integer >= 1, got -1"):
             ecdf_band(10, -1)
+
+    def test_L_zero_rejected(self):
+        """An ECDF plot's x axis divides by L, so L = 0 has no band, as it has no run."""
+        with pytest.raises(ValueError, match="L must be an integer >= 1, got 0"):
+            ecdf_band(10, 0)
 
     @pytest.mark.parametrize("L", [2.5, 9.0, True])
     def test_L_that_is_not_an_integer_rejected(self, L):
-        with pytest.raises(ValueError, match="L must be an integer >= 0"):
+        with pytest.raises(ValueError, match="L must be an integer >= 1"):
             ecdf_band(10, L)
 
 
@@ -451,6 +470,12 @@ class TestDefaultBins:
         assert default_bins(10, 99) == 1
 
 
+def histogram_of(ranks, L, B):
+    """(counts, band, mean rank / L) of the ranks in B bins: what classify_shape reads."""
+    band = histogram_band(len(ranks), L, B)
+    return build_histogram(ranks, band), band, float(np.mean(np.asarray(ranks) / L))
+
+
 def _hist_from_bin_probs(probs, N, L, seed):
     """Synthesize ranks whose display-bin occupancy follows ``probs``."""
     rng = np.random.default_rng(seed)
@@ -458,54 +483,54 @@ def _hist_from_bin_probs(probs, N, L, seed):
     width = (L + 1) // B
     bins = rng.choice(B, size=N, p=np.asarray(probs) / np.sum(probs))
     offsets = rng.integers(0, width, size=N)
-    return build_histogram(bins * width + offsets, L, B)
+    return histogram_of(bins * width + offsets, L, B)
 
 
 class TestClassifyShape:
     def test_uniform(self):
         hist = _hist_from_bin_probs([1.0] * 20, 2000, 99, seed=1)
-        assert classify_shape(hist) == "uniform"
+        assert classify_shape(*hist) == "uniform"
 
     def test_u_shape(self):
         probs = np.ones(20)
         probs[0] = probs[-1] = 4.0
         probs[5:15] = 0.5
         hist = _hist_from_bin_probs(probs, 2000, 99, seed=2)
-        assert classify_shape(hist) == "u-shaped"
+        assert classify_shape(*hist) == "u-shaped"
 
     def test_cap_shape(self):
         probs = np.ones(20) * 1.4
         probs[0] = probs[-1] = 0.2
         probs[1] = probs[-2] = 0.6
         hist = _hist_from_bin_probs(probs, 2000, 99, seed=3)
-        assert classify_shape(hist) == "cap-shaped"
+        assert classify_shape(*hist) == "cap-shaped"
 
     def test_boundary_spikes(self):
         probs = np.ones(20) * 0.2
         probs[0] = probs[-1] = 5.0
         hist = _hist_from_bin_probs(probs, 1000, 99, seed=4)
-        assert classify_shape(hist) == "boundary-spikes"
+        assert classify_shape(*hist) == "boundary-spikes"
 
     def test_biased_high(self):
         # Linear tilt toward high ranks.
         probs = np.linspace(0.7, 1.3, 20)
         hist = _hist_from_bin_probs(probs, 2000, 99, seed=5)
-        assert classify_shape(hist) == "biased-high-ranks"
+        assert classify_shape(*hist) == "biased-high-ranks"
 
     def test_biased_low(self):
         probs = np.linspace(1.3, 0.7, 20)
         hist = _hist_from_bin_probs(probs, 2000, 99, seed=6)
-        assert classify_shape(hist) == "biased-low-ranks"
+        assert classify_shape(*hist) == "biased-low-ranks"
 
     @pytest.mark.parametrize("B", [1, 2, 3])
     def test_too_few_bins_inconclusive(self, B):
         """No shape test runs below 4 bins, so flat counts are not evidence of uniformity."""
         hist = _hist_from_bin_probs([1.0] * B, 2000, 119, seed=7)
-        assert classify_shape(hist) == "inconclusive"
+        assert classify_shape(*hist) == "inconclusive"
 
     def test_too_few_bins_still_reports_bias(self):
-        hist = build_histogram(np.full(15, 99), 99, 1)
-        assert classify_shape(hist) == "biased-high-ranks"
+        hist = histogram_of(np.full(15, 99), 99, 1)
+        assert classify_shape(*hist) == "biased-high-ranks"
 
 
 def test_theorem1_rank_uniformity_statistical():

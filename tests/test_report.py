@@ -12,8 +12,9 @@ import sbc.rankstats as rankstats
 import sbc.report as report
 from sbc.config import RunConfig, SamplerConfig
 from sbc.errors import UnknownQuantity
-from sbc.rankstats import binomial_quantiles, ecdf_band, ecdf_summary, rebin
+from sbc.rankstats import binomial_quantiles, build_histogram, ecdf_band, ecdf_summary, histogram_band
 from sbc.report import (
+    EcdfFrame,
     ReportRequest,
     rank_histograms,
     render_ecdf_svg,
@@ -71,9 +72,15 @@ FROZEN_REPORT_SHA256 = {
 
 
 def ecdf_of(artifact, quantity):
-    """The quantity's ECDF values, and the artifact's 99% band."""
+    """The quantity's ECDF values, and a frame of the artifact's 99% band."""
     band = ecdf_band(artifact.ranks.shape[0], artifact.L)
-    return ecdf_summary(artifact.ranks_for(quantity), band), band
+    return ecdf_summary(artifact.ranks_for(quantity), band), EcdfFrame(band)
+
+
+def histogram_of(artifact, quantity, B):
+    """The quantity's counts in B bins and their band, as render_histogram_svg takes them."""
+    counts, band = rank_histograms(artifact, [quantity], B=B)
+    return counts[0], band
 
 
 @pytest.fixture(scope="module")
@@ -86,15 +93,16 @@ def exact_artifact():
 
 class TestHistogramSvg:
     def test_well_formed_and_counts_recoverable(self, exact_artifact):
-        doc = render_histogram_svg(rank_histograms(exact_artifact, ["mu"], B=10)[0], "mu")
+        doc = render_histogram_svg(*histogram_of(exact_artifact, "mu", 10), "mu")
         root = ET.fromstring(doc)
         bars = [el for el in root.iter() if el.get("data-count") is not None]
         counts = [int(el.get("data-count")) for el in bars]
-        expected = rebin(exact_artifact.ranks_for("mu"), 19, 10)
+        ranks = exact_artifact.ranks_for("mu")
+        expected = build_histogram(ranks, histogram_band(ranks.size, 19, 10))
         np.testing.assert_array_equal(counts, expected)
 
     def test_bar_heights_proportional_to_counts(self, exact_artifact):
-        doc = render_histogram_svg(rank_histograms(exact_artifact, ["mu"], B=10)[0], "mu")
+        doc = render_histogram_svg(*histogram_of(exact_artifact, "mu", 10), "mu")
         root = ET.fromstring(doc)
         bars = [el for el in root.iter() if el.get("data-count") is not None]
         heights = np.array([float(el.get("height")) for el in bars])
@@ -104,12 +112,12 @@ class TestHistogramSvg:
         assert ratio.std() < 0.02 * ratio.mean()
 
     def test_byte_stable(self, exact_artifact):
-        a = render_histogram_svg(rank_histograms(exact_artifact, ["mu"], B=10)[0], "mu")
-        b = render_histogram_svg(rank_histograms(exact_artifact, ["mu"], B=10)[0], "mu")
+        a = render_histogram_svg(*histogram_of(exact_artifact, "mu", 10), "mu")
+        b = render_histogram_svg(*histogram_of(exact_artifact, "mu", 10), "mu")
         assert a == b
 
     def test_band_annotated(self, exact_artifact):
-        doc = render_histogram_svg(rank_histograms(exact_artifact, ["mu"], B=10)[0], "mu")
+        doc = render_histogram_svg(*histogram_of(exact_artifact, "mu", 10), "mu")
         root = ET.fromstring(doc)
         band = [el for el in root.iter() if el.get("data-band-low") is not None]
         assert len(band) == 1
@@ -150,7 +158,7 @@ class TestEcdfSvg:
 
 class TestSummarize:
     def test_contents(self, exact_artifact):
-        s, = summarize(exact_artifact, ["mu"], rank_histograms(exact_artifact, ["mu"], B=10))
+        s, = summarize(exact_artifact, ["mu"], *rank_histograms(exact_artifact, ["mu"], B=10))
         assert s["N"] == 400
         assert s["B"] == 10
         assert sum(s["counts"]) == 400
@@ -163,7 +171,7 @@ class TestSummarize:
         json.loads(json.dumps(s))
 
     def test_default_binning_rule(self, exact_artifact):
-        s, = summarize(exact_artifact, ["mu"], rank_histograms(exact_artifact, ["mu"]))
+        s, = summarize(exact_artifact, ["mu"], *rank_histograms(exact_artifact, ["mu"]))
         assert s["B"] == 20  # largest divisor of 20 with 400/B >= 20
 
     @pytest.mark.parametrize("n", [1, 2, 5, 300])
@@ -183,7 +191,7 @@ class TestSummarize:
         calls, percentile = [], np.percentile
         monkeypatch.setattr(np, "percentile", lambda *a, **k: calls.append(a) or percentile(*a, **k))
         rows = summarize(artifact, artifact.quantities,
-                         rank_histograms(artifact, artifact.quantities, B=1))
+                         *rank_histograms(artifact, artifact.quantities, B=1))
         for j, row in enumerate(rows):
             column = ess[:, j][~np.isnan(ess[:, j])]
             assert row["ess_quartiles"] == ([float(q) for q in percentile(column, [25, 50, 75])]
@@ -193,7 +201,7 @@ class TestSummarize:
         assert len(calls) == len(patterns) <= (2 if constant_series else 1)
 
     def test_counts_sum_excludes_failures(self, exact_artifact):
-        s, = summarize(exact_artifact, ["mu"], rank_histograms(exact_artifact, ["mu"]))
+        s, = summarize(exact_artifact, ["mu"], *rank_histograms(exact_artifact, ["mu"]))
         assert sum(s["counts"]) == s["N"] - 0
 
 
@@ -207,7 +215,7 @@ class TestWriteReport:
         assert "mu" in summary
 
     def test_csv_has_one_row_per_quantity(self, exact_artifact):
-        rows = summarize(exact_artifact, ["mu"], rank_histograms(exact_artifact, ["mu"], B=10))
+        rows = summarize(exact_artifact, ["mu"], *rank_histograms(exact_artifact, ["mu"], B=10))
         text = summary_csv(rows)
         lines = text.strip().split("\n")
         assert len(lines) == 2
@@ -216,7 +224,7 @@ class TestWriteReport:
         """Each row has one field per column, and a quoted name reads back whole."""
         artifact = artifact_from_ranks(np.arange(40).reshape(20, 2) % 20,
                                        quantities=("a,b", "mu"))
-        rows = summarize(artifact, ["a,b", "mu"], rank_histograms(artifact, ["a,b", "mu"], B=5))
+        rows = summarize(artifact, ["a,b", "mu"], *rank_histograms(artifact, ["a,b", "mu"], B=5))
         table = list(csv.reader(io.StringIO(summary_csv(rows))))
         assert [len(row) for row in table] == [16] * 3
         assert [row[0] for row in table] == ["quantity", "a,b", "mu"]
@@ -284,6 +292,26 @@ class TestWriteReport:
             assert calls == {"ecdf_summary": len(artifact.quantities), "ecdf_band": 1,
                              "histogram band": 1}
 
+    def test_each_plot_drawn_through_its_one_path(self, tmp_path, monkeypatch):
+        """For Q quantities a report counts ranks through `build_histogram` Q times, and
+        draws through `render_histogram_svg` Q times and `render_ecdf_svg` 2Q times, under
+        the names `sbc.report` binds; wrapping them changes no byte written."""
+        artifact = eighteen_quantity_artifact()
+        plain = write_report(artifact, ReportRequest(artifact_path="x"), tmp_path / "plain")
+        calls = dict.fromkeys(("build_histogram", "render_histogram_svg", "render_ecdf_svg"), 0)
+        for name in calls:
+            def wrapper(*args, _name=name, _original=getattr(report, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+            monkeypatch.setattr(report, name, wrapper)
+        wrapped = write_report(artifact, ReportRequest(artifact_path="x"), tmp_path / "wrapped")
+        Q = len(artifact.quantities)
+        assert calls == {"build_histogram": Q, "render_histogram_svg": Q, "render_ecdf_svg": 2 * Q}
+        assert wrapped == plain
+        for name in plain:
+            assert (tmp_path / "wrapped" / name).read_bytes() == (
+                tmp_path / "plain" / name).read_bytes()
+
     def test_subset_report_matches_full_report(self, tmp_path):
         """A report of some quantities writes their files byte for byte as the report of
         every quantity does."""
@@ -308,18 +336,19 @@ class TestWriteReport:
         request = ReportRequest(artifact_path="x", bins=5)
         write_report(artifact, request, tmp_path)
         band = ecdf_band(artifact.ranks.shape[0], artifact.L, request.coverage)
-        frame = report._EcdfFrame(band)
+        frame = EcdfFrame(band)
         for q in artifact.quantities:
             ecdf = ecdf_summary(artifact.ranks_for(q), band)
-            hist = rank_histograms(artifact, [q], request.bins, request.coverage)[0]
+            counts, hist_band = rank_histograms(artifact, [q], request.bins, request.coverage)
             leaves = np.max(np.abs(ecdf - band.expected)) > frame.extent
             assert leaves == (q == "q03")
-            for suffix, doc in (("hist", render_histogram_svg(hist, q)),
-                                ("ecdf", render_ecdf_svg(ecdf, band, q, "ecdf")),
-                                ("ecdf_diff", render_ecdf_svg(ecdf, band, q, "diff"))):
+            for suffix, doc in (("hist", render_histogram_svg(counts[0], hist_band, q)),
+                                ("ecdf", render_ecdf_svg(ecdf, EcdfFrame(band), q, "ecdf")),
+                                ("ecdf_diff", render_ecdf_svg(ecdf, EcdfFrame(band), q, "diff"))):
                 assert (tmp_path / f"{q}_{suffix}.svg").read_text(encoding="utf-8") == doc
             for mode in ("ecdf", "diff"):
-                assert frame.render(ecdf, q, mode) == render_ecdf_svg(ecdf, band, q, mode)
+                assert (render_ecdf_svg(ecdf, frame, q, mode)
+                        == render_ecdf_svg(ecdf, EcdfFrame(band), q, mode))
         assert [key[0] for key in frame.band_marks] == ["ecdf", "diff", "diff"]
 
     def test_quantities_that_share_a_file_name_refused_before_any_file(self, tmp_path):

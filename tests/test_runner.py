@@ -24,7 +24,8 @@ from sbc.errors import (
     InvalidArtifact,
     InvalidSpec,
 )
-from sbc.rankstats import build_histogram, chi_square_uniformity, classify_shape, default_bins
+from sbc.rankstats import (build_histogram, chi_square_uniformity, classify_shape, default_bins,
+                           histogram_band)
 from sbc.runner import RunArtifact, load_artifact, run, save_artifact
 from sbc.model import PosteriorTarget, Quantity
 from sbc.models import model_from_dict
@@ -251,12 +252,13 @@ class TestRunSbcMcmc:
         artifact = run(config)
         assert artifact.failures == ()
         assert (artifact.chain_lengths > 10 * config.L).any()  # some replications reran
-        hist = build_histogram(artifact.ranks_for("mu"), config.L,
-                               default_bins(config.N, config.L))
-        stat, dof = chi_square_uniformity(hist.counts)
+        ranks = artifact.ranks_for("mu")
+        band = histogram_band(ranks.size, config.L, default_bins(config.N, config.L))
+        counts = build_histogram(ranks, band)
+        stat, dof = chi_square_uniformity(counts)
         assert dof == 9
         assert stat < 27.877  # chi-square(9) upper 0.001 quantile
-        assert classify_shape(hist) == "uniform"
+        assert classify_shape(counts, band, float(np.mean(ranks / config.L))) == "uniform"
 
     def test_first_chain_respects_max_chain_length(self):
         """The first chain has min(10 * L, max_chain_length) draws: no chain runs past the
