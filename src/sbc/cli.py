@@ -83,17 +83,13 @@ def _cmd_run(args) -> int:
         return EXIT_CONFIG
 
     try:
-        config = config_from_dict(raw)
         workers = args.workers
         if workers is None and os.environ.get("SBC_WORKERS"):
             workers = int(os.environ["SBC_WORKERS"])
-        if workers is None:
-            workers = config.worker_count_hint
-        config = dataclasses.replace(
-            config,
-            master_seed=args.seed if args.seed is not None else config.master_seed,
-            worker_count_hint=workers,
-        )
+        overrides = {"master_seed": args.seed, "worker_count_hint": workers}
+        if isinstance(raw, dict):  # merged before parsing, so the config is made once
+            raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
+        config = config_from_dict(raw)
     except (ConfigError, SbcError, ValueError) as exc:
         print(f"sbc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

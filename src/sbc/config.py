@@ -2,10 +2,12 @@
 
 A :class:`RunConfig` names a model spec, a :class:`SamplerConfig`, a
 :class:`Corruption` and the run's sizes; each field states its rule beside
-it.  :func:`config_from_dict` builds one from a JSON object and builds its
-model once, so that a config that would fail every replication is refused
-before anything runs.  This module needs only the model layer, so a config
-can be checked without loading the run, report or pool layers.
+it.  A RunConfig builds its model once when it is made and checks itself
+against it (see :func:`check_model`), so that a config that would fail every
+replication is refused with ConfigError before anything runs, however it was
+made.  :func:`config_from_dict` parses one from a JSON object.  This module
+needs only the model layer, so a config can be checked without loading the
+run, report or pool layers.
 """
 
 from __future__ import annotations
@@ -100,6 +102,11 @@ class RunConfig:
             raise ConfigError("algorithm-2 thinning requires an MCMC sampler")
         if self.max_chain_length < self.L:
             raise ConfigError("max_chain_length must be >= L")
+        try:
+            model = model_from_dict(self.model)
+        except SbcError as exc:
+            raise ConfigError(f"invalid model spec: {exc}") from exc
+        check_model(self, model)
 
 
 def config_to_dict(config: RunConfig) -> dict:
@@ -107,20 +114,16 @@ def config_to_dict(config: RunConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> RunConfig:
-    """Strict parse of the JSON run-config shape; unknown keys are rejected."""
-    config = parse(RunConfig, d, ConfigError, "config", required=("model", "sampler"),
-                   sampler=partial(parse, SamplerConfig, error=ConfigError, what="sampler"),
-                   corruption=partial(parse, Corruption, error=ConfigError, what="corruption"))
-    try:
-        model = model_from_dict(config.model)  # validate eagerly for fast feedback
-    except SbcError as exc:
-        raise ConfigError(f"invalid model spec: {exc}") from exc
-    check_model(config, model)
-    return config
+    """Strict parse of the JSON run-config shape; unknown keys are rejected.  The RunConfig
+    it makes checks itself against its model."""
+    return parse(RunConfig, d, ConfigError, "config", required=("model", "sampler"),
+                 sampler=partial(parse, SamplerConfig, error=ConfigError, what="sampler"),
+                 corruption=partial(parse, Corruption, error=ConfigError, what="corruption"))
 
 
 def check_model(config: RunConfig, model: GenerativeModel) -> None:
-    """Reject a config that would fail every replication of ``model``."""
+    """Reject a config that would fail every replication of ``model``, the one it names;
+    every RunConfig calls this when it is made."""
     if config.sampler.kind == "exact-conjugate" and model.exact_posterior is None:
         raise ConfigError(f"the exact-conjugate sampler needs a closed-form posterior; "
                           f"model {model.name!r} has none")

@@ -10,9 +10,12 @@ A histogram is its (B,) counts and an ECDF its (L+1,) values at 0..L, each
 an array drawn against a band, a :class:`HistogramBand` or an
 :class:`EcdfBand`.  A band holds the variation expected under uniformity,
 depends on (N, L, B, coverage) or (N, L, coverage) alone and is shared by
-every quantity of a run.  The report picks the bands; :func:`build_histogram`
-and :func:`ecdf_summary` check the ranks against them, and the ECDF
-difference plot subtracts the band's expectation when it is drawn.
+every quantity of a run.  The report picks the bands.  Each band's
+arguments are checked in one place when it is made, by
+:func:`histogram_band` and :func:`ecdf_band` alike, and the ranks are
+checked against a band in one place, by :func:`build_histogram` and
+:func:`ecdf_summary` alike; the ECDF difference plot subtracts the band's
+expectation when it is drawn.
 
 Every band rests on one routine, :func:`binomial_quantiles`.  Its quantiles
 are exactly those of summing the binomial pmf sequentially from k = 0 until
@@ -272,21 +275,45 @@ def default_bins(N: int, L: int) -> int:
     return max(feasible) if feasible else 1
 
 
+def _band_tails(coverage, **sizes) -> tuple[float, float]:
+    """The levels (1-coverage)/2 and 1-(1-coverage)/2 of a band, whose ``sizes`` (N and L,
+    and B for a histogram) must each be an integer >= 1 (a Python or numpy integer, not a
+    bool) and whose coverage must be in (0, 1); else ValueError names the first argument
+    that is not."""
+    for name, value in sizes.items():
+        if not (_is_count(value) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    if not 0.0 < coverage < 1.0:
+        raise ValueError(f"coverage must be in (0, 1), got {coverage!r}")
+    tail = (1.0 - coverage) / 2.0
+    return tail, 1.0 - tail
+
+
+def _checked_ranks(ranks, band: HistogramBand | EcdfBand) -> np.ndarray:
+    """``ranks`` as int64, which must be the band's N ranks, each in [0, band.L]."""
+    ranks = np.asarray(ranks, dtype=np.int64)
+    if ranks.size != band.N:
+        raise ValueError(f"{ranks.size} ranks against a band for N={band.N}")
+    if ranks.min() < 0 or ranks.max() > band.L:
+        raise ValueError("ranks outside [0, L]")
+    return ranks
+
+
 def histogram_band(N: int, L: int, B: int, coverage: float = 0.99) -> HistogramBand:
     """The band of a histogram of N uniform ranks on 0..L in B bins (see
     :class:`HistogramBand`), from one :func:`binomial_quantiles` call.
 
-    A B that does not divide L+1 raises IndivisibleBinning.
+    N, L or B that is not an integer >= 1, or a coverage outside (0, 1),
+    raises ValueError naming it; a B that does not divide L+1 raises
+    IndivisibleBinning.
     """
-    if N < 1 or B < 1 or not (0.0 < coverage < 1.0):
-        raise ValueError("need N >= 1, B >= 1, 0 < coverage < 1")
+    tail, top = _band_tails(coverage, N=N, L=L, B=B)
     if (L + 1) % B != 0:
         raise IndivisibleBinning(
             f"B={B} does not divide L+1={L + 1}; pick L so that L+1 is divisible "
             "by a large power of 2 (e.g. L=1023), or choose a divisor of L+1"
         )
-    tail = (1.0 - coverage) / 2.0
-    low, median, high = binomial_quantiles([tail, 0.5, 1.0 - tail], N, 1.0 / B)[0].tolist()
+    low, median, high = binomial_quantiles([tail, 0.5, top], N, 1.0 / B)[0].tolist()
     return HistogramBand(N=N, L=L, B=B, low=low, median=median, high=high, coverage=coverage)
 
 
@@ -295,27 +322,19 @@ def build_histogram(ranks, band: HistogramBand) -> np.ndarray:
 
     The band must be the one for as many ranks as are given.
     """
-    ranks = np.asarray(ranks, dtype=np.int64)
-    if ranks.size != band.N:
-        raise ValueError(f"{ranks.size} ranks against a band for N={band.N}")
-    if ranks.min() < 0 or ranks.max() > band.L:
-        raise ValueError("ranks outside [0, L]")
-    return np.bincount(ranks // ((band.L + 1) // band.B), minlength=band.B)
+    return np.bincount(_checked_ranks(ranks, band) // ((band.L + 1) // band.B), minlength=band.B)
 
 
 def ecdf_band(N: int, L: int, coverage: float = 0.99) -> EcdfBand:
     """The pointwise ECDF band of N uniform ranks on 0..L (see :class:`EcdfBand`).
 
-    Every quantile comes from one :func:`binomial_quantiles` call.  An L that
-    is not an integer >= 1 raises ValueError.
+    Every quantile comes from one :func:`binomial_quantiles` call.  An N or
+    L that is not an integer >= 1, or a coverage outside (0, 1), raises
+    ValueError naming it.
     """
-    if N < 1 or not (0.0 < coverage < 1.0):
-        raise ValueError(f"need N >= 1 and 0 < coverage < 1, got N={N}, coverage={coverage}")
-    if not (_is_count(L) and L >= 1):
-        raise ValueError(f"L must be an integer >= 1, got {L!r}")
-    tail = (1.0 - coverage) / 2.0
+    levels = _band_tails(coverage, N=N, L=L)
     expected = np.arange(1, L + 2) / (L + 1)
-    bounds = binomial_quantiles([tail, 1.0 - tail], N, expected) / N
+    bounds = binomial_quantiles(levels, N, expected) / N
     return EcdfBand(expected=expected, low=bounds[:, 0], high=bounds[:, 1], N=N, L=L,
                     coverage=coverage)
 
@@ -325,13 +344,7 @@ def ecdf_summary(ranks, band: EcdfBand) -> np.ndarray:
 
     The band must be the one for as many ranks as are given.
     """
-    ranks = np.asarray(ranks, dtype=np.int64)
-    L = band.L
-    if ranks.size != band.N:
-        raise ValueError(f"{ranks.size} ranks against a band for N={band.N}")
-    if ranks.size and (ranks.min() < 0 or ranks.max() > L):
-        raise ValueError("ranks outside [0, L]")
-    return np.cumsum(np.bincount(ranks, minlength=L + 1)) / band.N
+    return np.cumsum(np.bincount(_checked_ranks(ranks, band), minlength=band.L + 1)) / band.N
 
 
 def chi_square_uniformity(counts) -> tuple[float, int]:

@@ -41,7 +41,6 @@ from .config import (
     FAILURE_RATE_CAP,
     MCMC_KINDS,
     RunConfig,
-    check_model,
     config_from_dict,
     config_to_dict,
 )
@@ -130,9 +129,9 @@ class RunArtifact:
 
 
 def _build(config: RunConfig) -> tuple[GenerativeModel, tuple[Quantity, ...]]:
-    """The run's checked model, and its quantities in the rank table's column order (by name)."""
+    """The run's model, which ``config`` was checked against when it was made, and its
+    quantities in the rank table's column order (by name)."""
     model = model_from_dict(config.model)
-    check_model(config, model)
     return model, tuple(sorted(model.quantities, key=lambda q: q.name))
 
 
@@ -390,7 +389,8 @@ def run(config: RunConfig) -> RunArtifact:
     ``thinning='algorithm-2'`` each MCMC chain's effective sample size is
     estimated, the chain is rerun longer when it falls short of L, and the
     draws are thinned to L before ranking.  A config that would fail every
-    replication raises ConfigError before any runs.
+    replication is refused with ConfigError when the RunConfig is made, so
+    it never reaches a run.
     """
     started = time.perf_counter()
     model, quantities = _build(config)
@@ -461,13 +461,32 @@ def save_artifact(artifact: RunArtifact, path) -> Path:
     return out
 
 
+def _parsed(name: str, blob: bytes, parse):
+    """``parse`` of the UTF-8 text of artifact file ``name``; a file that does not decode or
+    parse, nested too deep for a parser or past a csv field's size limit included, raises
+    InvalidArtifact."""
+    try:
+        return parse(blob.decode("utf-8"))
+    except (ValueError, RecursionError, csv.Error) as exc:  # ValueError covers decode errors
+        raise InvalidArtifact(f"{name} does not parse: {exc}") from None
+
+
+def _read(root: Path, name: str) -> bytes:
+    """The bytes of artifact file ``name``, which must not be a symbolic link."""
+    if (root / name).is_symlink():
+        raise InvalidArtifact(f"{name} is a symbolic link; an artifact's files must be in "
+                              f"its directory")
+    return (root / name).read_bytes()
+
+
 def _verified_files(root: Path) -> dict[str, bytes]:
     """The bytes of every file sha256sums.txt lists, each checked against its checksum;
     meta.json and ranks.csv must be listed, and no file twice.  Each line must be a
     lowercase 64-hex-digit SHA-256, two spaces and the plain name of a file in the
-    artifact directory, so no file outside it is read."""
+    artifact directory, and neither that file nor sha256sums.txt may be a symbolic link,
+    so no file outside the directory is read."""
     sums = {}
-    for line in (root / "sha256sums.txt").read_text(encoding="utf-8").splitlines():
+    for line in _parsed("sha256sums.txt", _read(root, "sha256sums.txt"), str.splitlines):
         match = re.fullmatch(r"([0-9a-f]{64})  ([^/\\\0]+)", line)
         if match is None or match[2] in (".", ".."):
             raise InvalidArtifact(f"sha256sums.txt: {line!r} is not a SHA-256 digest, two "
@@ -480,7 +499,7 @@ def _verified_files(root: Path) -> dict[str, bytes]:
         raise ChecksumMismatch(f"sha256sums.txt has no checksum for {unlisted}")
     blobs = {}
     for name, digest in sums.items():
-        blobs[name] = (root / name).read_bytes()
+        blobs[name] = _read(root, name)
         actual = hashlib.sha256(blobs[name]).hexdigest()
         if actual != digest:
             raise ChecksumMismatch(f"{name}: expected sha256 {digest}, got {actual}")
@@ -590,13 +609,10 @@ def _rank_table(rows: list[list[str]], config: RunConfig, completed: list[int]) 
 def load_artifact(path) -> RunArtifact:
     """Read an artifact directory back, verifying checksums, version, meta.json and the rank
     table, whose size meta.json's ``n_records`` must give.  It parses the bytes whose
-    checksums it checked, so each file is read once.  A meta.json that does not decode or
-    parse, nested too deep for the parser included, raises InvalidArtifact."""
+    checksums it checked, so each file is read once.  A file that does not decode as UTF-8
+    or parse raises InvalidArtifact."""
     blobs = _verified_files(Path(path))
-    try:
-        meta = json.loads(blobs["meta.json"].decode("utf-8"))
-    except (ValueError, RecursionError) as exc:  # ValueError covers the decode errors
-        raise InvalidArtifact(f"meta.json does not parse: {exc}") from None
+    meta = _parsed("meta.json", blobs["meta.json"], json.loads)
     if not isinstance(meta, dict):
         raise InvalidArtifact("meta.json must hold a JSON object")
     version = str(meta.get("format_version", ""))
@@ -619,11 +635,12 @@ def load_artifact(path) -> RunArtifact:
     config = config_from_dict(raw_config)
     failures, completed = _checked_failures(meta, config)
 
-    reader = csv.reader(io.StringIO(blobs["ranks.csv"].decode("utf-8"), newline=""))
-    header = next(reader, None)
+    rows = _parsed("ranks.csv", blobs["ranks.csv"],
+                   lambda text: list(csv.reader(io.StringIO(text, newline=""))))
+    header = rows[0] if rows else None
     if header != _CSV_HEADER:
         raise FormatVersionMismatch(f"unexpected ranks.csv header: {header}")
-    table = _rank_table(list(reader), config, completed)
+    table = _rank_table(rows[1:], config, completed)
     n_records = meta["n_records"]
     if not (type(n_records) is int and n_records == table["ranks"].size):
         raise InvalidArtifact(f"meta.json: n_records must be the rank table's "

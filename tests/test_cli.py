@@ -1,5 +1,4 @@
 import dataclasses
-import hashlib
 import json
 import math
 
@@ -12,6 +11,7 @@ from sbc.config import config_from_dict
 from sbc.runner import run, save_artifact
 from sbc.streams import RandomStream
 
+from sbc_test_artifacts import rewrite
 from sbc_test_models import make_flagged_model
 
 
@@ -348,12 +348,7 @@ def test_report_on_meta_nested_too_deep_exits_4(tiny_config, tmp_path, capsys):
     run_dir = tmp_path / "artifact"
     main(["run", "--config", str(tiny_config), "--out", str(run_dir)])
     capsys.readouterr()
-    (run_dir / "meta.json").write_text(DEEP_JSON)
-    sums = (run_dir / "sha256sums.txt").read_text().splitlines()
-    digest = hashlib.sha256(DEEP_JSON.encode()).hexdigest()
-    (run_dir / "sha256sums.txt").write_text("".join(
-        f"{digest}  meta.json\n" if line.endswith("  meta.json") else f"{line}\n"
-        for line in sums))
+    rewrite(run_dir, "meta.json", DEEP_JSON.encode())
     assert main(["report", "--run", str(run_dir), "--out", str(tmp_path / "r")]) == 4
     assert capsys.readouterr().err.startswith("sbc: report error: meta.json does not parse: ")
     assert not (tmp_path / "r").exists()
@@ -366,9 +361,12 @@ def test_report_on_meta_nested_too_deep_exits_4(tiny_config, tmp_path, capsys):
                                    {"kind": "lin-reg", "n_obs": 2, "covariates": ["1.5", "2"]},
                                    {"kind": "eight-schools", "sigma_j": "12345678"}])
 def test_report_on_a_model_that_cannot_be_built_exits_4(model, tiny_config, tmp_path, capsys):
-    artifact = run(config_from_dict(json.loads(tiny_config.read_text())))
-    config = dataclasses.replace(artifact.config, model=model)
-    out = save_artifact(dataclasses.replace(artifact, config=config), tmp_path / "artifact")
+    """A config naming such a model cannot be made, so only a saved meta.json can hold one."""
+    out = save_artifact(run(config_from_dict(json.loads(tiny_config.read_text()))),
+                        tmp_path / "artifact")
+    meta = json.loads((out / "meta.json").read_text())
+    meta["config"]["model"] = model
+    rewrite(out, "meta.json", json.dumps(meta).encode())
     assert main(["report", "--run", str(out), "--out", str(tmp_path / "r")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("sbc: report error: invalid model spec") and err.count("\n") == 1

@@ -4,7 +4,10 @@ Each reference below is the ``__post_init__`` body that a class had before its f
 stated their rules, copied with its helpers: it raises for a value it refuses.  Two
 references also refuse what the old checks let through and a run then failed on with a
 bare ``TypeError``: a ``RunConfig.model`` that is not a mapping, and a
-``ReportRequest.bins`` that is neither None nor an integer.  Every grid value of every
+``ReportRequest.bins`` that is neither None nor an integer.  A ``RunConfig`` is also
+checked against its model when it is made, so its reference refuses a model spec that
+cannot be built, and one the exact-conjugate sampler cannot fit, which the old checks let
+through and a run then refused.  Every grid value of every
 field is tried alone, with the class's defaults elsewhere, and then the cross-field
 cases; a refusal must raise the class's own error.
 """
@@ -17,7 +20,8 @@ import pytest
 
 from sbc.config import SAMPLER_KINDS, Corruption, RunConfig, SamplerConfig
 from sbc.errors import ConfigError, InvalidSpec
-from sbc.models import EIGHT_SCHOOLS_SIGMA, EightSchoolsSpec, LinRegSpec, NormalNormalSpec
+from sbc.models import (EIGHT_SCHOOLS_SIGMA, EightSchoolsSpec, LinRegSpec, NormalNormalSpec,
+                        model_from_dict)
 from sbc.report import REPORT_FORMATS, ReportRequest
 
 # ---------------------------------------------------------------------------
@@ -67,6 +71,9 @@ def reference_run_config(model={"kind": "normal-normal"}, sampler=SamplerConfig(
                          max_chain_length=100_000, worker_count_hint=1):
     if not isinstance(model, dict):
         raise ValueError("closed gap: a model that is not a mapping")
+    built = model_from_dict(model)  # closed gap: a model spec that cannot be built
+    if sampler.kind == "exact-conjugate" and built.exact_posterior is None:
+        raise ValueError("closed gap: a model with no closed-form posterior, sampled exactly")
     require_integers("RunConfig", N=N, L=L, master_seed=master_seed,
                      max_chain_length=max_chain_length, worker_count_hint=worker_count_hint)
     if N < 1 or L < 1:

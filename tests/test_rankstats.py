@@ -159,8 +159,9 @@ class TestBuildHistogram:
 
 
 def band_bounds(N: int, B: int, coverage: float = 0.99) -> tuple[int, int]:
-    """(low, high) of the band of a histogram of N ranks in B bins, with L = B - 1."""
-    band = histogram_band(N, B - 1, B, coverage)
+    """(low, high) of the band of a histogram of N ranks in B bins, with L = 2B - 1 (the
+    band does not depend on L, only L >= 1 with B dividing L+1 is required)."""
+    band = histogram_band(N, 2 * B - 1, B, coverage)
     return band.low, band.high
 
 
@@ -192,7 +193,7 @@ class TestUniformBand:
             lo, hi = band_bounds(N, B, coverage=0.5 + 0.49 * rng.random())
             assert lo <= N / B <= hi
 
-    @pytest.mark.parametrize("N, L, B", [(1, 0, 1), (1, 1, 2), (1, 99, 100), (7, 9, 1),
+    @pytest.mark.parametrize("N, L, B", [(1, 1, 1), (1, 1, 2), (1, 99, 100), (7, 9, 1),
                                          (40, 19, 20), (400, 99, 100), (2000, 1023, 1024),
                                          (5000, 99, 20), (333, 14, 15)])
     def test_median_equals_reference(self, N, L, B):
@@ -204,8 +205,17 @@ class TestUniformBand:
     @pytest.mark.parametrize("N, B, coverage", [(0, 2, 0.99), (10, 2, 0.0), (10, 2, 1.0),
                                                 (10, 2, -0.5), (10, 2, math.nan), (10, 0, 0.99)])
     def test_bad_arguments_rejected(self, N, B, coverage):
-        with pytest.raises(ValueError, match="need N >= 1, B >= 1, 0 < coverage < 1"):
+        with pytest.raises(ValueError, match=r"^(N|B) must be an integer >= 1, got 0$|"
+                                             r"^coverage must be in \(0, 1\), got "):
             histogram_band(N, 9, B, coverage)
+
+    @pytest.mark.parametrize("N, L, B, name", [(10, 9, 2.0, "B"), (10, 9, True, "B"),
+                                               (10, 2.5, 1, "L"), (10, 0, 1, "L"),
+                                               (10, -1, 1, "L"), (10.0, 9, 2, "N")])
+    def test_size_that_is_not_an_integer_at_least_1_named(self, N, L, B, name):
+        """Each of N, L and B must be an integer >= 1, as a run's are."""
+        with pytest.raises(ValueError, match=rf"^{name} must be an integer >= 1, got "):
+            histogram_band(N, L, B)
 
 
 class TestBinomialQuantile:
@@ -429,7 +439,8 @@ class TestEcdf:
     @pytest.mark.parametrize("N, coverage", [(0, 0.99), (-1, 0.99), (5, 0.0), (5, 1.0),
                                              (5, -0.5), (5, 1.5), (5, math.nan)])
     def test_bad_band_arguments_rejected(self, N, coverage):
-        with pytest.raises(ValueError, match="need N >= 1 and 0 < coverage < 1"):
+        with pytest.raises(ValueError, match=r"^N must be an integer >= 1, got |"
+                                             r"^coverage must be in \(0, 1\), got "):
             ecdf_band(N, 9, coverage)
 
     def test_negative_L_rejected(self):

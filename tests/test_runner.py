@@ -1,7 +1,10 @@
 import collections
 import concurrent.futures
+import contextlib
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import math
 import tempfile
@@ -10,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sbc import report, runner
@@ -23,6 +26,7 @@ from sbc.errors import (
     FormatVersionMismatch,
     InvalidArtifact,
     InvalidSpec,
+    SbcError,
 )
 from sbc.rankstats import (build_histogram, chi_square_uniformity, classify_shape, default_bins,
                            histogram_band)
@@ -32,6 +36,7 @@ from sbc.models import model_from_dict
 from sbc.samplers import sample_exact_conjugate
 from sbc.streams import RandomStream
 
+from sbc_test_artifacts import rewrite
 from sbc_test_models import make_flagged_model
 
 
@@ -59,18 +64,6 @@ def assert_resaved_at_1_1(artifact, out):
     assert reloaded.failures == artifact.failures
     assert reloaded.diagnostics == artifact.diagnostics
     assert reloaded.wall_clock_seconds == artifact.wall_clock_seconds
-
-
-def rewrite(out, name, blob):
-    """Replace one artifact file and its recorded checksum."""
-    (out / name).write_bytes(blob)
-    lines = []
-    for line in (out / "sha256sums.txt").read_text().splitlines():
-        digest, listed = line.split(None, 1)
-        if listed == name:
-            digest = hashlib.sha256(blob).hexdigest()
-        lines.append(f"{digest}  {listed}")
-    (out / "sha256sums.txt").write_text("\n".join(lines) + "\n")
 
 
 class TestRunConfig:
@@ -138,6 +131,14 @@ class TestRunConfig:
         with pytest.raises(ConfigError, match="RunConfig.model must be a JSON object"):
             RunConfig(model=model)
 
+    @pytest.mark.parametrize("model, message", [
+        ({"kind": "nope"}, "unknown model kind 'nope'"),
+        ({"kind": "normal-normal", "prior_sd": -1}, "NormalNormalSpec.prior_sd must be")])
+    def test_model_spec_its_model_refuses_rejected_when_built(self, model, message):
+        """A config made in Python is checked against its model as a parsed one is."""
+        with pytest.raises(ConfigError, match=f"^invalid model spec: .*{message}"):
+            RunConfig(model=model)
+
     @pytest.mark.parametrize("thinning", ["off", "algorithm-2"])
     @pytest.mark.parametrize("field, value, rule", [
         ("sampler", 5, "a SamplerConfig"), ("sampler", {"kind": "hmc"}, "a SamplerConfig"),
@@ -193,8 +194,9 @@ class TestRunSbc:
         ranks = artifact.ranks_for("mu")
         assert abs(ranks.mean() - 99 / 2) < 4 * 99 / math.sqrt(12 * 2000)
 
-    def test_config_failing_every_replication_rejected(self, monkeypatch):
-        """Such a config raises ConfigError when parsed, and in `run` before any replication."""
+    def test_config_failing_every_replication_rejected(self):
+        """Such a config raises ConfigError when it is made, parsed or built in Python, so it
+        never reaches `run`."""
         shift = {"kind": "shift", "amount": 1.0}
         doomed = [
             ({"kind": "normal-normal"}, "exact-conjugate",
@@ -204,17 +206,14 @@ class TestRunSbc:
             ({"kind": "eight-schools", "parameterization": "non-centered"}, "hmc",
              {**shift, "target_quantity": "theta[1]"}, "not a parameter"),
         ]
-        monkeypatch.setattr(runner, "_run_block", lambda *args: pytest.fail("a block ran"))
         for model, sampler, corruption, message in doomed:
             d = {"model": model, "sampler": {"kind": sampler}, "corruption": corruption,
                  "N": 100, "L": 9}
             with pytest.raises(ConfigError, match=message):
                 config_from_dict(d)
-            config = RunConfig(model=model, sampler=SamplerConfig(kind=sampler),
-                               corruption=Corruption(**corruption), N=100, L=9)
-            for workers in (1, 2):
-                with pytest.raises(ConfigError, match=message):
-                    run(dataclasses.replace(config, worker_count_hint=workers))
+            with pytest.raises(ConfigError, match=message):
+                RunConfig(model=model, sampler=SamplerConfig(kind=sampler),
+                          corruption=Corruption(**corruption), N=100, L=9)
 
     def test_model_built_once_per_run(self, monkeypatch):
         builds = []
@@ -558,6 +557,40 @@ class TestPersistence:
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
 
 
+    @pytest.mark.parametrize("name, damage", [
+        ("ranks.csv", lambda out: rewrite(out, "ranks.csv",
+                                          b"\xff\xfe" + (out / "ranks.csv").read_bytes())),
+        ("sha256sums.txt", lambda out: (out / "sha256sums.txt").write_bytes(
+            (out / "sha256sums.txt").read_bytes() + b"\xff\n")),
+        ("ranks.csv", lambda out: rewrite(out, "ranks.csv", (out / "ranks.csv").read_bytes()
+                                          + b"x" * 200_000 + b"\n")),
+    ], ids=["ranks-not-utf-8", "sums-not-utf-8", "ranks-field-past-the-csv-limit"])
+    def test_file_that_does_not_parse_rejected(self, tmp_path, capsys, name, damage):
+        """A file that is not UTF-8, or a ranks.csv field longer than the csv module reads,
+        is a damaged artifact: InvalidArtifact, and `sbc report` exits 4 with one line."""
+        out = save_artifact(run(exact_config(N=5, L=9)), tmp_path / "run")
+        damage(out)
+        with pytest.raises(InvalidArtifact, match=f"^{name} does not parse: "):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"sbc: report error: {name} does not parse: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["meta.json", "ranks.csv", "sha256sums.txt"])
+    def test_symlinked_file_rejected(self, tmp_path, capsys, name):
+        """A file that links to one outside the artifact is not read, though its bytes and
+        checksum are right."""
+        out = save_artifact(run(exact_config(N=5, L=9)), tmp_path / "run")
+        elsewhere = tmp_path / f"elsewhere-{name}"
+        (out / name).rename(elsewhere)
+        (out / name).symlink_to(elsewhere)
+        with pytest.raises(InvalidArtifact, match=f"^{name} is a symbolic link"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        assert capsys.readouterr().err.count("\n") == 1
+
+
 class TestRankTableValidation:
     """ranks.csv is outside input: a bad table is rejected on load and by `sbc report`."""
 
@@ -817,6 +850,55 @@ def test_save_load_save_round_trip(artifact):
         assert_same_table(loaded, artifact)
         for name in ("meta.json", "ranks.csv", "sha256sums.txt"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@functools.cache
+def fuzz_base() -> dict[str, bytes]:
+    """The files of a small saved artifact, with a fixed wall clock so they never vary."""
+    artifact = dataclasses.replace(run(exact_config(N=5, L=9)), wall_clock_seconds=1.0)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = save_artifact(artifact, Path(tmp) / "run")
+        return {name: (out / name).read_bytes()
+                for name in ("meta.json", "ranks.csv", "sha256sums.txt")}
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(name=st.sampled_from(["meta.json", "ranks.csv"]),
+       kind=st.sampled_from(["replace", "delete", "insert"]),
+       at=st.integers(0, 2**16), byte=st.integers(0, 255), count=st.integers(1, 200_000))
+@example(name="ranks.csv", kind="replace", at=0, byte=0xff, count=1)
+@example(name="sha256sums.txt", kind="insert", at=0, byte=0xff, count=1)
+@example(name="ranks.csv", kind="insert", at=0, byte=ord("x"), count=200_000)
+def test_damaged_artifact_is_loaded_or_refused(name, kind, at, byte, count):
+    """One file of a saved artifact has a byte replaced, a span of ``count`` bytes deleted
+    or a run of ``count`` copies of one byte inserted at ``at`` (modulo its size), and its
+    checksum recomputed, unless it is sha256sums.txt itself.  The loader then returns or
+    raises an SbcError, and `sbc report` exits 0 or 4."""
+    blob = fuzz_base()[name]
+    at %= len(blob) + (kind == "insert")
+    if kind == "replace":
+        blob = blob[:at] + bytes([byte]) + blob[at + 1:]
+    elif kind == "delete":
+        blob = blob[:at] + blob[at + count:]
+    else:
+        blob = blob[:at] + bytes([byte]) * count + blob[at:]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "run"
+        out.mkdir()
+        for listed, content in fuzz_base().items():
+            (out / listed).write_bytes(content)
+        if name == "sha256sums.txt":
+            (out / name).write_bytes(blob)
+        else:
+            rewrite(out, name, blob)
+        try:
+            load_artifact(out)
+        except SbcError:
+            pass
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["report", "--run", str(out), "--out", str(Path(tmp) / "report")])
+        assert code in (0, 4)
+
 
 
 def flagged_run(monkeypatch, config, cut):
