@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .config import FAILURE_RATE_CAP, SAMPLER_KINDS, SamplerConfig, config_from_dict
-from .errors import ConfigError, FailureRateExceeded, SbcError
+from .errors import FailureRateExceeded, SbcError
 from .models import MODEL_KINDS
 
 EXIT_OK = 0
@@ -90,7 +90,7 @@ def _cmd_run(args) -> int:
         if isinstance(raw, dict):  # merged before parsing, so the config is made once
             raw = {**raw, **{k: v for k, v in overrides.items() if v is not None}}
         config = config_from_dict(raw)
-    except (ConfigError, SbcError, ValueError) as exc:
+    except (SbcError, ValueError) as exc:
         print(f"sbc: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
@@ -137,7 +137,7 @@ def _cmd_report(args) -> int:
             coverage=args.coverage,
         )
         written = write_report(artifact, request, args.out)
-    except (SbcError, OSError, ValueError, KeyError) as exc:
+    except (SbcError, OSError, ValueError) as exc:
         print(f"sbc: report error: {exc}", file=sys.stderr)
         return EXIT_REPORT
     for name in written:

@@ -62,16 +62,17 @@ class FormatVersionMismatch(SbcError):
     """A persisted artifact has an unsupported major format version."""
 
 
-class ChecksumMismatch(SbcError):
-    """A persisted artifact file does not match its recorded checksum."""
-
-
 class ConfigError(SbcError):
     """A run configuration file is malformed or inconsistent."""
 
 
 class InvalidArtifact(SbcError):
-    """A persisted artifact's rank table is malformed or inconsistent with its config."""
+    """A persisted artifact is damaged: a file is missing, malformed, inconsistent with its
+    config, or not what the writer writes."""
+
+
+class ChecksumMismatch(InvalidArtifact):
+    """A persisted artifact's sha256sums.txt is not the writer's checksums of its files."""
 
 
 class Rule(NamedTuple):

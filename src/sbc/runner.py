@@ -17,6 +17,12 @@ tag), through one Philox generator per purpose and run or pool chunk (see
 :mod:`sbc.streams`), and the batched densities and quantities keep each
 row's arithmetic within its row, so results are bit-identical for any block
 size and any number of workers.
+
+A run is persisted as the three files :func:`save_artifact` writes, which
+define the format: ``meta.json``, ``ranks.csv`` and ``sha256sums.txt``.
+:func:`load_artifact` reads exactly those, each once, and requires
+``sha256sums.txt``, and ``ranks.csv`` once its values are parsed and checked,
+to be byte for byte what the writer writes for them.
 """
 
 from __future__ import annotations
@@ -27,11 +33,10 @@ import io
 import json
 import math
 import os
-import re
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, groupby
+from itertools import chain, groupby, zip_longest
 from pathlib import Path
 from typing import Iterator
 
@@ -448,16 +453,21 @@ def _meta_json_bytes(artifact: RunArtifact) -> bytes:
     return (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _checksums(files: dict[str, bytes]) -> bytes:
+    """sha256sums.txt for ``files``: a line per file, its SHA-256 digest, two spaces and
+    its name."""
+    return "".join(f"{hashlib.sha256(blob).hexdigest()}  {name}\n"
+                   for name, blob in files.items()).encode("utf-8")
+
+
 def save_artifact(artifact: RunArtifact, path) -> Path:
     """Write the artifact directory, at this writer's FORMAT_VERSION; returns its path."""
     out = Path(path)
     out.mkdir(parents=True, exist_ok=True)
     files = {"meta.json": _meta_json_bytes(artifact), "ranks.csv": _ranks_csv_bytes(artifact)}
-    checksum_lines = []
+    files["sha256sums.txt"] = _checksums(files)
     for name, blob in files.items():
         (out / name).write_bytes(blob)
-        checksum_lines.append(f"{hashlib.sha256(blob).hexdigest()}  {name}")
-    (out / "sha256sums.txt").write_text("\n".join(checksum_lines) + "\n", encoding="utf-8")
     return out
 
 
@@ -472,38 +482,35 @@ def _parsed(name: str, blob: bytes, parse):
 
 
 def _read(root: Path, name: str) -> bytes:
-    """The bytes of artifact file ``name``, which must not be a symbolic link."""
-    if (root / name).is_symlink():
+    """The bytes of artifact file ``name``, a regular file in directory ``root`` and not a
+    symbolic link, so no file outside the directory is read; a missing ``root`` raises
+    OSError."""
+    path = root / name
+    if path.is_symlink():
         raise InvalidArtifact(f"{name} is a symbolic link; an artifact's files must be in "
                               f"its directory")
-    return (root / name).read_bytes()
+    if root.is_dir() and not path.is_file():
+        raise InvalidArtifact(f"{name} is missing or not a regular file")
+    return path.read_bytes()
 
 
-def _verified_files(root: Path) -> dict[str, bytes]:
-    """The bytes of every file sha256sums.txt lists, each checked against its checksum;
-    meta.json and ranks.csv must be listed, and no file twice.  Each line must be a
-    lowercase 64-hex-digit SHA-256, two spaces and the plain name of a file in the
-    artifact directory, and neither that file nor sha256sums.txt may be a symbolic link,
-    so no file outside the directory is read."""
-    sums = {}
-    for line in _parsed("sha256sums.txt", _read(root, "sha256sums.txt"), str.splitlines):
-        match = re.fullmatch(r"([0-9a-f]{64})  ([^/\\\0]+)", line)
-        if match is None or match[2] in (".", ".."):
-            raise InvalidArtifact(f"sha256sums.txt: {line!r} is not a SHA-256 digest, two "
-                                  f"spaces and a file name")
-        if match[2] in sums:
-            raise InvalidArtifact(f"sha256sums.txt lists {match[2]!r} more than once")
-        sums[match[2]] = match[1]
-    unlisted = [name for name in ("meta.json", "ranks.csv") if name not in sums]
-    if unlisted:
-        raise ChecksumMismatch(f"sha256sums.txt has no checksum for {unlisted}")
-    blobs = {}
-    for name, digest in sums.items():
-        blobs[name] = _read(root, name)
-        actual = hashlib.sha256(blobs[name]).hexdigest()
-        if actual != digest:
-            raise ChecksumMismatch(f"{name}: expected sha256 {digest}, got {actual}")
-    return blobs
+def _check_written(name: str, blob: bytes, written: bytes, error=InvalidArtifact) -> None:
+    """Raise ``error``, naming the first line that differs, unless artifact file ``name`` is
+    ``written``, the bytes the writer writes for it."""
+    if blob == written:
+        return
+
+    def shown(line: bytes | None) -> str:
+        if line is None:
+            return "the end of the file"
+        text = repr(line.decode("utf-8", "replace").removesuffix("\n"))
+        return text if line.endswith(b"\n") else f"{text} with no line end"
+
+    pairs = enumerate(zip_longest(blob.splitlines(keepends=True),
+                                  written.splitlines(keepends=True)), 1)
+    number, lines = next((number, lines) for number, lines in pairs if lines[0] != lines[1])
+    got, want = map(shown, lines)
+    raise error(f"{name} is not what the writer writes: line {number} is {got}, not {want}")
 
 
 # What each value of a meta.json diagnostics entry must be, by the key the writer gives
@@ -561,24 +568,18 @@ def _checked_failures(meta: dict, config: RunConfig) -> tuple[tuple[dict, ...], 
 def _rank_table(rows: list[list[str]], config: RunConfig, completed: list[int]) -> dict:
     """The rank-table fields of a RunArtifact, from the rows of ranks.csv.
 
-    The rows must hold one rank in [0, L] for each quantity of each completed
-    replication: replications ascending, each listing the same quantities in
-    the same order, every row with the run's L, an ``n_eff`` that is empty
-    or finite and positive, and its replication's raw chain length, at
-    least L.
+    Each row must hold a rank in [0, L], an ``n_eff`` that is empty or finite
+    and positive, and a raw chain length of at least L; the first rows name
+    distinct quantities, and the rows are read in that order for each
+    completed replication.  The file must then be what the writer writes for
+    these values (see :func:`load_artifact`), which fixes everything else.
     """
     try:
-        if any(len(row) != len(_CSV_HEADER) for row in rows):
-            raise ValueError(f"every row must have {len(_CSV_HEADER)} fields")
-        replications = np.array([int(row[0]) for row in rows], dtype=np.int64)
         ranks = np.array([int(row[2]) for row in rows], dtype=np.int64)
-        L_cells = np.array([int(row[3]) for row in rows], dtype=np.int64)
         ess = np.array([float(row[4]) if row[4] else math.nan for row in rows])
         lengths = np.array([int(row[5]) for row in rows], dtype=np.int64)
-    except ValueError as exc:
+    except (ValueError, IndexError, OverflowError) as exc:  # Overflow: beyond int64
         raise InvalidArtifact(f"ranks.csv: {exc}") from None
-    if np.any(L_cells != config.L):
-        raise InvalidArtifact(f"ranks.csv has L values other than the run's L={config.L}")
     if np.any((ranks < 0) | (ranks > config.L)):
         raise InvalidArtifact(f"ranks.csv has ranks outside [0, {config.L}]")
     estimated = ess[[bool(row[4]) for row in rows]]
@@ -587,31 +588,29 @@ def _rank_table(rows: list[list[str]], config: RunConfig, completed: list[int]) 
                               "positive")
     if np.any(lengths < config.L):
         raise InvalidArtifact(f"ranks.csv has a raw_chain_length below L={config.L}")
-
     n = len(completed)
     q = len(rows) // n if n else 0
     quantities = tuple(row[1] for row in rows[:q])
-    if (len(rows) != n * q or (n and not q) or len(set(quantities)) != q
-            or not np.array_equal(replications, np.repeat(completed, q))
-            or [row[1] for row in rows] != list(quantities) * n):
-        raise InvalidArtifact(
-            f"ranks.csv does not hold one row per quantity for each of the {n} "
-            f"completed replications")
-    lengths = lengths.reshape(n, q)
-    first_lengths = lengths[:, :1]
-    if np.any(lengths != first_lengths):
-        raise InvalidArtifact("ranks.csv: raw_chain_length differs within a replication")
+    if (n and not q) or len(set(quantities)) != q:
+        raise InvalidArtifact(f"ranks.csv does not list distinct quantities for each of the "
+                              f"{n} completed replications")
     return {"quantities": quantities, "replications": np.array(completed, dtype=np.int64),
-            "ranks": ranks.reshape(n, q), "ess": ess.reshape(n, q),
-            "chain_lengths": first_lengths.ravel()}
+            "ranks": ranks[:n * q].reshape(n, q), "ess": ess[:n * q].reshape(n, q),
+            "chain_lengths": lengths[np.arange(n) * q]}
 
 
 def load_artifact(path) -> RunArtifact:
-    """Read an artifact directory back, verifying checksums, version, meta.json and the rank
-    table, whose size meta.json's ``n_records`` must give.  It parses the bytes whose
-    checksums it checked, so each file is read once.  A file that does not decode as UTF-8
-    or parse raises InvalidArtifact."""
-    blobs = _verified_files(Path(path))
+    """Read an artifact directory back: exactly the three files :func:`save_artifact`
+    writes, each once.  sha256sums.txt must be the writer's bytes for meta.json and
+    ranks.csv (else ChecksumMismatch), the format version must be one this reader reads,
+    meta.json must hold a valid config, failures and diagnostics, and ranks.csv must be the
+    writer's bytes for the rank table it parses to, whose size meta.json's ``n_records``
+    gives.  A file that is missing, not a regular file, a symbolic link, not UTF-8 or does
+    not parse raises InvalidArtifact; a missing directory raises OSError."""
+    root = Path(path)
+    blobs = {name: _read(root, name) for name in ("meta.json", "ranks.csv", "sha256sums.txt")}
+    _check_written("sha256sums.txt", blobs.pop("sha256sums.txt"), _checksums(blobs),
+                   ChecksumMismatch)
     meta = _parsed("meta.json", blobs["meta.json"], json.loads)
     if not isinstance(meta, dict):
         raise InvalidArtifact("meta.json must hold a JSON object")
@@ -646,10 +645,7 @@ def load_artifact(path) -> RunArtifact:
         raise InvalidArtifact(f"meta.json: n_records must be the rank table's "
                               f"{table['ranks'].size} records, got {n_records!r}")
 
-    return RunArtifact(
-        config=config,
-        **table,
-        diagnostics=tuple(meta["diagnostics"]),
-        failures=failures,
-        wall_clock_seconds=seconds,
-    )
+    artifact = RunArtifact(config=config, **table, diagnostics=tuple(meta["diagnostics"]),
+                           failures=failures, wall_clock_seconds=seconds)
+    _check_written("ranks.csv", blobs["ranks.csv"], _ranks_csv_bytes(artifact))
+    return artifact

@@ -45,10 +45,13 @@ def _tag_code(tag: str) -> int:
 
 
 def _replication(i) -> int:
-    i = int(i)
-    if not 0 <= i <= _MAX_REPLICATION:
-        raise ValueError(f"a replication must lie in [0, {_MAX_REPLICATION}]")
-    return i
+    """``i`` as an int, which must be a Python or numpy integer (not a bool) in
+    [0, _MAX_REPLICATION]; else ValueError."""
+    if isinstance(i, bool) or not isinstance(i, (int, np.integer)) or not (
+            0 <= i <= _MAX_REPLICATION):
+        raise ValueError(f"a replication must be an integer in [0, {_MAX_REPLICATION}], "
+                         f"got {i!r}")
+    return int(i)
 
 
 class _Superseded:
@@ -138,7 +141,8 @@ class Streams:
     def __call__(self, replications, tag: str) -> Iterator[RandomStream]:
         """The streams (master_seed, i, tag) for every i in replications, in order; each
         is made when the previous one is done, and supersedes every earlier stream of
-        ``tag``.  A replication out of range raises ValueError at the call."""
+        ``tag``.  A replication that is not an integer in range raises ValueError at the
+        call."""
         replications = [_replication(i) for i in replications]
         shared = self._shared.get(tag)
         if shared is None:

@@ -461,7 +461,8 @@ class TestPersistence:
             load_artifact(tmp_path / "nope")
 
     def test_each_file_is_read_once(self, tmp_path, monkeypatch):
-        """load_artifact parses the bytes whose checksums it checked."""
+        """load_artifact opens the writer's three files alone, each once, and parses the
+        bytes whose checksums it checked."""
         out = save_artifact(run(exact_config(N=10)), tmp_path / "run")
         reads, depth = collections.Counter(), [0]
         for method in ("read_bytes", "read_text", "open"):
@@ -475,7 +476,7 @@ class TestPersistence:
                     depth[0] -= 1
             monkeypatch.setattr(Path, method, counted)
         load_artifact(out)
-        assert reads["meta.json"] == 1 and reads["ranks.csv"] == 1
+        assert reads == {"meta.json": 1, "ranks.csv": 1, "sha256sums.txt": 1}
 
     @pytest.mark.parametrize("name, shape", [("exact-nn", (20, 1)),
                                              ("hmc-8s-nc-alg2", (5, 18))])
@@ -552,29 +553,31 @@ class TestPersistence:
         right = next(line for line in lines if line.endswith("  meta.json"))
         extra = f"{stale}  meta.json" if listing == "stale-then-right" else right
         sums.write_text("\n".join([extra, *lines]) + "\n")
-        with pytest.raises(InvalidArtifact, match="lists 'meta.json' more than once"):
+        with pytest.raises(ChecksumMismatch, match="^sha256sums.txt is not what the writer "
+                                                   "writes: line [12] is '[0-9a-f]{64}  meta.json'"):
             load_artifact(out)
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
 
 
-    @pytest.mark.parametrize("name, damage", [
-        ("ranks.csv", lambda out: rewrite(out, "ranks.csv",
-                                          b"\xff\xfe" + (out / "ranks.csv").read_bytes())),
-        ("sha256sums.txt", lambda out: (out / "sha256sums.txt").write_bytes(
-            (out / "sha256sums.txt").read_bytes() + b"\xff\n")),
-        ("ranks.csv", lambda out: rewrite(out, "ranks.csv", (out / "ranks.csv").read_bytes()
-                                          + b"x" * 200_000 + b"\n")),
+    @pytest.mark.parametrize("message, damage", [
+        ("ranks.csv does not parse: ", lambda out: rewrite(
+            out, "ranks.csv", b"\xff\xfe" + (out / "ranks.csv").read_bytes())),
+        ("sha256sums.txt is not what the writer writes: line 3 is '\ufffd', not the end of the file",
+         lambda out: (out / "sha256sums.txt").write_bytes(
+             (out / "sha256sums.txt").read_bytes() + b"\xff\n")),
+        ("ranks.csv does not parse: ", lambda out: rewrite(
+            out, "ranks.csv", (out / "ranks.csv").read_bytes() + b"x" * 200_000 + b"\n")),
     ], ids=["ranks-not-utf-8", "sums-not-utf-8", "ranks-field-past-the-csv-limit"])
-    def test_file_that_does_not_parse_rejected(self, tmp_path, capsys, name, damage):
+    def test_file_that_does_not_parse_rejected(self, tmp_path, capsys, message, damage):
         """A file that is not UTF-8, or a ranks.csv field longer than the csv module reads,
         is a damaged artifact: InvalidArtifact, and `sbc report` exits 4 with one line."""
         out = save_artifact(run(exact_config(N=5, L=9)), tmp_path / "run")
         damage(out)
-        with pytest.raises(InvalidArtifact, match=f"^{name} does not parse: "):
+        with pytest.raises(InvalidArtifact, match=f"^{message}"):
             load_artifact(out)
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
         err = capsys.readouterr().err
-        assert err.startswith(f"sbc: report error: {name} does not parse: ")
+        assert err.startswith(f"sbc: report error: {message}")
         assert err.count("\n") == 1
 
     @pytest.mark.parametrize("name", ["meta.json", "ranks.csv", "sha256sums.txt"])
@@ -586,6 +589,55 @@ class TestPersistence:
         (out / name).rename(elsewhere)
         (out / name).symlink_to(elsewhere)
         with pytest.raises(InvalidArtifact, match=f"^{name} is a symbolic link"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("damage, error, message", [
+        ("sub-listed-and-missing", ChecksumMismatch, "sha256sums.txt is not what the writer "
+                                                     "writes: line 3 is '0{64}  sub', not the end of the "
+                                                     "file"),
+        ("sub-listed-and-a-directory", ChecksumMismatch, "sha256sums.txt is not what the "
+                                                         "writer writes: line 3 is '0{64}  sub', not the "
+                                                         "end of the file"),
+        ("no-sha256sums", InvalidArtifact, "sha256sums.txt is missing or not a regular file"),
+        ("ranks-a-directory", InvalidArtifact, "ranks.csv is missing or not a regular file"),
+    ], ids=["sub-listed-and-missing", "sub-listed-and-a-directory", "no-sha256sums",
+            "ranks-a-directory"])
+    def test_files_other_than_the_writers_rejected(self, tmp_path, capsys, damage, error,
+                                                   message):
+        """The loader reads the writer's three files alone: a listed file it does not
+        write, missing or a directory, and a missing or non-regular file of its own are a
+        damaged artifact, and `sbc report` exits 4 with one line."""
+        out = save_artifact(run(exact_config(N=5, L=9)), tmp_path / "run")
+        sums = out / "sha256sums.txt"
+        if damage == "no-sha256sums":
+            sums.unlink()
+        elif damage == "ranks-a-directory":
+            (out / "ranks.csv").unlink()
+            (out / "ranks.csv").mkdir()
+        else:
+            sums.write_text(sums.read_text() + f"{'0' * 64}  sub\n")
+            if damage == "sub-listed-and-a-directory":
+                (out / "sub").mkdir()
+        with pytest.raises(error, match=f"^{message}"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        assert capsys.readouterr().err.count("\n") == 1
+
+    @pytest.mark.parametrize("name, error", [("ranks.csv", InvalidArtifact),
+                                             ("sha256sums.txt", ChecksumMismatch)])
+    def test_crlf_line_endings_rejected(self, tmp_path, capsys, name, error):
+        """The writer ends each line with LF alone; a file with CRLF endings (ranks.csv with
+        its checksum recomputed) is refused at its first line."""
+        out = save_artifact(run(exact_config(N=5, L=9)), tmp_path / "run")
+        crlf = (out / name).read_bytes().replace(b"\n", b"\r\n")
+        if name == "ranks.csv":
+            rewrite(out, name, crlf)
+        else:
+            (out / name).write_bytes(crlf)
+        with pytest.raises(error, match=rf"^{name} is not what the writer writes: line 1 is "
+                                        r"'.*\\r', not"):
             load_artifact(out)
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
         assert capsys.readouterr().err.count("\n") == 1
@@ -639,6 +691,34 @@ class TestRankTableValidation:
         rows[0] = ",".join(first)
         rewrite(out, "ranks.csv", "\n".join([header, *rows, ""]).encode())
         with pytest.raises(InvalidArtifact, match="n_eff" if cell == 4 else "raw_chain_length"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("sbc: report error: ranks.csv") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("cell, edit, message", [
+        (2, lambda rank: "0" + rank, "is not what the writer writes: line 2 is '0,mu,0"),
+        (4, lambda n_eff: "3.08e1", "is not what the writer writes: line 2 is "
+                                    "'0,mu,[0-9],9,3.08e1,9', not '0,mu,[0-9],9,30.8,9'"),
+        (2, lambda rank: "1" + "0" * 20, "Python int too large"),
+        (0, lambda replication: "1" + "0" * 20, "is not what the writer writes: line 2"),
+        (5, lambda length: "1" + "0" * 20, "Python int too large"),
+    ], ids=["rank-05", "n_eff-3.08e1", "rank-21-digits", "replication-21-digits",
+            "chain-length-21-digits"])
+    def test_value_not_written_as_the_writer_writes_it_rejected(self, tmp_path, capsys,
+                                                                cell, edit, message):
+        """A value that parses but is not written as the writer writes it (a rank with a
+        leading zero, an n_eff of 30.8 in exponent form), and an integer beyond int64, are
+        refused: InvalidArtifact, and `sbc report` exits 4 with one line."""
+        artifact = dataclasses.replace(run(exact_config(N=5, L=9)), ess=np.full((5, 1), 30.8))
+        out = save_artifact(artifact, tmp_path / "run")
+        assert_same_table(load_artifact(out), artifact)
+        header, *rows = (out / "ranks.csv").read_text().splitlines()
+        first = rows[0].split(",")
+        first[cell] = edit(first[cell])
+        rows[0] = ",".join(first)
+        rewrite(out, "ranks.csv", "\n".join([header, *rows, ""]).encode())
+        with pytest.raises(InvalidArtifact, match=f"^ranks.csv.*{message}"):
             load_artifact(out)
         assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
         err = capsys.readouterr().err
@@ -869,6 +949,7 @@ def fuzz_base() -> dict[str, bytes]:
 @example(name="ranks.csv", kind="replace", at=0, byte=0xff, count=1)
 @example(name="sha256sums.txt", kind="insert", at=0, byte=0xff, count=1)
 @example(name="ranks.csv", kind="insert", at=0, byte=ord("x"), count=200_000)
+@example(name="ranks.csv", kind="insert", at=56, byte=ord("9"), count=20)  # a 21-digit rank
 def test_damaged_artifact_is_loaded_or_refused(name, kind, at, byte, count):
     """One file of a saved artifact has a byte replaced, a span of ``count`` bytes deleted
     or a run of ``count`` copies of one byte inserted at ``at`` (modulo its size), and its

@@ -155,6 +155,15 @@ def test_out_of_range_arguments_rejected():
         Streams(-1)([0], "chain")
 
 
+@pytest.mark.parametrize("index", [3.7, True, "5"])
+def test_replication_that_is_not_an_integer_rejected(index):
+    """A float, a bool or a string is not read as some replication's index."""
+    with pytest.raises(ValueError, match="a replication must be an integer"):
+        RandomStream(1, index, "chain")
+    with pytest.raises(ValueError, match="a replication must be an integer"):
+        Streams(1)([0, index], "chain")
+
+
 def test_each_replication_is_checked_once(monkeypatch):
     """A Streams call checks its replications once, not again in each stream it makes; a
     standalone stream checks its own."""
