@@ -10,8 +10,9 @@ and one (R,) column per health measure.  A quantity reads any (..., d) array
 in its model's column order, so it is evaluated on the stacked priors and
 draws directly.  A failed row keeps the reason it failed and leaves the
 index array of live rows; the others go on.  Each block returns its
-completed rows as arrays, with each row's ``meta.json`` object built once
-from its health columns, and the run concatenates them.
+completed rows as arrays, health included, and the run concatenates them:
+a per-replication measure is a :attr:`RunArtifact.health` column, which
+only the writer turns into ``meta.json``'s per-replication objects.
 Every random stream is derived from (master_seed, replication index, purpose
 tag), through one Philox generator per purpose and run or pool chunk (see
 :mod:`sbc.streams`), and the batched densities and quantities keep each
@@ -22,7 +23,9 @@ A run is persisted as the three files :func:`save_artifact` writes, which
 define the format: ``meta.json``, ``ranks.csv`` and ``sha256sums.txt``.
 :func:`load_artifact` reads exactly those, each once, and requires
 ``sha256sums.txt``, and ``ranks.csv`` once its values are parsed and checked,
-to be byte for byte what the writer writes for them.
+to be byte for byte what the writer writes for them.  Neither builds an object
+per replication: the writer fills one row template from each health column's
+JSON text, and the loader reads the diagnostics and ranks.csv into columns.
 """
 
 from __future__ import annotations
@@ -36,7 +39,8 @@ import os
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, groupby, zip_longest
+from itertools import chain, groupby, pairwise, zip_longest
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator
 
@@ -52,7 +56,6 @@ from .config import (
 from .errors import (
     BOOLEAN,
     NON_NEGATIVE,
-    POSITIVE,
     AllConstant,
     ChecksumMismatch,
     FailureRateExceeded,
@@ -91,13 +94,17 @@ BLOCK_FLOATS = 2**21
 
 @dataclass(frozen=True, eq=False)
 class RunArtifact:
-    """Everything one run produced: config echo, the rank table, diagnostics.
+    """Everything one run produced: config echo, the rank table, sampler health.
 
-    Row i of ``ranks``, ``ess`` and ``chain_lengths`` belongs to completed
-    replication ``replications[i]`` (ascending); column j of ``ranks`` and
-    ``ess`` to ``quantities[j]`` (a run sorts them by name).  ``ess`` is NaN where there
-    is no estimate: a sampler without a chain, or a constant series.  The
-    arrays are read-only.
+    Row i of ``ranks``, ``ess``, ``chain_lengths`` and of each ``health``
+    column belongs to completed replication ``replications[i]`` (ascending);
+    column j of ``ranks`` and ``ess`` to ``quantities[j]`` (a run sorts them by
+    name).  ``ess`` is NaN where there is no estimate: a sampler without a
+    chain, or a constant series.  ``health`` maps each measure of sampler
+    health to its (n,) column: MCMC's ``acceptance_rate`` and ``step_size``,
+    HMC's ``divergences``, and with Algorithm 2 ``cap_hit``, ``ess_min`` and
+    ``still_short``; the exact sampler and VI have none.  The arrays are
+    read-only.
     """
 
     config: RunConfig
@@ -106,12 +113,13 @@ class RunArtifact:
     ranks: np.ndarray  # (n, Q)
     ess: np.ndarray  # (n, Q)
     chain_lengths: np.ndarray  # (n,) raw chain length before thinning
-    diagnostics: tuple[dict, ...]
+    health: dict[str, np.ndarray]  # measure -> (n,)
     failures: tuple[dict, ...]
     wall_clock_seconds: float
 
     def __post_init__(self):
-        for table in (self.replications, self.ranks, self.ess, self.chain_lengths):
+        for table in (self.replications, self.ranks, self.ess, self.chain_lengths,
+                      *self.health.values()):
             table.flags.writeable = False
 
     def _column(self, quantity: str) -> int:
@@ -143,7 +151,7 @@ def _build(config: RunConfig) -> tuple[GenerativeModel, tuple[Quantity, ...]]:
 class _Block:
     """The rows of one block while it runs, as arrays indexed by row: replication, chain
     length, ESS (NaN until the row's chain has one), why the row failed (None while it is
-    live), and ``health``, one (R,) column per measure of ``meta.json``'s diagnostics: the
+    live), and ``health``, one (R,) column per measure of :attr:`RunArtifact.health`: the
     sampler's (:class:`sbc.samplers.DrawBlock`), and with Algorithm 2 ``cap_hit``,
     ``ess_min`` and ``still_short``.  A live row has a value in every column."""
 
@@ -285,8 +293,8 @@ def _rank(draws: np.ndarray, priors: np.ndarray,
 def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quantity, ...],
                streams: Streams, indices) -> dict:
     """Run a block of replications as one table; returns its completed rows' replications
-    (R,), ranks (R, Q), ESS (R, Q), chain lengths (R,) and diagnostics, and its failures
-    in replication order.
+    (R,), ranks (R, Q), ESS (R, Q), chain lengths (R,) and health columns (R,), and its
+    failures in replication order.  A block whose rows all failed may have no columns.
 
     Each purpose's streams (prior, data, chain, rerun, VI) come from
     ``streams``, which keys each purpose once per run or pool chunk.  The
@@ -330,11 +338,9 @@ def _run_block(config: RunConfig, model: GenerativeModel, quantities: tuple[Quan
                               quantities)
         block.fail(live[~finite], NonFiniteInput("rank_statistic requires finite inputs"))
         live, ranks = live[finite], ranks[finite]
-    health = zip(block.replications[live].tolist(),
-                 *(column[live].tolist() for column in block.health.values()))
     return {"replications": block.replications[live], "ranks": ranks, "ess": block.ess[live],
             "chain_lengths": block.lengths[live],
-            "diagnostics": [dict(zip(("replication", *block.health), row)) for row in health],
+            "health": {name: column[live] for name, column in block.health.items()},
             "failures": [{"replication": i, "reason": reason}
                          for i, reason in zip(block.replications.tolist(), block.reasons.tolist())
                          if reason is not None]}
@@ -356,7 +362,8 @@ def _run_chunk(config: RunConfig, indices: range) -> list[dict]:
 
 def _collect(config: RunConfig, tables) -> dict:
     """The RunArtifact fields that the blocks' tables determine, concatenated; both
-    executors yield the tables in order.  The run aborts once more than
+    executors yield the tables in order.  Every block with rows has the same health
+    columns, and a block without rows is left out of them.  The run aborts once more than
     floor(FAILURE_RATE_CAP * N) replications have failed."""
     max_failures = math.floor(FAILURE_RATE_CAP * config.N)
     done: list[dict] = []
@@ -369,9 +376,11 @@ def _collect(config: RunConfig, tables) -> dict:
                 f"floor({FAILURE_RATE_CAP:g} * N) = {max_failures} failures allowed at "
                 f"N={config.N}; first failure: {failures[0]['reason']}")
         done.append(table)
+    measured = [table["health"] for table in done if len(table["replications"])]
     return {**{key: np.concatenate([table[key] for table in done])
                for key in ("replications", "ranks", "ess", "chain_lengths")},
-            "diagnostics": tuple(chain.from_iterable(table["diagnostics"] for table in done)),
+            "health": {name: np.concatenate([health[name] for health in measured])
+                       for name in (measured[0] if measured else ())},
             "failures": tuple(failures)}
 
 
@@ -425,32 +434,57 @@ def run(config: RunConfig) -> RunArtifact:
 _CSV_HEADER = ["replication", "quantity", "rank", "L", "n_eff", "raw_chain_length"]
 
 
-def _ranks_csv_bytes(artifact: RunArtifact) -> bytes:
+def _csv_field(text: str) -> str:
+    """``text`` as ``csv.writer`` writes it as a field of a row of several."""
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_CSV_HEADER)
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue().removesuffix(",\n")
+
+
+def _ranks_csv_bytes(artifact: RunArtifact) -> bytes:
+    """ranks.csv as ``csv.writer`` writes the rank table, a line per (replication, quantity)
+    in its order.  A name is the one field that can need quoting, so each quantity's is
+    quoted once, by ``csv.writer``, and the numbers are written as it writes them."""
     n, q = artifact.ranks.shape
-    writer.writerows(zip(
+    line = f"%s,%s,%s,{artifact.L},%s,%s\n"
+    buf = io.StringIO()
+    buf.write(",".join(_CSV_HEADER) + "\n")
+    buf.writelines(map(line.__mod__, zip(
         np.repeat(artifact.replications, q).tolist(),
-        artifact.quantities * n,
+        [_csv_field(name) for name in artifact.quantities] * n,
         artifact.ranks.ravel().tolist(),
-        [artifact.L] * (n * q),
         ["" if math.isnan(x) else repr(x) for x in artifact.ess.ravel().tolist()],
         np.repeat(artifact.chain_lengths, q).tolist(),
-    ))
+    )))
     return buf.getvalue().encode("utf-8")
 
 
+def _json_values(column: np.ndarray) -> list[str]:
+    """Each value of ``column`` as ``json.dumps`` writes it, from one call of its C encoder."""
+    return json.dumps(column.tolist())[1:-1].split(", ") if len(column) else []
+
+
 def _meta_json_bytes(artifact: RunArtifact) -> bytes:
+    """meta.json: ``json.dumps(meta, indent=2, sort_keys=True)`` and a line end, where
+    ``meta``'s diagnostics hold an object per completed replication, its index and its value
+    of each health measure.  The small values go through that call, nested one level; the
+    diagnostics fill one row template from each column's JSON text."""
     meta = {
         "format_version": FORMAT_VERSION,
         "config": config_to_dict(artifact.config),
         "failures": list(artifact.failures),
-        "diagnostics": list(artifact.diagnostics),
         "wall_clock_seconds": artifact.wall_clock_seconds,
         "n_records": artifact.ranks.size,
     }
-    return (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")
+    values = {key: json.dumps(value, indent=2, sort_keys=True).replace("\n", "\n  ")
+              for key, value in meta.items()}
+    columns = {"replication": artifact.replications, **artifact.health}
+    keys = sorted(columns)
+    row = "    {\n" + ",\n".join(f"      {json.dumps(key)}: %s" for key in keys) + "\n    }"
+    rows = ",\n".join(map(row.__mod__, zip(*(_json_values(columns[key]) for key in keys))))
+    values["diagnostics"] = f"[\n{rows}\n  ]" if rows else "[]"
+    return ("{\n" + ",\n".join(f"  {json.dumps(key)}: {values[key]}" for key in sorted(values))
+            + "\n}\n").encode("utf-8")
 
 
 def _checksums(files: dict[str, bytes]) -> bytes:
@@ -514,22 +548,26 @@ def _check_written(name: str, blob: bytes, written: bytes, error=InvalidArtifact
 
 
 # What each value of a meta.json diagnostics entry must be, by the key the writer gives
-# it; an entry's other keys are not read.
-_DIAGNOSTIC_VALUES = {
+# it: one JSON type per key, so that an entry's values make columns that save as read.
+_HEALTH_VALUES = {
     "acceptance_rate": Rule("a float in [0, 1]", lambda v: type(v) is float and 0 <= v <= 1),
-    "divergences": integer(0),
-    "step_size": NON_NEGATIVE,
+    "divergences": integer(0, 2**63 - 1),
+    "step_size": Rule("a finite float >= 0",
+                      lambda v: type(v) is float and math.isfinite(v) and v >= 0),
     "cap_hit": BOOLEAN,
     "still_short": BOOLEAN,
-    "ess_min": POSITIVE,
+    "ess_min": Rule("a finite float > 0",
+                    lambda v: type(v) is float and math.isfinite(v) and v > 0),
 }
 
 
-def _checked_failures(meta: dict, config: RunConfig) -> tuple[tuple[dict, ...], list[int]]:
-    """meta.json's failures, objects with a unique replication in [0, N) and a reason, and
-    the completed replications.  Its diagnostics must hold one object per completed
-    replication, naming it, in ascending order (that of ranks.csv), each of whose values
-    is what its key's entry in ``_DIAGNOSTIC_VALUES`` requires.
+def _checked_replications(meta: dict, config: RunConfig) -> tuple[tuple[dict, ...],
+                                                                   np.ndarray, dict]:
+    """meta.json's failures, objects with a unique replication in [0, N) and a reason, the
+    completed replications, and their health columns.  Its diagnostics must hold one object
+    per completed replication, naming it, in ascending order (that of ranks.csv).  Each
+    object has the first one's keys, all of them keys the writer writes, and each value is
+    what its key's entry in ``_HEALTH_VALUES`` requires.
 
     The completed replications are read from the diagnostics: N - len(failures) of them,
     ascending, in [0, N) and none failed, which is the rest of range(N) in order, so the
@@ -548,70 +586,81 @@ def _checked_failures(meta: dict, config: RunConfig) -> tuple[tuple[dict, ...], 
              f"per completed replication, ascending, each naming its replication")
     if not (isinstance(diagnostics, list) and len(diagnostics) + len(failed) == config.N):
         raise InvalidArtifact(shape)
-    completed: list[int] = []
-    for d in diagnostics:
-        i = d.get("replication") if isinstance(d, dict) else None
-        if not (type(i) is int and (completed[-1] if completed else -1) < i < config.N
-                and i not in failed):
-            raise InvalidArtifact(shape)
-        completed.append(i)
-        if len(d) == 1:  # the replication alone, as with the exact sampler
-            continue
-        for key, value in d.items():
-            rule = _DIAGNOSTIC_VALUES.get(key)
-            if rule is not None and not rule.test(value):
+    completed = [d.get("replication") if isinstance(d, dict) else None for d in diagnostics]
+    if not (set(map(type, completed)) <= {int} and failed.isdisjoint(completed)
+            and all(a < b for a, b in pairwise([-1, *completed, config.N]))):
+        raise InvalidArtifact(shape)
+    keys = diagnostics[0].keys() if diagnostics else {}.keys()
+    unknown = sorted(keys - {"replication", *_HEALTH_VALUES})
+    if unknown:
+        raise InvalidArtifact(f"meta.json: diagnostics of replication {completed[0]}: "
+                              f"{unknown[0]!r} is not a measure the writer writes")
+    for i, entry in zip(completed, diagnostics):
+        if entry.keys() != keys:
+            raise InvalidArtifact(f"meta.json: diagnostics of replication {i}: keys "
+                                  f"{sorted(entry)} are not those of replication "
+                                  f"{completed[0]}, {sorted(keys)}")
+    health = {}
+    for key in sorted(keys - {"replication"}):
+        rule, values = _HEALTH_VALUES[key], list(map(itemgetter(key), diagnostics))
+        for i, value in zip(completed, values):
+            if not rule.test(value):
                 raise InvalidArtifact(f"meta.json: diagnostics of replication {i}: {key} "
                                       f"must be {rule.text}, got {value!r}")
-    return tuple(failures), completed
+        health[key] = np.array(values)
+    return tuple(failures), np.array(completed, dtype=np.int64), health
 
 
-def _rank_table(rows: list[list[str]], config: RunConfig, completed: list[int]) -> dict:
-    """The rank-table fields of a RunArtifact, from the rows of ranks.csv.
+def _rank_table(text: str, L: int, n: int) -> dict:
+    """The rank-table fields of a RunArtifact with ``n`` completed replications, from the
+    text of ranks.csv, read into columns as its rows stream in.
 
-    Each row must hold a rank in [0, L], an ``n_eff`` that is empty or finite
-    and positive, and a raw chain length of at least L; the first rows name
-    distinct quantities, and the rows are read in that order for each
-    completed replication.  The file must then be what the writer writes for
-    these values (see :func:`load_artifact`), which fixes everything else.
+    After the writer's header, each row must hold a rank in [0, L], an
+    ``n_eff`` that is empty or finite and positive, and a raw chain length of
+    at least L; the first rows name distinct quantities, and the rows are read
+    in that order for each completed replication.  The file must then be what
+    the writer writes for these values (see :func:`load_artifact`), which
+    fixes everything else.
     """
+    rows = csv.reader(io.StringIO(text, newline=""))
+    header = next(rows, None)
+    if header != _CSV_HEADER:
+        raise FormatVersionMismatch(f"unexpected ranks.csv header: {header}")
+    opening: dict[str, None] = {}  # the names of the rows that open the table, while distinct
+    ranks, n_eff, lengths = [], [], []
     try:
-        ranks = np.array([int(row[2]) for row in rows], dtype=np.int64)
-        ess = np.array([float(row[4]) if row[4] else math.nan for row in rows])
-        lengths = np.array([int(row[5]) for row in rows], dtype=np.int64)
-    except (ValueError, IndexError, OverflowError) as exc:  # Overflow: beyond int64
+        for row in rows:
+            if len(opening) == len(ranks) and row[1] not in opening:
+                opening[row[1]] = None
+            ranks.append(int(row[2]))
+            n_eff.append(row[4])
+            lengths.append(int(row[5]))
+        ranks = np.array(ranks, dtype=np.int64)  # OverflowError beyond int64
+        ess = np.array([float(x) if x else math.nan for x in n_eff])
+        lengths = np.array(lengths, dtype=np.int64)
+    except (ValueError, IndexError, OverflowError) as exc:
         raise InvalidArtifact(f"ranks.csv: {exc}") from None
-    if np.any((ranks < 0) | (ranks > config.L)):
-        raise InvalidArtifact(f"ranks.csv has ranks outside [0, {config.L}]")
-    estimated = ess[[bool(row[4]) for row in rows]]
+    if np.any((ranks < 0) | (ranks > L)):
+        raise InvalidArtifact(f"ranks.csv has ranks outside [0, {L}]")
+    estimated = ess[[bool(x) for x in n_eff]]
     if not np.all(np.isfinite(estimated) & (estimated > 0)):
         raise InvalidArtifact("ranks.csv has an n_eff that is neither empty nor finite and "
                               "positive")
-    if np.any(lengths < config.L):
-        raise InvalidArtifact(f"ranks.csv has a raw_chain_length below L={config.L}")
-    n = len(completed)
-    q = len(rows) // n if n else 0
-    quantities = tuple(row[1] for row in rows[:q])
-    if (n and not q) or len(set(quantities)) != q:
+    if np.any(lengths < L):
+        raise InvalidArtifact(f"ranks.csv has a raw_chain_length below L={L}")
+    q = len(ranks) // n if n else 0
+    if (n and not q) or len(opening) < q:
         raise InvalidArtifact(f"ranks.csv does not list distinct quantities for each of the "
                               f"{n} completed replications")
-    return {"quantities": quantities, "replications": np.array(completed, dtype=np.int64),
+    return {"quantities": tuple(opening)[:q],
             "ranks": ranks[:n * q].reshape(n, q), "ess": ess[:n * q].reshape(n, q),
             "chain_lengths": lengths[np.arange(n) * q]}
 
 
-def load_artifact(path) -> RunArtifact:
-    """Read an artifact directory back: exactly the three files :func:`save_artifact`
-    writes, each once.  sha256sums.txt must be the writer's bytes for meta.json and
-    ranks.csv (else ChecksumMismatch), the format version must be one this reader reads,
-    meta.json must hold a valid config, failures and diagnostics, and ranks.csv must be the
-    writer's bytes for the rank table it parses to, whose size meta.json's ``n_records``
-    gives.  A file that is missing, not a regular file, a symbolic link, not UTF-8 or does
-    not parse raises InvalidArtifact; a missing directory raises OSError."""
-    root = Path(path)
-    blobs = {name: _read(root, name) for name in ("meta.json", "ranks.csv", "sha256sums.txt")}
-    _check_written("sha256sums.txt", blobs.pop("sha256sums.txt"), _checksums(blobs),
-                   ChecksumMismatch)
-    meta = _parsed("meta.json", blobs["meta.json"], json.loads)
+def _meta_fields(blob: bytes) -> tuple[dict, object]:
+    """The RunArtifact fields that meta.json holds, checked, and its ``n_records``; its
+    parsed objects are gone once this returns."""
+    meta = _parsed("meta.json", blob, json.loads)
     if not isinstance(meta, dict):
         raise InvalidArtifact("meta.json must hold a JSON object")
     version = str(meta.get("format_version", ""))
@@ -632,20 +681,29 @@ def load_artifact(path) -> RunArtifact:
     if version == "1.0":
         raw_config.pop("output_path", None)  # recorded but never read; dropped in 1.1
     config = config_from_dict(raw_config)
-    failures, completed = _checked_failures(meta, config)
+    failures, replications, health = _checked_replications(meta, config)
+    return ({"config": config, "replications": replications, "health": health,
+             "failures": failures, "wall_clock_seconds": seconds}, meta["n_records"])
 
-    rows = _parsed("ranks.csv", blobs["ranks.csv"],
-                   lambda text: list(csv.reader(io.StringIO(text, newline=""))))
-    header = rows[0] if rows else None
-    if header != _CSV_HEADER:
-        raise FormatVersionMismatch(f"unexpected ranks.csv header: {header}")
-    table = _rank_table(rows[1:], config, completed)
-    n_records = meta["n_records"]
+
+def load_artifact(path) -> RunArtifact:
+    """Read an artifact directory back: exactly the three files :func:`save_artifact`
+    writes, each once.  sha256sums.txt must be the writer's bytes for meta.json and
+    ranks.csv (else ChecksumMismatch), the format version must be one this reader reads,
+    meta.json must hold a valid config, failures and diagnostics, and ranks.csv must be the
+    writer's bytes for the rank table it parses to, whose size meta.json's ``n_records``
+    gives.  A file that is missing, not a regular file, a symbolic link, not UTF-8 or does
+    not parse raises InvalidArtifact; a missing directory raises OSError."""
+    root = Path(path)
+    blobs = {name: _read(root, name) for name in ("meta.json", "ranks.csv", "sha256sums.txt")}
+    _check_written("sha256sums.txt", blobs.pop("sha256sums.txt"), _checksums(blobs),
+                   ChecksumMismatch)
+    fields, n_records = _meta_fields(blobs["meta.json"])
+    table = _parsed("ranks.csv", blobs["ranks.csv"],
+                    partial(_rank_table, L=fields["config"].L, n=len(fields["replications"])))
     if not (type(n_records) is int and n_records == table["ranks"].size):
         raise InvalidArtifact(f"meta.json: n_records must be the rank table's "
                               f"{table['ranks'].size} records, got {n_records!r}")
-
-    artifact = RunArtifact(config=config, **table, diagnostics=tuple(meta["diagnostics"]),
-                           failures=failures, wall_clock_seconds=seconds)
+    artifact = RunArtifact(**fields, **table)
     _check_written("ranks.csv", blobs["ranks.csv"], _ranks_csv_bytes(artifact))
     return artifact

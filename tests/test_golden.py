@@ -68,7 +68,10 @@ def output_digests(config: dict, root: Path, **report) -> dict[str, str]:
     settings; digest every written file.  The saved artifact must load back."""
     artifact = run(config_from_dict(config))
     out = save_artifact(artifact, root / "artifact")
-    assert load_artifact(out).diagnostics == artifact.diagnostics
+    loaded = load_artifact(out)
+    assert loaded.health.keys() == artifact.health.keys()
+    assert all(np.array_equal(loaded.health[name], column)
+               for name, column in artifact.health.items())
     meta = json.loads((out / "meta.json").read_text(encoding="utf-8"))
     del meta["wall_clock_seconds"], meta["config"]["worker_count_hint"]
     digests = {

@@ -35,7 +35,7 @@ def artifact_from_ranks(ranks, L=19, quantities=("mu",)):
                        N=n, L=L, master_seed=1)
     return RunArtifact(config=config, quantities=tuple(quantities), replications=np.arange(n),
                        ranks=ranks, ess=np.full(ranks.shape, np.nan),
-                       chain_lengths=np.full(n, L), diagnostics=(), failures=(),
+                       chain_lengths=np.full(n, L), health={}, failures=(),
                        wall_clock_seconds=0.0)
 
 

@@ -1,6 +1,7 @@
 import collections
 import concurrent.futures
 import contextlib
+import csv
 import dataclasses
 import functools
 import hashlib
@@ -53,6 +54,14 @@ def assert_same_table(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
 
 
+def assert_same_health(a, b, rows=slice(None)):
+    """``a``'s health columns are ``b``'s rows ``rows``, of the same types."""
+    assert a.health.keys() == b.health.keys()
+    for name, column in a.health.items():
+        assert column.dtype == b.health[name].dtype
+        assert np.array_equal(column, b.health[name][rows]), name
+
+
 def assert_resaved_at_1_1(artifact, out):
     """Saved again, the artifact is written at format 1.1, with no output_path, and loads
     back equal."""
@@ -62,7 +71,7 @@ def assert_resaved_at_1_1(artifact, out):
     assert reloaded.config == artifact.config
     assert_same_table(reloaded, artifact)
     assert reloaded.failures == artifact.failures
-    assert reloaded.diagnostics == artifact.diagnostics
+    assert_same_health(reloaded, artifact)
     assert reloaded.wall_clock_seconds == artifact.wall_clock_seconds
 
 
@@ -240,8 +249,8 @@ class TestRunSbcMcmc:
         assert artifact.ranks.shape == (20, 1)
         assert (artifact.chain_lengths >= 190).all()
         assert (artifact.ess > 0).all()
-        for diag in artifact.diagnostics:
-            assert "ess_min" in diag and "cap_hit" in diag
+        assert {"ess_min", "cap_hit"} <= artifact.health.keys()
+        assert all(len(column) == 20 for column in artifact.health.values())
 
     def test_hmc_algorithm_2_ranks_are_uniform(self):
         """Lockstep HMC with reruns and thinning stays calibrated on a conjugate model."""
@@ -269,9 +278,10 @@ class TestRunSbcMcmc:
         artifact = run(config)
         assert artifact.failures == ()
         np.testing.assert_array_equal(artifact.chain_lengths, np.full(6, 40))
-        for diag in artifact.diagnostics:
-            assert diag["cap_hit"] == diag["still_short"] == (diag["ess_min"] < config.L)
-        assert any(diag["cap_hit"] for diag in artifact.diagnostics)
+        health = artifact.health
+        np.testing.assert_array_equal(health["cap_hit"], health["still_short"])
+        np.testing.assert_array_equal(health["cap_hit"], health["ess_min"] < config.L)
+        assert health["cap_hit"].any()
 
     def test_cap_hit_reported_for_sticky_chain(self):
         config = RunConfig(
@@ -279,8 +289,8 @@ class TestRunSbcMcmc:
             sampler=SamplerConfig(kind="rw-metropolis", step_size=1e-4, warmup=0),
             N=3, L=99, thinning="algorithm-2", master_seed=22, max_chain_length=2000)
         artifact = run(config)
-        assert any(d.get("cap_hit") for d in artifact.diagnostics)
-        assert any(d.get("still_short") for d in artifact.diagnostics)
+        assert artifact.health["cap_hit"].any()
+        assert artifact.health["still_short"].any()
 
 
 # Runs that must not depend on how replications are split into lockstep
@@ -430,8 +440,23 @@ class TestPersistence:
         assert loaded.config == artifact.config
         assert_same_table(loaded, artifact)
         assert loaded.failures == artifact.failures
-        assert loaded.diagnostics == artifact.diagnostics
+        assert_same_health(loaded, artifact)
         assert loaded.wall_clock_seconds == artifact.wall_clock_seconds
+
+    def test_health_columns_are_read_only(self, tmp_path):
+        """Each health column of a run, and of the artifact loaded back, is read-only, as
+        the rank table is."""
+        config = RunConfig(model={"kind": "normal-normal"},
+                           sampler=SamplerConfig(kind="hmc", warmup=20), N=5, L=9,
+                           thinning="algorithm-2", master_seed=3)
+        artifact = run(config)
+        loaded = load_artifact(save_artifact(artifact, tmp_path / "run"))
+        assert sorted(loaded.health) == ["acceptance_rate", "cap_hit", "divergences", "ess_min",
+                                         "step_size", "still_short"]
+        for health in (artifact.health, loaded.health):
+            for column in health.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[1]
 
     def test_truncated_file_detected(self, tmp_path):
         artifact = run(exact_config(N=10))
@@ -491,6 +516,14 @@ class TestPersistence:
         assert main(["report", "--run", str(fixture), "--out", str(tmp_path / "r")]) == 0
         capsys.readouterr()
         assert_resaved_at_1_1(artifact, tmp_path / "resaved")
+        # Re-saved, it is the fixture at format 1.1, less output_path, byte for byte.
+        meta = json.loads((fixture / "meta.json").read_text())
+        meta["format_version"] = "1.1"
+        del meta["config"]["output_path"]
+        resaved = tmp_path / "resaved"
+        assert (resaved / "meta.json").read_bytes() == (
+            json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()
+        assert (resaved / "ranks.csv").read_bytes() == (fixture / "ranks.csv").read_bytes()
 
     def test_format_1_0_config_with_output_path_loads(self, tmp_path):
         artifact = run(exact_config(N=5))
@@ -728,6 +761,10 @@ class TestRankTableValidation:
 # Marks a meta.json key that a case deletes.
 DELETED = object()
 
+# A value the writer could write for each key of a diagnostics entry.
+WRITTEN = {"acceptance_rate": 0.5, "divergences": 0, "step_size": 0.25, "cap_hit": False,
+           "still_short": False, "ess_min": 50.0}
+
 
 class TestMetaValidation:
     """meta.json is outside input too: its shape, config, failures, diagnostics and wall
@@ -805,15 +842,24 @@ class TestMetaValidation:
         ("acceptance_rate", "bogus"), ("acceptance_rate", 1.5), ("acceptance_rate", -0.25),
         ("acceptance_rate", 1), ("acceptance_rate", math.nan),
         ("divergences", -1), ("divergences", 2.0), ("divergences", True),
-        ("step_size", -0.5), ("step_size", math.inf), ("step_size", "0.1"),
+        ("divergences", 2**63), ("divergences", 2**70),
+        ("step_size", -0.5), ("step_size", math.inf), ("step_size", "0.1"), ("step_size", 3),
         ("cap_hit", 1), ("cap_hit", "true"), ("still_short", 0), ("still_short", None),
         ("ess_min", 0.0), ("ess_min", -3.0), ("ess_min", math.nan), ("ess_min", False),
+        ("ess_min", 2),
     ])
     def test_impossible_diagnostic_value_rejected(self, tmp_path, capsys, key, value):
-        """Each value the writer puts in a diagnostics entry is checked on load."""
+        """Each value the writer puts in a diagnostics entry is checked on load: one JSON
+        type per key, so that the values make a column (an int is not a float, and
+        divergences fit int64), and within the key's bounds.  Every entry carries ``key``;
+        entry 3's value is the impossible one."""
         out = save_artifact(run(exact_config(N=5)), tmp_path / "run")
         meta = json.loads((out / "meta.json").read_text())
-        meta["diagnostics"][3] = {"replication": 3, key: value}
+        for entry in meta["diagnostics"]:
+            entry[key] = WRITTEN[key]
+        rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
+        assert load_artifact(out).health[key].tolist() == [WRITTEN[key]] * 5
+        meta["diagnostics"][3][key] = value
         rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
         with pytest.raises(InvalidArtifact, match=f"replication 3: {key} must be"):
             load_artifact(out)
@@ -821,21 +867,50 @@ class TestMetaValidation:
         err = capsys.readouterr().err
         assert err.startswith("sbc: report error: meta.json: diagnostics") and err.count("\n") == 1
 
-    def test_possible_and_unknown_diagnostic_values_load(self, tmp_path):
-        """Values at the edges of what the writer gives load, and keys it does not write are
-        not read."""
+    def test_edge_diagnostic_values_load_as_columns(self, tmp_path):
+        """Values at the edges of what the writer gives load into columns of one type each,
+        and the artifact saves back to the same bytes."""
         out = save_artifact(run(exact_config(N=5)), tmp_path / "run")
         meta = json.loads((out / "meta.json").read_text())
-        meta["diagnostics"][:4] = [
-            {"replication": 0, "acceptance_rate": 0.0, "divergences": 0, "step_size": 0.0,
-             "cap_hit": False, "still_short": True, "ess_min": 1e-300},
-            {"replication": 1, "acceptance_rate": 1.0, "divergences": 10**6, "step_size": 3,
-             "cap_hit": True, "still_short": False, "ess_min": 2},
-            {"replication": 2, "elbo": "not read", "acceptance": -1},
-            {"replication": 3},
-        ]
+        edges = {"acceptance_rate": [0.0, 1.0], "divergences": [0, 10**6],
+                 "step_size": [0.0, 3.0], "cap_hit": [False, True],
+                 "still_short": [True, False], "ess_min": [1e-300, 2.0]}
+        for i, entry in enumerate(meta["diagnostics"]):
+            entry.update({key: values[i % 2] for key, values in edges.items()})
+        blob = (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode()
+        rewrite(out, "meta.json", blob)
+        loaded = load_artifact(out)
+        assert {key: column.tolist() for key, column in loaded.health.items()} == {
+            key: [values[i % 2] for i in range(5)] for key, values in edges.items()}
+        assert [loaded.health[key].dtype for key in edges] == [
+            np.float64, np.int64, np.float64, np.bool_, np.bool_, np.float64]
+        assert (save_artifact(loaded, tmp_path / "resaved") / "meta.json").read_bytes() == blob
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda entries: entries[0].update(elbo=-1.5), "replication 0: 'elbo' is not a measure"),
+        (lambda entries: entries[2].update(elbo=-1.5),
+         r"replication 2: keys \['divergences', 'elbo', 'replication'\] are not those of "
+         r"replication 0, \['divergences', 'replication'\]"),
+        (lambda entries: entries[3].pop("divergences"),
+         r"replication 3: keys \['replication'\] are not those of replication 0"),
+        (lambda entries: entries[0].pop("divergences"),
+         r"replication 1: keys \['divergences', 'replication'\] are not those of "
+         r"replication 0, \['replication'\]"),
+    ], ids=["unknown-key", "unknown-key-later", "key-missing", "key-missing-from-first"])
+    def test_diagnostics_keys_must_be_the_writers(self, tmp_path, capsys, edit, message):
+        """Each diagnostics entry carries the first entry's keys, each one a key the writer
+        writes: so the entries make one column per key."""
+        out = save_artifact(run(exact_config(N=5)), tmp_path / "run")
+        meta = json.loads((out / "meta.json").read_text())
+        for entry in meta["diagnostics"]:
+            entry["divergences"] = 0
+        edit(meta["diagnostics"])
         rewrite(out, "meta.json", (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode())
-        assert load_artifact(out).diagnostics == tuple(meta["diagnostics"])
+        with pytest.raises(InvalidArtifact, match=f"^meta.json: diagnostics of {message}"):
+            load_artifact(out)
+        assert main(["report", "--run", str(out), "--out", str(tmp_path / "report")]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("sbc: report error: meta.json: diagnostics") and err.count("\n") == 1
 
     def test_diagnostics_must_not_name_a_failed_replication(self, tmp_path):
         """N - len(failures) entries, ascending and in [0, N), none of them failed, are the
@@ -899,6 +974,17 @@ _names = st.lists(st.text(alphabet="abz_[],.\"' 019", min_size=1, max_size=6),
                   min_size=1, max_size=4, unique=True)
 
 
+HEALTH_DTYPES = {"acceptance_rate": np.float64, "divergences": np.int64, "step_size": np.float64,
+                 "cap_hit": np.bool_, "still_short": np.bool_, "ess_min": np.float64}
+
+# Values the loader accepts for each health measure.
+VALID_HEALTH = {
+    "acceptance_rate": st.floats(0, 1), "divergences": st.integers(0, 2**63 - 1),
+    "step_size": st.floats(0, 1e308), "cap_hit": st.booleans(), "still_short": st.booleans(),
+    "ess_min": st.floats(5e-324, 1e308),
+}
+
+
 @st.composite
 def rank_tables(draw):
     n = draw(st.integers(1, 12))
@@ -911,11 +997,14 @@ def rank_tables(draw):
                         min_size=n * len(quantities), max_size=n * len(quantities)))
     lengths = draw(st.lists(st.integers(L, 10**6), min_size=n, max_size=n))
     config = RunConfig(N=n, L=L, master_seed=draw(st.integers(0, 2**32)))
+    health = {key: np.array(draw(st.lists(VALID_HEALTH[key], min_size=n, max_size=n)),
+                            dtype=HEALTH_DTYPES[key])
+              for key in draw(st.sets(st.sampled_from(sorted(VALID_HEALTH))))}
     return RunArtifact(
         config=config, quantities=tuple(quantities), replications=np.arange(n),
         ranks=np.reshape(ranks, (n, len(quantities))),
         ess=np.reshape(ess, (n, len(quantities))), chain_lengths=np.array(lengths),
-        diagnostics=tuple({"replication": i} for i in range(n)), failures=(),
+        health=health, failures=(),
         wall_clock_seconds=draw(st.floats(0, 1e4)))
 
 
@@ -928,8 +1017,84 @@ def test_save_load_save_round_trip(artifact):
         second = save_artifact(loaded, Path(tmp) / "second")
         assert loaded.config == artifact.config
         assert_same_table(loaded, artifact)
+        assert_same_health(loaded, artifact)
         for name in ("meta.json", "ranks.csv", "sha256sums.txt"):
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+def meta_json_of_objects(artifact) -> bytes:
+    """meta.json as one ``json.dumps`` call writes the artifact with an object per completed
+    replication, its index and its value of each health measure: the writer's reference."""
+    rows = zip(artifact.replications.tolist(),
+               *(column.tolist() for column in artifact.health.values()))
+    meta = {
+        "format_version": runner.FORMAT_VERSION,
+        "config": config_to_dict(artifact.config),
+        "failures": list(artifact.failures),
+        "diagnostics": [dict(zip(("replication", *artifact.health), row)) for row in rows],
+        "wall_clock_seconds": artifact.wall_clock_seconds,
+        "n_records": artifact.ranks.size,
+    }
+    return (json.dumps(meta, indent=2, sort_keys=True) + "\n").encode("utf-8")
+
+
+def ranks_csv_of_rows(artifact) -> bytes:
+    """ranks.csv as ``csv.writer`` writes the rank table's rows: the writer's reference."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["replication", "quantity", "rank", "L", "n_eff", "raw_chain_length"])
+    for i, ranks, ess, length in zip(artifact.replications.tolist(), artifact.ranks.tolist(),
+                                     artifact.ess.tolist(), artifact.chain_lengths.tolist()):
+        writer.writerows([i, name, rank, artifact.L, "" if math.isnan(x) else repr(x), length]
+                         for name, rank, x in zip(artifact.quantities, ranks, ess))
+    return buf.getvalue().encode("utf-8")
+
+
+# Any float, with the writer's edge cases: a negative zero, the least subnormal and a
+# value near the largest float.
+_any_float = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308]), st.floats())
+_ANY_HEALTH = {"acceptance_rate": _any_float, "step_size": _any_float, "ess_min": _any_float,
+                  "divergences": st.integers(0, 2**63 - 1), "cap_hit": st.booleans(),
+                  "still_short": st.booleans()}
+# Text that needs escaping in JSON: quotes, backslashes, control characters, non-ASCII.
+_awkward_text = st.text(st.one_of(st.sampled_from('"\\\n\t\x00\x7f%\u00e9\u2603\U0001d11e'),
+                                  st.characters()), max_size=12)
+
+
+@st.composite
+def written_artifacts(draw):
+    """Artifacts as a run could hold them, with values that stress both writers."""
+    n = draw(st.integers(0, 6))
+    quantities = draw(st.lists(st.text(alphabet='ab,"\' \r\n%', min_size=1, max_size=5),
+                               min_size=1, max_size=3, unique=True))
+    q, L = len(quantities), draw(st.integers(1, 2000))
+    health = {key: np.array(draw(st.lists(_ANY_HEALTH[key], min_size=n, max_size=n)),
+                            dtype=HEALTH_DTYPES[key])
+              for key in draw(st.sets(st.sampled_from(sorted(_ANY_HEALTH))))}
+    ess = draw(st.lists(st.one_of(st.just(math.nan), _any_float), min_size=n * q,
+                        max_size=n * q))
+    failures = draw(st.lists(st.fixed_dictionaries(
+        {"replication": st.integers(0, 2**32), "reason": _awkward_text}), max_size=3))
+    return RunArtifact(
+        config=RunConfig(N=n + len(failures) or 1, L=L), quantities=tuple(quantities),
+        replications=np.array(sorted(draw(st.sets(st.integers(0, 2**32), min_size=n,
+                                                  max_size=n))), dtype=np.int64),
+        ranks=np.array(draw(st.lists(st.integers(0, L), min_size=n * q, max_size=n * q)),
+                       dtype=np.int64).reshape(n, q),
+        ess=np.array(ess).reshape(n, q),
+        chain_lengths=np.array(draw(st.lists(st.integers(L, 10**6), min_size=n, max_size=n)),
+                               dtype=np.int64),
+        health=health, failures=tuple(failures), wall_clock_seconds=draw(_any_float))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(written_artifacts())
+def test_writers_write_what_json_and_csv_write(artifact):
+    """The writers fill templates from columns; their bytes are what ``json.dumps`` writes
+    for the artifact as per-replication objects and what ``csv.writer`` writes for its
+    rows."""
+    assert runner._meta_json_bytes(artifact) == meta_json_of_objects(artifact)
+    assert runner._ranks_csv_bytes(artifact) == ranks_csv_of_rows(artifact)
 
 
 @functools.cache
@@ -1029,8 +1194,7 @@ class TestRowFailures:
         kept = clean.replications != bad
         np.testing.assert_array_equal(flagged.replications, clean.replications[kept])
         np.testing.assert_array_equal(flagged.ranks, clean.ranks[kept])
-        assert flagged.diagnostics == tuple(
-            d for d in clean.diagnostics if d["replication"] != bad)
+        assert_same_health(flagged, clean, kept)
 
     @pytest.mark.parametrize("kind", ["hmc", "meanfield-vi"])
     @pytest.mark.parametrize("N, n_bad", [(50, 1), (100, 2), (100, 3)])
@@ -1082,8 +1246,7 @@ class TestNonFiniteData:
         kept = clean.replications != bad
         np.testing.assert_array_equal(flagged.replications, clean.replications[kept])
         np.testing.assert_array_equal(flagged.ranks, clean.ranks[kept])
-        assert flagged.diagnostics == tuple(
-            d for d in clean.diagnostics if d["replication"] != bad)
+        assert_same_health(flagged, clean, kept)
 
     def test_failure_cap_counts_inf_data(self, monkeypatch):
         config = exact_config(N=100, L=19, seed=85)
@@ -1174,9 +1337,10 @@ class TestAlgorithm2Floor:
         for cut in (cut_above(ys, 1), math.inf):
             model = stuck_model(cut, stuck_fit)
             tables = list(runner._run_blocks(config, model, model.quantities, range(config.N)))
-            rows[cut] = [row for table in tables for row in zip(
-                *(table[key].tolist() for key in ("replications", "ranks", "ess", "chain_lengths")),
-                table["diagnostics"])]
+            rows[cut] = [(*row, {name: column[r] for name, column in table["health"].items()})
+                         for table in tables for r, row in enumerate(zip(
+                             *(table[key].tolist() for key in ("replications", "ranks", "ess",
+                                                                "chain_lengths"))))]
             failures[cut] = [failure for table in tables for failure in table["failures"]]
         flagged, clean = rows.values()
         reason = "AllConstant: every quantity is constant or degenerate over the chain"
